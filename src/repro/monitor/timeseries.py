@@ -171,7 +171,8 @@ class MonitorHub:
             name: TimeSeries(name, series_capacity) for name in GC_SERIES
         }
         #: Stop-the-world intervals ``(start, end)`` on the monotonic
-        #: clock, in collection order — the MMU/utilization input.
+        #: clock, ordered by ``end`` (collection order for one VM) — the
+        #: MMU/utilization input.
         self.pause_intervals: deque[tuple[float, float]] = deque(
             maxlen=interval_capacity
         )
@@ -229,7 +230,7 @@ class MonitorHub:
             # anchor the observation window so utilization stays in [0,1].
             self.start_mono = t - event.pause_s
             self.start_wall = (event.wall_time or time.time()) - event.pause_s
-        self.pause_intervals.append((t - event.pause_s, t))
+        self._add_interval(t - event.pause_s, t)
         series = self.series
         series["pause_s"].append(t, event.pause_s)
         series["heap_live_bytes"].append(t, float(event.bytes_after))
@@ -251,6 +252,26 @@ class MonitorHub:
         # evaluation so mmu_floor objectives judge the same number.
         series["utilization"].append(t, self.utilization_now())
 
+    def _add_interval(self, start: float, end: float) -> None:
+        """Record one pause, keeping ``pause_intervals`` ordered by end.
+
+        One VM ends its pauses in order, so this is an append.  On the
+        service's shared hub a tenant stamps its pause end before it
+        reaches the metrics lock and can arrive a little after a pause
+        that ended later; that one is inserted a few places from the
+        right instead.
+        """
+        intervals = self.pause_intervals
+        if not intervals or intervals[-1][1] <= end:
+            intervals.append((start, end))
+            return
+        if len(intervals) == intervals.maxlen:
+            intervals.popleft()  # a bounded deque refuses insert() when full
+        index = len(intervals)
+        while index and intervals[index - 1][1] > end:
+            index -= 1
+        intervals.insert(index, (start, end))
+
     # -- MMU / utilization queries ------------------------------------------------------
 
     def observed_span(self) -> tuple[float, float]:
@@ -268,7 +289,15 @@ class MonitorHub:
         return mmu_curve(list(self.pause_intervals), windows, t0, t1)
 
     def utilization_now(self, window_s: float = 1.0) -> float:
-        """Mutator utilization over the trailing ``window_s`` seconds."""
+        """Mutator utilization over the trailing ``window_s`` seconds.
+
+        Runs on every GC event, inside the pause, so it costs the pauses
+        in the window, not the ring: ``pause_intervals`` is ordered by
+        end (``_add_interval`` keeps it so, for the shared hub too), the
+        walk starts at the newest and stops at the first interval ending
+        at or before the window's start — every older one ends no later
+        and cannot overlap.  The result is the full scan's.
+        """
         t0, t1 = self.observed_span()
         if t1 <= t0:
             return 1.0
@@ -277,10 +306,12 @@ class MonitorHub:
         if span <= 0:
             return 1.0
         busy = 0.0
-        for s, e in self.pause_intervals:
-            lo, hi = max(s, start), min(e, t1)
-            if hi > lo:
-                busy += hi - lo
+        for s, e in reversed(self.pause_intervals):
+            if e <= start:
+                break
+            # No interval ends after t1 (the newest end), so only the
+            # start needs clipping.
+            busy += e - (s if s > start else start)
         return max(0.0, (span - busy) / span)
 
     def utilization_buckets(self, bucket_s: float) -> list[tuple[float, float]]:

@@ -37,7 +37,13 @@ from repro.monitor.server import render_monitor_metrics
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
 from repro.service.session import TenantSession, resolve_workload
-from repro.service.wire import MAX_FRAME_BYTES, WIRE_SCHEMA, FrameDecoder, encode_frame
+from repro.service.wire import (
+    MAX_FRAME_BYTES,
+    WIRE_SCHEMA,
+    FrameDecoder,
+    encode_frame,
+    encode_frame_trimmed,
+)
 from repro.tracing.distributed import (
     DistributedTracer,
     TraceContext,
@@ -262,9 +268,51 @@ class AssertionService:
             await conn.wake.wait()
             conn.wake.clear()
             for session in list(conn.sessions.values()):
-                for frame, enqueued_at in session.queue.drain():
-                    await self._reply(conn, frame)
-                    self._observe_delivery(session, frame, enqueued_at)
+                await self._flush(conn, session)
+
+    async def _flush(self, conn: _Connection, session: TenantSession) -> None:
+        """Write everything queued on ``session`` as one batch: one
+        encode-join, one lock, one socket write, one drain.  Delivery is
+        then scored per frame from its own enqueue stamp."""
+        batch = session.queue.drain()
+        if not batch:
+            return
+        limit = self.config.max_frame_bytes
+        chunks = []
+        for frame, _enqueued_at in batch:
+            try:
+                chunks.append(encode_frame(frame, limit))
+            except WireProtocolError as exc:
+                chunks.append(self._encode_stand_in(session, frame, exc))
+        try:
+            async with conn.write_lock:
+                conn.writer.write(b"".join(chunks))
+                await conn.writer.drain()
+        except (ConnectionError, OSError):
+            pass
+        for frame, enqueued_at in batch:
+            self._observe_delivery(session, frame, enqueued_at)
+
+    def _encode_stand_in(
+        self, session: TenantSession, frame: dict, exc: WireProtocolError
+    ) -> bytes:
+        """Bytes sent in place of a frame ``encode_frame`` refused, under
+        the same ``seq``: a result keeps the violation lines that fit and
+        counts the rest; anything else becomes a typed error."""
+        limit = self.config.max_frame_bytes
+        if frame.get("type") == "result":
+            try:
+                return encode_frame_trimmed(
+                    frame, "violations", "violations_omitted", limit
+                )
+            except WireProtocolError:
+                pass
+        return encode_frame({
+            "type": "error",
+            "session": session.session_id,
+            "seq": frame.get("seq"),
+            "error": f"{frame.get('type')} frame not sent: {exc}",
+        }, limit)
 
     def _observe_delivery(
         self, session: TenantSession, frame: dict, enqueued_at: float
@@ -319,8 +367,7 @@ class AssertionService:
             })
 
     def _session_for(self, conn: _Connection, frame: dict) -> Optional[TenantSession]:
-        session = conn.sessions.get(frame.get("session"))
-        return session
+        return conn.sessions.get(frame.get("session"))
 
     async def _open_session(self, conn: _Connection, frame: dict) -> None:
         received = time.perf_counter()
@@ -536,10 +583,8 @@ class AssertionService:
         if session is None:
             await self._reply(conn, {"type": "error", "error": "no such session"})
             return
-        # Flush anything still queued before the terminal frame.
-        for queued, enqueued_at in session.queue.drain():
-            await self._reply(conn, queued)
-            self._observe_delivery(session, queued, enqueued_at)
+        # Anything still queued goes out before the terminal frame.
+        await self._flush(conn, session)
         self._evict(conn, session)
         await self._reply(conn, {
             "type": "closed",

@@ -69,6 +69,15 @@ class FrameQueue:
     a sheddable frame is dropped and counted; a critical frame enqueues
     anyway (the bound is backpressure policy, not a correctness limit —
     critical frames are few and bounded by the workload itself).
+
+    Wake-ups are coalesced: ``notify`` fires once per drained batch, not
+    once per frame.  Invariant (both sides under ``_lock``): while
+    ``_wake_pending`` is set, a ``notify`` has been or is about to be
+    issued and no ``drain`` has run since — so a push that finds it set
+    rides the wake-up in flight, and the first push after a ``drain``
+    raises a new one.  No wake-up is lost; one may be spurious (a drain
+    for another reason beat it to the frames), which costs the consumer
+    an empty drain.
     """
 
     def __init__(
@@ -81,6 +90,7 @@ class FrameQueue:
         self.dropped_frames = 0
         self.pushed_frames = 0
         self._frames: deque = deque()
+        self._wake_pending = False
         self._lock = threading.Lock()
 
     def push(self, frame: dict) -> bool:
@@ -94,7 +104,9 @@ class FrameQueue:
                 return False
             self._frames.append((frame, time.perf_counter()))
             self.pushed_frames += 1
-        if self.notify is not None:
+            wake = not self._wake_pending
+            self._wake_pending = True
+        if wake and self.notify is not None:
             self.notify()
         return True
 
@@ -103,6 +115,7 @@ class FrameQueue:
         with self._lock:
             frames = list(self._frames)
             self._frames.clear()
+            self._wake_pending = False
         return frames
 
     def __len__(self) -> int:

@@ -59,6 +59,35 @@ def encode_frame(payload: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes
     return _LEN.pack(len(body)) + body
 
 
+def encode_frame_trimmed(
+    payload: dict,
+    list_key: str,
+    omitted_key: str,
+    max_frame_bytes: int = MAX_FRAME_BYTES,
+) -> bytes:
+    """Encode ``payload`` with the list at ``list_key`` cut to a prefix
+    that fits the limit, and the number of items cut under ``omitted_key``.
+
+    The frame is sized with the list empty and the count at its widest,
+    and what is left of the limit is spent on items in order — one pass,
+    one final encode.  Raises :class:`WireProtocolError` when the frame
+    is oversize even with the list empty.
+    """
+    items = payload[list_key]
+    shell = encode_frame({**payload, list_key: [], omitted_key: len(items)}, max_frame_bytes)
+    room = max_frame_bytes - (len(shell) - _LEN.size)
+    kept = 0
+    for item in items:
+        room -= len(json.dumps(item, separators=(",", ":"))) + 1  # the comma
+        if room < 0:
+            break
+        kept += 1
+    return encode_frame(
+        {**payload, list_key: items[:kept], omitted_key: len(items) - kept},
+        max_frame_bytes,
+    )
+
+
 class FrameDecoder:
     """Incremental decoder: feed arbitrary byte chunks, get whole frames.
 

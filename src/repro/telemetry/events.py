@@ -80,7 +80,9 @@ class GcEvent:
         return (self.mono_time - self.pause_s, self.mono_time)
 
     def as_dict(self) -> dict:
-        row = asdict(self)
+        # A flat copy, not ``asdict``: every field is a scalar and this
+        # runs on the sink path inside the pause.
+        row = {name: getattr(self, name) for name in _GC_EVENT_FIELDS}
         row["schema"] = EVENT_SCHEMA
         row["occupancy_before"] = self.occupancy_before
         row["occupancy_after"] = self.occupancy_after
@@ -105,6 +107,9 @@ class GcEvent:
             f"occupancy={self.occupancy_before:.0%}->{self.occupancy_after:.0%} "
             f"violations={self.violations} ({self.trigger})"
         )
+
+
+_GC_EVENT_FIELDS = tuple(f.name for f in fields(GcEvent))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ import json
 import random
 import urllib.error
 import urllib.request
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.heap.object_model import FieldKind
@@ -35,7 +38,7 @@ from repro.monitor import (
     validate_health_report,
 )
 from repro.runtime.vm import VirtualMachine
-from repro.telemetry import MemorySink, validate_exposition
+from repro.telemetry import GcEvent, MemorySink, validate_exposition
 
 
 def churn(vm, node_cls, objects: int = 400, batch: int = 40) -> None:
@@ -322,6 +325,100 @@ class TestMonitorHub:
         assert 0.0 <= hub.utilization_now() <= 1.0
         buckets = hub.utilization_buckets(0.01)
         assert buckets and all(0.0 <= u <= 1.0 for _t, u in buckets)
+
+
+def pause_event(seq: int, start: float, end: float) -> GcEvent:
+    """A GC event that says nothing but when its pause ran."""
+    return GcEvent(
+        seq=seq, collector="marksweep", kind="full", trigger="test",
+        pause_s=end - start, ownership_s=0.0, mark_s=0.0, sweep_s=0.0,
+        objects_traced=0, edges_traced=0, objects_swept=0, objects_freed=0,
+        bytes_freed=0, objects_promoted=0, bytes_before=0, bytes_after=0,
+        live_before=0, live_after=0, heap_bytes=1, assertion_checks=0,
+        ownees_checked=0, violations=0, mono_time=end,
+    )
+
+
+def full_scan_utilization(hub: MonitorHub, window_s: float) -> float:
+    """The oracle: ``utilization_now`` as it was, visiting the whole ring."""
+    t0, t1 = hub.observed_span()
+    start = max(t0, t1 - window_s)
+    span = t1 - start
+    if span <= 0:
+        return 1.0
+    return max(0.0, (span - oracle_busy(hub.pause_intervals, start, t1)) / span)
+
+
+class CountingIntervals(deque):
+    """A deque that counts what a newest-first walk visits."""
+
+    visited = 0
+
+    def __reversed__(self):
+        for interval in super().__reversed__():
+            self.visited += 1
+            yield interval
+
+
+class TestUtilizationNowIsBounded:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pauses=st.lists(
+            st.tuples(
+                st.floats(0.0, 0.6),      # gap since the previous pause's end
+                st.floats(1e-6, 0.4),     # pause length (may reach back over the gap)
+                st.booleans(),            # arrives after the next one (shared hub)
+            ),
+            min_size=1, max_size=60,
+        ),
+        window_s=st.floats(1e-3, 5.0),
+        capacity=st.sampled_from([4, 16, 4096]),
+    )
+    def test_equals_the_full_scan_and_stops_at_the_window(
+        self, pauses, window_s, capacity
+    ):
+        # Two tenants' pauses can overlap, and one stamped earlier can
+        # reach the shared hub later: build in end order, deliver swapped.
+        intervals, end = [], 100.0
+        for gap, length, _late in pauses:
+            end += gap
+            intervals.append((end - length, end))
+        arrivals = list(intervals)
+        for index, (_gap, _length, late) in enumerate(pauses[:-1]):
+            if late:
+                arrivals[index], arrivals[index + 1] = arrivals[index + 1], arrivals[index]
+
+        hub = MonitorHub(interval_capacity=capacity)
+        for seq, (start, end) in enumerate(arrivals, 1):
+            hub.emit(pause_event(seq, start, end))
+
+        ends = [e for _s, e in hub.pause_intervals]
+        assert ends == sorted(ends)
+        assert len(ends) == min(len(intervals), capacity)
+        if len(intervals) <= capacity:
+            assert sorted(hub.pause_intervals) == sorted(intervals)
+
+        counting = CountingIntervals(hub.pause_intervals, maxlen=capacity)
+        hub.pause_intervals = counting
+        assert hub.utilization_now(window_s) == pytest.approx(
+            full_scan_utilization(hub, window_s), abs=1e-12
+        )
+        t0, t1 = hub.observed_span()
+        overlapping = sum(1 for e in ends if e > max(t0, t1 - window_s))
+        assert counting.visited <= overlapping + 1
+
+    def test_a_full_ring_costs_the_window_not_the_ring(self):
+        hub = MonitorHub()
+        capacity = hub.pause_intervals.maxlen
+        for seq in range(capacity + 500):  # 10 ms pause every 100 ms
+            hub.emit(pause_event(seq + 1, seq * 0.1, seq * 0.1 + 0.01))
+        assert len(hub.pause_intervals) == capacity
+        counting = CountingIntervals(hub.pause_intervals, maxlen=capacity)
+        hub.pause_intervals = counting
+        value = hub.utilization_now()
+        assert counting.visited == 11  # ten pauses in the second, and the one that stops it
+        assert value == pytest.approx(full_scan_utilization(hub, 1.0), abs=1e-12)
+        assert value == pytest.approx(0.9, abs=1e-9)
 
 
 # -- SLO burn-rate engine ---------------------------------------------------------------

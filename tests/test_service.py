@@ -20,7 +20,10 @@ Coverage map:
 from __future__ import annotations
 
 import json
+import random
 import struct
+import threading
+import time
 
 import pytest
 
@@ -39,7 +42,8 @@ from repro.service import (
     resolve_workload,
     run_loadgen,
 )
-from repro.service.wire import MAX_FRAME_BYTES
+from repro.service import server as server_module
+from repro.service.wire import MAX_FRAME_BYTES, encode_frame_trimmed
 
 
 # -- wire protocol ----------------------------------------------------------------------
@@ -85,6 +89,26 @@ class TestFraming:
     def test_oversized_payload_rejected_on_encode(self):
         with pytest.raises(WireProtocolError, match="over the"):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 10)})
+
+    def test_trimmed_encode_keeps_the_prefix_that_fits(self):
+        lines = [f"violation line {i:04d} " + "x" * 40 for i in range(100)]
+        frame = {"type": "result", "outcome": "completed", "violations": lines}
+        limit = len(encode_frame(frame)) // 2
+        blob = encode_frame_trimmed(frame, "violations", "violations_omitted", limit)
+        assert len(blob) - 4 <= limit
+        (trimmed,) = FrameDecoder().feed(blob)
+        kept = trimmed["violations"]
+        assert 0 < len(kept) < len(lines) and kept == lines[:len(kept)]
+        assert trimmed["violations_omitted"] == len(lines) - len(kept)
+        assert trimmed["outcome"] == "completed" and "violations_omitted" not in frame
+        # One more line would not have fit.
+        with pytest.raises(WireProtocolError):
+            encode_frame({**trimmed, "violations": lines[:len(kept) + 2]}, limit)
+
+    def test_trimmed_encode_rejects_an_oversize_shell(self):
+        frame = {"type": "result", "blob": "x" * 500, "violations": ["a"]}
+        with pytest.raises(WireProtocolError, match="over the 100-byte limit"):
+            encode_frame_trimmed(frame, "violations", "violations_omitted", 100)
 
     def test_zero_length_frame_rejected(self):
         with pytest.raises(WireProtocolError, match="zero-length"):
@@ -170,6 +194,68 @@ class TestFrameQueue:
         kinds = [frame["type"] for frame, _t in queue.drain()]
         assert kinds == ["gc-event", "violation", "result"]
         assert len(queue) == 0
+
+    def test_one_wakeup_per_drained_batch(self):
+        wakeups = []
+        queue = FrameQueue(max_frames=4, notify=lambda: wakeups.append(len(queue)))
+        for seq in range(4):
+            queue.push({"type": "gc-event", "seq": seq})
+        assert len(wakeups) == 1
+        # A shed push queues nothing, so it must not raise a wake-up.
+        assert not queue.push({"type": "gc-event", "seq": 4})
+        assert len(wakeups) == 1
+        assert len(queue.drain()) == 4
+        queue.push({"type": "gc-event", "seq": 5})
+        queue.push({"type": "violation", "seq": 6})
+        assert len(wakeups) == 2
+        assert [frame["seq"] for frame, _t in queue.drain()] == [5, 6]
+        assert queue.drain() == []
+        queue.push({"type": "result", "seq": 7})
+        assert len(wakeups) == 3
+
+    def test_coalesced_wakeups_lose_none_under_threads(self):
+        """Two producers against a consumer that only drains when woken:
+        every accepted frame comes out once, in its producer's order, and
+        the consumer is never left asleep on a non-empty queue."""
+        per_producer, producers = 5_000, 2
+        wake = threading.Event()
+        wakeups = []
+        queue = FrameQueue(max_frames=64, notify=lambda: (wakeups.append(1), wake.set()))
+        accepted = [[] for _ in range(producers)]
+
+        def produce(who: int) -> None:
+            rng = random.Random(who)
+            for n in range(per_producer):
+                if queue.push({"type": "gc-event", "who": who, "n": n}):
+                    accepted[who].append(n)
+                if rng.random() < 0.02:
+                    time.sleep(rng.random() * 2e-4)
+
+        threads = [threading.Thread(target=produce, args=(who,)) for who in range(producers)]
+        for thread in threads:
+            thread.start()
+        rng = random.Random(99)
+        drained = [[] for _ in range(producers)]
+        stranded = None
+        while any(t.is_alive() for t in threads) or len(queue):
+            if not wake.wait(timeout=0.5):
+                if len(queue):  # frames queued and nobody told us: a lost wake-up
+                    stranded = len(queue)
+                    break
+                continue
+            wake.clear()
+            for frame, _t in queue.drain():
+                drained[frame["who"]].append(frame["n"])
+            if rng.random() < 0.3:
+                time.sleep(rng.random() * 3e-4)
+        for thread in threads:
+            thread.join()
+        assert stranded is None
+        assert drained == accepted
+        total = sum(len(a) for a in accepted)
+        assert total + queue.dropped_frames == per_producer * producers
+        assert queue.pushed_frames == total
+        assert len(wakeups) <= total
 
 
 # -- tenant sessions --------------------------------------------------------------------
@@ -309,6 +395,79 @@ class TestServerEndToEnd:
         assert result["violations"] == violations
         assert sum(1 for f in streamed if f["type"] == "violation") == len(violations)
         assert any(f["type"] == "gc-event" for f in streamed)
+
+    def test_stream_is_ordered_gap_accounted_and_batched(self, service, monkeypatch):
+        wakeups = []
+
+        class CountedSession(TenantSession):
+            def __init__(self, *args, notify, **kwargs):
+                super().__init__(
+                    *args, notify=lambda: (wakeups.append(1), notify()), **kwargs
+                )
+
+        monkeypatch.setattr(server_module, "TenantSession", CountedSession)
+        overrides = {"swaps": 48, "gc_every_swaps": 1}
+        with ServiceClient("127.0.0.1", service.port) as client:
+            client.hello()
+            opened = client.open("acme", "swapleak", overrides=overrides)
+            frames = []
+            result = client.submit(opened["session"], collect=frames)
+            frames.append(result)
+            closed = client.close_session(opened["session"], collect=frames)
+            missed = client.frames_missed
+        seqs = [frame["seq"] for frame in frames]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert seqs[-1] == result["seq"]
+        assert missed == closed["dropped_frames"] == seqs[-1] + 1 - len(seqs)
+        # One loop wake-up per drained batch, not per frame.
+        assert 0 < len(wakeups) < len(frames)
+
+    def test_oversize_result_is_trimmed_not_fatal(self, service):
+        """At 96 swaps with a GC per swap the result's violation lines
+        alone pass the frame limit; the writer used to die on it and the
+        client hung."""
+        overrides = {"swaps": 96, "gc_every_swaps": 1}
+        counters, violations = _run_direct("swapleak", overrides)
+        assert len(json.dumps(violations)) > MAX_FRAME_BYTES
+        with ServiceClient("127.0.0.1", service.port, timeout=10.0) as client:
+            client.hello()
+            opened = client.open("acme", "swapleak", overrides=overrides)
+            submitted = time.monotonic()
+            result = client.submit(opened["session"])
+            assert time.monotonic() - submitted < 10.0
+            assert result["type"] == "result" and result["outcome"] == "completed"
+            assert result["counters"] == counters
+            kept = result["violations"]
+            assert kept and kept == violations[:len(kept)]
+            assert len(kept) + result["violations_omitted"] == len(violations)
+            client.close_session(opened["session"])
+            client.send({"type": "ping"})
+            assert client.recv()["type"] == "pong"
+
+    def test_unencodable_frames_become_errors_under_their_seq(self):
+        """With a frame limit no gc-event or result fits under, every
+        frame is still answered for — the stand-ins keep the numbering."""
+        config = ServiceConfig(http_port=None, max_frame_bytes=400)
+        with AssertionService(config) as svc:
+            with ServiceClient("127.0.0.1", svc.port, timeout=10.0) as client:
+                client.hello()
+                opened = client.open("acme", "swapleak", overrides={"swaps": 8})
+                session = opened["session"]
+                client.send({"type": "submit", "session": session})
+                client.send({"type": "close", "session": session})
+                frames = []
+                while not frames or frames[-1]["type"] != "closed":
+                    frames.append(client.recv())
+                assert client.frames_missed == 0
+                client.send({"type": "ping"})
+                assert client.recv()["type"] == "pong"
+        streamed = frames[:-1]
+        assert [frame["seq"] for frame in streamed] == list(range(len(streamed)))
+        errors = [frame for frame in streamed if frame["type"] == "error"]
+        assert errors and all(frame["session"] == session for frame in errors)
+        assert any("gc-event frame not sent" in frame["error"] for frame in errors)
+        assert "result frame not sent" in streamed[-1]["error"]
+        assert "over the 400-byte limit" in streamed[-1]["error"]
 
     def test_program_submission(self, service):
         source = """

@@ -121,6 +121,18 @@ class TestEventStream:
         assert row["schema"] == EVENT_SCHEMA == "repro-gc-event/2"
         assert "wall_time" in row and "mono_time" in row
 
+    def test_as_dict_is_asdict_plus_the_derived_keys(self, vm, node_class):
+        import dataclasses
+
+        _churn(vm, rounds=1)
+        event = vm.telemetry.events.latest
+        expected = dataclasses.asdict(event)
+        expected["schema"] = EVENT_SCHEMA
+        expected["occupancy_before"] = event.occupancy_before
+        expected["occupancy_after"] = event.occupancy_after
+        row = event.as_dict()
+        assert row == expected and list(row) == list(expected)
+
     def test_from_row_loads_current_and_v1_rows(self, vm, node_class):
         _churn(vm, rounds=1)
         event = vm.telemetry.events.latest
