@@ -33,6 +33,7 @@ from repro.core.registry import AssertionRegistry, OwnerRecord
 from repro.core.reporting import AssertionKind, HeapPath, Violation, ViolationLog
 from repro.errors import AssertionViolationHalt, ConfigurationError, EngineDegraded
 from repro.heap import header as hdr
+from repro.heap.layout import NULL
 from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
@@ -191,11 +192,15 @@ class AssertionEngine:
                 stats.instance_count_increments += 1
 
     def phase1_visit(self, obj: HeapObject, record: OwnerRecord) -> None:
-        """First encounter during the ownership phase.
+        """First encounter during the ownership phase — the slow hook.
 
         Runs the same header-word duties as ``on_first_encounter``, except
         unowned-ownee detection (phase 1 is what *establishes* ownedness)
-        and full-path reporting (the ownership scan keeps no path).
+        and full-path reporting (the ownership scan keeps no path).  The
+        fused phase-1 loop counts the check and the instance itself and
+        calls this only when ``DEAD_BIT`` is set — or on every visit while
+        a ``check_budget`` is set or checks are off for this GC, so the
+        budget trips on the same visit either way.
         """
         if self._degraded_gc == self._gc_number or self._budget_spent():
             return
@@ -210,7 +215,14 @@ class AssertionEngine:
             cls.instance_count += 1
 
     def on_repeat_encounter(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
-        """Mark bit already set: a second incoming reference (§2.5.1)."""
+        """Mark bit already set: a second incoming reference (§2.5.1).
+
+        Called per repeat encounter by the drains that do not inline the
+        header checks; the fused phase-1 loop (``tracer=None``) counts the
+        check itself and calls this only when ``UNSHARED_BIT`` is set — or
+        on every repeat while a ``check_budget`` is set or checks are off
+        for this GC.
+        """
         if self._degraded_gc == self._gc_number or self._budget_spent():
             return
         if tracer is not None:
@@ -238,8 +250,6 @@ class AssertionEngine:
         clearing never creates a dangling reference.  Cost is paid only on
         collections where a back edge actually hit an owner.
         """
-        from repro.heap.layout import NULL as _NULL
-
         pending = self._self_sustained
         if not pending:
             return
@@ -254,14 +264,14 @@ class AssertionEngine:
             if owner is not None and not owner.is_freed:
                 seeds.extend(owner.reference_slots())
         reachable: set[int] = set()
-        stack = [a for a in seeds if a != _NULL and heap.contains(a)]
+        stack = [a for a in seeds if a != NULL and heap.contains(a)]
         while stack:
             address = stack.pop()
             if address in reachable:
                 continue
             reachable.add(address)
             for child in heap.get(address).reference_slots():
-                if child != _NULL and child not in reachable and heap.contains(child):
+                if child != NULL and child not in reachable and heap.contains(child):
                     stack.append(child)
         demoted: set[int] = set()
         for record, touched in pending:

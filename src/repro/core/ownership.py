@@ -34,6 +34,33 @@ assertion without per-object memory overhead or processing any objects
 twice") — and, exactly as the paper concedes, objects reachable only from a
 *dead* owner survive this collection as floating garbage.
 
+**How phase 1 is written.**  :func:`run_ownership_phase` is one fused
+loop for the whole phase — the treatment the tracer's engine drain gives
+phase 2 — with its locals bound once, not once per owner record:
+
+* children are resolved through the heap's address table; only a miss or a
+  freed object goes back through ``heap.get`` so the caller still sees the
+  typed ``InvalidAddressError`` / ``UseAfterFreeError``;
+* reference slots are read in place (phase 1 counts null edges in
+  ``edges_traced``, which the root-scan drains do not);
+* the per-visit header duties are inlined the way ``INLINE_HEADER_CHECKS``
+  inlines them into the drains: the check count and the instance count are
+  kept in the loop, ``engine.phase1_visit`` is called only for ``DEAD_BIT``
+  and ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT`` — or on
+  every visit while a ``check_budget`` is set or checks are off for this
+  GC, so the budget trips on exactly the visit it always did;
+* the ownee lookup is still the paper's binary search over the sorted ownee
+  array, done by ``bisect_left``; the probe count a hit would have cost is
+  a pure function of (index, length) and is read from
+  :func:`repro.core.registry.probe_depths`, so ``ownee_search_probes`` is
+  exact.  A miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
+* work counters accumulate in locals and are flushed in a ``finally``.
+
+This is not another copy of the tracer's drain: phase 1 tags no paths,
+truncates at ownees, runs a second queue and consults a per-record sorted
+array.  It has one loop body.  The closure-per-edge implementation it
+replaced lives on as the oracle in ``tests/reference_ownership.py``.
+
 The module also provides the **naive** per-pair reachability check that the
 paper rejects, used by the ``abl-own`` ablation benchmark to quantify how
 much the two-phase design saves.
@@ -41,9 +68,10 @@ much the two-phase design saves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
-from repro.core.registry import OwnerRecord
+from repro.core.registry import probe_depths
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 
@@ -55,115 +83,128 @@ if TYPE_CHECKING:
 def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> None:
     """Phase 1: trace from every live owner, truncating at ownees."""
     heap = collector.heap
-    registry = engine.registry
+    table = heap.address_table()
+    heap_get = heap.get
+    phase1_visit = engine.phase1_visit
+    on_repeat = engine.on_repeat_encounter
+    mark_bit = hdr.MARK_BIT
+    mark_owned = hdr.MARK_BIT | hdr.OWNED_BIT
+    freed_bit = hdr.FREED_BIT
+    ownee_bit = hdr.OWNEE_BIT
+    owner_bit = hdr.OWNER_BIT
+    dead_bit = hdr.DEAD_BIT
+    unshared_bit = hdr.UNSHARED_BIT
+    # With a per-pause budget (or checks already off for this GC) every
+    # visit goes through the hooks, so the budget trips on the same visit.
+    hook_every_visit = engine.check_budget is not None or engine.degraded
     misuse_reported: set[int] = set()
-    for record in list(registry.owner_records()):
-        owner = heap.maybe(record.owner_address)
-        if owner is None or owner.is_freed:
-            # Owner already reclaimed by an earlier (minor) collection; the
-            # epilogue's owner-death processing handles its ownees.
-            continue
-        touched, self_reached = _scan_from_owner(
-            engine, collector, record, owner, misuse_reported
-        )
-        if self_reached:
-            # The owner is reachable from its own ownee region (a back
-            # edge reached it), so this scan just marked the owner from
-            # its own record.  If the root scan cannot justify the owner,
-            # leaving that mark would make the region self-sustaining —
-            # re-marked from its own registry entry every collection,
-            # never reclaimed.  The engine re-judges these owners against
-            # true root reachability in ``post_mark`` and demotes the
-            # marks of the dead ones.  (Found by the small-scope model
-            # checker: root-less {owner -> ownee -> owner} shapes leaked
-            # permanently.)
-            engine.note_self_sustained(record, touched)
-
-
-def _scan_from_owner(
-    engine: "AssertionEngine",
-    collector: "Collector",
-    record: OwnerRecord,
-    owner,
-    misuse_reported: set[int],
-) -> tuple[list[int], bool]:
-    """Scan one owner region; returns (addresses marked, owner-back-edge?)."""
-    heap = collector.heap
-    stats = collector.stats
     stack: list[int] = []
     ownee_queue: list[int] = []
-    owner_address = record.owner_address
-    touched: list[int] = []
-    self_reached = False
-
-    def reach(address: int) -> None:
-        nonlocal self_reached
-        if address == NULL:
-            return
-        obj = heap.get(address)
-        stats.header_bit_checks += 1
-        status = obj.status
-        if status & hdr.MARK_BIT:
-            # Second encounter during GC tracing: same unshared check the
-            # root scan performs (§2.5.1).
-            engine.on_repeat_encounter(obj, None, None)
-            return
-        if status & hdr.OWNEE_BIT:
-            stats.ownee_lookups += 1
-            found, probes = record.contains(address)
-            stats.ownee_search_probes += probes
-            if found:
-                # Mark, set owned, truncate: scan its subtree after the
-                # owner's scan completes (back-edge tolerance, §2.5.2).
-                obj.status |= hdr.MARK_BIT | hdr.OWNED_BIT
-                stats.objects_traced += 1
-                touched.append(address)
-                engine.phase1_visit(obj, record)
-                ownee_queue.append(address)
-            else:
-                # Ownee of a different owner: improper use of the assertion.
-                if address not in misuse_reported:
-                    misuse_reported.add(address)
-                    engine.report_ownership_misuse(obj, record)
-            return
-        if (status & hdr.OWNER_BIT) and address != owner_address:
-            # Another owner: mark it and stop — it gets its own scan.
-            obj.status |= hdr.MARK_BIT
-            stats.objects_traced += 1
-            touched.append(address)
-            engine.phase1_visit(obj, record)
-            return
-        if address == owner_address:
-            # Back edge to the current owner.  It must be marked here for
-            # soundness (the root scan prunes at phase-1 marks, so this
-            # scan may be the only path that reaches it), but the mark is
-            # provisional — see run_ownership_phase.
-            self_reached = True
-        obj.status |= hdr.MARK_BIT
-        stats.objects_traced += 1
-        touched.append(address)
-        engine.phase1_visit(obj, record)
-        stack.append(address)
-
-    # Seed with the owner's children; deliberately do NOT mark the owner.
-    for child in owner.reference_slots():
-        stats.edges_traced += 1
-        reach(child)
-
-    while True:
-        while stack:
-            obj = heap.get(stack.pop())
-            for child in obj.reference_slots():
-                stats.edges_traced += 1
-                reach(child)
-        if not ownee_queue:
-            break
-        # Process deferred ownees: scan the subtree below each one.
-        obj = heap.get(ownee_queue.pop())
-        for child in obj.reference_slots():
-            stats.edges_traced += 1
-            reach(child)
-    return touched, self_reached
+    objects = edges = header_checks = lookups = probes = checks = 0
+    try:
+        for record in list(engine.registry.owner_records()):
+            owner_address = record.owner_address
+            obj = table.get(owner_address)
+            if obj is None or obj.status & freed_bit:
+                # Owner already reclaimed by an earlier (minor) collection;
+                # the epilogue's owner-death processing handles its ownees.
+                continue
+            ownees = record.ownees
+            ownee_count = len(ownees)
+            depths = probe_depths(ownee_count)
+            touched: list[int] = []
+            self_reached = False
+            # Start at the owner's children; deliberately do NOT mark the
+            # owner.  Drain the stack, then scan below one deferred ownee,
+            # and repeat until both are empty.
+            while True:
+                cls = obj.cls
+                if cls.is_array:
+                    children = obj.slots if cls.element_kind.is_reference else ()
+                else:
+                    slots = obj.slots
+                    children = [slots[i] for i in cls.ref_slots]
+                for child in children:
+                    edges += 1
+                    if child == NULL:
+                        continue
+                    cobj = table.get(child)
+                    if cobj is None or cobj.status & freed_bit:
+                        cobj = heap_get(child)  # raises the typed heap error
+                    header_checks += 1
+                    status = cobj.status
+                    if status & mark_bit:
+                        # Second encounter during GC tracing: same unshared
+                        # check the root scan performs (§2.5.1).
+                        if hook_every_visit or status & unshared_bit:
+                            on_repeat(cobj, None, None)
+                        else:
+                            checks += 1
+                        continue
+                    if status & ownee_bit:
+                        lookups += 1
+                        idx = bisect_left(ownees, child)
+                        if idx == ownee_count or ownees[idx] != child:
+                            # Ownee of a different owner: improper use of
+                            # the assertion.  Warn once and do not mark.
+                            probes += record.contains(child)[1]
+                            if child not in misuse_reported:
+                                misuse_reported.add(child)
+                                engine.report_ownership_misuse(cobj, record)
+                            continue
+                        probes += depths[idx]
+                        cobj.status = status | mark_owned
+                    else:
+                        cobj.status = status | mark_bit
+                    objects += 1
+                    touched.append(child)
+                    if hook_every_visit or status & dead_bit:
+                        phase1_visit(cobj, record)
+                    else:
+                        checks += 1
+                        ccls = cobj.cls
+                        if ccls.instance_limit is not None:
+                            ccls.instance_count += 1
+                    if status & ownee_bit:
+                        # Own ownee: truncate here, scan its subtree after
+                        # the owner's scan completes (back edges, §2.5.2).
+                        ownee_queue.append(child)
+                    elif child == owner_address:
+                        # Back edge to the current owner.  It must be marked
+                        # for soundness (the root scan prunes at phase-1
+                        # marks, so this scan may be the only path that
+                        # reaches it), but the mark is provisional.
+                        self_reached = True
+                        stack.append(child)
+                    elif not status & owner_bit:
+                        stack.append(child)
+                    # else: another owner — marked, and it gets its own scan.
+                if stack:
+                    obj = table[stack.pop()]
+                elif ownee_queue:
+                    obj = table[ownee_queue.pop()]
+                else:
+                    break
+            if self_reached:
+                # The owner is reachable from its own ownee region, so this
+                # scan just marked the owner from its own record.  If the
+                # root scan cannot justify the owner, leaving that mark
+                # would make the region self-sustaining — re-marked from its
+                # own registry entry every collection, never reclaimed.  The
+                # engine re-judges these owners against true root
+                # reachability in ``post_mark`` and demotes the marks of the
+                # dead ones.  (Found by the small-scope model checker:
+                # root-less {owner -> ownee -> owner} shapes leaked
+                # permanently.)
+                engine.note_self_sustained(record, touched)
+    finally:
+        stats = collector.stats
+        stats.objects_traced += objects
+        stats.edges_traced += edges
+        stats.header_bit_checks += header_checks
+        stats.ownee_lookups += lookups
+        stats.ownee_search_probes += probes
+        engine._checks_this_gc += checks
 
 
 def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector") -> None:

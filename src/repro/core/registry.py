@@ -20,7 +20,8 @@ in §3.1.2 ("695 calls to assert-dead and 15,553 calls to assert-ownedBy").
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from repro.core.reporting import AssertionKind
@@ -62,7 +63,7 @@ class OwnerRecord:
         idx = bisect_left(self.ownees, ownee_address)
         if idx < len(self.ownees) and self.ownees[idx] == ownee_address:
             return  # idempotent re-assert of the same pair
-        insort(self.ownees, ownee_address)
+        self.ownees.insert(idx, ownee_address)
 
     def remove(self, ownee_address: int) -> bool:
         idx = bisect_left(self.ownees, ownee_address)
@@ -96,6 +97,35 @@ class OwnerRecord:
 
     def __repr__(self) -> str:
         return f"<owner {self.owner_address:#x} ownees={len(self.ownees)}>"
+
+
+#: ``bytes.translate`` table adding one to every probe depth.
+_ONE_DEEPER = bytes(range(1, 256)) + b"\x00"
+
+
+@lru_cache(maxsize=64)
+def probe_depths(n: int) -> bytes:
+    """Probes :meth:`OwnerRecord.contains` spends on a hit, per index.
+
+    The binary search's midpoint depends only on the length of the span it
+    is halving, so the probe count of a hit is a pure function of (index,
+    array length): one for the midpoint, and one more than the half-length
+    table's entry on either side.  ``probe_depths(n)[i]`` therefore equals
+    ``contains(ownees[i])[1]`` for every sorted array of ``n`` ownees — the
+    ownership phase finds the index with ``bisect_left`` at C speed and
+    reads the exact §2.5.2 probe count here.  Tables are one byte per ownee
+    (a depth never exceeds 64), built from the two half-length tables with
+    C-level byte operations, and memoised: ownee-array lengths repeat from
+    collection to collection.
+    """
+    if n <= 0:
+        return b""
+    left = (n - 1) // 2
+    return (
+        probe_depths(left).translate(_ONE_DEEPER)
+        + b"\x01"
+        + probe_depths(n - 1 - left).translate(_ONE_DEEPER)
+    )
 
 
 class AssertionRegistry:
@@ -179,6 +209,8 @@ class AssertionRegistry:
         by this collection and owners that were reclaimed (whose surviving
         ownees have now outlived their owner).
         """
+        if not freed:
+            return {"dead_satisfied": [], "dead_owners": []}
         satisfied = [a for a in self.dead_sites if a in freed]
         for address in satisfied:
             del self.dead_sites[address]
@@ -188,7 +220,7 @@ class AssertionRegistry:
             del self.unshared_sites[address]
 
         dead_owners: list[int] = []
-        for owner_address, record in list(self.owners.items()):
+        for owner_address, record in self.owners.items():
             reclaimed = [a for a in record.ownees if a in freed]
             for a in reclaimed:
                 record.remove(a)

@@ -1,0 +1,138 @@
+"""Reference oracle for the ownership phase (§2.5.2, phase 1).
+
+This is the closure-per-edge implementation that ``repro.core.ownership``
+shipped before the phase was fused into one table-direct loop, moved here
+verbatim (only the entry point is renamed).  It goes through the public,
+fully checked interfaces — ``ObjectHeap.get``, ``reference_slots()``,
+``engine.phase1_visit`` / ``on_repeat_encounter`` on every visit,
+``OwnerRecord.contains`` for every lookup — so it states the per-step
+invariants (what is marked, what is truncated, what is counted) in the
+plainest form.  ``tests/test_ownership_fused.py`` runs it against the fused
+loop on twin VMs; it is not imported by anything under ``src/``.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.core.registry import OwnerRecord
+from repro.heap import header as hdr
+from repro.heap.layout import NULL
+
+if TYPE_CHECKING:
+    from repro.core.engine import AssertionEngine
+    from repro.gc.base import Collector
+
+
+def reference_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> None:
+    """Phase 1: trace from every live owner, truncating at ownees."""
+    heap = collector.heap
+    registry = engine.registry
+    misuse_reported: set[int] = set()
+    for record in list(registry.owner_records()):
+        owner = heap.maybe(record.owner_address)
+        if owner is None or owner.is_freed:
+            # Owner already reclaimed by an earlier (minor) collection; the
+            # epilogue's owner-death processing handles its ownees.
+            continue
+        touched, self_reached = _scan_from_owner(
+            engine, collector, record, owner, misuse_reported
+        )
+        if self_reached:
+            # The owner is reachable from its own ownee region (a back
+            # edge reached it), so this scan just marked the owner from
+            # its own record.  If the root scan cannot justify the owner,
+            # leaving that mark would make the region self-sustaining —
+            # re-marked from its own registry entry every collection,
+            # never reclaimed.  The engine re-judges these owners against
+            # true root reachability in ``post_mark`` and demotes the
+            # marks of the dead ones.  (Found by the small-scope model
+            # checker: root-less {owner -> ownee -> owner} shapes leaked
+            # permanently.)
+            engine.note_self_sustained(record, touched)
+
+
+def _scan_from_owner(
+    engine: "AssertionEngine",
+    collector: "Collector",
+    record: OwnerRecord,
+    owner,
+    misuse_reported: set[int],
+) -> tuple[list[int], bool]:
+    """Scan one owner region; returns (addresses marked, owner-back-edge?)."""
+    heap = collector.heap
+    stats = collector.stats
+    stack: list[int] = []
+    ownee_queue: list[int] = []
+    owner_address = record.owner_address
+    touched: list[int] = []
+    self_reached = False
+
+    def reach(address: int) -> None:
+        nonlocal self_reached
+        if address == NULL:
+            return
+        obj = heap.get(address)
+        stats.header_bit_checks += 1
+        status = obj.status
+        if status & hdr.MARK_BIT:
+            # Second encounter during GC tracing: same unshared check the
+            # root scan performs (§2.5.1).
+            engine.on_repeat_encounter(obj, None, None)
+            return
+        if status & hdr.OWNEE_BIT:
+            stats.ownee_lookups += 1
+            found, probes = record.contains(address)
+            stats.ownee_search_probes += probes
+            if found:
+                # Mark, set owned, truncate: scan its subtree after the
+                # owner's scan completes (back-edge tolerance, §2.5.2).
+                obj.status |= hdr.MARK_BIT | hdr.OWNED_BIT
+                stats.objects_traced += 1
+                touched.append(address)
+                engine.phase1_visit(obj, record)
+                ownee_queue.append(address)
+            else:
+                # Ownee of a different owner: improper use of the assertion.
+                if address not in misuse_reported:
+                    misuse_reported.add(address)
+                    engine.report_ownership_misuse(obj, record)
+            return
+        if (status & hdr.OWNER_BIT) and address != owner_address:
+            # Another owner: mark it and stop — it gets its own scan.
+            obj.status |= hdr.MARK_BIT
+            stats.objects_traced += 1
+            touched.append(address)
+            engine.phase1_visit(obj, record)
+            return
+        if address == owner_address:
+            # Back edge to the current owner.  It must be marked here for
+            # soundness (the root scan prunes at phase-1 marks, so this
+            # scan may be the only path that reaches it), but the mark is
+            # provisional — see reference_ownership_phase.
+            self_reached = True
+        obj.status |= hdr.MARK_BIT
+        stats.objects_traced += 1
+        touched.append(address)
+        engine.phase1_visit(obj, record)
+        stack.append(address)
+
+    # Seed with the owner's children; deliberately do NOT mark the owner.
+    for child in owner.reference_slots():
+        stats.edges_traced += 1
+        reach(child)
+
+    while True:
+        while stack:
+            obj = heap.get(stack.pop())
+            for child in obj.reference_slots():
+                stats.edges_traced += 1
+                reach(child)
+        if not ownee_queue:
+            break
+        # Process deferred ownees: scan the subtree below each one.
+        obj = heap.get(ownee_queue.pop())
+        for child in obj.reference_slots():
+            stats.edges_traced += 1
+            reach(child)
+    return touched, self_reached

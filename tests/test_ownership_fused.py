@@ -1,0 +1,348 @@
+"""The fused ownership phase against its reference oracle.
+
+``repro.core.ownership.run_ownership_phase`` is one table-direct loop with
+the header checks inlined and the ownee lookup done by ``bisect_left`` plus
+a probe-depth table.  ``tests/reference_ownership.py`` is the closure
+implementation it replaced, kept verbatim.  Every test here builds the same
+heap in twin VMs, runs one implementation on each, and demands identical
+marks, counters, budget accounting and verdicts.
+
+CI selects this module with ``-k ownership_fused``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.ownership import run_ownership_phase
+from repro.core.registry import OwnerRecord, probe_depths
+from repro.errors import HeapError, InvalidAddressError, UseAfterFreeError
+from repro.gc.stats import GcStats
+from repro.heap import header as hdr
+from repro.heap.object_model import FieldKind
+from repro.runtime.vm import VirtualMachine
+
+from tests.conftest import ALL_COLLECTORS
+from tests.reference_ownership import reference_ownership_phase
+
+MAX_OBJECTS = 14
+KINDS = ("node", "limited", "array")
+BUDGETS = (None, 1, 3, 50)
+
+
+# -- heap specs ------------------------------------------------------------------------
+
+
+@st.composite
+def heap_specs(draw):
+    """A small heap as plain data, so twin VMs can be built from it."""
+    n = draw(st.integers(3, MAX_OBJECTS))
+    index = st.integers(0, n - 1)
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n))
+    # Up to four reference slots per object; arrays use all of them (null
+    # and repeated elements included), nodes the first two, limited one.
+    slots = draw(
+        st.lists(
+            st.lists(st.one_of(st.none(), index), min_size=4, max_size=4),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    owners = draw(st.lists(index, min_size=1, max_size=6, unique=True))
+    # Each object is owned by at most one owner (the registry enforces
+    # disjoint *registrations*); the regions themselves overlap freely, an
+    # owner may sit inside another region or be someone else's ownee, and
+    # any edge may point back at the current owner.
+    owned_by = draw(
+        st.lists(st.one_of(st.none(), st.sampled_from(owners)), min_size=n, max_size=n)
+    )
+    return {
+        "kinds": kinds,
+        "slots": slots,
+        "owners": owners,
+        "owned_by": owned_by,
+        "roots": draw(st.sets(index)),
+        "dead": draw(st.sets(index)),
+        "unshared": draw(st.sets(index)),
+        "limit": draw(st.integers(0, 3)),
+        "budget": draw(st.sampled_from(BUDGETS)),
+    }
+
+
+def build(spec, collector: str = "marksweep") -> VirtualMachine:
+    """Build ``spec`` in a fresh VM (same spec, same addresses)."""
+    vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+    node = vm.define_class(
+        "FNode", [("a", FieldKind.REF), ("b", FieldKind.REF), ("n", FieldKind.INT)]
+    )
+    limited = vm.define_class("FLimited", [("a", FieldKind.REF)])
+    fields = {"node": ("a", "b"), "limited": ("a",)}
+    with vm.scope("ownership-fused"):
+        handles = []
+        for kind in spec["kinds"]:
+            if kind == "array":
+                handles.append(vm.new_array(node, 4))
+            else:
+                handles.append(vm.new(node if kind == "node" else limited))
+        for handle, kind, targets in zip(handles, spec["kinds"], spec["slots"]):
+            keys = range(4) if kind == "array" else fields[kind]
+            for key, target in zip(keys, targets):
+                if target is not None:
+                    handle[key] = handles[target]
+        for i in sorted(spec["roots"]):
+            vm.statics.set_ref(f"root{i}", handles[i].address)
+        for ownee, owner in enumerate(spec["owned_by"]):
+            if owner is not None and owner != ownee:
+                vm.assertions.assert_ownedby(handles[owner], handles[ownee])
+        for i in sorted(spec["dead"]):
+            vm.assertions.assert_dead(handles[i], site=f"dead{i}")
+        for i in sorted(spec["unshared"]):
+            vm.assertions.assert_unshared(handles[i], site=f"unshared{i}")
+        vm.assertions.assert_instances(limited, spec["limit"])
+    vm.engine.check_budget = spec["budget"]
+    return vm
+
+
+def use_reference(vm: VirtualMachine) -> VirtualMachine:
+    """Route this VM's two-phase ``pre_mark`` through the oracle."""
+    engine = vm.engine
+
+    def pre_mark(collector, tracer):
+        if engine.registry.owners:
+            reference_ownership_phase(engine, collector)
+
+    engine.pre_mark = pre_mark
+    return vm
+
+
+# -- what must be identical ------------------------------------------------------------
+
+
+def counters(vm) -> dict:
+    return {f: getattr(vm.collector.stats, f) for f in GcStats.COUNTER_FIELDS}
+
+
+def violation_key(v) -> tuple:
+    return (v.kind, v.address, v.message, v.site, v.gc_number, v.reaction, v.details)
+
+
+def phase_state(vm) -> dict:
+    engine = vm.engine
+    return {
+        "bits": {o.address: o.status for o in vm.heap},
+        "counters": counters(vm),
+        "checks": engine._checks_this_gc,
+        "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
+        "self_sustained": [
+            (record.owner_address, touched) for record, touched in engine._self_sustained
+        ],
+        "staged": [violation_key(v) for v in engine._pending],
+        "instances": {c.name: c.instance_count for c in vm.classes.tracked_types},
+    }
+
+
+def collected_state(vm) -> dict:
+    engine = vm.engine
+    return {
+        "heap": {o.address: (o.cls.name, o.status, list(o.slots)) for o in vm.heap},
+        "counters": counters(vm),
+        "log": [violation_key(v) + (v.render(show_addresses=True),) for v in engine.log],
+        "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
+        "registry": engine.registry.snapshot(),
+        "owners": {a: list(r.ownees) for a, r in engine.registry.owners.items()},
+    }
+
+
+def collect(vm, reason: str) -> tuple:
+    """One full collection; a typed heap error is part of the outcome (an
+    unmarked foreign ownee can dangle — see the known-gap test below)."""
+    try:
+        vm.gc(reason)
+        outcome = None
+    except HeapError as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, collected_state(vm)
+
+
+def run_phase(vm, phase) -> dict:
+    vm.engine.gc_begin(vm.collector)
+    phase(vm.engine, vm.collector)
+    return phase_state(vm)
+
+
+# -- the differential property ---------------------------------------------------------
+
+
+@given(spec=heap_specs())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_ownership_fused_matches_reference_after_pre_mark(spec):
+    fused, oracle = build(spec), build(spec)
+    assert run_phase(fused, run_ownership_phase) == run_phase(
+        oracle, reference_ownership_phase
+    )
+
+
+@pytest.mark.parametrize("collector", ALL_COLLECTORS)
+@given(spec=heap_specs(), cut=st.sets(st.integers(0, MAX_OBJECTS - 1)))
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_ownership_fused_matches_reference_after_collections(collector, spec, cut):
+    fused, oracle = build(spec, collector), use_reference(build(spec, collector))
+    assert collect(fused, "first") == collect(oracle, "first")
+    # Drop some roots (owners die, regions float, ownees get purged) and go
+    # again: the later collections read what the first one left behind.
+    for vm in (fused, oracle):
+        for i in sorted(cut & spec["roots"]):
+            vm.statics.set_ref(f"root{i}", 0)
+    for reason in ("second", "third"):
+        assert collect(fused, reason) == collect(oracle, reason)
+
+
+# -- probe accounting ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [*range(0, 65), 1000])
+def test_ownership_fused_probe_depths_equal_contains(n):
+    record = OwnerRecord(0x10, "probe")
+    record.ownees = [0x100 + 16 * i for i in range(n)]
+    depths = probe_depths(n)
+    assert len(depths) == n
+    assert [depths[i] for i in range(n)] == [
+        record.contains(address)[1] for address in record.ownees
+    ]
+
+
+# -- error paths -----------------------------------------------------------------------
+
+
+def _region_with_bad_child(break_child):
+    """owner -> [e0, e1, victim, e3]; ``break_child`` corrupts the victim."""
+    vm = VirtualMachine(heap_bytes=1 << 20, hardened=True)
+    node = vm.define_class("BNode", [("a", FieldKind.REF), ("b", FieldKind.REF)])
+    with vm.scope("bad-child"):
+        owner = vm.new(node)
+        arr = vm.new_array(node, 4)
+        owner["a"] = arr
+        vm.statics.set_ref("owner", owner.address)
+        elements = []
+        for i in range(4):
+            e = vm.new(node)
+            arr[i] = e
+            elements.append(e)
+            vm.assertions.assert_ownedby(owner, e)
+        break_child(vm, arr.obj, elements[2].obj)
+    return vm
+
+
+def _dangle(vm, arr, victim):
+    arr.slots[2] = 0x7FFF0  # no object was ever allocated here
+
+
+def _free(vm, arr, victim):
+    victim.status |= hdr.FREED_BIT
+
+
+@pytest.mark.parametrize(
+    "break_child, error",
+    [(_dangle, InvalidAddressError), (_free, UseAfterFreeError)],
+    ids=["dangling", "freed"],
+)
+def test_ownership_fused_bad_child_raises_typed_error_with_counters_flushed(
+    break_child, error
+):
+    states = []
+    for phase in (run_ownership_phase, reference_ownership_phase):
+        vm = _region_with_bad_child(break_child)
+        vm.engine.gc_begin(vm.collector)
+        with pytest.raises(error):
+            phase(vm.engine, vm.collector)
+        states.append(phase_state(vm))
+    fused, oracle = states
+    assert fused == oracle
+    # Everything scanned before the bad edge is on the books, the bad edge
+    # itself is a traced edge, and the bad child was never header-checked.
+    assert fused["counters"]["edges_traced"] > fused["counters"]["header_bit_checks"] > 0
+    assert fused["counters"]["ownee_lookups"] > 0
+
+
+def test_ownership_fused_raising_hook_degrades_pre_mark_with_counters_flushed():
+    """A non-heap exception out of a slow hook is contained by the hardened
+    collector as ``note_degraded("pre_mark")``; the phase's locals are
+    flushed on the way out, so the books match the oracle's."""
+    results = []
+    for reference in (False, True):
+        vm = _region_with_bad_child(lambda vm, arr, victim: None)
+        if reference:
+            use_reference(vm)
+        seen = []
+
+        def exploding_visit(obj, record, seen=seen):
+            seen.append(obj.address)
+            if len(seen) == 3:
+                raise RuntimeError("injected phase-1 fault")
+
+        # A per-pause budget routes every visit through the hook.
+        vm.engine.check_budget = 1000
+        vm.engine.phase1_visit = exploding_visit
+        vm.gc("exploding hook")
+        events = [(e.phase, e.gc_number) for e in vm.engine.degraded_events]
+        results.append((events, counters(vm), len(vm.engine.log)))
+    assert results[0] == results[1]
+    assert results[0][0] == [("pre_mark", 1)]
+
+
+# -- the many-owners shape -------------------------------------------------------------
+
+
+def _many_owners(owners: int, ownees: int) -> VirtualMachine:
+    vm = VirtualMachine(heap_bytes=8 << 20)
+    node = vm.define_class("MNode", [("a", FieldKind.REF), ("b", FieldKind.REF)])
+    with vm.scope("many-owners"):
+        table = vm.new_array(node, owners)
+        vm.statics.set_ref("table", table.address)
+        for i in range(owners):
+            owner = vm.new(node)
+            table[i] = owner
+            arr = vm.new_array(node, ownees)
+            owner["a"] = arr
+            for j in range(ownees):
+                e = vm.new(node)
+                arr[j] = e
+                vm.assertions.assert_ownedby(owner, e)
+    return vm
+
+
+def test_ownership_fused_many_small_owners_stay_counter_identical():
+    fused = _many_owners(2000, 3)
+    oracle = use_reference(_many_owners(2000, 3))
+    for vm in (fused, oracle):
+        vm.gc("many owners")
+    assert counters(fused) == counters(oracle)
+    assert counters(fused)["ownee_lookups"] == 6000
+    assert len(fused.engine.log) == len(oracle.engine.log) == 0
+
+
+# -- a gap the oracle found (both implementations, unchanged by the fusion) ------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InvalidAddressError,
+    reason="phase 1 does not mark another owner's ownee, and the root scan "
+    "prunes at the phase-1 marks above it: a foreign ownee reachable only "
+    "through this region is swept while still referenced",
+)
+def test_ownership_fused_known_gap_foreign_ownee_only_reachable_through_a_region():
+    vm = VirtualMachine(heap_bytes=1 << 20)
+    node = vm.define_class("GNode", [("a", FieldKind.REF)])
+    with vm.scope("gap"):
+        first, middle, foreign, second, other = (vm.new(node) for _ in range(5))
+        first["a"] = middle
+        middle["a"] = foreign  # the only path to ``foreign``
+        vm.statics.set_ref("first", first.address)
+        vm.statics.set_ref("second", second.address)
+        vm.assertions.assert_ownedby(first, other)  # makes ``first`` an owner
+        vm.assertions.assert_ownedby(second, foreign)
+    vm.gc("sweeps the foreign ownee under a live reference")
+    vm.gc("phase 1 follows the dangling edge")
