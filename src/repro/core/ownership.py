@@ -41,7 +41,9 @@ phase 2 — with its locals bound once, not once per owner record:
 * children are resolved through the heap's address table; only a miss or a
   freed object goes back through ``heap.get`` so the caller still sees the
   typed ``InvalidAddressError`` / ``UseAfterFreeError``;
-* reference slots are read in place (phase 1 counts null edges in
+* reference slots are read in place, through a ``map`` over the class's
+  ``ref_slots`` (no per-object list), and an array is told from its class's
+  precomputed ``ref_array`` (phase 1 counts null edges in
   ``edges_traced``, which the root-scan drains do not);
 * the per-visit header duties are inlined the way ``INLINE_HEADER_CHECKS``
   inlines them into the drains: the check count and the instance count are
@@ -120,10 +122,9 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
             while True:
                 cls = obj.cls
                 if cls.is_array:
-                    children = obj.slots if cls.element_kind.is_reference else ()
+                    children = obj.slots if cls.ref_array else ()
                 else:
-                    slots = obj.slots
-                    children = [slots[i] for i in cls.ref_slots]
+                    children = map(obj.slots.__getitem__, cls.ref_slots)
                 for child in children:
                     edges += 1
                     if child == NULL:

@@ -266,6 +266,11 @@ def run_cell(
                 f"byte accounting drifted: fast={heap.live_bytes()} "
                 f"slow={heap.live_bytes_slow()}"
             )
+        if heap.live_by_class() != heap.live_by_class_slow():
+            result.failures.append(
+                f"census counters drifted: fast={heap.live_by_class()} "
+                f"slow={heap.live_by_class_slow()}"
+            )
         if heap.stats.objects_live != len(heap.address_table()):
             result.failures.append(
                 f"live-object counter drifted: stats={heap.stats.objects_live} "

@@ -28,6 +28,7 @@ from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
+from repro.telemetry.census import take_census
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -198,7 +199,7 @@ class Collector:
         """Record one allocation request size (hot path: keep it tiny)."""
         telemetry = self.telemetry
         if telemetry is not None and telemetry.enabled:
-            telemetry.record_allocation(nbytes)
+            telemetry.alloc_hist.record(nbytes)
 
     # -- span emit path ----------------------------------------------------------------
 
@@ -636,12 +637,7 @@ class Collector:
         census: dict[str, tuple[int, int]] = {}
         top: list[tuple[str, int]] = []
         try:
-            pending = self.pending_garbage_predicate()
-            for obj in self.heap:
-                if pending is not None and pending(obj):
-                    continue
-                count, total = census.get(obj.cls.name, (0, 0))
-                census[obj.cls.name] = (count + 1, total + obj.size_bytes)
+            census = take_census(self.heap, skip=self.pending_garbage_predicate())
             top = self._top_retained()
         except Exception:
             # Triage is best-effort: an OOM report must never be masked by a

@@ -34,7 +34,6 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.gc.stats import PhaseTimer
-from repro.heap import header as hdr
 
 if TYPE_CHECKING:
     from repro.gc.base import Collector
@@ -72,38 +71,18 @@ class ChunkSweeper:
     # -- per-chunk core ----------------------------------------------------------
 
     def _sweep_chunk(self, chunk_id: int) -> tuple[set[int], dict[int, list[int]]]:
-        """Examine one chunk: clear survivor bits, evict the dead.
+        """Have the heap sweep one chunk's cells (survivor bits cleared,
+        the dead evicted: :meth:`ObjectHeap.sweep_cells`) and count it.
 
         Returns ``(freed addresses, {cell size: [addresses]})``; the caller
         decides when the cells go back to the space (eager: immediately;
         lazy: after the purge).
         """
         collector = self.collector
-        heap = collector.heap
+        swept, freed, by_class = collector.heap.sweep_cells(
+            self.space.chunk_cells(chunk_id), self.cutoff
+        )
         stats = collector.stats
-        table = heap.address_table()
-        mark_bit = hdr.MARK_BIT
-        clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
-        cutoff = self.cutoff
-        freed: set[int] = set()
-        by_class: dict[int, list[int]] = {}
-        swept = 0
-        for address, cell in self.space.chunk_cells(chunk_id):
-            obj = table.get(address)
-            if obj is None or obj.alloc_seq > cutoff:
-                continue  # installed after the trace; not this cycle's business
-            swept += 1
-            status = obj.status
-            if status & mark_bit:
-                obj.status = status & clear_mask
-            else:
-                freed.add(address)
-                bucket = by_class.get(cell)
-                if bucket is None:
-                    by_class[cell] = [address]
-                else:
-                    bucket.append(address)
-                heap.evict(obj)
         stats.objects_swept += swept
         stats.objects_freed += len(freed)
         stats.chunks_swept += 1

@@ -96,8 +96,10 @@ class MarkSweepCollector(Collector):
     # -- allocation -----------------------------------------------------------------
 
     def allocate(self, cls: ClassDescriptor, length: int = 0) -> HeapObject:
-        nbytes = cls.size_of(length)
-        self._telemetry_allocation(nbytes)
+        nbytes = cls.instance_size + cls.element_bytes * length
+        telemetry = self.telemetry
+        if telemetry is not None and telemetry.enabled:
+            telemetry.alloc_hist.record(nbytes)
         cache = self._alloc_cache
         if cache is not None and nbytes <= _CACHE_LIMIT:
             cell = SIZE_CLASS_LOOKUP[nbytes]
@@ -115,15 +117,33 @@ class MarkSweepCollector(Collector):
         except InvalidAddressError:
             if not self.hardened:
                 raise
-            # Corrupted free-list metadata handed out an address the table
-            # already tracks: fence the alias and allocate again.
-            space = self.space
+            return self._install_past_alias(address, cls, length, nbytes)
+
+    def _install_past_alias(
+        self, address: int, cls: ClassDescriptor, length: int, nbytes: int
+    ) -> HeapObject:
+        """Hardened: corrupted free-list metadata handed out ``address``,
+        which the table already tracks.  Fence the alias and take the next
+        cell, until one installs.  The request was recorded (telemetry,
+        fast-path hit) by :meth:`allocate`; one object is one record, so
+        the retry goes through the slow paths, which record nothing.
+        """
+        space = self.space
+        cached = self._alloc_cache is not None and nbytes <= _CACHE_LIMIT
+        while True:
             try:
                 aliased_cell = space.cell_size(address)
             except Exception:
                 aliased_cell = 0
             self._fence_aliased_cell(space, address, aliased_cell)
-            return self.allocate(cls, length)
+            if cached:
+                address = self._allocate_slow_cached(SIZE_CLASS_LOOKUP[nbytes], cls, nbytes)
+            else:
+                address = self._allocate_slow(cls, nbytes)
+            try:
+                return self.heap.install(address, cls, length)
+            except InvalidAddressError:
+                continue
 
     def _try_cached(self, cell: int) -> int | None:
         """Pop a cell from the run cache, refilling it from the space."""

@@ -435,7 +435,7 @@ class ParallelMarker:
                     obj = table[stack.pop()]
                     cls = obj.cls
                     if cls.is_array:
-                        if not cls.element_kind.is_reference:
+                        if not cls.ref_array:
                             continue
                         children = obj.slots
                     else:
@@ -524,7 +524,7 @@ class ParallelMarker:
                     obj = table[stack.pop()]
                     cls = obj.cls
                     if cls.is_array:
-                        if not cls.element_kind.is_reference:
+                        if not cls.ref_array:
                             continue
                         children = obj.slots
                     else:

@@ -161,7 +161,7 @@ class Tracer:
                 obj = table[stack.pop()]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         continue
                     children = obj.slots
                 else:
@@ -206,7 +206,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         continue
                     children = obj.slots
                 else:
@@ -267,7 +267,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         continue
                     children = obj.slots
                 else:
@@ -333,7 +333,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         continue
                     children = obj.slots
                 else:
@@ -428,7 +428,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         continue
                     children = obj.slots
                 else:
@@ -478,7 +478,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         record((entry, obj, obj.alloc_seq, None))
                         continue
                     children = obj.slots[:]
@@ -545,7 +545,7 @@ class Tracer:
                 obj = table[entry]
                 cls = obj.cls
                 if cls.is_array:
-                    if not cls.element_kind.is_reference:
+                    if not cls.ref_array:
                         if freeze:
                             record((entry, obj, obj.alloc_seq, None))
                         continue

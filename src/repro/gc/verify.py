@@ -12,6 +12,7 @@ Checked invariants:
 * no live object carries the MARK, OWNED, or FREED bits between collections;
 * object addresses agree with the heap table and are word aligned;
 * space accounting covers at least the live bytes;
+* the per-class census counters equal a walk of the heap table;
 * assertion-registry addresses (dead sites, unshared sites, owners, ownees)
   all refer to live objects — a stale entry would corrupt checking after
   address reuse;
@@ -128,6 +129,13 @@ def verify_heap(
             problems,
             f"space accounting: {in_use} bytes in use < {live_bytes} live bytes",
         )
+
+    # -- per-class census counters ---------------------------------------------------------
+    # Kept on install/evict; pending garbage is tabled and counted alike, so
+    # counters and walk agree with or without sweep debt.
+    counted, walked = heap.live_by_class(), heap.live_by_class_slow()
+    if counted != walked:
+        _fail(problems, f"census counters drifted: counted {counted}, table walk {walked}")
 
     # -- assertion registry ---------------------------------------------------------------
     engine = vm.engine
@@ -324,18 +332,26 @@ def run_sentinel(
 
     # Pass 2: dangling strong/weak slots (after zombie eviction so references
     # into an evicted zombie are fenced too).
+    table = heap.address_table()
     for obj in heap:
         slots = obj.slots
-        for idx in obj.reference_slot_indices():
+        cls = obj.cls
+        if not cls.is_array:
+            strong = cls.ref_slots
+        elif cls.ref_array:
+            strong = range(len(slots))
+        else:
+            strong = ()
+        for idx in strong:
             ref = slots[idx]
-            if ref != NULL and not heap.contains(ref):
+            if ref != NULL and ref not in table:
                 report.problems.append(f"{obj!r}: dangling reference {ref:#x} nulled")
                 slots[idx] = NULL
                 report.refs_fenced += 1
-        if obj.has_weak_slots:
+        if cls.has_weak:
             for idx in obj.weak_slot_indices():
                 weak = slots[idx]
-                if weak != NULL and not heap.contains(weak):
+                if weak != NULL and weak not in table:
                     report.problems.append(f"{obj!r}: dangling weak reference {weak:#x} nulled")
                     slots[idx] = NULL
                     report.refs_fenced += 1

@@ -4,8 +4,10 @@ Each heap object carries a single status word whose low bits are used by the
 collector and — crucially for this paper — whose *spare* bits are stolen by
 the GC-assertion machinery:
 
-* ``MARK`` — the tracing mark bit.  Mark-state *parity* flips each full-heap
-  collection so the sweep phase never has to clear mark bits.
+* ``MARK`` — the tracing mark bit.  Set by the tracer on first encounter
+  and cleared by the sweep on every survivor (together with ``OWNED``), so
+  outside a collection — and once lazy-sweep debt is repaid — no live
+  object carries it.  There is no mark parity.
 * ``DEAD`` — set by ``assert-dead(p)``; if the collector encounters the
   object while tracing, the assertion is violated (§2.3.1 of the paper).
 * ``UNSHARED`` — set by ``assert-unshared(p)``; checked when the collector
@@ -41,9 +43,8 @@ HASHED_BIT = 0x80
 FLAG_MASK = 0xFF
 HASH_SHIFT = 8
 
-#: Bits that survive a collection cycle (everything except the mark bit,
-#: which is interpreted relative to the global mark parity, and OWNED, which
-#: is recomputed by each ownership phase).
+#: Bits that survive a collection cycle (everything except MARK and OWNED,
+#: which each collection sets afresh and the sweep clears on survivors).
 STICKY_MASK = DEAD_BIT | UNSHARED_BIT | OWNEE_BIT | OWNER_BIT | HASHED_BIT
 
 

@@ -13,11 +13,11 @@ collector; the heap only checks invariants and stores objects.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from repro.errors import InvalidAddressError, UseAfterFreeError
 from repro.heap import header as hdr
-from repro.heap.layout import NULL, is_aligned
+from repro.heap.layout import ALIGN_MASK, NULL, is_aligned
 from repro.heap.object_model import ClassDescriptor, HeapObject
 
 #: Address stride between distinct spaces so their ranges never collide.
@@ -66,6 +66,9 @@ class ObjectHeap:
         #: Sum of live object sizes, maintained on install/evict so
         #: ``live_bytes()`` is O(1) instead of a full-table walk.
         self._live_bytes = 0
+        #: class -> [live instances, live bytes], maintained beside
+        #: ``_live_bytes`` so the per-class census is O(classes).
+        self._live_by_class: dict[ClassDescriptor, list[int]] = {}
         #: Live objects that carry weak slots (the collector's weak-ref
         #: processing list; maintained on install/evict).
         self.weak_holders: set[HeapObject] = set()
@@ -74,39 +77,116 @@ class ObjectHeap:
 
     def install(self, address: int, cls: ClassDescriptor, length: int = 0) -> HeapObject:
         """Create an object at ``address`` (already reserved by a space)."""
-        if not is_aligned(address):
+        if address & ALIGN_MASK:
             raise InvalidAddressError(f"unaligned object address {address:#x}")
-        if address in self._objects:
+        objects = self._objects
+        if address in objects:
             raise InvalidAddressError(f"address {address:#x} is already occupied")
         obj = HeapObject(address, cls, length)
-        obj.status |= (self._hash_counter << hdr.HASH_SHIFT)
+        obj.status |= self._hash_counter << hdr.HASH_SHIFT
         self._hash_counter += 1
-        self.install_seq += 1
-        obj.alloc_seq = self.install_seq
-        self._objects[address] = obj
-        if obj.has_weak_slots:
+        self.install_seq = obj.alloc_seq = self.install_seq + 1
+        objects[address] = obj
+        if cls.has_weak:
             self.weak_holders.add(obj)
         cls.allocation_count += 1
-        self.stats.objects_allocated += 1
-        size = obj.size_bytes
-        self.stats.bytes_allocated += size
+        size = cls.instance_size + cls.element_bytes * length
+        stats = self.stats
+        stats.objects_allocated += 1
+        stats.bytes_allocated += size
         self._live_bytes += size
+        row = self._live_by_class.get(cls)
+        if row is None:
+            self._live_by_class[cls] = [1, size]
+        else:
+            row[0] += 1
+            row[1] += size
         return obj
 
     def evict(self, obj: HeapObject) -> None:
         """Remove a dead object from the table and poison it."""
-        found = self._objects.get(obj.address)
+        table = self._objects
+        found = table.get(obj.address)
         if found is not obj:
             raise InvalidAddressError(
                 f"evicting {obj!r} but table holds {found!r} at {obj.address:#x}"
             )
-        del self._objects[obj.address]
-        self.weak_holders.discard(obj)
-        self.stats.objects_freed += 1
-        size = obj.size_bytes
-        self.stats.bytes_freed += size
-        self._live_bytes -= size
-        obj.set(hdr.FREED_BIT)
+        del table[obj.address]
+        obj.status |= hdr.FREED_BIT
+        self._account_evicted((obj,))
+
+    def sweep_cells(
+        self, cells: Collection[tuple[int, int]], cutoff: int
+    ) -> tuple[int, set[int], dict[int, list[int]]]:
+        """Sweep the allocated ``(address, cell size)`` pairs of one chunk.
+
+        One pass: a marked object survives and has its MARK/OWNED bits
+        cleared; an unmarked one is evicted (same table check, same error as
+        :meth:`evict`); an address with no table entry, or one whose object
+        was installed or relocated after ``cutoff`` (``install_seq`` at mark
+        end), is not this cycle's business.  The evicted are accounted once
+        per call — also when the pass raises, so the heap's books match its
+        table at every exit.
+
+        Returns ``(objects examined, freed addresses, {cell size: [freed
+        addresses]})``.
+        """
+        table = self._objects
+        mark_bit = hdr.MARK_BIT
+        freed_bit = hdr.FREED_BIT
+        clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
+        skipped = 0
+        by_class: dict[int, list[int]] = {}
+        dead: list[HeapObject] = []
+        try:
+            for address, cell in cells:
+                obj = table.get(address)
+                if obj is None or obj.alloc_seq > cutoff:
+                    skipped += 1
+                    continue
+                status = obj.status
+                if status & mark_bit:
+                    obj.status = status & clear_mask
+                    continue
+                own = obj.address
+                if own != address:
+                    found = table.get(own)
+                    if found is not obj:
+                        raise InvalidAddressError(
+                            f"evicting {obj!r} but table holds {found!r} at {own:#x}"
+                        )
+                del table[own]
+                obj.status = status | freed_bit
+                dead.append(obj)
+                bucket = by_class.get(cell)
+                if bucket is None:
+                    by_class[cell] = [address]
+                else:
+                    bucket.append(address)
+        finally:
+            if dead:
+                self._account_evicted(dead)
+        return len(cells) - skipped, set().union(*by_class.values()), by_class
+
+    def _account_evicted(self, dead: Sequence[HeapObject]) -> None:
+        """Take untabled objects off the books: freed and live counters, the
+        per-class census and the weak-holder set."""
+        census = self._live_by_class
+        holders = self.weak_holders
+        nbytes = 0
+        for obj in dead:
+            cls = obj.cls
+            size = cls.instance_size + cls.element_bytes * len(obj.slots)
+            row = census[cls]
+            row[0] -= 1
+            row[1] -= size
+            if cls.has_weak:
+                holders.discard(obj)
+            nbytes += size
+        stats = self.stats
+        stats.objects_freed += len(dead)
+        stats.bytes_freed += nbytes
+        self._live_bytes -= nbytes
 
     def relocate(self, obj: HeapObject, new_address: int) -> None:
         """Move an object to a new address (copying collector)."""
@@ -129,7 +209,7 @@ class ObjectHeap:
         obj = self._objects.get(address)
         if obj is None:
             raise InvalidAddressError(f"no live object at {address:#x}")
-        if obj.is_freed:
+        if obj.status & hdr.FREED_BIT:
             raise UseAfterFreeError(f"object at {address:#x} was reclaimed")
         return obj
 
@@ -170,3 +250,33 @@ class ObjectHeap:
     def live_bytes_slow(self) -> int:
         """Recompute live bytes by walking the table (debug cross-check)."""
         return sum(obj.size_bytes for obj in self._objects.values())
+
+    def live_by_class(self) -> dict[str, tuple[int, int]]:
+        """Per-class ``(live instances, live bytes)`` by class name, from the
+        install/evict counters (O(classes)); classes with none are omitted."""
+        census: dict[str, tuple[int, int]] = {}
+        for cls, (count, nbytes) in self._live_by_class.items():
+            if count:
+                have = census.get(cls.name)
+                if have is not None:  # two registries' classes sharing a name
+                    count, nbytes = count + have[0], nbytes + have[1]
+                census[cls.name] = (count, nbytes)
+        return census
+
+    def live_by_class_slow(
+        self, skip: Optional[Callable[[HeapObject], bool]] = None
+    ) -> dict[str, tuple[int, int]]:
+        """Recompute :meth:`live_by_class` by walking the table.
+
+        The cross-check for the counters, and the only census there is while
+        ``skip`` has something to say: under outstanding lazy-sweep debt the
+        table still holds dead objects, which ``skip`` leaves out.
+        """
+        census: dict[str, tuple[int, int]] = {}
+        for obj in self._objects.values():
+            if skip is not None and skip(obj):
+                continue
+            name = obj.cls.name
+            count, nbytes = census.get(name, (0, 0))
+            census[name] = (count + 1, nbytes + obj.size_bytes)
+        return census

@@ -76,15 +76,22 @@ class FieldKind(enum.Enum):
 
 
 class FieldDescriptor:
-    """One declared field: a name, a kind, and its slot index in instances."""
+    """One declared field: a name, a kind, and its slot index in instances.
 
-    __slots__ = ("name", "kind", "slot", "declaring_class")
+    ``holds_address`` and ``is_weak`` are the kind's properties of the same
+    name, read once here so a handle access tests an attribute instead of
+    calling an enum property.
+    """
+
+    __slots__ = ("name", "kind", "slot", "declaring_class", "holds_address", "is_weak")
 
     def __init__(self, name: str, kind: FieldKind, slot: int, declaring_class: "ClassDescriptor"):
         self.name = name
         self.kind = kind
         self.slot = slot
         self.declaring_class = declaring_class
+        self.holds_address = kind.holds_address
+        self.is_weak = kind.is_weak
 
     @property
     def offset(self) -> int:
@@ -105,8 +112,20 @@ class ClassDescriptor:
         fields: fields declared by *this* class, in declaration order.
         all_fields: inherited + declared fields, slot order.
         ref_slots: slot indices of all reference fields (the trace map).
-        instance_size: bytes occupied by one instance (header included).
+        instance_size: bytes occupied by an instance with no elements
+            (header included): every instance of a scalar class, the empty
+            array of an array class.
+        element_bytes: bytes each array element adds to that (0 for
+            non-array classes), so an instance occupies
+            ``instance_size + element_bytes * length`` — both word
+            multiples, hence aligned — whatever its class.
         is_array / element_kind: array typing.
+        slot_template: the default value of every slot of a fresh instance,
+            slot order (empty for array classes).
+        element_default: the default value of one array element (None for
+            non-array classes).
+        has_weak: instances carry weak slots (a weak field, or a weak array).
+        ref_array: an array class whose elements are strong references.
         instance_limit / instance_count: the two words §2.4.1 adds to
             ``RVMClass`` for ``assert-instances``.
     """
@@ -121,8 +140,13 @@ class ClassDescriptor:
         "ref_slots",
         "weak_slots",
         "instance_size",
+        "element_bytes",
         "is_array",
         "element_kind",
+        "slot_template",
+        "element_default",
+        "has_weak",
+        "ref_array",
         "instance_limit",
         "instance_count",
         "allocation_count",
@@ -165,9 +189,18 @@ class ClassDescriptor:
             f.slot for f in self.all_fields if f.kind.is_weak
         )
         if is_array:
-            self.instance_size = 0  # computed per-instance from the length
+            self.instance_size = align_up(HEADER_BYTES + ARRAY_LENGTH_BYTES)
+            self.element_bytes = WORD_BYTES
         else:
             self.instance_size = align_up(HEADER_BYTES + len(self.all_fields) * WORD_BYTES)
+            self.element_bytes = 0
+        # Everything below is a pure function of the layout above, computed
+        # once so the allocator, the sweep and the handles read an attribute
+        # where they would otherwise call an enum property per object.
+        self.slot_template: tuple = tuple(f.kind.default() for f in self.all_fields)
+        self.element_default = element_kind.default() if is_array else None
+        self.has_weak: bool = element_kind.is_weak if is_array else bool(self.weak_slots)
+        self.ref_array: bool = is_array and element_kind.is_reference
 
         # assert-instances metadata (two words per loaded class, §2.4.1).
         self.instance_limit: Optional[int] = None
@@ -184,12 +217,12 @@ class ClassDescriptor:
     def has_field(self, name: str) -> bool:
         return name in self.field_index
 
-    def array_size(self, length: int) -> int:
-        """Byte size of an array instance of this (array) class."""
-        return align_up(HEADER_BYTES + ARRAY_LENGTH_BYTES + length * WORD_BYTES)
-
     def size_of(self, length: int = 0) -> int:
-        return self.array_size(length) if self.is_array else self.instance_size
+        """Byte size of an instance (``length`` counts for array classes only)."""
+        return self.instance_size + self.element_bytes * length
+
+    #: Byte size of an array instance: ``size_of`` under its array-side name.
+    array_size = size_of
 
     def is_subclass_of(self, other: "ClassDescriptor") -> bool:
         cls: Optional[ClassDescriptor] = self
@@ -202,6 +235,10 @@ class ClassDescriptor:
     def __repr__(self) -> str:
         tag = "array" if self.is_array else "class"
         return f"<{tag} {self.name} id={self.class_id}>"
+
+
+#: Status word of a fresh object: no flags, no hash (the heap ORs one in).
+_FRESH_STATUS = hdr.new_status()
 
 
 class HeapObject:
@@ -217,7 +254,7 @@ class HeapObject:
 
     def __init__(self, address: int, cls: ClassDescriptor, length: int = 0):
         self.address = address
-        self.status = hdr.new_status()
+        self.status = _FRESH_STATUS
         self.cls = cls
         #: Monotone install stamp assigned by the heap; bumped again on
         #: relocation.  Lazy sweeping uses it to tell objects that occupied
@@ -226,11 +263,12 @@ class HeapObject:
         #: Optional allocation-site tag stamped by the VM (see
         #: :meth:`repro.runtime.vm.VM.alloc_site`); survives relocation.
         self.alloc_site: Optional[str] = None
+        # Slot defaults are immutable scalars, so a fresh list per object
+        # is all the copying an instance needs.
         if cls.is_array:
-            elem_default = cls.element_kind.default()  # type: ignore[union-attr]
-            self.slots: list = [elem_default] * length
+            self.slots: list = [cls.element_default] * length
         else:
-            self.slots = [f.kind.default() for f in cls.all_fields]
+            self.slots = list(cls.slot_template)
 
     # -- header convenience -------------------------------------------------
 
@@ -260,38 +298,38 @@ class HeapObject:
 
     @property
     def size_bytes(self) -> int:
-        return self.cls.size_of(len(self.slots) if self.cls.is_array else 0)
+        cls = self.cls
+        return cls.instance_size + cls.element_bytes * len(self.slots)
 
     def reference_slots(self) -> Iterable[int]:
         """Yield the *values* of all reference slots (including nulls)."""
-        if self.cls.is_array:
-            if self.cls.element_kind.is_reference:  # type: ignore[union-attr]
+        cls = self.cls
+        if cls.is_array:
+            if cls.ref_array:
                 yield from self.slots
         else:
             slots = self.slots
-            for idx in self.cls.ref_slots:
+            for idx in cls.ref_slots:
                 yield slots[idx]
 
     def reference_slot_indices(self) -> Iterable[int]:
         """Yield slot indices that hold strong references."""
-        if self.cls.is_array:
-            if self.cls.element_kind.is_reference:  # type: ignore[union-attr]
+        cls = self.cls
+        if cls.is_array:
+            if cls.ref_array:
                 yield from range(len(self.slots))
         else:
-            yield from self.cls.ref_slots
+            yield from cls.ref_slots
 
     @property
     def has_weak_slots(self) -> bool:
-        cls = self.cls
-        if cls.is_array:
-            return cls.element_kind.is_weak  # type: ignore[union-attr]
-        return bool(cls.weak_slots)
+        return self.cls.has_weak
 
     def weak_slot_indices(self) -> Iterable[int]:
         """Yield slot indices that hold weak references."""
         cls = self.cls
         if cls.is_array:
-            if cls.element_kind.is_weak:  # type: ignore[union-attr]
+            if cls.has_weak:
                 yield from range(len(self.slots))
         else:
             yield from cls.weak_slots

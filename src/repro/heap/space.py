@@ -142,9 +142,17 @@ class FreeListSpace(Space):
         if self._fault_refusals:
             self._fault_refusals -= 1
             return False
-        if self.bytes_in_use + cell > self.capacity_bytes:
+        in_use = self.bytes_in_use + cell
+        if in_use > self.capacity_bytes:
             return False
-        self._record(address, cell)
+        # ``_record``, in place: this is the allocation fast path's one call
+        # into the space.
+        chunk = self._chunks.get(address >> CHUNK_SHIFT)
+        if chunk is None:
+            self._chunks[address >> CHUNK_SHIFT] = {address: cell}
+        else:
+            chunk[address] = cell
+        self.bytes_in_use = in_use
         return True
 
     def uncommit(self, address: int, cell: int) -> None:
@@ -169,10 +177,14 @@ class FreeListSpace(Space):
         """Ids of every chunk that currently holds allocated cells."""
         return list(self._chunks)
 
-    def chunk_cells(self, chunk_id: int) -> list[tuple[int, int]]:
-        """Snapshot of one chunk's allocated ``(address, cell size)`` pairs."""
+    def chunk_cells(self, chunk_id: int):
+        """One chunk's allocated ``(address, cell size)`` pairs.
+
+        A live view, not a copy (a copy is a tuple per cell, a tenth of a
+        sweep): allocate or free nothing in this space while iterating.
+        """
         chunk = self._chunks.get(chunk_id)
-        return list(chunk.items()) if chunk else []
+        return chunk.items() if chunk else ()
 
     def free_chunk_cells(self, chunk_id: int, by_class: dict[int, list[int]]) -> int:
         """Batch-free swept cells of one chunk; returns bytes released.

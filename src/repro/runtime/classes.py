@@ -26,6 +26,8 @@ class ClassRegistry:
     def __init__(self) -> None:
         self._by_name: dict[str, ClassDescriptor] = {}
         self._by_id: list[ClassDescriptor] = []
+        #: element class or scalar kind -> its interned array class.
+        self._arrays: dict[ClassDescriptor | FieldKind, ClassDescriptor] = {}
         #: Types with an ``assert-instances`` limit ("the array of tracked
         #: types", §2.4.1) — one word per tracked type, as the paper costs it.
         self.tracked_types: list[ClassDescriptor] = []
@@ -64,23 +66,26 @@ class ClassRegistry:
         their elements; the element class is used only for naming and
         diagnostics (the simulator's arrays are covariant, like Java's).
         """
+        cls = self._arrays.get(element)
+        if cls is not None:
+            return cls
         if isinstance(element, ClassDescriptor):
             name = f"{element.name}[]"
             kind = FieldKind.REF
         else:
             name = f"{element.value}[]"
             kind = element
-        existing = self._by_name.get(name)
-        if existing is not None:
-            return existing
-        cls = ClassDescriptor(
-            class_id=len(self._by_id),
-            name=name,
-            is_array=True,
-            element_kind=kind,
-        )
-        self._by_name[name] = cls
-        self._by_id.append(cls)
+        cls = self._by_name.get(name)
+        if cls is None:
+            cls = ClassDescriptor(
+                class_id=len(self._by_id),
+                name=name,
+                is_array=True,
+                element_kind=kind,
+            )
+            self._by_name[name] = cls
+            self._by_id.append(cls)
+        self._arrays[element] = cls
         return cls
 
     # -- lookup -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Union
 from repro.errors import TypeFault, UseAfterFreeError
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
-from repro.heap.object_model import FieldKind, HeapObject
+from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
     from repro.runtime.threads import MutatorThread
@@ -102,33 +102,42 @@ class Handle:
 
     # -- field / element access --------------------------------------------------------
 
-    def _slot_for(self, key: Union[str, int]) -> tuple[HeapObject, int, FieldKind]:
-        obj = self._check()
+    def _slot_for(self, key: Union[str, int]) -> tuple[HeapObject, int, bool, bool]:
+        """Resolve ``key`` on a live object: ``(object, slot index, slot holds
+        an address, slot is weak)`` — the flags as the class laid them out."""
+        obj = self.obj
+        if obj.status & hdr.FREED_BIT:
+            self._check()  # raises
+        cls = obj.cls
         if isinstance(key, int):
-            if not obj.cls.is_array:
-                raise TypeFault(f"{obj.cls.name} is not an array; cannot index by {key}")
+            if not cls.is_array:
+                raise TypeFault(f"{cls.name} is not an array; cannot index by {key}")
             if not 0 <= key < len(obj.slots):
                 raise TypeFault(
-                    f"index {key} out of bounds for {obj.cls.name} of length {len(obj.slots)}"
+                    f"index {key} out of bounds for {cls.name} of length {len(obj.slots)}"
                 )
-            return obj, key, obj.cls.element_kind  # type: ignore[return-value]
-        field = obj.cls.field(key)
-        return obj, field.slot, field.kind
+            weak = cls.has_weak
+            return obj, key, cls.ref_array or weak, weak
+        field = cls.field_index.get(key)
+        if field is None:
+            field = cls.field(key)  # raises
+        return obj, field.slot, field.holds_address, field.is_weak
 
     def __getitem__(self, key: Union[str, int]) -> FieldValue:
-        obj, slot, kind = self._slot_for(key)
-        if self.vm.access_hook is not None:
-            self.vm.access_hook(obj)
+        obj, slot, holds_address, _weak = self._slot_for(key)
+        vm = self.vm
+        if vm.access_hook is not None:
+            vm.access_hook(obj)
         value = obj.slots[slot]
-        if kind.holds_address:
+        if holds_address:
             if value == NULL:
                 return None
-            return Handle(self.vm, self.vm.heap.get(value))
+            return Handle(vm, vm.collector.heap.get(value))
         return value
 
     def __setitem__(self, key: Union[str, int], value: FieldValue) -> None:
-        obj, slot, kind = self._slot_for(key)
-        if kind.holds_address:
+        obj, slot, holds_address, weak = self._slot_for(key)
+        if holds_address:
             if value is None:
                 address = NULL
             elif isinstance(value, Handle):
@@ -139,7 +148,7 @@ class Handle:
                 raise TypeFault(
                     f"reference slot {key!r} of {obj.cls.name} cannot hold {value!r}"
                 )
-            if kind.is_weak:
+            if weak:
                 # Weak stores create no strong edge: no write barrier.
                 obj.slots[slot] = address
             else:
@@ -153,8 +162,8 @@ class Handle:
 
     def ref_address(self, key: Union[str, int]) -> int:
         """Raw address stored in a (strong or weak) reference slot."""
-        obj, slot, kind = self._slot_for(key)
-        if not kind.holds_address:
+        obj, slot, holds_address, _weak = self._slot_for(key)
+        if not holds_address:
             raise TypeFault(f"slot {key!r} of {obj.cls.name} is not a reference")
         return obj.slots[slot]
 

@@ -222,9 +222,6 @@ class Telemetry:
 
     # -- emit path (collectors call these) ----------------------------------------------
 
-    def record_allocation(self, nbytes: int) -> None:
-        self.alloc_hist.record(nbytes)
-
     def record_lazy_slice(self, seconds: float, chunks: int, released: int) -> None:
         """Record one allocation-slow-path sweep slice (lazy mode only)."""
         self.lazy_slice_hist.record(seconds)

@@ -1,10 +1,11 @@
-"""Per-class live-instance census: one heap walk, many consumers.
+"""Per-class live-instance census: one summary, many consumers.
 
 This is the Cork idea (Jump & McKinley — summarize the live heap per type
 at each collection) promoted to a first-class telemetry primitive.
-:func:`take_census` is the single heap-walk that produces a per-class
-``(count, bytes)`` summary; :class:`ClassCensus` accumulates those
-summaries into aligned time series.  The telemetry hub samples one at every
+:func:`take_census` is the one function that produces a per-class
+``(count, bytes)`` summary (from the heap's install/evict counters; by a
+table walk only under outstanding lazy-sweep debt); :class:`ClassCensus`
+accumulates those summaries into aligned time series.  The telemetry hub samples one at every
 collection, and the Cork baseline (:mod:`repro.baselines.cork`) consumes
 the same machinery instead of keeping its own books.
 """
@@ -25,20 +26,17 @@ def take_census(
     heap: "ObjectHeap",
     skip: Optional[Callable[["HeapObject"], bool]] = None,
 ) -> dict[str, CensusRow]:
-    """Walk the live heap once and summarize it per class.
+    """Summarize the live heap per class.
 
-    ``skip`` filters out objects that are in the table but not logically
-    live — lazy sweep modes pass their pending-garbage predicate so the
-    census stays exact while sweep debt is outstanding.
+    The heap keeps the per-class rows current on install and evict, so this
+    is O(classes) — unless ``skip`` is given.  ``skip`` filters out objects
+    that are in the table but not logically live: lazy sweep modes pass
+    their pending-garbage predicate, and while sweep debt is outstanding
+    the counters still include that garbage, so the census walks the table.
     """
-    census: dict[str, CensusRow] = {}
-    for obj in heap:
-        if skip is not None and skip(obj):
-            continue
-        name = obj.cls.name
-        count, nbytes = census.get(name, (0, 0))
-        census[name] = (count + 1, nbytes + obj.size_bytes)
-    return census
+    if skip is None:
+        return heap.live_by_class()
+    return heap.live_by_class_slow(skip)
 
 
 def merge_censuses(

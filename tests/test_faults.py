@@ -219,6 +219,29 @@ class TestQuarantineAliasedCells:
         vm.gc("after fencing")
         assert verify_heap(vm) == []
 
+    def test_aliased_cell_records_one_allocation(self):
+        # The hardened retry used to re-enter allocate(), so the one object
+        # that came out recorded its request size (and a fast-path hit) twice.
+        vm = hardened_vm(heap_bytes=64 << 10)
+        cls = make_node_class(vm)
+        live = build_chain(vm, cls, 20)
+        collector = vm.collector
+        run = collector._alloc_cache[cls.instance_size]
+        assert run, "the run cache should hold reserved cells of this class"
+        run.append(live[3].address)  # next fast-path pop aliases a live object
+        calls_before = vm.heap.stats.objects_allocated
+        hits_before = collector.stats.alloc_fast_hits
+        with vm.scope("after the alias"):
+            fresh = vm.new(cls, value=7)
+        assert collector.recovery.cells_fenced == 1
+        assert live[3].address in collector.quarantine
+        assert fresh.address != live[3].address and live[3]["value"] == 3
+        assert vm.heap.stats.objects_allocated == calls_before + 1
+        assert vm.telemetry.alloc_hist.count == vm.heap.stats.objects_allocated
+        assert collector.stats.alloc_fast_hits == hits_before + 1
+        vm.gc("after fencing")
+        assert verify_heap(vm) == []
+
     def test_uncommit_repairs_double_charge(self):
         from repro.heap.space import FreeListSpace
 
