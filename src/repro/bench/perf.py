@@ -58,7 +58,6 @@ from typing import Optional
 
 from repro.gc.stats import GcStats
 from repro.gc.tracer import Tracer
-from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import build_suite
@@ -99,12 +98,6 @@ def _build_trace_heap(n_nodes: int) -> VirtualMachine:
         vm.statics.set_ref(f"bench-arr-{start}", arr.address)
     vm.statics.set_ref("bench-head", addresses[0])
     return vm
-
-
-def _clear_marks(vm: VirtualMachine) -> None:
-    clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
-    for obj in vm.heap:
-        obj.status &= clear_mask
 
 
 class _PathDepthProbe:
@@ -152,8 +145,8 @@ def bench_trace(n_nodes: int = 20_000, trials: int = 5) -> dict:
         best = float("inf")
         stats = GcStats()
         for _ in range(trials):
-            _clear_marks(vm)
             stats = GcStats()
+            # Each Tracer starts its own (empty) mark set.
             tracer = Tracer(heap, stats, None, track_paths=True, specialized=specialized)
             start = time.perf_counter()
             tracer.trace(roots)
@@ -166,11 +159,10 @@ def bench_trace(n_nodes: int = 20_000, trials: int = 5) -> dict:
             "edges_per_second": stats.edges_traced / best if best else 0.0,
         }
     # One instrumented pass with the cheap path API (engine specialization).
-    _clear_marks(vm)
     probe = _PathDepthProbe()
     tracer = Tracer(heap, GcStats(), probe, track_paths=True)
     tracer.trace(roots)
-    _clear_marks(vm)
+    heap.new_marks()  # no collection is running: leave no marks behind
     generic, specialized = results["generic"], results["specialized"]
     return {
         "nodes": n_nodes,

@@ -79,7 +79,11 @@ class AssertionEngine:
         #: Owner records whose phase-1 scan marked their own owner through a
         #: back edge this collection; ``post_mark`` re-judges them against
         #: true root reachability (see :func:`repro.core.ownership.run_ownership_phase`).
-        self._self_sustained: list[tuple[OwnerRecord, list[int]]] = []
+        self._self_sustained: list[OwnerRecord] = []
+        #: Ownees the ownership phase set ``OWNED`` on this collection.  The
+        #: bit is read by the root scan and means nothing afterwards, so it
+        #: is cleared from this list (``release_owned``), not by a heap walk.
+        self._owned: list[HeapObject] = []
 
     @property
     def degraded(self) -> bool:
@@ -134,6 +138,7 @@ class AssertionEngine:
     # ------------------------------------------------------------------ hooks
 
     def gc_begin(self, collector: "Collector") -> None:
+        self.release_owned()  # an aborted mark may have left some behind
         self._gc_number = collector.stats.collections
         self._pending = []
         self._force_victims = []
@@ -148,6 +153,33 @@ class AssertionEngine:
             run_ownership_phase(self, collector)
         else:
             run_naive_ownership_check(self, collector)
+
+    def release_owned(self) -> None:
+        """Clear ``OWNED`` from every ownee this collection set it on."""
+        clear = ~hdr.OWNED_BIT
+        for obj in self._owned:
+            obj.status &= clear
+        self._owned = []
+
+    def armed_checks(self) -> tuple[bool, bool]:
+        """Which header reads can find work during a drain, from what is
+        registered right now: ``(any, on a repeat edge)``.
+
+        A repeat edge matters only to ``assert-unshared``.  Nothing at all
+        is armed when no assertion is registered, no class is tracked and
+        no check budget is set — the drain then reads no header and counts
+        its checks by the edge.
+        """
+        registry = self.registry
+        repeats = bool(registry.unshared_sites)
+        armed = (
+            repeats
+            or bool(registry.dead_sites)
+            or bool(registry.ownee_owner)
+            or bool(self.classes.tracked_types)
+            or self.check_budget is not None
+        )
+        return armed, repeats
 
     #: Specialized drains may inline this engine's per-object bookkeeping
     #: (header-bit check counters, instance counting) into the mark loop and
@@ -230,9 +262,9 @@ class AssertionEngine:
         if obj.status & hdr.UNSHARED_BIT:
             self._unshared_violation(obj, tracer, parent)
 
-    def note_self_sustained(self, record: OwnerRecord, touched: list[int]) -> None:
+    def note_self_sustained(self, record: OwnerRecord) -> None:
         """Phase 1 marked ``record``'s own owner via a back edge; re-judge it."""
-        self._self_sustained.append((record, touched))
+        self._self_sustained.append(record)
 
     def _demote_self_sustained(self, collector: "Collector") -> None:
         """Unmark owners (and their dead region marks) that only their own
@@ -244,18 +276,22 @@ class AssertionEngine:
         itself every collection and never be reclaimed.  One true-liveness
         walk (roots plus every *other* owner's region seeds, so the
         acknowledged one-collection float of other dying owners is
-        respected) decides; marks of the judged regions that the walk
-        cannot justify are cleared before sweep.  Any object that stays
-        marked is itself walk-reachable, so all of its children are too —
-        clearing never creates a dangling reference.  Cost is paid only on
-        collections where a back edge actually hit an owner.
+        respected) decides, and every mark it cannot justify is taken
+        back before the sweep: ``marks - reachable``.  That difference is
+        exactly the judged dead regions — the root scan's marks, the other
+        owners' regions and a judged *live* owner's region are all inside
+        the walk — so phase 1 keeps no per-record list of what it marked.
+        Any object that stays marked is itself walk-reachable, so all of
+        its children are too: un-marking never creates a dangling
+        reference.  Cost is paid only on collections where a back edge
+        actually hit an owner.
         """
         pending = self._self_sustained
         if not pending:
             return
         self._self_sustained = []
         heap = collector.heap
-        judged = {record.owner_address for record, _ in pending}
+        judged = {record.owner_address for record in pending}
         seeds: list[int] = [address for _desc, address in collector.vm.root_entries()]
         for record in self.registry.owner_records():
             if record.owner_address in judged:
@@ -273,18 +309,9 @@ class AssertionEngine:
             for child in heap.get(address).reference_slots():
                 if child != NULL and child not in reachable and heap.contains(child):
                     stack.append(child)
-        demoted: set[int] = set()
-        for record, touched in pending:
-            if record.owner_address in reachable:
-                continue
-            for address in [record.owner_address, *touched]:
-                if address in reachable:
-                    continue
-                obj = heap.maybe(address)
-                if obj is not None and not obj.is_freed:
-                    obj.clear(hdr.MARK_BIT)
-                    demoted.add(address)
+        demoted = heap.marks - reachable
         if demoted:
+            heap.marks.difference_update(demoted)
             # Phase 1 staged violations (assert-dead, assert-unshared) for
             # objects this walk just proved garbage; retract them before
             # dispatch — a dead object reached only from a dead region is
@@ -294,6 +321,7 @@ class AssertionEngine:
             self._pending = kept
 
     def post_mark(self, collector: "Collector", tracer: "Tracer") -> None:
+        self.release_owned()  # the root scan has read them
         self._demote_self_sustained(collector)
         self._check_instance_limits(collector)
         self._resolve_reactions()

@@ -7,16 +7,16 @@ running out of memory but risks introducing a null pointer exception."
 
 :func:`force_reclaim` runs between the mark and sweep phases: it nulls every
 reference to the victims held by surviving (marked) objects and by roots,
-then clears the victims' mark bits so the sweep reclaims them.  Objects that
-were reachable *only* through a victim remain marked and float for one
-collection cycle — the same one-GC imprecision the ownership phase has.
+then takes the victims out of the mark set so the sweep reclaims them.
+Objects that were reachable *only* through a victim remain marked and float
+for one collection cycle — the same one-GC imprecision the ownership phase
+has.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.heap import header as hdr
 from repro.heap.layout import NULL
 
 if TYPE_CHECKING:
@@ -46,6 +46,5 @@ def force_reclaim(
         vm.null_roots(victim_set)
 
     # Unmark so the sweep reclaims them.
-    for address in victim_set:
-        collector.heap.get(address).clear(hdr.MARK_BIT)
+    collector.heap.marks.difference_update(victim_set)
     return len(victim_set)

@@ -16,9 +16,10 @@ registered owner:
 * Do **not** mark the owner itself — its liveness is established by the
   normal root scan; if it is unreachable it will be collected this GC.
 * If an ownee of the *current* owner is reached: mark it, set its ``OWNED``
-  bit, and *truncate* the scan there, queueing the ownee so its subtree is
-  scanned after the owner's scan completes (this is how the paper tolerates
-  back edges / overlapping data structures).
+  bit (logged with the engine, which clears it again once the root scan
+  has read it), and *truncate* the scan there, queueing the ownee so its
+  subtree is scanned after the owner's scan completes (this is how the
+  paper tolerates back edges / overlapping data structures).
 * If an ownee of a *different* owner is reached: issue an improper-use
   warning (the owner regions are required to be disjoint) and do not mark.
 * If a different owner object is reached: mark it and stop — "we will scan
@@ -38,9 +39,12 @@ twice") — and, exactly as the paper concedes, objects reachable only from a
 loop for the whole phase — the treatment the tracer's engine drain gives
 phase 2 — with its locals bound once, not once per owner record:
 
-* children are resolved through the heap's address table; only a miss or a
-  freed object goes back through ``heap.get`` so the caller still sees the
-  typed ``InvalidAddressError`` / ``UseAfterFreeError``;
+* marks go into ``heap.marks``, the collection's one mark set, so the
+  root scan prunes at them; a repeat edge is one set probe and reads the
+  child's header only while an ``assert-unshared`` is registered;
+* first encounters are resolved through the heap's address table; only a
+  miss or a freed object goes back through ``heap.get`` so the caller still
+  sees the typed ``InvalidAddressError`` / ``UseAfterFreeError``;
 * reference slots are read in place, through a ``map`` over the class's
   ``ref_slots`` (no per-object list), and an array is told from its class's
   precomputed ``ref_array`` (phase 1 counts null edges in
@@ -56,7 +60,13 @@ phase 2 — with its locals bound once, not once per owner record:
   a pure function of (index, length) and is read from
   :func:`repro.core.registry.probe_depths`, so ``ownee_search_probes`` is
   exact.  A miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
-* work counters accumulate in locals and are flushed in a ``finally``.
+* work counters accumulate in locals and are flushed in a ``finally``;
+  three of them are not counted per visit but derived at the flush —
+  objects traced is the growth of the mark set, header checks are the
+  non-null edges (less an edge that raised), engine checks are the header
+  checks no hook took over — and phase 1 keeps no list of what it marked:
+  a self-sustained owner is re-judged by set difference
+  (``marks - reachable``, see ``AssertionEngine._demote_self_sustained``).
 
 This is not another copy of the tracer's drain: phase 1 tags no paths,
 truncates at ownees, runs a second queue and consults a per-record sorted
@@ -89,8 +99,10 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     heap_get = heap.get
     phase1_visit = engine.phase1_visit
     on_repeat = engine.on_repeat_encounter
-    mark_bit = hdr.MARK_BIT
-    mark_owned = hdr.MARK_BIT | hdr.OWNED_BIT
+    marks = heap.marks
+    mark = marks.add
+    owned_bit = hdr.OWNED_BIT
+    note_owned = engine._owned.append
     freed_bit = hdr.FREED_BIT
     ownee_bit = hdr.OWNEE_BIT
     owner_bit = hdr.OWNER_BIT
@@ -99,10 +111,17 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     # With a per-pause budget (or checks already off for this GC) every
     # visit goes through the hooks, so the budget trips on the same visit.
     hook_every_visit = engine.check_budget is not None or engine.degraded
+    read_repeats = hook_every_visit or engine.armed_checks()[1]
     misuse_reported: set[int] = set()
     stack: list[int] = []
     ownee_queue: list[int] = []
-    objects = edges = header_checks = lookups = probes = checks = 0
+    # Three counters are derived, not kept: every first encounter is one
+    # new entry of ``marks``; every non-null edge is one header check unless
+    # it is the edge that raised; and every header check is one engine check
+    # unless the visit went to a hook (which counts its own) or was the
+    # misuse path (which makes none).
+    marked_before = len(marks)
+    edges = nulls = raised = lookups = probes = hooked = 0
     try:
         for record in list(engine.registry.owner_records()):
             owner_address = record.owner_address
@@ -114,7 +133,6 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
             ownees = record.ownees
             ownee_count = len(ownees)
             depths = probe_depths(ownee_count)
-            touched: list[int] = []
             self_reached = False
             # Start at the owner's children; deliberately do NOT mark the
             # owner.  Drain the stack, then scan below one deferred ownee,
@@ -128,20 +146,22 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                 for child in children:
                     edges += 1
                     if child == NULL:
+                        nulls += 1
+                        continue
+                    if child in marks:
+                        # Second encounter during GC tracing: same unshared
+                        # check the root scan performs (§2.5.1).
+                        if read_repeats:
+                            cobj = table[child]
+                            if hook_every_visit or cobj.status & unshared_bit:
+                                hooked += 1
+                                on_repeat(cobj, None, None)
                         continue
                     cobj = table.get(child)
                     if cobj is None or cobj.status & freed_bit:
-                        cobj = heap_get(child)  # raises the typed heap error
-                    header_checks += 1
+                        raised = 1
+                        heap_get(child)  # raises the typed heap error
                     status = cobj.status
-                    if status & mark_bit:
-                        # Second encounter during GC tracing: same unshared
-                        # check the root scan performs (§2.5.1).
-                        if hook_every_visit or status & unshared_bit:
-                            on_repeat(cobj, None, None)
-                        else:
-                            checks += 1
-                        continue
                     if status & ownee_bit:
                         lookups += 1
                         idx = bisect_left(ownees, child)
@@ -149,20 +169,19 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                             # Ownee of a different owner: improper use of
                             # the assertion.  Warn once and do not mark.
                             probes += record.contains(child)[1]
+                            hooked += 1
                             if child not in misuse_reported:
                                 misuse_reported.add(child)
                                 engine.report_ownership_misuse(cobj, record)
                             continue
                         probes += depths[idx]
-                        cobj.status = status | mark_owned
-                    else:
-                        cobj.status = status | mark_bit
-                    objects += 1
-                    touched.append(child)
+                        cobj.status = status | owned_bit
+                        note_owned(cobj)
+                    mark(child)
                     if hook_every_visit or status & dead_bit:
+                        hooked += 1
                         phase1_visit(cobj, record)
                     else:
-                        checks += 1
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
                             ccls.instance_count += 1
@@ -197,15 +216,16 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                 # dead ones.  (Found by the small-scope model checker:
                 # root-less {owner -> ownee -> owner} shapes leaked
                 # permanently.)
-                engine.note_self_sustained(record, touched)
+                engine.note_self_sustained(record)
     finally:
         stats = collector.stats
-        stats.objects_traced += objects
+        stats.objects_traced += len(marks) - marked_before
         stats.edges_traced += edges
+        header_checks = edges - nulls - raised
         stats.header_bit_checks += header_checks
         stats.ownee_lookups += lookups
         stats.ownee_search_probes += probes
-        engine._checks_this_gc += checks
+        engine._checks_this_gc += header_checks - hooked
 
 
 def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector") -> None:
@@ -241,4 +261,6 @@ def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector")
                     if child != NULL and child not in visited:
                         stack.append(child)
             if found:
-                heap.get(ownee_address).status |= hdr.OWNED_BIT
+                ownee = heap.get(ownee_address)
+                ownee.status |= hdr.OWNED_BIT
+                engine._owned.append(ownee)

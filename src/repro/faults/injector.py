@@ -3,15 +3,19 @@
 Nine fault kinds, spanning every layer the hardened collectors defend:
 
 =================  ====================================================
-``flip-mark``      set a stale MARK bit on a live object (sentinel
-                   clears it and records a heap degradation)
+``flip-owned``     set a stale OWNED bit on a live object — on an ownee
+                   it would mask an unowned-ownee violation (sentinel
+                   clears it and records a heap degradation).  There is
+                   no stale-*mark* fault to inject: the mark is not a
+                   header bit but a set born empty every collection
 ``flip-dead``      set the DEAD bit on a root-reachable object — the
                    next trace reports an assert-dead violation whose
                    ``site`` is ``None`` (the injected/genuine
                    discriminator)
-``flip-unshared``  set the UNSHARED bit on a reachable object and pin a
-                   second incoming reference, guaranteeing a repeat
-                   encounter and an unshared violation
+``flip-unshared``  set the UNSHARED bit on a reachable object and pin
+                   two root references to it, guaranteeing a repeat
+                   encounter in the root scan (which reads every
+                   header) and an unshared violation
 ``dangle-ref``     point a live reference slot at an address the heap
                    does not track (sentinel nulls it)
 ``corrupt-freelist``  push a live cell's address back onto the free
@@ -47,7 +51,7 @@ if TYPE_CHECKING:
 
 #: All schedulable fault kinds, in documentation order.
 FAULT_KINDS = (
-    "flip-mark",
+    "flip-owned",
     "flip-dead",
     "flip-unshared",
     "dangle-ref",
@@ -153,7 +157,7 @@ class FaultPlan:
         """
         plan = cls(seed)
         plan.add("flip-dead", at_gc=1)
-        plan.add("flip-mark", at_gc=1)
+        plan.add("flip-owned", at_gc=1)
         plan.add("raise-sink", at_gc=1)
         plan.add("raise-reaction", at_gc=1)
         plan.add("flip-unshared", at_gc=2)
@@ -348,12 +352,12 @@ class FaultInjector:
 
     # -- the nine kinds ----------------------------------------------------------------
 
-    def _fault_flip_mark(self, fault: Fault) -> str:
+    def _fault_flip_owned(self, fault: Fault) -> str:
         victim = self._pick_reachable()
         if victim is None:
             return "inert: no live objects"
-        victim.status |= hdr.MARK_BIT
-        return f"MARK bit set on {victim.cls.name}@{victim.address:#x}"
+        victim.status |= hdr.OWNED_BIT
+        return f"OWNED bit set on {victim.cls.name}@{victim.address:#x}"
 
     def _fault_flip_dead(self, fault: Fault) -> str:
         victim = self._pick_reachable()
@@ -371,12 +375,14 @@ class FaultInjector:
         if victim is None:
             return "inert: no live objects"
         victim.status |= hdr.UNSHARED_BIT
-        # A second incoming reference (a synthetic static root) guarantees
-        # a repeat encounter on top of the existing reachable path.
-        pin = self._pin(victim.address, "unshared")
+        # Two synthetic static roots guarantee a repeat encounter where a
+        # header is sure to be read: the root scan runs the full hooks,
+        # while a drain's repeat edge reads the header only while some
+        # assert-unshared is registered — and this bit has no registration.
+        pins = [self._pin(victim.address, "unshared") for _ in range(2)]
         return (
             f"UNSHARED bit set on {victim.cls.name}@{victim.address:#x} "
-            f"(second reference pinned as {pin})"
+            f"(two references pinned as {', '.join(pins)})"
         )
 
     def _fault_dangle_ref(self, fault: Fault) -> str:

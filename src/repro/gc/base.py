@@ -324,8 +324,8 @@ class Collector:
                     else:
                         tracer.drain()
             if spans.attribute_marks:
-                # Between mark end and sweep begin the mark bits identify
-                # exactly this cycle's traced set — the attribution window.
+                # Between mark end and sweep begin the mark set is exactly
+                # this cycle's traced set — the attribution window.
                 spans.record_mark_attribution(self.heap)
         if engine is not None:
             self._engine_call("post_mark", engine.post_mark, self, tracer)
@@ -333,12 +333,13 @@ class Collector:
     def _run_mark_phase(self, tracer: Tracer) -> Tracer:
         """Mark the heap; in hardened mode, recover from a mid-mark fault.
 
-        Recovery drops any pending snapshot capture, clears the partial
+        Recovery drops any pending snapshot capture, drops the partial
         mark state, quarantines detected corruption (or degrades the
         engine, for non-heap faults), and re-runs the *entire* mark phase
-        with a fresh tracer — ``pre_mark`` must re-run because clearing
-        OWNED bits would otherwise fabricate unowned-ownee violations.  A
-        second failure propagates: one recovery attempt per pause.
+        with a fresh tracer (and so a fresh, empty mark set) — ``pre_mark``
+        must re-run because clearing OWNED bits would otherwise fabricate
+        unowned-ownee violations.  A second failure propagates: one
+        recovery attempt per pause.
 
         Returns the tracer that actually completed the mark (callers that
         consult tracer state must use the return value).
@@ -376,10 +377,13 @@ class Collector:
             return retry
 
     def _clear_all_marks(self) -> None:
-        """Reset per-collection header bits after an aborted mark."""
-        clear = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
-        for obj in self.heap:
-            obj.status &= clear
+        """Reset per-collection state after an aborted mark: the mark set
+        is dropped, and the engine clears ``OWNED`` from the ownees it had
+        got to — neither walks the heap."""
+        self.heap.new_marks()
+        release_owned = getattr(self.engine, "release_owned", None)
+        if release_owned is not None:
+            release_owned()
 
     def _purge_before_reuse(self, freed: set[int]) -> None:
         """Drop address-keyed metadata for ``freed`` before any reuse.
@@ -393,53 +397,19 @@ class Collector:
         if self.vm is not None:
             self.vm.purge_dead_metadata(freed)
 
-    def _finish_mark_only(self, cutoff: int, fwd: Optional[dict[int, int]] = None) -> None:
+    def _finish_mark_only(self, fwd: Optional[dict[int, int]] = None) -> None:
         """Pause-end duties when the sweep is deferred (lazy mode).
 
-        Dead objects are still in the heap table, so liveness is decided by
-        mark bits (plus the ``alloc_seq`` epoch for objects installed after
-        the trace) instead of table membership.  Metadata purging happens
+        Dead objects are still in the heap table; weak processing tells
+        them by the pending-garbage predicate.  Metadata purging happens
         per chunk as debt is repaid; violation dispatch can run now because
         the engine detected everything during marking.
         """
-        self._process_weak_references_marked(cutoff, fwd)
+        self.process_weak_references(fwd)
         if self.engine is not None:
             self.engine.finalize(self)
         if self.vm is not None:
             self.vm.on_gc_complete(set())
-
-    def _process_weak_references_marked(
-        self, cutoff: int, fwd: Optional[dict[int, int]] = None
-    ) -> None:
-        """Mark-bit variant of :meth:`process_weak_references`.
-
-        Used at a lazy pause end: a dead target is still *in* the table, so
-        ``heap.contains`` would wrongly report it live.  Dead holders are
-        skipped (the eager path never sees them either — they are evicted
-        before weak processing), keeping ``weak_refs_cleared`` identical
-        between modes.
-        """
-        heap = self.heap
-        stats = self.stats
-        mark_bit = hdr.MARK_BIT
-        for obj in list(heap.weak_holders):
-            if not (obj.status & mark_bit or obj.alloc_seq > cutoff):
-                continue  # holder itself is pending garbage
-            slots = obj.slots
-            for idx in obj.weak_slot_indices():
-                address = slots[idx]
-                if address == NULL:
-                    continue
-                if fwd:
-                    address = fwd.get(address, address)
-                target = heap.maybe(address)
-                if target is not None and (
-                    target.status & mark_bit or target.alloc_seq > cutoff
-                ):
-                    slots[idx] = address
-                    continue
-                slots[idx] = NULL
-                stats.weak_refs_cleared += 1
 
     def _finish_collection(self, freed: set[int], fwd: Optional[dict[int, int]] = None) -> None:
         if fwd:
@@ -454,9 +424,20 @@ class Collector:
             self.vm.on_gc_complete(freed)
 
     def process_weak_references(self, fwd: Optional[dict[int, int]] = None) -> None:
-        """Clear weak slots whose target died; forward ones whose target moved."""
+        """Clear weak slots whose target died; forward ones whose target moved.
+
+        A target is dead when it has left the table — or, under lazy-sweep
+        debt, when it is still there as pending garbage (unmarked and not
+        newer than the cutoff).  Pending-garbage holders are skipped: the
+        eager path never sees them either (they are evicted before weak
+        processing), which keeps ``weak_refs_cleared`` identical between
+        modes.
+        """
         heap = self.heap
+        pending = self.pending_garbage_predicate()
         for obj in list(heap.weak_holders):
+            if pending is not None and pending(obj):
+                continue
             slots = obj.slots
             for idx in obj.weak_slot_indices():
                 address = slots[idx]
@@ -464,20 +445,21 @@ class Collector:
                     continue
                 if fwd:
                     address = fwd.get(address, address)
-                if heap.contains(address):
-                    slots[idx] = address
-                else:
+                target = heap.maybe(address)
+                if target is None or (pending is not None and pending(target)):
                     slots[idx] = NULL
                     self.stats.weak_refs_cleared += 1
+                else:
+                    slots[idx] = address
 
     # -- hardened recovery surface ------------------------------------------------------
 
     def _sentinel_check(self, phase: str) -> Optional[SentinelReport]:
         """Pre/post-GC integrity sentinel: repair + quarantine, never raise.
 
-        Callers must only invoke this when mark bits are legitimately clear
-        (after ``sweep_all``, or when this collector has no sweep debt) —
-        lazy-sweep survivors carry MARK bits until their chunk is swept.
+        Callers must only invoke this when the mark set is legitimately
+        empty (after ``sweep_all``, or when this collector has no sweep
+        debt) — under debt the set is what keeps unswept survivors alive.
         """
         if not self.hardened or self.vm is None:
             return None
@@ -667,6 +649,11 @@ class Collector:
         """Unswept chunks outstanding from the last collection (0 = exact)."""
         return 0
 
+    def sweep_cutoff(self) -> int:
+        """``heap.install_seq`` at the last mark end: under sweep debt, an
+        object stamped later was installed after the trace."""
+        return 0
+
     def pending_garbage_predicate(self):
         """``None``, or a predicate marking objects that are dead but not
         yet swept — table walkers (census) use it to skip pending garbage."""
@@ -686,5 +673,7 @@ class Collector:
 
     @staticmethod
     def clear_gc_bits(obj: HeapObject) -> None:
-        """Reset per-collection header state on a survivor."""
-        obj.status &= ~(hdr.MARK_BIT | hdr.OWNED_BIT)
+        """Reset per-collection header state on a survivor.  (The mark is
+        not header state: it lives in ``heap.marks``, which the next
+        :class:`~repro.gc.tracer.Tracer` replaces.)"""
+        obj.status &= ~hdr.OWNED_BIT

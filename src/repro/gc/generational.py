@@ -31,7 +31,6 @@ from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import PhaseTimer
-from repro.heap import header as hdr
 from repro.heap.heap import SPACE_STRIDE
 from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -196,7 +195,9 @@ class GenerationalCollector(Collector):
         nursery = self.nursery
 
         # Mark phase restricted to nursery objects; roots are the VM roots
-        # plus the fields of remembered mature objects.
+        # plus the fields of remembered mature objects.  The marks are a set
+        # of this collection's own: ``heap.marks`` may still be what the
+        # last full collection's unswept mature chunks are judged by.
         visited: set[int] = set()
         stack: list[int] = []
 
@@ -311,12 +312,12 @@ class GenerationalCollector(Collector):
         with self._span("collect", kind="full", reason=reason):
             # Repay the previous cycle's debt before a new trace: the
             # ownership phase must not walk registry entries for dead
-            # owners, and header bits of pending garbage belong to the old
-            # cycle.
+            # owners, and the mark set the pending chunks are judged by
+            # belongs to the old cycle — the new tracer replaces it.
             with self._span("prologue"):
                 self.sweep_all()
             if self.hardened:
-                # Debt repaid, so mark bits are legitimately clear and the
+                # Debt repaid, so the mark set is legitimately empty and the
                 # sentinel may repair/quarantine across both spaces.
                 self._sentinel_check("pre-gc")
             if self.paranoid:
@@ -354,7 +355,7 @@ class GenerationalCollector(Collector):
                     # Metadata was purged pre-promotion; observers fire here.
                     self.vm.on_gc_complete(set())
             else:
-                self._finish_mark_only(self._mature_sweeper.cutoff, fwd)
+                self._finish_mark_only(fwd)
             # Only full collections capture (minor collections use their own
             # nursery traversal, not the tracer); write cost stays off-pause.
             self._snapshot_flush()
@@ -370,6 +371,7 @@ class GenerationalCollector(Collector):
         heap = self.heap
         stats = self.stats
         nursery = self.nursery
+        marks = heap.marks
         freed: set[int] = set()
         with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
             for address in nursery.addresses():
@@ -377,7 +379,7 @@ class GenerationalCollector(Collector):
                 if obj is None:
                     continue
                 stats.objects_swept += 1
-                if obj.status & hdr.MARK_BIT:
+                if address in marks:
                     continue
                 freed.add(address)
                 stats.objects_freed += 1
@@ -390,11 +392,10 @@ class GenerationalCollector(Collector):
         """Move surviving nursery objects into the mature space.
 
         Iterates the nursery only: in lazy mode the heap table still holds
-        dead-but-unswept mature objects whose header bits the chunk sweep
-        will read, so they must not be touched here.  Mature survivors'
-        bits are cleared by the chunk sweep itself; promoted objects are
-        cleared here and re-stamped past the sweep cutoff by ``relocate``,
-        so a pending chunk sweep never mistakes them for old occupants.
+        dead-but-unswept mature objects, which only the chunk sweep may
+        judge.  ``relocate`` takes a promoted object's old address out of
+        the mark set and re-stamps it past the sweep cutoff, so a pending
+        chunk sweep never mistakes it for the cell's old occupant.
         """
         heap = self.heap
         stats = self.stats
@@ -405,7 +406,6 @@ class GenerationalCollector(Collector):
                 obj = heap.maybe(address)
                 if obj is None:
                     continue
-                self.clear_gc_bits(obj)
                 new_address = self._promote(obj)
                 fwd[address] = new_address
                 stats.objects_promoted += 1
@@ -425,14 +425,8 @@ class GenerationalCollector(Collector):
     def sweep_debt(self) -> int:
         return self._mature_sweeper.debt
 
+    def sweep_cutoff(self) -> int:
+        return self._mature_sweeper.cutoff
+
     def pending_garbage_predicate(self):
-        sweeper = self._mature_sweeper
-        if not sweeper.debt:
-            return None
-        cutoff = sweeper.cutoff
-        mark_bit = hdr.MARK_BIT
-
-        def _is_pending_garbage(obj: HeapObject) -> bool:
-            return obj.alloc_seq <= cutoff and not (obj.status & mark_bit)
-
-        return _is_pending_garbage
+        return self._mature_sweeper.pending_garbage_predicate()

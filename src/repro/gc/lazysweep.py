@@ -18,11 +18,15 @@ Two drain disciplines share the per-chunk core:
   each chunk sweep must itself uphold the metadata invariants the eager
   sequence got for free:
 
+  - **the mark set outlives the pause** — ``heap.marks`` is what tells a
+    pending chunk's survivors from its dead, so it is kept until the last
+    pending chunk is swept and dropped in that same call (eager mode drops
+    it when ``drain_eager`` finishes).
   - **epoch filter** — ``cutoff`` is ``heap.install_seq`` captured when the
     chunks were scheduled (mark end).  Objects installed or relocated after
     that (mutator allocations into a pending chunk; generational promotion
     into recycled mature cells) have ``alloc_seq > cutoff`` and are skipped:
-    their unmarked headers mean "allocated after the trace", not "dead".
+    unmarked and newer means "allocated after the trace", not "dead".
   - **purge before reuse** — address-keyed assertion/VM metadata for a
     chunk's dead cells is purged *before* those cells reach the free list,
     so a recycled address can never alias a stale registry entry.
@@ -71,8 +75,9 @@ class ChunkSweeper:
     # -- per-chunk core ----------------------------------------------------------
 
     def _sweep_chunk(self, chunk_id: int) -> tuple[set[int], dict[int, list[int]]]:
-        """Have the heap sweep one chunk's cells (survivor bits cleared,
-        the dead evicted: :meth:`ObjectHeap.sweep_cells`) and count it.
+        """Have the heap sweep one chunk's cells (survivors skipped by
+        their mark, the dead evicted: :meth:`ObjectHeap.sweep_cells`) and
+        count it.
 
         Returns ``(freed addresses, {cell size: [addresses]})``; the caller
         decides when the cells go back to the space (eager: immediately;
@@ -109,6 +114,7 @@ class ChunkSweeper:
                     stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
                 if freed:
                     freed_all |= freed
+            collector.heap.new_marks()  # every chunk is swept: nothing reads them now
         return freed_all
 
     def sweep_chunks(self, max_chunks: int | None = None) -> int:
@@ -143,6 +149,8 @@ class ChunkSweeper:
                     collector._purge_before_reuse(freed)
                     stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
                     released += len(freed)
+            if not pending:
+                collector.heap.new_marks()  # debt repaid: the set has no reader left
         if spans is not None:
             spans.counter("sweep_debt", chunks=len(pending))
         telemetry = collector.telemetry
@@ -155,3 +163,17 @@ class ChunkSweeper:
     def sweep_all(self) -> None:
         """Drain all outstanding debt (lazy discipline, incremental purge)."""
         self.sweep_chunks(None)
+
+    def pending_garbage_predicate(self):
+        """``None`` when nothing is owed, else a predicate for objects that
+        are dead but still in the table: traced over (not newer than the
+        cutoff) and not marked."""
+        if not self.pending:
+            return None
+        cutoff = self.cutoff
+        marks = self.collector.heap.marks
+
+        def _is_pending_garbage(obj) -> bool:
+            return obj.alloc_seq <= cutoff and obj.address not in marks
+
+        return _is_pending_garbage

@@ -24,7 +24,6 @@ from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import PhaseTimer
-from repro.heap import header as hdr
 from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -235,8 +234,8 @@ class MarkSweepCollector(Collector):
                 self.sweep_all()
                 self._flush_alloc_cache()
             if self.hardened:
-                # Sweep debt is repaid, so mark bits are legitimately clear:
-                # the sentinel can judge (and repair) the whole heap.
+                # Sweep debt is repaid, so the mark set is legitimately
+                # empty: the sentinel can judge (and repair) the whole heap.
                 self._sentinel_check("pre-gc")
             if self.paranoid:
                 self._paranoid_check("pre-gc")
@@ -256,12 +255,12 @@ class MarkSweepCollector(Collector):
             if freed is not None:
                 self._finish_collection(freed)
             else:
-                self._finish_mark_only(self._sweeper.cutoff)
+                self._finish_mark_only()
             # Serialization is mutator-side cost: the pause timer is closed.
             self._snapshot_flush()
             self._telemetry_end(pending)
             if self.hardened and self.sweep_debt() == 0:
-                # Lazy mode skips this: survivors carry MARK bits until
+                # Lazy mode skips this: dead objects sit in the table until
                 # their chunk sweeps, so post-GC state is not judgeable.
                 self._sentinel_check("post-gc")
             if self.paranoid:
@@ -277,14 +276,8 @@ class MarkSweepCollector(Collector):
     def sweep_debt(self) -> int:
         return self._sweeper.debt
 
+    def sweep_cutoff(self) -> int:
+        return self._sweeper.cutoff
+
     def pending_garbage_predicate(self):
-        sweeper = self._sweeper
-        if not sweeper.debt:
-            return None
-        cutoff = sweeper.cutoff
-        mark_bit = hdr.MARK_BIT
-
-        def _is_pending_garbage(obj: HeapObject) -> bool:
-            return obj.alloc_seq <= cutoff and not (obj.status & mark_bit)
-
-        return _is_pending_garbage
+        return self._sweeper.pending_garbage_predicate()

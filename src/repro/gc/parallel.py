@@ -8,13 +8,15 @@ zones on a pool of mark workers:
   sequential — it runs the engine's full first-encounter hooks exactly as
   the sequential tracer would — and the seeded worklist is then split into
   per-zone stacks.
-* **Each zone's mark bits are touched by one worker at a time.**  A worker
-  drains a zone's stack with a fused loop (same per-edge body as the
-  sequential drains); an edge whose target lies in another zone is not
-  examined locally but routed to the owning zone as part of an *in-set
-  packet*.  The hot loop therefore needs no locks and no atomics: packet
-  hand-off (one lock acquisition per :data:`PACKET_SIZE` edges, not per
-  edge) is the only synchronized operation.
+* **Each zone's marks are touched by one worker at a time.**  (They are
+  entries of the collection's one mark set, ``heap.marks``; a set insert or
+  probe is atomic under the GIL.)  A worker drains a zone's stack with a
+  fused loop (same per-edge body as the sequential drains); an edge whose
+  target lies in another zone is not examined locally but routed to the
+  owning zone as part of an *in-set packet*.  The hot loop therefore needs
+  no locks and no atomics: packet hand-off (one lock acquisition per
+  :data:`PACKET_SIZE` edges, not per edge) is the only synchronized
+  operation.
 * **Work-stealing at packet/zone granularity.**  Zones are not pinned to
   workers: a zone with pending work (a non-empty stack or queued in-set
   packets) and no active owner sits in a ready queue any idle worker may
@@ -55,6 +57,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import InvalidAddressError
 from repro.gc.stats import GcStats
+from repro.gc.tracer import armed_checks
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.zones import ZoneMap
@@ -250,7 +253,9 @@ class ParallelMarker:
         self._abort = False
         self._seed_census: dict[str, list[int]] = {}
         self._table: dict = {}
+        self._marks: set[int] = set()
         self._engine = None
+        self._repeats_armed = True
 
     # -- entry points ------------------------------------------------------------
 
@@ -262,8 +267,10 @@ class ParallelMarker:
     def drain(self, tracer: "Tracer") -> None:
         """Partition the seeded worklist by zone and drain on the pool."""
         self._table = tracer._table
+        self._marks = tracer._marks
         engine = tracer.engine
         self._engine = engine
+        self._repeats_armed = armed_checks(engine)[1]
         self._partition(tracer)
         drain_zone = (
             self._drain_zone_plain if engine is None else self._drain_zone_engine
@@ -426,7 +433,8 @@ class ParallelMarker:
         push = stack.append
         buffers = worker.buffers
         census = worker.census
-        mark_bit = hdr.MARK_BIT
+        marks = self._marks
+        mark = marks.add
         packet_limit = PACKET_SIZE
         objects = edges = 0
         try:
@@ -459,11 +467,10 @@ class ParallelMarker:
                                 self._send_packet(target, buf)
                             continue
                         edges += 1
-                        cobj = table[child]
-                        status = cobj.status
-                        if status & mark_bit:
+                        if child in marks:
                             continue
-                        cobj.status = status | mark_bit
+                        cobj = table[child]
+                        mark(child)
                         objects += 1
                         name = cobj.cls.name
                         row = census.get(name)
@@ -479,11 +486,10 @@ class ParallelMarker:
                 for packet in packets:
                     for _parent, child in packet:
                         edges += 1
-                        cobj = table[child]
-                        status = cobj.status
-                        if status & mark_bit:
+                        if child in marks:
                             continue
-                        cobj.status = status | mark_bit
+                        cobj = table[child]
+                        mark(child)
                         objects += 1
                         name = cobj.cls.name
                         row = census.get(name)
@@ -513,7 +519,9 @@ class ParallelMarker:
         firsts = worker.first_records
         repeats = worker.repeat_records
         instances = worker.instances
-        mark_bit = hdr.MARK_BIT
+        marks = self._marks
+        mark = marks.add
+        repeats_armed = self._repeats_armed
         first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
         unshared_bit = hdr.UNSHARED_BIT
         packet_limit = PACKET_SIZE
@@ -548,17 +556,16 @@ class ParallelMarker:
                                 self._send_packet(target, buf)
                             continue
                         edges += 1
-                        cobj = table[child]
-                        status = cobj.status
-                        if status & mark_bit:
+                        if child in marks:
                             header_checks += 1
-                            if status & unshared_bit:
+                            if repeats_armed and table[child].status & unshared_bit:
                                 repeats.append((child, parent_address))
                             continue
-                        cobj.status = status | mark_bit
+                        cobj = table[child]
+                        mark(child)
                         objects += 1
                         header_checks += 1
-                        if status & first_slow_bits:
+                        if cobj.status & first_slow_bits:
                             firsts.append((child, parent_address))
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
@@ -578,17 +585,16 @@ class ParallelMarker:
                 for packet in packets:
                     for parent_address, child in packet:
                         edges += 1
-                        cobj = table[child]
-                        status = cobj.status
-                        if status & mark_bit:
+                        if child in marks:
                             header_checks += 1
-                            if status & unshared_bit:
+                            if repeats_armed and table[child].status & unshared_bit:
                                 repeats.append((child, parent_address))
                             continue
-                        cobj.status = status | mark_bit
+                        cobj = table[child]
+                        mark(child)
                         objects += 1
                         header_checks += 1
-                        if status & first_slow_bits:
+                        if cobj.status & first_slow_bits:
                             firsts.append((child, parent_address))
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:

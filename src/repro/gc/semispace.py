@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.gc.base import Collector
 from repro.gc.stats import PhaseTimer
-from repro.heap import header as hdr
 from repro.heap.heap import SPACE_STRIDE
 from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -112,6 +111,7 @@ class SemiSpaceCollector(Collector):
         heap = self.heap
         stats = self.stats
         from_space, to_space = self.from_space, self.to_space
+        marks = heap.marks
         freed: set[int] = set()
         fwd: dict[int, int] = {}
         survivors: list[HeapObject] = []
@@ -122,7 +122,7 @@ class SemiSpaceCollector(Collector):
                 if obj is None:
                     continue
                 stats.objects_swept += 1
-                if obj.status & hdr.MARK_BIT:
+                if address in marks:  # read before relocate changes the key
                     new_address = to_space.allocate(obj.size_bytes)
                     if new_address is None and self._try_grow():
                         self.recovery.oom_recoveries += 1
@@ -134,7 +134,6 @@ class SemiSpaceCollector(Collector):
                     heap.relocate(obj, new_address)
                     fwd[address] = new_address
                     survivors.append(obj)
-                    self.clear_gc_bits(obj)
                 else:
                     freed.add(address)
                     stats.objects_freed += 1
@@ -153,4 +152,5 @@ class SemiSpaceCollector(Collector):
 
             from_space.reset()
             self._current = 1 - self._current
+            heap.new_marks()
         return freed, fwd

@@ -17,12 +17,23 @@ gives violation reports their Figure-1 root-to-object paths for free.
 no object materialization) and :meth:`Tracer.path_depth` cheaper still, for
 consumers that only need the length.
 
+**The mark lives beside the heap.**  A collection's marks are one set of
+addresses, ``heap.marks``; no header bit is involved.  Building a
+:class:`Tracer` starts a fresh set (so whoever builds one has repaid any
+lazy-sweep debt first — every collector's ``collect`` does), the ownership
+phase and the drains below all mark into it, and the sweep reads it.  The
+per-edge test is ``child in marks``: a repeat edge costs one set probe and
+never loads the child object; a first encounter checks that the child is in
+the address table (a dangling child still raises ``InvalidAddressError`` at
+the edge that discovered it), inserts it, and leaves the object untouched
+until it is popped and scanned.
+
 The tracer calls two assertion hooks on an attached engine:
 
 * ``on_first_encounter(obj, tracer, parent)`` — the object was just marked
   (dead-bit check, instance counting, unowned-ownee detection).
-* ``on_repeat_encounter(obj, tracer, parent)`` — the object's mark bit was
-  already set, i.e. a second incoming reference (unshared-bit check).
+* ``on_repeat_encounter(obj, tracer, parent)`` — the object was already
+  marked, i.e. a second incoming reference (unshared-bit check).
 
 With ``engine=None`` and ``track_paths=False`` the tracer degenerates to the
 plain mark loop of an unmodified collector — that is the paper's *Base*
@@ -33,15 +44,22 @@ The drain is specialized into fused worklist loops — ``plain`` (Base),
 the per-edge work never pays for branches it cannot take: children are
 resolved through the heap's address table directly (no ``ObjectHeap.get``
 triple check; the collector owns the heap during the pause), the
-``reference_slots`` generator is inlined, and the hot counters accumulate
-in locals and flush once per drain.  When the engine declares
-``INLINE_HEADER_CHECKS`` (the assertion engine does), its per-object
-duties are inlined too and the ``*_slow`` hooks run only when a header
-bit shows actual assertion work; other engines get every encounter via
-the full hooks.  The original method-per-edge implementation survives as
-``specialized=False`` — it still serves the engine-without-paths
-combination and is the "before" leg of the trace microbenchmark
-(``python -m repro bench``).
+``reference_slots`` generator is inlined as a ``map`` over the class's
+``ref_slots`` (no Python frame per object — a list comprehension is one
+on CPython 3.11), and the hot counters accumulate in locals and flush once
+per drain.  When the engine declares ``INLINE_HEADER_CHECKS`` (the
+assertion engine does), its per-object duties are inlined too and the
+``*_slow`` hooks run only when a header bit shows actual assertion work.  The engine says once per drain which
+header reads can matter (``armed_checks()``): a first encounter reads the
+child's header — it is about to be scanned anyway, this is the paper's
+piggyback; a repeat edge reads it only while an ``assert-unshared`` is
+registered; and when nothing at all is armed the drain *is* the paths
+loop, with ``header_bit_checks`` credited one per edge as the engine loop
+would have counted them.  Engines without ``INLINE_HEADER_CHECKS`` get
+every encounter via the full hooks, through the method-per-edge loop that
+survives as ``specialized=False`` — it also serves the
+engine-without-paths combination and is the "before" leg of the trace
+microbenchmark (``python -m repro bench``).
 """
 
 from __future__ import annotations
@@ -70,6 +88,7 @@ class Tracer:
         "_stack",
         "_root_descs",
         "_table",
+        "_marks",
     )
 
     def __init__(
@@ -93,6 +112,9 @@ class Tracer:
         self._stack: list[int] = []
         self._root_descs: dict[int, str] = {}
         self._table = heap.address_table()
+        #: This episode's mark set — also ``heap.marks``, where the
+        #: ownership phase, the sweep and the walkers find it.
+        self._marks = heap.new_marks()
 
     # -- driving the trace -------------------------------------------------------
 
@@ -128,20 +150,24 @@ class Tracer:
             else:
                 self._drain_generic_plain()
             return
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             if self.track_paths:
                 self._drain_paths()
             else:
                 self._drain_plain()
-        elif self.track_paths:
-            if getattr(self.engine, "INLINE_HEADER_CHECKS", False):
-                self._drain_paths_engine()
-            else:
-                self._drain_paths_engine_hooks()
-        else:
+        elif not self.track_paths:
             # Engine without path tracking: an unusual ablation config;
             # the generic loop handles it without a fourth specialization.
             self._drain_generic_plain()
+        elif getattr(engine, "INLINE_HEADER_CHECKS", False):
+            armed, repeats_armed = armed_checks(engine)
+            if armed:
+                self._drain_paths_engine(repeats_armed)
+            else:
+                self._drain_paths(credit_header_checks=True)
+        else:
+            self._drain_with_paths()
 
     # -- specialized fused drains -------------------------------------------------
     #
@@ -153,8 +179,9 @@ class Tracer:
         """Base configuration: mark loop with nothing else in it."""
         stack = self._stack
         table = self._table
+        marks = self._marks
         push = stack.append
-        mark_bit = hdr.MARK_BIT
+        mark = marks.add
         objects = edges = 0
         try:
             while stack:
@@ -168,33 +195,37 @@ class Tracer:
                     ref_slots = cls.ref_slots
                     if not ref_slots:
                         continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
+                    children = map(obj.slots.__getitem__, ref_slots)
                 for child in children:
                     if child == NULL:
                         continue
                     edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
+                    if child in marks:
                         continue
-                    cobj.status = status | mark_bit
+                    if child not in table:
+                        raise InvalidAddressError(f"no live object at {child:#x}")
+                    mark(child)
                     objects += 1
                     push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             self.stats.objects_traced += objects
             self.stats.edges_traced += edges
 
-    def _drain_paths(self) -> None:
-        """Infrastructure configuration: low-bit path tagging, no engine."""
+    def _drain_paths(self, credit_header_checks: bool = False) -> None:
+        """Infrastructure configuration: low-bit path tagging, no engine.
+
+        Also the engine drain while the engine has nothing armed
+        (``credit_header_checks``): no header can matter, so none is read,
+        and ``header_bit_checks`` gets the one-per-edge the engine loop
+        counts.
+        """
         stack = self._stack
         table = self._table
+        marks = self._marks
         push = stack.append
-        mark_bit = hdr.MARK_BIT
+        mark = marks.add
         tag_bit = ADDRESS_TAG_BIT
-        objects = edges = tagged = 0
+        objects = edges = tagged = dangling = 0
         try:
             while stack:
                 entry = stack.pop()
@@ -213,50 +244,53 @@ class Tracer:
                     ref_slots = cls.ref_slots
                     if not ref_slots:
                         continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
+                    children = map(obj.slots.__getitem__, ref_slots)
                 for child in children:
                     if child == NULL:
                         continue
                     edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
+                    if child in marks:
                         continue
-                    cobj.status = status | mark_bit
+                    if child not in table:
+                        dangling = 1  # the edge is counted, its header check is not
+                        raise InvalidAddressError(f"no live object at {child:#x}")
+                    mark(child)
                     objects += 1
                     push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             stats = self.stats
             stats.objects_traced += objects
             stats.edges_traced += edges
             stats.path_entries_tagged += tagged
+            if credit_header_checks:
+                stats.header_bit_checks += edges - dangling
 
-    def _drain_paths_engine(self) -> None:
+    def _drain_paths_engine(self, repeats_armed: bool = True) -> None:
         """Infrastructure/WithAssertions: tagging plus inlined header checks.
 
         The assertion engine's per-object duties (header-bit check counting,
         instance counting) live directly in the loop; the engine is called
         only when a header bit shows actual assertion work — ``DEAD_BIT`` or
         ``OWNEE_BIT`` on a first encounter, ``UNSHARED_BIT`` on a repeat.
-        With no assertions registered this is the plain paths loop plus two
-        counter increments per object, which is what makes the measured
-        Infrastructure GC-time overhead track the paper's "piggyback on the
-        collector's existing work" claim.
+        A first encounter loads the child for its header (and its class);
+        a repeat edge loads it only while ``repeats_armed`` — an
+        ``assert-unshared`` is registered — and otherwise costs the set
+        probe and nothing else.  Every edge is one header-bit check either
+        way, so the count is the edge count (less a dangling edge, which
+        raises before its check).
         """
         stack = self._stack
         table = self._table
+        marks = self._marks
         push = stack.append
-        mark_bit = hdr.MARK_BIT
+        mark = marks.add
         tag_bit = ADDRESS_TAG_BIT
         first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
         unshared_bit = hdr.UNSHARED_BIT
         engine = self.engine
         slow_first = engine.on_first_encounter_slow
         slow_repeat = engine.on_repeat_encounter_slow
-        objects = edges = tagged = header_checks = instance_incrs = 0
+        objects = edges = tagged = instance_incrs = dangling = 0
         try:
             while stack:
                 entry = stack.pop()
@@ -274,106 +308,52 @@ class Tracer:
                     ref_slots = cls.ref_slots
                     if not ref_slots:
                         continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
+                    children = map(obj.slots.__getitem__, ref_slots)
                 for child in children:
                     if child == NULL:
                         continue
                     edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
-                        header_checks += 1
-                        if status & unshared_bit:
-                            slow_repeat(cobj, self, obj)
+                    if child in marks:
+                        if repeats_armed:
+                            cobj = table[child]
+                            if cobj.status & unshared_bit:
+                                slow_repeat(cobj, self, obj)
                         continue
-                    cobj.status = status | mark_bit
+                    cobj = table.get(child)
+                    if cobj is None:
+                        dangling = 1
+                        raise InvalidAddressError(f"no live object at {child:#x}")
+                    mark(child)
                     objects += 1
-                    header_checks += 1
                     # Hooks may reconstruct the current path, so counters are
                     # flushed lazily but the worklist is always consistent
                     # (parent tagged and on-stack) at this point.
-                    if status & first_slow_bits:
+                    if cobj.status & first_slow_bits:
                         slow_first(cobj, self, obj)
                     ccls = cobj.cls
                     if ccls.instance_limit is not None:
                         ccls.instance_count += 1
                         instance_incrs += 1
                     push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             stats = self.stats
             stats.objects_traced += objects
             stats.edges_traced += edges
             stats.path_entries_tagged += tagged
-            stats.header_bit_checks += header_checks
+            stats.header_bit_checks += edges - dangling
             stats.instance_count_increments += instance_incrs
-
-    def _drain_paths_engine_hooks(self) -> None:
-        """Tagging plus the full encounter hooks, for engines that do not
-        declare ``INLINE_HEADER_CHECKS`` (custom probes and instrumented
-        engines get every encounter, not just the assertion-relevant ones)."""
-        stack = self._stack
-        table = self._table
-        push = stack.append
-        mark_bit = hdr.MARK_BIT
-        tag_bit = ADDRESS_TAG_BIT
-        engine = self.engine
-        on_first = engine.on_first_encounter
-        on_repeat = engine.on_repeat_encounter
-        objects = edges = tagged = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    continue
-                push(entry | tag_bit)
-                tagged += 1
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        continue
-                    children = obj.slots
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
-                        on_repeat(cobj, self, obj)
-                        continue
-                    cobj.status = status | mark_bit
-                    objects += 1
-                    on_first(cobj, self, obj)
-                    push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
 
     # -- snapshot-recording drain ---------------------------------------------------
 
     def _drain_snapshot(self) -> None:
-        """Snapshot capture: the mark loop also appends one ``(address,
-        obj, alloc_seq, children)`` row per live object to the attached
-        sink.
+        """Snapshot capture: the mark loop also appends one row per live
+        object to the attached sink — the bare address for a non-moving
+        collector, ``(address, obj, alloc_seq, children)`` for a moving one.
 
         Two variants, chosen once per drain: the paths-no-engine
-        configuration (what ``every_n_gcs`` captures on an
-        assertions-off VM run as — the ``abl-snapshot`` regime) gets a
-        fused loop whose per-edge body is byte-for-byte
+        configuration on a non-moving collector (what ``every_n_gcs``
+        captures on an assertions-off VM run as — the ``abl-snapshot``
+        regime) gets a fused loop whose per-edge body is byte-for-byte
         :meth:`_drain_paths`, so capture pays only the row append; every
         other configuration goes through the generic loop with the mode
         flags hoisted into locals.  Both keep exact counter parity with
@@ -393,11 +373,8 @@ class Tracer:
         if host_gc_was_enabled:
             _host_gc.disable()
         try:
-            if self.engine is None and self.track_paths:
-                if self.snapshot.moving:
-                    self._drain_snapshot_paths()
-                else:
-                    self._drain_snapshot_paths_addr()
+            if self.engine is None and self.track_paths and not self.snapshot.moving:
+                self._drain_snapshot_paths_addr()
             else:
                 self._drain_snapshot_generic()
         finally:
@@ -413,8 +390,9 @@ class Tracer:
         record = rows.append
         stack = self._stack
         table = self._table
+        marks = self._marks
         push = stack.append
-        mark_bit = hdr.MARK_BIT
+        mark = marks.add
         tag_bit = ADDRESS_TAG_BIT
         objects = edges = tagged = 0
         try:
@@ -435,74 +413,18 @@ class Tracer:
                     ref_slots = cls.ref_slots
                     if not ref_slots:
                         continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
+                    children = map(obj.slots.__getitem__, ref_slots)
                 for child in children:
                     if child == NULL:
                         continue
                     edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
+                    if child in marks:
                         continue
-                    cobj.status = status | mark_bit
+                    if child not in table:
+                        raise InvalidAddressError(f"no live object at {child:#x}")
+                    mark(child)
                     objects += 1
                     push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
-
-    def _drain_snapshot_paths(self) -> None:
-        """Snapshot capture in the Infrastructure configuration:
-        :meth:`_drain_paths` plus one row append per live object."""
-        sink = self.snapshot
-        rows = sink.rows
-        record = rows.append
-        stack = self._stack
-        table = self._table
-        push = stack.append
-        mark_bit = hdr.MARK_BIT
-        tag_bit = ADDRESS_TAG_BIT
-        objects = edges = tagged = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    continue
-                push(entry | tag_bit)
-                tagged += 1
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    children = obj.slots[:]
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
-                record((entry, obj, obj.alloc_seq, children))
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
-                        continue
-                    cobj.status = status | mark_bit
-                    objects += 1
-                    push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             stats = self.stats
             stats.objects_traced += objects
@@ -516,8 +438,9 @@ class Tracer:
         record = rows.append
         stack = self._stack
         table = self._table
+        marks = self._marks
         push = stack.append
-        mark_bit = hdr.MARK_BIT
+        mark = marks.add
         tag_bit = ADDRESS_TAG_BIT
         first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
         unshared_bit = hdr.UNSHARED_BIT
@@ -525,13 +448,15 @@ class Tracer:
         freeze = sink.moving
         engine = self.engine
         inline = engine is not None and getattr(engine, "INLINE_HEADER_CHECKS", False)
+        repeats_armed = False
         if inline:
             slow_first = engine.on_first_encounter_slow
             slow_repeat = engine.on_repeat_encounter_slow
+            repeats_armed = armed_checks(engine)[1]
         elif engine is not None:
             on_first = engine.on_first_encounter
             on_repeat = engine.on_repeat_encounter
-        objects = edges = tagged = header_checks = instance_incrs = 0
+        objects = edges = tagged = instance_incrs = dangling = 0
         try:
             while stack:
                 entry = stack.pop()
@@ -557,28 +482,30 @@ class Tracer:
                             record((entry, obj, obj.alloc_seq, None))
                         continue
                     slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
+                    children = [slots[i] for i in ref_slots]  # a row keeps it
                 if freeze:
                     record((entry, obj, obj.alloc_seq, children))
                 for child in children:
                     if child == NULL:
                         continue
                     edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
+                    if child in marks:
                         if inline:
-                            header_checks += 1
-                            if status & unshared_bit:
-                                slow_repeat(cobj, self, obj)
+                            if repeats_armed:
+                                cobj = table[child]
+                                if cobj.status & unshared_bit:
+                                    slow_repeat(cobj, self, obj)
                         elif engine is not None:
-                            on_repeat(cobj, self, obj)
+                            on_repeat(table[child], self, obj)
                         continue
-                    cobj.status = status | mark_bit
+                    cobj = table.get(child)
+                    if cobj is None:
+                        dangling = 1
+                        raise InvalidAddressError(f"no live object at {child:#x}")
+                    mark(child)
                     objects += 1
                     if inline:
-                        header_checks += 1
-                        if status & first_slow_bits:
+                        if cobj.status & first_slow_bits:
                             slow_first(cobj, self, obj)
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
@@ -587,8 +514,6 @@ class Tracer:
                     elif engine is not None:
                         on_first(cobj, self, obj)
                     push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             stats = self.stats
             stats.objects_traced += objects
@@ -596,7 +521,7 @@ class Tracer:
             if track:
                 stats.path_entries_tagged += tagged
             if inline:
-                stats.header_bit_checks += header_checks
+                stats.header_bit_checks += edges - dangling
                 stats.instance_count_increments += instance_incrs
 
     # -- generic (pre-specialization) drain ----------------------------------------
@@ -637,17 +562,19 @@ class Tracer:
         via_root: Optional[str] = None,
     ) -> None:
         engine = self.engine
-        if obj.status & hdr.MARK_BIT:
+        address = obj.address
+        marks = self._marks
+        if address in marks:
             if engine is not None:
                 engine.on_repeat_encounter(obj, self, parent)
             return
-        obj.status |= hdr.MARK_BIT
+        marks.add(address)
         self.stats.objects_traced += 1
         if via_root is not None and self.track_paths:
-            self._root_descs.setdefault(obj.address, via_root)
+            self._root_descs.setdefault(address, via_root)
         if engine is not None:
             engine.on_first_encounter(obj, self, parent)
-        self._stack.append(obj.address)
+        self._stack.append(address)
 
     # -- path reconstruction -------------------------------------------------------
 
@@ -690,3 +617,11 @@ class Tracer:
 
     def root_description(self, obj: HeapObject) -> Optional[str]:
         return self._root_descs.get(obj.address)
+
+
+def armed_checks(engine) -> tuple[bool, bool]:
+    """``(any header read can matter, a repeat edge's can)`` for an
+    ``INLINE_HEADER_CHECKS`` engine, asked once per drain.  An engine that
+    does not say gets every read."""
+    armed = getattr(engine, "armed_checks", None)
+    return armed() if armed is not None else (True, True)

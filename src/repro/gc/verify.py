@@ -9,7 +9,10 @@ Checked invariants:
 
 * every reference slot holds NULL or the address of a live object;
 * every root (static, frame local, handle scope) points at a live object;
-* no live object carries the MARK, OWNED, or FREED bits between collections;
+* no live object carries the OWNED or FREED bits between collections;
+* the mark set (``heap.marks``) is empty unless lazy-sweep debt is
+  outstanding, and under debt it names only tabled objects that the trace
+  could have seen (``alloc_seq`` not past the sweep cutoff);
 * object addresses agree with the heap table and are word aligned;
 * space accounting covers at least the live bytes;
 * the per-class census counters equal a walk of the heap table;
@@ -30,9 +33,8 @@ header flag hygiene) — the ``debug.c``-style full-heap walker.
    and bumps the freed counters.  Pass ``finish_lazy_sweep=False`` for a
    strictly read-only verification (used by the per-GC ``--paranoid``
    hooks and the chaos detection probe); in that mode pending garbage is
-   skipped via :meth:`pending_garbage_predicate` and the MARK/OWNED
-   staleness checks are suppressed while sweep debt is outstanding
-   (survivors legitimately carry MARK bits until their chunk sweeps).
+   skipped via :meth:`pending_garbage_predicate` and the mark set is
+   judged as what the unswept chunks still need, not as leftover state.
 """
 
 from __future__ import annotations
@@ -55,6 +57,37 @@ def _fail(problems: list[str], message: str) -> None:
     problems.append(message)
 
 
+def mark_set_problems(collector) -> list[str]:
+    """The mark set's own invariants, judged from outside a collection.
+
+    With no sweep debt nothing may be marked: eager collections drop the set
+    when their sweep ends, lazy ones when the last chunk is swept.  Under
+    debt the set is what the unswept chunks are judged by, so every entry
+    must name a tabled object the trace could have seen — an address the
+    table lost, or one whose occupant was installed after the cutoff, means
+    a survivor's cell was freed or a move kept its old key.
+    """
+    heap = collector.heap
+    marks = heap.marks
+    if not collector.sweep_debt():
+        if marks:
+            return [f"mark set holds {len(marks)} address(es) but no sweep debt is outstanding"]
+        return []
+    problems: list[str] = []
+    table = heap.address_table()
+    cutoff = collector.sweep_cutoff()
+    for address in marks:
+        obj = table.get(address)
+        if obj is None:
+            problems.append(f"mark set: {address:#x} is marked but not in the heap table")
+        elif obj.alloc_seq > cutoff:
+            problems.append(
+                f"mark set: {obj!r} is marked but was installed after the trace "
+                f"(alloc_seq {obj.alloc_seq} > cutoff {cutoff})"
+            )
+    return problems
+
+
 def verify_heap(
     vm: "VirtualMachine",
     raise_on_error: bool = True,
@@ -67,23 +100,22 @@ def verify_heap(
     ``finish_lazy_sweep=True`` (the default) repays outstanding lazy-sweep
     debt first — a documented **mutation** of collector state (see the
     module docstring).  ``finish_lazy_sweep=False`` verifies read-only,
-    skipping pending garbage and the bit-staleness checks that only hold
-    on an exact heap.  ``paranoid=True`` appends the allocator-structure
-    wellformedness walk from :mod:`repro.verify.paranoid`.
+    skipping pending garbage.  ``paranoid=True`` appends the
+    allocator-structure wellformedness walk from
+    :mod:`repro.verify.paranoid`.
     """
     problems: list[str] = []
     heap = vm.heap
 
     pending = None
-    exact = True
     if finish_lazy_sweep:
         # Lazy sweep modes defer reclamation; finish it so the invariants
-        # below (no MARK bits between collections, registry liveness,
-        # accounting) are judged against an exact heap.
+        # below (empty mark set, registry liveness, accounting) are judged
+        # against an exact heap.
         vm.collector.sweep_all()
     elif vm.collector.sweep_debt() > 0:
         pending = vm.collector.pending_garbage_predicate()
-        exact = False
+    problems.extend(mark_set_problems(vm.collector))
 
     # -- object table and headers ------------------------------------------------
     for obj in heap:
@@ -95,9 +127,7 @@ def verify_heap(
             _fail(problems, f"{obj!r}: table entry mismatch")
         if obj.status & hdr.FREED_BIT:
             _fail(problems, f"{obj!r}: live object carries FREED bit")
-        if exact and obj.status & hdr.MARK_BIT:
-            _fail(problems, f"{obj!r}: MARK bit set outside a collection")
-        if exact and obj.status & hdr.OWNED_BIT:
+        if obj.status & hdr.OWNED_BIT:
             _fail(problems, f"{obj!r}: OWNED bit set outside a collection")
         for ref in obj.reference_slots():
             if ref != NULL and not heap.contains(ref):
@@ -296,12 +326,12 @@ def run_sentinel(
     """Repair scan behind the hardened collectors' pre/post-GC sentinel.
 
     Unlike :func:`verify_heap` (detect and raise), this *fixes* what it can:
-    freed-bit zombies are evicted and fenced, stale MARK/OWNED bits cleared,
-    dangling strong/weak slots and roots nulled, region queues purged, and
-    assertion-registry entries for vanished addresses scrubbed.  The caller
-    is responsible for only asking for ``expect_clear_bits`` when lazy sweep
-    debt has been repaid (survivors legitimately carry MARK bits until their
-    chunk is swept).
+    freed-bit zombies are evicted and fenced, stale OWNED bits cleared and a
+    leftover mark set dropped, dangling strong/weak slots and roots nulled,
+    region queues purged, and assertion-registry entries for vanished
+    addresses scrubbed.  The caller is responsible for only asking for
+    ``expect_clear_bits`` when lazy sweep debt has been repaid (until then
+    the mark set is what keeps unswept survivors alive).
 
     ``scrub_freelists=True`` (enabled when the collector runs paranoid)
     adds a fifth pass over the allocator structures themselves: free-list
@@ -312,6 +342,13 @@ def run_sentinel(
     report = SentinelReport(phase)
     heap = vm.heap
 
+    if expect_clear_bits and heap.marks:
+        report.problems.append(
+            f"mark set holds {len(heap.marks)} address(es) outside a collection"
+        )
+        heap.new_marks()
+        report.stale_bits_cleared += 1
+
     # Pass 1: headers + zombies.  Snapshot the table first — eviction mutates it.
     zombies = []
     for obj in list(heap):
@@ -319,9 +356,8 @@ def run_sentinel(
             report.problems.append(f"{obj!r}: freed object still in address table")
             zombies.append(obj)
             continue
-        if expect_clear_bits and obj.status & (hdr.MARK_BIT | hdr.OWNED_BIT):
-            report.problems.append(f"{obj!r}: stale MARK/OWNED bits outside a collection")
-            obj.clear(hdr.MARK_BIT)
+        if expect_clear_bits and obj.status & hdr.OWNED_BIT:
+            report.problems.append(f"{obj!r}: stale OWNED bit outside a collection")
             obj.clear(hdr.OWNED_BIT)
             report.stale_bits_cleared += 1
     for obj in zombies:

@@ -2,20 +2,27 @@
 
 Each heap object carries a single status word whose low bits are used by the
 collector and — crucially for this paper — whose *spare* bits are stolen by
-the GC-assertion machinery:
+the GC-assertion machinery.
 
-* ``MARK`` — the tracing mark bit.  Set by the tracer on first encounter
-  and cleared by the sweep on every survivor (together with ``OWNED``), so
-  outside a collection — and once lazy-sweep debt is repaid — no live
-  object carries it.  There is no mark parity.
+The tracing **mark** is *not* one of them.  Where Jikes RVM keeps a mark bit
+in this word, this collector keeps one set of marked addresses per
+collection beside the heap (``ObjectHeap.marks``): the drain tests and sets
+it without loading the child object, the sweep skips survivors without
+visiting them, and "clearing the marks" is dropping the set.  Bit ``0x01``
+stays reserved and is never set.  The assertion bits below are exactly the
+paper's, and they are read where the paper reads them — when the collector
+has the object in hand:
+
 * ``DEAD`` — set by ``assert-dead(p)``; if the collector encounters the
   object while tracing, the assertion is violated (§2.3.1 of the paper).
 * ``UNSHARED`` — set by ``assert-unshared(p)``; checked when the collector
-  encounters an object whose mark bit is *already* set, i.e. on the second
+  encounters an object that is *already* marked, i.e. on the second
   incoming reference (§2.5.1).
 * ``OWNED`` — set during the ownership phase when an ownee is reached from
   its asserted owner (§2.5.2); objects carrying an ownership assertion that
-  reach the normal root scan without this bit are violations.
+  reach the normal root scan without this bit are violations.  The engine
+  clears it at mark end from its list of the ownees it set it on, so no
+  live object carries it outside a collection.
 * ``OWNEE`` / ``OWNER`` — fast-path bits telling the tracer that this object
   participates in an ``assert-ownedby`` pair, so the common case (object has
   no ownership assertion) costs a single bit test.
@@ -30,7 +37,7 @@ The remaining bits of the status word hold the identity hash code.
 
 from __future__ import annotations
 
-MARK_BIT = 0x01
+MARK_BIT = 0x01  # reserved: the mark lives in ObjectHeap.marks, not here
 DEAD_BIT = 0x02
 UNSHARED_BIT = 0x04
 OWNED_BIT = 0x08
@@ -43,8 +50,8 @@ HASHED_BIT = 0x80
 FLAG_MASK = 0xFF
 HASH_SHIFT = 8
 
-#: Bits that survive a collection cycle (everything except MARK and OWNED,
-#: which each collection sets afresh and the sweep clears on survivors).
+#: Bits that survive a collection cycle (everything except OWNED, which the
+#: ownership phase sets afresh and the engine clears at mark end).
 STICKY_MASK = DEAD_BIT | UNSHARED_BIT | OWNEE_BIT | OWNER_BIT | HASHED_BIT
 
 
@@ -76,7 +83,6 @@ def hash_of(status: int) -> int:
 def describe(status: int) -> str:
     """Render the flag bits of a status word for debugging output."""
     names = [
-        (MARK_BIT, "MARK"),
         (DEAD_BIT, "DEAD"),
         (UNSHARED_BIT, "UNSHARED"),
         (OWNED_BIT, "OWNED"),

@@ -72,6 +72,12 @@ class ObjectHeap:
         #: Live objects that carry weak slots (the collector's weak-ref
         #: processing list; maintained on install/evict).
         self.weak_holders: set[HeapObject] = set()
+        #: Addresses the current collection has marked — the only mark
+        #: there is (no header bit).  :meth:`new_marks` starts a collection's
+        #: set and drops it again; between the two it is a subset of the
+        #: table's keys, and it outlives the pause only while lazy-sweep
+        #: debt is outstanding.
+        self.marks: set[int] = set()
 
     # -- creation / destruction ----------------------------------------------
 
@@ -115,13 +121,20 @@ class ObjectHeap:
         obj.status |= hdr.FREED_BIT
         self._account_evicted((obj,))
 
+    def new_marks(self) -> set[int]:
+        """Drop the mark set and start an empty one (returned)."""
+        self.marks = marks = set()
+        return marks
+
     def sweep_cells(
         self, cells: Collection[tuple[int, int]], cutoff: int
     ) -> tuple[int, set[int], dict[int, list[int]]]:
         """Sweep the allocated ``(address, cell size)`` pairs of one chunk.
 
-        One pass: a marked object survives and has its MARK/OWNED bits
-        cleared; an unmarked one is evicted (same table check, same error as
+        One pass, in the chunk's own order (the order cells are freed in is
+        the order later allocations reuse them): a cell whose address is in
+        :attr:`marks` holds a survivor and is not visited at all; an
+        unmarked one is evicted (same table check, same error as
         :meth:`evict`); an address with no table entry, or one whose object
         was installed or relocated after ``cutoff`` (``install_seq`` at mark
         end), is not this cycle's business.  The evicted are accounted once
@@ -132,22 +145,20 @@ class ObjectHeap:
         addresses]})``.
         """
         table = self._objects
-        mark_bit = hdr.MARK_BIT
+        marks = self.marks
         freed_bit = hdr.FREED_BIT
-        clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
         skipped = 0
         by_class: dict[int, list[int]] = {}
         dead: list[HeapObject] = []
         try:
             for address, cell in cells:
+                if address in marks:
+                    continue
                 obj = table.get(address)
                 if obj is None or obj.alloc_seq > cutoff:
                     skipped += 1
                     continue
                 status = obj.status
-                if status & mark_bit:
-                    obj.status = status & clear_mask
-                    continue
                 own = obj.address
                 if own != address:
                     found = table.get(own)
@@ -195,6 +206,9 @@ class ObjectHeap:
         if new_address in self._objects:
             raise InvalidAddressError(f"relocation target {new_address:#x} occupied")
         del self._objects[obj.address]
+        # The mark is keyed by address: a moved survivor takes none with it
+        # (its new stamp already says "after the trace").
+        self.marks.discard(obj.address)
         obj.address = new_address
         self.install_seq += 1
         obj.alloc_seq = self.install_seq

@@ -282,10 +282,6 @@ class HeapObject:
         self.status &= ~bit
 
     @property
-    def is_marked(self) -> bool:
-        return (self.status & hdr.MARK_BIT) != 0
-
-    @property
     def is_freed(self) -> bool:
         return (self.status & hdr.FREED_BIT) != 0
 

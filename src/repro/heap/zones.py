@@ -2,7 +2,7 @@
 
 The address space of a zoned heap splits into N *zones* — disjoint,
 zone-tagged address ranges.  Zones are the unit of mark-parallelism (see
-:mod:`repro.gc.parallel`): during a parallel mark each zone's mark bits are
+:mod:`repro.gc.parallel`): during a parallel mark each zone's marks are
 touched by exactly one worker at a time, so the hot drain loop needs no
 atomics and no locks.  Two pieces live here:
 

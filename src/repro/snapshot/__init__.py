@@ -14,7 +14,7 @@ adds that view as four layers on top of the existing collector machinery:
   :class:`~repro.snapshot.capture.SnapshotPolicy` on the VM decides *when*
   (``every_n_gcs``, ``on_violation``, manual), and
   :func:`~repro.snapshot.capture.capture_snapshot` walks the heap between
-  collections without touching mark bits.
+  collections without touching the mark set.
 * **Format** (:mod:`repro.snapshot.format`) — schema
   ``repro-heap-snapshot/1``: one JSON line per root and per live object
   (address, type, shallow size, header bits, ``alloc_seq`` epoch,

@@ -21,7 +21,7 @@ consult the policy — the zero-overhead-when-off discipline the telemetry
 subsystem established.
 
 :func:`capture_snapshot` is the standalone path — a read-only visited-set
-walk from the VM's roots that never touches mark bits, usable between
+walk from the VM's roots that never touches ``heap.marks``, usable between
 collections (the CLI and the ``on_violation`` trigger use it).
 """
 
@@ -41,9 +41,9 @@ if TYPE_CHECKING:
     from repro.gc.base import Collector
     from repro.runtime.vm import VirtualMachine
 
-#: Per-collection GC bits are an artifact of the capture moment, not a
-#: property of the object; they are masked out of serialized status words.
-_TRANSIENT_BITS = hdr.MARK_BIT | hdr.OWNED_BIT
+#: The per-collection header bit is an artifact of the capture moment, not
+#: a property of the object; it is masked out of serialized status words.
+_TRANSIENT_BITS = hdr.OWNED_BIT
 
 
 class SnapshotSink:
@@ -163,7 +163,7 @@ def capture_snapshot(
     """Capture a snapshot *now*, without a collection.
 
     A plain visited-set walk over the strong-reference graph from the VM's
-    roots — mark bits are never read or written, so this is safe at any
+    roots — the mark set is never read or written, so this is safe at any
     point between collections (including with lazy sweep debt outstanding:
     pending garbage is unreachable and the walk never sees it).  Returns
     the snapshot summary (object/root counts, bytes, per-type rollup).

@@ -15,8 +15,8 @@ Two consumers of one recording:
   final heap is re-traced under each drain specialization (plain / paths /
   paths+engine) to calibrate unit costs, which then decompose the run's
   own deterministic work counters.  The replay is read-only: throwaway
-  ``GcStats``, mark bits cleared after each leg, instance counters
-  restored.
+  ``GcStats``, a mark set of its own per leg (dropped at the end),
+  instance counters restored.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.gc.stats import GcStats
 from repro.gc.tracer import Tracer
-from repro.heap import header as _hdr
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -150,12 +149,6 @@ class _NullInlineEngine:
         pass
 
 
-def _clear_marks(heap) -> None:
-    unmark = ~_hdr.MARK_BIT
-    for obj in heap:
-        obj.status &= unmark
-
-
 def _replay_leg(
     vm: "VirtualMachine", roots: list, engine, track_paths: bool
 ) -> tuple[float, GcStats]:
@@ -168,7 +161,6 @@ def _replay_leg(
         t0 = time.perf_counter()
         tracer.trace(roots)
         elapsed = time.perf_counter() - t0
-        _clear_marks(vm.heap)
         if best is None or elapsed < best:
             best = elapsed
             stats = trial
@@ -179,7 +171,8 @@ def piggyback_report(vm: "VirtualMachine") -> dict:
     """Decompose the run's cumulative mark time into piggyback components.
 
     Requires the workload to be finished; forces ``sweep_all()`` so the
-    heap table is exact and every mark bit is clear before replaying.
+    heap table is exact and no pending chunk still needs the mark set the
+    replay's tracers replace.
     """
     collector = vm.collector
     collector.sweep_all()
@@ -198,7 +191,6 @@ def piggyback_report(vm: "VirtualMachine") -> dict:
     if probe.stats.objects_traced == 0:
         roots = [("replay: residual heap", obj.address) for obj in heap]
         root_source = "synthetic (whole heap)"
-    _clear_marks(heap)
 
     # Instance counters are bumped by the inline-engine leg; save/restore.
     limited = {
@@ -212,6 +204,7 @@ def piggyback_report(vm: "VirtualMachine") -> dict:
             vm, roots, _NullInlineEngine(), track_paths=True
         )
     finally:
+        heap.new_marks()  # no collection is running: leave no marks behind
         for cls, count in saved_counts.items():
             cls.instance_count = count
 

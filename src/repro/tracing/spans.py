@@ -52,7 +52,6 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.heap import header as _hdr
 
 __all__ = ["SpanTracer", "MARK_ATTRIBUTION_UNTAGGED", "WORKER_TRACK_BASE"]
 
@@ -95,7 +94,6 @@ class SpanTracer:
         "mark_attribution",
         "spans_begun",
         "spans_ended",
-        "mark_bit",
     )
 
     def __init__(self, attribute_marks: bool = False):
@@ -115,7 +113,6 @@ class SpanTracer:
         self.mark_attribution: dict[tuple[str, str], list[int]] = {}
         self.spans_begun = 0
         self.spans_ended = 0
-        self.mark_bit = _hdr.MARK_BIT
 
     # -- recording (the emit hot path) ---------------------------------------------
 
@@ -180,23 +177,23 @@ class SpanTracer:
     def record_mark_attribution(self, heap) -> None:
         """Accumulate this collection's mark work by (type, alloc site).
 
-        Called by collectors between mark end and sweep begin, when the
-        mark bits still identify exactly the set of objects this cycle's
-        trace visited.  Pure observation: reads headers, writes nothing,
-        so the deterministic work counters are untouched.
+        Called by collectors between mark end and sweep begin, when
+        ``heap.marks`` is exactly the set of objects this cycle's trace
+        visited.  Pure observation: reads the set and the table, writes
+        nothing, so the deterministic work counters are untouched.
         """
-        mark_bit = self.mark_bit
         attribution = self.mark_attribution
         untagged = MARK_ATTRIBUTION_UNTAGGED
-        for obj in heap:
-            if obj.status & mark_bit:
-                key = (obj.cls.name, obj.alloc_site or untagged)
-                row = attribution.get(key)
-                if row is None:
-                    attribution[key] = [1, obj.size_bytes]
-                else:
-                    row[0] += 1
-                    row[1] += obj.size_bytes
+        table = heap.address_table()
+        for address in heap.marks:
+            obj = table[address]
+            key = (obj.cls.name, obj.alloc_site or untagged)
+            row = attribution.get(key)
+            if row is None:
+                attribution[key] = [1, obj.size_bytes]
+            else:
+                row[0] += 1
+                row[1] += obj.size_bytes
 
     # -- introspection ----------------------------------------------------------------
 

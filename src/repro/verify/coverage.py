@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 #: fault kind -> (named invariant, what detection looks like).
 FAULT_INVARIANTS: dict = {
-    "flip-mark": (
+    "flip-owned": (
         "header-hygiene",
-        "sentinel clears stale MARK/OWNED bits outside a collection",
+        "sentinel clears a stale OWNED bit (or drops a leftover mark set) "
+        "outside a collection",
     ),
     "flip-dead": (
         "assert-dead-verdict",
@@ -130,12 +131,12 @@ def detect_cell(result, probe_problems: list, pending_refusals: int) -> dict:
     degradations = result.degradations
 
     cleared = recovery.get("stale_bits_cleared", 0)
-    probe_mark = [p for p in probe_problems if "MARK bit" in p or "OWNED bit" in p]
-    if cleared or probe_mark:
-        found["flip-mark"] = (
+    probe_stale = [p for p in probe_problems if "OWNED bit" in p or "mark set" in p]
+    if cleared or probe_stale:
+        found["flip-owned"] = (
             f"header-hygiene: sentinel cleared {cleared} stale bit(s)"
             if cleared
-            else f"header-hygiene: walker flagged {probe_mark[0]!r}"
+            else f"header-hygiene: walker flagged {probe_stale[0]!r}"
         )
 
     if result.injected_dead_violations:

@@ -15,6 +15,12 @@ oracle computed in plain Python:
   leaves the heap table, and the freed-object counter advances by exactly
   the garbage count.
 
+The collection's mark set (``heap.marks``) is collector state with
+per-step invariants of its own, checked after the pause and again after
+the debt is repaid (``Marks:`` findings): empty once nothing is owed; while
+chunks are unswept, a superset of the oracle's reachable set that names
+only tabled objects the trace could have seen.
+
 On top of the collector properties, the paper-level invariants: an
 ``assert_dead`` verdict must equal the oracle's reachability verdict in
 every cell, and the full assert-dead/unshared/ownedby verdict set must be
@@ -340,6 +346,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
     assertion outcome set (empty for base cells).  The VM is left holding
     the live subgraph; :func:`_teardown_shape` empties it for reuse.
     """
+    from repro.gc.verify import mark_set_problems
     from repro.heap.layout import NULL
 
     heap = vm.heap
@@ -391,7 +398,15 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
     # Lazy cells: before repaying sweep debt, the pending-garbage view must
     # already agree with the oracle (dead-but-unswept objects are invisible
     # to every consumer that honours the predicate).
+    problems.extend(f"Marks: {p}" for p in mark_set_problems(collector))
     if collector.sweep_debt() > 0:
+        table = heap.address_table()
+        marked = {table[a].slots[tag_slot] for a in heap.marks if a in table}
+        if not marked >= reachable:
+            problems.append(
+                f"Marks: unswept chunks are judged by marks {sorted(marked)}, "
+                f"which miss reachable {sorted(reachable - marked)}"
+            )
         pending = collector.pending_garbage_predicate()
         visible = {
             obj.slots[tag_slot]
@@ -404,6 +419,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
                 f"reachable {sorted(reachable)}"
             )
     collector.sweep_all()
+    problems.extend(f"Marks: {p}" for p in mark_set_problems(collector))
 
     # Soundness2 (and 1): walk the post-GC heap from the roots and compare
     # the labelled graph with the oracle subgraph.  Walking by tag keeps

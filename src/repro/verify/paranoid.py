@@ -73,7 +73,7 @@ def paranoid_problems(vm: "VirtualMachine") -> list[str]:
 
     # -- header flag hygiene ---------------------------------------------------------
     # The bits above FLAG_MASK legitimately hold the identity hash (see
-    # repro.heap.header), and MARK/OWNED/FREED lifetime is checked by the
+    # repro.heap.header), and OWNED/FREED/mark-set lifetime is checked by the
     # core walk in verify_heap.  What remains checkable here is flag
     # *consistency*: the ownership phase sets OWNED exclusively on objects
     # that already carry OWNEE, so an OWNED bit without OWNEE is a

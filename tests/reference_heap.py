@@ -8,6 +8,9 @@ the helpers the old code called — ``FieldKind.default()``,
 layout constants so the oracle does not lean on the attributes under test).
 They state the per-object facts in the plainest form: one enum call per
 slot, one size derivation per question, one ``evict`` call per corpse.
+The per-chunk sweep has since been re-expressed over the collection's mark
+set (``heap.marks``) — it still looks every cell up in the table first and
+judges it afterwards, where the fused loop never visits a survivor.
 ``tests/test_class_layout.py`` and ``tests/test_sweep_fused.py`` run them
 against the templated install and ``ObjectHeap.sweep_cells``; nothing under
 ``src/`` imports this module.
@@ -71,7 +74,7 @@ def reference_evict(heap, obj: HeapObject) -> None:
 
 
 def reference_sweep_chunk(self: ChunkSweeper, chunk_id: int) -> tuple[set[int], dict[int, list[int]]]:
-    """Examine one chunk: clear survivor bits, evict the dead.
+    """Examine one chunk: leave the marked alone, evict the dead.
 
     Returns ``(freed addresses, {cell size: [addresses]})``; the caller
     decides when the cells go back to the space (eager: immediately;
@@ -81,8 +84,7 @@ def reference_sweep_chunk(self: ChunkSweeper, chunk_id: int) -> tuple[set[int], 
     heap = collector.heap
     stats = collector.stats
     table = heap.address_table()
-    mark_bit = hdr.MARK_BIT
-    clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
+    marks = heap.marks
     cutoff = self.cutoff
     freed: set[int] = set()
     by_class: dict[int, list[int]] = {}
@@ -92,10 +94,7 @@ def reference_sweep_chunk(self: ChunkSweeper, chunk_id: int) -> tuple[set[int], 
         if obj is None or obj.alloc_seq > cutoff:
             continue  # installed after the trace; not this cycle's business
         swept += 1
-        status = obj.status
-        if status & mark_bit:
-            obj.status = status & clear_mask
-        else:
+        if address not in marks:
             freed.add(address)
             bucket = by_class.get(cell)
             if bucket is None:

@@ -2,7 +2,10 @@
 
 This is the closure-per-edge implementation that ``repro.core.ownership``
 shipped before the phase was fused into one table-direct loop, moved here
-verbatim (only the entry point is renamed).  It goes through the public,
+verbatim (only the entry point is renamed) and since re-expressed over the
+collection's mark set: where it used to set ``MARK`` in the header it adds
+the address to ``heap.marks``, and an ownee it sets ``OWNED`` on is logged
+with the engine, which clears the bit at mark end.  It goes through the public,
 fully checked interfaces — ``ObjectHeap.get``, ``reference_slots()``,
 ``engine.phase1_visit`` / ``on_repeat_encounter`` on every visit,
 ``OwnerRecord.contains`` for every lookup — so it states the per-step
@@ -35,7 +38,7 @@ def reference_ownership_phase(engine: "AssertionEngine", collector: "Collector")
             # Owner already reclaimed by an earlier (minor) collection; the
             # epilogue's owner-death processing handles its ownees.
             continue
-        touched, self_reached = _scan_from_owner(
+        self_reached = _scan_from_owner(
             engine, collector, record, owner, misuse_reported
         )
         if self_reached:
@@ -49,7 +52,7 @@ def reference_ownership_phase(engine: "AssertionEngine", collector: "Collector")
             # marks of the dead ones.  (Found by the small-scope model
             # checker: root-less {owner -> ownee -> owner} shapes leaked
             # permanently.)
-            engine.note_self_sustained(record, touched)
+            engine.note_self_sustained(record)
 
 
 def _scan_from_owner(
@@ -58,14 +61,14 @@ def _scan_from_owner(
     record: OwnerRecord,
     owner,
     misuse_reported: set[int],
-) -> tuple[list[int], bool]:
-    """Scan one owner region; returns (addresses marked, owner-back-edge?)."""
+) -> bool:
+    """Scan one owner region; returns whether a back edge reached the owner."""
     heap = collector.heap
+    marks = heap.marks
     stats = collector.stats
     stack: list[int] = []
     ownee_queue: list[int] = []
     owner_address = record.owner_address
-    touched: list[int] = []
     self_reached = False
 
     def reach(address: int) -> None:
@@ -75,7 +78,7 @@ def _scan_from_owner(
         obj = heap.get(address)
         stats.header_bit_checks += 1
         status = obj.status
-        if status & hdr.MARK_BIT:
+        if address in marks:
             # Second encounter during GC tracing: same unshared check the
             # root scan performs (§2.5.1).
             engine.on_repeat_encounter(obj, None, None)
@@ -87,9 +90,10 @@ def _scan_from_owner(
             if found:
                 # Mark, set owned, truncate: scan its subtree after the
                 # owner's scan completes (back-edge tolerance, §2.5.2).
-                obj.status |= hdr.MARK_BIT | hdr.OWNED_BIT
+                marks.add(address)
+                obj.status |= hdr.OWNED_BIT
+                engine._owned.append(obj)
                 stats.objects_traced += 1
-                touched.append(address)
                 engine.phase1_visit(obj, record)
                 ownee_queue.append(address)
             else:
@@ -100,9 +104,8 @@ def _scan_from_owner(
             return
         if (status & hdr.OWNER_BIT) and address != owner_address:
             # Another owner: mark it and stop — it gets its own scan.
-            obj.status |= hdr.MARK_BIT
+            marks.add(address)
             stats.objects_traced += 1
-            touched.append(address)
             engine.phase1_visit(obj, record)
             return
         if address == owner_address:
@@ -111,9 +114,8 @@ def _scan_from_owner(
             # scan may be the only path that reaches it), but the mark is
             # provisional — see reference_ownership_phase.
             self_reached = True
-        obj.status |= hdr.MARK_BIT
+        marks.add(address)
         stats.objects_traced += 1
-        touched.append(address)
         engine.phase1_visit(obj, record)
         stack.append(address)
 
@@ -135,4 +137,4 @@ def _scan_from_owner(
         for child in obj.reference_slots():
             stats.edges_traced += 1
             reach(child)
-    return touched, self_reached
+    return self_reached

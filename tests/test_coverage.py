@@ -46,12 +46,12 @@ def test_every_catalog_entry_names_an_invariant_and_evidence():
 
 def test_header_faults_detected_via_sentinel_or_walker():
     by_counter = detect_cell(_cell(recovery={"stale_bits_cleared": 2}), [], 0)
-    assert "flip-mark" in by_counter and "2 stale bit(s)" in by_counter["flip-mark"]
+    assert "flip-owned" in by_counter and "2 stale bit(s)" in by_counter["flip-owned"]
 
     by_probe = detect_cell(
         _cell(), ["paranoid: <obj> carries an OWNED bit without the OWNEE bit"], 0
     )
-    assert "flip-mark" in by_probe and "walker flagged" in by_probe["flip-mark"]
+    assert "flip-owned" in by_probe and "walker flagged" in by_probe["flip-owned"]
 
 
 def test_injected_violation_discriminators_map_to_assert_verdicts():
@@ -132,9 +132,9 @@ def test_matrix_gates_on_full_coverage():
 
 def test_merge_cell_folds_detections_under_the_cell_label():
     matrix = CoverageMatrix()
-    matrix.merge_cell("marksweep x synthetic", {"flip-mark": "cleared 1 bit"})
-    assert matrix.covered("flip-mark")
-    assert matrix.evidence["flip-mark"] == ["marksweep x synthetic: cleared 1 bit"]
+    matrix.merge_cell("marksweep x synthetic", {"flip-owned": "cleared 1 bit"})
+    assert matrix.covered("flip-owned")
+    assert matrix.evidence["flip-owned"] == ["marksweep x synthetic: cleared 1 bit"]
 
 
 def test_render_shows_coverage_and_calls_out_gaps():

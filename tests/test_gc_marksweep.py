@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import OutOfMemoryError, UseAfterFreeError
+from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from tests.conftest import build_chain, make_node_class
@@ -116,8 +117,9 @@ class TestSweepHygiene:
     def test_mark_bits_cleared_after_collection(self, vm, node_class):
         nodes = build_chain(vm, node_class, 4)
         vm.gc()
+        assert not vm.heap.marks
         for node in nodes:
-            assert not node.obj.is_marked
+            assert not node.obj.test(hdr.OWNED_BIT)
 
     def test_space_accounting_matches_object_table(self, vm, node_class):
         build_chain(vm, node_class, 16)

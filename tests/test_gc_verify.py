@@ -49,9 +49,15 @@ class TestDetection:
 
     def test_detects_leftover_mark_bit(self, vm, node_class):
         nodes = build_chain(vm, node_class, 1)
-        nodes[0].obj.set(hdr.MARK_BIT)
+        vm.heap.marks.add(nodes[0].obj.address)
         problems = verify_heap(vm, raise_on_error=False)
-        assert any("MARK bit" in p for p in problems)
+        assert any("mark set holds 1 address" in p for p in problems)
+
+    def test_detects_leftover_owned_bit(self, vm, node_class):
+        nodes = build_chain(vm, node_class, 1)
+        nodes[0].obj.set(hdr.OWNED_BIT)
+        problems = verify_heap(vm, raise_on_error=False)
+        assert any("OWNED bit" in p for p in problems)
 
     def test_detects_stale_registry_entry(self, vm, node_class):
         nodes = build_chain(vm, node_class, 1)

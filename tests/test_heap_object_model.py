@@ -115,11 +115,12 @@ class TestHeapObject:
     def test_header_bit_helpers(self):
         cls = make_class()
         obj = HeapObject(0x1000, cls)
-        assert not obj.is_marked
-        obj.set(hdr.MARK_BIT)
-        assert obj.is_marked
-        obj.clear(hdr.MARK_BIT)
-        assert not obj.is_marked
+        assert not obj.test(hdr.DEAD_BIT)
+        obj.set(hdr.DEAD_BIT)
+        assert obj.test(hdr.DEAD_BIT)
+        obj.clear(hdr.DEAD_BIT)
+        assert not obj.test(hdr.DEAD_BIT)
+        assert not hasattr(obj, "is_marked")  # the mark is not header state
 
     def test_reference_slots_iterates_refs_only(self):
         cls = make_class(fields=[("n", FieldKind.INT), ("a", FieldKind.REF), ("b", FieldKind.REF)])

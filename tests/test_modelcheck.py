@@ -105,10 +105,9 @@ class _DropOneMarkCollector(MarkSweepCollector):
 
     def _run_mark_phase(self, tracer):
         result = super()._run_mark_phase(tracer)
-        marked = [o for o in self.heap if o.status & hdr.MARK_BIT]
-        if marked:
-            victim = max(marked, key=lambda o: o.address)
-            victim.status &= ~hdr.MARK_BIT
+        marks = self.heap.marks
+        if marks:
+            marks.discard(max(marks))
         return result
 
 

@@ -132,12 +132,12 @@ def phase_state(vm) -> dict:
     engine = vm.engine
     return {
         "bits": {o.address: o.status for o in vm.heap},
+        "marks": sorted(vm.heap.marks),
+        "owned": [o.address for o in engine._owned],
         "counters": counters(vm),
         "checks": engine._checks_this_gc,
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
-        "self_sustained": [
-            (record.owner_address, touched) for record, touched in engine._self_sustained
-        ],
+        "self_sustained": [record.owner_address for record in engine._self_sustained],
         "staged": [violation_key(v) for v in engine._pending],
         "instances": {c.name: c.instance_count for c in vm.classes.tracked_types},
     }
