@@ -5,11 +5,7 @@ Commands:
 * ``info``      — package, collector, and suite overview.
 * ``demo``      — run the quickstart scenario and print the reports.
 * ``figures``   — regenerate Figures 2–5 (``--full`` for the whole suite;
-  ``--json-out`` also writes the machine-readable perf record).
-* ``bench``     — hot-path perf record: trace/alloc microbenchmarks, the
-  eager-vs-lazy sweep pause comparison, and snapshot-capture overhead;
-  writes ``BENCH_perf.json`` and exits non-zero if the deterministic work
-  counters drift between modes.
+  ``--json-out`` also writes the machine-readable record).
 * ``verify``    — run a workload on every collector and verify heap
   integrity afterwards (a smoke test for modified collectors).
 * ``stats``     — run a workload with telemetry on and report the GC event
@@ -74,6 +70,46 @@ def _build_vm(**kwargs):
         return None
 
 
+def _resolve_workload_runner(args):
+    """The one --workload resolution: returns ``(runner, label, rc)``.
+
+    ``runner`` is ``None`` (with ``rc == 2``) for an unknown name; the
+    pseudo-workload ``swapleak`` takes the same knobs everywhere, so the
+    leak scenario can be captured, measured, traced and watched live.
+    """
+    if args.workload == "swapleak":
+        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
+
+        config = SwapLeakConfig(
+            array_size=args.array_size,
+            swaps=args.swaps,
+            static_rep=args.static_rep,
+            assert_dead_swapped=args.assertions,
+            gc_every_swaps=args.gc_every_swaps,
+        )
+        if args.heap is None:
+            args.heap = 4 << 20
+        return (lambda vm: run_swapleak(vm, config)), "swapleak", 0
+
+    from repro.workloads.suite import build_suite
+
+    suite = build_suite()
+    try:
+        entry = suite[args.workload]
+    except KeyError:
+        choices = sorted(suite) + ["swapleak"]
+        print(f"unknown workload {args.workload!r}; pick from {choices}")
+        return None, args.workload, 2
+    if args.heap is None:
+        # The suite's tuned heap size makes the workload actually collect,
+        # so the trace has in-run pauses rather than one forced final GC.
+        args.heap = entry.heap_bytes
+    runner = entry.run
+    if args.assertions and entry.run_with_assertions is not None:
+        runner = entry.run_with_assertions
+    return runner, entry.name, 0
+
+
 def cmd_info(_args) -> int:
     import repro
     from repro.workloads.suite import build_suite
@@ -135,35 +171,17 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench import dump_perf, perf_payload, render_perf
-
-    payload = perf_payload(quick=args.quick)
-    print(render_perf(payload))
-    if args.json_out:
-        path = dump_perf(payload, args.json_out)
-        print()
-        print(f"machine-readable results written to {path}")
-    # Timing is advisory; counter identity is the gate (CI relies on this).
-    return 0 if payload["counters_match"] else 1
-
-
 def cmd_stats(args) -> int:
-    """Run one suite workload with telemetry enabled and report it."""
+    """Run one workload with telemetry enabled and report it."""
     import json
 
-    from repro.runtime.vm import VirtualMachine
     from repro.telemetry import JsonlSink, render_prometheus
-    from repro.workloads.suite import build_suite
 
-    suite = build_suite()
-    try:
-        entry = suite[args.workload]
-    except KeyError:
-        print(f"unknown workload {args.workload!r}; pick from {sorted(suite)}")
-        return 2
+    runner, label, rc = _resolve_workload_runner(args)
+    if runner is None:
+        return rc
     vm = _build_vm(
-        heap_bytes=args.heap or entry.heap_bytes,
+        heap_bytes=args.heap,
         collector=args.collector,
         gc_workers=args.gc_workers,
         paranoid=args.paranoid,
@@ -172,9 +190,6 @@ def cmd_stats(args) -> int:
         return 2
     if args.jsonl:
         vm.telemetry.add_sink(JsonlSink(args.jsonl))
-    runner = entry.run
-    if args.assertions and entry.run_with_assertions is not None:
-        runner = entry.run_with_assertions
     runner(vm)
     if vm.stats.collections == 0:
         # Nothing triggered a collection, so no event or census sample
@@ -188,7 +203,7 @@ def cmd_stats(args) -> int:
     elif args.prom:
         print(render_prometheus(vm.telemetry), end="")
     else:
-        print(f"{entry.name} on {vm.collector.describe()}")
+        print(f"{label} on {vm.collector.describe()}")
         print()
         print(vm.telemetry.render())
     return _violations_exit(vm)
@@ -238,46 +253,6 @@ def cmd_verify(args) -> int:
 
 
 # -- trace / top commands ---------------------------------------------------------------
-
-
-def _resolve_workload_runner(args):
-    """Shared --workload resolution: returns ``(runner, label, rc)``.
-
-    ``runner`` is ``None`` (with ``rc == 2``) for an unknown name; the
-    pseudo-workload ``swapleak`` gets the same knobs ``snapshot capture``
-    exposes so the leak scenario can be traced and watched live too.
-    """
-    if args.workload == "swapleak":
-        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
-
-        config = SwapLeakConfig(
-            array_size=args.array_size,
-            swaps=args.swaps,
-            static_rep=args.static_rep,
-            assert_dead_swapped=args.assertions,
-            gc_every_swaps=args.gc_every_swaps,
-        )
-        if args.heap is None:
-            args.heap = 4 << 20
-        return (lambda vm: run_swapleak(vm, config)), "swapleak", 0
-
-    from repro.workloads.suite import build_suite
-
-    suite = build_suite()
-    try:
-        entry = suite[args.workload]
-    except KeyError:
-        choices = sorted(suite) + ["swapleak"]
-        print(f"unknown workload {args.workload!r}; pick from {choices}")
-        return None, args.workload, 2
-    if args.heap is None:
-        # The suite's tuned heap size makes the workload actually collect,
-        # so the trace has in-run pauses rather than one forced final GC.
-        args.heap = entry.heap_bytes
-    runner = entry.run
-    if args.assertions and entry.run_with_assertions is not None:
-        runner = entry.run_with_assertions
-    return runner, entry.name, 0
 
 
 def cmd_trace_run(args) -> int:
@@ -628,40 +603,16 @@ def cmd_snapshot_capture(args) -> int:
     from repro.runtime.vm import VirtualMachine
     from repro.snapshot import SnapshotPolicy
 
+    runner, _label, rc = _resolve_workload_runner(args)
+    if runner is None:
+        return rc
     vm = VirtualMachine(heap_bytes=args.heap, collector=args.collector)
     policy = SnapshotPolicy(
         args.out_dir,
         every_n_gcs=args.every_n_gcs,
         on_violation=args.on_violation,
     ).attach(vm)
-
-    if args.workload == "swapleak":
-        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
-
-        run_swapleak(
-            vm,
-            SwapLeakConfig(
-                array_size=args.array_size,
-                swaps=args.swaps,
-                static_rep=args.static_rep,
-                assert_dead_swapped=args.assertions,
-                gc_every_swaps=args.gc_every_swaps,
-            ),
-        )
-    else:
-        from repro.workloads.suite import build_suite
-
-        suite = build_suite()
-        try:
-            entry = suite[args.workload]
-        except KeyError:
-            choices = sorted(suite) + ["swapleak"]
-            print(f"unknown workload {args.workload!r}; pick from {choices}")
-            return 2
-        runner = entry.run
-        if args.assertions and entry.run_with_assertions is not None:
-            runner = entry.run_with_assertions
-        runner(vm)
+    runner(vm)
 
     written = list(policy.captured)
     if not written:
@@ -770,6 +721,56 @@ def main(argv=None) -> int:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
 
+    def add_workload_arguments(target):
+        """The shared workload-selection knobs (stats/trace/top/monitor)."""
+        target.add_argument(
+            "--workload",
+            default="pseudojbb",
+            help="suite workload name or 'swapleak' (default: %(default)s)",
+        )
+        target.add_argument(
+            "--collector",
+            default="marksweep",
+            choices=["marksweep", "semispace", "generational"],
+        )
+        target.add_argument(
+            "--heap",
+            type=int,
+            default=None,
+            help="heap bytes (default: the workload's tuned suite size)",
+        )
+        target.add_argument(
+            "--assertions",
+            action="store_true",
+            help="use the workload's asserted variant when it has one",
+        )
+        target.add_argument(
+            "--gc-workers",
+            type=int,
+            default=None,
+            metavar="N",
+            help="mark with N parallel workers on a zone-sharded heap "
+            "(marksweep/generational; default: sequential unsharded heap)",
+        )
+        target.add_argument(
+            "--swaps", type=int, default=64, help="swapleak: swap count"
+        )
+        target.add_argument(
+            "--array-size", type=int, default=32, help="swapleak: SObject array size"
+        )
+        target.add_argument(
+            "--gc-every-swaps",
+            type=int,
+            default=16,
+            metavar="N",
+            help="swapleak: collect every N swaps (default: %(default)s)",
+        )
+        target.add_argument(
+            "--static-rep",
+            action="store_true",
+            help="swapleak: run the repaired (non-leaking) variant",
+        )
+
     add_command("info", "package and suite overview", "info")
     add_command(
         "demo",
@@ -786,21 +787,6 @@ def main(argv=None) -> int:
         "--json-out",
         metavar="PATH",
         help="also write machine-readable results (e.g. BENCH_figures.json)",
-    )
-
-    bench = add_command(
-        "bench", "hot-path perf record (BENCH_perf.json)", "bench --quick"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced sizes/trials for CI smoke runs",
-    )
-    bench.add_argument(
-        "--json-out",
-        metavar="PATH",
-        default="BENCH_perf.json",
-        help="machine-readable results path (default: %(default)s)",
     )
 
     verify = add_command(
@@ -849,26 +835,7 @@ def main(argv=None) -> int:
     stats = add_command(
         "stats", "GC telemetry for one workload run", "stats --workload db --json"
     )
-    stats.add_argument("--workload", default="pseudojbb")
-    stats.add_argument(
-        "--collector",
-        default="marksweep",
-        choices=["marksweep", "semispace", "generational"],
-    )
-    stats.add_argument("--heap", type=int, default=None, help="heap bytes override")
-    stats.add_argument(
-        "--gc-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="mark with N parallel workers on a zone-sharded heap "
-        "(marksweep/generational; default: sequential unsharded heap)",
-    )
-    stats.add_argument(
-        "--assertions",
-        action="store_true",
-        help="use the benchmark's asserted variant when it has one",
-    )
+    add_workload_arguments(stats)
     stats.add_argument(
         "--paranoid",
         action="store_true",
@@ -982,56 +949,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="render the chain as types without addresses (Figure-1 style)",
     )
-
-    def add_workload_arguments(target):
-        """The shared workload-selection knobs for trace/top commands."""
-        target.add_argument(
-            "--workload",
-            default="pseudojbb",
-            help="suite workload name or 'swapleak' (default: %(default)s)",
-        )
-        target.add_argument(
-            "--collector",
-            default="marksweep",
-            choices=["marksweep", "semispace", "generational"],
-        )
-        target.add_argument(
-            "--heap",
-            type=int,
-            default=None,
-            help="heap bytes (default: the workload's tuned suite size)",
-        )
-        target.add_argument(
-            "--assertions",
-            action="store_true",
-            help="use the workload's asserted variant when it has one",
-        )
-        target.add_argument(
-            "--gc-workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="mark with N parallel workers on a zone-sharded heap "
-            "(marksweep/generational; default: sequential unsharded heap)",
-        )
-        target.add_argument(
-            "--swaps", type=int, default=64, help="swapleak: swap count"
-        )
-        target.add_argument(
-            "--array-size", type=int, default=32, help="swapleak: SObject array size"
-        )
-        target.add_argument(
-            "--gc-every-swaps",
-            type=int,
-            default=16,
-            metavar="N",
-            help="swapleak: collect every N swaps (default: %(default)s)",
-        )
-        target.add_argument(
-            "--static-rep",
-            action="store_true",
-            help="swapleak: run the repaired (non-leaking) variant",
-        )
 
     trace = sub.add_parser(
         "trace",
@@ -1311,7 +1228,6 @@ def main(argv=None) -> int:
         "info": cmd_info,
         "demo": cmd_demo,
         "figures": cmd_figures,
-        "bench": cmd_bench,
         "verify": cmd_verify,
         "stats": cmd_stats,
         "top": cmd_top,

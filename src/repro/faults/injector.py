@@ -198,8 +198,8 @@ class FaultInjector:
     ``attach()`` hooks the VM's post-collection observer list (for
     GC-keyed faults) and shadows the collector's ``allocate`` with a
     counting wrapper (for allocation-keyed faults).  With an empty plan
-    the wrapper's cost is one increment and one length check — the
-    ``abl-faults`` ablation pins that overhead at ~1.0×.
+    the wrapper's cost is one increment and one length check, and nothing
+    the collector counts moves (``tests/test_faults.py`` pins that).
     """
 
     def __init__(

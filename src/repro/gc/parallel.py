@@ -194,8 +194,8 @@ class ParallelMarkReport:
         Unlike :meth:`work_balance_speedup` (which measures the *actual*
         schedule and degenerates on a GIL build, where one worker can hog
         the interpreter), this is a pure function of the heap partition —
-        bit-identical across runs and machines — so the committed scaling
-        curve can gate on it.
+        bit-identical across runs and machines — so a test can gate the
+        scaling curve on it.
         """
         bins = max(1, workers if workers is not None else self.workers)
         loads = sorted((e for e in self.zone_edges if e), reverse=True)

@@ -58,8 +58,9 @@ loop, with ``header_bit_checks`` credited one per edge as the engine loop
 would have counted them.  Engines without ``INLINE_HEADER_CHECKS`` get
 every encounter via the full hooks, through the method-per-edge loop that
 survives as ``specialized=False`` — it also serves the
-engine-without-paths combination and is the "before" leg of the trace
-microbenchmark (``python -m repro bench``).
+engine-without-paths combination and is the benchmark's ``generic`` probe
+(``gc.tracer.generic_edges_per_s``), the loop the specialised ones must
+beat.
 """
 
 from __future__ import annotations
@@ -352,12 +353,12 @@ class Tracer:
 
         Two variants, chosen once per drain: the paths-no-engine
         configuration on a non-moving collector (what ``every_n_gcs``
-        captures on an assertions-off VM run as — the ``abl-snapshot``
-        regime) gets a fused loop whose per-edge body is byte-for-byte
-        :meth:`_drain_paths`, so capture pays only the row append; every
-        other configuration goes through the generic loop with the mode
-        flags hoisted into locals.  Both keep exact counter parity with
-        whichever normal drain the collection would otherwise have used
+        captures on an assertions-off VM run as) gets a fused loop whose
+        per-edge body is byte-for-byte :meth:`_drain_paths`, so capture
+        pays only the row append; every other configuration goes through
+        the generic loop with the mode flags hoisted into locals.  Both
+        keep exact counter parity with whichever normal drain the
+        collection would otherwise have used
         (``path_entries_tagged`` only under path tracking,
         ``header_bit_checks``/``instance_count_increments`` only in
         inline-engine mode).  The row must be recorded *before* the

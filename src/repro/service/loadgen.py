@@ -16,8 +16,8 @@ Two modes:
 The session mix is drawn (seeded) from the workload suite plus the
 ``swapleak`` leak generator, which guarantees streamed violation frames.
 The report carries client-observed latency percentiles — open latency,
-session duration, and the server-measured violation delivery lag — and
-feeds the ``service-loadgen`` cell of ``BENCH_perf.json``.
+session duration, and the server-measured violation delivery lag
+(``loadgen --json-out`` writes it; CI's ``serve-smoke`` job reads it).
 """
 
 from __future__ import annotations

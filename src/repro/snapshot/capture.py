@@ -12,8 +12,8 @@ collectors, which relocate objects (and restamp ``alloc_seq``) later in
 the same pause.  Serialization to the JSONL format is deliberately *not*
 in-pause: the collector calls :meth:`SnapshotPolicy.finish_capture` after
 its ``gc_seconds`` timer closes, so capture adds only the row-append cost
-to GC time (bounded by the ``abl-snapshot`` bench) and the write cost to
-mutator time.
+to GC time (priced by the ``gc.tracer.snapshot_edges_per_s`` probe of
+``benchmarks/e2e``) and the write cost to mutator time.
 
 With no policy installed nothing changes anywhere: the tracer's drain
 dispatch tests one attribute against ``None`` and the collectors never

@@ -18,9 +18,9 @@ assertion engine emit into:
 
 The emit path is designed to cost nothing when telemetry is off: a VM built
 with ``telemetry=False`` leaves ``collector.telemetry`` as ``None``, so the
-hot paths pay one attribute load and an ``is None`` test — measured by the
-``abl-telemetry`` benchmark, mirroring the §2.7 "path tracking is free"
-ablation.
+hot paths pay one attribute load and an ``is None`` test — on vs off is the
+``telemetry.on_gc_ratio`` probe of ``benchmarks/e2e``, mirroring the §2.7
+"path tracking is free" ablation.
 
 Usage::
 

@@ -118,8 +118,8 @@ class SnapshotEvent:
 
     Emitted by the snapshot subsystem after serialization completes —
     always outside the GC pause, so ``duration_s`` is capture+write cost,
-    not added pause time (the in-pause recording cost shows up in the
-    ``abl-snapshot`` bench instead).
+    not added pause time (the in-pause recording cost is the benchmark's
+    ``gc.tracer.snapshot_edges_per_s`` probe instead).
     """
 
     event: str               #: always "snapshot_written" (sink discriminator)

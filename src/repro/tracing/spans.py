@@ -14,7 +14,7 @@ Design bars, inherited from the telemetry and snapshot subsystems:
 * **Zero overhead when off.**  A VM built without ``tracing=True`` leaves
   ``collector.span_tracer`` as ``None``; every emit site is one attribute
   load plus an ``is None`` test, and *no span object of any kind is
-  allocated* (the ``abl-tracing`` benchmark and a dedicated test pin this).
+  allocated* (``tests/test_tracing.py::TestZeroOverheadWhenOff`` pins this).
 * **Near-zero overhead when on.**  Spans are phase-granular — a handful per
   collection, never per object or per edge — so the hot drain loops from
   PR 2 are untouched.  Recording one span is two tuple appends.

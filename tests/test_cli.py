@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 import runpy
 import sys
 import warnings
@@ -10,7 +11,8 @@ import pytest
 
 from repro.__main__ import main
 
-PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "examples" / "programs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PROGRAMS = ROOT / "examples" / "programs"
 
 
 def run_as_module(argv: list[str]) -> int:
@@ -197,7 +199,6 @@ class TestRunpyInvocation:
             ["info"],
             ["demo"],
             ["figures", "--help"],
-            ["bench", "--help"],
             ["verify", "--help"],
             ["stats", "--help"],
             ["minij", "--help"],
@@ -210,6 +211,35 @@ class TestRunpyInvocation:
     )
     def test_subcommand_exits_zero(self, argv, capsys):
         assert run_as_module(argv) == 0
+        capsys.readouterr()
+
+    def test_every_documented_command_is_registered(self, capsys):
+        """Docs and CI cannot quote a subcommand the parser no longer has.
+
+        CHANGES.md and ROADMAP.md are history and are not scanned.
+        """
+        sources = [
+            ROOT / "README.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / "DESIGN.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ]
+        quoted: dict[str, str] = {}
+        for source in sources:
+            # One pass over the whole text: prose wraps a command across lines.
+            for match in re.finditer(
+                r"python -m repro\s+([a-z][a-z-]*)", source.read_text()
+            ):
+                quoted.setdefault(match.group(1), source.name)
+        assert len(quoted) >= 10, f"the scan found too little: {sorted(quoted)}"
+        for command, where in sorted(quoted.items()):
+            # argparse exits 0 for a registered command's --help and 2 for an
+            # invalid choice.
+            assert run_as_module([command, "--help"]) == 0, (
+                f"{where} quotes `python -m repro {command}`, "
+                "which is not a registered subcommand"
+            )
         capsys.readouterr()
 
     def test_help_epilogs_document_exit_codes(self, capsys):

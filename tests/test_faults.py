@@ -103,11 +103,12 @@ class TestInjectorMechanics:
         assert vm.collector.allocate is not original
         injector.detach()
         assert vm.collector.allocate == original
+        assert "allocate" not in vars(vm.collector)  # instance shadow removed
 
     def test_empty_plan_changes_nothing(self):
         plain = VirtualMachine(heap_bytes=128 << 10)
         armed = VirtualMachine(heap_bytes=128 << 10)
-        FaultInjector(armed, FaultPlan()).attach()
+        injector = FaultInjector(armed, FaultPlan()).attach()
         cls_p = make_node_class(plain)
         cls_a = make_node_class(armed)
         build_chain(plain, cls_p, 200)
@@ -116,6 +117,9 @@ class TestInjectorMechanics:
         armed.gc()
         # Timers are wall-clock; the bit-identical contract is on counters.
         assert plain.stats.snapshot()["counters"] == armed.stats.snapshot()["counters"]
+        # Nothing fired, so no hardening machinery engaged either.
+        assert injector.applied == []
+        assert armed.collector.recovery.total() == 0
 
     def test_alloc_trigger_fires_at_the_right_count(self, vm):
         plan = FaultPlan().add("alloc-fail", at_alloc=5, arg=1)

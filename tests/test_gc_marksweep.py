@@ -105,6 +105,24 @@ class TestAllocationTriggers:
             # Same size class: the freed cell is recycled LIFO.
             assert b.obj.address == addr
 
+    def test_run_cache_serves_small_allocations_from_recycled_cells(self):
+        """The regime the run cache targets: popping cells a sweep freed.
+
+        A count, not a timing: one refill per run of cells, so the fast
+        path must take at least nine allocations in ten.
+        """
+        vm = VirtualMachine(heap_bytes=8 << 20, assertions=False, telemetry=False)
+        cls = make_node_class(vm)
+        allocate = vm.collector.allocate
+        n_allocs = 20_000
+        for _ in range(n_allocs):
+            allocate(cls)  # unrooted prefill ...
+        vm.gc("populate the free lists")  # ... freed: the cells are recycled
+        hits_before = vm.stats.alloc_fast_hits
+        for _ in range(n_allocs):
+            allocate(cls)
+        assert (vm.stats.alloc_fast_hits - hits_before) / n_allocs >= 0.9
+
     def test_use_after_free_detected(self, vm, node_class):
         with vm.scope():
             a = vm.new(node_class)

@@ -232,6 +232,13 @@ class TestCounterIdentity:
         if sum(1 for e in report.zone_edges if e) > 1:
             assert report.zone_balance_speedup(8) > 1.0
 
+    def test_zone_balance_bound_scales_with_workers(self):
+        """The deterministic scaling curve: a pure function of the heap
+        partition, so it gates where a wall clock (GIL, 1-core CI) cannot."""
+        report = _grown_vm(gc_workers=4).collector.last_parallel_mark
+        assert sum(1 for e in report.zone_edges if e) > 1, report.zone_edges
+        assert report.zone_balance_speedup(4) >= report.zone_balance_speedup(2) > 1.0
+
 
 # -- violation parity -------------------------------------------------------------------
 

@@ -633,7 +633,12 @@ def http_get(url):
 class TestMonitorServer:
     @pytest.fixture
     def served(self):
-        vm = monitored_vm(default_slos())
+        # Thresholds a loaded box cannot breach: these tests read the
+        # endpoints' documents, not the wall clock (the 503 side has its own
+        # test below).
+        vm = monitored_vm(
+            default_slos(pause_p99_s=60.0, mmu_floor=1e-9, check_latency_s=60.0)
+        )
         node = vm.define_class("N", [("next", FieldKind.REF)])
         churn(vm, node)
         server = MonitorServer(vm.monitor, port=0).start()

@@ -409,6 +409,23 @@ def test_side_marks_dangling_child_raises_at_the_edge_that_found_it(drain):
     assert dangling_edge_problems(DRAINS[drain]) == []
 
 
+def test_side_marks_every_drain_counts_the_same_objects_and_edges():
+    """Specialisation changes the cost of an edge, never whether it counts."""
+    seen = {}
+    for name, make_tracer in sorted(DRAINS.items()):
+        vm = graph_vm(GRAPH_NODES)
+        vm.define_class("D", [("x", FieldKind.REF)])  # what "engine-armed" allocates
+        stats = GcStats()
+        tracer = make_tracer(vm, stats)
+        tracer.trace(vm.root_entries())
+        seen[name] = (stats.objects_traced, stats.edges_traced)
+        if tracer.track_paths:
+            assert stats.path_entries_tagged == stats.objects_traced, name
+    # Every node is marked once (the root by the root scan, like the rest);
+    # every node but the first has one spine edge in and one cross edge out.
+    assert set(seen.values()) == {(GRAPH_NODES, 2 * GRAPH_NODES - 2)}, seen
+
+
 class _MarksWithoutTheTableTest(Tracer):
     """``_drain_plain`` with the one line removed: the child goes into the
     set and onto the stack unchecked, and the miss surfaces an edge (and an
