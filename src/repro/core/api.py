@@ -56,10 +56,6 @@ class GcAssertions:
             raise AssertionUsageError(f"assertion target {obj!r} was already reclaimed")
         return obj
 
-    @property
-    def _gc_number(self) -> int:
-        return self._vm.collector.stats.collections
-
     def _lifecycle(self, stage: str, kind: AssertionKind, **args) -> None:
         """Emit an assertion-lifecycle instant (``assertion_register`` /
         ``assertion_armed``) when the VM records spans; free otherwise.
@@ -77,14 +73,19 @@ class GcAssertions:
         Mutator-side cost: one spare header bit plus a registry entry for
         diagnostics.
         """
-        obj = self._resolve(target)
-        obj.set(hdr.DEAD_BIT)
-        self._engine.registry.register_dead(obj.address, site, self._gc_number)
-        self._engine.registry.calls[AssertionKind.DEAD] += 1
-        # assert-dead registers and arms in one call: the header bit is set,
-        # so the very next collection will check it.
-        self._lifecycle("register", AssertionKind.DEAD, site=site)
-        self._lifecycle("armed", AssertionKind.DEAD, site=site)
+        # A live Handle inline; ``_resolve`` for the other kinds and every raise.
+        obj = getattr(target, "obj", None)
+        if obj is None or obj.status & hdr.FREED_BIT:
+            obj = self._resolve(target)
+        obj.status |= hdr.DEAD_BIT
+        registry = self._engine.registry
+        registry.register_dead(obj.address, site, self._vm.collector.stats.collections)
+        registry.calls[AssertionKind.DEAD] += 1
+        if self._vm.span_tracer is not None:
+            # assert-dead registers and arms in one call: the header bit is
+            # set, so the very next collection will check it.
+            self._lifecycle("register", AssertionKind.DEAD, site=site)
+            self._lifecycle("armed", AssertionKind.DEAD, site=site)
 
     def start_region(
         self,
@@ -117,13 +118,14 @@ class GcAssertions:
         heap = self._vm.heap
         registry = self._engine.registry
         registry.calls[AssertionKind.ALLDEAD] += 1
+        gc_number = self._vm.collector.stats.collections
         asserted = 0
         for address in queue:
             obj = heap.maybe(address)
             if obj is None or obj.is_freed:
                 continue  # already reclaimed: trivially satisfied
             obj.set(hdr.DEAD_BIT)
-            registry.register_dead(address, site, self._gc_number, AssertionKind.ALLDEAD)
+            registry.register_dead(address, site, gc_number, AssertionKind.ALLDEAD)
             registry.calls[AssertionKind.DEAD] += 1
             asserted += 1
         self._lifecycle("armed", AssertionKind.ALLDEAD, site=site, objects=asserted)
@@ -168,16 +170,20 @@ class GcAssertions:
         owner [...] an ownee may be referenced by other objects, but it
         should never outlive its owner."
         """
-        owner_obj = self._resolve(owner)
-        ownee_obj = self._resolve(ownee)
-        self._engine.registry.register_owned_by(
-            owner_obj.address, ownee_obj.address, site
-        )
-        owner_obj.set(hdr.OWNER_BIT)
-        ownee_obj.set(hdr.OWNEE_BIT)
-        self._engine.registry.calls[AssertionKind.OWNED_BY] += 1
-        self._lifecycle("register", AssertionKind.OWNED_BY, site=site)
-        self._lifecycle("armed", AssertionKind.OWNED_BY, site=site)
+        owner_obj = getattr(owner, "obj", None)  # as in assert_dead
+        if owner_obj is None or owner_obj.status & hdr.FREED_BIT:
+            owner_obj = self._resolve(owner)
+        ownee_obj = getattr(ownee, "obj", None)
+        if ownee_obj is None or ownee_obj.status & hdr.FREED_BIT:
+            ownee_obj = self._resolve(ownee)
+        registry = self._engine.registry
+        registry.register_owned_by(owner_obj.address, ownee_obj.address, site)
+        owner_obj.status |= hdr.OWNER_BIT
+        ownee_obj.status |= hdr.OWNEE_BIT
+        registry.calls[AssertionKind.OWNED_BY] += 1
+        if self._vm.span_tracer is not None:
+            self._lifecycle("register", AssertionKind.OWNED_BY, site=site)
+            self._lifecycle("armed", AssertionKind.OWNED_BY, site=site)
 
     def retract_ownedby(self, ownee: Target) -> bool:
         """Withdraw an ownership assertion (extension; not in the paper).

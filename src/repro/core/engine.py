@@ -80,9 +80,9 @@ class AssertionEngine:
         #: back edge this collection; ``post_mark`` re-judges them against
         #: true root reachability (see :func:`repro.core.ownership.run_ownership_phase`).
         self._self_sustained: list[OwnerRecord] = []
-        #: Ownees the ownership phase set ``OWNED`` on this collection.  The
-        #: bit is read by the root scan and means nothing afterwards, so it
-        #: is cleared from this list (``release_owned``), not by a heap walk.
+        #: Ownees the *naive* ownership check set ``OWNED`` on for the root scan
+        #: to read; cleared from this list (``release_owned``), not by a heap
+        #: walk.  Two-phase mode marks what it finds instead and writes no bit.
         self._owned: list[HeapObject] = []
 
     @property

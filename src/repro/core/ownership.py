@@ -15,19 +15,19 @@ registered owner:
 
 * Do **not** mark the owner itself — its liveness is established by the
   normal root scan; if it is unreachable it will be collected this GC.
-* If an ownee of the *current* owner is reached: mark it, set its ``OWNED``
-  bit (logged with the engine, which clears it again once the root scan
-  has read it), and *truncate* the scan there, queueing the ownee so its
-  subtree is scanned after the owner's scan completes (this is how the
-  paper tolerates back edges / overlapping data structures).
+* If an ownee of the *current* owner is reached: mark it and *truncate*
+  the scan there, queueing the ownee so its subtree is scanned after the
+  owner's scan completes (how the paper tolerates back edges / overlapping
+  data structures).  The mark stands in for the paper's ``OWNED`` bit: the
+  root scan prunes at marks, so it would never read one set here.
 * If an ownee of a *different* owner is reached: issue an improper-use
   warning (the owner regions are required to be disjoint) and do not mark.
 * If a different owner object is reached: mark it and stop — "we will scan
   this owner independently."
 
 **Phase 2** is the normal root scan: the engine's ``on_first_encounter``
-hook reports any ownee reached without its ``OWNED`` bit — it was not
-reachable from its owner, i.e. it (or the paths to it) outlived the owner.
+hook reports any ownee it is the first to reach — phase 1 did not mark it,
+so it is not reachable from its owner: it (or a path to it) outlived it.
 
 Everything marked in phase 1 stays marked for phase 2, so owner-reachable
 subgraphs are never traced twice ("we are able to check the ownership
@@ -44,22 +44,25 @@ phase 2 — with its locals bound once, not once per owner record:
   child's header only while an ``assert-unshared`` is registered;
 * first encounters are resolved through the heap's address table; only a
   miss or a freed object goes back through ``heap.get`` so the caller still
-  sees the typed ``InvalidAddressError`` / ``UseAfterFreeError``;
+  sees the typed ``InvalidAddressError`` / ``UseAfterFreeError``; the stack
+  and the ownee queue hold that object, so a pop is no second lookup;
 * reference slots are read in place, through a ``map`` over the class's
   ``ref_slots`` (no per-object list), and an array is told from its class's
   precomputed ``ref_array`` (phase 1 counts null edges in
   ``edges_traced``, which the root-scan drains do not);
 * the per-visit header duties are inlined the way ``INLINE_HEADER_CHECKS``
   inlines them into the drains: the check count and the instance count are
-  kept in the loop, ``engine.phase1_visit`` is called only for ``DEAD_BIT``
-  and ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT`` — or on
-  every visit while a ``check_budget`` is set or checks are off for this
-  GC, so the budget trips on exactly the visit it always did;
-* the ownee lookup is still the paper's binary search over the sorted ownee
-  array, done by ``bisect_left``; the probe count a hit would have cost is
-  a pure function of (index, length) and is read from
-  :func:`repro.core.registry.probe_depths`, so ``ownee_search_probes`` is
-  exact.  A miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
+  kept in the loop (the instance count only while some class is tracked,
+  asked once per phase), ``engine.phase1_visit`` is called only for
+  ``DEAD_BIT`` and ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT``
+  — or on every visit while a ``check_budget`` is set or checks are off
+  for this GC, so the budget trips on exactly the visit it always did;
+* the ownee lookup is accounted as the paper's binary search over the
+  sorted ownee array (the read of ``record.ownees`` sorts it): a hit's
+  probe count is a pure function of (index, length), so the array is
+  zipped once per record with :func:`repro.core.registry.probe_depths`
+  into a dict whose ``get`` answers membership and ``ownee_search_probes``
+  at once.  A miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
 * work counters accumulate in locals and are flushed in a ``finally``;
   three of them are not counted per visit but derived at the flush —
   objects traced is the growth of the mark set, header checks are the
@@ -69,8 +72,8 @@ phase 2 — with its locals bound once, not once per owner record:
   (``marks - reachable``, see ``AssertionEngine._demote_self_sustained``).
 
 This is not another copy of the tracer's drain: phase 1 tags no paths,
-truncates at ownees, runs a second queue and consults a per-record sorted
-array.  It has one loop body.  The closure-per-edge implementation it
+truncates at ownees, runs a second queue and consults a per-record ownee
+table.  It has one loop body.  The closure-per-edge implementation it
 replaced lives on as the oracle in ``tests/reference_ownership.py``.
 
 The module also provides the **naive** per-pair reachability check that the
@@ -80,7 +83,6 @@ much the two-phase design saves.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.core.registry import probe_depths
@@ -101,8 +103,6 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     on_repeat = engine.on_repeat_encounter
     marks = heap.marks
     mark = marks.add
-    owned_bit = hdr.OWNED_BIT
-    note_owned = engine._owned.append
     freed_bit = hdr.FREED_BIT
     ownee_bit = hdr.OWNEE_BIT
     owner_bit = hdr.OWNER_BIT
@@ -112,9 +112,10 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     # visit goes through the hooks, so the budget trips on the same visit.
     hook_every_visit = engine.check_budget is not None or engine.degraded
     read_repeats = hook_every_visit or engine.armed_checks()[1]
+    count_instances = bool(engine.classes.tracked_types)
     misuse_reported: set[int] = set()
-    stack: list[int] = []
-    ownee_queue: list[int] = []
+    stack: list = []
+    ownee_queue: list = []
     # Three counters are derived, not kept: every first encounter is one
     # new entry of ``marks``; every non-null edge is one header check unless
     # it is the edge that raised; and every header check is one engine check
@@ -131,8 +132,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                 # the epilogue's owner-death processing handles its ownees.
                 continue
             ownees = record.ownees
-            ownee_count = len(ownees)
-            depths = probe_depths(ownee_count)
+            probes_to_find = dict(zip(ownees, probe_depths(len(ownees)))).get
             self_reached = False
             # Start at the owner's children; deliberately do NOT mark the
             # owner.  Drain the stack, then scan below one deferred ownee,
@@ -164,8 +164,8 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                     status = cobj.status
                     if status & ownee_bit:
                         lookups += 1
-                        idx = bisect_left(ownees, child)
-                        if idx == ownee_count or ownees[idx] != child:
+                        depth = probes_to_find(child)
+                        if depth is None:
                             # Ownee of a different owner: improper use of
                             # the assertion.  Warn once and do not mark.
                             probes += record.contains(child)[1]
@@ -174,35 +174,33 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                                 misuse_reported.add(child)
                                 engine.report_ownership_misuse(cobj, record)
                             continue
-                        probes += depths[idx]
-                        cobj.status = status | owned_bit
-                        note_owned(cobj)
+                        probes += depth
                     mark(child)
                     if hook_every_visit or status & dead_bit:
                         hooked += 1
                         phase1_visit(cobj, record)
-                    else:
+                    elif count_instances:
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
                             ccls.instance_count += 1
                     if status & ownee_bit:
                         # Own ownee: truncate here, scan its subtree after
                         # the owner's scan completes (back edges, §2.5.2).
-                        ownee_queue.append(child)
+                        ownee_queue.append(cobj)
                     elif child == owner_address:
                         # Back edge to the current owner.  It must be marked
                         # for soundness (the root scan prunes at phase-1
                         # marks, so this scan may be the only path that
                         # reaches it), but the mark is provisional.
                         self_reached = True
-                        stack.append(child)
+                        stack.append(cobj)
                     elif not status & owner_bit:
-                        stack.append(child)
+                        stack.append(cobj)
                     # else: another owner — marked, and it gets its own scan.
                 if stack:
-                    obj = table[stack.pop()]
+                    obj = stack.pop()
                 elif ownee_queue:
-                    obj = table[ownee_queue.pop()]
+                    obj = ownee_queue.pop()
                 else:
                     break
             if self_reached:
@@ -233,9 +231,10 @@ def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector")
 
     For every (owner, ownee) pair, run an independent reachability search
     from the owner.  No marking is shared between pairs, so the cost is
-    O(pairs x reachable-subgraph) instead of one shared traversal.  Found
-    ownees get their ``OWNED`` bit so phase-2 violation detection (and
-    reporting) is identical to the two-phase design.
+    O(pairs x reachable-subgraph) instead of one shared traversal.  Nothing
+    found is marked, so the root scan reaches the ownees: found ones get the
+    paper's ``OWNED`` bit (logged with the engine, which clears it at mark
+    end) so phase-2 detection and reporting match the two-phase design.
     """
     heap = collector.heap
     stats = collector.stats

@@ -11,8 +11,8 @@ The paper is explicit about the space budget of each assertion family:
 * ``assert-ownedby`` — "a pair of arrays, one containing owner objects and
   the other containing arrays of ownee objects, one for each owner [...]
   The ownee arrays are sorted, so we do a binary search to find the ownee
-  object." (§2.5.2)  :class:`OwnerRecord` reproduces that structure,
-  including the sorted-array binary search with probe counting.
+  object." (§2.5.2)  :class:`OwnerRecord` reproduces that structure (the
+  mutator appends, the collector's read sorts), probe counting included.
 
 The registry also keeps the cumulative API-call counters the paper reports
 in §3.1.2 ("695 calls to assert-dead and 15,553 calls to assert-ownedBy").
@@ -50,37 +50,62 @@ class DeadSite:
 
 
 class OwnerRecord:
-    """One owner object and its sorted array of ownee addresses."""
+    """One owner object and its array of ownee addresses: an assertion
+    appends, the collector's read (:attr:`ownees`) sorts — §2.5.2 as written."""
 
-    __slots__ = ("owner_address", "ownees", "label")
+    __slots__ = ("owner_address", "_ownees", "_sorted", "label")
 
     def __init__(self, owner_address: int, label: str):
         self.owner_address = owner_address
-        self.ownees: list[int] = []  # sorted ascending
+        self._ownees: list[int] = []
+        self._sorted = True
         self.label = label
 
+    @property
+    def ownees(self) -> list[int]:
+        """The array itself, sorted ascending (here, if an append unsorted it)."""
+        if not self._sorted:
+            self._ownees.sort()
+            self._sorted = True
+        return self._ownees
+
+    @ownees.setter
+    def ownees(self, addresses: list[int]) -> None:
+        self._ownees = addresses
+        self._sorted = False
+
+    def append(self, ownee_address: int) -> None:
+        """Add an ownee the caller knows is new: no search, no shifting."""
+        self._ownees.append(ownee_address)
+        self._sorted = False
+
     def add(self, ownee_address: int) -> None:
-        idx = bisect_left(self.ownees, ownee_address)
-        if idx < len(self.ownees) and self.ownees[idx] == ownee_address:
-            return  # idempotent re-assert of the same pair
-        self.ownees.insert(idx, ownee_address)
+        """Add an ownee unless it is already here (one sorted search).
+
+        For a caller holding a bare record; the registry asks its reverse
+        index instead and calls :meth:`append`.
+        """
+        if not self.contains(ownee_address)[0]:
+            self.append(ownee_address)
 
     def remove(self, ownee_address: int) -> bool:
-        idx = bisect_left(self.ownees, ownee_address)
-        if idx < len(self.ownees) and self.ownees[idx] == ownee_address:
-            del self.ownees[idx]
+        ownees = self.ownees
+        idx = bisect_left(ownees, ownee_address)
+        if idx < len(ownees) and ownees[idx] == ownee_address:
+            del ownees[idx]
             return True
         return False
 
     def contains(self, ownee_address: int) -> tuple[bool, int]:
         """Binary search; returns (found, probes) so the collector can count
         the §2.5.2 "n log n" lookup work."""
-        lo, hi = 0, len(self.ownees) - 1
+        ownees = self.ownees
+        lo, hi = 0, len(ownees) - 1
         probes = 0
         while lo <= hi:
             probes += 1
             mid = (lo + hi) // 2
-            val = self.ownees[mid]
+            val = ownees[mid]
             if val == ownee_address:
                 return True, probes
             if val < ownee_address:
@@ -89,14 +114,11 @@ class OwnerRecord:
                 hi = mid - 1
         return False, max(probes, 1)
 
-    def resort(self) -> None:
-        self.ownees.sort()
-
     def __len__(self) -> int:
-        return len(self.ownees)
+        return len(self._ownees)
 
     def __repr__(self) -> str:
-        return f"<owner {self.owner_address:#x} ownees={len(self.ownees)}>"
+        return f"<owner {self.owner_address:#x} ownees={len(self._ownees)}>"
 
 
 #: ``bytes.translate`` table adding one to every probe depth.
@@ -112,11 +134,11 @@ def probe_depths(n: int) -> bytes:
     array length): one for the midpoint, and one more than the half-length
     table's entry on either side.  ``probe_depths(n)[i]`` therefore equals
     ``contains(ownees[i])[1]`` for every sorted array of ``n`` ownees — the
-    ownership phase finds the index with ``bisect_left`` at C speed and
-    reads the exact §2.5.2 probe count here.  Tables are one byte per ownee
-    (a depth never exceeds 64), built from the two half-length tables with
-    C-level byte operations, and memoised: ownee-array lengths repeat from
-    collection to collection.
+    ownership phase zips the array with this table into a dict, so one
+    lookup answers membership *and* the exact §2.5.2 probe count.  Tables
+    are one byte per ownee (a depth never exceeds 64), built from the two
+    half-length tables with C-level byte operations, and memoised:
+    ownee-array lengths repeat from collection to collection.
     """
     if n <= 0:
         return b""
@@ -152,10 +174,6 @@ class AssertionRegistry:
 
     # -- assert-dead -----------------------------------------------------------------
 
-    def next_serial(self) -> int:
-        self._serial += 1
-        return self._serial
-
     def register_dead(
         self,
         address: int,
@@ -163,8 +181,8 @@ class AssertionRegistry:
         gc_number: int,
         kind: AssertionKind = AssertionKind.DEAD,
     ) -> DeadSite:
-        site = DeadSite(label, self.next_serial(), gc_number, kind)
-        self.dead_sites[address] = site
+        serial = self._serial = self._serial + 1
+        site = self.dead_sites[address] = DeadSite(label, serial, gc_number, kind)
         return site
 
     # -- assert-unshared --------------------------------------------------------------
@@ -178,16 +196,17 @@ class AssertionRegistry:
         if owner_address == ownee_address:
             raise AssertionUsageError("an object cannot own itself")
         existing_owner = self.ownee_owner.get(ownee_address)
-        if existing_owner is not None and existing_owner != owner_address:
-            raise AssertionUsageError(
-                f"object {ownee_address:#x} is already owned by "
-                f"{existing_owner:#x}; owner regions may not overlap (§2.5.2)"
-            )
+        if existing_owner is not None:
+            if existing_owner != owner_address:
+                raise AssertionUsageError(
+                    f"object {ownee_address:#x} is already owned by "
+                    f"{existing_owner:#x}; owner regions may not overlap (§2.5.2)"
+                )
+            return self.owners[owner_address]  # idempotent re-assert of the pair
         record = self.owners.get(owner_address)
         if record is None:
-            record = OwnerRecord(owner_address, label)
-            self.owners[owner_address] = record
-        record.add(ownee_address)
+            record = self.owners[owner_address] = OwnerRecord(owner_address, label)
+        record.append(ownee_address)
         self.ownee_owner[ownee_address] = owner_address
         return record
 
@@ -211,23 +230,25 @@ class AssertionRegistry:
         """
         if not freed:
             return {"dead_satisfied": [], "dead_owners": []}
-        satisfied = [a for a in self.dead_sites if a in freed]
+        # Set algebra against the address-keyed tables; buckets keep registration order.
+        dead_sites = self.dead_sites
+        hit = dead_sites.keys() & freed
+        satisfied = [a for a in dead_sites if a in hit] if hit else []
         for address in satisfied:
-            del self.dead_sites[address]
+            del dead_sites[address]
         self.dead_satisfied += len(satisfied)
 
-        for address in [a for a in self.unshared_sites if a in freed]:
+        for address in self.unshared_sites.keys() & freed:
             del self.unshared_sites[address]
 
-        dead_owners: list[int] = []
-        for owner_address, record in self.owners.items():
-            reclaimed = [a for a in record.ownees if a in freed]
-            for a in reclaimed:
-                record.remove(a)
-                self.ownee_owner.pop(a, None)
-            self.ownees_reclaimed += len(reclaimed)
-            if owner_address in freed:
-                dead_owners.append(owner_address)
+        reclaimed = self.ownee_owner.keys() & freed
+        owner_of = self.ownee_owner.pop
+        for address in reclaimed:
+            self.owners[owner_of(address)].remove(address)
+        self.ownees_reclaimed += len(reclaimed)
+
+        dead = self.owners.keys() & freed
+        dead_owners = [a for a in self.owners if a in dead] if dead else []
         return {"dead_satisfied": satisfied, "dead_owners": dead_owners}
 
     def drop_owner(self, owner_address: int) -> list[int]:
@@ -250,8 +271,7 @@ class AssertionRegistry:
         for owner_address, record in self.owners.items():
             new_address = fwd.get(owner_address, owner_address)
             record.owner_address = new_address
-            record.ownees = [fwd.get(a, a) for a in record.ownees]
-            record.resort()
+            record.ownees = [fwd.get(a, a) for a in record.ownees]  # re-sorted on read
             new_owners[new_address] = record
         self.owners = new_owners
         self.ownee_owner = {

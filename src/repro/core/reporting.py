@@ -38,6 +38,8 @@ class AssertionKind(enum.Enum):
     OWNED_BY = "assert-ownedby"
     #: Improper use of assert-ownedby detected at scan time (overlap, §2.5.2).
     OWNERSHIP_MISUSE = "assert-ownedby-misuse"
+    #: Identity hash (members are singletons): ``Enum.__hash__`` is a Python call.
+    __hash__ = object.__hash__
 
 
 class PathEntry:

@@ -337,9 +337,9 @@ class Collector:
         mark state, quarantines detected corruption (or degrades the
         engine, for non-heap faults), and re-runs the *entire* mark phase
         with a fresh tracer (and so a fresh, empty mark set) — ``pre_mark``
-        must re-run because clearing OWNED bits would otherwise fabricate
-        unowned-ownee violations.  A second failure propagates: one
-        recovery attempt per pause.
+        must re-run because without its marks (or, in naive mode, its OWNED
+        bits) the root scan would fabricate unowned-ownee violations.  A
+        second failure propagates: one recovery attempt per pause.
 
         Returns the tracer that actually completed the mark (callers that
         consult tracer state must use the return value).

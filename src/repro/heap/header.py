@@ -18,11 +18,11 @@ has the object in hand:
 * ``UNSHARED`` — set by ``assert-unshared(p)``; checked when the collector
   encounters an object that is *already* marked, i.e. on the second
   incoming reference (§2.5.1).
-* ``OWNED`` — set during the ownership phase when an ownee is reached from
-  its asserted owner (§2.5.2); objects carrying an ownership assertion that
-  reach the normal root scan without this bit are violations.  The engine
-  clears it at mark end from its list of the ownees it set it on, so no
-  live object carries it outside a collection.
+* ``OWNED`` — the paper's "reached from its asserted owner" bit (§2.5.2);
+  an ownee that reaches the normal root scan without it is a violation.
+  The two-phase ownership phase *marks* what it reaches and the root scan
+  prunes at marks, so only the naive ablation (which marks nothing) writes
+  it; the engine clears it at mark end, so no live object carries it after.
 * ``OWNEE`` / ``OWNER`` — fast-path bits telling the tracer that this object
   participates in an ``assert-ownedby`` pair, so the common case (object has
   no ownership assertion) costs a single bit test.

@@ -44,6 +44,9 @@ MAX_FRAME_BYTES = 1 << 20
 
 _LEN = struct.Struct(">I")
 
+#: Bound once: ``json.dumps(..., separators=...)`` builds an encoder per call.
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_frame(payload: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
     """Serialize one frame: 4-byte big-endian length + UTF-8 JSON body."""
@@ -51,7 +54,7 @@ def encode_frame(payload: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes
         raise WireProtocolError(
             f"frame payload must be a JSON object, not {type(payload).__name__}"
         )
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _encode_json(payload).encode("utf-8")
     if len(body) > max_frame_bytes:
         raise WireProtocolError(
             f"encoded frame is {len(body)} bytes, over the {max_frame_bytes}-byte limit"
@@ -78,7 +81,7 @@ def encode_frame_trimmed(
     room = max_frame_bytes - (len(shell) - _LEN.size)
     kept = 0
     for item in items:
-        room -= len(json.dumps(item, separators=(",", ":"))) + 1  # the comma
+        room -= len(_encode_json(item)) + 1  # the comma
         if room < 0:
             break
         kept += 1
@@ -111,32 +114,38 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> list[dict]:
         """Consume a chunk; return every complete frame it finishes."""
-        self._buffer.extend(data)
+        buffer = self._buffer
+        buffer.extend(data)
         self.bytes_consumed += len(data)
         frames: list[dict] = []
-        while len(self._buffer) >= _LEN.size:
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length == 0:
-                raise WireProtocolError("zero-length frame")
-            if length > self.max_frame_bytes:
-                raise WireProtocolError(
-                    f"frame length {length} exceeds the "
-                    f"{self.max_frame_bytes}-byte limit"
-                )
-            if len(self._buffer) < _LEN.size + length:
-                break
-            body = bytes(self._buffer[_LEN.size:_LEN.size + length])
-            del self._buffer[:_LEN.size + length]
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise WireProtocolError(f"undecodable frame body: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise WireProtocolError(
-                    f"frame body must be a JSON object, got {type(payload).__name__}"
-                )
-            self.frames_decoded += 1
-            frames.append(payload)
+        # One trim per feed, however the walk ends: a ``del`` per frame moves the rest each time.
+        start, buffered = 0, len(buffer)
+        try:
+            while buffered - start >= _LEN.size:
+                (length,) = _LEN.unpack_from(buffer, start)
+                if length == 0:
+                    raise WireProtocolError("zero-length frame")
+                if length > self.max_frame_bytes:
+                    raise WireProtocolError(
+                        f"frame length {length} exceeds the "
+                        f"{self.max_frame_bytes}-byte limit"
+                    )
+                body_start = start + _LEN.size
+                if buffered < body_start + length:
+                    break
+                start = body_start + length  # consumed, decodable or not
+                try:
+                    payload = json.loads(buffer[body_start:start].decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise WireProtocolError(f"undecodable frame body: {exc}") from exc
+                if not isinstance(payload, dict):
+                    raise WireProtocolError(
+                        f"frame body must be a JSON object, got {type(payload).__name__}"
+                    )
+                self.frames_decoded += 1
+                frames.append(payload)
+        finally:
+            del buffer[:start]
         return frames
 
     @property

@@ -5,7 +5,9 @@ shipped before the phase was fused into one table-direct loop, moved here
 verbatim (only the entry point is renamed) and since re-expressed over the
 collection's mark set: where it used to set ``MARK`` in the header it adds
 the address to ``heap.marks``, and an ownee it sets ``OWNED`` on is logged
-with the engine, which clears the bit at mark end.  It goes through the public,
+with the engine, which clears the bit at mark end (the fused loop writes no
+``OWNED`` bit any more — its mark says the same — so this log is what the
+differential compares the fused loop's marked ownees against).  It goes through the public,
 fully checked interfaces — ``ObjectHeap.get``, ``reference_slots()``,
 ``engine.phase1_visit`` / ``on_repeat_encounter`` on every visit,
 ``OwnerRecord.contains`` for every lookup — so it states the per-step

@@ -16,6 +16,9 @@ import sys
 
 import pytest
 
+from repro.core.reporting import AssertionKind
+from repro.errors import AssertionUsageError
+from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 
@@ -83,3 +86,43 @@ def test_warm_new_array_call_budget(warm):
     calls = python_calls(lambda: vm.new_array(cls, 4))
     assert len(calls) <= 12, calls
     assert "ClassDescriptor.__init__" not in calls
+
+
+def test_assertion_api_call_budget(warm):
+    # Tracing is off on a default VM: no lifecycle instants, no span no-ops.
+    vm, cls = warm
+    assert vm.span_tracer is None
+    owner, first, second, doomed = (vm.new(cls) for _ in range(4))
+    vm.assertions.assert_ownedby(owner, first)  # the owner's record exists
+    ownedby = python_calls(lambda: vm.assertions.assert_ownedby(owner, second))
+    assert vm.engine.registry.owner_of(second.address) == owner.address
+    assert len(ownedby) <= 5, ownedby
+    dead = python_calls(lambda: vm.assertions.assert_dead(doomed, site="budget"))
+    assert vm.engine.registry.dead_sites[doomed.address].label == "budget"
+    assert len(dead) <= 4, dead
+    # What keeps ``calls[kind] += 1`` off the list: ``Enum.__hash__`` is a
+    # Python function (two calls a count), the identity hash is not.
+    assert AssertionKind.__hash__ is object.__hash__
+
+
+def test_assertion_api_budget_path_still_raises_usage_errors(warm):
+    vm, cls = warm
+    owner, other, ownee, gone = (vm.new(cls) for _ in range(4))
+    vm.assertions.assert_ownedby(owner, ownee)
+    gone.obj.status |= hdr.FREED_BIT  # as the sweep leaves a reclaimed object
+    api, before = vm.assertions, vm.assertions.call_counts()
+    with pytest.raises(AssertionUsageError, match="was already reclaimed"):
+        api.assert_dead(gone)
+    with pytest.raises(AssertionUsageError, match="was already reclaimed"):
+        api.assert_ownedby(owner, gone)
+    with pytest.raises(AssertionUsageError, match="was already reclaimed"):
+        api.assert_ownedby(gone, other)
+    with pytest.raises(AssertionUsageError, match="cannot own itself"):
+        api.assert_ownedby(owner, owner)
+    with pytest.raises(AssertionUsageError, match="already owned by .*may not overlap"):
+        api.assert_ownedby(other, ownee)
+    # A refused assertion registers nothing, sets no bit and counts no call.
+    assert api.call_counts() == before
+    assert not other.obj.status & (hdr.OWNER_BIT | hdr.OWNEE_BIT)
+    assert not gone.obj.status & (hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.OWNER_BIT)
+    assert vm.engine.registry.snapshot()["ownees"] == 1

@@ -1,11 +1,15 @@
 """AssertionRegistry bookkeeping and Violation/HeapPath rendering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registry import AssertionRegistry, OwnerRecord
 from repro.core.reporting import AssertionKind, HeapPath, Violation, ViolationLog
 from repro.errors import AssertionUsageError
 from repro.heap.object_model import ClassDescriptor, FieldKind, HeapObject
+
+from tests.reference_registry import ReferenceRegistry
 
 
 class TestOwnerRecord:
@@ -159,3 +163,105 @@ class TestReporting:
         log.clear()
         assert len(log) == 0
         assert log.lines == []
+
+
+# -- the registry against its sorted-on-insert reference -----------------------------------
+#
+# ``tests/reference_registry.py`` is the ownership bookkeeping as it was: bisect
+# and insert on every assertion, a purge that walks everything registered.  The
+# same script runs on both: every step must have the same outcome, and a reader
+# must see the same thing wherever the script looks (Hypothesis draws where) and
+# at its end — between looks an array stays as unsorted as the appends left it,
+# so retract, purge and forwarding meet it that way.
+# CI selects this with ``-k registry_reference``.
+
+ADDRESSES = [0x1000 + 0x10 * i for i in range(48)]
+_address = st.sampled_from(ADDRESSES)
+_STEPS = st.one_of(
+    # assert, re-assert, overlap attempt and self-own attempt are all this
+    # one step: which it is depends on what the script did before.
+    st.tuples(st.just("ownedby"), _address, _address),
+    st.tuples(st.just("ownedby"), st.sampled_from(ADDRESSES[:3]), _address),
+    # A big record at a stroke, appended in falling address order.
+    st.tuples(st.just("ownedby-run"), st.sampled_from(ADDRESSES[:3]), st.integers(3, 40)),
+    st.tuples(st.just("dead"), _address),
+    st.tuples(st.just("unshared"), _address),
+    st.tuples(st.just("retract"), _address),
+    st.tuples(st.just("purge"), st.sets(_address, max_size=8)),
+    st.tuples(st.just("forward"), st.permutations(ADDRESSES)),
+)
+
+
+def _retract(registry, ownee: int) -> bool:
+    """The registry half of ``GcAssertions.retract_ownedby``."""
+    owner = registry.owner_of(ownee)
+    if owner is None:
+        return False
+    record = registry.owners[owner]
+    record.remove(ownee)
+    if not record.ownees:
+        del registry.owners[owner]
+    del registry.ownee_owner[ownee]
+    return True
+
+
+def _step(registry, step):
+    """Run one step; the outcome (value or typed error) is compared too."""
+    kind, *args = step
+    if kind == "ownedby-run":
+        owner, count = args
+        return [_step(registry, ("ownedby", owner, a)) for a in reversed(ADDRESSES[-count:])]
+    try:
+        if kind == "ownedby":
+            return len(registry.register_owned_by(*args, "site"))
+        if kind == "dead":
+            return registry.register_dead(*args, "site", 0).serial
+        if kind == "unshared":
+            return registry.register_unshared(*args, "site")
+        if kind == "retract":
+            return _retract(registry, *args)
+        if kind == "purge":
+            buckets = registry.purge_freed(*args)
+            for owner in buckets["dead_owners"]:  # what the engine does next
+                buckets[owner] = registry.drop_owner(owner)
+            return buckets
+        (targets,) = args
+        # Forwarding as a copying collection sees it: a bijection.
+        return registry.apply_forwarding(dict(zip(ADDRESSES, targets)))
+    except AssertionUsageError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _as_a_reader_sees_it(registry) -> dict:
+    # ``contains`` goes first: it must find the array sorted on its own, not
+    # because an earlier read of ``ownees`` happened to sort it.
+    return {
+        "contains": {
+            a: [r.contains(probe) for probe in ADDRESSES] for a, r in registry.owners.items()
+        },
+        "owners": {a: (r.owner_address, list(r.ownees), len(r)) for a, r in registry.owners.items()},
+        "owner_order": list(registry.owners),
+        "ownee_owner": dict(registry.ownee_owner),
+        "dead_sites": {a: (s.label, s.serial) for a, s in registry.dead_sites.items()},
+        "dead_order": list(registry.dead_sites),
+        "unshared_sites": dict(registry.unshared_sites),
+        "snapshot": registry.snapshot(),
+    }
+
+
+def _assert_a_reader_sees_the_same(registry, reference, where) -> None:
+    seen = _as_a_reader_sees_it(registry)
+    assert seen == _as_a_reader_sees_it(reference), where
+    for _owner, ownees, _n in seen["owners"].values():
+        assert ownees == sorted(set(ownees))
+
+
+@given(script=st.lists(st.tuples(_STEPS, st.booleans()), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_registry_reference_differential(script):
+    registry, reference = AssertionRegistry(), ReferenceRegistry()
+    for step, look in script:
+        assert _step(registry, step) == _step(reference, step), step
+        if look:
+            _assert_a_reader_sees_the_same(registry, reference, step)
+    _assert_a_reader_sees_the_same(registry, reference, "end of script")

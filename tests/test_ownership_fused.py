@@ -1,11 +1,18 @@
 """The fused ownership phase against its reference oracle.
 
 ``repro.core.ownership.run_ownership_phase`` is one table-direct loop with
-the header checks inlined and the ownee lookup done by ``bisect_left`` plus
-a probe-depth table.  ``tests/reference_ownership.py`` is the closure
-implementation it replaced, kept verbatim.  Every test here builds the same
-heap in twin VMs, runs one implementation on each, and demands identical
-marks, counters, budget accounting and verdicts.
+the header checks inlined and the ownee lookup done by one dict probe that
+also yields the binary search's probe count.  ``tests/reference_ownership.py``
+is the closure implementation it replaced, kept verbatim.  Every test here
+builds the same heap in twin VMs, runs one implementation on each, and
+demands identical marks, counters, budget accounting and verdicts.
+
+The oracle still sets the paper's transient ``OWNED`` bit on every ownee it
+reaches from its own owner and logs it with the engine; the fused loop
+writes neither, because its mark already says so.  The header words are
+therefore compared with ``OWNED`` masked out, and the ``owned`` entry is the
+proof the bit was redundant: the oracle's log and the fused loop's *marked
+ownees* must be the same set on every heap.
 
 CI selects this module with ``-k ownership_fused``.
 """
@@ -128,12 +135,25 @@ def violation_key(v) -> tuple:
     return (v.kind, v.address, v.message, v.site, v.gc_number, v.reaction, v.details)
 
 
-def phase_state(vm) -> dict:
+NOT_OWNED = ~hdr.OWNED_BIT
+
+
+def owned_ownees(vm, reference: bool) -> set:
+    """The ownees phase 1 reached from their own owner: the oracle's
+    ``OWNED`` log, or — the fused loop keeps none — every marked ownee."""
+    if reference:
+        return {o.address for o in vm.engine._owned}
+    table = vm.heap.address_table()
+    return {a for a in vm.heap.marks if table[a].status & hdr.OWNEE_BIT}
+
+
+def phase_state(vm, reference: bool) -> dict:
+    """Everything ``pre_mark`` leaves behind; call it right after the phase."""
     engine = vm.engine
     return {
-        "bits": {o.address: o.status for o in vm.heap},
+        "bits": {o.address: o.status & NOT_OWNED for o in vm.heap},
         "marks": sorted(vm.heap.marks),
-        "owned": [o.address for o in engine._owned],
+        "owned": owned_ownees(vm, reference),
         "counters": counters(vm),
         "checks": engine._checks_this_gc,
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
@@ -146,7 +166,7 @@ def phase_state(vm) -> dict:
 def collected_state(vm) -> dict:
     engine = vm.engine
     return {
-        "heap": {o.address: (o.cls.name, o.status, list(o.slots)) for o in vm.heap},
+        "heap": {o.address: (o.cls.name, o.status & NOT_OWNED, list(o.slots)) for o in vm.heap},
         "counters": counters(vm),
         "log": [violation_key(v) + (v.render(show_addresses=True),) for v in engine.log],
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
@@ -169,7 +189,7 @@ def collect(vm, reason: str) -> tuple:
 def run_phase(vm, phase) -> dict:
     vm.engine.gc_begin(vm.collector)
     phase(vm.engine, vm.collector)
-    return phase_state(vm)
+    return phase_state(vm, reference=phase is reference_ownership_phase)
 
 
 # -- the differential property ---------------------------------------------------------
@@ -182,6 +202,9 @@ def test_ownership_fused_matches_reference_after_pre_mark(spec):
     assert run_phase(fused, run_ownership_phase) == run_phase(
         oracle, reference_ownership_phase
     )
+    # The fused phase wrote no transient bit and logged nothing to clear.
+    assert fused.engine._owned == []
+    assert not any(o.status & hdr.OWNED_BIT for o in fused.heap)
 
 
 @pytest.mark.parametrize("collector", ALL_COLLECTORS)
@@ -257,7 +280,7 @@ def test_ownership_fused_bad_child_raises_typed_error_with_counters_flushed(
         vm.engine.gc_begin(vm.collector)
         with pytest.raises(error):
             phase(vm.engine, vm.collector)
-        states.append(phase_state(vm))
+        states.append(phase_state(vm, reference=phase is reference_ownership_phase))
     fused, oracle = states
     assert fused == oracle
     # Everything scanned before the bad edge is on the books, the bad edge
@@ -321,6 +344,33 @@ def test_ownership_fused_many_small_owners_stay_counter_identical():
     assert counters(fused) == counters(oracle)
     assert counters(fused)["ownee_lookups"] == 6000
     assert len(fused.engine.log) == len(oracle.engine.log) == 0
+
+
+def test_ownership_fused_array_asserted_out_of_order_is_sorted_when_phase_1_reads_it():
+    """The mutator appends (§2.5.2); asserted in falling address order the
+    array is unsorted until the collector asks for it, and the probe counts
+    are still those of a binary search over the sorted array."""
+    results = []
+    for reference in (False, True):
+        vm = VirtualMachine(heap_bytes=1 << 20)
+        node = vm.define_class("SNode", [("a", FieldKind.REF), ("b", FieldKind.REF)])
+        with vm.scope("out-of-order"):
+            owner, arr = vm.new(node), vm.new_array(node, 37)
+            owner["a"] = arr
+            vm.statics.set_ref("owner", owner.address)
+            elements = [vm.new(node) for _ in range(37)]
+            for i, element in enumerate(elements):
+                arr[i] = element
+            for element in reversed(elements):
+                vm.assertions.assert_ownedby(owner, element)
+        if reference:
+            use_reference(vm)
+        vm.gc("out of order")
+        results.append((counters(vm), len(vm.engine.log)))
+    assert results[0] == results[1]
+    fused, violations = results[0]
+    assert violations == 0 and fused["ownee_lookups"] == 37
+    assert fused["ownee_search_probes"] == sum(probe_depths(37))
 
 
 # -- a gap the oracle found (both implementations, unchanged by the fusion) ------------

@@ -24,8 +24,12 @@ import random
 import struct
 import threading
 import time
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SessionKilled, WireProtocolError
 from repro.runtime.vm import VirtualMachine
@@ -48,8 +52,71 @@ from repro.service.wire import MAX_FRAME_BYTES, encode_frame_trimmed
 
 # -- wire protocol ----------------------------------------------------------------------
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_payloads = st.dictionaries(st.text(max_size=6), _json_values, max_size=4)
+_FUZZ_LIMIT = 4096
+
+
+def _framed(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+#: fault -> (bytes on the wire, error text, bytes of it that must arrive
+#: before the decoder can know, bytes of it the decoder has dropped by then).
+_STREAM_FAULTS = {
+    "zero-length": (struct.pack(">I", 0), "zero-length frame", 4, 0),
+    "oversize": (struct.pack(">I", _FUZZ_LIMIT + 1), "exceeds the 4096-byte limit", 4, 0),
+    "not-an-object": (_framed(b"[1,2]"), "must be a JSON object, got list", 9, 9),
+    "undecodable": (_framed(b"\xff{}"), "undecodable frame body", 7, 7),
+}
+
 
 class TestFraming:
+    @given(
+        payloads=st.lists(_payloads, max_size=6),
+        fault=st.sampled_from([None, *_STREAM_FAULTS]),
+        tail=st.integers(0, 40),
+        cuts=st.lists(st.integers(0, 1 << 16), max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_chunking_of_a_stream_decodes_alike(self, payloads, fault, tail, cuts):
+        """What the decoder has handed out, counted and kept back depends on
+        the bytes it was fed so far, never on how they were chunked — and a
+        structural fault raises in the feed that completes it, with every
+        frame before it counted and consumed."""
+        good = [encode_frame(p) for p in payloads]
+        ends = list(accumulate(map(len, good)))
+        blob = b"".join(good)
+        after = encode_frame({"after": "the fault"})
+        if fault is None:
+            blob += after[: tail % len(after)]  # a frame still in flight
+        else:
+            bad, message, needs, drops = _STREAM_FAULTS[fault]
+            trips_at, dropped_to = len(blob) + needs, len(blob) + drops
+            blob += bad + after
+        edges = sorted({0, len(blob), *(cut % (len(blob) + 1) for cut in cuts)})
+        decoder, frames, fed = FrameDecoder(_FUZZ_LIMIT), [], 0
+        for lo, hi in zip(edges, edges[1:]):
+            fed = hi
+            if fault is not None and fed >= trips_at:
+                with pytest.raises(WireProtocolError, match=message):
+                    decoder.feed(blob[lo:hi])
+                assert decoder.frames_decoded == len(payloads)
+                assert decoder.bytes_consumed == fed
+                assert decoder.pending_bytes == fed - dropped_to
+                return
+            frames += decoder.feed(blob[lo:hi])
+            done = bisect_right(ends, fed)
+            assert frames == payloads[:done]
+            assert decoder.frames_decoded == done
+            assert decoder.bytes_consumed == fed
+            assert decoder.pending_bytes == fed - (ends[done - 1] if done else 0)
+        assert fault is None and frames == payloads
+
     def test_round_trip(self):
         frames = [
             {"type": "hello", "schema": "repro-wire/1"},
