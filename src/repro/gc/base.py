@@ -131,8 +131,8 @@ class Collector:
         #: Snapshot policy, installed via the VM; None (the default) keeps
         #: the capture machinery entirely out of the collection path.
         self.snapshot_policy = None
-        #: Sink filled by the current collection's tracer, awaiting the
-        #: post-pause :meth:`_snapshot_flush`.
+        #: Sink filled at the end of the current collection's mark phase,
+        #: awaiting the post-pause :meth:`_snapshot_flush`.
         self._snapshot_pending = None
         #: Span recorder (:class:`repro.tracing.spans.SpanTracer`), attached
         #: by a VM built with ``tracing=True``.  None means every emit site
@@ -212,19 +212,8 @@ class Collector:
 
     # -- shared helpers ---------------------------------------------------------------
 
-    def _make_tracer(self, reason: str = "collect") -> Tracer:
-        policy = self.snapshot_policy
-        if policy is None:
-            return Tracer(self.heap, self.stats, self.engine, self.track_paths)
-        sink = policy.begin_capture(self, reason)
-        self._snapshot_pending = sink
-        if sink is not None and self.span_tracer is not None:
-            self.span_tracer.instant(
-                "snapshot_capture", cat="snapshot", trigger=sink.trigger
-            )
-        return Tracer(
-            self.heap, self.stats, self.engine, self.track_paths, snapshot=sink
-        )
+    def _make_tracer(self) -> Tracer:
+        return Tracer(self.heap, self.stats, self.engine, self.track_paths)
 
     def _snapshot_flush(self) -> None:
         """Serialize a capture buffered during this collection, if any.
@@ -280,13 +269,13 @@ class Collector:
 
         The parallel drains replicate the two *fused* loop bodies (plain
         and inline-engine); anything that needs the general dispatching
-        drain — a snapshot sink capturing mid-trace, an unspecialized
-        tracer, an engine without ``INLINE_HEADER_CHECKS`` — falls back to
-        the sequential path for that collection.
+        drain — an unspecialized tracer, an engine without
+        ``INLINE_HEADER_CHECKS`` — falls back to the sequential path for
+        that collection.
         """
         if self.gc_workers <= 0 or self.zone_map is None:
             return False
-        if tracer.snapshot is not None or not tracer.specialized:
+        if not tracer.specialized:
             return False
         engine = tracer.engine
         return engine is None or getattr(engine, "INLINE_HEADER_CHECKS", False)
@@ -333,29 +322,29 @@ class Collector:
     def _run_mark_phase(self, tracer: Tracer) -> Tracer:
         """Mark the heap; in hardened mode, recover from a mid-mark fault.
 
-        Recovery drops any pending snapshot capture, drops the partial
-        mark state, quarantines detected corruption (or degrades the
-        engine, for non-heap faults), and re-runs the *entire* mark phase
-        with a fresh tracer (and so a fresh, empty mark set) — ``pre_mark``
-        must re-run because without its marks (or, in naive mode, its OWNED
-        bits) the root scan would fabricate unowned-ownee violations.  A
-        second failure propagates: one recovery attempt per pause.
+        Recovery drops the partial mark state, quarantines detected
+        corruption (or degrades the engine, for non-heap faults), and
+        re-runs the *entire* mark phase with a fresh tracer (and so a
+        fresh, empty mark set) — ``pre_mark`` must re-run because without
+        its marks (or, in naive mode, its OWNED bits) the root scan would
+        fabricate unowned-ownee violations.  A second failure propagates:
+        one recovery attempt per pause.
+
+        When this returns ``post_mark`` has run and nothing has been
+        reclaimed or relocated, so ``heap.marks`` is exactly the survivor
+        set: phase-1 marks in, self-sustained owners and FORCE victims
+        out.  That is the one window in which snapshot capture reads it.
 
         Returns the tracer that actually completed the mark (callers that
         consult tracer state must use the return value).
         """
-        if not self.hardened:
-            self._mark_once(tracer)
-            return tracer
         try:
             self._mark_once(tracer)
-            return tracer
         except AssertionViolationHalt:
             raise
         except Exception as exc:
-            if self._snapshot_pending is not None:
-                self._snapshot_pending = None
-                self.recovery.snapshots_dropped += 1
+            if not self.hardened:
+                raise
             self._clear_all_marks()
             if isinstance(exc, HeapError):
                 # Corruption surfaced mid-trace: repair what the sentinel
@@ -372,9 +361,19 @@ class Collector:
                 note = getattr(self.engine, "note_degraded", None)
                 if note is not None:
                     note("mark", exc)
-            retry = Tracer(self.heap, self.stats, self.engine, self.track_paths)
-            self._mark_once(retry)
-            return retry
+            tracer = self._make_tracer()
+            self._mark_once(tracer)
+        policy = self.snapshot_policy
+        if policy is not None:
+            sink = policy.begin_capture(self)
+            if sink is not None:
+                if self.span_tracer is not None:
+                    self.span_tracer.instant(
+                        "snapshot_capture", cat="snapshot", trigger=sink.trigger
+                    )
+                sink.record_marked(self.heap, self._roots())
+                self._snapshot_pending = sink
+        return tracer
 
     def _clear_all_marks(self) -> None:
         """Reset per-collection state after an aborted mark: the mark set

@@ -328,7 +328,7 @@ class GenerationalCollector(Collector):
                 self.stats.full_collections += 1
                 self.gc_log.append(f"fullGC {self.stats.collections}: {reason}")
 
-                tracer = self._make_tracer(reason)
+                tracer = self._make_tracer()
                 self._run_mark_phase(tracer)
                 self._mature_sweeper.schedule()
                 nursery_freed = self._sweep_nursery_dead()

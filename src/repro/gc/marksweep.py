@@ -245,7 +245,7 @@ class MarkSweepCollector(Collector):
                 self.stats.full_collections += 1
                 self.gc_log.append(f"GC {self.stats.collections}: {reason}")
 
-                tracer = self._make_tracer(reason)
+                tracer = self._make_tracer()
                 self._run_mark_phase(tracer)
                 self._sweeper.schedule()
                 if self.sweep_mode == "eager":

@@ -37,7 +37,7 @@ reported as unavailable and that counter stays untouched.)
 never call engine hooks from the hot loop.  They *record* assertion-relevant
 encounters — first encounters whose header word matched
 ``DEAD_BIT | OWNEE_BIT``, repeat encounters with ``UNSHARED_BIT`` — plus
-per-zone per-class instance-count partials and a per-zone live census.
+per-zone per-class instance-count partials.
 After the pool joins, the coordinator merges instance partials into the
 class descriptors, merges worker :class:`~repro.gc.stats.GcStats` partials
 with :meth:`GcStats.merge` (summed work, no double-counted pause time), and
@@ -61,7 +61,6 @@ from repro.gc.tracer import armed_checks
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.zones import ZoneMap
-from repro.telemetry.census import merge_censuses
 from repro.tracing.spans import WORKER_TRACK_BASE
 
 if TYPE_CHECKING:
@@ -101,7 +100,6 @@ class _Worker:
         "first_records",
         "repeat_records",
         "instances",
-        "census",
         "buffers",
         "busy_seconds",
         "start_ts",
@@ -120,7 +118,6 @@ class _Worker:
         self.first_records: list[tuple[int, int]] = []
         self.repeat_records: list[tuple[int, int]] = []
         self.instances: dict = {}
-        self.census: dict[str, list[int]] = {}
         #: Per-target-zone outbound edge buffers (flushed as packets).
         self.buffers: list[list[tuple[int, int]]] = [[] for _ in range(zones)]
         self.busy_seconds = 0.0
@@ -146,7 +143,6 @@ class ParallelMarkReport:
         "packets_sent",
         "edges_routed",
         "zones_drained",
-        "census",
     )
 
     def __init__(self) -> None:
@@ -163,9 +159,6 @@ class ParallelMarkReport:
         self.packets_sent = 0
         self.edges_routed = 0
         self.zones_drained = 0
-        #: Merged per-zone live census of the traced set (root scan seeds +
-        #: drain-marked objects), per class name -> (count, bytes).
-        self.census: dict[str, tuple[int, int]] = {}
 
     def total_busy_seconds(self) -> float:
         return sum(self.busy_seconds)
@@ -235,8 +228,7 @@ class ParallelMarker:
     """One parallel mark episode over a zoned heap.
 
     Eligibility is the caller's job (see ``Collector._parallel_eligible``):
-    the engine, if any, must declare ``INLINE_HEADER_CHECKS``, and no
-    snapshot sink may be attached (capture drains stay sequential).
+    the engine, if any, must declare ``INLINE_HEADER_CHECKS``.
     """
 
     def __init__(self, collector: "Collector", workers: int, zone_map: ZoneMap):
@@ -251,7 +243,6 @@ class ParallelMarker:
         self._open_zones = 0
         self._done = False
         self._abort = False
-        self._seed_census: dict[str, list[int]] = {}
         self._table: dict = {}
         self._marks: set[int] = set()
         self._engine = None
@@ -310,26 +301,15 @@ class ParallelMarker:
         """Split the root-seeded worklist into per-zone stacks.
 
         Root objects were already marked (and counted, and run through the
-        engine's full hooks) by the sequential root scan; they also seed
-        the traced-set census here, attributed to their owning zone's
-        partial — the drain loops then count only the objects they mark.
+        engine's full hooks) by the sequential root scan; the drain loops
+        count only the objects they mark.
         """
         zone_of = self.zone_map.zone_of
         zones = self._zones
-        table = self._table
-        census = self._seed_census
         seeds = tracer._stack
         tracer._stack = []
         for address in seeds:
             zones[zone_of(address)].stack.append(address)
-            obj = table[address]
-            name = obj.cls.name
-            row = census.get(name)
-            if row is None:
-                census[name] = [1, obj.size_bytes]
-            else:
-                row[0] += 1
-                row[1] += obj.size_bytes
         ready = self._ready
         for zone in zones:
             if zone.stack:
@@ -432,7 +412,6 @@ class ParallelMarker:
         stack = zone.stack
         push = stack.append
         buffers = worker.buffers
-        census = worker.census
         marks = self._marks
         mark = marks.add
         packet_limit = PACKET_SIZE
@@ -469,16 +448,10 @@ class ParallelMarker:
                         edges += 1
                         if child in marks:
                             continue
-                        cobj = table[child]
+                        if child not in table:
+                            raise InvalidAddressError(f"no live object at {child:#x}")
                         mark(child)
                         objects += 1
-                        name = cobj.cls.name
-                        row = census.get(name)
-                        if row is None:
-                            census[name] = [1, cobj.size_bytes]
-                        else:
-                            row[0] += 1
-                            row[1] += cobj.size_bytes
                         push(child)
                 packets = self._pull_inbox(zone)
                 if not packets:
@@ -488,19 +461,11 @@ class ParallelMarker:
                         edges += 1
                         if child in marks:
                             continue
-                        cobj = table[child]
+                        if child not in table:
+                            raise InvalidAddressError(f"no live object at {child:#x}")
                         mark(child)
                         objects += 1
-                        name = cobj.cls.name
-                        row = census.get(name)
-                        if row is None:
-                            census[name] = [1, cobj.size_bytes]
-                        else:
-                            row[0] += 1
-                            row[1] += cobj.size_bytes
                         push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
         finally:
             zone.objects += objects
             zone.edges += edges
@@ -515,7 +480,6 @@ class ParallelMarker:
         stack = zone.stack
         push = stack.append
         buffers = worker.buffers
-        census = worker.census
         firsts = worker.first_records
         repeats = worker.repeat_records
         instances = worker.instances
@@ -571,13 +535,6 @@ class ParallelMarker:
                         if ccls.instance_limit is not None:
                             instances[ccls] = instances.get(ccls, 0) + 1
                             instance_incrs += 1
-                        name = ccls.name
-                        row = census.get(name)
-                        if row is None:
-                            census[name] = [1, cobj.size_bytes]
-                        else:
-                            row[0] += 1
-                            row[1] += cobj.size_bytes
                         push(child)
                 packets = self._pull_inbox(zone)
                 if not packets:
@@ -600,13 +557,6 @@ class ParallelMarker:
                         if ccls.instance_limit is not None:
                             instances[ccls] = instances.get(ccls, 0) + 1
                             instance_incrs += 1
-                        name = ccls.name
-                        row = census.get(name)
-                        if row is None:
-                            census[name] = [1, cobj.size_bytes]
-                        else:
-                            row[0] += 1
-                            row[1] += cobj.size_bytes
                         push(child)
         except KeyError as exc:
             raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
@@ -674,7 +624,6 @@ class ParallelMarker:
         report.zones = self.zone_map.zones
         report.zone_objects = [zone.objects for zone in self._zones]
         report.zone_edges = [zone.edges for zone in self._zones]
-        partials = [self._seed_census]
         for worker in self._workers:
             report.busy_seconds.append(worker.busy_seconds)
             report.objects_traced.append(worker.stats.objects_traced)
@@ -682,8 +631,6 @@ class ParallelMarker:
             report.packets_sent += worker.packets_sent
             report.edges_routed += worker.edges_routed
             report.zones_drained += worker.zones_drained
-            partials.append(worker.census)
-        report.census = merge_censuses(partials)
 
     def _emit_spans(self) -> None:
         """Per-worker mark spans, recorded retroactively after the join.

@@ -93,11 +93,11 @@ class SemiSpaceCollector(Collector):
                 self.stats.full_collections += 1
                 self.gc_log.append(f"GC {self.stats.collections}: {reason}")
 
-                tracer = self._make_tracer(reason)
+                tracer = self._make_tracer()
                 self._run_mark_phase(tracer)
                 freed, fwd = self._evacuate()
             self._finish_collection(freed, fwd)
-            # Snapshot rows were frozen at mark time (from-space addresses,
+            # Snapshot rows were frozen at mark end (from-space addresses,
             # one consistent graph); serializing them costs no pause time.
             self._snapshot_flush()
             self._telemetry_end(pending)

@@ -160,7 +160,6 @@ class RecoveryStats:
         "oom_recoveries",
         "heap_growths",
         "snapshot_failures",
-        "snapshots_dropped",
     )
 
     def __init__(self) -> None:

@@ -61,11 +61,15 @@ survives as ``specialized=False`` — it also serves the
 engine-without-paths combination and is the benchmark's ``generic`` probe
 (``gc.tracer.generic_edges_per_s``), the loop the specialised ones must
 beat.
+
+No loop records anything but marks and counters.  Whoever wants to know
+*what* was traced reads ``heap.marks`` once the mark is complete — snapshot
+capture does (:meth:`repro.snapshot.capture.SnapshotSink.record_marked`),
+so it needs no loop of its own.
 """
 
 from __future__ import annotations
 
-import gc as _host_gc
 from typing import Iterable, Optional
 
 from repro.errors import InvalidAddressError
@@ -106,9 +110,10 @@ class Tracer:
         self.engine = engine
         self.track_paths = track_paths
         self.specialized = specialized
-        #: Optional :class:`repro.snapshot.capture.SnapshotSink`.  When set,
-        #: the drain switches to the snapshot-recording variant; ``None``
-        #: costs exactly one attribute test per drain.
+        #: Optional :class:`repro.snapshot.capture.SnapshotSink` for callers
+        #: that drive a tracer themselves: :meth:`trace` fills it from the
+        #: finished mark set.  (A collector fills its policy's sink itself,
+        #: after ``post_mark`` — see ``Collector._run_mark_phase``.)
         self.snapshot = snapshot
         self._stack: list[int] = []
         self._root_descs: dict[int, str] = {}
@@ -122,29 +127,27 @@ class Tracer:
     def trace(self, roots: Iterable[tuple[str, int]]) -> int:
         """Mark everything reachable from ``roots``; returns objects marked."""
         before = self.stats.objects_traced
+        if self.snapshot is not None:
+            roots = list(roots)  # read twice: scanned now, recorded below
         self.scan_roots(roots)
         self.drain()
+        if self.snapshot is not None:
+            self.snapshot.record_marked(self.heap, roots)
         return self.stats.objects_traced - before
 
     def scan_roots(self, roots: Iterable[tuple[str, int]]) -> None:
         """Seed the worklist from the root set (the first half of
         :meth:`trace`, split out so the span tracer can time the root scan
         and the drain as separate phases without touching either loop)."""
-        sink = self.snapshot
         for description, address in roots:
             if address == NULL:
                 continue
-            if sink is not None:
-                sink.roots.append((description, address))
             # Roots come from the mutator (statics, frames, handles), so they
             # go through the checked dereference path.
             self._reach(self.heap.get(address), parent=None, via_root=description)
 
     def drain(self) -> None:
         """Process the worklist to empty."""
-        if self.snapshot is not None:
-            self._drain_snapshot()
-            return
         if not self.specialized:
             if self.track_paths:
                 self._drain_with_paths()
@@ -343,187 +346,6 @@ class Tracer:
             stats.path_entries_tagged += tagged
             stats.header_bit_checks += edges - dangling
             stats.instance_count_increments += instance_incrs
-
-    # -- snapshot-recording drain ---------------------------------------------------
-
-    def _drain_snapshot(self) -> None:
-        """Snapshot capture: the mark loop also appends one row per live
-        object to the attached sink — the bare address for a non-moving
-        collector, ``(address, obj, alloc_seq, children)`` for a moving one.
-
-        Two variants, chosen once per drain: the paths-no-engine
-        configuration on a non-moving collector (what ``every_n_gcs``
-        captures on an assertions-off VM run as) gets a fused loop whose
-        per-edge body is byte-for-byte :meth:`_drain_paths`, so capture
-        pays only the row append; every other configuration goes through
-        the generic loop with the mode flags hoisted into locals.  Both
-        keep exact counter parity with whichever normal drain the
-        collection would otherwise have used
-        (``path_entries_tagged`` only under path tracking,
-        ``header_bit_checks``/``instance_count_increments`` only in
-        inline-engine mode).  The row must be recorded *before* the
-        leaf-object ``continue``s, and array children are copied —
-        ``obj.slots`` is the mutator's live buffer, not ours to keep.
-        """
-        # The row buffer allocates tens of thousands of small tuples in one
-        # burst, which trips the host interpreter's cyclic GC *inside the
-        # measured pause* — and its young-generation scan of the simulator's
-        # own object graph dwarfs the row appends themselves.  Defer it to
-        # mutator time, like the serialization it feeds.
-        host_gc_was_enabled = _host_gc.isenabled()
-        if host_gc_was_enabled:
-            _host_gc.disable()
-        try:
-            if self.engine is None and self.track_paths and not self.snapshot.moving:
-                self._drain_snapshot_paths_addr()
-            else:
-                self._drain_snapshot_generic()
-        finally:
-            if host_gc_was_enabled:
-                _host_gc.enable()
-
-    def _drain_snapshot_paths_addr(self) -> None:
-        """Snapshot capture, Infrastructure configuration, non-moving
-        collector: :meth:`_drain_paths` plus one bare-address append per
-        live object (the sink re-reads the heap at flush time)."""
-        sink = self.snapshot
-        rows = sink.rows
-        record = rows.append
-        stack = self._stack
-        table = self._table
-        marks = self._marks
-        push = stack.append
-        mark = marks.add
-        tag_bit = ADDRESS_TAG_BIT
-        objects = edges = tagged = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    continue
-                push(entry | tag_bit)
-                tagged += 1
-                record(entry)
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        continue
-                    children = obj.slots
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    children = map(obj.slots.__getitem__, ref_slots)
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    if child in marks:
-                        continue
-                    if child not in table:
-                        raise InvalidAddressError(f"no live object at {child:#x}")
-                    mark(child)
-                    objects += 1
-                    push(child)
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
-
-    def _drain_snapshot_generic(self) -> None:
-        """Snapshot capture for every other tracer configuration."""
-        sink = self.snapshot
-        rows = sink.rows
-        record = rows.append
-        stack = self._stack
-        table = self._table
-        marks = self._marks
-        push = stack.append
-        mark = marks.add
-        tag_bit = ADDRESS_TAG_BIT
-        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
-        unshared_bit = hdr.UNSHARED_BIT
-        track = self.track_paths
-        freeze = sink.moving
-        engine = self.engine
-        inline = engine is not None and getattr(engine, "INLINE_HEADER_CHECKS", False)
-        repeats_armed = False
-        if inline:
-            slow_first = engine.on_first_encounter_slow
-            slow_repeat = engine.on_repeat_encounter_slow
-            repeats_armed = armed_checks(engine)[1]
-        elif engine is not None:
-            on_first = engine.on_first_encounter
-            on_repeat = engine.on_repeat_encounter
-        objects = edges = tagged = instance_incrs = dangling = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if track:
-                    if entry & tag_bit:
-                        continue
-                    push(entry | tag_bit)
-                    tagged += 1
-                if not freeze:
-                    record(entry)
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        if freeze:
-                            record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    children = obj.slots[:] if freeze else obj.slots
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        if freeze:
-                            record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]  # a row keeps it
-                if freeze:
-                    record((entry, obj, obj.alloc_seq, children))
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    if child in marks:
-                        if inline:
-                            if repeats_armed:
-                                cobj = table[child]
-                                if cobj.status & unshared_bit:
-                                    slow_repeat(cobj, self, obj)
-                        elif engine is not None:
-                            on_repeat(table[child], self, obj)
-                        continue
-                    cobj = table.get(child)
-                    if cobj is None:
-                        dangling = 1
-                        raise InvalidAddressError(f"no live object at {child:#x}")
-                    mark(child)
-                    objects += 1
-                    if inline:
-                        if cobj.status & first_slow_bits:
-                            slow_first(cobj, self, obj)
-                        ccls = cobj.cls
-                        if ccls.instance_limit is not None:
-                            ccls.instance_count += 1
-                            instance_incrs += 1
-                    elif engine is not None:
-                        on_first(cobj, self, obj)
-                    push(child)
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            if track:
-                stats.path_entries_tagged += tagged
-            if inline:
-                stats.header_bit_checks += edges - dangling
-                stats.instance_count_increments += instance_incrs
 
     # -- generic (pre-specialization) drain ----------------------------------------
 

@@ -6,11 +6,14 @@ the motivating SwapLeak in particular — also needs the ownership view:
 *what is keeping the object alive and how much does it cost*.  This package
 adds that view as four layers on top of the existing collector machinery:
 
-* **Capture** (:mod:`repro.snapshot.capture`) — a streaming snapshot
-  recorder piggybacked on the tracer's specialized drains (the same
-  protocol as ``INLINE_HEADER_CHECKS``): while the collector marks, the
-  drain appends one compact row per live object; serialization to the
-  versioned JSONL+index format happens after the pause ends.  A
+* **Capture** (:mod:`repro.snapshot.capture`) — a snapshot is read off
+  the collection's mark set: once ``post_mark`` has returned,
+  ``heap.marks`` is the heap the mutator resumes with, and the collector
+  takes one compact row per marked address there, before anything is
+  reclaimed or relocated (the bare address under a non-moving collector;
+  address, epoch and edges frozen under a copying one).  No tracer loop
+  knows about it; serialization to the versioned JSONL+index format
+  happens after the pause ends.  A
   :class:`~repro.snapshot.capture.SnapshotPolicy` on the VM decides *when*
   (``every_n_gcs``, ``on_violation``, manual), and
   :func:`~repro.snapshot.capture.capture_snapshot` walks the heap between

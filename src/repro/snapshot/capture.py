@@ -1,24 +1,27 @@
-"""Snapshot capture: piggybacked on tracing, or standalone between GCs.
+"""Snapshot capture: read off a collection's mark set, or standalone between GCs.
 
-Piggybacked capture follows the tracer-specialization protocol of
-``INLINE_HEADER_CHECKS``: when a :class:`SnapshotPolicy` decides a
-collection should be captured, the collector hands the tracer a
-:class:`SnapshotSink` and the drain switches to a fused variant
-(:meth:`repro.gc.tracer.Tracer._drain_snapshot`) that appends one compact
-row per live object as a by-product of the marking it is already doing —
-O(1) extra memory per object, no second heap walk.  Rows are recorded *at
-mark time* so the snapshot is consistent even under the copying
-collectors, which relocate objects (and restamp ``alloc_seq``) later in
-the same pause.  Serialization to the JSONL format is deliberately *not*
-in-pause: the collector calls :meth:`SnapshotPolicy.finish_capture` after
-its ``gc_seconds`` timer closes, so capture adds only the row-append cost
+Piggybacked capture adds no traversal and no tracer loop.  Every collector
+marks into one set, ``heap.marks``, and once ``post_mark`` has returned
+that set *is* the heap the mutator will resume with: the ownership phase's
+marks are in it, self-sustained owner regions and ``FORCE`` victims have
+been taken out, and the sweep (or the evacuation) is about to read it.
+That is the capture window.  When a :class:`SnapshotPolicy` wants this
+collection, ``Collector._run_mark_phase`` fills a :class:`SnapshotSink`
+there, once, from the mark that *completed* (a hardened retry included):
+:meth:`SnapshotSink.record_marked` takes the roots as they stand and one
+row per marked address — O(1) extra memory per object, no second heap
+walk.  The window closes before anything is relocated, so the rows are
+consistent under the copying collectors too (see the two row encodings on
+:class:`SnapshotSink`).  Serialization to the JSONL format is deliberately
+*not* in-pause: the collector calls :meth:`SnapshotPolicy.finish_capture`
+after its ``gc_seconds`` timer closes, so capture adds only the row cost
 to GC time (priced by the ``gc.tracer.snapshot_edges_per_s`` probe of
 ``benchmarks/e2e``) and the write cost to mutator time.
 
-With no policy installed nothing changes anywhere: the tracer's drain
-dispatch tests one attribute against ``None`` and the collectors never
-consult the policy — the zero-overhead-when-off discipline the telemetry
-subsystem established.
+With no policy installed nothing changes anywhere: the mark phase tests
+one attribute against ``None`` per collection and never consults a policy
+— the zero-overhead-when-off discipline the telemetry subsystem
+established.
 
 :func:`capture_snapshot` is the standalone path — a read-only visited-set
 walk from the VM's roots that never touches ``heap.marks``, usable between
@@ -27,9 +30,10 @@ collections (the CLI and the ``on_violation`` trigger use it).
 
 from __future__ import annotations
 
+import gc as _host_gc
 import os
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
@@ -46,27 +50,36 @@ if TYPE_CHECKING:
 _TRANSIENT_BITS = hdr.OWNED_BIT
 
 
+def _frozen_rows(table, addresses):
+    """``(address, obj, alloc_seq, edges)`` per address, as ``table`` has
+    them now; ``edges`` is a fresh list of the non-NULL reference slots."""
+    for address in addresses:
+        obj = table[address]
+        edges = [c for c in obj.reference_slots() if c != NULL]
+        yield address, obj, obj.alloc_seq, edges
+
+
 class SnapshotSink:
-    """In-pause buffer for one piggybacked capture.
+    """In-pause buffer for one piggybacked capture, filled by
+    :meth:`record_marked` and serialized by :meth:`flush`.
 
     Two row encodings, chosen by how much the collector is allowed to
-    disturb between mark time and flush time:
+    disturb between the capture window and flush time:
 
-    * ``moving=True`` (semispace, generational) — the tracer appends
-      ``(address, obj, alloc_seq, children)`` tuples: address/
-      ``alloc_seq``/children frozen at mark time (the collector relocates
-      and restamps later in the same pause), the object reference kept
-      for the stable attributes (type, size, sticky header bits,
-      allocation site) read at flush time.  ``children`` is ``None`` for
-      leaf objects and always a fresh list otherwise — never an alias of
+    * ``moving=True`` (semispace, generational) — one
+      ``(address, obj, alloc_seq, edges)`` tuple per marked address:
+      address/``alloc_seq``/edges frozen in the window (the collector
+      relocates and restamps later in the same pause), the object
+      reference kept for the stable attributes (type, size, sticky header
+      bits, allocation site) read at flush time.  ``edges`` is always a
+      fresh list of the non-NULL reference slots — never an alias of
       ``obj.slots``, which the mutator resumes scribbling on after the
       pause.
     * ``moving=False`` (marksweep) — nothing relocates, nothing is
       restamped, and :meth:`flush` runs before the mutator does, so the
-      mark-time view is still fully intact in the heap itself.  The
-      tracer appends the bare address — one ``int`` per live object, the
-      cheapest record a drain can make — and flush re-reads everything
-      through ``heap``.
+      survivors are still fully intact in the heap itself.  The rows are
+      a plain copy of the mark set — the cheapest record there is — and
+      flush re-reads everything through ``heap``.
     """
 
     __slots__ = (
@@ -98,11 +111,37 @@ class SnapshotSink:
         self.trigger = trigger
         self.heap_bytes = heap_bytes
         self.heap = heap
-        #: False switches the drain to bare-address rows (see class doc).
+        #: False selects bare-address rows (see class doc).
         self.moving = moving or heap is None
         self.roots: list[tuple[str, int]] = []
-        self.rows: list = []
+        self.rows: Collection = ()
         self.started = time.perf_counter()
+
+    def record_marked(self, heap, roots) -> None:
+        """Fill the sink from a completed mark: the non-NULL ``roots`` as
+        they stand and one row per address in ``heap.marks``.
+
+        Only meaningful between the end of ``post_mark`` and the start of
+        reclamation, when the mark set is exactly the survivor set.
+        """
+        self.roots = [entry for entry in roots if entry[1] != NULL]
+        marks = heap.marks
+        if not self.moving:
+            self.rows = set(marks)
+            return
+        # One tuple and one list per survivor, in one burst, trips the host
+        # interpreter's cyclic GC *inside the measured pause* — and its
+        # young-generation scan of the simulator's own object graph dwarfs
+        # the rows themselves.  Defer it to mutator time, like the
+        # serialization the rows feed.
+        host_gc_was_enabled = _host_gc.isenabled()
+        if host_gc_was_enabled:
+            _host_gc.disable()
+        try:
+            self.rows = list(_frozen_rows(heap.address_table(), marks))
+        finally:
+            if host_gc_was_enabled:
+                _host_gc.enable()
 
     def flush(self) -> dict:
         """Serialize the buffered rows; returns the writer's summary.
@@ -121,36 +160,21 @@ class SnapshotSink:
         try:
             for desc, addr in self.roots:
                 writer.write_root(desc, addr)
-            if self.moving:
-                for addr, obj, alloc_seq, children in self.rows:
-                    edges = (
-                        [c for c in children if c != NULL]
-                        if children is not None
-                        else []
-                    )
-                    writer.write_object(
-                        addr,
-                        obj.cls.name,
-                        obj.size_bytes,
-                        obj.status & ~_TRANSIENT_BITS,
-                        alloc_seq,
-                        obj.alloc_site,
-                        edges,
-                    )
-            else:
-                table = self.heap.address_table()
-                for addr in self.rows:
-                    obj = table[addr]
-                    edges = [c for c in obj.reference_slots() if c != NULL]
-                    writer.write_object(
-                        addr,
-                        obj.cls.name,
-                        obj.size_bytes,
-                        obj.status & ~_TRANSIENT_BITS,
-                        obj.alloc_seq,
-                        obj.alloc_site,
-                        edges,
-                    )
+            # Address order: a set has none worth keeping, and addresses
+            # are unique, so a tuple row sorts by its address too.
+            rows = sorted(self.rows)
+            if not self.moving:
+                rows = _frozen_rows(self.heap.address_table(), rows)
+            for addr, obj, alloc_seq, edges in rows:
+                writer.write_object(
+                    addr,
+                    obj.cls.name,
+                    obj.size_bytes,
+                    obj.status & ~_TRANSIENT_BITS,
+                    alloc_seq,
+                    obj.alloc_site,
+                    edges,
+                )
             return writer.finish()
         except BaseException:
             writer.abort()
@@ -297,9 +321,10 @@ class SnapshotPolicy:
 
     # -- collector protocol (called from gc/base.py) ---------------------------------
 
-    def begin_capture(self, collector: "Collector", reason: str) -> Optional[SnapshotSink]:
-        """Called as the collector builds its tracer; a non-``None`` return
-        switches this collection's drain to the snapshot variant."""
+    def begin_capture(self, collector: "Collector") -> Optional[SnapshotSink]:
+        """Called once per full collection, when its mark phase has
+        completed; a non-``None`` return is the sink the collector fills
+        from the mark set there and flushes after the pause."""
         gc_number = collector.stats.collections
         if self._capture_next:
             trigger = "manual"

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import ReproError
@@ -275,6 +276,21 @@ class HeapSnapshot:
                 raise SnapshotFormatError(f"{path}: unknown line kind {kind!r}")
         if meta is None:
             raise SnapshotFormatError(f"{path}: missing snapshot header line")
+        # A complete capture is closed: whatever a root or an edge names
+        # was itself recorded.  A truncated body must not load, or every
+        # analysis silently skips what is missing.
+        named = chain(
+            (addr for _desc, addr in roots),
+            chain.from_iterable(rec.edges for rec in objects.values()),
+        )
+        missing = sorted({addr for addr in named if addr not in objects})
+        if missing:
+            shown = ", ".join(f"{addr:#x}" for addr in missing[:5])
+            raise SnapshotFormatError(
+                f"{path}: {len(missing)} address(es) named by a root or an edge "
+                f"have no obj line (truncated capture?): {shown}"
+                + (", ..." if len(missing) > 5 else "")
+            )
         return cls(meta, roots, objects, summary, path=path)
 
     # -- queries ------------------------------------------------------------------

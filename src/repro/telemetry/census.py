@@ -39,27 +39,6 @@ def take_census(
     return heap.live_by_class_slow(skip)
 
 
-def merge_censuses(
-    partials: Iterable[dict[str, "CensusRow | list[int]"]],
-) -> dict[str, CensusRow]:
-    """Merge zone-local census partials into one whole-heap summary.
-
-    Parallel marking must not bump a shared census dict from its drain
-    loops — under concurrent per-zone updates a read-modify-write against
-    a shared row is a lost-update race.  The discipline is: each zone
-    (worker) accumulates into its *own* dict, and the coordinator merges
-    the partials here, at pause end, on one thread.  Rows may arrive as
-    tuples or as the 2-element lists workers mutate in place; the merged
-    result is normalized to tuples, same shape as :func:`take_census`.
-    """
-    merged: dict[str, CensusRow] = {}
-    for partial in partials:
-        for name, row in partial.items():
-            count, nbytes = merged.get(name, (0, 0))
-            merged[name] = (count + row[0], nbytes + row[1])
-    return merged
-
-
 class ClassCensus:
     """Aligned per-class time series of live instance counts and bytes.
 

@@ -24,7 +24,6 @@ from repro.heap.zones import (
     ZonedFreeListSpace,
 )
 from repro.runtime.vm import VirtualMachine
-from repro.telemetry.census import merge_censuses, take_census
 from tests.conftest import make_node_class
 
 HEAP = 256 << 10
@@ -135,29 +134,6 @@ class TestMerges:
         assert merged.gc_seconds == 0.5
         # Inputs are untouched.
         assert pause.objects_traced == 10 and partial.objects_traced == 7
-
-    def test_merge_censuses_folds_rows(self):
-        merged = merge_censuses(
-            [
-                {"Node": (3, 96), "Leaf": (1, 16)},
-                {"Node": [2, 64]},
-                {},
-            ]
-        )
-        assert merged == {"Node": (5, 160), "Leaf": (1, 16)}
-
-    def test_parallel_census_matches_post_gc_take_census(self):
-        # The merged per-zone census must equal a census walked over the
-        # whole heap at pause end — the lost-update race the zone-local
-        # accumulation discipline exists to prevent would break this.
-        vm = _grown_vm(gc_workers=4)
-        vm.gc("census check")
-        report = vm.collector.last_parallel_mark
-        assert report is not None
-        ground_truth = take_census(
-            vm.heap, skip=vm.collector.pending_garbage_predicate()
-        )
-        assert report.census == ground_truth
 
 
 # -- sequential/parallel identity -------------------------------------------------------

@@ -395,9 +395,10 @@ DRAINS = {
     "plain": lambda vm, s: Tracer(vm.heap, s, None, track_paths=False),
     "paths": lambda vm, s: Tracer(vm.heap, s, None, track_paths=True),
     "engine-unarmed": lambda vm, s: Tracer(vm.heap, s, vm.engine, track_paths=True),
+    # A tracer handed a sink drains like any other and fills it afterwards.
     "snapshot": lambda vm, s: Tracer(vm.heap, s, None, True, True, SnapshotSink("", heap=vm.heap, moving=False)),
-    "snapshot-generic": lambda vm, s: Tracer(vm.heap, s, vm.engine, True, True, SnapshotSink("", heap=vm.heap, moving=True)),
     "generic": lambda vm, s: Tracer(vm.heap, s, None, track_paths=True, specialized=False),
+    "generic-plain": lambda vm, s: Tracer(vm.heap, s, None, track_paths=False, specialized=False),
 }
 
 
@@ -426,9 +427,34 @@ def test_side_marks_every_drain_counts_the_same_objects_and_edges():
         seen[name] = (stats.objects_traced, stats.edges_traced)
         if tracer.track_paths:
             assert stats.path_entries_tagged == stats.objects_traced, name
+        if tracer.snapshot is not None:
+            assert set(tracer.snapshot.rows) == vm.heap.marks and len(vm.heap.marks) == GRAPH_NODES
+            assert tracer.snapshot.roots == list(vm.root_entries())
     # Every node is marked once (the root by the root scan, like the rest);
     # every node but the first has one spine edge in and one cross edge out.
     assert set(seen.values()) == {(GRAPH_NODES, 2 * GRAPH_NODES - 2)}, seen
+
+
+def test_side_marks_every_drain_loop_is_reached_by_some_entry(monkeypatch):
+    """``DRAINS`` is what puts a loop under the two oracles above, so a
+    ``Tracer._drain_*`` that no entry reaches is a loop nothing checks."""
+    loops = sorted(name for name in vars(Tracer) if name.startswith("_drain_"))
+    reached = set()
+
+    def recorded(name, loop):
+        def wrapper(tracer, *args, **kwargs):
+            reached.add(name)
+            return loop(tracer, *args, **kwargs)
+
+        return wrapper
+
+    for name in loops:
+        monkeypatch.setattr(Tracer, name, recorded(name, getattr(Tracer, name)))
+    for make_tracer in DRAINS.values():
+        vm = graph_vm(8)
+        vm.define_class("D", [("x", FieldKind.REF)])  # what "engine-armed" allocates
+        make_tracer(vm, GcStats()).trace(vm.root_entries())
+    assert loops and reached == set(loops)
 
 
 class _MarksWithoutTheTableTest(Tracer):

@@ -14,6 +14,8 @@ import os
 import pytest
 
 from repro.baselines.cork import TypeGrowthProfiler
+from repro.core.reporting import AssertionKind
+from repro.core.reactions import Reaction
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from repro.snapshot import (
@@ -31,7 +33,7 @@ from repro.snapshot import (
 )
 from repro.telemetry.census import ClassCensus
 from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
-from tests.conftest import ALL_COLLECTORS
+from tests.conftest import ALL_COLLECTORS, build_chain, make_node_class
 
 # -- graph scaffolding ------------------------------------------------------------------
 
@@ -198,7 +200,7 @@ class TestRoundTrip:
     def test_piggyback_matches_standalone(self, tmp_path, collector):
         """The in-pause capture equals a standalone pre-GC walk.
 
-        Pre-GC because the piggybacked rows are frozen at mark time: for
+        Pre-GC because the piggybacked rows are frozen at mark end: for
         the copying collectors they carry from-space addresses, i.e. the
         addresses the heap had *before* the collection.
         """
@@ -243,6 +245,103 @@ class TestRoundTrip:
             "bytes_freed",
         ):
             assert getattr(plain, counter) == getattr(captured, counter), counter
+
+    # -- "a piggybacked snapshot is the heap the mutator resumes with" -----------------
+    #
+    # Each shape is a heap on which what the root-scan drain *pops* differs
+    # from what the collection *keeps*; all of them leave every survivor
+    # root reachable, so a standalone walk after the pause is the oracle.
+
+    def _shape_ownership(self, collector):
+        """``owner -> mid -> ownee -> below``: phase 1 marks everything
+        under the owner, and the root scan prunes at marks."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+        nodes = build_chain(vm, make_node_class(vm), 4, root_name="owner")
+        vm.assertions.assert_ownedby(nodes[0], nodes[2], site="own")
+        return vm
+
+    def _shape_force(self, collector):
+        """A reachable ``assert_dead`` victim under FORCE: ``post_mark``
+        unmarks it and severs the edge, after the drain has been there."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+        vm.engine.policy.set_reaction(AssertionKind.DEAD, Reaction.FORCE)
+        nodes = build_chain(vm, make_node_class(vm), 4)
+        vm.assertions.assert_dead(nodes[3], site="forced")
+        return vm
+
+    def _shape_demoted_cycle(self, collector):
+        """A root-less ``{owner -> ownee -> owner}`` beside a live chain:
+        phase 1 marks the cycle, ``post_mark`` takes the marks back."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+        cls = make_node_class(vm)
+        build_chain(vm, cls, 3)
+        with vm.scope("cycle"):
+            owner, ownee = vm.new(cls), vm.new(cls)
+            owner["next"], ownee["next"] = ownee, owner
+            vm.assertions.assert_ownedby(owner, ownee, site="cycle")
+        return vm
+
+    def _shape_hardened_retry(self, collector):
+        """The armed slow hook raises once mid-drain; the retry's marks
+        are the collection's, so they are what gets captured."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector, hardened=True)
+        nodes = build_chain(vm, make_node_class(vm), 6)
+        vm.assertions.assert_dead(nodes[3], site="arms the slow hook")
+        engine = vm.engine
+
+        def raises_once(*args):
+            del engine.on_first_encounter_slow
+            raise RuntimeError("injected mid-drain fault")
+
+        engine.on_first_encounter_slow = raises_once
+        return vm
+
+    def _shape_workers2(self, collector):
+        """Marks land in the same set whichever drain put them there."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector, gc_workers=2)
+        build_graph(vm, *DIAMOND)
+        return vm
+
+    @pytest.mark.parametrize(
+        "collector,shape",
+        [
+            (collector, shape)
+            for shape in ("ownership", "force", "demoted_cycle", "hardened_retry", "workers2")
+            for collector in ALL_COLLECTORS
+            if (collector, shape) != ("semispace", "workers2")  # no parallel mark
+        ],
+    )
+    def test_piggyback_is_the_heap_the_mutator_resumes_with(self, tmp_path, collector, shape):
+        vm = getattr(self, f"_shape_{shape}")(collector)
+        policy = SnapshotPolicy(str(tmp_path / "pig"), every_n_gcs=1).attach(vm)
+        vm.gc("piggyback capture")
+        vm.collector.sweep_all()
+        recovery = vm.collector.recovery
+        assert len(policy.captured) == 1 and recovery.snapshot_failures == 0
+        if shape == "hardened_retry":
+            assert recovery.engine_degradations == 1
+        if shape == "workers2":
+            assert vm.collector.last_parallel_mark is not None
+
+        piggy = load_snapshot(policy.captured[0])
+        standalone = str(tmp_path / "after.jsonl")
+        vm.capture_snapshot(standalone)
+        after = load_snapshot(standalone)
+        assert len(after) == len(vm.heap.address_table())  # the oracle's premise
+        if collector == "marksweep":
+            assert set(piggy.objects) == set(vm.heap.address_table())
+            assert piggy.identities() == after.identities()
+            assert piggy.edge_multiset() == after.edge_multiset()
+            assert piggy.roots == after.roots
+        else:
+            # The rows carry from-space addresses; compare what survives a move.
+            assert len(piggy) == len(after)
+            assert piggy.type_summary() == after.type_summary()
+            assert sum(piggy.edge_multiset().values()) == sum(after.edge_multiset().values())
+            assert [desc for desc, _ in piggy.roots] == [desc for desc, _ in after.roots]
+        # Closed under its own edges and roots.
+        named = {dst for _src, dst in piggy.edge_multiset()} | {a for _d, a in piggy.roots}
+        assert named <= set(piggy.objects)
 
     def test_uninstalled_vm_has_no_snapshot_hooks(self):
         vm = VirtualMachine(heap_bytes=1 << 20)
@@ -289,6 +388,20 @@ class TestFormat:
             handle.write('{"kind": "mystery"}\n')
         with pytest.raises(SnapshotFormatError, match="unknown line kind"):
             load_snapshot(path)
+
+    def test_truncated_body_is_rejected(self, tmp_path):
+        """A snapshot is closed by definition: dropping one ``obj`` line
+        leaves an edge naming nothing, and that must not load."""
+        path, addresses = self._capture(tmp_path)
+        lines = open(path).read().splitlines()
+        d_line = {"kind": "obj", "addr": addresses["D"]}.items()
+        kept = [line for line in lines if not d_line <= json.loads(line).items()]
+        assert len(kept) == len(lines) - 1
+        truncated = str(tmp_path / "truncated.jsonl")
+        with open(truncated, "w") as handle:
+            handle.write("\n".join(kept) + "\n")
+        with pytest.raises(SnapshotFormatError, match=rf"1 address.*no obj line.*{addresses['D']:#x}"):
+            load_snapshot(truncated)
 
     def test_index_point_lookup(self, tmp_path):
         path, addresses = self._capture(tmp_path)
