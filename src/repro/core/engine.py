@@ -108,21 +108,11 @@ class AssertionEngine:
         if vm is None:
             return
         collector = vm.collector
-        recovery = getattr(collector, "recovery", None)
-        if recovery is not None:
-            recovery.engine_degradations += 1
-        telemetry = vm.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_degradation("engine", f"{phase}: {detail}", seq=self._gc_number)
-        spans = collector.span_tracer
-        if spans is not None:
-            spans.instant(
-                "engine_degraded",
-                cat="assertion",
-                phase=phase,
-                gc=self._gc_number,
-                reason=detail,
-            )
+        collector.recovery.engine_degradations += 1
+        collector.record_degradation(
+            "engine", f"{phase}: {detail}", instant="engine_degraded", cat="assertion",
+            phase=phase, gc=self._gc_number, reason=detail,
+        )
 
     def _budget_spent(self) -> bool:
         """Count one check against the per-pause budget; True once blown."""
@@ -343,7 +333,7 @@ class AssertionEngine:
         promotion (see GenerationalCollector.collect)."""
         purge_info = self.registry.purge_freed(freed)
         collector = self.vm.collector if self.vm is not None else None
-        self._process_owner_deaths(collector, purge_info["dead_owners"])
+        self.process_owner_deaths(collector, purge_info["dead_owners"])
 
     def finalize(self, collector: "Collector") -> None:
         """Per-GC accounting and violation dispatch (may raise on HALT)."""
@@ -471,7 +461,7 @@ class AssertionEngine:
                     details={"type": cls.name, "count": cls.instance_count, "limit": limit},
                 )
 
-    def _process_owner_deaths(self, collector: Optional["Collector"], dead_owners: list[int]) -> None:
+    def process_owner_deaths(self, collector: Optional["Collector"], dead_owners: list[int]) -> None:
         """Drop records whose owner was reclaimed.
 
         The owner's surviving ownees are *not* reported: they are usually
@@ -516,8 +506,6 @@ class AssertionEngine:
         self._resolve_reactions()
         pending, self._pending = self._pending, []
         telemetry = self.vm.telemetry if self.vm is not None else None
-        if telemetry is not None and not telemetry.enabled:
-            telemetry = None
         spans = self.vm.collector.span_tracer if self.vm is not None else None
         halt: Optional[Violation] = None
         for violation in pending:

@@ -9,7 +9,8 @@ on hardened VMs, then asserts the contract the robustness layer makes:
   anything else escaping is a harness failure;
 * **the heap recovers** — after a final recovery collection and
   ``sweep_all``, :func:`~repro.gc.verify.verify_heap` finds zero
-  problems and the heap's fast/slow byte accountings agree;
+  problems (the byte, census and live-object counters against a walk of
+  the table are its ``accounting-agreement`` entry);
 * **coverage** — every fault kind in the plan was applied at least once
   (the injector's ``apply_remaining`` backstop guarantees this even for
   short workloads);
@@ -27,9 +28,10 @@ Each cell runs in its own VM with telemetry on, a snapshot policy
 capturing every 2nd GC into a temp directory, and a growth ceiling of
 2× the workload heap so the OOM ladder has headroom.  Between the
 fault backstop and the recovery collection a *read-only* paranoid probe
-(:func:`~repro.gc.verify.verify_heap` with ``finish_lazy_sweep=False,
-paranoid=True``) walks the damaged heap; what it flags there is
-detection evidence, not a cell failure.
+(:func:`~repro.gc.verify.heap_findings`, both tiers,
+``finish_lazy_sweep=False``) walks the damaged heap; what it flags there
+is detection evidence, filed under the invariant's name, not a cell
+failure.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Callable, Optional
 from repro.core.reporting import AssertionKind
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector, FaultPlan
-from repro.gc.verify import verify_heap
+from repro.gc.verify import BOTH_TIERS, heap_findings, iter_spaces, verify_heap
 from repro.runtime.vm import VirtualMachine
 from repro.verify.coverage import CoverageMatrix, detect_cell, detect_tenant_cell
 
@@ -179,17 +181,7 @@ class ChaosReport:
 
 def _pending_refusals(collector) -> int:
     """Armed-but-unconsumed allocation refusals across every space/shard."""
-    from repro.verify.paranoid import _SPACE_ATTRS
-
-    total = 0
-    for attr in _SPACE_ATTRS:
-        space = getattr(collector, attr, None)
-        if space is None:
-            continue
-        total += getattr(space, "_fault_refusals", 0)
-        for shard in getattr(space, "shards", None) or ():
-            total += getattr(shard, "_fault_refusals", 0)
-    return total
+    return sum(space._fault_refusals for _name, space in iter_spaces(collector))
 
 
 def run_cell(
@@ -237,9 +229,7 @@ def run_cell(
         # Read-only detection probe: the paranoid walker sees the injected
         # damage *before* recovery repairs it.  Its findings are coverage
         # evidence for the fault → invariant matrix, never cell failures.
-        probe_problems = verify_heap(
-            vm, raise_on_error=False, finish_lazy_sweep=False, paranoid=True
-        )
+        probe = heap_findings(vm, BOTH_TIERS, finish_lazy_sweep=False)
         pending_refusals = _pending_refusals(vm.collector)
 
         # Recovery: one full collection over the (possibly corrupt) heap,
@@ -259,22 +249,6 @@ def run_cell(
             result.failures.append(
                 f"verify_heap found {len(problems)} problem(s) after recovery: "
                 + "; ".join(problems[:3])
-            )
-        heap = vm.heap
-        if heap.live_bytes() != heap.live_bytes_slow():
-            result.failures.append(
-                f"byte accounting drifted: fast={heap.live_bytes()} "
-                f"slow={heap.live_bytes_slow()}"
-            )
-        if heap.live_by_class() != heap.live_by_class_slow():
-            result.failures.append(
-                f"census counters drifted: fast={heap.live_by_class()} "
-                f"slow={heap.live_by_class_slow()}"
-            )
-        if heap.stats.objects_live != len(heap.address_table()):
-            result.failures.append(
-                f"live-object counter drifted: stats={heap.stats.objects_live} "
-                f"table={len(heap.address_table())}"
             )
 
         result.kinds_applied = injector.kinds_applied()
@@ -306,7 +280,7 @@ def run_cell(
             vm.telemetry.close()
         result.recovery = vm.collector.recovery.snapshot()
         result.collections = vm.stats.collections
-        result.detections = detect_cell(result, probe_problems, pending_refusals)
+        result.detections = detect_cell(result, probe, pending_refusals)
         injector.detach()
     return result
 

@@ -8,6 +8,12 @@ off, a collector behaves exactly like the unmodified VM — the paper's
 registered, the per-object hook costs are still paid — the paper's
 **Infrastructure** configuration.  Registered assertions add their own
 checking work on top — **WithAssertions**.
+
+The full-collection sequence lives here once, in :meth:`Collector.collect`;
+a collector keeps only what differs — its prologue, its reclaim, its log
+tag — so the integrity brackets (the hardened sentinel and the paranoid
+walk, two readers of the invariant catalogue in :mod:`repro.gc.verify`)
+have one call site.
 """
 
 from __future__ import annotations
@@ -95,6 +101,8 @@ class Collector:
     name = "abstract"
     #: True when the collector can move objects (handles must expect it).
     moving = False
+    #: What a full collection's ``gc_log`` line starts with.
+    log_tag = "GC"
 
     def __init__(
         self,
@@ -109,8 +117,8 @@ class Collector:
         self.engine = engine
         #: Hardened mode: pre/post-GC integrity sentinel with quarantine,
         #: mid-mark recovery, and engine-exception containment.  Off by
-        #: default — the sentinel is an O(heap) scan per collection, so it is
-        #: a chaos/diagnostics knob, not a production default.
+        #: default (the sentinel is an O(heap) scan per collection); the
+        #: service turns it on for every tenant VM.
         self.hardened = hardened
         #: Growth ceiling for OOM recovery; None disables heap growth.
         self.max_heap_bytes = max_heap_bytes
@@ -177,15 +185,67 @@ class Collector:
     def write_barrier(self, src: HeapObject, new_address: int) -> None:
         """Reference-store hook (used by the generational collector)."""
 
+    # -- the pause skeleton --------------------------------------------------------------
+
     def collect(self, reason: str = "explicit") -> None:
+        """A full-heap collection: the one sequence every collector runs.
+
+        Prologue, pre-GC bracket, the timed pause (the shared mark phase,
+        then the subclass's :meth:`_reclaim`), the epilogue and — the pause
+        timer closed — snapshot flush, telemetry record, post-GC bracket.
+        """
+        with self._span("collect", kind="full", reason=reason):
+            self._prologue()
+            self._bracket("pre-gc")
+            pending = self._telemetry_begin("full", reason)
+            with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
+                self.stats.collections += 1
+                self.stats.full_collections += 1
+                self.gc_log.append(f"{self.log_tag} {self.stats.collections}: {reason}")
+                self._run_mark_phase(self._make_tracer())
+                freed, fwd = self._reclaim()
+            self._finish_collection(freed, fwd)
+            # Serialization is mutator-side cost: the pause timer is closed.
+            self._snapshot_flush()
+            self._telemetry_end(pending)
+            self._bracket("post-gc")
+
+    def _prologue(self) -> None:
+        """Work owed before a new trace, outside the measured pause.  A lazy
+        sweeper repays its debt here: the ownership phase must not walk a
+        dead owner's record (it would resurrect the region), and the mark
+        set the pending chunks are judged by belongs to the old cycle."""
+
+    def _reclaim(self) -> tuple[Optional[set[int]], Optional[dict[int, int]]]:
+        """Reclaim what the mark phase left unmarked; ``(freed, forwarding)``.
+
+        ``freed`` is what the epilogue has yet to purge from the
+        address-keyed metadata, or ``None`` when nothing is left for it: the
+        collector purged before a freed cell could be reused, or deferred
+        the sweep, whose chunks purge as they go.
+        """
         raise NotImplementedError
+
+    def _bracket(self, phase: str) -> None:
+        """The integrity bracket on either side of a full collection: the
+        repairing sentinel when hardened, then the raising paranoid walk.
+
+        Under sweep debt (a lazy pause just ended; the prologue repays it
+        before the next) the sentinel sits out: the dead are in the table
+        and the mark set is what keeps unswept survivors alive.  The
+        paranoid walk is read-only and debt-aware, so it always runs.
+        """
+        if self.hardened and not self.sweep_debt():
+            self._sentinel_check(phase)
+        if self.paranoid:
+            self._paranoid_check(phase)
 
     # -- telemetry emit path ----------------------------------------------------------
 
     def _telemetry_begin(self, kind: str, trigger: str) -> Optional["_PendingCollection"]:
-        """Open a per-collection telemetry record; None when disabled."""
+        """Open a per-collection telemetry record; None when telemetry is off."""
         telemetry = self.telemetry
-        if telemetry is None or not telemetry.enabled:
+        if telemetry is None:
             return None
         return telemetry.begin_collection(self, kind, trigger)
 
@@ -195,11 +255,23 @@ class Collector:
         if pending is not None:
             self.telemetry.finish_collection(pending, self)
 
-    def _telemetry_allocation(self, nbytes: int) -> None:
-        """Record one allocation request size (hot path: keep it tiny)."""
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.alloc_hist.record(nbytes)
+    def record_degradation(
+        self,
+        kind: str,
+        detail: str,
+        log: Optional[str] = None,
+        instant: Optional[str] = None,
+        cat: str = "gc",
+        **instant_args,
+    ) -> None:
+        """One recovery-path activation, told to whoever listens: a GC log
+        line, a telemetry degradation of ``kind``, a span instant."""
+        if log is not None:
+            self.gc_log.append(log)
+        if self.telemetry is not None:
+            self.telemetry.record_degradation(kind, detail, seq=self.stats.collections)
+        if instant is not None and self.span_tracer is not None:
+            self.span_tracer.instant(instant, cat=cat, **instant_args)
 
     # -- span emit path ----------------------------------------------------------------
 
@@ -231,16 +303,10 @@ class Collector:
                     self.snapshot_policy.finish_capture(self, sink)
             except Exception as exc:
                 self.recovery.snapshot_failures += 1
-                self.gc_log.append(
-                    f"snapshot serialization failed: {type(exc).__name__}: {exc}"
+                detail = f"{type(exc).__name__}: {exc}"
+                self.record_degradation(
+                    "snapshot", detail, log=f"snapshot serialization failed: {detail}"
                 )
-                telemetry = self.telemetry
-                if telemetry is not None and telemetry.enabled:
-                    telemetry.record_degradation(
-                        "snapshot",
-                        f"{type(exc).__name__}: {exc}",
-                        seq=self.stats.collections,
-                    )
 
     def _engine_call(self, phase: str, fn, *args) -> None:
         """Invoke one engine hook; in hardened mode, contain its exceptions.
@@ -396,31 +462,36 @@ class Collector:
         if self.vm is not None:
             self.vm.purge_dead_metadata(freed)
 
-    def _finish_mark_only(self, fwd: Optional[dict[int, int]] = None) -> None:
-        """Pause-end duties when the sweep is deferred (lazy mode).
+    def _finish_collection(
+        self,
+        freed: Optional[set[int]],
+        fwd: Optional[dict[int, int]] = None,
+        purge_only: bool = False,
+    ) -> None:
+        """The epilogue of every pause, full or minor: forward the metadata,
+        settle weak references, purge and dispatch, tell the observers.
 
-        Dead objects are still in the heap table; weak processing tells
-        them by the pending-garbage predicate.  Metadata purging happens
-        per chunk as debt is repaid; violation dispatch can run now because
-        the engine detected everything during marking.
+        ``freed is None`` (see :meth:`_reclaim`): nothing is left to purge,
+        so the engine only finalizes — it detected everything during
+        marking, and violation dispatch can run now.  ``purge_only`` is a
+        minor collection, which reclaims but, per §2.2, checks nothing.
         """
-        self.process_weak_references(fwd)
-        if self.engine is not None:
-            self.engine.finalize(self)
-        if self.vm is not None:
-            self.vm.on_gc_complete(set())
-
-    def _finish_collection(self, freed: set[int], fwd: Optional[dict[int, int]] = None) -> None:
+        engine, vm = self.engine, self.vm
         if fwd:
-            if self.engine is not None:
-                self.engine.apply_forwarding(fwd)
-            if self.vm is not None:
-                self.vm.apply_forwarding(fwd)
+            if engine is not None:
+                engine.apply_forwarding(fwd)
+            if vm is not None:
+                vm.apply_forwarding(fwd)
         self.process_weak_references(fwd)
-        if self.engine is not None:
-            self.engine.gc_end(self, freed)
-        if self.vm is not None:
-            self.vm.on_gc_complete(freed)
+        if engine is not None:
+            if freed is None:
+                engine.finalize(self)
+            elif purge_only:
+                engine.purge(freed)
+            else:
+                engine.gc_end(self, freed)
+        if vm is not None:
+            vm.on_gc_complete(set() if freed is None else freed)
 
     def process_weak_references(self, fwd: Optional[dict[int, int]] = None) -> None:
         """Clear weak slots whose target died; forward ones whose target moved.
@@ -454,7 +525,7 @@ class Collector:
     # -- hardened recovery surface ------------------------------------------------------
 
     def _sentinel_check(self, phase: str) -> Optional[SentinelReport]:
-        """Pre/post-GC integrity sentinel: repair + quarantine, never raise.
+        """The integrity sentinel: repair + quarantine, never raise.
 
         Callers must only invoke this when the mark set is legitimately
         empty (after ``sweep_all``, or when this collector has no sweep
@@ -467,50 +538,32 @@ class Collector:
         report = run_sentinel(
             self.vm, self.quarantine, phase=phase, scrub_freelists=self.paranoid
         )
-        if not report.clean:
-            self._heap_degraded(report)
-        return report
-
-    def _heap_degraded(self, report: SentinelReport) -> None:
-        """Record one sentinel scan that found (and fenced) corruption."""
+        if report.clean:
+            return report
         recovery = self.recovery
         recovery.heap_degradations += 1
         recovery.objects_quarantined += report.objects_quarantined
         recovery.refs_fenced += report.refs_fenced + report.roots_fenced
         recovery.stale_bits_cleared += report.stale_bits_cleared
         recovery.cells_fenced += report.freelist_scrubbed
-        self.gc_log.append(report.render())
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_degradation(
-                "heap",
-                f"{report.phase}: {len(report.problems)} problem(s), "
-                f"{report.repairs()} repair(s)",
-                seq=self.stats.collections,
-            )
-        spans = self.span_tracer
-        if spans is not None:
-            spans.instant(
-                "heap_degraded",
-                cat="gc",
-                phase=report.phase,
-                problems=len(report.problems),
-                repairs=report.repairs(),
-            )
+        problems, repairs = len(report.problems), report.repairs()
+        self.record_degradation(
+            "heap", f"{report.phase}: {problems} problem(s), {repairs} repair(s)",
+            log=report.render(),
+            instant="heap_degraded", phase=report.phase, problems=problems, repairs=repairs,
+        )
+        return report
 
     def _paranoid_check(self, phase: str) -> None:
         """Paranoid wellformedness walk around a collection.
 
-        Runs the object-graph verifier in its non-mutating form (pending lazy
+        Both tiers of the invariant catalogue, read-only (pending lazy
         garbage is excluded rather than swept — the walk must never change
-        what the collection it brackets would have done) plus the allocator
-        walker from :mod:`repro.verify.paranoid`.  Any finding raises a typed
-        :class:`~repro.gc.verify.HeapVerificationError` naming the phase.
-
-        Callers gate on ``if self.paranoid:`` and invoke this *outside* the
-        timed pause, so ``gc_time_ratio`` for the off configuration stays at
-        1.00× and the on configuration charges the walk to wall clock, not to
-        the pause ledger.
+        what the collection it brackets would have done); any finding
+        raises a typed :class:`~repro.gc.verify.HeapVerificationError`
+        naming the phase.  Callers gate on ``self.paranoid`` and run it
+        *outside* the timed pause: off costs one falsy test, on is charged
+        to wall clock, not to the pause ledger.
         """
         if self.vm is None:
             return
@@ -525,7 +578,7 @@ class Collector:
                 problems=problems,
             )
 
-    def _fence_aliased_cell(self, space, address: int, cell: int) -> None:
+    def _fence_aliased_cell(self, space, address: int) -> None:
         """Quarantine a free-list cell that aliased a live object.
 
         Corrupted free-list metadata handed out an address the heap already
@@ -535,19 +588,18 @@ class Collector:
         """
         self.quarantine.fence(address)
         self.recovery.cells_fenced += 1
+        try:
+            cell = space.cell_size(address)
+        except Exception:
+            cell = 0
         uncommit = getattr(space, "uncommit", None)
         if uncommit is not None and cell > 0:
             uncommit(address, cell)
-        self.gc_log.append(
-            f"aliased free-list cell {address:#x} ({cell} bytes) fenced"
+        self.record_degradation(
+            "heap",
+            f"aliased free-list cell {address:#x} fenced",
+            log=f"aliased free-list cell {address:#x} ({cell} bytes) fenced",
         )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_degradation(
-                "heap",
-                f"aliased free-list cell {address:#x} fenced",
-                seq=self.stats.collections,
-            )
 
     def _try_grow(self) -> bool:
         """Grow the heap toward ``max_heap_bytes``; False when at the limit.
@@ -566,17 +618,11 @@ class Collector:
         self._grow_spaces(delta)
         self.heap_bytes = new_total
         self.recovery.heap_growths += 1
-        self.gc_log.append(f"heap grown by {delta} bytes to {new_total}")
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record_degradation(
-                "heap_grown",
-                f"+{delta} bytes to {new_total}",
-                seq=self.stats.collections,
-            )
-        spans = self.span_tracer
-        if spans is not None:
-            spans.instant("heap_grown", cat="gc", delta=delta, total=new_total)
+        self.record_degradation(
+            "heap_grown", f"+{delta} bytes to {new_total}",
+            log=f"heap grown by {delta} bytes to {new_total}",
+            instant="heap_grown", delta=delta, total=new_total,
+        )
         return True
 
     def _grow_spaces(self, delta: int) -> None:

@@ -49,6 +49,7 @@ class GenerationalCollector(Collector):
 
     name = "generational"
     moving = True  # nursery survivors are promoted (moved) into mature space
+    log_tag = "fullGC"
 
     def __init__(
         self,
@@ -85,7 +86,9 @@ class GenerationalCollector(Collector):
 
     def allocate(self, cls: ClassDescriptor, length: int = 0) -> HeapObject:
         nbytes = cls.size_of(length)
-        self._telemetry_allocation(nbytes)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.alloc_hist.record(nbytes)
         if nbytes > self._large_threshold:
             return self._allocate_mature(cls, length, nbytes)
         address = self.nursery.allocate(nbytes)
@@ -120,11 +123,7 @@ class GenerationalCollector(Collector):
         except InvalidAddressError:
             if not self.hardened:
                 raise
-            try:
-                aliased_cell = self.mature.cell_size(address)
-            except Exception:
-                aliased_cell = 0
-            self._fence_aliased_cell(self.mature, address, aliased_cell)
+            self._fence_aliased_cell(self.mature, address)
             return self._allocate_mature(cls, length, nbytes)
 
     def bytes_in_use(self) -> int:
@@ -173,16 +172,7 @@ class GenerationalCollector(Collector):
                 self.stats.minor_collections += 1
                 self.gc_log.append(f"minorGC {self.stats.collections}: {reason}")
                 freed, fwd = self._minor_trace_and_promote()
-            if fwd:
-                if self.engine is not None:
-                    self.engine.apply_forwarding(fwd)
-                if self.vm is not None:
-                    self.vm.apply_forwarding(fwd)
-            self.process_weak_references(fwd)
-            if self.engine is not None:
-                self.engine.purge(freed)
-            if self.vm is not None:
-                self.vm.on_gc_complete(freed)
+            self._finish_collection(freed, fwd, purge_only=True)
             self._telemetry_end(pending)
             if self.paranoid:
                 # Unlike the sentinel (skipped above), the paranoid walk is
@@ -279,11 +269,7 @@ class GenerationalCollector(Collector):
             except InvalidAddressError:
                 if not self.hardened:
                     raise
-                try:
-                    aliased_cell = self.mature.cell_size(new_address)
-                except Exception:
-                    aliased_cell = 0
-                self._fence_aliased_cell(self.mature, new_address, aliased_cell)
+                self._fence_aliased_cell(self.mature, new_address)
         raise self._oom(obj.cls, obj.size_bytes, "promotion failed after quarantine")
 
     @staticmethod
@@ -298,72 +284,28 @@ class GenerationalCollector(Collector):
 
     # -- full-heap collection --------------------------------------------------------------
 
-    def collect(self, reason: str = "explicit") -> None:
-        """Full-heap mark-sweep with the complete assertion machinery.
+    def _prologue(self) -> None:
+        with self._span("prologue"):
+            self.sweep_all()
 
-        Also evacuates the nursery (all surviving nursery objects are
-        promoted), so the nursery is empty afterwards.  Promotion may
-        recycle mature cells freed by this very sweep, so all address-keyed
-        metadata (assertion registry, region queues) is purged before any
-        such cell can be handed out: eagerly in one bulk purge between
-        sweeping and promotion, lazily per chunk inside
-        :meth:`_mature_allocate`.
+    def _reclaim(self):
+        """Sweep both spaces, then promote every nursery survivor (the
+        nursery is empty afterwards).
+
+        Promotion may recycle mature cells freed by this very sweep, so all
+        address-keyed metadata (assertion registry, region queues) is purged
+        before any such cell can be handed out — eagerly in one bulk purge
+        between sweeping and promotion, lazily per chunk inside
+        :meth:`_mature_allocate` — and the epilogue is left nothing to purge.
         """
-        with self._span("collect", kind="full", reason=reason):
-            # Repay the previous cycle's debt before a new trace: the
-            # ownership phase must not walk registry entries for dead
-            # owners, and the mark set the pending chunks are judged by
-            # belongs to the old cycle — the new tracer replaces it.
-            with self._span("prologue"):
-                self.sweep_all()
-            if self.hardened:
-                # Debt repaid, so the mark set is legitimately empty and the
-                # sentinel may repair/quarantine across both spaces.
-                self._sentinel_check("pre-gc")
-            if self.paranoid:
-                self._paranoid_check("pre-gc")
-            pending = self._telemetry_begin("full", reason)
-            with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
-                self.stats.collections += 1
-                self.stats.full_collections += 1
-                self.gc_log.append(f"fullGC {self.stats.collections}: {reason}")
-
-                tracer = self._make_tracer()
-                self._run_mark_phase(tracer)
-                self._mature_sweeper.schedule()
-                nursery_freed = self._sweep_nursery_dead()
-                if self.sweep_mode == "eager":
-                    freed = nursery_freed | self._mature_sweeper.drain_eager()
-                    # Purge before promotion can recycle any freed mature cell.
-                    self._purge_before_reuse(freed)
-                else:
-                    # Mature chunks stay pending; only the chunk sweeper
-                    # (which purges per chunk) can recycle their cells
-                    # during promotion.
-                    self._purge_before_reuse(nursery_freed)
-                fwd = self._promote_survivors()
-            if fwd:
-                if self.engine is not None:
-                    self.engine.apply_forwarding(fwd)
-                if self.vm is not None:
-                    self.vm.apply_forwarding(fwd)
-            if self.sweep_mode == "eager":
-                self.process_weak_references(fwd)
-                if self.engine is not None:
-                    self.engine.finalize(self)
-                if self.vm is not None:
-                    # Metadata was purged pre-promotion; observers fire here.
-                    self.vm.on_gc_complete(set())
-            else:
-                self._finish_mark_only(fwd)
-            # Only full collections capture (minor collections use their own
-            # nursery traversal, not the tracer); write cost stays off-pause.
-            self._snapshot_flush()
-            self._telemetry_end(pending)
-            if self.hardened and self.sweep_debt() == 0:
-                self._sentinel_check("post-gc")
-            if self.paranoid:
-                self._paranoid_check("post-gc")
+        self._mature_sweeper.schedule()
+        freed = self._sweep_nursery_dead()
+        if self.sweep_mode == "eager":
+            freed |= self._mature_sweeper.drain_eager()
+        # Lazily, mature chunks stay pending and only the chunk sweeper
+        # (which purges per chunk) can recycle their cells during promotion.
+        self._purge_before_reuse(freed)
+        return None, self._promote_survivors()
 
     def _sweep_nursery_dead(self) -> set[int]:
         """Evict dead nursery objects (the nursery never sweeps lazily —

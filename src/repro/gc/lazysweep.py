@@ -154,7 +154,7 @@ class ChunkSweeper:
         if spans is not None:
             spans.counter("sweep_debt", chunks=len(pending))
         telemetry = collector.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             telemetry.record_lazy_slice(
                 slice_timer.elapsed, chunks_before - len(pending), released
             )

@@ -23,7 +23,6 @@ from __future__ import annotations
 from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
-from repro.gc.stats import PhaseTimer
 from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -97,7 +96,7 @@ class MarkSweepCollector(Collector):
     def allocate(self, cls: ClassDescriptor, length: int = 0) -> HeapObject:
         nbytes = cls.instance_size + cls.element_bytes * length
         telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             telemetry.alloc_hist.record(nbytes)
         cache = self._alloc_cache
         if cache is not None and nbytes <= _CACHE_LIMIT:
@@ -130,11 +129,7 @@ class MarkSweepCollector(Collector):
         space = self.space
         cached = self._alloc_cache is not None and nbytes <= _CACHE_LIMIT
         while True:
-            try:
-                aliased_cell = space.cell_size(address)
-            except Exception:
-                aliased_cell = 0
-            self._fence_aliased_cell(space, address, aliased_cell)
+            self._fence_aliased_cell(space, address)
             if cached:
                 address = self._allocate_slow_cached(SIZE_CLASS_LOOKUP[nbytes], cls, nbytes)
             else:
@@ -222,51 +217,16 @@ class MarkSweepCollector(Collector):
 
     # -- collection -----------------------------------------------------------------
 
-    def collect(self, reason: str = "explicit") -> None:
-        spans = self.span_tracer
-        with self._span("collect", kind="full", reason=reason):
-            # Repay outstanding sweep debt before a new trace: the assertion
-            # registry must not hold dead entries when the ownership phase
-            # runs (a dead owner would resurrect its region), and
-            # dead-but-unswept objects must not survive into a second
-            # cycle's accounting.  Both happen outside the measured pause.
-            with self._span("prologue"):
-                self.sweep_all()
-                self._flush_alloc_cache()
-            if self.hardened:
-                # Sweep debt is repaid, so the mark set is legitimately
-                # empty: the sentinel can judge (and repair) the whole heap.
-                self._sentinel_check("pre-gc")
-            if self.paranoid:
-                self._paranoid_check("pre-gc")
-            pending = self._telemetry_begin("full", reason)
-            with PhaseTimer(self.stats, "gc_seconds", spans, "pause"):
-                self.stats.collections += 1
-                self.stats.full_collections += 1
-                self.gc_log.append(f"GC {self.stats.collections}: {reason}")
+    def _prologue(self) -> None:
+        with self._span("prologue"):
+            self.sweep_all()
+            self._flush_alloc_cache()
 
-                tracer = self._make_tracer()
-                self._run_mark_phase(tracer)
-                self._sweeper.schedule()
-                if self.sweep_mode == "eager":
-                    freed = self._sweeper.drain_eager()
-                else:
-                    freed = None  # chunks stay pending; the pause ends here
-            if freed is not None:
-                self._finish_collection(freed)
-            else:
-                self._finish_mark_only()
-            # Serialization is mutator-side cost: the pause timer is closed.
-            self._snapshot_flush()
-            self._telemetry_end(pending)
-            if self.hardened and self.sweep_debt() == 0:
-                # Lazy mode skips this: dead objects sit in the table until
-                # their chunk sweeps, so post-GC state is not judgeable.
-                self._sentinel_check("post-gc")
-            if self.paranoid:
-                # The walker's non-mutating mode handles outstanding sweep
-                # debt itself (pending garbage is excluded, not swept).
-                self._paranoid_check("post-gc")
+    def _reclaim(self):
+        self._sweeper.schedule()
+        if self.sweep_mode == "eager":
+            return self._sweeper.drain_eager(), None
+        return None, None  # chunks stay pending; the pause ends here
 
     # -- lazy-sweep surface ------------------------------------------------------------
 

@@ -55,7 +55,9 @@ class SemiSpaceCollector(Collector):
 
     def allocate(self, cls: ClassDescriptor, length: int = 0) -> HeapObject:
         nbytes = cls.size_of(length)
-        self._telemetry_allocation(nbytes)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.alloc_hist.record(nbytes)
         address = self.from_space.allocate(nbytes)
         if address is None:
             self.collect(reason=f"allocation of {nbytes} bytes failed")
@@ -79,35 +81,12 @@ class SemiSpaceCollector(Collector):
 
     # -- collection -----------------------------------------------------------------
 
-    def collect(self, reason: str = "explicit") -> None:
-        with self._span("collect", kind="full", reason=reason):
-            if self.hardened:
-                # No sweep debt to worry about (the semispace collector is
-                # always exact), so the sentinel can run right away.
-                self._sentinel_check("pre-gc")
-            if self.paranoid:
-                self._paranoid_check("pre-gc")
-            pending = self._telemetry_begin("full", reason)
-            with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
-                self.stats.collections += 1
-                self.stats.full_collections += 1
-                self.gc_log.append(f"GC {self.stats.collections}: {reason}")
+    def _reclaim(self) -> tuple[set[int], dict[int, int]]:
+        """Copy marked objects to the to-space; reclaim everything else.
 
-                tracer = self._make_tracer()
-                self._run_mark_phase(tracer)
-                freed, fwd = self._evacuate()
-            self._finish_collection(freed, fwd)
-            # Snapshot rows were frozen at mark end (from-space addresses,
-            # one consistent graph); serializing them costs no pause time.
-            self._snapshot_flush()
-            self._telemetry_end(pending)
-            if self.hardened:
-                self._sentinel_check("post-gc")
-            if self.paranoid:
-                self._paranoid_check("post-gc")
-
-    def _evacuate(self) -> tuple[set[int], dict[int, int]]:
-        """Copy marked objects to the to-space; reclaim everything else."""
+        To-space addresses are disjoint from the freed from-space ones, so
+        the epilogue purges: nothing freed here can have been reused yet.
+        """
         heap = self.heap
         stats = self.stats
         from_space, to_space = self.from_space, self.to_space

@@ -115,6 +115,11 @@ class FreeList:
         self.free_bytes -= cell_bytes * take
         return run
 
+    def withhold(self, address: int, cell_bytes: int) -> None:
+        """Take one occurrence of a named cell off the list (sentinel repair)."""
+        self._cells[cell_bytes].remove(address)
+        self.free_bytes -= cell_bytes
+
     def cell_count(self) -> int:
         return sum(len(b) for b in self._cells.values())
 

@@ -129,7 +129,7 @@ def health_report(hub: "MonitorHub") -> dict:
         "alerts_seen": len(hub.alerts),
         "slo": hub.slos.status() if hub.slos is not None else None,
     }
-    if telemetry is not None and telemetry.enabled:
+    if telemetry is not None:
         census = telemetry.census.latest()
         if census:
             top = sorted(census.items(), key=lambda kv: -kv[1][1])[:5]

@@ -115,7 +115,7 @@ class MonitorServer:
         hub = self.hub
         body = ""
         vm = hub.vm
-        if vm is not None and vm.telemetry is not None and vm.telemetry.enabled:
+        if vm is not None and vm.telemetry is not None:
             body += render_prometheus(vm.telemetry)
         body += render_monitor_metrics(hub)
         return 200, PROMETHEUS_CONTENT_TYPE, body

@@ -192,7 +192,7 @@ class MonitorHub:
 
     def attach(self, vm: "VirtualMachine") -> "MonitorHub":
         """Subscribe to ``vm``'s telemetry hub; requires telemetry on."""
-        if vm.telemetry is None or not vm.telemetry.enabled:
+        if vm.telemetry is None:
             raise ConfigurationError(
                 "continuous monitoring rides the telemetry event stream; "
                 "build the VM with telemetry enabled"

@@ -253,7 +253,7 @@ def _record_snapshot_event(
     vm: "VirtualMachine", path: str, trigger: str, summary: dict, started: float
 ) -> None:
     telemetry = vm.telemetry
-    if telemetry is None or not telemetry.enabled:
+    if telemetry is None:
         return
     telemetry.record_snapshot(
         collector=vm.collector.name,
@@ -348,7 +348,7 @@ class SnapshotPolicy:
         summary = sink.flush()
         self.captured.append(sink.path)
         telemetry = collector.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             telemetry.record_snapshot(
                 collector=collector.name,
                 seq=sink.gc_number,

@@ -129,10 +129,8 @@ class Telemetry:
     def __init__(
         self,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
-        enabled: bool = True,
         sinks: Optional[list] = None,
     ):
-        self.enabled = enabled
         self.events = EventRing(ring_capacity)
         #: GC stop-the-world pauses, microseconds to tens of seconds.
         self.pause_hist = LogHistogram(1e-6, 10.0)
@@ -348,7 +346,6 @@ class Telemetry:
     def summary(self) -> dict:
         """The machine-readable rollup behind ``python -m repro stats --json``."""
         return {
-            "enabled": self.enabled,
             "collections": dict(self.collections_by_kind),
             "events": [event.as_dict() for event in self.events],
             "events_total": self.events.appended,
@@ -452,7 +449,4 @@ class Telemetry:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"<Telemetry {'on' if self.enabled else 'off'} "
-            f"events={len(self.events)} sinks={len(self.sinks)}>"
-        )
+        return f"<Telemetry events={len(self.events)} sinks={len(self.sinks)}>"

@@ -1,16 +1,19 @@
 """Exhaustive collector verification: model checking, paranoia, coverage.
 
 Three layers, one goal — turn "the collector seems fine" into "every
-invariant we can name has been checked against every state we can reach":
+invariant we can name has been checked against every state we can reach".
+The heap invariants themselves are named once, in :mod:`repro.gc.verify`
+(the collectors import it; this package imports the VM, so it cannot):
 
 * :mod:`repro.verify.modelcheck` — enumerate *all* heap shapes up to a
   small scope and run every collector configuration over each, asserting
   executable Soundness/Completeness against a brute-force oracle;
-* :mod:`repro.verify.paranoid` — a full-heap wellformedness walker that
-  cross-checks the allocator's own bookkeeping (free lists, chunk tables,
-  bump records, zone routing) against the object table;
+* :mod:`repro.verify.paranoid` — the catalogue's allocator tier by name:
+  the allocator's own bookkeeping (free lists, chunk tables, bump records,
+  zone routing) cross-checked against the object table;
 * :mod:`repro.verify.coverage` — the fault → invariant matrix proving
-  each injected fault kind is caught by a named invariant.
+  each injected fault kind is caught by a named invariant, the heap-level
+  ones being catalogue entries.
 """
 
 from repro.verify.coverage import (
@@ -27,7 +30,7 @@ from repro.verify.modelcheck import (
     enumerate_shapes,
     run_model_check,
 )
-from repro.verify.paranoid import iter_spaces, iter_sharded_spaces, paranoid_problems
+from repro.verify.paranoid import iter_spaces, paranoid_problems
 
 __all__ = [
     "FAULT_INVARIANTS",
@@ -41,6 +44,5 @@ __all__ = [
     "enumerate_shapes",
     "run_model_check",
     "iter_spaces",
-    "iter_sharded_spaces",
     "paranoid_problems",
 ]

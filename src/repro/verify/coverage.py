@@ -8,10 +8,13 @@ invariant; a chaos run collects per-cell detection evidence, and the
 matrix gates the run: a fault kind with zero covering evidence anywhere
 in the matrix fails the soak (exit 1).
 
-The invariant names are the catalog documented in DESIGN.md ("Verified
-invariants"); the model checker (:mod:`repro.verify.modelcheck`) proves
-the collector-level ones exhaustively at small scope, and the chaos
-matrix proves each one fires against real injected damage.
+The three heap-level names (``header-hygiene``, ``reference-closure``,
+``freelist-live-disjointness``) are entries of the invariant catalogue in
+:mod:`repro.gc.verify` and a probe finding counts for the entry it is filed
+under, whatever its text; the other eight name verdicts and containment
+counters outside the heap (both lists: DESIGN.md, "Verified invariants").
+The model checker proves the collector-level invariants exhaustively at
+small scope; the chaos matrix proves each fires against injected damage.
 """
 
 from __future__ import annotations
@@ -117,27 +120,31 @@ class CoverageMatrix:
         return "\n".join(lines)
 
 
-def detect_cell(result, probe_problems: list, pending_refusals: int) -> dict:
+def detect_cell(result, probe: list, pending_refusals: int) -> dict:
     """Detection evidence for one heap chaos cell.
 
     ``result`` is the populated :class:`repro.faults.chaos.CellResult`
     (recovery counters, degradations, violation discriminators already
-    read); ``probe_problems`` is the read-only paranoid probe output taken
-    after ``apply_remaining`` and *before* the recovery collection — the
-    walker seeing the damage is itself detection evidence.
+    read); ``probe`` is the read-only paranoid probe — the
+    :class:`~repro.gc.verify.Finding` list of both tiers — taken after
+    ``apply_remaining`` and *before* the recovery collection: the walker
+    seeing the damage is itself detection evidence.
     """
     found: dict = {}
     recovery = result.recovery
     degradations = result.degradations
 
+    #: invariant -> the probe's first finding under that name, as evidence.
+    walker = {
+        finding.invariant: f"{finding.invariant}: walker flagged {finding.message!r}"
+        for finding in reversed(probe)
+    }
+
     cleared = recovery.get("stale_bits_cleared", 0)
-    probe_stale = [p for p in probe_problems if "OWNED bit" in p or "mark set" in p]
-    if cleared or probe_stale:
-        found["flip-owned"] = (
-            f"header-hygiene: sentinel cleared {cleared} stale bit(s)"
-            if cleared
-            else f"header-hygiene: walker flagged {probe_stale[0]!r}"
-        )
+    if cleared:
+        found["flip-owned"] = f"header-hygiene: sentinel cleared {cleared} stale bit(s)"
+    elif "header-hygiene" in walker:
+        found["flip-owned"] = walker["header-hygiene"]
 
     if result.injected_dead_violations:
         found["flip-dead"] = (
@@ -152,22 +159,16 @@ def detect_cell(result, probe_problems: list, pending_refusals: int) -> dict:
         )
 
     fenced_refs = recovery.get("refs_fenced", 0)
-    probe_dangle = [p for p in probe_problems if "dangling" in p]
-    if fenced_refs or probe_dangle:
+    if fenced_refs:
         found["dangle-ref"] = (
             f"reference-closure: sentinel nulled {fenced_refs} dangling slot(s)"
-            if fenced_refs
-            else f"reference-closure: walker flagged {probe_dangle[0]!r}"
         )
+    elif "reference-closure" in walker:
+        found["dangle-ref"] = walker["reference-closure"]
 
-    probe_alias = [
-        p for p in probe_problems if "aliases a live object" in p or "orphan bump" in p
-    ]
     fenced_cells = recovery.get("cells_fenced", 0)
-    if probe_alias:
-        found["corrupt-freelist"] = (
-            f"freelist-live-disjointness: walker flagged {probe_alias[0]!r}"
-        )
+    if "freelist-live-disjointness" in walker:
+        found["corrupt-freelist"] = walker["freelist-live-disjointness"]
     elif fenced_cells:
         found["corrupt-freelist"] = (
             f"freelist-live-disjointness: allocator fenced {fenced_cells} "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.faults import FAULT_KINDS
 from repro.faults.chaos import CellResult
+from repro.gc.verify import Finding
 from repro.verify import (
     FAULT_INVARIANTS,
     CoverageMatrix,
@@ -49,7 +50,7 @@ def test_header_faults_detected_via_sentinel_or_walker():
     assert "flip-owned" in by_counter and "2 stale bit(s)" in by_counter["flip-owned"]
 
     by_probe = detect_cell(
-        _cell(), ["paranoid: <obj> carries an OWNED bit without the OWNEE bit"], 0
+        _cell(), [Finding("header-hygiene", "<obj>: OWNED bit set outside a collection")], 0
     )
     assert "flip-owned" in by_probe and "walker flagged" in by_probe["flip-owned"]
 
@@ -64,11 +65,14 @@ def test_injected_violation_discriminators_map_to_assert_verdicts():
 
 def test_dangling_reference_detected_via_fence_counter_or_probe():
     assert "dangle-ref" in detect_cell(_cell(recovery={"refs_fenced": 1}), [], 0)
-    assert "dangle-ref" in detect_cell(_cell(), ["x: dangling reference 0xdead0"], 0)
+    probe = [Finding("reference-closure", "x: dangling reference 0xdead0")]
+    assert "dangle-ref" in detect_cell(_cell(), probe, 0)
 
 
 def test_freelist_corruption_prefers_walker_evidence_over_fence_counter():
-    probe = ["space: free cell 0x40 (32B) aliases a live object"]
+    probe = [
+        Finding("freelist-live-disjointness", "space: free cell 0x40 (32B) aliases a live object")
+    ]
     by_probe = detect_cell(_cell(recovery={"cells_fenced": 5}), probe, 0)
     assert "walker flagged" in by_probe["corrupt-freelist"]
 

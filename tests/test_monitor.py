@@ -690,6 +690,78 @@ class TestMonitorServer:
             assert code == 503
             assert json.loads(body)["status"] == "unhealthy"
 
+    def test_chaos_flips_health_to_503_and_clean_rounds_bring_it_back(self):
+        """The end-to-end drill CI's ``monitor-smoke`` runs: every endpoint
+        conformant on a clean run, seeded faults (sentinel repairs, engine
+        and snapshot degradations) fire a burn-rate alert and turn
+        ``/health`` 503, clean rounds roll the bad observations out of the
+        burn windows, and the exposition is still valid afterwards."""
+        from repro.errors import ReproError
+        from repro.faults import FaultInjector, FaultPlan
+        from repro.workloads.suite import build_suite
+
+        entry = build_suite()["lusearch"]
+        # gc_workers=4: the SLO machinery must evaluate the same way when
+        # pauses come from zone-sharded parallel marking.  The wall-clock
+        # objectives get thresholds a loaded box cannot breach (as in the
+        # ``served`` fixture): what flips health here is the zero-budget
+        # ``no-degradation`` objective, which counts repairs, not seconds.
+        slos = default_slos(pause_p99_s=60.0, mmu_floor=1e-9, check_latency_s=60.0)
+        vm = VirtualMachine(
+            heap_bytes=entry.heap_bytes, hardened=True,
+            max_heap_bytes=entry.heap_bytes * 2,
+            monitor=MonitorHub(slos),
+            gc_workers=4,
+        )
+        hub = vm.monitor
+        with MonitorServer(hub, port=0) as server:
+            # Phase 1: clean workload -> 200, conformant endpoints.
+            entry.run(vm)
+            code, body = http_get(server.url + "/metrics")
+            assert code == 200
+            assert validate_exposition(body) == []
+            code, body = http_get(server.url + "/health")
+            report = json.loads(body)
+            assert code == 200 and report["status"] == "ok", (code, report["status"])
+            assert validate_health_report(report) == []
+            assert report["schema"] == HEALTH_SCHEMA
+            code, body = http_get(server.url + "/slo")
+            slo = json.loads(body)
+            assert code == 200 and slo["schema"] == "repro-slo/1", (code, slo)
+            assert slo["healthy"] and len(slo["objectives"]) == 5, slo
+
+            # Phase 2: seeded chaos faults -> degradations, a burn-rate
+            # alert fires, /health serves 503.
+            injector = FaultInjector(vm, FaultPlan.one_of_each(7)).attach()
+            try:
+                entry.run(vm)
+                injector.apply_remaining()
+                vm.gc("monitor drill: chaos settle")
+            except ReproError:
+                pass  # a typed error surfacing is a documented fault outcome
+            finally:
+                injector.detach()
+            assert sum(hub.degradations_by_kind.values()) > 0, "chaos left no marks"
+            assert [a for a in hub.alerts if a.state == "firing"], (
+                "no burn-rate alert fired under chaos"
+            )
+            code, body = http_get(server.url + "/health")
+            assert code == 503, f"expected 503 under chaos, got {code}"
+            assert json.loads(body)["status"] == "unhealthy"
+
+            # Phase 3: clean rounds -> the alert resolves, /health serves 200.
+            for _ in range(20):
+                entry.run(vm)
+                if http_get(server.url + "/health")[0] == 200:
+                    break
+            code, body = http_get(server.url + "/health")
+            assert code == 200, f"health never recovered (still {code})"
+            assert [a for a in hub.alerts if a.state == "resolved"], (
+                "firing alert never resolved"
+            )
+            code, body = http_get(server.url + "/metrics")
+            assert validate_exposition(body) == [], "post-chaos exposition drifted"
+
     def test_render_monitor_metrics_standalone_conforms(self):
         vm = monitored_vm(default_slos())
         node = vm.define_class("N", [("next", FieldKind.REF)])

@@ -157,14 +157,6 @@ class TestDisabledMode:
         assert vm.collector.telemetry is None
         _churn(vm)  # must not blow up anywhere on the emit path
 
-    def test_disabled_hub_records_nothing(self):
-        hub = Telemetry(enabled=False)
-        vm = VirtualMachine(heap_bytes=1 << 20, telemetry=hub)
-        _churn(vm)
-        assert len(hub.events) == 0
-        assert hub.pause_hist.count == 0
-        assert hub.alloc_hist.count == 0
-
     def test_work_counters_identical_enabled_vs_disabled(self):
         def counters(telemetry):
             vm = VirtualMachine(heap_bytes=128 << 10, telemetry=telemetry)
