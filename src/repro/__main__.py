@@ -41,6 +41,7 @@ detected or a check failed, 2 = usage error (bad arguments or inputs).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 #: Shared --help epilog line; every subcommand states the contract.
@@ -54,60 +55,63 @@ def _violations_exit(vm) -> int:
     return 0
 
 
-def _build_vm(**kwargs):
-    """VM construction with option-mismatch faults mapped to usage errors.
+def _print_reports(vm) -> None:
+    if vm.engine is not None and vm.engine.log.lines:
+        print()
+        print("GC assertion reports:")
+        for line in vm.engine.log.lines:
+            print(line)
+            print()
 
-    Returns ``None`` after printing the complaint (e.g. ``--gc-workers``
-    with a collector that has no parallel mark phase); callers exit 2.
+
+def _workload_vm(args, **vm_options):
+    """The one way a command turns ``--workload`` and its knobs into a VM
+    and something to run on it: ``(vm, runner)``, or ``(None, None)`` once
+    the complaint about the arguments is printed (the caller exits 2).
+
+    The name resolves through the service's table
+    (:func:`repro.service.session.resolve_workload`), so a workload is the
+    same program in the same default heap whether served, soaked or run
+    from here; ``--heap`` overrides the size, and a hardened VM gets the
+    service's growth ceiling of twice its heap.
     """
-    from repro.errors import RuntimeFault
+    from repro.errors import RuntimeFault, WireProtocolError
     from repro.runtime.vm import VirtualMachine
+    from repro.service.session import resolve_workload
 
+    overrides = {
+        knob: value
+        for knob in ("swaps", "array_size", "gc_every_swaps", "static_rep")
+        if (value := getattr(args, knob)) is not None
+    }
     try:
-        return VirtualMachine(**kwargs)
-    except RuntimeFault as exc:
-        print(f"configuration error: {exc}")
-        return None
-
-
-def _resolve_workload_runner(args):
-    """The one --workload resolution: returns ``(runner, label, rc)``.
-
-    ``runner`` is ``None`` (with ``rc == 2``) for an unknown name; the
-    pseudo-workload ``swapleak`` takes the same knobs everywhere, so the
-    leak scenario can be captured, measured, traced and watched live.
-    """
-    if args.workload == "swapleak":
-        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
-
-        config = SwapLeakConfig(
-            array_size=args.array_size,
-            swaps=args.swaps,
-            static_rep=args.static_rep,
-            assert_dead_swapped=args.assertions,
-            gc_every_swaps=args.gc_every_swaps,
+        heap_bytes, runner = resolve_workload(args.workload, args.assertions, overrides)
+        heap_bytes = args.heap or heap_bytes
+        if vm_options.get("hardened"):
+            vm_options["max_heap_bytes"] = heap_bytes * 2
+        vm = VirtualMachine(
+            heap_bytes=heap_bytes,
+            collector=args.collector,
+            gc_workers=args.gc_workers,
+            **vm_options,
         )
-        if args.heap is None:
-            args.heap = 4 << 20
-        return (lambda vm: run_swapleak(vm, config)), "swapleak", 0
+    except WireProtocolError as exc:  # an unknown name, listing the known ones
+        print(exc)
+        return None, None
+    except (RuntimeFault, ValueError) as exc:  # e.g. --gc-workers on semispace
+        print(f"configuration error: {exc}")
+        return None, None
+    return vm, runner
 
-    from repro.workloads.suite import build_suite
 
-    suite = build_suite()
-    try:
-        entry = suite[args.workload]
-    except KeyError:
-        choices = sorted(suite) + ["swapleak"]
-        print(f"unknown workload {args.workload!r}; pick from {choices}")
-        return None, args.workload, 2
-    if args.heap is None:
-        # The suite's tuned heap size makes the workload actually collect,
-        # so the trace has in-run pauses rather than one forced final GC.
-        args.heap = entry.heap_bytes
-    runner = entry.run
-    if args.assertions and entry.run_with_assertions is not None:
-        runner = entry.run_with_assertions
-    return runner, entry.name, 0
+def _run_to_a_collection(vm, runner) -> None:
+    """Run the workload, then force one collection only if none happened:
+    there is no event, span or census sample to report otherwise.  (After a
+    workload that *did* collect, a forced GC would only overwrite the census
+    with the post-run empty heap.)"""
+    runner(vm)
+    if vm.stats.collections == 0:
+        vm.gc("final collection")
 
 
 def cmd_info(_args) -> int:
@@ -177,33 +181,19 @@ def cmd_stats(args) -> int:
 
     from repro.telemetry import JsonlSink, render_prometheus
 
-    runner, label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
-    vm = _build_vm(
-        heap_bytes=args.heap,
-        collector=args.collector,
-        gc_workers=args.gc_workers,
-        paranoid=args.paranoid,
-    )
+    vm, runner = _workload_vm(args, paranoid=args.paranoid)
     if vm is None:
         return 2
     if args.jsonl:
         vm.telemetry.add_sink(JsonlSink(args.jsonl))
-    runner(vm)
-    if vm.stats.collections == 0:
-        # Nothing triggered a collection, so no event or census sample
-        # exists yet; force one.  (After a workload that *did* collect,
-        # a forced GC would only overwrite the census with the post-run
-        # empty heap.)
-        vm.gc("stats: final census")
+    _run_to_a_collection(vm, runner)
     vm.telemetry.close()
     if args.json:
         print(json.dumps(vm.telemetry.summary(), indent=2))
     elif args.prom:
         print(render_prometheus(vm.telemetry), end="")
     else:
-        print(f"{label} on {vm.collector.describe()}")
+        print(f"{args.workload} on {vm.collector.describe()}")
         print()
         print(vm.telemetry.render())
     return _violations_exit(vm)
@@ -256,33 +246,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace_run(args) -> int:
-    from repro.runtime.vm import VirtualMachine
     from repro.tracing import SpanTracer, write_chrome_trace, write_flamegraph
 
-    runner, label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
     # Mark attribution walks the heap after every mark phase; only pay for
     # it when a flamegraph was requested.
     tracer = SpanTracer(attribute_marks=bool(args.flame))
-    vm = _build_vm(
-        heap_bytes=args.heap,
-        collector=args.collector,
-        tracing=tracer,
-        gc_workers=args.gc_workers,
-        paranoid=args.paranoid,
-    )
+    vm, runner = _workload_vm(args, tracing=tracer, paranoid=args.paranoid)
     if vm is None:
         return 2
-    runner(vm)
-    if vm.stats.collections == 0:
-        vm.gc("trace: final collection")
+    _run_to_a_collection(vm, runner)
     summary = write_chrome_trace(
         vm.span_tracer,
         args.out,
-        meta={"workload": label, "collector": vm.collector.describe()},
+        meta={"workload": args.workload, "collector": vm.collector.describe()},
     )
-    print(f"workload {label!r} on {vm.collector.describe()}")
+    print(f"workload {args.workload!r} on {vm.collector.describe()}")
     print(
         f"{summary['spans']} spans / {summary['events']} trace events "
         f"-> {summary['path']} ({summary['file_bytes']} bytes)"
@@ -298,7 +276,6 @@ def cmd_trace_run(args) -> int:
 
 
 def cmd_trace_report(args) -> int:
-    from repro.runtime.vm import VirtualMachine
     from repro.tracing import (
         aggregate_spans,
         piggyback_report,
@@ -306,22 +283,12 @@ def cmd_trace_report(args) -> int:
         render_span_table,
     )
 
-    runner, label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
-    vm = _build_vm(
-        heap_bytes=args.heap,
-        collector=args.collector,
-        tracing=True,
-        gc_workers=args.gc_workers,
-    )
+    vm, runner = _workload_vm(args, tracing=True)
     if vm is None:
         return 2
-    runner(vm)
-    if vm.stats.collections == 0:
-        vm.gc("trace: final collection")
+    _run_to_a_collection(vm, runner)
     print(
-        f"workload {label!r} on {vm.collector.describe()} — "
+        f"workload {args.workload!r} on {vm.collector.describe()} — "
         f"{vm.stats.collections} collections"
     )
     print()
@@ -371,18 +338,9 @@ def cmd_trace_serve(args) -> int:
 
 
 def cmd_top(args) -> int:
-    from repro.runtime.vm import VirtualMachine
     from repro.tracing import run_top
 
-    runner, label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
-    vm = _build_vm(
-        heap_bytes=args.heap,
-        collector=args.collector,
-        tracing=True,
-        gc_workers=args.gc_workers,
-    )
+    vm, runner = _workload_vm(args, tracing=True)
     if vm is None:
         return 2
     rc = run_top(vm, runner, interval=args.interval, frames=args.frames)
@@ -391,7 +349,7 @@ def cmd_top(args) -> int:
 
 def cmd_monitor(args) -> int:
     """Run a workload under continuous heap-health monitoring."""
-    from repro.errors import ConfigurationError, ReproError, RuntimeFault
+    from repro.errors import ReproError
     from repro.monitor import (
         MonitorHub,
         MonitorServer,
@@ -399,11 +357,6 @@ def cmd_monitor(args) -> int:
         render_monitor_frame,
         run_monitor,
     )
-    from repro.runtime.vm import VirtualMachine
-
-    runner, label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
 
     chaotic = args.chaos_seed is not None
     try:
@@ -411,19 +364,14 @@ def cmd_monitor(args) -> int:
             pause_p99_s=args.pause_slo_ms / 1e3,
             mmu_floor=args.mmu_floor,
         )
-        hub = MonitorHub(slos)
-        vm = VirtualMachine(
-            heap_bytes=args.heap,
-            collector=args.collector,
-            # Chaos runs go to the hardened collector with growth headroom,
-            # same contract as `repro chaos` (faults are absorbed, not fatal).
-            hardened=chaotic,
-            max_heap_bytes=args.heap * 2 if chaotic else None,
-            monitor=hub,
-            gc_workers=args.gc_workers,
-        )
-    except (ConfigurationError, RuntimeFault, ValueError) as exc:
+    except ValueError as exc:
         print(f"monitor configuration error: {exc}")
+        return 2
+    hub = MonitorHub(slos)
+    # Chaos runs go to the hardened collector with growth headroom, same
+    # contract as `repro chaos` (faults are absorbed, not fatal).
+    vm, runner = _workload_vm(args, hardened=chaotic, monitor=hub)
+    if vm is None:
         return 2
 
     if chaotic:
@@ -455,10 +403,8 @@ def cmd_monitor(args) -> int:
                 vm, hub, runner, interval=args.interval, frames=args.frames
             )
         else:
-            runner(vm)
-            if vm.stats.collections == 0:
-                vm.gc("monitor: final collection")
-            print(f"workload {label!r} on {vm.collector.describe()}")
+            _run_to_a_collection(vm, runner)
+            print(f"workload {args.workload!r} on {vm.collector.describe()}")
             print()
             print(render_monitor_frame(vm, hub, 1, hub.uptime_s()))
             rc = hub.slos.exit_code() if hub.slos is not None else 0
@@ -574,12 +520,7 @@ def cmd_minij(args) -> int:
     interp = Interpreter(vm, echo=True)
     interp.load(source)
     interp.run(args.entry)
-    if vm.engine is not None and vm.engine.log.lines:
-        print()
-        print("GC assertion reports:")
-        for line in vm.engine.log.lines:
-            print(line)
-            print()
+    _print_reports(vm)
     return _violations_exit(vm)
 
 
@@ -600,13 +541,11 @@ def _load_snapshot_or_complain(path: str):
 def cmd_snapshot_capture(args) -> int:
     import os
 
-    from repro.runtime.vm import VirtualMachine
     from repro.snapshot import SnapshotPolicy
 
-    runner, _label, rc = _resolve_workload_runner(args)
-    if runner is None:
-        return rc
-    vm = VirtualMachine(heap_bytes=args.heap, collector=args.collector)
+    vm, runner = _workload_vm(args)
+    if vm is None:
+        return 2
     policy = SnapshotPolicy(
         args.out_dir,
         every_n_gcs=args.every_n_gcs,
@@ -630,12 +569,7 @@ def cmd_snapshot_capture(args) -> int:
     print(f"{len(written)} snapshot(s) written to {args.out_dir}:")
     for path in written:
         print(f"  {path}")
-    if vm.engine is not None and vm.engine.log.lines:
-        print()
-        print("GC assertion reports:")
-        for line in vm.engine.log.lines:
-            print(line)
-            print()
+    _print_reports(vm)
     return _violations_exit(vm)
 
 
@@ -713,19 +647,30 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help_text: str, example: str):
-        return sub.add_parser(
+    def add_command(name: str, help_text: str, example: str, group=sub, prefix: str = ""):
+        """A (sub)subcommand whose --help ends in an example and the exit codes."""
+        return group.add_parser(
             name,
             help=help_text,
-            epilog=f"example: python -m repro {example}\n{_EXIT_CODES}",
+            epilog=f"example: python -m repro {prefix}{example}\n{_EXIT_CODES}",
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
 
-    def add_workload_arguments(target):
-        """The shared workload-selection knobs (stats/trace/top/monitor)."""
+    def add_paranoid_argument(target):
+        target.add_argument(
+            "--paranoid",
+            action="store_true",
+            help="every VM the command builds runs the paranoid wellformedness "
+            "walker before and after each GC (HeapVerificationError on any "
+            "broken invariant)",
+        )
+
+    def add_workload_arguments(target, workload: str = "pseudojbb"):
+        """The workload-selection knobs of every command that runs one;
+        ``_workload_vm`` reads them all."""
         target.add_argument(
             "--workload",
-            default="pseudojbb",
+            default=workload,
             help="suite workload name or 'swapleak' (default: %(default)s)",
         )
         target.add_argument(
@@ -752,18 +697,15 @@ def main(argv=None) -> int:
             help="mark with N parallel workers on a zone-sharded heap "
             "(marksweep/generational; default: sequential unsharded heap)",
         )
-        target.add_argument(
-            "--swaps", type=int, default=64, help="swapleak: swap count"
-        )
-        target.add_argument(
-            "--array-size", type=int, default=32, help="swapleak: SObject array size"
-        )
+        # swapleak's knobs default to None: the defaults are the service's.
+        target.add_argument("--swaps", type=int, help="swapleak: swap count")
+        target.add_argument("--array-size", type=int, help="swapleak: SObject array size")
         target.add_argument(
             "--gc-every-swaps",
             type=int,
-            default=16,
             metavar="N",
-            help="swapleak: collect every N swaps (default: %(default)s)",
+            help="swapleak: collect every N swaps (gives --every-n-gcs captures "
+            "to bracket)",
         )
         target.add_argument(
             "--static-rep",
@@ -794,11 +736,7 @@ def main(argv=None) -> int:
         "heap-integrity smoke test on all collectors (or exhaustive model check)",
         "verify --model-check --max-objects 4",
     )
-    verify.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="smoke mode: run the paranoid wellformedness walker around every GC",
-    )
+    add_paranoid_argument(verify)
     verify.add_argument(
         "--model-check",
         action="store_true",
@@ -836,12 +774,7 @@ def main(argv=None) -> int:
         "stats", "GC telemetry for one workload run", "stats --workload db --json"
     )
     add_workload_arguments(stats)
-    stats.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="run the paranoid wellformedness walker before and after every GC "
-        "(fails fast with HeapVerificationError on any broken invariant)",
-    )
+    add_paranoid_argument(stats)
     stats.add_argument("--jsonl", metavar="PATH", help="stream events to a JSONL file")
     output = stats.add_mutually_exclusive_group()
     output.add_argument("--json", action="store_true", help="full summary as JSON")
@@ -860,32 +793,17 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     snap_sub = snapshot.add_subparsers(dest="snapshot_command", required=True)
-
-    def add_snapshot_command(name: str, help_text: str, example: str):
-        return snap_sub.add_parser(
-            name,
-            help=help_text,
-            epilog=f"example: python -m repro snapshot {example}\n{_EXIT_CODES}",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+    add_snapshot_command = functools.partial(
+        add_command, group=snap_sub, prefix="snapshot "
+    )
 
     capture = add_snapshot_command(
         "capture",
         "run a workload and capture heap snapshot(s)",
         "capture --workload swapleak --out-dir snaps --every-n-gcs 1 --gc-every-swaps 16",
     )
-    capture.add_argument(
-        "--workload",
-        default="swapleak",
-        help="suite workload name or 'swapleak' (default: %(default)s)",
-    )
+    add_workload_arguments(capture, workload="swapleak")
     capture.add_argument("--out-dir", default="snapshots", metavar="DIR")
-    capture.add_argument(
-        "--collector",
-        default="marksweep",
-        choices=["marksweep", "semispace", "generational"],
-    )
-    capture.add_argument("--heap", type=int, default=4 << 20, help="heap bytes")
     capture.add_argument(
         "--every-n-gcs",
         type=int,
@@ -897,27 +815,6 @@ def main(argv=None) -> int:
         "--on-violation",
         action="store_true",
         help="also capture (and annotate the report) when an assertion fires",
-    )
-    capture.add_argument(
-        "--assertions",
-        action="store_true",
-        help="run the workload's asserted variant (swapleak: assert-dead per swap)",
-    )
-    capture.add_argument("--swaps", type=int, default=64, help="swapleak: swap count")
-    capture.add_argument(
-        "--array-size", type=int, default=32, help="swapleak: SObject array size"
-    )
-    capture.add_argument(
-        "--gc-every-swaps",
-        type=int,
-        default=0,
-        metavar="N",
-        help="swapleak: collect every N swaps (gives every-n-gcs captures to bracket)",
-    )
-    capture.add_argument(
-        "--static-rep",
-        action="store_true",
-        help="swapleak: run the repaired (non-leaking) variant",
     )
 
     analyze = add_snapshot_command(
@@ -960,14 +857,7 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-
-    def add_trace_command(name: str, help_text: str, example: str):
-        return trace_sub.add_parser(
-            name,
-            help=help_text,
-            epilog=f"example: python -m repro trace {example}\n{_EXIT_CODES}",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+    add_trace_command = functools.partial(add_command, group=trace_sub, prefix="trace ")
 
     trace_run = add_trace_command(
         "run",
@@ -975,11 +865,7 @@ def main(argv=None) -> int:
         "run --workload lusearch --out trace.json --flame mark.folded",
     )
     add_workload_arguments(trace_run)
-    trace_run.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="run the paranoid wellformedness walker before and after every GC",
-    )
+    add_paranoid_argument(trace_run)
     trace_run.add_argument(
         "--out",
         default="trace.json",
@@ -1142,10 +1028,7 @@ def main(argv=None) -> int:
         "--no-hardened", action="store_true",
         help="tenant VMs without the PR-5 OOM ladder (halves committed bytes)",
     )
-    serve.add_argument(
-        "--paranoid", action="store_true",
-        help="tenant VMs run the paranoid wellformedness walker around every GC",
-    )
+    add_paranoid_argument(serve)
 
     loadgen = add_command(
         "loadgen",
@@ -1211,12 +1094,7 @@ def main(argv=None) -> int:
         help="fault-schedule seed; a failing run replays bit-for-bit "
         "(default: %(default)s)",
     )
-    chaos.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="chaos-cell VMs run the paranoid wellformedness walker around "
-        "every GC (hardened recovery repairs damage before each walk)",
-    )
+    add_paranoid_argument(chaos)
 
     minij = add_command("minij", "run a MiniJ program", "minij examples/programs/linked_list.minij")
     minij.add_argument("file")

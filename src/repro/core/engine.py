@@ -33,7 +33,6 @@ from repro.core.registry import AssertionRegistry, OwnerRecord
 from repro.core.reporting import AssertionKind, HeapPath, Violation, ViolationLog
 from repro.errors import AssertionViolationHalt, ConfigurationError, EngineDegraded
 from repro.heap import header as hdr
-from repro.heap.layout import NULL
 from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
@@ -80,6 +79,10 @@ class AssertionEngine:
         #: back edge this collection; ``post_mark`` re-judges them against
         #: true root reachability (see :func:`repro.core.ownership.run_ownership_phase`).
         self._self_sustained: list[OwnerRecord] = []
+        #: Ownees phase 1 reached from a *different* owner's region and so
+        #: did not mark (the misuse path); ``post_mark`` traces from the ones
+        #: nothing else marked (:meth:`_trace_foreign_ownees`).
+        self._foreign_ownees: list[tuple[HeapObject, int]] = []
         #: Ownees the *naive* ownership check set ``OWNED`` on for the root scan
         #: to read; cleared from this list (``release_owned``), not by a heap
         #: walk.  Two-phase mode marks what it finds instead and writes no bit.
@@ -134,6 +137,7 @@ class AssertionEngine:
         self._force_victims = []
         self._checks_this_gc = 0
         self._self_sustained = []
+        self._foreign_ownees = []
         self.classes.reset_instance_counts()
 
     def pre_mark(self, collector: "Collector", tracer: "Tracer") -> None:
@@ -289,17 +293,7 @@ class AssertionEngine:
             owner = heap.maybe(record.owner_address)
             if owner is not None and not owner.is_freed:
                 seeds.extend(owner.reference_slots())
-        reachable: set[int] = set()
-        stack = [a for a in seeds if a != NULL and heap.contains(a)]
-        while stack:
-            address = stack.pop()
-            if address in reachable:
-                continue
-            reachable.add(address)
-            for child in heap.get(address).reference_slots():
-                if child != NULL and child not in reachable and heap.contains(child):
-                    stack.append(child)
-        demoted = heap.marks - reachable
+        demoted = heap.marks - heap.closure(seeds)
         if demoted:
             heap.marks.difference_update(demoted)
             # Phase 1 staged violations (assert-dead, assert-unshared) for
@@ -310,7 +304,33 @@ class AssertionEngine:
             collector.stats.violations_detected -= len(self._pending) - len(kept)
             self._pending = kept
 
+    def _trace_foreign_ownees(self, tracer: "Tracer") -> None:
+        """Finish the root scan below the ownees phase 1 refused to mark.
+
+        Phase 1 leaves another owner's ownee unmarked but marks the
+        ordinary objects above it, and the root scan prunes at those marks.
+        If that region was the only path, nothing has marked the ownee:
+        the sweep would free it under a live reference and the next
+        collection follow a dangling edge.  So each one still unmarked is
+        handed to the tracer as one more root and drained — phase 2's
+        first-encounter hook reports it, rightly, as reachable but not
+        through its owner.  One its own owner's scan or the root scan did
+        reach is marked already and skipped; verdicts and counters move on
+        the misuse path only.
+        """
+        pending, self._foreign_ownees = self._foreign_ownees, []
+        marks = tracer.heap.marks
+        late = [
+            (f"(reached only through the region of owner {owner:#x})", obj.address)
+            for obj, owner in pending
+            if obj.address not in marks
+        ]
+        if late:
+            tracer.scan_roots(late)
+            tracer.drain()
+
     def post_mark(self, collector: "Collector", tracer: "Tracer") -> None:
+        self._trace_foreign_ownees(tracer)
         self.release_owned()  # the root scan has read them
         self._demote_self_sustained(collector)
         self._check_instance_limits(collector)
@@ -432,6 +452,9 @@ class AssertionEngine:
         )
 
     def report_ownership_misuse(self, obj: HeapObject, record: OwnerRecord) -> None:
+        """Phase 1 reached ``obj``, another owner's ownee, from ``record``'s
+        region and did not mark it: warn, and remember it for ``post_mark``."""
+        self._foreign_ownees.append((obj, record.owner_address))
         owner_address = self.registry.owner_of(obj.address)
         owner_desc = (
             f"{owner_address:#x}" if owner_address is not None else "<unregistered>"

@@ -22,6 +22,12 @@ registered owner:
   root scan prunes at marks, so it would never read one set here.
 * If an ownee of a *different* owner is reached: issue an improper-use
   warning (the owner regions are required to be disjoint) and do not mark.
+  The engine remembers it: the objects above it are marked, so the root
+  scan will prune before it gets there, and if its own owner's scan does
+  not reach it either, ``post_mark`` traces from it as one more root
+  (``AssertionEngine._trace_foreign_ownees``) — phase 2 reporting it as
+  reachable but not through its owner — or the sweep would free it under
+  a live reference.
 * If a different owner object is reached: mark it and stop — "we will scan
   this owner independently."
 
@@ -167,7 +173,9 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         depth = probes_to_find(child)
                         if depth is None:
                             # Ownee of a different owner: improper use of
-                            # the assertion.  Warn once and do not mark.
+                            # the assertion.  Warn once and do not mark; the
+                            # engine traces from it after the root scan if
+                            # nothing else has marked it by then.
                             probes += record.contains(child)[1]
                             hooked += 1
                             if child not in misuse_reported:

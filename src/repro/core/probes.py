@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.heap.layout import NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
 
 if TYPE_CHECKING:
@@ -132,18 +131,4 @@ class HeapProbes:
         self._collect()
         if source_obj.is_freed or target_obj.is_freed:
             return False
-        heap = self.vm.heap
-        seen: set[int] = set()
-        stack = [source_obj.address]
-        wanted = target_obj.address
-        while stack:
-            address = stack.pop()
-            if address in seen:
-                continue
-            seen.add(address)
-            if address == wanted:
-                return True
-            for ref in heap.get(address).reference_slots():
-                if ref != NULL and ref not in seen:
-                    stack.append(ref)
-        return False
+        return target_obj.address in self.vm.heap.closure([source_obj.address])

@@ -69,32 +69,14 @@ MATRIX: tuple[tuple[str, Optional[str], int], ...] = (
 CHAOS_PIN_ZONE = 1
 
 
-def _chaos_workloads(quick: bool) -> dict[str, tuple[Callable, int]]:
-    """name -> (runner, heap_bytes).  Quick mode is the CI smoke pair."""
-    from repro.workloads.lusearch import LusearchConfig, run_lusearch
-    from repro.workloads.suite import HEAP_BUDGETS
-    from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
+def _chaos_workloads(quick: bool) -> dict[str, tuple[int, Callable]]:
+    """name -> (heap_bytes, runner), as the service resolves them.  Quick
+    mode is the CI smoke pair.  Only swapleak runs asserted: its planted
+    violations are the soak's genuine ones, told from injected ones by site."""
+    from repro.service.session import resolve_workload
 
-    def lusearch(vm: VirtualMachine):
-        return run_lusearch(vm, LusearchConfig(gc_midway=False))
-
-    def swapleak(vm: VirtualMachine):
-        return run_swapleak(vm, SwapLeakConfig(swaps=64, gc_every_swaps=8))
-
-    workloads: dict[str, tuple[Callable, int]] = {
-        "lusearch": (lusearch, HEAP_BUDGETS["lusearch"]),
-        "swapleak": (swapleak, 96 * 1024),
-    }
-    if not quick:
-        from repro.workloads.db import DbConfig, run_db
-        from repro.workloads.jbb.driver import JbbConfig, run_pseudojbb
-
-        workloads["db"] = (lambda vm: run_db(vm, DbConfig()), HEAP_BUDGETS["db"])
-        workloads["pseudojbb"] = (
-            lambda vm: run_pseudojbb(vm, JbbConfig()),
-            HEAP_BUDGETS["pseudojbb"],
-        )
-    return workloads
+    names = ("lusearch", "swapleak") if quick else ("lusearch", "swapleak", "db", "pseudojbb")
+    return {name: resolve_workload(name, asserted=name == "swapleak") for name in names}
 
 
 @dataclass
@@ -394,7 +376,7 @@ def run_chaos(quick: bool = False, seed: int = 0, paranoid: bool = False) -> Cha
     workloads = _chaos_workloads(quick)
     report = ChaosReport(seeds=seeds, quick=quick)
     for collector, sweep_mode, gc_workers in MATRIX:
-        for workload, (runner, heap_bytes) in workloads.items():
+        for workload, (heap_bytes, runner) in workloads.items():
             for cell_seed in seeds:
                 report.cells.append(
                     run_cell(

@@ -299,20 +299,8 @@ class FaultInjector:
 
     def _reachable(self) -> list[int]:
         """Sorted root-reachable addresses (deterministic victim pool)."""
-        heap = self.vm.heap
-        seen: set[int] = set()
-        stack: list[int] = []
-        for _desc, address in self.vm.root_entries():
-            if address != NULL and address not in seen and heap.contains(address):
-                seen.add(address)
-                stack.append(address)
-        while stack:
-            obj = heap.get(stack.pop())
-            for ref in obj.reference_slots():
-                if ref != NULL and ref not in seen and heap.contains(ref):
-                    seen.add(ref)
-                    stack.append(ref)
-        addresses = sorted(seen)
+        roots = [address for _desc, address in self.vm.root_entries()]
+        addresses = sorted(self.vm.heap.closure(roots))
         if self.pin_zone is not None:
             zone_map = getattr(self.vm.collector, "zone_map", None)
             if zone_map is not None:

@@ -6,8 +6,9 @@ assertion: who keeps this object alive?  how much memory would freeing it
 release?  what does this subsystem retain?
 
 All functions operate on a quiesced VM (no collection in progress) and do
-not mutate header bits — they use Python-side visited sets, so they are
-safe to call between any two mutator operations.
+not mutate header bits — reachability is :meth:`ObjectHeap.closure
+<repro.heap.heap.ObjectHeap.closure>`, a Python-side visited set, so they
+are safe to call between any two mutator operations.
 
 * :func:`path_to` — shortest root-to-object reference chain (BFS), the
   interactive analog of the Figure-1 report.
@@ -81,34 +82,7 @@ def path_to(vm: "VirtualMachine", target: Target) -> Optional[tuple[str, list[He
 
 def reachable_from(vm: "VirtualMachine", target: Target) -> set[int]:
     """Addresses of every object reachable from ``target`` (inclusive)."""
-    heap = vm.heap
-    start = _address_of(vm, target)
-    seen: set[int] = set()
-    stack = [start]
-    while stack:
-        address = stack.pop()
-        if address in seen:
-            continue
-        seen.add(address)
-        for ref in heap.get(address).reference_slots():
-            if ref != NULL and ref not in seen:
-                stack.append(ref)
-    return seen
-
-
-def _reachable_excluding(vm: "VirtualMachine", excluded: int) -> set[int]:
-    heap = vm.heap
-    seen: set[int] = set()
-    stack = [a for _d, a in vm.root_entries() if a != excluded]
-    while stack:
-        address = stack.pop()
-        if address in seen or address == excluded:
-            continue
-        seen.add(address)
-        for ref in heap.get(address).reference_slots():
-            if ref != NULL and ref != excluded and ref not in seen:
-                stack.append(ref)
-    return seen
+    return vm.heap.closure([_address_of(vm, target)])
 
 
 def retained_size(vm: "VirtualMachine", target: Target) -> int:
@@ -121,22 +95,13 @@ def retained_size(vm: "VirtualMachine", target: Target) -> int:
     """
     heap = vm.heap
     excluded = _address_of(vm, target)
-    with_target = {a for _d, a in vm.root_entries()}
-    all_reachable: set[int] = set()
-    stack = list(with_target)
-    while stack:
-        address = stack.pop()
-        if address in all_reachable:
-            continue
-        all_reachable.add(address)
-        for ref in heap.get(address).reference_slots():
-            if ref != NULL and ref not in all_reachable:
-                stack.append(ref)
-    if excluded not in all_reachable:
+    roots = [address for _desc, address in vm.root_entries()]
+    retained = heap.closure(roots)
+    if excluded in retained:
+        retained -= heap.closure(roots, excluding=excluded)
+    else:
         # Unreachable already: its retained set is its own closure.
-        return sum(heap.get(a).size_bytes for a in reachable_from(vm, excluded))
-    without = _reachable_excluding(vm, excluded)
-    retained = all_reachable - without
+        retained = heap.closure([excluded])
     return sum(heap.get(a).size_bytes for a in retained)
 
 

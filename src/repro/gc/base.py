@@ -18,9 +18,11 @@ have one call site.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Protocol, TYPE_CHECKING
 
-from repro.errors import AssertionViolationHalt, HeapError, HeapExhausted
+from repro.errors import AssertionViolationHalt, HeapError, HeapExhausted, InvalidAddressError
+from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import GcStats, PhaseTimer, RecoveryStats
 from repro.gc.tracer import Tracer
 from repro.gc.verify import (
@@ -166,6 +168,9 @@ class Collector:
         #: across modes.
         self.paranoid = False
         self.paranoid_walks = 0
+        #: The chunk sweeper of the one space this collector sweeps (set by
+        #: :meth:`_sweep_with`); None for a collector that evacuates instead.
+        self._sweeper: Optional[ChunkSweeper] = None
 
     # -- wiring ---------------------------------------------------------------------
 
@@ -184,6 +189,99 @@ class Collector:
 
     def write_barrier(self, src: HeapObject, new_address: int) -> None:
         """Reference-store hook (used by the generational collector)."""
+
+    def _allocate_cell(
+        self, attempt, cls: ClassDescriptor, nbytes: int, oom_reason: str, collect_as=None
+    ) -> int:
+        """``attempt(nbytes)`` — ask a space for a cell: an address, or
+        ``None`` — and when it says no, the ladder of :meth:`_under_pressure`."""
+        address = attempt(nbytes)
+        if address is None:
+            address = self._under_pressure(attempt, cls, nbytes, oom_reason, collect_as)
+        return address
+
+    def _under_pressure(
+        self,
+        attempt,
+        cls: ClassDescriptor,
+        nbytes: int,
+        oom_reason: str,
+        collect_as: Optional[str] = None,
+    ) -> int:
+        """The allocation-pressure ladder: every collector's one answer to
+        an ``attempt(nbytes)`` that has just returned ``None``.
+
+        Each rung ends in another attempt.  Repay lazy-sweep debt, a batch
+        of chunks at a time; run one full collection (trigger
+        ``"<collect_as> of N bytes failed"``) and repay the debt it leaves;
+        grow the heap toward ``max_heap_bytes``, a step at a time; raise
+        the typed :class:`HeapExhausted`.  ``collect_as=None`` leaves the
+        collection out: promotion and evacuation run inside one.
+        ``oom_recoveries`` counts the requests growth rescued — the attempt
+        after a growth step succeeded.
+        """
+        sweeper = self._sweeper
+        for collected in range(1 if collect_as is None else 2):
+            address = None
+            if collected:
+                self.collect(reason=f"{collect_as} of {nbytes} bytes failed")
+                address = attempt(nbytes)
+            while address is None and sweeper is not None and sweeper.debt:
+                sweeper.sweep_chunks(LAZY_SWEEP_BATCH)
+                address = attempt(nbytes)
+            if address is not None:
+                return address
+        while self._try_grow():
+            address = attempt(nbytes)
+            if address is not None:
+                self.recovery.oom_recoveries += 1
+                return address
+        raise self._oom(cls, nbytes, oom_reason)
+
+    def _place(self, place, space, address: int, *cell):
+        """``place(address)`` — a ``heap.install`` or ``heap.relocate`` into a
+        cell of ``space`` — the hardened way.
+
+        An :class:`InvalidAddressError` means corrupted free-list metadata
+        handed out an address the table already tracks.  Unhardened it
+        propagates; hardened, the alias is fenced and the next cell comes
+        from ``_allocate_cell(*cell)``, until one takes.  Every round
+        retires a corrupt cell for good, so a space with nothing else left
+        ends in the ladder's typed OOM, not in a loop.
+        """
+        while True:
+            try:
+                return place(address)
+            except InvalidAddressError:
+                if not self.hardened:
+                    raise
+            self._fence_aliased_cell(space, address)
+            address = self._allocate_cell(*cell)
+
+    def _relocate_into(self, space, obj: HeapObject, oom_reason: str) -> int:
+        """Move ``obj`` into a fresh cell of ``space`` (promotion,
+        evacuation); returns its new address."""
+        nbytes = obj.size_bytes
+        address = space.allocate(nbytes)
+        if address is None:
+            address = self._under_pressure(space.allocate, obj.cls, nbytes, oom_reason)
+        try:
+            self.heap.relocate(obj, address)
+        except InvalidAddressError:
+            relocate = partial(self.heap.relocate, obj)
+            self._place(relocate, space, address, space.allocate, obj.cls, nbytes, oom_reason)
+        return obj.address
+
+    @staticmethod
+    def _forward_slots(obj: HeapObject, fwd: dict[int, int]) -> None:
+        """Rewrite ``obj``'s reference slots through a forwarding map."""
+        slots = obj.slots
+        for idx in obj.reference_slot_indices():
+            child = slots[idx]
+            if child != NULL:
+                new = fwd.get(child)
+                if new is not None:
+                    slots[idx] = new
 
     # -- the pause skeleton --------------------------------------------------------------
 
@@ -679,30 +777,40 @@ class Collector:
             top_retained=top,
         )
 
-    # -- lazy-sweep surface (no-ops for eager-only collectors) ---------------------------
+    # -- lazy-sweep surface (all of it a no-op without a sweeper) -------------------------
+
+    def _sweep_with(self, space, sweep_mode: str) -> None:
+        """Sweep ``space`` in chunks: all inside the pause (``"eager"``) or
+        on the allocation slow path after it (``"lazy"``)."""
+        if sweep_mode not in ("eager", "lazy"):
+            raise HeapError(f"unknown sweep mode {sweep_mode!r}")
+        self.sweep_mode = sweep_mode
+        self._sweeper = ChunkSweeper(self, space)
 
     def sweep_all(self) -> None:
         """Finish any deferred sweep work so reclamation is exact *now*.
 
         The escape hatch lazy mode needs for consumers whose semantics
         require an up-to-date heap table — ``verify_heap``, the class
-        census, assert-dead probing after an explicit GC.  Eager collectors
-        have nothing deferred, so the base implementation is a no-op.
+        census, assert-dead probing after an explicit GC — and every
+        sweeping collector's prologue.
         """
+        if self._sweeper is not None:
+            self._sweeper.sweep_all()
 
     def sweep_debt(self) -> int:
         """Unswept chunks outstanding from the last collection (0 = exact)."""
-        return 0
+        return self._sweeper.debt if self._sweeper is not None else 0
 
     def sweep_cutoff(self) -> int:
         """``heap.install_seq`` at the last mark end: under sweep debt, an
         object stamped later was installed after the trace."""
-        return 0
+        return self._sweeper.cutoff if self._sweeper is not None else 0
 
     def pending_garbage_predicate(self):
         """``None``, or a predicate marking objects that are dead but not
         yet swept — table walkers (census) use it to skip pending garbage."""
-        return None
+        return self._sweeper.pending_garbage_predicate() if self._sweeper is not None else None
 
     # -- introspection -----------------------------------------------------------------
 

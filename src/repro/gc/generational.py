@@ -17,7 +17,7 @@ The mature space sweeps through the shared :class:`ChunkSweeper`.  Under
 ``sweep_mode="eager"`` (default) the full-heap pause keeps its classic
 shape; under ``"lazy"`` the pause ends after marking and promotion, and
 mature chunks are reclaimed on demand — promotion and mutator mature
-allocation repay debt through :meth:`_mature_allocate`, whose per-chunk
+allocation repay debt on the shared allocation ladder, whose per-chunk
 purge upholds the purge-before-reuse invariant the eager path gets from its
 single bulk purge.  One lazy-mode imprecision: a dead-but-unswept mature
 object can still sit in the remembered set, so the nursery objects it
@@ -27,9 +27,9 @@ paper accepts for its ownership phase (§2.5.2).
 
 from __future__ import annotations
 
-from repro.errors import HeapError, InvalidAddressError
+from functools import partial
+
 from repro.gc.base import Collector
-from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import PhaseTimer
 from repro.heap.heap import SPACE_STRIDE
 from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
@@ -56,7 +56,6 @@ class GenerationalCollector(Collector):
         heap_bytes: int,
         engine=None,
         track_paths=None,
-        nursery_fraction: float = DEFAULT_NURSERY_FRACTION,
         sweep_mode: str = "eager",
         hardened: bool = False,
         max_heap_bytes=None,
@@ -71,14 +70,11 @@ class GenerationalCollector(Collector):
             # mark drain and checks no assertions anyway).
             self.gc_workers = gc_workers
             self.zone_map = ZoneMap.hashed(zones)
-        nursery_bytes = max(4096, int(heap_bytes * nursery_fraction))
+        nursery_bytes = max(4096, int(heap_bytes * DEFAULT_NURSERY_FRACTION))
         self.nursery = BumpSpace("nursery", nursery_bytes, HEAP_BASE_ADDRESS + SPACE_STRIDE)
         self.mature = FreeListSpace("mature", heap_bytes - nursery_bytes, HEAP_BASE_ADDRESS)
         self._large_threshold = int(nursery_bytes * LARGE_OBJECT_FRACTION)
-        if sweep_mode not in ("eager", "lazy"):
-            raise HeapError(f"unknown sweep mode {sweep_mode!r}")
-        self.sweep_mode = sweep_mode
-        self._mature_sweeper = ChunkSweeper(self, self.mature)
+        self._sweep_with(self.mature, sweep_mode)
         #: Addresses of mature objects that may hold nursery references.
         self.remembered: set[int] = set()
 
@@ -99,32 +95,13 @@ class GenerationalCollector(Collector):
                 return self._allocate_mature(cls, length, nbytes)
         return self.heap.install(address, cls, length)
 
-    def _mature_allocate(self, nbytes: int) -> int | None:
-        """Mature-space allocation that repays sweep debt on demand."""
-        address = self.mature.allocate(nbytes)
-        while address is None and self._mature_sweeper.debt:
-            self._mature_sweeper.sweep_chunks(LAZY_SWEEP_BATCH)
-            address = self.mature.allocate(nbytes)
-        return address
-
     def _allocate_mature(self, cls: ClassDescriptor, length: int, nbytes: int) -> HeapObject:
-        address = self._mature_allocate(nbytes)
-        if address is None:
-            self.collect(reason=f"mature allocation of {nbytes} bytes failed")
-            address = self._mature_allocate(nbytes)
-            while address is None and self._try_grow():
-                address = self._mature_allocate(nbytes)
-                if address is not None:
-                    self.recovery.oom_recoveries += 1
-            if address is None:
-                raise self._oom(cls, nbytes, "mature space full after full-heap GC")
-        try:
-            return self.heap.install(address, cls, length)
-        except InvalidAddressError:
-            if not self.hardened:
-                raise
-            self._fence_aliased_cell(self.mature, address)
-            return self._allocate_mature(cls, length, nbytes)
+        cell = (
+            self.mature.allocate, cls, nbytes,
+            "mature space full after full-heap GC", "mature allocation",
+        )
+        install = partial(self.heap.install, cls=cls, length=length)
+        return self._place(install, self.mature, self._allocate_cell(*cell), *cell)
 
     def bytes_in_use(self) -> int:
         return self.nursery.bytes_in_use + self.mature.bytes_in_use
@@ -157,7 +134,7 @@ class GenerationalCollector(Collector):
         # collection (which also empties the nursery).
         headroom = int(self.nursery.bytes_in_use * 1.5)
         if self.mature.bytes_free < headroom:
-            if self._mature_sweeper.debt:
+            if self._sweeper.debt:
                 self.sweep_all()
             if self.mature.bytes_free < headroom:
                 self.collect(reason=f"{reason}; mature too full for promotion")
@@ -223,7 +200,7 @@ class GenerationalCollector(Collector):
                     continue
                 stats.objects_swept += 1
                 if address in visited:
-                    new_address = self._promote(obj)
+                    new_address = self._relocate_into(self.mature, obj, "promotion failed")
                     fwd[address] = new_address
                     survivors.append(obj)
                     stats.objects_promoted += 1
@@ -246,42 +223,6 @@ class GenerationalCollector(Collector):
             self.remembered.clear()
         return freed, fwd
 
-    def _promote(self, obj: HeapObject) -> int:
-        """Allocate a mature cell for one survivor and relocate it there.
-
-        Hardened mode retries around a corrupt target cell: an install
-        collision (corrupted free-list metadata aliasing a live object) is
-        fenced and a fresh cell requested, bounded to a handful of attempts.
-        A growth attempt backstops promotion pressure when a ceiling allows.
-        """
-        heap = self.heap
-        attempts = 4 if self.hardened else 1
-        for _ in range(attempts):
-            new_address = self._mature_allocate(obj.size_bytes)
-            if new_address is None and self._try_grow():
-                self.recovery.oom_recoveries += 1
-                new_address = self._mature_allocate(obj.size_bytes)
-            if new_address is None:
-                raise self._oom(obj.cls, obj.size_bytes, "promotion failed")
-            try:
-                heap.relocate(obj, new_address)
-                return new_address
-            except InvalidAddressError:
-                if not self.hardened:
-                    raise
-                self._fence_aliased_cell(self.mature, new_address)
-        raise self._oom(obj.cls, obj.size_bytes, "promotion failed after quarantine")
-
-    @staticmethod
-    def _forward_slots(obj: HeapObject, fwd: dict[int, int]) -> None:
-        slots = obj.slots
-        for idx in obj.reference_slot_indices():
-            child = slots[idx]
-            if child != NULL:
-                new = fwd.get(child)
-                if new is not None:
-                    slots[idx] = new
-
     # -- full-heap collection --------------------------------------------------------------
 
     def _prologue(self) -> None:
@@ -296,12 +237,12 @@ class GenerationalCollector(Collector):
         address-keyed metadata (assertion registry, region queues) is purged
         before any such cell can be handed out — eagerly in one bulk purge
         between sweeping and promotion, lazily per chunk inside
-        :meth:`_mature_allocate` — and the epilogue is left nothing to purge.
+        the allocation ladder — and the epilogue is left nothing to purge.
         """
-        self._mature_sweeper.schedule()
+        self._sweeper.schedule()
         freed = self._sweep_nursery_dead()
         if self.sweep_mode == "eager":
-            freed |= self._mature_sweeper.drain_eager()
+            freed |= self._sweeper.drain_eager()
         # Lazily, mature chunks stay pending and only the chunk sweeper
         # (which purges per chunk) can recycle their cells during promotion.
         self._purge_before_reuse(freed)
@@ -348,7 +289,7 @@ class GenerationalCollector(Collector):
                 obj = heap.maybe(address)
                 if obj is None:
                     continue
-                new_address = self._promote(obj)
+                new_address = self._relocate_into(self.mature, obj, "promotion failed")
                 fwd[address] = new_address
                 stats.objects_promoted += 1
             if fwd:
@@ -358,17 +299,3 @@ class GenerationalCollector(Collector):
             nursery.reset()
             self.remembered.clear()
         return fwd
-
-    # -- lazy-sweep surface ------------------------------------------------------------
-
-    def sweep_all(self) -> None:
-        self._mature_sweeper.sweep_all()
-
-    def sweep_debt(self) -> int:
-        return self._mature_sweeper.debt
-
-    def sweep_cutoff(self) -> int:
-        return self._mature_sweeper.cutoff
-
-    def pending_garbage_predicate(self):
-        return self._mature_sweeper.pending_garbage_predicate()

@@ -20,9 +20,10 @@ by a chunked sweep in one of two disciplines:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
-from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -80,11 +81,8 @@ class MarkSweepCollector(Collector):
         else:
             raise HeapError(f"unknown space policy {space_policy!r}")
         self.gc_workers = gc_workers
-        if sweep_mode not in ("eager", "lazy"):
-            raise HeapError(f"unknown sweep mode {sweep_mode!r}")
         self.space_policy = space_policy
-        self.sweep_mode = sweep_mode
-        self._sweeper = ChunkSweeper(self, self.space)
+        self._sweep_with(self.space, sweep_mode)
         #: size class -> reserved (uncommitted) cells, popped by the fast
         #: path.  None for the blocks policy, which has no reserve API.
         self._alloc_cache: dict[int, list[int]] | None = (
@@ -107,41 +105,29 @@ class MarkSweepCollector(Collector):
                 self.stats.alloc_fast_hits += 1
                 address = run.pop()
             else:
-                address = self._allocate_slow_cached(cell, cls, nbytes)
+                address = self._allocate_cell(*self._cell(cls, nbytes))
         else:
-            address = self._allocate_slow(cls, nbytes)
+            address = self._allocate_cell(*self._cell(cls, nbytes))
         try:
             return self.heap.install(address, cls, length)
         except InvalidAddressError:
-            if not self.hardened:
-                raise
-            return self._install_past_alias(address, cls, length, nbytes)
+            # The request was recorded above (telemetry, fast-path hit); one
+            # object is one record, and the slow install records nothing.
+            install = partial(self.heap.install, cls=cls, length=length)
+            return self._place(install, self.space, address, *self._cell(cls, nbytes))
 
-    def _install_past_alias(
-        self, address: int, cls: ClassDescriptor, length: int, nbytes: int
-    ) -> HeapObject:
-        """Hardened: corrupted free-list metadata handed out ``address``,
-        which the table already tracks.  Fence the alias and take the next
-        cell, until one installs.  The request was recorded (telemetry,
-        fast-path hit) by :meth:`allocate`; one object is one record, so
-        the retry goes through the slow paths, which record nothing.
-        """
-        space = self.space
-        cached = self._alloc_cache is not None and nbytes <= _CACHE_LIMIT
-        while True:
-            self._fence_aliased_cell(space, address)
-            if cached:
-                address = self._allocate_slow_cached(SIZE_CLASS_LOOKUP[nbytes], cls, nbytes)
-            else:
-                address = self._allocate_slow(cls, nbytes)
-            try:
-                return self.heap.install(address, cls, length)
-            except InvalidAddressError:
-                continue
+    def _cell(self, cls: ClassDescriptor, nbytes: int) -> tuple:
+        """This collector's arguments to :meth:`Collector._allocate_cell`."""
+        return self._try_allocate, cls, nbytes, "space full after full-heap GC", "allocation"
 
-    def _try_cached(self, cell: int) -> int | None:
-        """Pop a cell from the run cache, refilling it from the space."""
+    def _try_allocate(self, nbytes: int) -> int | None:
+        """One attempt at the space: through the run cache (refilling it)
+        for a tabled size class, straight to the space for the blocks policy
+        and over-cache-limit requests."""
         cache = self._alloc_cache
+        if cache is None or nbytes > _CACHE_LIMIT:
+            return self.space.allocate(nbytes)
+        cell = SIZE_CLASS_LOOKUP[nbytes]
         run = cache.get(cell)
         if not run:
             run = self.space.reserve_run(cell, RUN_CACHE_CELLS)
@@ -151,47 +137,6 @@ class MarkSweepCollector(Collector):
         if self.space.commit(run[-1], cell):
             return run.pop()
         return None  # reserved cells exist but the byte budget is gone
-
-    def _allocate_slow_cached(self, cell: int, cls: ClassDescriptor, nbytes: int) -> int:
-        for attempt in (0, 1):
-            address = self._try_cached(cell)
-            if address is not None:
-                return address
-            while self._sweeper.debt:
-                self._sweeper.sweep_chunks(LAZY_SWEEP_BATCH)
-                address = self._try_cached(cell)
-                if address is not None:
-                    return address
-            if attempt == 0:
-                self.collect(reason=f"allocation of {nbytes} bytes failed")
-        # Emergency collection and debt repayment both failed; growing the
-        # heap (when a ceiling allows it) is the last rung before OOM.
-        while self._try_grow():
-            address = self._try_cached(cell)
-            if address is not None:
-                self.recovery.oom_recoveries += 1
-                return address
-        raise self._oom(cls, nbytes, "space full after full-heap GC")
-
-    def _allocate_slow(self, cls: ClassDescriptor, nbytes: int) -> int:
-        """Uncached slow path: blocks policy and over-cache-limit requests."""
-        for attempt in (0, 1):
-            address = self.space.allocate(nbytes)
-            if address is not None:
-                return address
-            while self._sweeper.debt:
-                self._sweeper.sweep_chunks(LAZY_SWEEP_BATCH)
-                address = self.space.allocate(nbytes)
-                if address is not None:
-                    return address
-            if attempt == 0:
-                self.collect(reason=f"allocation of {nbytes} bytes failed")
-        while self._try_grow():
-            address = self.space.allocate(nbytes)
-            if address is not None:
-                self.recovery.oom_recoveries += 1
-                return address
-        raise self._oom(cls, nbytes, "space full after full-heap GC")
 
     def _flush_alloc_cache(self) -> None:
         """Return every reserved cell to the free list (collect prologue).
@@ -227,17 +172,3 @@ class MarkSweepCollector(Collector):
         if self.sweep_mode == "eager":
             return self._sweeper.drain_eager(), None
         return None, None  # chunks stay pending; the pause ends here
-
-    # -- lazy-sweep surface ------------------------------------------------------------
-
-    def sweep_all(self) -> None:
-        self._sweeper.sweep_all()
-
-    def sweep_debt(self) -> int:
-        return self._sweeper.debt
-
-    def sweep_cutoff(self) -> int:
-        return self._sweeper.cutoff
-
-    def pending_garbage_predicate(self):
-        return self._sweeper.pending_garbage_predicate()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.gc.base import Collector
 from repro.gc.stats import PhaseTimer
 from repro.heap.heap import SPACE_STRIDE
-from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
+from repro.heap.layout import HEAP_BASE_ADDRESS
 from repro.heap.object_model import ClassDescriptor, HeapObject
 from repro.heap.space import BumpSpace
 
@@ -60,14 +60,11 @@ class SemiSpaceCollector(Collector):
             telemetry.alloc_hist.record(nbytes)
         address = self.from_space.allocate(nbytes)
         if address is None:
-            self.collect(reason=f"allocation of {nbytes} bytes failed")
-            address = self.from_space.allocate(nbytes)
-            while address is None and self._try_grow():
-                address = self.from_space.allocate(nbytes)
-                if address is not None:
-                    self.recovery.oom_recoveries += 1
-            if address is None:
-                raise self._oom(cls, nbytes, "semispace full after collection")
+            # The collection rung flips the spaces: ask for from-space anew.
+            address = self._under_pressure(
+                lambda n: self.from_space.allocate(n),
+                cls, nbytes, "semispace full after collection", "allocation",
+            )
         return self.heap.install(address, cls, length)
 
     def bytes_in_use(self) -> int:
@@ -102,16 +99,9 @@ class SemiSpaceCollector(Collector):
                     continue
                 stats.objects_swept += 1
                 if address in marks:  # read before relocate changes the key
-                    new_address = to_space.allocate(obj.size_bytes)
-                    if new_address is None and self._try_grow():
-                        self.recovery.oom_recoveries += 1
-                        new_address = to_space.allocate(obj.size_bytes)
-                    if new_address is None:
-                        # With equal-size semispaces this cannot happen unless
-                        # the heap is badly undersized; surface it loudly.
-                        raise self._oom(obj.cls, obj.size_bytes, "to-space exhausted")
-                    heap.relocate(obj, new_address)
-                    fwd[address] = new_address
+                    # With equal-size semispaces the ladder's later rungs are
+                    # for a badly undersized heap; its OOM surfaces that loudly.
+                    fwd[address] = self._relocate_into(to_space, obj, "to-space exhausted")
                     survivors.append(obj)
                 else:
                     freed.add(address)
@@ -121,13 +111,7 @@ class SemiSpaceCollector(Collector):
 
             # Rewrite surviving reference slots through the forwarding map.
             for obj in survivors:
-                slots = obj.slots
-                for idx in obj.reference_slot_indices():
-                    child = slots[idx]
-                    if child != NULL:
-                        new = fwd.get(child)
-                        if new is not None:
-                            slots[idx] = new
+                self._forward_slots(obj, fwd)
 
             from_space.reset()
             self._current = 1 - self._current

@@ -13,7 +13,7 @@ collector; the heap only checks invariants and stores objects.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import InvalidAddressError, UseAfterFreeError
 from repro.heap import header as hdr
@@ -235,6 +235,34 @@ class ObjectHeap:
 
     def contains(self, address: int) -> bool:
         return address in self._objects
+
+    def closure(self, seeds: Iterable[int], excluding: int = NULL) -> set[int]:
+        """Addresses of every live object reachable from ``seeds``.
+
+        The one brute-force reachability walk outside a collection (the
+        collector's own is :class:`~repro.gc.tracer.Tracer`): a Python-side
+        visited set, no mark or header bit touched.  ``excluding`` is an
+        address the walk refuses to enter — reachability "if that object
+        vanished".  One policy for what is not there: a seed or an edge
+        that is ``NULL``, has no table entry or carries ``FREED`` is
+        neither entered nor followed, so the walk is total on a damaged
+        heap (the fault injector and the hardened engine run it on one)
+        and a dangling edge is simply not part of the closure.
+        """
+        table = self._objects
+        freed_bit = hdr.FREED_BIT
+        seen: set[int] = set()
+        stack = list(seeds)
+        while stack:
+            address = stack.pop()
+            if address in seen or address == excluding:
+                continue
+            obj = table.get(address)
+            if obj is None or obj.status & freed_bit:
+                continue
+            seen.add(address)
+            stack.extend(obj.reference_slots())
+        return seen
 
     def __len__(self) -> int:
         return len(self._objects)

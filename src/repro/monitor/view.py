@@ -1,7 +1,7 @@
 """``python -m repro monitor`` — live SLO/utilization terminal view.
 
-Same shape as :mod:`repro.tracing.top`: the workload runs in a daemon
-thread while the main thread repaints a monitor frame — health score,
+The frame loop is :func:`repro.tracing.top.run_live_view`: the workload runs
+in a daemon thread while the main thread repaints a monitor frame — health score,
 utilization sparkline-by-bucket, the MMU curve, and one line per SLO
 objective with its budget and burn state.  Reads are lock-free; a frame
 drawn mid-pause is at worst one event stale.
@@ -9,18 +9,16 @@ drawn mid-pause is at worst one event stale.
 
 from __future__ import annotations
 
-import threading
-import time
+import sys
 from typing import Callable, Optional, TextIO, TYPE_CHECKING
 
 from repro.monitor.health import health_report
 from repro.monitor.mmu import DEFAULT_MMU_WINDOWS
+from repro.tracing.top import run_live_view
 
 if TYPE_CHECKING:
     from repro.monitor.timeseries import MonitorHub
     from repro.runtime.vm import VirtualMachine
-
-_ANSI_CLEAR = "\x1b[H\x1b[2J"
 
 #: Glyph ramp for the utilization strip (low → high mutator share).
 _RAMP = " .:-=+*#%@"
@@ -101,66 +99,28 @@ def run_monitor(
     vm: "VirtualMachine",
     hub: "MonitorHub",
     runner: Callable[["VirtualMachine"], object],
-    interval: float = 1.0,
-    frames: Optional[int] = None,
     stream: Optional[TextIO] = None,
-    ansi: Optional[bool] = None,
+    **view,
 ) -> int:
-    """Drive ``runner(vm)`` under live monitoring while repainting frames.
+    """Drive ``runner(vm)`` under live monitoring while repainting frames
+    (:func:`~repro.tracing.top.run_live_view`, which ``view`` goes to).
 
     Returns the SLO exit code once the workload finishes: 0 all within
     budget, 1 budget exhausted or an alert firing — or 1 when the
     workload thread died.  (Configuration errors raise before this runs;
     the CLI maps them to exit 2.)
     """
-    import sys
-
     if stream is None:
         stream = sys.stdout
-    if ansi is None:
-        ansi = hasattr(stream, "isatty") and stream.isatty()
-    error: list[BaseException] = []
-
-    def _drive() -> None:
-        try:
-            runner(vm)
-        except BaseException as exc:  # surfaced in the final frame
-            error.append(exc)
-
-    worker = threading.Thread(
-        target=_drive, name="repro-monitor-workload", daemon=True
+    rc = run_live_view(
+        vm, runner, lambda vm, n, up: render_monitor_frame(vm, hub, n, up),
+        stream=stream, **view,
     )
-    start = time.perf_counter()
-    worker.start()
-    frame_no = 0
-    while True:
-        frame_no += 1
-        frame = render_monitor_frame(vm, hub, frame_no, time.perf_counter() - start)
-        if ansi:
-            stream.write(_ANSI_CLEAR)
-        elif frame_no > 1:
-            stream.write("\n" + "-" * 72 + "\n")
-        stream.write(frame)
-        stream.write("\n")
-        stream.flush()
-        if frames is not None and frame_no >= frames:
-            break
-        if not worker.is_alive():
-            break
-        worker.join(timeout=interval)
-        if not worker.is_alive() and frames is None:
-            # One more pass so the final frame reflects the settled state.
-            continue
-    if worker.is_alive():
-        stream.write(f"(workload still running after {frame_no} frames; detaching)\n")
-    if error:
-        stream.write(f"workload failed: {error[0]!r}\n")
-        return 1
-    if hub.slos is not None and not hub.slos.healthy():
+    if rc == 0 and hub.slos is not None and not hub.slos.healthy():
         burning = [rule.objective.name for rule in hub.slos.firing()]
         spent = [rule.objective.name for rule in hub.slos.exhausted()]
         stream.write(
             f"SLO breach: firing={burning or '[]'} exhausted={spent or '[]'}\n"
         )
         return 1
-    return 0
+    return rc

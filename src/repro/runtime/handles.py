@@ -24,6 +24,7 @@ from repro.errors import TypeFault, UseAfterFreeError
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.object_model import HeapObject
+from repro.runtime.threads import RootTable
 
 if TYPE_CHECKING:
     from repro.runtime.threads import MutatorThread
@@ -32,31 +33,27 @@ if TYPE_CHECKING:
 FieldValue = Union["Handle", None, int, float, bool, str]
 
 
-class HandleScope:
-    """A root source holding the addresses of actively-used objects."""
+class HandleScope(RootTable):
+    """A root source holding the addresses of actively-used objects, in
+    registration order."""
 
-    __slots__ = ("label", "addresses")
+    __slots__ = ("label",)
 
     def __init__(self, label: str = "scope"):
         self.label = label
-        self.addresses: list[int] = []
+        self.refs: list[int] = []
+
+    def describe(self, key: int) -> str:
+        return f"handle scope '{self.label}'"
+
+    def _slots(self):
+        return enumerate(self.refs)
 
     def register(self, address: int) -> None:
-        self.addresses.append(address)
-
-    def root_entries(self) -> Iterator[tuple[str, int]]:
-        for address in self.addresses:
-            if address != NULL:
-                yield f"handle scope '{self.label}'", address
-
-    def apply_forwarding(self, fwd: dict[int, int]) -> None:
-        self.addresses = [fwd.get(a, a) for a in self.addresses]
-
-    def null_out(self, victims: set[int]) -> None:
-        self.addresses = [a for a in self.addresses if a not in victims]
+        self.refs.append(address)
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return len(self.refs)
 
 
 class Handle:

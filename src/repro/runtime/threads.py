@@ -19,25 +19,62 @@ collectors purge it on sweep and forward it on copy instead.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import RegionError
 from repro.heap.layout import NULL
 
 
-class Frame:
-    """One stack frame: named reference locals (roots) and scalar locals."""
+class RootTable:
+    """Reference slots that are GC roots, and the three things a collector
+    asks of them, written once.  ``refs`` maps a slot's key to the address
+    it holds: a dict of named slots (:class:`NamedRoots`, under
+    :class:`Frame` and :class:`StaticRoots`) or a list of registered ones
+    (:class:`~repro.runtime.handles.HandleScope`).  A subclass says how a
+    slot reads in a Figure-1 path (:meth:`describe`)."""
 
-    __slots__ = ("method", "refs", "scalars", "thread")
+    __slots__ = ("refs",)
 
-    def __init__(self, method: str, thread: "MutatorThread"):
-        self.method = method
-        self.thread = thread
+    def describe(self, key) -> str:
+        raise NotImplementedError
+
+    def _slots(self) -> Iterable[tuple[object, int]]:
+        """``(key, address)`` per slot; assigning ``refs[key]`` while
+        iterating is safe for both representations."""
+        raise NotImplementedError
+
+    def root_entries(self) -> Iterator[tuple[str, int]]:
+        for key, address in self._slots():
+            if address != NULL:
+                yield self.describe(key), address
+
+    def apply_forwarding(self, fwd: dict[int, int]) -> None:
+        refs = self.refs
+        for key, address in self._slots():
+            new = fwd.get(address)
+            if new is not None:
+                refs[key] = new
+
+    def null_out(self, victims: set[int]) -> None:
+        refs = self.refs
+        for key, address in self._slots():
+            if address in victims:
+                refs[key] = NULL
+
+
+class NamedRoots(RootTable):
+    """A root table whose slots have names: locals, statics."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
         self.refs: dict[str, int] = {}
-        self.scalars: dict[str, object] = {}
+
+    def _slots(self):
+        return self.refs.items()
 
     def set_ref(self, name: str, address: int) -> None:
-        """Store a reference local (``NULL`` is allowed and stays a root slot)."""
+        """Store a reference (``NULL`` is allowed and stays a root slot)."""
         self.refs[name] = address
 
     def get_ref(self, name: str) -> int:
@@ -52,67 +89,42 @@ class Frame:
         """Remove the slot entirely (local goes out of scope)."""
         self.refs.pop(name, None)
 
+
+class Frame(NamedRoots):
+    """One stack frame: named reference locals (roots) and scalar locals."""
+
+    __slots__ = ("method", "scalars", "thread")
+
+    def __init__(self, method: str, thread: "MutatorThread"):
+        super().__init__()
+        self.method = method
+        self.thread = thread
+        self.scalars: dict[str, object] = {}
+
+    def describe(self, name: str) -> str:
+        return f"local '{name}' in {self.method}"
+
     def set_scalar(self, name: str, value: object) -> None:
         self.scalars[name] = value
 
     def get_scalar(self, name: str) -> object:
         return self.scalars[name]
 
-    def root_entries(self) -> Iterator[tuple[str, int]]:
-        for name, address in self.refs.items():
-            if address != NULL:
-                yield f"local '{name}' in {self.method}", address
-
-    def apply_forwarding(self, fwd: dict[int, int]) -> None:
-        for name, address in self.refs.items():
-            new = fwd.get(address)
-            if new is not None:
-                self.refs[name] = new
-
-    def null_out(self, victims: set[int]) -> None:
-        for name, address in self.refs.items():
-            if address in victims:
-                self.refs[name] = NULL
-
     def __repr__(self) -> str:
         return f"<frame {self.method} ({len(self.refs)} refs)>"
 
 
-class StaticRoots:
+class StaticRoots(NamedRoots):
     """The VM's static/global reference table (class statics in Java)."""
 
+    __slots__ = ("scalars",)
+
     def __init__(self) -> None:
-        self.refs: dict[str, int] = {}
+        super().__init__()
         self.scalars: dict[str, object] = {}
 
-    def set_ref(self, name: str, address: int) -> None:
-        self.refs[name] = address
-
-    def get_ref(self, name: str) -> int:
-        return self.refs.get(name, NULL)
-
-    def clear_ref(self, name: str) -> None:
-        if name in self.refs:
-            self.refs[name] = NULL
-
-    def drop_ref(self, name: str) -> None:
-        self.refs.pop(name, None)
-
-    def root_entries(self) -> Iterator[tuple[str, int]]:
-        for name, address in self.refs.items():
-            if address != NULL:
-                yield f"static '{name}'", address
-
-    def apply_forwarding(self, fwd: dict[int, int]) -> None:
-        for name, address in self.refs.items():
-            new = fwd.get(address)
-            if new is not None:
-                self.refs[name] = new
-
-    def null_out(self, victims: set[int]) -> None:
-        for name, address in self.refs.items():
-            if address in victims:
-                self.refs[name] = NULL
+    def describe(self, name: str) -> str:
+        return f"static '{name}'"
 
 
 class MutatorThread:

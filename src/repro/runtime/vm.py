@@ -73,7 +73,6 @@ class VirtualMachine:
         track_paths: Optional[bool] = None,
         policy: Optional[ReactionPolicy] = None,
         ownership_mode: str = "two-phase",
-        nursery_fraction: Optional[float] = None,
         sweep_mode: Optional[str] = None,
         telemetry: Union[bool, Telemetry] = True,
         tracing: Union[bool, "SpanTracer"] = False,
@@ -107,8 +106,6 @@ class VirtualMachine:
                 kwargs["hardened"] = True
             if max_heap_bytes is not None:
                 kwargs["max_heap_bytes"] = max_heap_bytes
-            if collector == "generational" and nursery_fraction is not None:
-                kwargs["nursery_fraction"] = nursery_fraction
             if sweep_mode is not None:
                 if collector not in ("marksweep", "generational"):
                     raise RuntimeFault(

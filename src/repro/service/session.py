@@ -50,7 +50,7 @@ from repro.workloads.suite import build_suite
 from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
 
 #: Heap budget for the ``swapleak`` pseudo-workload (not in the suite
-#: table; mirrors the CLI default for its leak-shaped live set).
+#: table); sized for its default leak-shaped live set.
 SWAPLEAK_HEAP_BYTES = 96 * 1024
 
 #: Outbound frame kinds that may be shed under backpressure.  Everything
@@ -128,9 +128,12 @@ def resolve_workload(
 ) -> tuple[int, Callable[[VirtualMachine], object]]:
     """Map a wire-protocol workload name to ``(heap_bytes, runner)``.
 
-    Accepts every suite entry plus the ``swapleak`` pseudo-workload (the
-    guaranteed-violation generator the load mix leans on).  ``overrides``
-    tunes swapleak's knobs (``swaps``, ``array_size``, ``gc_every_swaps``).
+    The one name -> program table: the server, the CLI's ``--workload``
+    and the chaos soak all resolve here, so a name means the same runner,
+    the same defaults and the same heap everywhere.  Accepts every suite
+    entry plus the ``swapleak`` pseudo-workload (the guaranteed-violation
+    generator the load mix leans on).  ``overrides`` tunes swapleak's knobs
+    (``swaps``, ``array_size``, ``gc_every_swaps``, ``static_rep``).
     Unknown names raise :class:`WireProtocolError` — a client mistake,
     not a server fault.
     """
@@ -140,6 +143,7 @@ def resolve_workload(
             array_size=int(overrides.get("array_size", 32)),
             swaps=int(overrides.get("swaps", 64)),
             gc_every_swaps=int(overrides.get("gc_every_swaps", 8)),
+            static_rep=bool(overrides.get("static_rep", False)),
             assert_dead_swapped=asserted,
         )
         return SWAPLEAK_HEAP_BYTES, lambda vm: run_swapleak(vm, config)

@@ -206,47 +206,22 @@ def capture_snapshot(
 
 
 def _capture_walk(vm: "VirtualMachine", path: str, trigger: str) -> dict:
-    """The walk itself (split out so the span wrapper stays trivial)."""
+    """The walk itself (split out so the span wrapper stays trivial): the
+    heap's closure from the roots, written the way a piggybacked capture's
+    mark set is."""
     collector = vm.collector
-    heap = vm.heap
-    writer = SnapshotWriter(
+    sink = SnapshotSink(
         path,
-        collector=collector.name,
+        collector_name=collector.name,
         gc_number=vm.stats.collections,
         trigger=trigger,
         heap_bytes=collector.heap_bytes,
+        heap=vm.heap,
+        moving=False,  # nothing runs between this walk and the flush
     )
-    try:
-        visited: set[int] = set()
-        stack: list[int] = []
-        for desc, addr in vm.root_entries():
-            if addr == NULL:
-                continue
-            writer.write_root(desc, addr)
-            if addr not in visited:
-                visited.add(addr)
-                stack.append(addr)
-        get = heap.get
-        while stack:
-            obj = get(stack.pop())
-            edges = [c for c in obj.reference_slots() if c != NULL]
-            writer.write_object(
-                obj.address,
-                obj.cls.name,
-                obj.size_bytes,
-                obj.status & ~_TRANSIENT_BITS,
-                obj.alloc_seq,
-                obj.alloc_site,
-                edges,
-            )
-            for child in edges:
-                if child not in visited:
-                    visited.add(child)
-                    stack.append(child)
-        return writer.finish()
-    except BaseException:
-        writer.abort()
-        raise
+    sink.roots = [entry for entry in vm.root_entries() if entry[1] != NULL]
+    sink.rows = vm.heap.closure(address for _desc, address in sink.roots)
+    return sink.flush()
 
 
 def _record_snapshot_event(

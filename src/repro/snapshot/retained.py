@@ -76,40 +76,25 @@ def retained_set_of_type(snapshot: "HeapSnapshot", type_name: str) -> int:
     of the per-object oracle and what "the leak costs N bytes" means for a
     leak candidate whose instances individually retain little."""
     objects = snapshot.objects
-    visited: set[int] = set()
-    stack = [
-        addr
-        for addr in snapshot.root_addresses()
-        if objects[addr].type_name != type_name
-    ]
-    while stack:
-        addr = stack.pop()
-        if addr in visited:
-            continue
-        visited.add(addr)
-        for child in objects[addr].edges:
-            if child in visited or child not in objects:
-                continue
-            if objects[child].type_name == type_name:
-                continue
-            stack.append(child)
-    reachable_total = sum(
-        objects[addr].size for addr in _reachable(snapshot)
-    )
-    surviving = sum(objects[addr].size for addr in visited)
-    return reachable_total - surviving
+    total = sum(objects[addr].size for addr in _reachable(snapshot))
+    surviving = sum(objects[addr].size for addr in _reachable(snapshot, type_name))
+    return total - surviving
 
 
-def _reachable(snapshot: "HeapSnapshot") -> set[int]:
+def _reachable(snapshot: "HeapSnapshot", skip_type: Optional[str] = None) -> set[int]:
+    """Root-reachable record addresses — the one closure over snapshot
+    records — never entering a record of ``skip_type``.  An edge to an
+    address the snapshot holds no record for is not followed."""
     objects = snapshot.objects
     visited: set[int] = set()
     stack = list(snapshot.root_addresses())
     while stack:
         addr = stack.pop()
-        if addr in visited:
+        record = objects.get(addr)
+        if addr in visited or record is None or record.type_name == skip_type:
             continue
         visited.add(addr)
-        stack.extend(c for c in objects[addr].edges if c in objects)
+        stack.extend(record.edges)
     return visited
 
 

@@ -17,6 +17,7 @@ divider line so output stays readable in a pipe.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from typing import Callable, Optional, TextIO, TYPE_CHECKING
@@ -108,24 +109,29 @@ def render_frame(vm: "VirtualMachine", frame_no: int, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def run_top(
+def run_live_view(
     vm: "VirtualMachine",
     runner: Callable[["VirtualMachine"], object],
+    render: Callable[["VirtualMachine", int, float], str],
     interval: float = 1.0,
     frames: Optional[int] = None,
     stream: Optional[TextIO] = None,
     ansi: Optional[bool] = None,
+    clock: Callable[[], float] = time.perf_counter,
+    wait: Callable[[threading.Thread, float], None] = threading.Thread.join,
 ) -> int:
-    """Drive ``runner(vm)`` in a daemon thread while repainting frames.
+    """Drive ``runner(vm)`` in a daemon thread while repainting
+    ``render(vm, frame number, seconds up)`` — the one frame loop under
+    ``repro top`` and ``repro monitor --watch``.
 
-    Returns 0, or 1 when the workload thread died on an exception (the
-    traceback message is printed in the final frame).  Stops after
-    ``frames`` repaints even if the workload is still running — the CI
-    smoke mode; ``frames=None`` runs until the workload finishes and then
-    draws one final settled frame.
+    Returns 0, or 1 when the workload thread died on an exception (its
+    message is printed after the final frame).  Stops after ``frames``
+    repaints even if the workload is still running — the CI smoke mode;
+    ``frames=None`` runs until the workload finishes and then draws one
+    final settled frame.  Time comes in through ``clock`` and
+    ``wait(worker, interval)``, which returns once the interval has passed
+    or the worker is done: a test passes ones that never sleep.
     """
-    import sys
-
     if stream is None:
         stream = sys.stdout
     if ansi is None:
@@ -135,16 +141,16 @@ def run_top(
     def _drive() -> None:
         try:
             runner(vm)
-        except BaseException as exc:  # surfaced in the final frame
+        except BaseException as exc:  # surfaced after the final frame
             error.append(exc)
 
-    worker = threading.Thread(target=_drive, name="repro-top-workload", daemon=True)
-    start = time.perf_counter()
+    worker = threading.Thread(target=_drive, name="repro-view-workload", daemon=True)
+    start = clock()
     worker.start()
     frame_no = 0
     while True:
         frame_no += 1
-        frame = render_frame(vm, frame_no, time.perf_counter() - start)
+        frame = render(vm, frame_no, clock() - start)
         if ansi:
             stream.write(_ANSI_CLEAR)
         elif frame_no > 1:
@@ -156,13 +162,18 @@ def run_top(
             break
         if not worker.is_alive():
             break
-        worker.join(timeout=interval)
-        if not worker.is_alive() and frames is None:
-            # One more pass so the final frame reflects the settled state.
-            continue
+        # A worker that finishes during the wait gets one more pass, so the
+        # final frame reflects the settled state.
+        wait(worker, interval)
     if worker.is_alive():
         stream.write(f"(workload still running after {frame_no} frames; detaching)\n")
     if error:
         stream.write(f"workload failed: {error[0]!r}\n")
         return 1
     return 0
+
+
+def run_top(vm: "VirtualMachine", runner, **view) -> int:
+    """``repro top``: :func:`run_live_view` painting :func:`render_frame`
+    (``view`` is its ``interval``/``frames``/``stream``/... arguments)."""
+    return run_live_view(vm, runner, render_frame, **view)

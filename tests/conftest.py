@@ -63,3 +63,27 @@ def build_chain(vm: VirtualMachine, node_cls, length: int, root_name: str = "hea
             nodes.append(node)
             prev = node
     return nodes
+
+
+def oracle_reachable(heap, seeds, excluding=None) -> set[int]:
+    """Brute-force reachability over the heap's table: every address with a
+    live (tabled, not ``FREED``) object reachable from ``seeds`` without
+    entering ``excluding``.
+
+    The tests' one oracle for "what is reachable", written as a fixpoint
+    over the whole table rather than a worklist walk and sharing no code
+    with ``ObjectHeap.closure`` on purpose: it is what convicts it
+    (``tests/test_heap_objectheap.py``), and what the mark-set and
+    fault-injection suites judge the collectors by.
+    """
+    live = {
+        address: set(obj.reference_slots())
+        for address, obj in heap.address_table().items()
+        if not obj.is_freed and address != excluding
+    }
+    reached = set(seeds) & live.keys()
+    while True:
+        grown = reached.union(*(live[address] for address in reached)) & live.keys()
+        if grown == reached:
+            return reached
+        reached = grown

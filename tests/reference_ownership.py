@@ -100,6 +100,10 @@ def _scan_from_owner(
                 ownee_queue.append(address)
             else:
                 # Ownee of a different owner: improper use of the assertion.
+                # Not marked here; the report hands it to the engine, whose
+                # ``post_mark`` traces from it if nothing else has marked it
+                # (it may hang below this region only, and the root scan
+                # prunes at the marks above it).
                 if address not in misuse_reported:
                     misuse_reported.add(address)
                     engine.report_ownership_misuse(obj, record)

@@ -6,8 +6,6 @@ allocation or one handle access does not.  ``sys.setprofile`` counts the
 not calls here) under the entry point, the entry point included.  The
 budgets are one above what the paths take today, so a helper that creeps
 back onto a path fails here before it shows in a benchmark.
-
-CI selects this module with ``-k call_budget``.
 """
 
 from __future__ import annotations

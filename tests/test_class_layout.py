@@ -6,8 +6,6 @@ per object: the slot-default template, the instance size, ``has_weak``,
 ``ref_array``, and each field's ``holds_address`` / ``is_weak``.  Every
 test here draws random class layouts and demands that each precomputed
 quantity equals the per-call derivation kept in ``tests/reference_heap.py``.
-
-CI selects this module with ``-k class_layout``.
 """
 
 from __future__ import annotations

@@ -173,7 +173,6 @@ class TestReporting:
 # must see the same thing wherever the script looks (Hypothesis draws where) and
 # at its end — between looks an array stays as unsorted as the appends left it,
 # so retract, purge and forwarding meet it that way.
-# CI selects this with ``-k registry_reference``.
 
 ADDRESSES = [0x1000 + 0x10 * i for i in range(48)]
 _address = st.sampled_from(ADDRESSES)

@@ -36,7 +36,7 @@ from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from repro.snapshot.capture import SnapshotPolicy
 from repro.snapshot.format import SnapshotWriter, index_path, load_snapshot
-from tests.conftest import ALL_COLLECTORS, build_chain, make_node_class
+from tests.conftest import ALL_COLLECTORS, build_chain, make_node_class, oracle_reachable
 
 #: (collector, sweep_mode) cells the heavier tests sweep.
 SWEEP_CELLS = [
@@ -561,26 +561,6 @@ class TestTypedExceptions:
 # -- the fuzzer vs the oracle ------------------------------------------------------------
 
 
-def _oracle_reachable(vm) -> set[int]:
-    """Brute-force reachability, independent of collector machinery."""
-    heap = vm.heap
-    seen: set[int] = set()
-    stack = [
-        address
-        for _desc, address in vm.root_entries()
-        if address != NULL and heap.contains(address)
-    ]
-    while stack:
-        address = stack.pop()
-        if address in seen:
-            continue
-        seen.add(address)
-        for ref in heap.get(address).reference_slots():
-            if ref != NULL and ref not in seen and heap.contains(ref):
-                stack.append(ref)
-    return seen
-
-
 class TestFuzzerVsOracle:
     @pytest.mark.parametrize("collector,sweep_mode", SWEEP_CELLS)
     def test_randomized_faults_never_lose_live_objects(self, collector, sweep_mode):
@@ -613,7 +593,7 @@ class TestFuzzerVsOracle:
         vm.collector.sweep_all()
         assert verify_heap(vm) == []
         survivors = set(vm.heap.address_table())
-        reachable = _oracle_reachable(vm)
+        reachable = oracle_reachable(vm.heap, [a for _desc, a in vm.root_entries()])
         # Every oracle-reachable object must have survived collection.
         assert reachable <= survivors
         injector.detach()

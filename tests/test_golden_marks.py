@@ -13,8 +13,6 @@ and demands the same bytes.
 Regenerate only on a commit whose behaviour is the reference::
 
     PYTHONPATH=src python -m tests.test_golden_marks --write
-
-CI selects this module with ``-k golden_marks``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 """Unit tests for the ObjectHeap table."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidAddressError, UseAfterFreeError
 from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
+from repro.heap.layout import NULL
 from repro.heap.object_model import ClassDescriptor, FieldKind
+
+from tests.conftest import oracle_reachable
 
 
 @pytest.fixture
@@ -138,3 +143,35 @@ class TestIteration:
         for obj in heap.objects():
             heap.evict(obj)
         assert heap.live_bytes() == heap.live_bytes_slow() == 0
+
+
+# -- the one closure against the tests' oracle ------------------------------------------
+
+PAIR = ClassDescriptor(1, "Pair", [("a", FieldKind.REF), ("b", FieldKind.REF), ("n", FieldKind.INT)])
+#: Eight tabled cells, ``NULL``, and two addresses the table never holds.
+CELLS = [0x1000 + 0x20 * i for i in range(8)]
+ANYWHERE = st.sampled_from(CELLS + [NULL, 0x9000, 0x9020])
+
+
+@given(
+    slots=st.lists(st.tuples(ANYWHERE, ANYWHERE), min_size=8, max_size=8),
+    zombies=st.sets(st.sampled_from(CELLS)),
+    seeds=st.lists(ANYWHERE, max_size=4),
+    excluding=st.one_of(st.none(), ANYWHERE),
+)
+def test_closure_equals_the_brute_force_oracle(slots, zombies, seeds, excluding):
+    """Random graphs with dangling edges, ``FREED`` objects still tabled
+    and seeds that are not there, with and without an excluded address:
+    the worklist walk and the table fixpoint name the same set."""
+    heap = ObjectHeap()
+    for address, (a, b) in zip(CELLS, slots):
+        obj = heap.install(address, PAIR)
+        obj.slots[PAIR.field("a").slot], obj.slots[PAIR.field("b").slot] = a, b
+        if address in zombies:
+            obj.status |= hdr.FREED_BIT
+    expected = oracle_reachable(heap, seeds, excluding)
+    if excluding is None:
+        assert heap.closure(seeds) == expected
+    else:
+        assert heap.closure(seeds, excluding=excluding) == expected
+    assert not expected & (zombies | {NULL, excluding})

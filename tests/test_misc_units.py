@@ -117,14 +117,14 @@ class TestHandleScope:
         scope = HandleScope()
         scope.register(0x1000)
         scope.apply_forwarding({0x1000: 0x9000})
-        assert scope.addresses == [0x9000]
+        assert [a for _d, a in scope.root_entries()] == [0x9000]
 
     def test_null_out_removes(self):
         scope = HandleScope()
         scope.register(0x1000)
         scope.register(0x2000)
         scope.null_out({0x1000})
-        assert scope.addresses == [0x2000]
+        assert [a for _d, a in scope.root_entries()] == [0x2000]
 
     def test_nested_scopes_unwind_in_order(self, vm, node_class):
         with vm.scope("outer"):

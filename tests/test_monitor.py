@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import random
+import threading
 import urllib.error
 import urllib.request
 from collections import deque
@@ -48,6 +51,15 @@ def churn(vm, node_cls, objects: int = 400, batch: int = 40) -> None:
             batch_nodes = [vm.new(node_cls) for _ in range(batch)]
             del batch_nodes
     vm.gc("churn: settle")
+
+
+def impossible_slos() -> SloSet:
+    """One objective no collection can meet: breached by the first pause."""
+    objective = SloObjective(
+        "impossible", "pause under 0s", budget=0.0,
+        probe=lambda hub, e: e.pause_s <= 0.0,
+    )
+    return SloSet([BurnRateRule(objective)])
 
 
 def monitored_vm(slos=None, heap=1 << 20) -> VirtualMachine:
@@ -772,37 +784,80 @@ class TestMonitorServer:
 # -- live view / CLI --------------------------------------------------------------------
 
 
-class TestRunMonitor:
-    def test_watch_loop_repaints_and_exits_clean(self, capsys):
-        import io
+def gated(runner):
+    """``(runner, wait)`` for a live view that never sleeps and always paints
+    the same frames: the workload parks until the view has painted frame 1
+    and asks to wait; that wait releases it and returns when it is done, so
+    frame 2 is the settled one."""
+    gate = threading.Event()
 
-        vm = monitored_vm(default_slos())
+    def parked(vm):
+        assert gate.wait(timeout=60)
+        runner(vm)
+
+    def wait(worker, interval):
+        gate.set()
+        worker.join()
+
+    return parked, wait
+
+
+#: An interval nobody could sit through: a view that slept would hang here.
+NEVER = 3600.0
+
+
+class TestRunMonitor:
+    def watch(self, slos):
+        vm = monitored_vm(slos)
         node = vm.define_class("N", [("next", FieldKind.REF)])
         stream = io.StringIO()
+        ticks = itertools.count()
+        runner, wait = gated(lambda v: churn(v, node))
         rc = run_monitor(
-            vm, vm.monitor, lambda v: churn(v, node),
-            interval=0.05, frames=None, stream=stream, ansi=False,
+            vm, vm.monitor, runner, interval=NEVER, stream=stream, ansi=False,
+            clock=lambda: float(next(ticks)), wait=wait,
         )
+        return rc, stream.getvalue()
+
+    def test_watch_loop_repaints_and_exits_clean(self):
+        rc, out = self.watch(default_slos())
         assert rc == 0
-        out = stream.getvalue()
         assert "repro monitor" in out and "SLOs:" in out
+        # Exactly the two frames, stamped by the injected clock.
+        assert out.count("repro monitor") == 2
+        assert "up    1.0s  frame 1" in out and "up    2.0s  frame 2" in out
 
     def test_watch_reports_slo_breach(self):
-        import io
-
-        objective = SloObjective(
-            "impossible", "pause under 0s", budget=0.0,
-            probe=lambda hub, e: e.pause_s <= 0.0,
-        )
-        vm = monitored_vm(SloSet([BurnRateRule(objective)]))
-        node = vm.define_class("N", [("next", FieldKind.REF)])
-        stream = io.StringIO()
-        rc = run_monitor(
-            vm, vm.monitor, lambda v: churn(v, node),
-            interval=0.05, stream=stream, ansi=False,
-        )
+        rc, out = self.watch(impossible_slos())
         assert rc == 1
-        assert "SLO breach" in stream.getvalue()
+        assert "SLO breach" in out
+
+    @pytest.mark.parametrize("view", ["top", "monitor"])
+    @pytest.mark.parametrize("outcome", ["clean", "workload-error", "slo-breach"])
+    def test_both_views_share_one_exit_code_contract(self, view, outcome):
+        """A dead workload is exit 1 in either view; a blown SLO only where
+        SLOs are the view's business."""
+        from repro.tracing import run_top
+
+        vm = monitored_vm(impossible_slos() if outcome == "slo-breach" else default_slos())
+        node = vm.define_class("N", [("next", FieldKind.REF)])
+
+        def workload(vm):
+            churn(vm, node)
+            if outcome == "workload-error":
+                raise RuntimeError("workload blew up")
+
+        stream = io.StringIO()
+        runner, wait = gated(workload)
+        args = dict(interval=NEVER, stream=stream, ansi=False, wait=wait)
+        if view == "top":
+            rc = run_top(vm, runner, **args)
+        else:
+            rc = run_monitor(vm, vm.monitor, runner, **args)
+        out = stream.getvalue()
+        assert rc == {"clean": 0, "workload-error": 1, "slo-breach": int(view == "monitor")}[outcome]
+        assert ("workload failed: RuntimeError" in out) == (outcome == "workload-error")
+        assert ("SLO breach" in out) == (outcome == "slo-breach" and view == "monitor")
 
 
 class TestCliMonitor:

@@ -633,6 +633,37 @@ class TestServing:
         assert "repro_mmu_ratio" in body  # shared hub families ride along
         assert health["healthy"] is True
 
+    def test_loadgen_against_a_running_service_then_the_scrape_conforms(self):
+        """What CI's serve-smoke asked of a booted server, in process: the
+        quick load mix completes against it with violations streamed, and
+        afterwards /metrics is a valid tenant-labelled exposition and
+        /health a well-formed document — at either status: the quick mix
+        saturates the default budget on purpose, so the delivery-lag SLO
+        may be firing (503)."""
+        import urllib.error
+        import urllib.request
+
+        from repro.telemetry import validate_exposition
+
+        with AssertionService(ServiceConfig()) as svc:
+            report = run_loadgen(LoadgenConfig(quick=True, port=svc.port, seed=0))
+            loaded = json.loads(json.dumps(report.as_dict()))  # as --json-out writes it
+            body = urllib.request.urlopen(f"{svc.http.url}/metrics").read().decode()
+            try:
+                health = urllib.request.urlopen(f"{svc.http.url}/health").read()
+            except urllib.error.HTTPError as degraded:
+                assert degraded.code == 503
+                health = degraded.read()
+        assert loaded["completed"] >= 1 and loaded["errors"] == 0, loaded
+        assert loaded["violation_frames"] >= 1, "no violation frames streamed"
+        assert validate_exposition(body) == []
+        assert 'tenant="' in body, "no tenant-labelled families in /metrics"
+        assert "repro_service_sessions_active" in body
+        assert "repro_service_admission_total" in body
+        health = json.loads(health)
+        assert isinstance(health["healthy"], bool), health
+        assert health["budget_bytes"] > 0, health
+
     def test_admission_latency_slo_fires_on_sustained_breach(self):
         from repro.service.metrics import ServiceMetrics
 

@@ -18,8 +18,6 @@ tests pin what that representation promises:
   no Python function per object and reads no ``status`` on a repeat edge,
   and sweeping an all-live chunk makes no per-cell Python call — so the
   object touch cannot creep back unnoticed.
-
-CI selects this module with ``-k side_marks``.
 """
 
 from __future__ import annotations
@@ -45,28 +43,14 @@ from repro.snapshot.capture import SnapshotSink
 from repro.verify import Cell, run_model_check
 from repro.verify.modelcheck import MODEL_HEAP_BYTES
 
-from tests.conftest import build_chain, make_node_class
+from tests.conftest import build_chain, make_node_class, oracle_reachable
 from tests.test_call_budget import python_calls
 
 # -- helpers ------------------------------------------------------------------------------
 
 
-def reachable_from(heap: ObjectHeap, seeds) -> set[int]:
-    """Brute force: every tabled address reachable from ``seeds``."""
-    table = heap.address_table()
-    seen: set[int] = set()
-    stack = [a for a in seeds if a != NULL]
-    while stack:
-        address = stack.pop()
-        if address in seen or address not in table:
-            continue
-        seen.add(address)
-        stack.extend(ref for ref in table[address].reference_slots() if ref != NULL)
-    return seen
-
-
 def root_reachable(vm: VirtualMachine) -> set[int]:
-    return reachable_from(vm.heap, [address for _desc, address in vm.root_entries()])
+    return oracle_reachable(vm.heap, [address for _desc, address in vm.root_entries()])
 
 
 def graph_vm(nodes: int, seed: int = 3, **options) -> VirtualMachine:
@@ -306,7 +290,7 @@ def test_side_marks_are_reachable_plus_owner_regions_and_the_table_follows(optio
         live = root_reachable(vm)
         expected = set(live)
         for owner in owners:
-            region = reachable_from(heap, heap.get(address[owner]).reference_slots())
+            region = oracle_reachable(heap, heap.get(address[owner]).reference_slots())
             if not (address[owner] in region and address[owner] not in live):
                 expected |= region
 

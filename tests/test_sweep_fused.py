@@ -10,8 +10,6 @@ through the reference, one through the fused loop — and demands the same
 heap table, headers, free lists, byte accounting and GC counters after
 every collection and every lazy slice — and the same mark set, which must
 be empty whenever no sweep debt is outstanding.
-
-CI selects this module with ``-k sweep_fused``.
 """
 
 from __future__ import annotations

@@ -461,27 +461,43 @@ class TestCliTrace:
         assert "%" in out
         assert "ownership phase" in out
 
-    def test_top_fixed_frames(self, capsys):
-        # Two frames at 10 ms can both be painted before pseudojbb's first
-        # collection, so nothing that needs a finished pause is asserted
-        # here; the span table is checked on the settled run below.
+    def test_top_fixed_frames(self):
+        """``frames=N`` detaches after N repaints, workload running or not.
+        Clock and wait are injected, so no frame waits on the wall clock:
+        the workload is parked until the view has painted its last frame."""
+        import io
+        import itertools
+
+        from repro.tracing import run_top
+
+        release = threading.Event()
+
+        def workload(vm):
+            assert release.wait(timeout=60)
+            run_pseudojbb(vm, JbbConfig(iterations=1, transactions_per_iteration=20))
+
+        vm = VirtualMachine(heap_bytes=1 << 20, tracing=True)
+        stream = io.StringIO()
+        ticks = itertools.count()
         try:
-            rc = main([
-                "top", "--workload", "pseudojbb",
-                "--interval", "0.01", "--frames", "2",
-            ])
+            rc = run_top(
+                vm, workload, interval=3600.0, frames=2, stream=stream, ansi=False,
+                clock=lambda: float(next(ticks)), wait=lambda worker, interval: None,
+            )
         finally:
-            # ``--frames`` detaches from a still-running workload; in-process
-            # that daemon thread would keep mutating (and holding the GIL)
-            # under whatever test runs next.
+            # In-process, a detached workload would keep mutating (and
+            # holding the GIL) under whatever test runs next.
+            release.set()
             for thread in threading.enumerate():
-                if thread.name == "repro-top-workload":
+                if thread.name == "repro-view-workload":
                     thread.join(timeout=60)
                     assert not thread.is_alive()
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "pauses:" in out
+        out = stream.getvalue()
+        assert out.count("repro top") == 2
+        assert "up    1.0s  frame 1" in out and "up    2.0s  frame 2" in out
+        assert "pauses: (no collections yet)" in out
+        assert "(workload still running after 2 frames; detaching)" in out
 
     def test_top_runs_to_a_settled_final_frame(self, capsys):
         rc = main(["top", "--workload", "pseudojbb", "--interval", "0.05"])

@@ -494,6 +494,15 @@ class TestLoadgenTrace:
             and a["state"] == "firing"
         ]
         assert firing and firing[0]["exemplar"] in client_trace_ids
+        # What CI's serve-smoke read instead: the printed report and the
+        # ``--json-out`` document say the same.
+        assert "exemplar=" in report.render()
+        written = json.loads(json.dumps(report.as_dict()))
+        assert {row["trace_id"] for row in written["requests"]} == client_trace_ids
+        assert any(
+            alert["state"] == "firing" and alert.get("exemplar") in client_trace_ids
+            for alert in written["alerts"]
+        )
 
     def test_untraced_loadgen_report_has_no_trace_artifacts(self):
         from repro.service import LoadgenConfig, run_loadgen
