@@ -72,12 +72,12 @@ def _workload_vm(args, **vm_options):
     The name resolves through the service's table
     (:func:`repro.service.session.resolve_workload`), so a workload is the
     same program in the same default heap whether served, soaked or run
-    from here; ``--heap`` overrides the size, and a hardened VM gets the
-    service's growth ceiling of twice its heap.
+    from here; ``--heap`` overrides the size, and ``hardened=True`` builds
+    the service's tenant VM (:func:`repro.service.session.hardened_vm`).
     """
     from repro.errors import RuntimeFault, WireProtocolError
     from repro.runtime.vm import VirtualMachine
-    from repro.service.session import resolve_workload
+    from repro.service.session import hardened_vm, resolve_workload
 
     overrides = {
         knob: value
@@ -86,11 +86,9 @@ def _workload_vm(args, **vm_options):
     }
     try:
         heap_bytes, runner = resolve_workload(args.workload, args.assertions, overrides)
-        heap_bytes = args.heap or heap_bytes
-        if vm_options.get("hardened"):
-            vm_options["max_heap_bytes"] = heap_bytes * 2
-        vm = VirtualMachine(
-            heap_bytes=heap_bytes,
+        build = hardened_vm if vm_options.pop("hardened", False) else VirtualMachine
+        vm = build(
+            heap_bytes=args.heap or heap_bytes,
             collector=args.collector,
             gc_workers=args.gc_workers,
             **vm_options,

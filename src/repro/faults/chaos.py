@@ -44,7 +44,6 @@ from repro.core.reporting import AssertionKind
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.gc.verify import BOTH_TIERS, heap_findings, iter_spaces, verify_heap
-from repro.runtime.vm import VirtualMachine
 from repro.verify.coverage import CoverageMatrix, detect_cell, detect_tenant_cell
 
 #: The crash-consistency matrix rows: (collector, sweep_mode, gc_workers).
@@ -177,17 +176,16 @@ def run_cell(
     paranoid: bool = False,
 ) -> CellResult:
     """One matrix cell: hardened VM, seeded faults, contract checks."""
+    from repro.service.session import hardened_vm
     from repro.snapshot.capture import SnapshotPolicy
 
     result = CellResult(collector, sweep_mode, workload, seed, gc_workers)
     plan = FaultPlan.one_of_each(seed)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as snapdir:
-        vm = VirtualMachine(
-            heap_bytes=heap_bytes,
+        vm = hardened_vm(
+            heap_bytes,
             collector=collector,
             sweep_mode=sweep_mode,
-            hardened=True,
-            max_heap_bytes=heap_bytes * 2,
             gc_workers=gc_workers or None,
             paranoid=paranoid,
         )
@@ -280,23 +278,20 @@ def run_tenant_isolation_cell(seed: int = 0) -> CellResult:
     * every committed heap byte returns to the admission budget.
     """
     from repro.service.admission import AdmissionController
-    from repro.service.session import TenantSession, resolve_workload
+    from repro.service.session import TenantSession, hardened_vm, resolve_workload
 
     result = CellResult("service", None, "tenant-isolation", seed)
     overrides = {"swaps": 32}
 
     # Solo baseline: what an unperturbed run of the workload looks like.
     heap_bytes, runner = resolve_workload("swapleak", overrides=overrides)
-    baseline_vm = VirtualMachine(
-        heap_bytes=heap_bytes, assertions=True, hardened=True,
-        max_heap_bytes=heap_bytes * 2,
-    )
+    baseline_vm = hardened_vm(heap_bytes, assertions=True)
     runner(baseline_vm)
     baseline_vm.collector.sweep_all()
     base_counters = baseline_vm.stats.snapshot()["counters"]
     base_violations = baseline_vm.violation_lines()
 
-    admission = AdmissionController(budget_bytes=heap_bytes * 2 * 3)
+    admission = AdmissionController(budget_bytes=baseline_vm.collector.max_heap_bytes * 3)
     sessions: list[TenantSession] = []
     for tenant in ("tenant-a", "tenant-b", "tenant-c"):
         _heap, tenant_runner = resolve_workload("swapleak", overrides=overrides)

@@ -1,8 +1,8 @@
 """The live serving layer: ``/metrics``, ``/health`` and ``/slo`` over HTTP.
 
-A :class:`MonitorServer` wraps the shared :class:`repro.httpd.EndpointServer`
+A :class:`MonitorServer` is the shared :class:`repro.httpd.EndpointServer`
 — a stdlib ``ThreadingHTTPServer`` on a daemon thread, no framework, no new
-dependency — and serves the pull side of the monitor:
+dependency — serving the pull side of the monitor:
 
 * ``/metrics`` — Prometheus text exposition: the PR-1 telemetry exporter
   verbatim, with the monitor's own families (MMU curve, utilization,
@@ -19,11 +19,12 @@ deques and the handler snapshots tolerate that.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.httpd import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE, EndpointServer
 from repro.monitor.health import health_report, health_score
 from repro.monitor.mmu import DEFAULT_MMU_WINDOWS
+from repro.monitor.slo import SloSet
 from repro.telemetry.sinks import ExpositionWriter, render_prometheus
 
 if TYPE_CHECKING:
@@ -35,9 +36,10 @@ __all__ = ["MonitorServer", "PROMETHEUS_CONTENT_TYPE", "render_monitor_metrics"]
 def render_monitor_metrics(hub: "MonitorHub", namespace: str = "repro") -> str:
     """The monitor's own metric families, exposition-format text.
 
-    Appended after the telemetry exporter's output on ``/metrics``;
-    family names are disjoint from the telemetry exporter's, so the
-    combined document has no duplicate TYPE declarations.
+    Appended after the telemetry exporter's output on ``/metrics``; no
+    family is declared by two renderers (``tests/test_cli.py`` checks the
+    three of them against each other and against the docs), so the combined
+    document has no duplicate TYPE declarations.
     """
     writer = ExpositionWriter(namespace)
     metric, sample = writer.metric, writer.sample
@@ -86,18 +88,14 @@ def render_monitor_metrics(hub: "MonitorHub", namespace: str = "repro") -> str:
     return writer.render()
 
 
-class MonitorServer:
-    """Daemon-threaded HTTP server over a monitor hub.
-
-    ``port=0`` binds an ephemeral port (tests, CI); the bound port is
-    ``server.port`` after :meth:`start`.  The serving thread is a daemon,
-    so a crashing workload never hangs on the exporter.
-    """
+class MonitorServer(EndpointServer):
+    """The shared :class:`~repro.httpd.EndpointServer` (daemon thread,
+    ``port=0`` for an ephemeral port, context manager) over a monitor
+    hub's three routes."""
 
     def __init__(self, hub: "MonitorHub", port: int = 0, host: str = "127.0.0.1"):
         self.hub = hub
-        self.host = host
-        self._endpoint: Optional[EndpointServer] = EndpointServer(
+        super().__init__(
             {
                 "/metrics": self._serve_metrics,
                 "/health": self._serve_health,
@@ -125,33 +123,5 @@ class MonitorServer:
         return report["http_code"], JSON_CONTENT_TYPE, report
 
     def _serve_slo(self):
-        hub = self.hub
-        if hub.slos is None:
-            return 200, JSON_CONTENT_TYPE, {
-                "schema": "repro-slo/1", "healthy": True,
-                "firing": [], "exhausted": [], "objectives": [],
-            }
-        return 200, JSON_CONTENT_TYPE, hub.slos.status()
-
-    # -- lifecycle (delegates to the shared EndpointServer) -----------------------------
-
-    @property
-    def port(self) -> int:
-        return self._endpoint.port
-
-    @property
-    def url(self) -> str:
-        return self._endpoint.url
-
-    def start(self) -> "MonitorServer":
-        self._endpoint.start()
-        return self
-
-    def stop(self) -> None:
-        self._endpoint.stop()
-
-    def __enter__(self) -> "MonitorServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        # A hub with nothing armed serves what an empty set says.
+        return 200, JSON_CONTENT_TYPE, (self.hub.slos or SloSet()).status()

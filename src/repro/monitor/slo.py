@@ -74,7 +74,9 @@ class AlertEvent:
 class SloObjective:
     """One declarative objective over the GC event stream.
 
-    ``probe(hub, event)`` returns True when the observation is *good*.
+    ``probe(hub, event)`` returns True when the observation is *good*; an
+    objective whose owner scores it and calls ``rule.observe`` itself (the
+    service's two) has none, and no GC event is an observation of it.
     ``budget`` is the allowed bad fraction: 0.01 encodes a p99 objective
     (at most 1 in 100 observations may violate the threshold), and 0.0
     encodes a zero-tolerance objective — any bad observation immediately
@@ -84,7 +86,7 @@ class SloObjective:
     name: str
     description: str
     budget: float
-    probe: Callable[["MonitorHub", "GcEvent"], bool]
+    probe: Optional[Callable[["MonitorHub", "GcEvent"], bool]] = None
     severity: str = "page"
 
     def __post_init__(self) -> None:
@@ -242,21 +244,18 @@ class SloSet:
     """A named collection of objectives with their burn-rate rules.
 
     ``observe`` is called by the hub once per GC event; ``status`` is the
-    machine-readable state the ``/slo`` endpoint and the CLI exit code
-    read.  Exit-code semantics: 0 = all within budget, 1 = budget
+    one builder of a ``repro-slo/1`` document — the monitor's and the
+    service's ``/slo`` bodies, the service's ``stats`` reply — and
+    ``healthy`` the one definition both ``/health`` endpoints and the CLI
+    exit code read.  Exit-code semantics: 0 = all within budget, 1 = budget
     exhausted or an alert currently firing, 2 = configuration error
     (raised, not returned).
     """
 
     def __init__(self, rules: Optional[list[BurnRateRule]] = None):
-        self.rules = list(rules) if rules is not None else []
-        seen: set[str] = set()
-        for rule in self.rules:
-            if rule.objective.name in seen:
-                raise ConfigurationError(
-                    f"duplicate SLO objective {rule.objective.name!r}"
-                )
-            seen.add(rule.objective.name)
+        self.rules: list[BurnRateRule] = []
+        for rule in rules or ():
+            self.add(rule)
 
     def add(self, rule: BurnRateRule) -> "SloSet":
         if any(r.objective.name == rule.objective.name for r in self.rules):
@@ -269,6 +268,8 @@ class SloSet:
     def observe(self, hub: "MonitorHub", event: "GcEvent") -> list[AlertEvent]:
         alerts = []
         for rule in self.rules:
+            if rule.objective.probe is None:
+                continue
             good = bool(rule.objective.probe(hub, event))
             alert = rule.observe(good, event.seq, event.wall_time)
             if alert is not None:

@@ -117,10 +117,9 @@ def run_monitor(
         stream=stream, **view,
     )
     if rc == 0 and hub.slos is not None and not hub.slos.healthy():
-        burning = [rule.objective.name for rule in hub.slos.firing()]
-        spent = [rule.objective.name for rule in hub.slos.exhausted()]
+        status = hub.slos.status()
         stream.write(
-            f"SLO breach: firing={burning or '[]'} exhausted={spent or '[]'}\n"
+            f"SLO breach: firing={status['firing']} exhausted={status['exhausted']}\n"
         )
         return 1
     return rc

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import ConfigurationError, ReproError, WireProtocolError
+from repro.monitor.slo import AlertEvent
 from repro.service.client import ServiceClient
 from repro.service.server import AssertionService, ServiceConfig
 from repro.telemetry.histogram import LogHistogram
@@ -124,16 +125,8 @@ class LoadgenReport:
             "requests": list(self.requests),
             "trace": self.trace,
             "wall_s": self.wall_s,
-            "open_latency_s": {
-                "p50": self.open_latency.percentile(50),
-                "p90": self.open_latency.percentile(90),
-                "p99": self.open_latency.percentile(99),
-            },
-            "session_duration_s": {
-                "p50": self.session_duration.percentile(50),
-                "p90": self.session_duration.percentile(90),
-                "p99": self.session_duration.percentile(99),
-            },
+            "open_latency_s": _percentiles(self.open_latency),
+            "session_duration_s": _percentiles(self.session_duration),
         }
 
     def render(self) -> str:
@@ -166,15 +159,12 @@ class LoadgenReport:
                 f"({self.trace['events']} events, "
                 f"{self.trace['tenant_tracks']} tenant tracks)"
             )
-        for alert in self.alerts:
-            line = (
-                f"  alert[{alert['objective']}] {alert['state']} "
-                f"({alert['severity']}): {alert['detail']}"
-            )
-            if alert.get("exemplar"):
-                line += f" exemplar={alert['exemplar']}"
-            lines.append(line)
+        lines.extend(f"  {AlertEvent(**alert).render()}" for alert in self.alerts)
         return "\n".join(lines)
+
+
+def _percentiles(hist: LogHistogram) -> dict:
+    return {f"p{q}": hist.percentile(q) for q in (50, 90, 99)}
 
 
 def _draw_mix(rng: random.Random, mix) -> str:

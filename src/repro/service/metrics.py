@@ -11,11 +11,11 @@ Every tenant session fans its GC events and violations into one
   **admission latency** (open-frame receipt to admission decision) and
   **violation-delivery lag** (violation enqueued to bytes written).
 
-The serving SLOs reuse :class:`~repro.monitor.slo.BurnRateRule` directly
-— its ``observe(good, seq, wall_time)`` state machine is event-source
-agnostic; only :class:`~repro.monitor.slo.SloSet` couples it to GC
-events, so the service feeds rules itself rather than going through a
-hub-attached SloSet.
+The serving SLOs are two probe-less :class:`~repro.monitor.slo.BurnRateRule`
+s in a :class:`~repro.monitor.slo.SloSet` of their own: the service scores
+good/bad itself and feeds ``rule.observe(good, seq, wall_time)`` directly
+(no GC event is an observation of either), and the set writes the status
+document and decides ``healthy`` exactly as it does for the monitor.
 
 Both SLO observers take *monotonic span stamps* — a pair of
 ``time.perf_counter()`` readings bracketing the measured interval — and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-from repro.monitor.slo import BurnRateRule, SloObjective
+from repro.monitor.slo import BurnRateRule, SloObjective, SloSet
 from repro.monitor.timeseries import MonitorHub
 from repro.telemetry.events import GcEvent
 from repro.telemetry.histogram import LogHistogram
@@ -52,44 +52,30 @@ class TenantStats:
             setattr(self, field, 0)
 
 
-def _service_slos(
-    admission_latency_slo_s: float, delivery_lag_slo_s: float
-) -> tuple[BurnRateRule, BurnRateRule]:
-    """The two serving objectives, budgeted at 1-in-100 (p99-shaped).
-
-    The probes are placeholders — the service scores good/bad itself and
-    calls ``rule.observe`` directly, so the probe is never consulted.
-    """
-    def _unused_probe(hub, event) -> bool:
-        raise AssertionError("service SLO probes are fed directly, never probed")
-
-    admission = BurnRateRule(
-        SloObjective(
-            name="admission-latency",
-            description=(
-                f"Session admission decided within "
-                f"{admission_latency_slo_s * 1e3:.0f}ms of the open frame."
-            ),
-            budget=0.01,
-            probe=_unused_probe,
-            severity="page",
+def _service_slos(admission_latency_slo_s: float, delivery_lag_slo_s: float) -> SloSet:
+    """The two serving objectives, budgeted at 1-in-100 (p99-shaped)."""
+    admission = SloObjective(
+        name="admission-latency",
+        description=(
+            f"Session admission decided within "
+            f"{admission_latency_slo_s * 1e3:.0f}ms of the open frame."
         ),
-        long_window=200, short_window=40,
+        budget=0.01,
+        severity="page",
     )
-    delivery = BurnRateRule(
-        SloObjective(
-            name="violation-delivery-lag",
-            description=(
-                f"Violation frames written to the client within "
-                f"{delivery_lag_slo_s * 1e3:.0f}ms of detection."
-            ),
-            budget=0.01,
-            probe=_unused_probe,
-            severity="ticket",
+    delivery = SloObjective(
+        name="violation-delivery-lag",
+        description=(
+            f"Violation frames written to the client within "
+            f"{delivery_lag_slo_s * 1e3:.0f}ms of detection."
         ),
-        long_window=200, short_window=40,
+        budget=0.01,
+        severity="ticket",
     )
-    return admission, delivery
+    return SloSet([
+        BurnRateRule(objective, long_window=200, short_window=40)
+        for objective in (admission, delivery)
+    ])
 
 
 class ServiceMetrics:
@@ -109,9 +95,8 @@ class ServiceMetrics:
         self.tenants: dict[str, TenantStats] = {}
         self.admission_latency = LogHistogram(1e-6, 10.0)
         self.delivery_lag = LogHistogram(1e-6, 10.0)
-        self.slo_admission, self.slo_delivery = _service_slos(
-            admission_latency_slo_s, delivery_lag_slo_s
-        )
+        self.slos = _service_slos(admission_latency_slo_s, delivery_lag_slo_s)
+        self.slo_admission, self.slo_delivery = self.slos.rules
         self.alerts: list = []
         self._slo_seq = 0
         self._lock = threading.Lock()
@@ -136,14 +121,6 @@ class ServiceMetrics:
         with self._lock:
             self._tenant(tenant).violations += 1
 
-    def aggregate(self, tenant: str, item: tuple) -> None:
-        """Session-sink callback: ``("event", ev)`` or ``("violation", v)``."""
-        what, payload = item
-        if what == "event":
-            self.observe_event(tenant, payload)
-        elif what == "violation":
-            self.observe_violation(tenant, payload)
-
     def session_opened(self, tenant: str) -> None:
         with self._lock:
             self._tenant(tenant).sessions_opened += 1
@@ -159,6 +136,21 @@ class ServiceMetrics:
             stats.frames_dropped += session.queue.dropped_frames
             stats.frames_discarded += session.discarded_frames
 
+    def _score(
+        self, histogram, rule, slo_s, begin_mono, end_mono, wall_time, trace_id
+    ) -> None:
+        # One interval between two perf_counter stamps: into its histogram,
+        # and one good/bad observation of its objective.
+        seconds = max(0.0, end_mono - begin_mono)
+        with self._lock:
+            histogram.record(seconds)
+            self._slo_seq += 1
+            alert = rule.observe(
+                seconds <= slo_s, self._slo_seq, wall_time, exemplar=trace_id
+            )
+            if alert is not None:
+                self.alerts.append(alert)
+
     def observe_admission_latency(
         self,
         received_mono: float,
@@ -167,16 +159,10 @@ class ServiceMetrics:
         trace_id: Optional[str] = None,
     ) -> None:
         """Score one open→decision interval from perf_counter stamps."""
-        seconds = max(0.0, decided_mono - received_mono)
-        with self._lock:
-            self.admission_latency.record(seconds)
-            self._slo_seq += 1
-            alert = self.slo_admission.observe(
-                seconds <= self.admission_latency_slo_s,
-                self._slo_seq, wall_time, exemplar=trace_id,
-            )
-            if alert is not None:
-                self.alerts.append(alert)
+        self._score(
+            self.admission_latency, self.slo_admission, self.admission_latency_slo_s,
+            received_mono, decided_mono, wall_time, trace_id,
+        )
 
     def observe_delivery_lag(
         self,
@@ -186,39 +172,16 @@ class ServiceMetrics:
         trace_id: Optional[str] = None,
     ) -> None:
         """Score one violation enqueue→write interval from perf_counter stamps."""
-        seconds = max(0.0, written_mono - enqueued_mono)
-        with self._lock:
-            self.delivery_lag.record(seconds)
-            self._slo_seq += 1
-            alert = self.slo_delivery.observe(
-                seconds <= self.delivery_lag_slo_s,
-                self._slo_seq, wall_time, exemplar=trace_id,
-            )
-            if alert is not None:
-                self.alerts.append(alert)
+        self._score(
+            self.delivery_lag, self.slo_delivery, self.delivery_lag_slo_s,
+            enqueued_mono, written_mono, wall_time, trace_id,
+        )
 
     # -- reporting ----------------------------------------------------------------------
 
     def slo_status(self) -> dict:
         with self._lock:
-            rules = (self.slo_admission, self.slo_delivery)
-            return {
-                "schema": "repro-slo/1",
-                "healthy": not any(r.firing for r in rules),
-                "firing": [r.objective.name for r in rules if r.firing],
-                "objectives": [
-                    {
-                        "name": r.objective.name,
-                        "description": r.objective.description,
-                        "observations": r.total,
-                        "bad": r.bad,
-                        "budget_remaining": r.budget_remaining(),
-                        "firing": r.firing,
-                        "exemplar": r.last_bad_exemplar if r.firing else None,
-                    }
-                    for r in rules
-                ],
-            }
+            return self.slos.status()
 
     def render(self, admission, namespace: str = "repro") -> str:
         """The service's Prometheus families (``admission`` = the controller)."""
@@ -281,7 +244,7 @@ class ServiceMetrics:
 
             full = metric("service_slo_firing", "gauge",
                           "1 while the serving objective's burn-rate alert fires.")
-            for rule in (self.slo_admission, self.slo_delivery):
+            for rule in self.slos.rules:
                 sample(full, 1 if rule.firing else 0,
                        {"objective": rule.objective.name})
 

@@ -36,7 +36,7 @@ from repro.httpd import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE, EndpointServ
 from repro.monitor.server import render_monitor_metrics
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
-from repro.service.session import TenantSession, resolve_workload
+from repro.service.session import HARDENED_GROWTH_CEILING, TenantSession, resolve_workload
 from repro.service.wire import (
     MAX_FRAME_BYTES,
     WIRE_SCHEMA,
@@ -212,6 +212,7 @@ class AssertionService:
         return code, JSON_CONTENT_TYPE, {
             "healthy": status["healthy"],
             "firing": status["firing"],
+            "exhausted": status["exhausted"],
             "active_sessions": snap["active_sessions"],
             "committed_bytes": snap["committed_bytes"],
             "budget_bytes": snap["budget_bytes"],
@@ -390,7 +391,8 @@ class AssertionService:
             conn.protocol_errors += 1
             await self._reply(conn, {"type": "error", "error": str(exc)})
             return
-        committed = heap_bytes * 2 if self.config.hardened else heap_bytes
+        # What the session's VM will be built with (session.committed_bytes).
+        committed = heap_bytes * (HARDENED_GROWTH_CEILING if self.config.hardened else 1)
 
         retries = 0
         decision = self.admission.try_admit(committed)
@@ -446,7 +448,7 @@ class AssertionService:
             paranoid=self.config.paranoid,
             queue_frames=self.config.outbound_queue_frames,
             notify=lambda: loop.call_soon_threadsafe(conn.wake.set),
-            aggregate=self.metrics.aggregate,
+            metrics=self.metrics,
             tracing=tracer is not None,
             trace=ctx,
             request_span_id=request_span_id,
@@ -620,19 +622,18 @@ class AssertionService:
 
     # -- merged-trace export ------------------------------------------------------------
 
+    def _tracer(self) -> DistributedTracer:
+        if self.tracer is None:
+            raise RuntimeError("service was not started with tracing enabled")
+        return self.tracer
+
     def merged_trace_payload(self, meta: Optional[dict] = None) -> dict:
         """The multi-track Chrome/Perfetto payload (requires tracing on)."""
-        if self.tracer is None:
-            raise RuntimeError("service was not started with tracing enabled")
-        return merge_service_trace(self.tracer, self.traced_sessions, meta)
+        return merge_service_trace(self._tracer(), self.traced_sessions, meta)
 
     def write_merged_trace(self, path: str, meta: Optional[dict] = None) -> dict:
-        if self.tracer is None:
-            raise RuntimeError("service was not started with tracing enabled")
-        return write_merged_trace(self.tracer, self.traced_sessions, path, meta)
+        return write_merged_trace(self._tracer(), self.traced_sessions, path, meta)
 
     def request_rows(self) -> list[dict]:
         """Per-request lifecycle breakdown (requires tracing on)."""
-        if self.tracer is None:
-            raise RuntimeError("service was not started with tracing enabled")
-        return request_rows(self.tracer)
+        return request_rows(self._tracer())

@@ -60,6 +60,10 @@ SHEDDABLE_FRAMES = frozenset({"gc-event"})
 #: Default bound on a session's outbound queue, in frames.
 DEFAULT_QUEUE_FRAMES = 256
 
+#: How far a hardened VM's OOM ladder may grow the heap, as a multiple of
+#: the heap it was given — what admission commits for it.
+HARDENED_GROWTH_CEILING = 2
+
 
 class FrameQueue:
     """Thread-safe bounded outbound queue with slow-consumer shedding.
@@ -158,8 +162,23 @@ def resolve_workload(
     return entry.heap_bytes, runner
 
 
+def hardened_vm(heap_bytes: int, **vm_options) -> VirtualMachine:
+    """The VM a tenant gets: a hardened collector with growth headroom up to
+    ``HARDENED_GROWTH_CEILING`` times its heap.  Sessions, the CLI's chaotic
+    runs and the chaos soak all build theirs here."""
+    return VirtualMachine(
+        heap_bytes=heap_bytes,
+        hardened=True,
+        max_heap_bytes=heap_bytes * HARDENED_GROWTH_CEILING,
+        **vm_options,
+    )
+
+
 class TenantSession:
-    """One tenant's admitted slice of the service."""
+    """One tenant's admitted slice of the service — and its VM's telemetry
+    sink (``emit``/``close``) and violation handler: both streams become
+    outbound frames here and go to ``metrics`` (``observe_event`` /
+    ``observe_violation``) by method."""
 
     def __init__(
         self,
@@ -171,7 +190,7 @@ class TenantSession:
         paranoid: bool = False,
         queue_frames: int = DEFAULT_QUEUE_FRAMES,
         notify: Optional[Callable[[], None]] = None,
-        aggregate: Optional[Callable[[str, object], None]] = None,
+        metrics=None,
         tracing: bool = False,
         trace=None,
         request_span_id: Optional[str] = None,
@@ -179,9 +198,6 @@ class TenantSession:
         self.session_id = session_id
         self.tenant = tenant
         self.heap_bytes = heap_bytes
-        #: Committed against the admission budget: heap plus the hardened
-        #: OOM ladder's emergency headroom (max_heap_bytes = 2x heap).
-        self.committed_bytes = heap_bytes * 2 if hardened else heap_bytes
         self.state = "admitted"
         self.outcome: Optional[str] = None
         self.error_detail: Optional[str] = None
@@ -198,20 +214,22 @@ class TenantSession:
         self.request_span_id = request_span_id
         self.request_lane: Optional[int] = None
         self.queue = FrameQueue(queue_frames, notify=notify)
-        self._aggregate = aggregate
+        self._metrics = metrics
         self._pending_instances: list[tuple[str, int]] = []
         self._define_hooked = False
-        self.vm = VirtualMachine(
+        build = hardened_vm if hardened else VirtualMachine
+        self.vm = build(
             heap_bytes=heap_bytes,
             collector=collector,
             assertions=True,
             telemetry=True,
-            hardened=hardened,
             paranoid=paranoid,
-            max_heap_bytes=heap_bytes * 2 if hardened else None,
             tracing=tracing,
         )
-        self.vm.telemetry.add_sink(_SessionSink(self))
+        #: Committed against the admission budget: the heap plus whatever
+        #: growth headroom its collector was built with.
+        self.committed_bytes = self.vm.collector.max_heap_bytes or heap_bytes
+        self.vm.telemetry.add_sink(self)
         self.vm.engine.policy.add_handler(self._on_violation)
         # Attachment points for the fault injector's service-layer kinds.
         self.vm.service_hooks["session-kill"] = self._kill_hook
@@ -248,11 +266,11 @@ class TenantSession:
             "site": violation.site,
             "gc_number": violation.gc_number,
         })
-        if self._aggregate is not None:
-            self._aggregate(self.tenant, ("violation", violation))
+        if self._metrics is not None:
+            self._metrics.observe_violation(self.tenant, violation)
         return None
 
-    def _observe_event(self, event) -> None:
+    def emit(self, event) -> None:
         """Telemetry sink path: GC events become sheddable stream frames."""
         if isinstance(event, GcEvent):
             self.gc_event_frames += 1
@@ -261,8 +279,11 @@ class TenantSession:
                 "session": self.session_id,
                 **event.as_dict(),
             })
-        if self._aggregate is not None:
-            self._aggregate(self.tenant, ("event", event))
+        if self._metrics is not None:
+            self._metrics.observe_event(self.tenant, event)
+
+    def close(self) -> None:
+        """Telemetry sink protocol; the session holds nothing to flush."""
 
     # -- fault hooks --------------------------------------------------------------------
 
@@ -371,16 +392,3 @@ class TenantSession:
         self.state = "evicted"
         if self.outcome is None:
             self.outcome = "evicted-before-run"
-
-
-class _SessionSink:
-    """Telemetry sink bridging one VM's event stream into its session."""
-
-    def __init__(self, session: TenantSession):
-        self.session = session
-
-    def emit(self, event) -> None:
-        self.session._observe_event(event)
-
-    def close(self) -> None:
-        pass

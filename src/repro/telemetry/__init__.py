@@ -212,11 +212,8 @@ class Telemetry:
                         state.failures = 0
                         self.sink_breaker_trips += 1
                     continue
-                state.failures = 0
-                state.cooldown = _BREAKER_COOLDOWN_INITIAL
-            else:
-                state.failures = 0
-                state.cooldown = _BREAKER_COOLDOWN_INITIAL
+            state.failures = 0
+            state.cooldown = _BREAKER_COOLDOWN_INITIAL
 
     # -- emit path (collectors call these) ----------------------------------------------
 
@@ -230,31 +227,10 @@ class Telemetry:
         kind = violation.kind.value
         self.violations_by_kind[kind] = self.violations_by_kind.get(kind, 0) + 1
 
-    def record_snapshot(
-        self,
-        collector: str,
-        seq: int,
-        trigger: str,
-        path: str,
-        objects: int,
-        roots: int,
-        total_bytes: int,
-        file_bytes: int,
-        duration_s: float,
-    ) -> SnapshotEvent:
-        """Record a ``snapshot_written`` event and stream it to every sink."""
-        event = SnapshotEvent(
-            event="snapshot_written",
-            seq=seq,
-            collector=collector,
-            trigger=trigger,
-            path=path,
-            objects=objects,
-            roots=roots,
-            total_bytes=total_bytes,
-            file_bytes=file_bytes,
-            duration_s=duration_s,
-        )
+    def record_snapshot(self, **fields) -> SnapshotEvent:
+        """Record a ``snapshot_written`` event (``fields`` are
+        :class:`SnapshotEvent`'s own) and stream it to every sink."""
+        event = SnapshotEvent(event="snapshot_written", **fields)
         self.snapshots.append(event)
         self._emit(event)
         return event

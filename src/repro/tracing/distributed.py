@@ -41,7 +41,6 @@ tracks align without cross-clock skew correction.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -49,7 +48,15 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.tracing.export import TRACE_PID, TRACE_TID
+from repro.tracing.export import (
+    TRACE_PID,
+    TRACE_TID,
+    chrome_trace_events,
+    complete_row,
+    metadata_row,
+    trace_envelope,
+    write_payload,
+)
 from repro.tracing.spans import WORKER_TRACK_BASE
 
 if TYPE_CHECKING:
@@ -246,128 +253,6 @@ class DistributedTracer:
         return spans, lanes
 
 
-def _matched_span_indices(events: list) -> set[int]:
-    """Indices of B/E events forming balanced pairs in a SpanTracer stream.
-
-    A tenant abandoned mid-collection leaves its tail span open; those
-    unmatched events are dropped from the merged export (an auto-close
-    would fabricate a duration) rather than failing validation.
-    """
-    matched: set[int] = set()
-    stack: list[int] = []
-    for idx, event in enumerate(events):
-        ph = event[0]
-        if ph == "B":
-            stack.append(idx)
-        elif ph == "E":
-            if stack:
-                matched.add(stack.pop())
-                matched.add(idx)
-    return matched
-
-
-def _tenant_chrome_events(record: dict, pid: int, t0: float) -> list[dict]:
-    """One traced tenant VM's SpanTracer stream as Chrome events.
-
-    Mirrors :func:`~repro.tracing.export.chrome_trace_events` but on a
-    synthetic tenant ``pid``, rebased to the merged trace's shared
-    ``t0``, with every *top-level* span and instant re-parented under
-    the owning request via ``trace_id`` / ``parent_span_id`` args.
-    """
-    tracer = record["tracer"]
-    trace_args = {
-        "trace_id": record["trace_id"],
-        "parent_span_id": record["request_span_id"],
-    }
-    events = tracer.snapshot_events()
-    matched = _matched_span_indices(events)
-    out: list[dict] = []
-    depth = 0
-    for idx, event in enumerate(events):
-        ph = event[0]
-        if ph == "B":
-            if idx not in matched:
-                continue
-            _ph, name, cat, ts, args = event
-            row = {
-                "name": name, "cat": cat, "ph": "B",
-                "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID,
-            }
-            merged = dict(args) if args else {}
-            if depth == 0:
-                merged.update(trace_args)
-            if merged:
-                row["args"] = merged
-            depth += 1
-        elif ph == "E":
-            if idx not in matched:
-                continue
-            _ph, name, ts = event
-            row = {
-                "name": name, "ph": "E",
-                "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID,
-            }
-            depth -= 1
-        elif ph == "X":
-            _ph, name, cat, ts, dur, args, track = event
-            row = {
-                "name": name, "cat": cat, "ph": "X",
-                "ts": (ts - t0) * 1e6, "dur": dur * 1e6,
-                "pid": pid, "tid": track,
-            }
-            merged = dict(args) if args else {}
-            merged.update(trace_args)
-            if merged:
-                row["args"] = merged
-        elif ph == "i":
-            _ph, name, cat, ts, args = event
-            row = {
-                "name": name, "cat": cat, "ph": "i", "s": "t",
-                "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID,
-            }
-            merged = dict(args) if args else {}
-            merged.update(trace_args)
-            row["args"] = merged
-        else:  # "C"
-            _ph, name, ts, values = event
-            row = {
-                "name": name, "ph": "C",
-                "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID,
-                "args": values,
-            }
-        out.append(row)
-    return out
-
-
-def _tenant_metadata(record: dict, pid: int) -> list[dict]:
-    name = f"tenant {record['tenant']} ({record['session']})"
-    rows = [
-        {
-            "name": "process_name", "ph": "M", "pid": pid, "tid": TRACE_TID,
-            "ts": 0,
-            "args": {
-                "name": name,
-                "trace_id": record["trace_id"],
-                "request_span_id": record["request_span_id"],
-            },
-        },
-        {
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": TRACE_TID,
-            "ts": 0, "args": {"name": "mutator+gc"},
-        },
-    ]
-    worker_tracks = sorted(
-        {e[6] for e in record["tracer"].snapshot_events() if e[0] == "X"}
-    )
-    for track in worker_tracks:
-        rows.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": track,
-            "ts": 0,
-            "args": {"name": f"mark-worker-{track - WORKER_TRACK_BASE}"},
-        })
-    return rows
-
-
 def merge_service_trace(
     tracer: DistributedTracer,
     tenants: list[dict],
@@ -376,65 +261,62 @@ def merge_service_trace(
     """One Chrome/Perfetto payload: server request lanes + tenant tracks.
 
     ``tenants`` rows come from ``AssertionService.traced_sessions``:
-    ``{tenant, session, tracer, trace_id, request_span_id}``.  All
-    events share one timebase (the earliest tracer ``t0``) and are
-    globally sorted by timestamp — the sort is stable, so each track's
-    own B/E nesting order survives — which is exactly what
+    ``{tenant, session, tracer, trace_id, request_span_id}``.  Each tenant
+    recording is :func:`~repro.tracing.export.chrome_trace_events` on its
+    own synthetic ``pid``, stamped with the request it ran under; a server
+    span is one ``X`` row on its request's lane.  All rows share one
+    timebase (the earliest tracer ``t0``) and are globally sorted by
+    timestamp — the sort is stable, so each track's own B/E nesting order
+    survives — which is exactly what
     :func:`~repro.tracing.export.validate_chrome_trace` demands.
     """
     spans, lanes = tracer.snapshot()
     t0 = min([tracer.t0] + [record["tracer"].t0 for record in tenants])
 
-    horizon = tracer.t0
-    for span in spans:
-        horizon = max(horizon, span["start"], span["end"] or span["start"])
-    for record in tenants:
-        for event in record["tracer"].snapshot_events():
-            ph = event[0]
-            if ph in ("E", "C"):
-                ts = event[2]
-            elif ph == "X":
-                ts = event[3] + event[4]
-            else:
-                ts = event[3]
-            horizon = max(horizon, ts)
-
-    metadata: list[dict] = [
-        {
-            "name": "process_name", "ph": "M",
-            "pid": TRACE_PID, "tid": TRACE_TID, "ts": 0,
-            "args": {"name": "repro-service"},
-        },
-        {
-            "name": "thread_name", "ph": "M",
-            "pid": TRACE_PID, "tid": TRACE_TID, "ts": 0,
-            "args": {"name": "wire+admission"},
-        },
-    ]
-    for _key, (lane, label) in sorted(lanes.items(), key=lambda kv: kv[1][0]):
-        metadata.append({
-            "name": "thread_name", "ph": "M",
-            "pid": TRACE_PID, "tid": lane, "ts": 0, "args": {"name": label},
-        })
-
-    events: list[dict] = []
-    for span in spans:
-        end = span["end"] if span["end"] is not None else horizon
-        args = dict(span["args"])
-        args["trace_id"] = span["trace_id"]
-        args["span_id"] = span["span_id"]
+    def lane_row(span: dict, dur: float) -> dict:
+        args = {**span["args"], "trace_id": span["trace_id"], "span_id": span["span_id"]}
         if span["parent_span_id"] is not None:
             args["parent_span_id"] = span["parent_span_id"]
-        events.append({
-            "name": span["name"], "cat": span["cat"], "ph": "X",
-            "ts": (span["start"] - t0) * 1e6,
-            "dur": max(0.0, end - span["start"]) * 1e6,
-            "pid": TRACE_PID, "tid": span["lane"], "args": args,
-        })
+        return complete_row(
+            span["name"], span["cat"], (span["start"] - t0) * 1e6, dur,
+            TRACE_PID, span["lane"], args,
+        )
+
+    metadata = [
+        metadata_row("process_name", TRACE_PID, TRACE_TID, name="repro-service"),
+        metadata_row("thread_name", TRACE_PID, TRACE_TID, name="wire+admission"),
+    ]
+    for lane, label in sorted(lanes.values()):
+        metadata.append(metadata_row("thread_name", TRACE_PID, lane, name=label))
+    events = [
+        lane_row(span, max(0.0, span["end"] - span["start"]) * 1e6)
+        for span in spans
+        if span["end"] is not None
+    ]
+    # A request abandoned mid-run, or an export taken while serving, is
+    # still open: it ends at the horizon, the last instant any row covers.
+    still_open = [lane_row(span, 0.0) for span in spans if span["end"] is None]
+    events += still_open
     for index, record in enumerate(tenants):
-        pid = TENANT_TRACK_BASE + index
-        metadata.extend(_tenant_metadata(record, pid))
-        events.extend(_tenant_chrome_events(record, pid, t0))
+        rows = chrome_trace_events(
+            record["tracer"],
+            pid=TENANT_TRACK_BASE + index,
+            t0=t0,
+            process={
+                "name": f"tenant {record['tenant']} ({record['session']})",
+                "trace_id": record["trace_id"],
+                "request_span_id": record["request_span_id"],
+            },
+            stamp={
+                "trace_id": record["trace_id"],
+                "parent_span_id": record["request_span_id"],
+            },
+        )
+        for row in rows:
+            (metadata if row["ph"] == "M" else events).append(row)
+    horizon = max((row["ts"] + row.get("dur", 0.0) for row in events), default=0.0)
+    for row in still_open:
+        row["dur"] = horizon - row["ts"]
 
     events.sort(key=lambda row: row["ts"])
     other = {
@@ -442,13 +324,7 @@ def merge_service_trace(
         "tenant_tracks": len(tenants),
         "request_lanes": len(lanes),
     }
-    if meta:
-        other.update(meta)
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
+    return trace_envelope(metadata + events, other, meta)
 
 
 def write_merged_trace(
@@ -459,16 +335,10 @@ def write_merged_trace(
 ) -> dict:
     """Serialize the merged export to ``path``; returns a small summary."""
     payload = merge_service_trace(tracer, tenants, meta)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
-    return {
-        "path": path,
-        "events": len(payload["traceEvents"]),
-        "tenant_tracks": payload["otherData"]["tenant_tracks"],
-        "request_lanes": payload["otherData"]["request_lanes"],
-        "file_bytes": os.path.getsize(path),
-    }
+    summary = write_payload(payload, path)
+    summary["tenant_tracks"] = payload["otherData"]["tenant_tracks"]
+    summary["request_lanes"] = payload["otherData"]["request_lanes"]
+    return summary
 
 
 # -- request breakdown report (the ``repro trace serve`` table) -------------------------

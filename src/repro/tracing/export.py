@@ -44,113 +44,137 @@ TRACE_PID = 1
 TRACE_TID = 1
 
 
-def chrome_trace_events(tracer: "SpanTracer") -> list[dict]:
-    """Convert the recorder's event stream to Chrome trace_event dicts."""
-    t0 = tracer.t0
-    out: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": TRACE_TID,
-            "ts": 0,
-            "args": {"name": "repro-vm"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": TRACE_PID,
-            "tid": TRACE_TID,
-            "ts": 0,
-            "args": {"name": "mutator+gc"},
-        },
+def metadata_row(kind: str, pid: int, tid: int, **args) -> dict:
+    """``ph: "M"``: names a process (``kind="process_name"``) or a thread
+    track (``"thread_name"``)."""
+    return {"name": kind, "ph": "M", "pid": pid, "tid": tid, "ts": 0, "args": args}
+
+
+def complete_row(
+    name: str, cat: str, ts: float, dur: float, pid: int, tid: int, args: Optional[dict]
+) -> dict:
+    """``ph: "X"``: a span carrying its own duration (microseconds, like
+    ``ts``) on track ``(pid, tid)``."""
+    row = {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid}
+    if args:
+        row["args"] = args
+    return row
+
+
+def _unbalanced(events: list) -> set[int]:
+    """Indices of the ``B`` events nothing closed and the ``E`` events that
+    closed nothing.  A recording read while its VM is mid-collection (an
+    abandoned tenant) ends in open spans; they are left out of the export —
+    closing them here would invent a duration."""
+    unclosed: list[int] = []
+    stray: set[int] = set()
+    for idx, event in enumerate(events):
+        if event[0] == "B":
+            unclosed.append(idx)
+        elif event[0] == "E":
+            if unclosed:
+                unclosed.pop()
+            else:
+                stray.add(idx)
+    return stray.union(unclosed)
+
+
+def chrome_trace_events(
+    tracer: "SpanTracer",
+    pid: int = TRACE_PID,
+    t0: Optional[float] = None,
+    process: Optional[dict] = None,
+    stamp: Optional[dict] = None,
+) -> list[dict]:
+    """One recording as Chrome trace_event dicts: the metadata naming its
+    tracks, then its events in recorded order.
+
+    The only place a recorder tuple becomes a row.  Alone, a recording is
+    process ``TRACE_PID`` on its own clock; a merged export gives each one a
+    ``pid``, the shared ``t0``, the ``process_name`` args, and the ``stamp``
+    args that re-parent it under a request — put on every instant, worker
+    span and *top-level* span, so the children follow their parent.
+    """
+    t0 = tracer.t0 if t0 is None else t0
+    events = tracer.snapshot_events()
+    out = [
+        metadata_row("process_name", pid, TRACE_TID, **(process or {"name": "repro-vm"})),
+        metadata_row("thread_name", pid, TRACE_TID, name="mutator+gc"),
     ]
     # Synthetic worker lanes get thread_name metadata up front.
-    worker_tracks = sorted({e[6] for e in tracer.events if e[0] == "X"})
-    for track in worker_tracks:
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": TRACE_PID,
-                "tid": track,
-                "ts": 0,
-                "args": {"name": f"mark-worker-{track - WORKER_TRACK_BASE}"},
-            }
-        )
-    append = out.append
-    for event in tracer.events:
+    out += [
+        metadata_row("thread_name", pid, track, name=f"mark-worker-{track - WORKER_TRACK_BASE}")
+        for track in sorted({e[6] for e in events if e[0] == "X"})
+    ]
+
+    def main_row(ph: str, name: str, ts: float, cat: Optional[str] = None, **scope) -> dict:
+        # Main-track rows share everything but ``cat`` (spans and instants)
+        # and ``s`` (an instant's scope); key order is part of the format
+        # the differential tests hold byte for byte.
+        head = {"name": name} if cat is None else {"name": name, "cat": cat}
+        return {**head, "ph": ph, **scope, "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID}
+
+    def stamped(args: Optional[dict]) -> Optional[dict]:
+        return {**(args or {}), **stamp} if stamp else args
+
+    dropped = _unbalanced(events)
+    depth = 0
+    for idx, event in enumerate(events):
         ph = event[0]
+        args = None
+        if idx in dropped:
+            continue
         if ph == "B":
             _ph, name, cat, ts, args = event
-            row = {
-                "name": name,
-                "cat": cat,
-                "ph": "B",
-                "ts": (ts - t0) * 1e6,
-                "pid": TRACE_PID,
-                "tid": TRACE_TID,
-            }
-            if args:
-                row["args"] = args
+            row = main_row("B", name, ts, cat)
+            if depth == 0:
+                args = stamped(args)
+            depth += 1
         elif ph == "E":
-            _ph, name, ts = event
-            row = {
-                "name": name,
-                "ph": "E",
-                "ts": (ts - t0) * 1e6,
-                "pid": TRACE_PID,
-                "tid": TRACE_TID,
-            }
+            row = main_row("E", event[1], event[2])
+            depth -= 1
         elif ph == "X":
-            _ph, name, cat, ts, dur, args, track = event
-            row = {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": (ts - t0) * 1e6,
-                "dur": dur * 1e6,
-                "pid": TRACE_PID,
-                "tid": track,
-            }
-            if args:
-                row["args"] = args
+            _ph, name, cat, ts, dur, worker_args, track = event
+            row = complete_row(
+                name, cat, (ts - t0) * 1e6, dur * 1e6, pid, track, stamped(worker_args)
+            )
         elif ph == "i":
             _ph, name, cat, ts, args = event
-            row = {
-                "name": name,
-                "cat": cat,
-                "ph": "i",
-                "s": "t",
-                "ts": (ts - t0) * 1e6,
-                "pid": TRACE_PID,
-                "tid": TRACE_TID,
-            }
-            if args:
-                row["args"] = args
+            row = main_row("i", name, ts, cat, s="t")
+            args = stamped(args)
         else:  # "C"
             _ph, name, ts, values = event
-            row = {
-                "name": name,
-                "ph": "C",
-                "ts": (ts - t0) * 1e6,
-                "pid": TRACE_PID,
-                "tid": TRACE_TID,
-                "args": values,
-            }
-        append(row)
+            row = {**main_row("C", name, ts), "args": values}
+        if args:
+            row["args"] = args
+        out.append(row)
     return out
+
+
+def trace_envelope(events: list[dict], other: dict, meta: Optional[dict] = None) -> dict:
+    """The JSON-object-format envelope around ``events``: ``other`` (the
+    schema tag first) and the caller's ``meta`` become ``otherData``."""
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {**other, **(meta or {})},
+    }
 
 
 def trace_payload(tracer: "SpanTracer", meta: Optional[dict] = None) -> dict:
     """The full JSON-object-format payload for one recording."""
-    other = {"schema": TRACE_SCHEMA}
-    if meta:
-        other.update(meta)
+    return trace_envelope(chrome_trace_events(tracer), {"schema": TRACE_SCHEMA}, meta)
+
+
+def write_payload(payload: dict, path: str) -> dict:
+    """Serialize one export to ``path``; returns a small summary."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+        handle.write("\n")
     return {
-        "traceEvents": chrome_trace_events(tracer),
-        "displayTimeUnit": "ms",
-        "otherData": other,
+        "path": path,
+        "events": len(payload["traceEvents"]),
+        "file_bytes": os.path.getsize(path),
     }
 
 
@@ -158,16 +182,9 @@ def write_chrome_trace(
     tracer: "SpanTracer", path: str, meta: Optional[dict] = None
 ) -> dict:
     """Serialize the recording to ``path``; returns a small summary."""
-    payload = trace_payload(tracer, meta)
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
-    return {
-        "path": path,
-        "events": len(payload["traceEvents"]),
-        "spans": tracer.spans_ended,
-        "file_bytes": os.path.getsize(path),
-    }
+    summary = write_payload(trace_payload(tracer, meta), path)
+    summary["spans"] = tracer.spans_ended
+    return summary
 
 
 def validate_chrome_trace(source: Union[str, dict]) -> list[str]:

@@ -13,8 +13,9 @@ Two consumers of one recording:
   §2.5.2 ownership phase.  Because one mark drain is a fused loop, the
   split cannot be observed in situ without perturbing it — instead the
   final heap is re-traced under each drain specialization (plain / paths /
-  paths+engine) to calibrate unit costs, which then decompose the run's
-  own deterministic work counters.  The replay is read-only: throwaway
+  the one the run's engine selected) to calibrate unit costs, which then
+  decompose the run's own deterministic work counters.  The replay is
+  read-only: throwaway
   ``GcStats``, a mark set of its own per leg (dropped at the end),
   instance counters restored.
 """
@@ -25,7 +26,7 @@ import time
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.gc.stats import GcStats
-from repro.gc.tracer import Tracer
+from repro.gc.tracer import Tracer, armed_checks
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -46,6 +47,20 @@ def aggregate_spans(events: Iterable[tuple]) -> dict[str, dict]:
     for the still-open frames).
     """
     out: dict[str, dict] = {}
+
+    def add(name: str, duration: float, self_s: float) -> None:
+        row = out.get(name)
+        if row is None:
+            out[name] = {
+                "count": 1, "total_s": duration, "self_s": self_s, "max_s": duration,
+            }
+        else:
+            row["count"] += 1
+            row["total_s"] += duration
+            row["self_s"] += self_s
+            if duration > row["max_s"]:
+                row["max_s"] = duration
+
     # Stack frames: [name, begin_ts, child_seconds].
     stack: list[list] = []
     for event in events:
@@ -57,47 +72,23 @@ def aggregate_spans(events: Iterable[tuple]) -> dict[str, dict]:
             # duration, no stack interaction (worker lanes are flat), and —
             # living on its own track — it is not a child of whatever main
             # span happens to be open.
-            name, duration = event[1], event[4]
-            row = out.get(name)
-            if row is None:
-                out[name] = {
-                    "count": 1,
-                    "total_s": duration,
-                    "self_s": duration,
-                    "max_s": duration,
-                }
-            else:
-                row["count"] += 1
-                row["total_s"] += duration
-                row["self_s"] += duration
-                if duration > row["max_s"]:
-                    row["max_s"] = duration
+            add(event[1], event[4], event[4])
         elif ph == "E":
             if not stack:
                 continue  # stray end (never produced by the recorder)
             name, begin_ts, child_s = stack.pop()
             duration = event[2] - begin_ts
-            row = out.get(name)
-            if row is None:
-                out[name] = {
-                    "count": 1,
-                    "total_s": duration,
-                    "self_s": duration - child_s,
-                    "max_s": duration,
-                }
-            else:
-                row["count"] += 1
-                row["total_s"] += duration
-                row["self_s"] += duration - child_s
-                if duration > row["max_s"]:
-                    row["max_s"] = duration
+            add(name, duration, duration - child_s)
             if stack:
                 stack[-1][2] += duration
     return out
 
 
-def render_span_table(aggregates: dict[str, dict], indent: str = "") -> str:
-    """The fixed-width per-phase table (sorted by total time, descending)."""
+def render_span_table(
+    aggregates: dict[str, dict], indent: str = "", top: Optional[int] = None
+) -> str:
+    """The fixed-width per-phase table (sorted by total time, descending;
+    the ``top`` rows only when given — ``repro top``'s pane)."""
     if not aggregates:
         return f"{indent}(no spans recorded)"
     lines = [
@@ -105,7 +96,7 @@ def render_span_table(aggregates: dict[str, dict], indent: str = "") -> str:
         f"{'mean':>9} {'max':>9}"
     ]
     ranked = sorted(aggregates.items(), key=lambda kv: kv[1]["total_s"], reverse=True)
-    for name, row in ranked:
+    for name, row in ranked[:top]:
         mean_s = row["total_s"] / row["count"]
         lines.append(
             f"{indent}{name:<18} {row['count']:>7} "
@@ -121,32 +112,31 @@ def render_span_table(aggregates: dict[str, dict], indent: str = "") -> str:
 class _NullInlineEngine:
     """An engine whose per-object duties are *only* the inlined fast path.
 
-    Declaring ``INLINE_HEADER_CHECKS`` selects the same fused drain the real
-    assertion engine uses (``_drain_paths_engine``: header-bit checks and
-    instance counting in the loop), while the slow hooks — reached only
-    when leftover ``DEAD``/``OWNEE``/``UNSHARED`` header bits show actual
-    assertion work — do nothing, so replaying a heap that still carries
-    assertion bits stays read-only.
+    Declaring ``INLINE_HEADER_CHECKS`` and answering ``armed_checks()`` as
+    the run's engine does selects the drain the run executed
+    (``_drain_paths_engine``: header-bit checks and instance counting in
+    the loop, repeat edges read only while an ``assert-unshared`` is
+    registered), while the hooks — reached only when leftover
+    ``DEAD``/``OWNEE``/``UNSHARED`` header bits show actual assertion work,
+    and from the root scan (``Tracer._reach``) — do nothing, so replaying a
+    heap that still carries assertion bits stays read-only.
     """
 
     INLINE_HEADER_CHECKS = True
+
+    def __init__(self, armed: tuple[bool, bool]):
+        self._armed = armed
+
+    def armed_checks(self) -> tuple[bool, bool]:
+        return self._armed
 
     @staticmethod
     def on_first_encounter_slow(obj, tracer, parent) -> None:
         pass
 
-    @staticmethod
-    def on_repeat_encounter_slow(obj, tracer, parent) -> None:
-        pass
-
-    # The root-scan path (`Tracer._reach`) uses the general hooks.
-    @staticmethod
-    def on_first_encounter(obj, tracer, parent) -> None:
-        pass
-
-    @staticmethod
-    def on_repeat_encounter(obj, tracer, parent) -> None:
-        pass
+    on_repeat_encounter_slow = on_first_encounter = on_repeat_encounter = (
+        on_first_encounter_slow
+    )
 
 
 def _replay_leg(
@@ -200,9 +190,16 @@ def piggyback_report(vm: "VirtualMachine") -> dict:
     try:
         t_plain, s_plain = _replay_leg(vm, roots, engine=None, track_paths=False)
         t_paths, s_paths = _replay_leg(vm, roots, engine=None, track_paths=True)
-        t_engine, s_engine = _replay_leg(
-            vm, roots, _NullInlineEngine(), track_paths=True
-        )
+        # The engine leg replays the drain the run's engine selected.  With
+        # nothing armed (or no engine) that *is* the paths loop: the run read
+        # no header, so no time is charged to header checks.
+        armed = armed_checks(vm.engine) if vm.engine is not None else (False, False)
+        if armed[0]:
+            t_engine, s_engine = _replay_leg(
+                vm, roots, _NullInlineEngine(armed), track_paths=True
+            )
+        else:
+            t_engine, s_engine = t_paths, s_paths
     finally:
         heap.new_marks()  # no collection is running: leave no marks behind
         for cls, count in saved_counts.items():
@@ -224,16 +221,9 @@ def piggyback_report(vm: "VirtualMachine") -> dict:
     path_raw = run.path_entries_tagged * per_tag
     check_raw = run.header_bit_checks * per_check
     raw_sum = base_raw + path_raw + check_raw
-    if raw_sum > mark_s > 0:
-        scale = mark_s / raw_sum
-        base_s, path_s, check_s = (
-            base_raw * scale, path_raw * scale, check_raw * scale,
-        )
-        other_s = 0.0
-    else:
-        scale = 1.0
-        base_s, path_s, check_s = base_raw, path_raw, check_raw
-        other_s = max(0.0, mark_s - raw_sum)
+    scale = mark_s / raw_sum if raw_sum > mark_s > 0 else 1.0
+    base_s, path_s, check_s = base_raw * scale, path_raw * scale, check_raw * scale
+    other_s = max(0.0, mark_s - (base_s + path_s + check_s))
 
     def _component(seconds: float) -> dict:
         return {

@@ -22,7 +22,7 @@ import threading
 import time
 from typing import Callable, Optional, TextIO, TYPE_CHECKING
 
-from repro.tracing.report import aggregate_spans
+from repro.tracing.report import aggregate_spans, render_span_table
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -80,17 +80,7 @@ def render_frame(vm: "VirtualMachine", frame_no: int, elapsed: float) -> str:
         aggregates = aggregate_spans(tracer.snapshot_events())
         if aggregates:
             lines.append(f"hottest phases (top {TOP_SPANS} by total time):")
-            ranked = sorted(
-                aggregates.items(), key=lambda kv: kv[1]["total_s"], reverse=True
-            )
-            for name, row in ranked[:TOP_SPANS]:
-                mean_us = row["total_s"] / row["count"] * 1e6
-                lines.append(
-                    f"  {name:<18} {row['count']:>6}x  "
-                    f"total {row['total_s'] * 1e3:>8.2f}ms  "
-                    f"self {row['self_s'] * 1e3:>8.2f}ms  "
-                    f"mean {mean_us:>7.1f}us"
-                )
+            lines.append(render_span_table(aggregates, indent="  ", top=TOP_SPANS))
 
     if telemetry is not None and telemetry.census.samples >= 2:
         slopes = telemetry.census.slopes()

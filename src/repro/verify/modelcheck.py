@@ -37,7 +37,7 @@ off live ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional, Sequence
 
 #: Heap budget per model VM.  Shapes hold <= N tiny nodes; 256 KiB keeps
@@ -144,14 +144,16 @@ def _root_sets(n: int, max_roots: int) -> list:
     return sets
 
 
-def canonical_form(n: int, slots: tuple, roots: tuple) -> tuple:
+def canonical_form(n: int, slots: tuple, roots: tuple, owners: tuple = ()) -> tuple:
     """Canonical representative of the shape's isomorphism class.
 
     Nodes are first partitioned by a relabelling-invariant key
-    ``(is_root, has_left, has_right, in_degree)``; only permutations that
-    respect the partition can be isomorphisms, so the canonical form is
-    the minimum serialization over within-block permutations — exact, and
-    cheap because root/degree constraints shatter the blocks.
+    ``(is_root, has_left, has_right, in_degree)`` — plus, for a shape
+    labelled with ``(owner, ownee)`` pairs, which side of one it is; only
+    permutations that respect the partition can be isomorphisms, so the
+    canonical form is the minimum serialization over within-block
+    permutations — exact, and cheap because root/degree constraints shatter
+    the blocks.
     """
     rootset = set(roots)
     indeg = [0] * n
@@ -163,7 +165,8 @@ def canonical_form(n: int, slots: tuple, roots: tuple) -> tuple:
 
     def invariant(i: int) -> tuple:
         l, r = slots[i]
-        return (i in rootset, l is not None, r is not None, indeg[i])
+        role = sorted((i == owner, i == ownee) for owner, ownee in owners)
+        return (i in rootset, l is not None, r is not None, indeg[i], role)
 
     order = sorted(range(n), key=lambda i: (invariant(i), i))
     blocks: list[list[int]] = []
@@ -182,7 +185,8 @@ def canonical_form(n: int, slots: tuple, roots: tuple) -> tuple:
                 None if r is None else perm_map[r],
             )
         new_roots = tuple(sorted(perm_map[i] for i in roots))
-        return (tuple(new_slots), new_roots)
+        new_owners = tuple(sorted((perm_map[o], perm_map[e]) for o, e in owners))
+        return (tuple(new_slots), new_roots, new_owners)
 
     best = None
     for perm_blocks in _block_permutations(blocks):
@@ -230,6 +234,47 @@ def enumerate_shapes(
                 seen.add(key)
                 shapes.append(HeapShape(n, slots, roots))
     return shapes
+
+
+#: Ownership labellings stay on shapes of at most this many objects (two
+#: owners and two ownees need all four): there are O(N^4) of them per shape.
+OWNERSHIP_MAX_OBJECTS = 4
+
+
+def enumerate_ownership_shapes(
+    max_objects: int = 4, max_edges: int = 3, max_roots: int = 2
+) -> list:
+    """All canonical ``(shape, owners)``: a shape in scope carrying two
+    ``assert-ownedby`` pairs ``(owner, ownee)``.
+
+    Two owners and two ownees, four different objects, each ownee below
+    some owner (the ownership phase never meets one that is not).  That
+    covers an ownee below its own owner, below the other one only
+    (*foreign*) or below both (*shared*); an owner inside the other's
+    region (*nested*); an owner only its own region keeps reachable; and
+    owners that are garbage.  An object on both sides of an assertion is
+    left out: ownership cycles are immortal garbage (ROADMAP item 1).
+    """
+    out = []
+    for shape in enumerate_shapes(
+        min(max_objects, OWNERSHIP_MAX_OBJECTS), max_edges, max_roots
+    ):
+        nodes = range(shape.n)
+        below = [
+            HeapShape(shape.n, shape.slots, tuple(t for t in pair if t is not None)).reachable()
+            for pair in shape.slots
+        ]
+        seen = set()
+        for owners in combinations([(o, e) for o in nodes for e in nodes if o != e], 2):
+            (owner_a, ownee_a), (owner_b, ownee_b) = owners
+            region = below[owner_a] | below[owner_b]
+            if len({owner_a, ownee_a, owner_b, ownee_b}) < 4 or not {ownee_a, ownee_b} <= region:
+                continue
+            key = canonical_form(shape.n, shape.slots, shape.roots, owners)
+            if key not in seen:
+                seen.add(key)
+                out.append((shape, owners))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +346,8 @@ class ModelCheckReport:
     shapes_by_n: dict = field(default_factory=dict)
     cell_labels: list = field(default_factory=list)
     runs: int = 0
+    ownership_shape_count: int = 0
+    ownership_runs: int = 0
     violations: list = field(default_factory=list)
     verdict_mismatches: int = 0
 
@@ -316,6 +363,8 @@ class ModelCheckReport:
             f"({', '.join(f'n={n}: {c}' for n, c in sorted(self.shapes_by_n.items()))})",
             f"  cells:  {len(self.cell_labels)} "
             f"({self.runs} shape-cell runs)",
+            f"  ownership: {self.ownership_shape_count} labelled shapes "
+            f"({self.ownership_runs} runs in asserted cells)",
         ]
         if self.ok:
             lines.append(
@@ -339,14 +388,20 @@ class ModelCheckReport:
 MAX_RECORDED_VIOLATIONS = 50
 
 
-def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
+def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool, owners: tuple = ()):
     """Build ``shape``, run one scripted GC, check S1/S2/Completeness.
 
     Returns ``(problems, verdicts)`` where ``verdicts`` is the sorted
     assertion outcome set (empty for base cells).  The VM is left holding
     the live subgraph; :func:`_teardown_shape` empties it for reuse.
+
+    With ``owners`` (an ownership labelling) those pairs are asserted
+    instead of the smallest edge, and the oracle allows for what §2.5.2
+    concedes — a dead owner's ownees float through this collection:
+    survivors and ``assert-dead`` verdicts must *include* the oracle's,
+    Completeness gives way to ``verify_heap`` finding nothing wrong.
     """
-    from repro.gc.verify import mark_set_problems
+    from repro.gc.verify import mark_set_problems, verify_heap
     from repro.heap.layout import NULL
 
     heap = vm.heap
@@ -377,9 +432,12 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
             for i, h in enumerate(handles):
                 api.assert_dead(h, site=f"n{i}")
                 api.assert_unshared(h, site=f"n{i}")
+            for owner, ownee in owners:
+                api.assert_ownedby(handles[owner], handles[ownee], site=f"own{ownee}")
             owned = shape.min_edge()
             if (
-                owned is not None
+                not owners
+                and owned is not None
                 and owned[0] != owned[1]
                 and owned[0] in shape.reachable()
             ):
@@ -394,6 +452,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
     vm.gc("model-check")
 
     reachable = shape.reachable()
+    agrees = set.__ge__ if owners else set.__eq__
 
     # Lazy cells: before repaying sweep debt, the pending-garbage view must
     # already agree with the oracle (dead-but-unswept objects are invisible
@@ -413,7 +472,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
             for obj in heap
             if pending is None or not pending(obj)
         }
-        if visible != reachable:
+        if not agrees(visible, reachable):
             problems.append(
                 f"lazy view: visible tags {sorted(visible)} != "
                 f"reachable {sorted(reachable)}"
@@ -477,7 +536,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
 
     # Soundness2, table side: exactly the reachable nodes remain live.
     live_tags = {obj.slots[tag_slot] for obj in heap}
-    if live_tags != reachable:
+    if not agrees(live_tags, reachable):
         problems.append(
             f"Soundness2: table tags {sorted(live_tags)} != reachable "
             f"{sorted(reachable)}"
@@ -485,14 +544,16 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
 
     # Completeness: every unreachable cell was actually reclaimed.
     for i in range(shape.n):
-        if i not in reachable and heap.contains(addresses[i]):
+        if not owners and i not in reachable and heap.contains(addresses[i]):
             problems.append(
                 f"Completeness: garbage node {i} still in table at "
                 f"{addresses[i]:#x}"
             )
     freed = stats.objects_freed - base_freed
     garbage = shape.n - len(reachable)
-    if freed != garbage:
+    if owners:
+        problems.extend(f"verify_heap: {p}" for p in verify_heap(vm, raise_on_error=False))
+    elif freed != garbage:
         problems.append(
             f"Completeness: freed counter advanced {freed}, expected {garbage}"
         )
@@ -500,12 +561,17 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
     verdicts = ()
     if assertions:
         log = vm.engine.log
-        verdicts = tuple(sorted((v.kind.name, v.site) for v in log.violations))
+        # Named by the node they are about where the site is an address
+        # (``assert-ownedby`` reports "owner 0x..."), which cells disagree on.
+        node = {address: f"n{i}" for i, address in enumerate(addresses)}
+        verdicts = tuple(
+            sorted((v.kind.name, node.get(v.address, v.site)) for v in log.violations)
+        )
         # assert_dead oracle: a DEAD verdict fires exactly on the nodes the
         # oracle proves reachable.
         dead_sites = {site for kind, site in verdicts if kind == "DEAD"}
         expected = {f"n{i}" for i in reachable}
-        if dead_sites != expected:
+        if not agrees(dead_sites, expected):
             problems.append(
                 f"assert-dead: verdicts {sorted(dead_sites)} != oracle "
                 f"{sorted(expected)}"
@@ -513,13 +579,15 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool):
     return problems, verdicts
 
 
-def _teardown_shape(vm, shape: HeapShape) -> bool:
+def _teardown_shape(vm, shape: HeapShape, owners: int = 1) -> bool:
     """Drop the shape's roots and reclaim everything; True if heap emptied.
 
     Two collections, not one: when the shape carried an ownership
     assertion, the ownee floats for exactly one extra collection after its
     owner dies (the §2.5.2 memory-pressure effect) — the second GC is the
-    one that proves nothing *stays* floating.
+    one that proves nothing *stays* floating.  One more per further owner:
+    a dead owner's region can float the next owner, whose ownees then float
+    in turn.
     """
     from repro.heap.layout import NULL
 
@@ -527,9 +595,10 @@ def _teardown_shape(vm, shape: HeapShape) -> bool:
         vm.statics.set_ref(f"r{k}", NULL)
     vm.gc("model-check teardown")
     vm.collector.sweep_all()
-    if len(vm.heap):
-        vm.gc("model-check teardown (floating ownees)")
-        vm.collector.sweep_all()
+    for _ in range(owners):
+        if len(vm.heap):
+            vm.gc("model-check teardown (floating ownees)")
+            vm.collector.sweep_all()
     if vm.engine is not None:
         vm.engine.log.clear()
     return len(vm.heap) == 0
@@ -553,6 +622,7 @@ def run_model_check(
     exercises allocator reuse — addresses recycled across thousands of
     heap configurations.
     """
+    from repro.errors import ReproError
     from repro.heap.object_model import FieldKind
 
     cells = list(cells) if cells is not None else default_cells()
@@ -564,46 +634,55 @@ def run_model_check(
     report.shape_count = len(shapes)
     for shape in shapes:
         report.shapes_by_n[shape.n] = report.shapes_by_n.get(shape.n, 0) + 1
+    labelled = enumerate_ownership_shapes(max_objects, max_edges, max_roots)
+    report.ownership_shape_count = len(labelled)
+    unlabelled = [(shape, ()) for shape in shapes]
 
     fields = [
         (name, FieldKind.REF if kind == "ref" else FieldKind.INT)
         for name, kind in NODE_FIELDS
     ]
 
-    # verdicts[shape_index] -> (first_cell_label, verdict_tuple)
+    # verdicts[run_index] -> (first_cell_label, verdict_tuple)
     reference_verdicts: dict[int, tuple] = {}
 
+    def convict(where: str, problem: str) -> None:
+        if len(report.violations) < MAX_RECORDED_VIOLATIONS:
+            report.violations.append(f"{where}: {problem}")
+
     for cell in cells:
+        # Asserted cells go on through the ownership labellings.
+        runs = unlabelled + labelled if cell.assertions else unlabelled
         if progress is not None:
-            progress(f"cell {cell.label}: {len(shapes)} shapes")
+            progress(f"cell {cell.label}: {len(runs)} shapes")
         vm = factory(cell)
         node_cls = vm.define_class(NODE_CLASS, fields)
-        for index, shape in enumerate(shapes):
-            problems, verdicts = _run_shape(vm, node_cls, shape, cell.assertions)
-            report.runs += 1
+        for index, (shape, owners) in enumerate(runs):
+            where = f"[{cell.label}] {shape.describe()}"
+            if owners:
+                where += f" owners={list(owners)}"
+            problems, verdicts = _run_shape(vm, node_cls, shape, cell.assertions, owners)
+            if owners:
+                report.ownership_runs += 1
+            else:
+                report.runs += 1
             for problem in problems:
-                if len(report.violations) < MAX_RECORDED_VIOLATIONS:
-                    report.violations.append(
-                        f"[{cell.label}] {shape.describe()}: {problem}"
-                    )
+                convict(where, problem)
             if cell.assertions:
-                reference = reference_verdicts.get(index)
-                if reference is None:
-                    reference_verdicts[index] = (cell.label, verdicts)
-                elif verdicts != reference[1]:
+                reference = reference_verdicts.setdefault(index, (cell.label, verdicts))
+                if verdicts != reference[1]:
                     report.verdict_mismatches += 1
-                    if len(report.violations) < MAX_RECORDED_VIOLATIONS:
-                        report.violations.append(
-                            f"[{cell.label}] {shape.describe()}: verdicts "
-                            f"{list(verdicts)} != {reference[0]} "
-                            f"{list(reference[1])}"
-                        )
-            if not _teardown_shape(vm, shape):
-                if len(report.violations) < MAX_RECORDED_VIOLATIONS:
-                    report.violations.append(
-                        f"[{cell.label}] {shape.describe()}: heap not empty "
-                        f"after teardown ({len(vm.heap)} objects)"
+                    convict(
+                        where, f"verdicts {list(verdicts)} != {reference[0]} {list(reference[1])}"
                     )
+            try:
+                wreck = None
+                if not _teardown_shape(vm, shape, max(1, len(owners))):
+                    wreck = f"heap not empty after teardown ({len(vm.heap)} objects)"
+            except ReproError as exc:  # e.g. the dangling edge a bad sweep left
+                wreck = f"teardown raised {type(exc).__name__}: {exc}"
+            if wreck is not None:
+                convict(where, wreck)
                 vm = factory(cell)  # quarantine the wreckage, keep sweeping
                 node_cls = vm.define_class(NODE_CLASS, fields)
     return report

@@ -242,6 +242,54 @@ class TestRunpyInvocation:
             )
         capsys.readouterr()
 
+    def test_every_documented_metric_family_is_declared_once(self):
+        """Docs and CI cannot quote a ``repro_*`` family no renderer declares,
+        and no family is declared by two of the three renderers — ``/metrics``
+        concatenates them, and a second TYPE line is a malformed exposition."""
+        from repro.monitor import MonitorHub, default_slos
+        from repro.monitor.server import render_monitor_metrics
+        from repro.runtime.vm import VirtualMachine
+        from repro.service.admission import AdmissionController
+        from repro.service.metrics import ServiceMetrics
+        from repro.service.session import resolve_workload
+        from repro.telemetry.sinks import render_prometheus
+
+        # A run that has collected, taken a census and reported a violation,
+        # under a hub with objectives armed: every conditional family renders.
+        hub = MonitorHub(default_slos())
+        heap_bytes, runner = resolve_workload("swapleak")
+        vm = VirtualMachine(heap_bytes=heap_bytes, monitor=hub)
+        runner(vm)
+        renderings = {
+            "telemetry": render_prometheus(vm.telemetry),
+            "monitor": render_monitor_metrics(hub),
+            "service": ServiceMetrics().render(AdmissionController(1 << 20)),
+        }
+        declared: dict[str, str] = {}
+        for renderer, text in renderings.items():
+            for family in re.findall(r"^# TYPE (repro_\w+) ", text, re.MULTILINE):
+                assert family not in declared, (
+                    f"{family} is declared by {declared[family]} and by {renderer}"
+                )
+                declared[family] = renderer
+        assert set(declared.values()) == set(renderings)
+
+        quoted: dict[str, str] = {}
+        for source in (
+            ROOT / "README.md",
+            ROOT / "EXPERIMENTS.md",
+            ROOT / "DESIGN.md",
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ):
+            for family in re.findall(r"\brepro_[a-z0-9_]+", source.read_text()):
+                quoted.setdefault(family, source.name)
+        assert len(quoted) >= 5, f"the scan found too little: {sorted(quoted)}"
+        for family, where in sorted(quoted.items()):
+            base = re.sub(r"_(bucket|sum|count)$", "", family)
+            assert family in declared or base in declared, (
+                f"{where} quotes {family}, which no renderer declares"
+            )
+
     def test_help_epilogs_document_exit_codes(self, capsys):
         for argv in (["stats", "--help"], ["snapshot", "diff", "--help"]):
             run_as_module(argv)

@@ -10,6 +10,8 @@ drops a mark bit before sweeping) is caught, not waved through.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.heap import header as hdr
 from repro.gc.marksweep import MarkSweepCollector
 from repro.runtime.vm import VirtualMachine
@@ -20,7 +22,11 @@ from repro.verify import (
     enumerate_shapes,
     run_model_check,
 )
-from repro.verify.modelcheck import MODEL_HEAP_BYTES, canonical_form
+from repro.verify.modelcheck import (
+    MODEL_HEAP_BYTES,
+    canonical_form,
+    enumerate_ownership_shapes,
+)
 
 
 # -- enumeration ------------------------------------------------------------------------
@@ -90,6 +96,94 @@ def test_marksweep_asserted_cell_passes_at_depth_three():
     assert report.shape_count >= 988
     assert report.shapes_by_n[1] == 8
     assert report.shapes_by_n[2] == 135
+
+
+# -- ownership shapes -------------------------------------------------------------------
+#
+# Nodes: first=0, middle=1, foreign=2, second=3.  ``tests/test_ownership_fused.py``
+# writes these four by hand (with a fifth object to make ``first`` an owner;
+# here ``first`` owns ``middle``); the enumeration must contain each of them.
+
+HAND_WRITTEN = {
+    "only_path": (((1, None), (2, None), (None, None), (None, None)), (0, 3)),
+    "shared_ownee": (((1, None), (2, None), (None, None), (2, None)), (0, 3)),
+    "nested_owner": (((1, None), (2, 3), (None, None), (None, None)), (0,)),
+    "owner_only_from_its_own_region": (((1, None), (2, 0), (None, None), (None, None)), (3,)),
+}
+HAND_WRITTEN_OWNERS = ((0, 1), (3, 2))
+
+
+def test_ownership_shapes_are_canonical_and_contain_the_hand_written_ones():
+    labelled = enumerate_ownership_shapes(4, 3, 2)
+    keys = {canonical_form(s.n, s.slots, s.roots, owners) for s, owners in labelled}
+    assert len(keys) == len(labelled) == 3284
+    for shape, owners in labelled:
+        assert shape.n == 4 and len({*owners[0], *owners[1]}) == 4
+    for name, (slots, roots) in HAND_WRITTEN.items():
+        assert canonical_form(4, slots, roots, HAND_WRITTEN_OWNERS) in keys, name
+    # Below four objects there is no room for two owners and two ownees.
+    assert enumerate_ownership_shapes(3, 3, 2) == []
+
+
+def test_ownership_shapes_pass_in_asserted_cells_and_are_counted_apart():
+    cells = [
+        Cell("marksweep", "lazy", 0, True),
+        Cell("generational", "eager", 0, True),
+        Cell("semispace", "eager", 0, True),
+        Cell("marksweep", "eager", 0, False),
+    ]
+    report = run_model_check(max_objects=4, max_edges=3, max_roots=1, cells=cells)
+    assert report.ok, report.render()
+    assert report.runs == report.shape_count * 4
+    assert report.ownership_shape_count == 1492
+    assert report.ownership_runs == 1492 * 3  # the base cell asserts nothing
+    assert "ownership: 1492 labelled shapes" in report.render()
+
+
+def test_ownership_enumeration_convicts_an_engine_without_the_foreign_ownee_trace(monkeypatch):
+    """PR 21's bug, found by enumeration: phase 1 refuses to mark another
+    owner's ownee, the root scan prunes above it, and unless ``post_mark``
+    traces from it the sweep frees it under a live reference."""
+    from repro.core.engine import AssertionEngine
+
+    def forget(engine, tracer):
+        engine._foreign_ownees = []
+
+    monkeypatch.setattr(AssertionEngine, "_trace_foreign_ownees", forget)
+    cells = [Cell("marksweep", "eager", 0, True)]
+    report = run_model_check(max_objects=4, max_edges=3, max_roots=1, cells=cells)
+    assert not report.ok
+    convictions = [v for v in report.violations if "owners=" in v]
+    assert any("Soundness1" in v for v in convictions), report.violations[:5]
+    assert any("verify_heap" in v for v in convictions), report.violations[:5]
+    # Nothing without an ownership labelling sees it.
+    assert len(convictions) == len(report.violations)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: ownership cycles are immortal garbage")
+@pytest.mark.parametrize("cycle", ["mutual", "owned_owner_with_a_foreign_back_edge"])
+def test_garbage_in_an_ownership_cycle_is_eventually_collected(cycle):
+    """What the enumeration found once an object may be on both sides of an
+    assertion (left out of :func:`enumerate_ownership_shapes` for now): each
+    owner's scan marks the other, or ``post_mark`` roots the ownee its own
+    region reaches as a foreign one, and nothing ever demotes the island."""
+    from repro.heap.object_model import FieldKind
+
+    vm = VirtualMachine(heap_bytes=MODEL_HEAP_BYTES)
+    node = vm.define_class("CNode", [("left", FieldKind.REF), ("right", FieldKind.REF)])
+    with vm.scope("cycle"):
+        a, b, c = (vm.new(node) for _ in range(3))
+        if cycle == "mutual":
+            b["left"], b["right"] = a, b
+            vm.assertions.assert_ownedby(a, b)
+            vm.assertions.assert_ownedby(b, a)
+        else:
+            b["right"], c["left"], c["right"] = a, b, c
+            vm.assertions.assert_ownedby(a, c)
+            vm.assertions.assert_ownedby(c, b)
+    for _ in range(8):
+        vm.gc("nothing is rooted")
+    assert len(vm.heap) == 0
 
 
 # -- the broken collector ---------------------------------------------------------------

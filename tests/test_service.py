@@ -664,6 +664,29 @@ class TestServing:
         assert isinstance(health["healthy"], bool), health
         assert health["budget_bytes"] > 0, health
 
+    def test_slo_document_has_one_shape_on_both_servers(self):
+        """One builder (``SloSet.status``): the service's ``/slo``, the
+        monitor's, and a monitor with nothing armed serve the same keys."""
+        import urllib.request
+
+        from repro.monitor import MonitorHub, MonitorServer, default_slos
+
+        with AssertionService(ServiceConfig()) as svc, \
+                MonitorServer(MonitorHub(default_slos())) as armed, \
+                MonitorServer(MonitorHub()) as unarmed:
+            served, monitored, empty = (
+                json.loads(urllib.request.urlopen(f"{url}/slo").read().decode())
+                for url in (svc.http.url, armed.url, unarmed.url)
+            )
+        assert served["schema"] == monitored["schema"] == empty["schema"] == "repro-slo/1"
+        assert set(served) == set(monitored) == set(empty)
+        row_shapes = {
+            frozenset(row) for row in served["objectives"] + monitored["objectives"]
+        }
+        assert len(served["objectives"]) == 2 and len(monitored["objectives"]) == 5
+        assert len(row_shapes) == 1, row_shapes
+        assert empty["objectives"] == [] and empty["healthy"] is True
+
     def test_admission_latency_slo_fires_on_sustained_breach(self):
         from repro.service.metrics import ServiceMetrics
 
@@ -675,6 +698,23 @@ class TestServing:
         assert status["healthy"] is False
         assert "admission-latency" in status["firing"]
         assert metrics.alerts  # the transition was recorded
+
+    def test_healthy_means_what_the_monitor_means_by_it(self):
+        """``SloSet.healthy``: nothing firing *and* no budget exhausted.  An
+        alert that has resolved while its bad observations are still in the
+        long window is not healthy yet — on the monitor or here."""
+        from repro.service.metrics import ServiceMetrics
+
+        metrics = ServiceMetrics(admission_latency_slo_s=0.010)
+        for i in range(100):
+            metrics.observe_admission_latency(100.0, 100.5, wall_time=float(i))
+        for i in range(8):  # clear_good: the alert resolves
+            metrics.observe_admission_latency(100.0, 100.001, wall_time=100.0 + i)
+        status = metrics.slo_status()
+        assert [alert.state for alert in metrics.alerts] == ["firing", "resolved"]
+        assert status["firing"] == []
+        assert status["exhausted"] == ["admission-latency"]
+        assert status["healthy"] is False
 
     def test_delivery_lag_slo_stays_healthy_under_fast_delivery(self):
         from repro.service.metrics import ServiceMetrics

@@ -253,6 +253,25 @@ class TestChromeExport:
         metadata = [e for e in events if e["ph"] == "M"]
         assert {e["name"] for e in metadata} >= {"process_name", "thread_name"}
 
+    @pytest.mark.parametrize(
+        "collector,sweep_mode,options",
+        [(collector, sweep_mode, {}) for collector, sweep_mode in CONFIGS]
+        + [("marksweep", "eager", {"gc_workers": 2}), ("generational", "lazy", {"gc_workers": 2})],
+    )
+    def test_payload_is_the_reference_writers_byte_for_byte(self, collector, sweep_mode, options):
+        """The one exporter against the single-VM writer it replaced
+        (``tests/reference_chrome_trace.py``), worker lanes included."""
+        from tests import reference_chrome_trace as reference
+
+        vm = _traced_vm(collector, sweep_mode, **options)
+        _run_workload(vm)
+        tracer = vm.span_tracer
+        assert tracer.open_depth == 0 and tracer.events
+        assert ("X" in {e[0] for e in tracer.events}) == bool(options)
+        assert json.dumps(trace_payload(tracer, {"w": "test"})) == json.dumps(
+            reference.trace_payload(tracer, {"w": "test"})
+        )
+
     def test_timestamps_rebased_and_monotonic(self):
         vm = _traced_vm("marksweep", "eager")
         _run_workload(vm)
@@ -393,6 +412,70 @@ class TestAggregationAndReport:
         rendered = render_piggyback(report)
         assert "mark_drain attribution" in rendered
         assert "%" in rendered
+
+    @staticmethod
+    def _chain_vm(length: int = 3000):
+        from repro.heap.object_model import FieldKind
+
+        vm = VirtualMachine(heap_bytes=4 << 20, tracing=True)
+        node = vm.define_class("PNode", [("next", FieldKind.REF), ("side", FieldKind.REF)])
+        with vm.scope("chain"):
+            head = vm.new(node)
+            vm.statics.set_ref("head", head.address)
+            tip = head
+            for _ in range(length):
+                nxt = vm.new(node)
+                tip["next"] = nxt
+                tip["side"] = nxt  # a repeat edge per node
+                tip = nxt
+        return vm, tip
+
+    @staticmethod
+    def _engine_drains(monkeypatch) -> list:
+        """Spy on the armed engine drain: one entry per replayed trial."""
+        from repro.gc.tracer import Tracer
+
+        calls: list = []
+        drain = Tracer._drain_paths_engine
+
+        def spy(tracer, repeats_armed):
+            calls.append(repeats_armed)
+            return drain(tracer, repeats_armed)
+
+        monkeypatch.setattr(Tracer, "_drain_paths_engine", spy)
+        return calls
+
+    def test_piggyback_charges_no_header_checks_to_a_run_that_made_none(self, monkeypatch):
+        """The engine leg replays the drain the run's engine selected: with
+        nothing armed that is the paths loop, which reads no header."""
+        vm, _tip = self._chain_vm()
+        vm.gc("unasserted")
+        assert vm.engine.armed_checks() == (False, False)
+        assert vm.stats.header_bit_checks > 0  # credited by the edge, never read
+        drains = self._engine_drains(monkeypatch)
+        report = piggyback_report(vm)
+        assert drains == []
+        assert report["components"]["inline_header_checks"]["pct_of_mark"] == 0.0
+        legs = report["replay"]["leg_seconds"]
+        assert legs["paths_engine"] == legs["paths"]
+        assert "inlined header checks                     0.0%" in render_piggyback(report)
+
+    def test_piggyback_charges_header_checks_once_an_assertion_is_armed(self, monkeypatch):
+        from repro.tracing.report import REPLAY_TRIALS
+
+        vm, tip = self._chain_vm()
+        with vm.scope("assert"):
+            vm.assertions.assert_unshared(tip, site="tip")
+        vm.gc("asserted")
+        assert vm.engine.armed_checks() == (True, True)
+        drains = self._engine_drains(monkeypatch)
+        reports = [piggyback_report(vm) for _ in range(3)]
+        assert drains == [True] * (3 * REPLAY_TRIALS)
+        # A header load per edge is ~15 % of the paths loop; one report in
+        # fifteen loses it in scheduler noise, three in a row do not.
+        assert any(
+            r["components"]["inline_header_checks"]["pct_of_mark"] > 0.0 for r in reports
+        )
 
     def test_piggyback_replay_is_read_only(self):
         vm = VirtualMachine(heap_bytes=64 << 10, tracing=True)

@@ -211,7 +211,7 @@ class TestMonoDeliveryLag:
         status = metrics.slo_status()
         delivery = [
             o for o in status["objectives"]
-            if o["name"] == "violation-delivery-lag"
+            if o["objective"] == "violation-delivery-lag"
         ][0]
         assert delivery["exemplar"] is not None
 
@@ -503,6 +503,31 @@ class TestLoadgenTrace:
             alert["state"] == "firing" and alert.get("exemplar") in client_trace_ids
             for alert in written["alerts"]
         )
+
+    def test_merged_export_is_the_reference_writers_byte_for_byte(self):
+        """The one exporter, composed per tenant, against the merge writer
+        it replaced (``tests/reference_chrome_trace.py``) — on the same
+        recordings, every request closed and every tenant stream balanced."""
+        from repro.service import LoadgenConfig, run_loadgen
+        from tests import reference_chrome_trace as reference
+
+        meta = {"generator": "repro-loadgen", "seed": 0}
+        with AssertionService(ServiceConfig(http_port=None, tracing=True)) as service:
+            report = run_loadgen(
+                LoadgenConfig(
+                    sessions=4, rate=400.0, seed=0, mix=(("swapleak", 1),), tracing=True,
+                ),
+                service=service,
+            )
+            assert report.ok, report.render()
+            merged = service.merged_trace_payload(meta)
+            expected = reference.merge_service_trace(
+                service.tracer, service.traced_sessions, meta
+            )
+        assert len(service.traced_sessions) == 4
+        assert all(span["end"] is not None for span in service.tracer.snapshot()[0])
+        assert all(row["tracer"].open_depth == 0 for row in service.traced_sessions)
+        assert json.dumps(merged) == json.dumps(expected)
 
     def test_untraced_loadgen_report_has_no_trace_artifacts(self):
         from repro.service import LoadgenConfig, run_loadgen
