@@ -56,10 +56,10 @@ def _violations_exit(vm) -> int:
 
 
 def _print_reports(vm) -> None:
-    if vm.engine is not None and vm.engine.log.lines:
+    if lines := vm.violation_lines():
         print()
         print("GC assertion reports:")
-        for line in vm.engine.log.lines:
+        for line in lines:
             print(line)
             print()
 

@@ -521,21 +521,23 @@ class AssertionEngine:
                 # per-kind/default policy with user handlers bypassed.
                 self.note_degraded("reaction", exc)
                 reaction = self.policy._per_kind.get(violation.kind, self.policy.default)
-            violation.reaction = reaction.value
+            violation.reaction = reaction._value_  # ``.value`` is a Python-level descriptor
             if reaction is Reaction.FORCE and violation.address is not None:
                 self._force_victims.append(violation.address)
 
     def _dispatch(self) -> None:
+        """The collection's violations leave the pause here, as one list."""
         self._resolve_reactions()
         pending, self._pending = self._pending, []
+        if not pending:
+            return
+        self.log.record_batch(pending)
         telemetry = self.vm.telemetry if self.vm is not None else None
+        if telemetry is not None:
+            telemetry.record_violations(pending)
         spans = self.vm.collector.span_tracer if self.vm is not None else None
-        halt: Optional[Violation] = None
-        for violation in pending:
-            self.log.record(violation)
-            if telemetry is not None:
-                telemetry.record_violation(violation)
-            if spans is not None:
+        if spans is not None:
+            for violation in pending:
                 spans.instant(
                     "assertion_violated",
                     cat="assertion",
@@ -543,8 +545,11 @@ class AssertionEngine:
                     site=violation.site,
                     reaction=violation.reaction,
                 )
-            if violation.reaction == Reaction.HALT.value and halt is None:
+        halting, halt = Reaction.HALT._value_, None
+        for violation in pending:
+            if violation.reaction == halting:
                 halt = violation
+                break
         if halt is not None:
             # A HALT aborts the collection before the VM's gc-observers run,
             # which would silently skip an on_violation snapshot capture —

@@ -83,17 +83,25 @@ class HeapPath:
         self.entries = [PathEntry(o) for o in objects]
 
     @classmethod
-    def from_tracer(cls, tracer, tip: Optional[HeapObject]) -> "HeapPath":
-        root_desc, objects = tracer.current_path(tip)
-        return cls(root_desc, objects)
+    def from_tracer(cls, tracer, tip: HeapObject) -> "HeapPath":
+        """The tracer's current root-to-``tip`` path.  One collection's
+        violations share most of their steps (``tracer.path_entries``): a
+        step costs a checked ``heap.get`` and a :class:`PathEntry` once."""
+        known, get = tracer.path_entries, tracer.heap.get
+        if tip.address not in known:
+            known[tip.address] = PathEntry(tip)  # the object in hand, not a lookup
+        addresses = tracer.current_path_addresses(tip.address)
+        entries = [known.get(a) or known.setdefault(a, PathEntry(get(a))) for a in addresses]
+        return cls.from_entries(tracer.root_descriptions.get(addresses[0]), entries)
 
     @classmethod
     def from_entries(
         cls, root_description: Optional[str], entries: Sequence[PathEntry]
     ) -> "HeapPath":
-        """Build a path from pre-made entries (e.g. a snapshot's dominator
-        chain) instead of live heap objects."""
-        path = cls(root_description, [])
+        """Build a path from pre-made entries (a tracer's shared steps, a
+        snapshot's dominator chain) instead of live heap objects."""
+        path = cls.__new__(cls)
+        path.root_description = root_description
         path.entries = list(entries)
         return path
 
@@ -189,25 +197,36 @@ class Violation:
 
 
 class ViolationLog:
-    """Collected violations plus rendered warning text, per VM."""
+    """Collected violations, per VM; their warning text is rendered on read."""
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
-        self.lines: list[str] = []
         self.sinks: list[Callable[[Violation], None]] = []
+        #: Called once per collection that reported anything, with its list.
+        self.batch_sinks: list[Callable[[list[Violation]], None]] = []
+
+    @property
+    def lines(self) -> list[str]:
+        """Figure-1 text, rendered now: later annotations (retained size) show."""
+        return [violation.render() for violation in self.violations]
 
     def record(self, violation: Violation) -> None:
-        self.violations.append(violation)
-        self.lines.append(violation.render())
+        self.record_batch([violation])
+
+    def record_batch(self, violations: list[Violation]) -> None:
+        """One collection's violations, in detection order."""
+        self.violations.extend(violations)
         for sink in self.sinks:
-            sink(violation)
+            for violation in violations:
+                sink(violation)
+        for sink in self.batch_sinks:
+            sink(violations)
 
     def of_kind(self, kind: AssertionKind) -> list[Violation]:
         return [v for v in self.violations if v.kind is kind]
 
     def clear(self) -> None:
         self.violations.clear()
-        self.lines.clear()
 
     def __len__(self) -> int:
         return len(self.violations)

@@ -11,11 +11,12 @@ object *on* the worklist while its children are being traced:
     references have their low bit set define the complete path from the root
     to the current object."
 
-:meth:`Tracer.current_path` reconstructs that path on demand, which is what
-gives violation reports their Figure-1 root-to-object paths for free.
+:meth:`Tracer.current_path` reconstructs that path on demand.
 :meth:`Tracer.current_path_addresses` is the cheap variant (raw addresses,
-no object materialization) and :meth:`Tracer.path_depth` cheaper still, for
-consumers that only need the length.
+no object materialization) and what gives violation reports their Figure-1
+paths for free — a report maps the addresses through ``path_entries``, one
+entry per object per collection — and :meth:`Tracer.path_depth` cheaper
+still, for consumers that only need the length.
 
 **The mark lives beside the heap.**  A collection's marks are one set of
 addresses, ``heap.marks``; no header bit is involved.  Building a
@@ -90,8 +91,9 @@ class Tracer:
         "track_paths",
         "specialized",
         "snapshot",
+        "path_entries",
         "_stack",
-        "_root_descs",
+        "root_descriptions",
         "_table",
         "_marks",
     )
@@ -115,8 +117,10 @@ class Tracer:
         #: finished mark set.  (A collector fills its policy's sink itself,
         #: after ``post_mark`` — see ``Collector._run_mark_phase``.)
         self.snapshot = snapshot
+        #: address -> ``PathEntry``: the steps this collection's reported paths share.
+        self.path_entries: dict = {}
+        self.root_descriptions: dict[int, str] = {}
         self._stack: list[int] = []
-        self._root_descs: dict[int, str] = {}
         self._table = heap.address_table()
         #: This episode's mark set — also ``heap.marks``, where the
         #: ownership phase, the sweep and the walkers find it.
@@ -394,7 +398,7 @@ class Tracer:
         marks.add(address)
         self.stats.objects_traced += 1
         if via_root is not None and self.track_paths:
-            self._root_descs.setdefault(address, via_root)
+            self.root_descriptions.setdefault(address, via_root)
         if engine is not None:
             engine.on_first_encounter(obj, self, parent)
         self._stack.append(address)
@@ -435,11 +439,8 @@ class Tracer:
         chain = [heap.get(address) for address in addresses]
         if tip is not None and chain and chain[-1].address == tip.address:
             chain[-1] = tip
-        root_desc = self._root_descs.get(chain[0].address) if chain else None
+        root_desc = self.root_descriptions.get(chain[0].address) if chain else None
         return root_desc, chain
-
-    def root_description(self, obj: HeapObject) -> Optional[str]:
-        return self._root_descs.get(obj.address)
 
 
 def armed_checks(engine) -> tuple[bool, bool]:

@@ -125,6 +125,9 @@ class BurnRateRule:
 
     _long: deque = field(init=False, repr=False)
     _short: deque = field(init=False, repr=False)
+    #: Bad observations now in each window, kept as they enter and leave.
+    _long_bad: int = field(default=0, init=False, repr=False)
+    _short_bad: int = field(default=0, init=False, repr=False)
     firing: bool = field(default=False, init=False)
     consecutive_good: int = field(default=0, init=False)
     total: int = field(default=0, init=False)
@@ -148,26 +151,24 @@ class BurnRateRule:
         self._long = deque(maxlen=self.long_window)
         self._short = deque(maxlen=self.short_window)
 
-    def _rate(self, window: deque) -> float:
+    def _rate(self, bad: int, size: int) -> float:
         """Burn rate over one window; inf when a zero budget is violated."""
-        if not window:
+        if not size:
             return 0.0
-        bad_frac = sum(window) / len(window)
+        bad_frac = bad / size
         if self.objective.budget == 0.0:
             return float("inf") if bad_frac > 0.0 else 0.0
         return bad_frac / self.objective.budget
 
     def burn_rates(self) -> tuple[float, float]:
-        return self._rate(self._long), self._rate(self._short)
+        return self._rate(self._long_bad, len(self._long)), self._rate(self._short_bad, len(self._short))
 
     def budget_remaining(self) -> float:
         """Fraction of the error budget left over the long window."""
-        if not self._long:
-            return 1.0
-        bad_frac = sum(self._long) / len(self._long)
+        burn = self._rate(self._long_bad, len(self._long))
         if self.objective.budget == 0.0:
-            return 1.0 if bad_frac == 0.0 else 0.0
-        return 1.0 - bad_frac / self.objective.budget
+            return 1.0 if burn == 0.0 else 0.0
+        return 1.0 - burn
 
     def observe(
         self,
@@ -190,8 +191,13 @@ class BurnRateRule:
             self.consecutive_good = 0
             if exemplar is not None:
                 self.last_bad_exemplar = exemplar
-        self._long.append(0 if good else 1)
-        self._short.append(0 if good else 1)
+        bad = 0 if good else 1
+        long, short = self._long, self._short
+        # A full window drops its oldest observation as the new one enters.
+        self._long_bad += bad - (long[0] if len(long) == self.long_window else 0)
+        self._short_bad += bad - (short[0] if len(short) == self.short_window else 0)
+        long.append(bad)
+        short.append(bad)
         long_rate, short_rate = self.burn_rates()
 
         if not self.firing:

@@ -406,6 +406,4 @@ class VirtualMachine:
         )
 
     def violation_lines(self) -> list[str]:
-        if self.engine is None:
-            return []
-        return list(self.engine.log.lines)
+        return self.engine.log.lines if self.engine is not None else []

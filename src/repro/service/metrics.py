@@ -117,9 +117,9 @@ class ServiceMetrics:
                 self._tenant(tenant).collections += 1
             self.hub.emit(event)
 
-    def observe_violation(self, tenant: str, violation) -> None:
+    def observe_violations(self, tenant: str, count: int) -> None:
         with self._lock:
-            self._tenant(tenant).violations += 1
+            self._tenant(tenant).violations += count
 
     def session_opened(self, tenant: str) -> None:
         with self._lock:
@@ -137,19 +137,21 @@ class ServiceMetrics:
             stats.frames_discarded += session.discarded_frames
 
     def _score(
-        self, histogram, rule, slo_s, begin_mono, end_mono, wall_time, trace_id
+        self, histogram, rule, slo_s, begin_monos, end_mono, wall_time, trace_id, completed=True
     ) -> None:
-        # One interval between two perf_counter stamps: into its histogram,
-        # and one good/bad observation of its objective.
-        seconds = max(0.0, end_mono - begin_mono)
+        # Intervals between perf_counter stamps, under one lock: each a sample
+        # and a good/bad observation — or, never completed, bad and no sample.
         with self._lock:
-            histogram.record(seconds)
-            self._slo_seq += 1
-            alert = rule.observe(
-                seconds <= slo_s, self._slo_seq, wall_time, exemplar=trace_id
-            )
-            if alert is not None:
-                self.alerts.append(alert)
+            for begin_mono in begin_monos:
+                seconds = max(0.0, end_mono - begin_mono)
+                if completed:
+                    histogram.record(seconds)
+                self._slo_seq += 1
+                alert = rule.observe(
+                    completed and seconds <= slo_s, self._slo_seq, wall_time, exemplar=trace_id
+                )
+                if alert is not None:
+                    self.alerts.append(alert)
 
     def observe_admission_latency(
         self,
@@ -161,7 +163,7 @@ class ServiceMetrics:
         """Score one open→decision interval from perf_counter stamps."""
         self._score(
             self.admission_latency, self.slo_admission, self.admission_latency_slo_s,
-            received_mono, decided_mono, wall_time, trace_id,
+            (received_mono,), decided_mono, wall_time, trace_id,
         )
 
     def observe_delivery_lag(
@@ -172,9 +174,17 @@ class ServiceMetrics:
         trace_id: Optional[str] = None,
     ) -> None:
         """Score one violation enqueue→write interval from perf_counter stamps."""
+        self.observe_delivery_lags((enqueued_mono,), written_mono, wall_time, trace_id)
+
+    def observe_delivery_lags(
+        self, enqueued_monos, written_mono: float, wall_time: float,
+        trace_id: Optional[str] = None, delivered: bool = True,
+    ) -> None:
+        """Score one batch's violation frames, each from its own enqueue stamp;
+        undelivered (the write raised), they are bad and leave no lag sample."""
         self._score(
             self.delivery_lag, self.slo_delivery, self.delivery_lag_slo_s,
-            enqueued_mono, written_mono, wall_time, trace_id,
+            enqueued_monos, written_mono, wall_time, trace_id, completed=delivered,
         )
 
     # -- reporting ----------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.service.wire import (
     MAX_FRAME_BYTES,
     WIRE_SCHEMA,
     FrameDecoder,
+    ViolationFrameEncoder,
     encode_frame,
     encode_frame_trimmed,
 )
@@ -90,6 +91,8 @@ class _Connection:
         self.write_lock = asyncio.Lock()
         self.sessions: dict[str, TenantSession] = {}
         self.wake = asyncio.Event()
+        #: Loop thread only.
+        self.violation_encoder = ViolationFrameEncoder()
         self.writer_task: Optional[asyncio.Task] = None
         self.protocol_errors = 0
 
@@ -274,25 +277,29 @@ class AssertionService:
     async def _flush(self, conn: _Connection, session: TenantSession) -> None:
         """Write everything queued on ``session`` as one batch: one
         encode-join, one lock, one socket write, one drain.  Delivery is
-        then scored per frame from its own enqueue stamp."""
+        then scored for the batch, each frame from its own enqueue stamp."""
         batch = session.queue.drain()
         if not batch:
             return
         limit = self.config.max_frame_bytes
+        encode_violation = conn.violation_encoder.encode
         chunks = []
         for frame, _enqueued_at in batch:
-            try:
-                chunks.append(encode_frame(frame, limit))
-            except WireProtocolError as exc:
-                chunks.append(self._encode_stand_in(session, frame, exc))
+            chunk = encode_violation(frame, limit)
+            if chunk is None:  # not the plain violation layout: the general encoder
+                try:
+                    chunk = encode_frame(frame, limit)
+                except WireProtocolError as exc:
+                    chunk = self._encode_stand_in(session, frame, exc)
+            chunks.append(chunk)
+        delivered = True
         try:
             async with conn.write_lock:
                 conn.writer.write(b"".join(chunks))
                 await conn.writer.drain()
         except (ConnectionError, OSError):
-            pass
-        for frame, enqueued_at in batch:
-            self._observe_delivery(session, frame, enqueued_at)
+            delivered = False
+        self._observe_delivery(session, batch, delivered)
 
     def _encode_stand_in(
         self, session: TenantSession, frame: dict, exc: WireProtocolError
@@ -315,27 +322,29 @@ class AssertionService:
             "error": f"{frame.get('type')} frame not sent: {exc}",
         }, limit)
 
-    def _observe_delivery(
-        self, session: TenantSession, frame: dict, enqueued_at: float
-    ) -> None:
-        """Score (and trace) one delivered violation frame's queue residency."""
-        if frame.get("type") != "violation":
+    def _observe_delivery(self, session: TenantSession, batch: list, delivered: bool) -> None:
+        """Score (and trace) a batch's violation frames' queue residency under
+        one metrics lock; a batch whose write raised reached nobody."""
+        violations = [pair for pair in batch if pair[0].get("type") == "violation"]
+        if not violations:
             return
         written = time.perf_counter()
         trace = session.trace
-        self.metrics.observe_delivery_lag(
-            enqueued_at, written, time.time(),
+        self.metrics.observe_delivery_lags(
+            (enqueued_at for _frame, enqueued_at in violations), written, time.time(),
             trace_id=trace.trace_id if trace is not None else None,
+            delivered=delivered,
         )
-        if self.tracer is not None and trace is not None:
-            self.tracer.record(
-                "violation_delivery", enqueued_at, written,
-                lane=session.request_lane,
-                trace_id=trace.trace_id,
-                parent_span_id=session.request_span_id,
-                cat="delivery",
-                args={"seq": frame.get("seq"), "gc_number": frame.get("gc_number")},
-            )
+        if delivered and self.tracer is not None and trace is not None:
+            for frame, enqueued_at in violations:
+                self.tracer.record(
+                    "violation_delivery", enqueued_at, written,
+                    lane=session.request_lane,
+                    trace_id=trace.trace_id,
+                    parent_span_id=session.request_span_id,
+                    cat="delivery",
+                    args={"seq": frame.get("seq"), "gc_number": frame.get("gc_number")},
+                )
 
     async def _dispatch(self, conn: _Connection, frame: dict) -> None:
         ftype = frame.get("type")

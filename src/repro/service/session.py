@@ -16,9 +16,11 @@ tenant-isolation cell pins.
 Outbound traffic flows through a bounded :class:`FrameQueue`.  GC-event
 frames are load-sheddable (a slow consumer drops telemetry, counted,
 rather than stalling the collector); violation, result, and lifecycle
-frames are critical and always enqueue.  Every outbound frame is
-stamped with a monotonic per-session ``seq`` *before* the shedding
-decision, so a dropped frame leaves an observable gap the client's
+frames are critical and always enqueue — and can be most of the traffic
+(97 % of the benchmark's ``served_stream`` session), so it is they that
+fill the queue and the ``gc-event`` behind them that is shed.  Every
+outbound frame is stamped with a monotonic per-session ``seq`` *before* the
+shedding decision, so a dropped frame leaves an observable gap the client's
 :class:`~repro.service.wire.SequenceTracker` can count.
 
 When the service runs with distributed tracing on, the session's VM
@@ -71,8 +73,10 @@ class FrameQueue:
     ``push`` is called from workload threads (inside GC pauses, even);
     ``drain`` from the event loop's writer task.  When the queue is full
     a sheddable frame is dropped and counted; a critical frame enqueues
-    anyway (the bound is backpressure policy, not a correctness limit —
-    critical frames are few and bounded by the workload itself).
+    anyway.  The bound is backpressure policy, not a correctness limit or
+    a cap on depth: critical frames are as many as the workload reports
+    (2,144 of the 2,209 in the benchmark's ``served_stream`` session), so
+    ``max_frames`` only says when the next ``gc-event`` is shed.
 
     Wake-ups are coalesced: ``notify`` fires once per drained batch, not
     once per frame.  Invariant (both sides under ``_lock``): while
@@ -176,9 +180,10 @@ def hardened_vm(heap_bytes: int, **vm_options) -> VirtualMachine:
 
 class TenantSession:
     """One tenant's admitted slice of the service — and its VM's telemetry
-    sink (``emit``/``close``) and violation handler: both streams become
-    outbound frames here and go to ``metrics`` (``observe_event`` /
-    ``observe_violation``) by method."""
+    sink (``emit``/``close``) and a sink of its violation log, one list per
+    collection (``stream_violations``): both streams become outbound frames
+    here and go to ``metrics`` by method.  An observer, not a reaction
+    handler: it has no way to change what a direct run would do."""
 
     def __init__(
         self,
@@ -230,45 +235,43 @@ class TenantSession:
         #: growth headroom its collector was built with.
         self.committed_bytes = self.vm.collector.max_heap_bytes or heap_bytes
         self.vm.telemetry.add_sink(self)
-        self.vm.engine.policy.add_handler(self._on_violation)
+        self.vm.engine.log.batch_sinks.append(self.stream_violations)
         # Attachment points for the fault injector's service-layer kinds.
         self.vm.service_hooks["session-kill"] = self._kill_hook
         self.vm.service_hooks["conn-drop"] = self._drop_connection_hook
 
     # -- streaming (called from the workload thread, inside the VM) ---------------------
 
-    def _send(self, frame: dict) -> None:
-        # Number the frame before any drop decision: a shed or discarded
+    def _send(self, *frames: dict) -> None:
+        # Number a frame before any drop decision: a shed or discarded
         # frame must consume a seq so the client sees the gap.
-        frame["seq"] = self.out_seq
-        self.out_seq += 1
-        if self.trace is not None:
-            frame["trace_id"] = self.trace.trace_id
-        if self.connection_dropped:
-            self.discarded_frames += 1
-            return
-        self.queue.push(frame)
+        trace_id = self.trace.trace_id if self.trace is not None else None
+        for seq, frame in enumerate(frames, self.out_seq):
+            frame["seq"] = seq
+            if trace_id is not None:
+                frame["trace_id"] = trace_id
+            if self.connection_dropped:
+                self.discarded_frames += 1
+            else:
+                self.queue.push(frame)
+        self.out_seq += len(frames)
 
-    def _on_violation(self, violation) -> None:
-        """ReactionPolicy handler: stream the violation, change nothing.
-
-        Returning ``None`` keeps the configured reaction, so a session
-        with a streaming observer produces bit-identical GC/assertion
-        counters to a direct VM run — the service's core invariant.
-        """
-        self.violation_frames += 1
-        self._send({
+    def stream_violations(self, violations: list) -> None:
+        """Violation-log sink: one collection's violations become frames, in
+        its epilogue (so still ahead of its gc-event).  With the ``seq`` that
+        :meth:`_send` adds, this is ``wire.ViolationFrameEncoder``'s layout."""
+        self._send(*[{
             "type": "violation",
             "session": self.session_id,
-            "kind": violation.kind.value,
+            "kind": violation.kind._value_,
             "message": violation.message,
             "class": violation.type_name,
             "site": violation.site,
             "gc_number": violation.gc_number,
-        })
+        } for violation in violations])
+        self.violation_frames += len(violations)
         if self._metrics is not None:
-            self._metrics.observe_violation(self.tenant, violation)
-        return None
+            self._metrics.observe_violations(self.tenant, len(violations))
 
     def emit(self, event) -> None:
         """Telemetry sink path: GC events become sheddable stream frames."""

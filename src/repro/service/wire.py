@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
+from typing import Optional
 
 from repro.errors import WireProtocolError
 
@@ -89,6 +90,45 @@ def encode_frame_trimmed(
         {**payload, list_key: items[:kept], omitted_key: len(items) - kept},
         max_frame_bytes,
     )
+
+
+#: The violation frame as a session builds it, key for key.
+_VIOLATION_KEYS = ("type", "session", "kind", "message", "class", "site", "gc_number", "seq")
+
+
+class ViolationFrameEncoder:
+    """:func:`encode_frame`'s bytes for a session's violation frames, which
+    differ in two integers: what precedes ``gc_number`` is encoded once per
+    (session, kind, message, class, site), by the general encoder, and kept.
+    ``encode`` returns ``None`` for any other layout (an extra ``trace_id``,
+    say) or an oversize frame: :func:`encode_frame` takes those, error and all."""
+
+    def __init__(self) -> None:
+        self._prefixes: dict[tuple, bytes] = {}
+
+    def encode(self, frame: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Optional[bytes]:
+        if tuple(frame) != _VIOLATION_KEYS:
+            return None
+        ftype, *constant, gc_number, seq = frame.values()
+        if ftype != "violation" or type(gc_number) is not int or type(seq) is not int:
+            return None
+        key = tuple(constant)
+        try:
+            prefix = self._prefixes.get(key)
+        except TypeError:  # an unhashable site: JSON can say it, a key cannot
+            return None
+        if prefix is None:
+            # str/None only, so a hit is never a value that merely equals one (1 == True).
+            if not all(value is None or type(value) is str for value in constant):
+                return None
+            if len(self._prefixes) >= 512:  # sites are per program, not per object
+                self._prefixes.clear()
+            head = _encode_json(dict(zip(_VIOLATION_KEYS, (ftype, *constant))))
+            prefix = self._prefixes[key] = head[:-1].encode("utf-8") + b',"gc_number":'
+        body = b'%b%d,"seq":%d}' % (prefix, gc_number, seq)
+        if len(body) > max_frame_bytes:
+            return None
+        return _LEN.pack(len(body)) + body
 
 
 class FrameDecoder:

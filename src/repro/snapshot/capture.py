@@ -360,15 +360,13 @@ class SnapshotPolicy:
         self, vm: "VirtualMachine", path: str, first_index: int = 0
     ) -> int:
         """Annotate violations ``[first_index:]`` with retained size and
-        dominator chain from the snapshot at ``path``; re-renders the log's
-        lines in place.  Returns the number of violations annotated."""
-        log = vm.engine.log
+        dominator chain from the snapshot at ``path`` (the log renders its
+        lines on read, so they show).  Returns the number annotated."""
         snapshot = load_snapshot(path)
         tree = build_dominator_tree(snapshot)
         retained = retained_sizes(snapshot, tree)
-        annotated = 0
-        for idx in range(first_index, len(log.violations)):
-            violation = log.violations[idx]
+        fresh = vm.engine.log.violations[first_index:]
+        for violation in fresh:
             violation.details["snapshot"] = path
             addr = violation.address
             if addr is not None and addr in tree:
@@ -376,6 +374,4 @@ class SnapshotPolicy:
                 violation.details["dominator_chain"] = [
                     f"{snapshot.objects[a].type_name}@{a:#x}" for a in tree.chain(addr)
                 ]
-            log.lines[idx] = violation.render()
-            annotated += 1
-        return annotated
+        return len(fresh)

@@ -223,9 +223,12 @@ class Telemetry:
         self.lazy_chunks_swept += chunks
         self.lazy_cells_released += released
 
-    def record_violation(self, violation: "Violation") -> None:
-        kind = violation.kind.value
-        self.violations_by_kind[kind] = self.violations_by_kind.get(kind, 0) + 1
+    def record_violations(self, violations: "list[Violation]") -> None:
+        """One collection's violations, counted by kind."""
+        by_kind = self.violations_by_kind
+        for violation in violations:
+            kind = violation.kind._value_  # ``.value`` is a Python-level descriptor
+            by_kind[kind] = by_kind.get(kind, 0) + 1
 
     def record_snapshot(self, **fields) -> SnapshotEvent:
         """Record a ``snapshot_written`` event (``fields`` are

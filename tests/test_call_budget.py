@@ -124,3 +124,109 @@ def test_assertion_api_budget_path_still_raises_usage_errors(warm):
     assert not other.obj.status & (hdr.OWNER_BIT | hdr.OWNEE_BIT)
     assert not gone.obj.status & (hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.OWNER_BIT)
     assert vm.engine.registry.snapshot()["ownees"] == 1
+
+
+# -- a reported violation ---------------------------------------------------------------------
+
+
+def python_calls_under(fn, *roots: str) -> dict[str, list[str]]:
+    """Per root qualname, the Python functions entered while a frame of
+    that name was on the stack (the root itself included) during ``fn()``."""
+    found: dict[str, list[str]] = {root: [] for root in roots}
+    open_roots: list[tuple[str, object]] = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            name = frame.f_code.co_qualname
+            if name in found:
+                open_roots.append((name, frame))
+            for root, _frame in open_roots:
+                found[root].append(name)
+        elif event == "return" and open_roots and open_roots[-1][1] is frame:
+            open_roots.pop()
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return found
+
+
+@pytest.mark.parametrize("reported, detection_budget", [(1, 24), (2, 36)])
+def test_reported_assert_dead_call_budget(reported, detection_budget):
+    """``assert-dead`` violations whose paths are five objects deep, on a
+    default VM (telemetry on, tracing off): Python functions entered to
+    *detect* them (``on_first_encounter_slow`` and below — the path capture)
+    and to *dispatch* them (``_dispatch`` and below — log, telemetry).
+
+    One violation is the cold case, every step a table miss: 24 at
+    detection (four checked ``heap.get``, five ``PathEntry.__init__`` with a
+    ``hash_of`` each), 4 at dispatch.  A second one under the same parent
+    shares four steps and adds 12, and nothing at dispatch.  Before reports
+    went through the tracer's step table, were rendered on read and left
+    the pause as one list, the counts were 27 and 54 at detection
+    (``current_path``, a ``heap.get`` and a ``PathEntry`` per step per
+    violation) and 22 and 42 at dispatch (``record``, ``render`` with a call
+    and a generator step per path entry, ``record_violation``, two
+    ``Enum.value`` descriptors per violation).
+    """
+    vm = VirtualMachine(heap_bytes=1 << 20)
+    cls = vm.define_class(
+        "Link", [("next", FieldKind.REF), ("other", FieldKind.REF), ("id", FieldKind.INT)]
+    )
+    with vm.scope("call budget"):
+        chain = [vm.new(cls, id=index) for index in range(4)]
+        for holder, held in zip(chain, chain[1:]):
+            holder["next"] = held
+        vm.statics.set_ref("budget.head", chain[0].address)
+        for field in ("next", "other")[:reported]:
+            leaf = chain[-1][field] = vm.new(cls, id=-1)
+            vm.assertions.assert_dead(leaf, site="budget")
+    calls = python_calls_under(  # the scope is gone: the static is the only root
+        vm.gc, "AssertionEngine.on_first_encounter_slow", "AssertionEngine._dispatch"
+    )
+    assert [v.path.type_names() for v in vm.engine.log] == [["Link"] * 5] * reported
+    detection = calls["AssertionEngine.on_first_encounter_slow"]
+    dispatch = calls["AssertionEngine._dispatch"]
+    assert len(detection) <= detection_budget, detection
+    assert len(dispatch) <= 4, dispatch
+    # The text is made when somebody reads it.
+    assert all("Path to object:\nstatic 'budget.head' ->\nLink" in line
+               for line in vm.violation_lines())
+    assert len(vm.violation_lines()) == reported
+
+
+def test_a_collection_takes_one_service_metrics_lock_for_its_violations():
+    from repro.service.metrics import ServiceMetrics
+    from repro.service.session import TenantSession
+
+    class CountingLock:
+        def __init__(self, lock):
+            self.lock, self.acquired = lock, 0
+
+        def __enter__(self):
+            self.acquired += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    metrics = ServiceMetrics()
+    lock = metrics._lock = CountingLock(metrics._lock)
+    session = TenantSession("s1", "acme", 1 << 20, metrics=metrics, queue_frames=10_000)
+    vm = session.vm
+    cls = vm.define_class("Thing", [("ref", FieldKind.REF), ("id", FieldKind.INT)])
+    with vm.scope("call budget"):
+        for count in (1, 7, 40):
+            doomed = [vm.new(cls, id=index) for index in range(count)]
+            for thing in doomed:
+                vm.assertions.assert_dead(thing, site="budget")
+            before = lock.acquired
+            vm.gc()
+            # One for the collection's violations, one for its gc-event.
+            assert lock.acquired - before == 2, count
+            assert metrics.tenants["acme"].violations >= count
+    frames = [frame for frame, _stamp in session.queue.drain()]
+    assert [f["seq"] for f in frames] == list(range(len(frames)))

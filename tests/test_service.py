@@ -716,6 +716,60 @@ class TestServing:
         assert status["exhausted"] == ["admission-latency"]
         assert status["healthy"] is False
 
+    @pytest.mark.parametrize("peer_alive", [True, False], ids=["delivered", "write-raises"])
+    def test_only_a_batch_that_was_written_counts_as_delivered(self, peer_alive):
+        """A write that raised reached nobody: each violation frame of the
+        batch is a bad observation of the delivery objective and no sample
+        of the lag histogram.  (It used to be scored as delivered on time,
+        so a dead peer improved the SLO.)  Either way the batch is scored
+        under one metrics lock."""
+        import asyncio
+
+        class Peer:
+            written = b""
+
+            def write(self, data):
+                if not peer_alive:
+                    raise ConnectionResetError("peer gone")
+                Peer.written += data
+
+            async def drain(self):
+                pass
+
+        svc = AssertionService(ServiceConfig(http_port=None))  # never started
+        svc.executor.shutdown()
+        session = TenantSession("s1", "acme", 64 << 10)
+        for seq in range(5):
+            session.queue.push({"type": "violation", "session": "s1", "seq": seq})
+        session.queue.push({"type": "gc-event", "session": "s1", "seq": 5})
+        locked = []
+        lock = svc.metrics._lock
+
+        class CountingLock:
+            def __enter__(self):
+                locked.append(1)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        svc.metrics._lock = CountingLock()
+
+        async def flush():
+            await svc._flush(server_module._Connection(Peer()), session)
+
+        asyncio.run(flush())
+        assert len(locked) == 1
+        delivery = next(
+            row for row in svc.metrics.slo_status()["objectives"]
+            if row["objective"] == "violation-delivery-lag"
+        )
+        assert delivery["observations"] == 5
+        assert delivery["bad_observations"] == (0 if peer_alive else 5)
+        assert svc.metrics.delivery_lag.count == (5 if peer_alive else 0)
+        assert len(session.queue) == 0
+        assert bool(Peer.written) == peer_alive
+
     def test_delivery_lag_slo_stays_healthy_under_fast_delivery(self):
         from repro.service.metrics import ServiceMetrics
 
