@@ -17,8 +17,7 @@ Commands:
 * ``trace``     — in-pause span tracing: ``run`` a workload and export a
   Chrome trace_event JSON loadable in Perfetto (``--flame`` adds a
   collapsed-stack flamegraph of mark work by type and alloc site);
-  ``report`` prints the per-phase span table and the mark-drain
-  piggyback-cost attribution.
+  ``report`` prints the per-phase span table.
 * ``top``       — live terminal view of a running workload: pause
   percentiles, sweep debt, census slopes, hottest GC phases.
 * ``monitor``   — continuous heap-health monitoring: run a workload under
@@ -154,7 +153,12 @@ def cmd_demo(_args) -> int:
 
 
 def cmd_figures(args) -> int:
-    from repro.bench import dump_figures, infrastructure_figures, withassertions_figures
+    from repro.bench import (
+        PAPER_REFERENCE,
+        dump_figures,
+        infrastructure_figures,
+        withassertions_figures,
+    )
 
     benchmarks = None if args.full else ["antlr", "jess", "xalan", "db", "pseudojbb"]
     infra = infrastructure_figures(trials=args.trials, benchmarks=benchmarks)
@@ -166,6 +170,12 @@ def cmd_figures(args) -> int:
     print(asserted["fig4"].render())
     print()
     print(asserted["fig5"].render())
+    print()
+    print(asserted["fig5-infra"].render())
+    print()
+    print("Paper aggregates for comparison:")
+    for fig, ref in PAPER_REFERENCE.items():
+        print(f"  {fig}: {ref}")
     if args.json_out:
         path = dump_figures({**infra, **asserted}, args.json_out, trials=args.trials)
         print()
@@ -274,12 +284,7 @@ def cmd_trace_run(args) -> int:
 
 
 def cmd_trace_report(args) -> int:
-    from repro.tracing import (
-        aggregate_spans,
-        piggyback_report,
-        render_piggyback,
-        render_span_table,
-    )
+    from repro.tracing import aggregate_spans, render_span_table
 
     vm, runner = _workload_vm(args, tracing=True)
     if vm is None:
@@ -291,48 +296,7 @@ def cmd_trace_report(args) -> int:
     )
     print()
     print(render_span_table(aggregate_spans(vm.span_tracer.events), indent="  "))
-    print()
-    print(render_piggyback(piggyback_report(vm), indent="  "))
     return _violations_exit(vm)
-
-
-def cmd_trace_serve(args) -> int:
-    """Traced mini-load against a self-hosted service + request breakdown."""
-    from repro.errors import ConfigurationError
-    from repro.service import LoadgenConfig, run_loadgen
-    from repro.tracing import render_request_report
-
-    config = LoadgenConfig(
-        sessions=args.sessions,
-        rate=args.rate,
-        seed=args.seed,
-        quick=args.quick,
-        heap_budget_bytes=args.heap_budget,
-        tracing=True,
-        trace_out=args.out,
-        delivery_lag_slo_s=(
-            args.delivery_lag_slo_ms / 1e3
-            if args.delivery_lag_slo_ms is not None else None
-        ),
-    )
-    try:
-        report = run_loadgen(config)
-    except ConfigurationError as exc:
-        print(f"trace serve: {exc}")
-        return 2
-    print(report.render())
-    print()
-    print(render_request_report(report.requests))
-    if report.trace is not None:
-        print()
-        print(
-            f"merged trace: {report.trace['path']} "
-            f"({report.trace['events']} events, "
-            f"{report.trace['tenant_tracks']} tenant tracks, "
-            f"{report.trace['request_lanes']} request lanes)"
-        )
-        print("open in https://ui.perfetto.dev (or chrome://tracing)")
-    return 0 if report.ok else 1
 
 
 def cmd_top(args) -> int:
@@ -490,6 +454,11 @@ def cmd_loadgen(args) -> int:
         print(f"loadgen: {exc}")
         return 2
     print(report.render())
+    if args.trace_out:
+        from repro.tracing import render_request_report
+
+        print()
+        print(render_request_report(report.requests))
     if args.json_out:
         import json
 
@@ -885,42 +854,10 @@ def main(argv=None) -> int:
 
     trace_report = add_trace_command(
         "report",
-        "per-phase span table + mark-drain piggyback-cost attribution",
+        "per-phase span table",
         "report --workload pseudojbb --assertions",
     )
     add_workload_arguments(trace_report)
-
-    trace_serve = add_trace_command(
-        "serve",
-        "distributed tracing: traced multi-tenant load + per-request breakdown",
-        "serve --sessions 8 --out dtrace.json",
-    )
-    trace_serve.add_argument(
-        "--sessions", type=int, default=8,
-        help="sessions to drive through the traced service (default: %(default)s)",
-    )
-    trace_serve.add_argument(
-        "--rate", type=float, default=200.0,
-        help="Poisson arrival rate, sessions/s (default: %(default)s)",
-    )
-    trace_serve.add_argument("--seed", type=int, default=0)
-    trace_serve.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke shape: at most 12 sessions",
-    )
-    trace_serve.add_argument(
-        "--heap-budget", type=int, default=8 << 20, metavar="BYTES",
-        help="self-hosted service budget (default: %(default)s)",
-    )
-    trace_serve.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the merged multi-tenant Chrome/Perfetto trace here",
-    )
-    trace_serve.add_argument(
-        "--delivery-lag-slo-ms", type=float, default=None, metavar="MS",
-        help="override the violation-delivery SLO (tight values force the "
-        "burn-rate alert, for drills)",
-    )
 
     top = add_command(
         "top",
@@ -1067,7 +1004,8 @@ def main(argv=None) -> int:
     loadgen.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="distributed tracing: write the merged multi-tenant "
-        "Chrome/Perfetto trace here (implies a self-hosted service)",
+        "Chrome/Perfetto trace here and print the per-request breakdown "
+        "(implies a self-hosted service)",
     )
     loadgen.add_argument(
         "--delivery-lag-slo-ms", type=float, default=None, metavar="MS",
@@ -1114,11 +1052,7 @@ def main(argv=None) -> int:
         "minij": cmd_minij,
     }
     if args.command == "trace":
-        trace_handlers = {
-            "run": cmd_trace_run,
-            "report": cmd_trace_report,
-            "serve": cmd_trace_serve,
-        }
+        trace_handlers = {"run": cmd_trace_run, "report": cmd_trace_report}
         return trace_handlers[args.trace_command](args)
     if args.command == "snapshot":
         snapshot_handlers = {

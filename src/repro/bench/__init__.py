@@ -5,7 +5,6 @@ from repro.bench.methodology import (
     Measurement,
     OverheadRow,
     Sample,
-    compare,
     confidence_interval_90,
     geometric_mean,
     mean,
@@ -18,11 +17,6 @@ from repro.bench.figures import (
     FigureResult,
     dump_figures,
     figures_payload,
-    figure2_runtime_infrastructure,
-    figure3_gctime_infrastructure,
-    figure4_runtime_withassertions,
-    figure5_gctime_withassertions,
-    figure5_vs_infrastructure,
     infrastructure_figures,
     withassertions_figures,
 )
@@ -32,7 +26,6 @@ __all__ = [
     "Measurement",
     "OverheadRow",
     "Sample",
-    "compare",
     "confidence_interval_90",
     "geometric_mean",
     "mean",
@@ -43,11 +36,6 @@ __all__ = [
     "FigureResult",
     "dump_figures",
     "figures_payload",
-    "figure2_runtime_infrastructure",
-    "figure3_gctime_infrastructure",
-    "figure4_runtime_withassertions",
-    "figure5_gctime_withassertions",
-    "figure5_vs_infrastructure",
     "infrastructure_figures",
     "withassertions_figures",
 ]

@@ -18,7 +18,6 @@ from repro.bench.methodology import (
     Config,
     OverheadRow,
     Sample,
-    compare,
     confidence_interval_90,
     geometric_mean,
     mean,
@@ -134,61 +133,8 @@ def _suite_subset(benchmarks: Optional[list[str]]) -> list[SuiteEntry]:
     return [suite[name] for name in benchmarks]
 
 
-def figure2_runtime_infrastructure(
-    trials: int = 5, benchmarks: Optional[list[str]] = None
-) -> FigureResult:
-    """Figure 2: total-run-time overhead of Base → Infrastructure."""
-    result = FigureResult(
-        "fig2", "total run time", Config.INFRASTRUCTURE, paper=PAPER_REFERENCE["fig2"]
-    )
-    for entry in _suite_subset(benchmarks):
-        result.rows.append(
-            compare(entry, Config.BASE, Config.INFRASTRUCTURE, "total", trials)
-        )
-    return result
-
-
-def figure3_gctime_infrastructure(
-    trials: int = 5, benchmarks: Optional[list[str]] = None
-) -> FigureResult:
-    """Figure 3: GC-time overhead of Base → Infrastructure."""
-    result = FigureResult(
-        "fig3", "GC time", Config.INFRASTRUCTURE, paper=PAPER_REFERENCE["fig3"]
-    )
-    for entry in _suite_subset(benchmarks):
-        result.rows.append(
-            compare(entry, Config.BASE, Config.INFRASTRUCTURE, "gc", trials)
-        )
-    return result
-
-
 #: Benchmarks the paper instruments with assertions (§3.1.1).
 ASSERTED_BENCHMARKS = ["db", "pseudojbb"]
-
-
-def figure4_runtime_withassertions(trials: int = 5) -> FigureResult:
-    """Figure 4: total-run-time overhead of Base → WithAssertions for the
-    two instrumented benchmarks."""
-    result = FigureResult(
-        "fig4", "total run time", Config.WITH_ASSERTIONS, paper=PAPER_REFERENCE["fig4"]
-    )
-    for entry in _suite_subset(ASSERTED_BENCHMARKS):
-        result.rows.append(
-            compare(entry, Config.BASE, Config.WITH_ASSERTIONS, "total", trials)
-        )
-    return result
-
-
-def figure5_gctime_withassertions(trials: int = 5) -> FigureResult:
-    """Figure 5: GC-time overhead of Base → WithAssertions."""
-    result = FigureResult(
-        "fig5", "GC time", Config.WITH_ASSERTIONS, paper=PAPER_REFERENCE["fig5"]
-    )
-    for entry in _suite_subset(ASSERTED_BENCHMARKS):
-        result.rows.append(
-            compare(entry, Config.BASE, Config.WITH_ASSERTIONS, "gc", trials)
-        )
-    return result
 
 
 def _row_from_samples(sample_a: Sample, sample_b: Sample, metric: str) -> OverheadRow:
@@ -291,16 +237,3 @@ def dump_figures(
         json.dump(figures_payload(results, trials), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def figure5_vs_infrastructure(trials: int = 5) -> FigureResult:
-    """Figure 5's second comparison: Infrastructure → WithAssertions."""
-    result = FigureResult(
-        "fig5-infra", "GC time", Config.WITH_ASSERTIONS,
-        paper=PAPER_REFERENCE["fig5"], config_a=Config.INFRASTRUCTURE,
-    )
-    for entry in _suite_subset(ASSERTED_BENCHMARKS):
-        result.rows.append(
-            compare(entry, Config.INFRASTRUCTURE, Config.WITH_ASSERTIONS, "gc", trials)
-        )
-    return result

@@ -71,12 +71,6 @@ class Sample:
     def mutators(self) -> list[float]:
         return [m.mutator_s for m in self.measurements]
 
-    def mean_total(self) -> float:
-        return mean(self.totals())
-
-    def mean_gc(self) -> float:
-        return mean(self.gcs())
-
     def counters(self) -> dict:
         """Counters from the last trial (deterministic across trials)."""
         return self.measurements[-1].counters if self.measurements else {}
@@ -200,33 +194,3 @@ class OverheadRow:
     @property
     def overhead_pct(self) -> float:
         return (self.ratio - 1.0) * 100.0
-
-
-def compare(
-    entry: SuiteEntry,
-    config_a: Config,
-    config_b: Config,
-    metric: str,
-    trials: int,
-    collector: str = "marksweep",
-) -> OverheadRow:
-    """Measure two configurations of one benchmark and compare ``metric``
-    (``"total"``, ``"gc"``, or ``"mutator"``)."""
-    sample_a = run_sample(entry, config_a, trials, collector)
-    sample_b = run_sample(entry, config_b, trials, collector)
-    pick = {
-        "total": Sample.totals,
-        "gc": Sample.gcs,
-        "mutator": Sample.mutators,
-    }[metric]
-    values_a = pick(sample_a)
-    values_b = pick(sample_b)
-    return OverheadRow(
-        benchmark=entry.name,
-        base_mean=mean(values_a),
-        other_mean=mean(values_b),
-        base_ci=confidence_interval_90(values_a),
-        other_ci=confidence_interval_90(values_b),
-        counters_base=sample_a.counters(),
-        counters_other=sample_b.counters(),
-    )

@@ -175,19 +175,6 @@ class WireProtocolError(ServiceError):
     """
 
 
-class AdmissionRejected(ServiceError):
-    """Raised (or framed) when admission control declines a session.
-
-    Carries ``retry_after_s`` — the server's hint for when capacity is
-    likely to exist again (Retry-After semantics).
-    """
-
-    def __init__(self, message: str, *, reason: str = "budget", retry_after_s: float = 0.0):
-        self.reason = reason
-        self.retry_after_s = retry_after_s
-        super().__init__(message)
-
-
 class SessionKilled(ServiceError):
     """Raised inside a tenant session's workload when the session is killed.
 

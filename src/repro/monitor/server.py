@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 __all__ = ["MonitorServer", "PROMETHEUS_CONTENT_TYPE", "render_monitor_metrics"]
 
 
-def render_monitor_metrics(hub: "MonitorHub", namespace: str = "repro") -> str:
+def render_monitor_metrics(hub: "MonitorHub") -> str:
     """The monitor's own metric families, exposition-format text.
 
     Appended after the telemetry exporter's output on ``/metrics``; no
@@ -41,7 +41,7 @@ def render_monitor_metrics(hub: "MonitorHub", namespace: str = "repro") -> str:
     three of them against each other and against the docs), so the combined
     document has no duplicate TYPE declarations.
     """
-    writer = ExpositionWriter(namespace)
+    writer = ExpositionWriter()
     metric, sample = writer.metric, writer.sample
 
     full = metric("mutator_utilization_ratio", "gauge",

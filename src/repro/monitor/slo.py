@@ -330,21 +330,22 @@ def _json_rate(rate: float) -> float:
 # -- default objective catalog ----------------------------------------------------------
 
 
-def default_slos(
-    pause_p99_s: float = 0.050,
-    mmu_floor: float = 0.3,
-    mmu_window_s: float = 0.1,
-    sweep_debt_ceiling: int = 64,
-    check_latency_s: float = 0.040,
-) -> SloSet:
+#: The stock catalog's fixed thresholds: the MMU window, the lazy-sweep
+#: backlog ceiling (chunks) and the per-cycle ownership-phase ceiling.
+MMU_WINDOW_S = 0.1
+SWEEP_DEBT_CEILING = 64
+CHECK_LATENCY_S = 0.040
+
+
+def default_slos(pause_p99_s: float = 0.050, mmu_floor: float = 0.3) -> SloSet:
     """The stock objective catalog the CLI and CI arm.
 
     * ``pause-p99`` — pause under ``pause_p99_s``, 1% budget (a p99).
-    * ``mmu-floor`` — MMU over ``mmu_window_s`` windows stays above
+    * ``mmu-floor`` — MMU over ``MMU_WINDOW_S`` windows stays above
       ``mmu_floor``; 5% budget since early-run MMU is noisy.
     * ``sweep-debt`` — lazy-sweep backlog stays under the ceiling, 5%.
     * ``check-latency`` — assertion checking (ownership phase) stays
-      under ``check_latency_s`` per cycle, 1% budget.
+      under ``CHECK_LATENCY_S`` per cycle, 1% budget.
     * ``no-degradation`` — zero budget: any quarantine, engine
       disablement, OOM growth, or sink breaker trip fires immediately.
     """
@@ -356,23 +357,18 @@ def default_slos(
         raise ConfigurationError(
             f"MMU floor must be in (0, 1] (a utilization), got {mmu_floor}"
         )
-    if mmu_window_s <= 0 or sweep_debt_ceiling < 0 or check_latency_s <= 0:
-        raise ConfigurationError(
-            "MMU window and check latency must be > 0 and the sweep-debt "
-            "ceiling >= 0"
-        )
 
     def pause_ok(hub: "MonitorHub", event: "GcEvent") -> bool:
         return event.pause_s <= pause_p99_s
 
     def mmu_ok(hub: "MonitorHub", event: "GcEvent") -> bool:
-        return hub.mmu(mmu_window_s) >= mmu_floor
+        return hub.mmu(MMU_WINDOW_S) >= mmu_floor
 
     def debt_ok(hub: "MonitorHub", event: "GcEvent") -> bool:
-        return event.sweep_debt_chunks <= sweep_debt_ceiling
+        return event.sweep_debt_chunks <= SWEEP_DEBT_CEILING
 
     def checks_ok(hub: "MonitorHub", event: "GcEvent") -> bool:
-        return event.ownership_s <= check_latency_s
+        return event.ownership_s <= CHECK_LATENCY_S
 
     slos = SloSet()
     slos.add(BurnRateRule(SloObjective(
@@ -381,16 +377,16 @@ def default_slos(
     )))
     slos.add(BurnRateRule(SloObjective(
         "mmu-floor",
-        f"MMU({mmu_window_s * 1e3:.0f}ms) at least {mmu_floor:.0%}",
+        f"MMU({MMU_WINDOW_S * 1e3:.0f}ms) at least {mmu_floor:.0%}",
         budget=0.05, probe=mmu_ok, severity="ticket",
     ), factor=3.0))
     slos.add(BurnRateRule(SloObjective(
-        "sweep-debt", f"sweep backlog under {sweep_debt_ceiling} chunks",
+        "sweep-debt", f"sweep backlog under {SWEEP_DEBT_CEILING} chunks",
         budget=0.05, probe=debt_ok, severity="ticket",
     ), factor=3.0))
     slos.add(BurnRateRule(SloObjective(
         "check-latency",
-        f"assertion checking under {check_latency_s * 1e3:.0f}ms per cycle",
+        f"assertion checking under {CHECK_LATENCY_S * 1e3:.0f}ms per cycle",
         budget=0.01, probe=checks_ok, severity="ticket",
     )))
     slos.add(BurnRateRule(SloObjective(

@@ -2,7 +2,7 @@
 
 A long-running process must answer "is the heap healthy *right now*" with
 bounded memory.  :class:`TimeSeries` is a fixed-capacity ring of
-``(timestamp, value)`` points with windowed queries and downsampling;
+``(timestamp, value)`` points;
 :class:`MonitorHub` is a telemetry *sink* — it subscribes to a VM's
 :class:`~repro.telemetry.Telemetry` and turns the push-model event stream
 (GC events, degradations, snapshots, its own alerts coming back around)
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
 
 #: Points retained per series; at one GC event per second this is about
-#: 34 minutes of raw history (windowed queries downsample beyond that).
+#: 34 minutes of raw history.
 DEFAULT_SERIES_CAPACITY = 2048
 
 #: Pause intervals retained for MMU/utilization queries.
@@ -47,15 +47,6 @@ GC_SERIES = (
     "violations",
     "ownership_s",
 )
-
-_AGGREGATORS = {
-    "mean": lambda values: sum(values) / len(values),
-    "max": max,
-    "min": min,
-    "last": lambda values: values[-1],
-    "sum": sum,
-    "count": len,
-}
 
 
 class TimeSeries:
@@ -87,16 +78,6 @@ class TimeSeries:
     def points(self) -> list[tuple[float, float]]:
         return list(self._points)
 
-    def window(
-        self, since: float, until: Optional[float] = None
-    ) -> list[tuple[float, float]]:
-        """Points with ``since <= t`` (and ``t <= until`` when given)."""
-        return [
-            (t, v)
-            for t, v in self._points
-            if t >= since and (until is None or t <= until)
-        ]
-
     def values(self, since: Optional[float] = None) -> list[float]:
         if since is None:
             return [v for _t, v in self._points]
@@ -107,40 +88,6 @@ class TimeSeries:
 
     def latest_value(self, default: float = 0.0) -> float:
         return self._points[-1][1] if self._points else default
-
-    def downsample(
-        self,
-        bucket_s: float,
-        agg: str = "mean",
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> list[tuple[float, float]]:
-        """Windowed downsampling: one ``(bucket_start, aggregate)`` row per
-        occupied ``bucket_s``-wide bucket.  ``agg`` is one of
-        ``mean|max|min|last|sum|count``; empty buckets are omitted (a gap
-        in the series stays a visible gap, it is not zero-filled).
-        """
-        if bucket_s <= 0:
-            raise ConfigurationError(f"bucket_s must be > 0, got {bucket_s}")
-        try:
-            aggregate = _AGGREGATORS[agg]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown aggregator {agg!r}; pick from {sorted(_AGGREGATORS)}"
-            ) from None
-        points = self.window(since, until) if since is not None else self.points()
-        if until is not None and since is None:
-            points = [(t, v) for t, v in points if t <= until]
-        if not points:
-            return []
-        origin = since if since is not None else points[0][0]
-        buckets: dict[int, list[float]] = {}
-        for t, v in points:
-            buckets.setdefault(int((t - origin) // bucket_s), []).append(v)
-        return [
-            (origin + index * bucket_s, float(aggregate(values)))
-            for index, values in sorted(buckets.items())
-        ]
 
     def __len__(self) -> int:
         return len(self._points)
@@ -161,20 +108,15 @@ class MonitorHub:
     allocation or per traced object.
     """
 
-    def __init__(
-        self,
-        slos: Optional["SloSet"] = None,
-        series_capacity: int = DEFAULT_SERIES_CAPACITY,
-        interval_capacity: int = DEFAULT_INTERVAL_CAPACITY,
-    ):
+    def __init__(self, slos: Optional["SloSet"] = None):
         self.series: dict[str, TimeSeries] = {
-            name: TimeSeries(name, series_capacity) for name in GC_SERIES
+            name: TimeSeries(name) for name in GC_SERIES
         }
         #: Stop-the-world intervals ``(start, end)`` on the monotonic
         #: clock, ordered by ``end`` (collection order for one VM) — the
         #: MMU/utilization input.
         self.pause_intervals: deque[tuple[float, float]] = deque(
-            maxlen=interval_capacity
+            maxlen=DEFAULT_INTERVAL_CAPACITY
         )
         self.slos = slos
         self.vm: Optional["VirtualMachine"] = None

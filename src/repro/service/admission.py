@@ -21,7 +21,7 @@ from typing import Optional
 
 #: Hint sent with a budget rejection: overload here is session-shaped
 #: (hundreds of ms to a few seconds), so a sub-second retry is honest.
-DEFAULT_RETRY_AFTER_S = 0.25
+RETRY_AFTER_S = 0.25
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,9 @@ class AdmissionDecision:
 class AdmissionController:
     """Mutex-guarded committed-heap ledger with a session-count cap."""
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        max_sessions: Optional[int] = None,
-        retry_after_s: float = DEFAULT_RETRY_AFTER_S,
-    ):
+    def __init__(self, budget_bytes: int, max_sessions: Optional[int] = None):
         self.budget_bytes = budget_bytes
         self.max_sessions = max_sessions
-        self.retry_after_s = retry_after_s
         self.committed_bytes = 0
         self.active_sessions = 0
         self.peak_sessions = 0
@@ -93,7 +87,7 @@ class AdmissionController:
         return AdmissionDecision(
             admitted=False,
             reason=reason,
-            retry_after_s=self.retry_after_s,
+            retry_after_s=RETRY_AFTER_S,
             commit_seconds=time.perf_counter() - attempt_start,
         )
 
@@ -107,10 +101,6 @@ class AdmissionController:
                 raise AssertionError(
                     "admission ledger went negative: release without matching admit"
                 )
-
-    def headroom_bytes(self) -> int:
-        with self._lock:
-            return self.budget_bytes - self.committed_bytes
 
     def snapshot(self) -> dict:
         with self._lock:

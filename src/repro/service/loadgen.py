@@ -56,12 +56,10 @@ class LoadgenConfig:
     host: str = "127.0.0.1"
     port: Optional[int] = None     #: None = self-host an in-process service
     heap_budget_bytes: int = 8 << 20
-    max_workers: int = 64          #: client-side thread cap
-    #: Distributed tracing: each session carries a seeded TraceContext
-    #: and the self-hosted service records request spans.  Implied by
-    #: ``trace_out``; requires self-hosting (the merge layer reads the
-    #: server's tracer in-process).
-    tracing: bool = False
+    #: Distributed tracing: each session carries a seeded TraceContext,
+    #: the self-hosted service records request spans and the merged
+    #: export is written here.  Requires self-hosting (the merge layer
+    #: reads the server's tracer in-process).
     trace_out: Optional[str] = None
     #: Override the self-hosted service's delivery-lag SLO.  A very
     #: tight value (microseconds) makes the burn-rate alert fire
@@ -72,8 +70,10 @@ class LoadgenConfig:
         if self.quick:
             self.sessions = min(self.sessions, 12)
             self.rate = min(self.rate, 400.0)
-        if self.trace_out is not None:
-            self.tracing = True
+
+    @property
+    def tracing(self) -> bool:
+        return self.trace_out is not None
 
 
 @dataclass
@@ -95,7 +95,7 @@ class LoadgenReport:
     #: (exemplar trace ids included), in firing order.
     alerts: list = field(default_factory=list)
     #: Per-request lifecycle rows from the server's DistributedTracer
-    #: (tracing runs only; the ``repro trace serve`` table).
+    #: (tracing runs only; the ``loadgen --trace-out`` table).
     requests: list = field(default_factory=list)
     #: Merged-export summary from ``write_merged_trace`` (trace_out runs).
     trace: Optional[dict] = None

@@ -85,13 +85,12 @@ class ServiceMetrics:
         self,
         admission_latency_slo_s: float = 0.050,
         delivery_lag_slo_s: float = 0.200,
-        hub: Optional[MonitorHub] = None,
     ):
         self.admission_latency_slo_s = admission_latency_slo_s
         self.delivery_lag_slo_s = delivery_lag_slo_s
         #: Shared monitor hub (``hub.vm`` stays None: it aggregates every
         #: tenant's events rather than attaching to one VM).
-        self.hub = hub or MonitorHub(slos=None)
+        self.hub = MonitorHub(slos=None)
         self.tenants: dict[str, TenantStats] = {}
         self.admission_latency = LogHistogram(1e-6, 10.0)
         self.delivery_lag = LogHistogram(1e-6, 10.0)
@@ -166,16 +165,6 @@ class ServiceMetrics:
             (received_mono,), decided_mono, wall_time, trace_id,
         )
 
-    def observe_delivery_lag(
-        self,
-        enqueued_mono: float,
-        written_mono: float,
-        wall_time: float,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        """Score one violation enqueue→write interval from perf_counter stamps."""
-        self.observe_delivery_lags((enqueued_mono,), written_mono, wall_time, trace_id)
-
     def observe_delivery_lags(
         self, enqueued_monos, written_mono: float, wall_time: float,
         trace_id: Optional[str] = None, delivered: bool = True,
@@ -193,11 +182,11 @@ class ServiceMetrics:
         with self._lock:
             return self.slos.status()
 
-    def render(self, admission, namespace: str = "repro") -> str:
+    def render(self, admission) -> str:
         """The service's Prometheus families (``admission`` = the controller)."""
         snap = admission.snapshot()
         with self._lock:
-            writer = ExpositionWriter(namespace)
+            writer = ExpositionWriter()
             metric, sample = writer.metric, writer.sample
 
             full = metric("service_sessions_active", "gauge",

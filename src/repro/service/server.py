@@ -55,6 +55,12 @@ from repro.tracing.distributed import (
 
 SERVER_VERSION = "repro-service/1"
 
+#: Cap on how long a queued (``"wait": true``) open is held.
+WAIT_TIMEOUT_S = 2.0
+#: Cap on retained traced-session records (oldest beyond the cap are
+#: dropped from the merged export, never from serving).
+MAX_TRACED_SESSIONS = 512
+
 
 @dataclass
 class ServiceConfig:
@@ -69,18 +75,13 @@ class ServiceConfig:
     executor_workers: int = 8
     hardened: bool = True              #: tenant VMs get the PR-5 OOM ladder
     paranoid: bool = False             #: tenant VMs walk the heap around every GC
-    admission_latency_slo_s: float = 0.050
     delivery_lag_slo_s: float = 0.200
     max_frame_bytes: int = MAX_FRAME_BYTES
-    wait_timeout_s: float = 2.0        #: cap on queued (``"wait": true``) opens
     #: Distributed request tracing: server-side lifecycle spans plus a
     #: SpanTracer per tenant VM, merged into one Perfetto export.  Off by
     #: default — the zero-overhead-when-off discipline is a None-test on
     #: ``AssertionService.tracer``, same as the VM's ``span_tracer``.
     tracing: bool = False
-    #: Cap on retained traced-session records (oldest beyond the cap are
-    #: dropped from the merged export, never from serving).
-    max_traced_sessions: int = 512
 
 
 class _Connection:
@@ -105,10 +106,7 @@ class AssertionService:
         self.admission = AdmissionController(
             self.config.heap_budget_bytes, self.config.max_sessions
         )
-        self.metrics = ServiceMetrics(
-            admission_latency_slo_s=self.config.admission_latency_slo_s,
-            delivery_lag_slo_s=self.config.delivery_lag_slo_s,
-        )
+        self.metrics = ServiceMetrics(delivery_lag_slo_s=self.config.delivery_lag_slo_s)
         self.executor = ThreadPoolExecutor(
             max_workers=self.config.executor_workers,
             thread_name_prefix="repro-session",
@@ -406,9 +404,9 @@ class AssertionService:
         retries = 0
         decision = self.admission.try_admit(committed)
         if not decision.admitted and frame.get("wait"):
-            # Queued admission: hold the open (bounded by wait_timeout_s)
+            # Queued admission: hold the open (bounded by WAIT_TIMEOUT_S)
             # and retry on the Retry-After cadence.
-            deadline = self._loop.time() + self.config.wait_timeout_s
+            deadline = self._loop.time() + WAIT_TIMEOUT_S
             while not decision.admitted and self._loop.time() < deadline:
                 await asyncio.sleep(decision.retry_after_s or 0.05)
                 retries += 1
@@ -448,20 +446,32 @@ class AssertionService:
                 outcome=None, session_id=session_id,
             )
         loop = self._loop
-        session = TenantSession(
-            session_id=session_id,
-            tenant=tenant,
-            heap_bytes=heap_bytes,
-            collector=str(frame.get("collector", "marksweep")),
-            hardened=self.config.hardened,
-            paranoid=self.config.paranoid,
-            queue_frames=self.config.outbound_queue_frames,
-            notify=lambda: loop.call_soon_threadsafe(conn.wake.set),
-            metrics=self.metrics,
-            tracing=tracer is not None,
-            trace=ctx,
-            request_span_id=request_span_id,
-        )
+        try:
+            session = TenantSession(
+                session_id=session_id,
+                tenant=tenant,
+                heap_bytes=heap_bytes,
+                collector=str(frame.get("collector", "marksweep")),
+                hardened=self.config.hardened,
+                paranoid=self.config.paranoid,
+                queue_frames=self.config.outbound_queue_frames,
+                notify=lambda: loop.call_soon_threadsafe(conn.wake.set),
+                metrics=self.metrics,
+                tracing=tracer is not None,
+                trace=ctx,
+                request_span_id=request_span_id,
+            )
+        except BaseException as exc:
+            # Admitted but in no ``conn.sessions``: nothing would evict it.
+            self.admission.release(committed)
+            if not isinstance(exc, ReproError):
+                raise
+            # The VM refused its options (an unknown collector): a client mistake.
+            if request_span_id is not None:
+                tracer.end(request_span_id, time.perf_counter(), args={"outcome": "error"})
+            conn.protocol_errors += 1
+            await self._reply(conn, {"type": "error", "error": str(exc)})
+            return
         session.request_lane = lane
         session.runner = runner
         conn.sessions[session_id] = session
@@ -618,7 +628,7 @@ class AssertionService:
                 args={"outcome": session.outcome},
             )
             if session.vm.span_tracer is not None and session.trace is not None:
-                if len(self.traced_sessions) < self.config.max_traced_sessions:
+                if len(self.traced_sessions) < MAX_TRACED_SESSIONS:
                     self.traced_sessions.append({
                         "tenant": session.tenant,
                         "session": session.session_id,

@@ -142,18 +142,26 @@ def resolve_workload(
     entry plus the ``swapleak`` pseudo-workload (the guaranteed-violation
     generator the load mix leans on).  ``overrides`` tunes swapleak's knobs
     (``swaps``, ``array_size``, ``gc_every_swaps``, ``static_rep``).
-    Unknown names raise :class:`WireProtocolError` — a client mistake,
-    not a server fault.
+    Unknown names, ``overrides`` that is not an object and a knob that is
+    not an integer raise :class:`WireProtocolError` — a client mistake, not
+    a server fault.
     """
     overrides = overrides or {}
-    if name == "swapleak":
-        config = SwapLeakConfig(
-            array_size=int(overrides.get("array_size", 32)),
-            swaps=int(overrides.get("swaps", 64)),
-            gc_every_swaps=int(overrides.get("gc_every_swaps", 8)),
-            static_rep=bool(overrides.get("static_rep", False)),
-            assert_dead_swapped=asserted,
+    if not isinstance(overrides, dict):
+        raise WireProtocolError(
+            f"overrides must be an object, got {type(overrides).__name__}"
         )
+    if name == "swapleak":
+        try:
+            config = SwapLeakConfig(
+                array_size=int(overrides.get("array_size", 32)),
+                swaps=int(overrides.get("swaps", 64)),
+                gc_every_swaps=int(overrides.get("gc_every_swaps", 8)),
+                static_rep=bool(overrides.get("static_rep", False)),
+                assert_dead_swapped=asserted,
+            )
+        except (TypeError, ValueError) as exc:
+            raise WireProtocolError(f"swapleak knobs are integers: {exc}") from None
         return SWAPLEAK_HEAP_BYTES, lambda vm: run_swapleak(vm, config)
     suite = build_suite()
     entry = suite.get(name)

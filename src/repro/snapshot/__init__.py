@@ -12,7 +12,7 @@ adds that view as four layers on top of the existing collector machinery:
   takes one compact row per marked address there, before anything is
   reclaimed or relocated (the bare address under a non-moving collector;
   address, epoch and edges frozen under a copying one).  No tracer loop
-  knows about it; serialization to the versioned JSONL+index format
+  knows about it; serialization to the versioned JSONL format
   happens after the pause ends.  A
   :class:`~repro.snapshot.capture.SnapshotPolicy` on the VM decides *when*
   (``every_n_gcs``, ``on_violation``, manual), and
@@ -21,8 +21,7 @@ adds that view as four layers on top of the existing collector machinery:
 * **Format** (:mod:`repro.snapshot.format`) — schema
   ``repro-heap-snapshot/1``: one JSON line per root and per live object
   (address, type, shallow size, header bits, ``alloc_seq`` epoch,
-  allocation-site tag, outgoing strong edges) plus a sidecar byte-offset
-  index, loadable without the VM.
+  allocation-site tag, outgoing strong edges), loadable without the VM.
 * **Analysis** (:mod:`repro.snapshot.dominators`,
   :mod:`repro.snapshot.retained`) — immediate dominators (iterative
   Cooper–Harvey–Kennedy under a synthetic super-root), retained sizes by
@@ -30,8 +29,7 @@ adds that view as four layers on top of the existing collector machinery:
   through the Figure-1 :class:`~repro.core.reporting.HeapPath` machinery.
 * **Diff & leak triage** (:mod:`repro.snapshot.diff`) — per-type
   live-count/byte growth between two snapshots, surviving-object
-  retention, and ranked leak candidates cross-checked against the Cork
-  baseline's per-type growth slopes.
+  retention, and ranked leak candidates.
 
 ``python -m repro snapshot capture|analyze|diff|why`` drives all of it
 from the command line.
@@ -48,15 +46,11 @@ from repro.snapshot.format import (
     ObjectRecord,
     SnapshotFormatError,
     SnapshotWriter,
-    index_path,
     load_snapshot,
-    read_index,
-    read_object,
 )
 from repro.snapshot.retained import (
     WhyAlive,
     retained_sizes,
-    retained_set_of_type,
     top_retained,
     why_alive,
 )
@@ -77,11 +71,7 @@ __all__ = [
     "build_dominator_tree",
     "capture_snapshot",
     "diff_snapshots",
-    "index_path",
     "load_snapshot",
-    "read_index",
-    "read_object",
-    "retained_set_of_type",
     "retained_sizes",
     "top_retained",
     "why_alive",

@@ -265,14 +265,12 @@ class SnapshotPolicy:
         directory: str,
         every_n_gcs: Optional[int] = None,
         on_violation: bool = False,
-        prefix: str = "heap",
     ):
         if every_n_gcs is not None and every_n_gcs < 1:
             raise ValueError(f"every_n_gcs must be >= 1, got {every_n_gcs}")
         self.directory = directory
         self.every_n_gcs = every_n_gcs
         self.on_violation = on_violation
-        self.prefix = prefix
         # Created now so snapshot_path never pays a syscall inside a pause.
         os.makedirs(directory, exist_ok=True)
         #: Paths of every snapshot this policy wrote, in order.
@@ -290,9 +288,7 @@ class SnapshotPolicy:
         self._capture_next = True
 
     def snapshot_path(self, gc_number: int, trigger: str) -> str:
-        return os.path.join(
-            self.directory, f"{self.prefix}-gc{gc_number:05d}-{trigger}.jsonl"
-        )
+        return os.path.join(self.directory, f"heap-gc{gc_number:05d}-{trigger}.jsonl")
 
     # -- collector protocol (called from gc/base.py) ---------------------------------
 

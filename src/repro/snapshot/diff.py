@@ -14,15 +14,12 @@ same install survived.  Survivors whose outgoing edges are bit-identical
 in both snapshots ("unchanged survivors") are the stalest tier — alive
 for the whole interval without a single observed field write, which is
 Cork/staleness's definition of a leak suspect arrived at from the other
-direction.  When the caller passes Cork's per-type growth slopes
-(:meth:`repro.telemetry.census.ClassCensus.slopes` via
-``baselines/cork.py``), each candidate cites Cork's independent ranking
-rather than recomputing it.
+direction.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.snapshot.format import HeapSnapshot
@@ -39,8 +36,6 @@ class LeakCandidate:
         "bytes_last",
         "survivors",
         "survivors_unchanged",
-        "cork_slope",
-        "cork_rank",
     )
 
     def __init__(
@@ -52,8 +47,6 @@ class LeakCandidate:
         bytes_last: int,
         survivors: int = 0,
         survivors_unchanged: int = 0,
-        cork_slope: Optional[float] = None,
-        cork_rank: Optional[int] = None,
     ):
         self.type_name = type_name
         self.count_first = count_first
@@ -62,8 +55,6 @@ class LeakCandidate:
         self.bytes_last = bytes_last
         self.survivors = survivors
         self.survivors_unchanged = survivors_unchanged
-        self.cork_slope = cork_slope
-        self.cork_rank = cork_rank
 
     @property
     def count_delta(self) -> int:
@@ -74,15 +65,11 @@ class LeakCandidate:
         return self.bytes_last - self.bytes_first
 
     def render(self) -> str:
-        line = (
+        return (
             f"{self.type_name}: {self.count_first} -> {self.count_last} live "
             f"({self.count_delta:+d} objects, {self.bytes_delta:+d} bytes); "
             f"{self.survivors} survivors, {self.survivors_unchanged} unwritten"
         )
-        if self.cork_slope is not None:
-            rank = f" (cork rank #{self.cork_rank})" if self.cork_rank else ""
-            line += f"; cork slope {self.cork_slope:+.1f} B/census{rank}"
-        return line
 
     def __repr__(self) -> str:
         return f"<leak-candidate {self.type_name} {self.bytes_delta:+d}B>"
@@ -130,11 +117,7 @@ class SnapshotDiff:
         return "\n".join(lines)
 
 
-def diff_snapshots(
-    first: "HeapSnapshot",
-    last: "HeapSnapshot",
-    cork_slopes: Optional[dict[str, float]] = None,
-) -> SnapshotDiff:
+def diff_snapshots(first: "HeapSnapshot", last: "HeapSnapshot") -> SnapshotDiff:
     """Compare two snapshots and rank leak candidates.
 
     Ranking is byte growth, then object growth, then type name — the name
@@ -158,11 +141,6 @@ def diff_snapshots(
         if first_edges[ident] == rec.edges:
             unchanged_by_type[name] = unchanged_by_type.get(name, 0) + 1
 
-    cork_ranks: dict[str, int] = {}
-    if cork_slopes:
-        ordered = sorted(cork_slopes.items(), key=lambda kv: (-kv[1], kv[0]))
-        cork_ranks = {name: i for i, (name, _slope) in enumerate(ordered, start=1)}
-
     growing: list[LeakCandidate] = []
     flat: list[LeakCandidate] = []
     for name in sorted(set(first_types) | set(last_types)):
@@ -176,8 +154,6 @@ def diff_snapshots(
             bytes_last,
             survivors=survivors_by_type.get(name, 0),
             survivors_unchanged=unchanged_by_type.get(name, 0),
-            cork_slope=(cork_slopes or {}).get(name),
-            cork_rank=cork_ranks.get(name),
         )
         if cand.bytes_delta > 0 or cand.count_delta > 0:
             growing.append(cand)

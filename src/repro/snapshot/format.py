@@ -1,4 +1,4 @@
-"""The versioned heap-snapshot file format: JSONL body + sidecar index.
+"""The versioned heap-snapshot file format: one JSON-lines body.
 
 A snapshot is a single JSON-lines file, loadable without the VM:
 
@@ -16,15 +16,8 @@ A snapshot is a single JSON-lines file, loadable without the VM:
   the per-type ``{name: [count, bytes]}`` aggregation, so cheap queries
   need not touch the body.
 
-Next to the body, :class:`SnapshotWriter` drops a sidecar index
-(``<path>.idx.json``) mapping each object address to its byte offset in
-the body.  :func:`read_object` uses it to answer point queries (``snapshot
-why <addr>``) with one ``seek`` instead of a full parse; the JSONL body
-alone is always sufficient (:func:`load_snapshot` never needs the index).
-
 Addresses are serialized as integers; the writer streams — one line per
-:meth:`SnapshotWriter.write_object` call, O(1) writer state per object
-beyond the index entry.
+:meth:`SnapshotWriter.write_object` call, O(1) writer state per object.
 """
 
 from __future__ import annotations
@@ -42,11 +35,6 @@ SNAPSHOT_SCHEMA = "repro-heap-snapshot/1"
 
 class SnapshotFormatError(ReproError):
     """A snapshot file is malformed or has an unsupported schema version."""
-
-
-def index_path(path: str) -> str:
-    """Sidecar index path for a snapshot body at ``path``."""
-    return path + ".idx.json"
 
 
 class ObjectRecord:
@@ -95,7 +83,7 @@ class ObjectRecord:
 
 
 class SnapshotWriter:
-    """Streams one snapshot to disk: header, roots, objects, summary, index."""
+    """Streams one snapshot to disk: header, roots, objects, summary."""
 
     def __init__(
         self,
@@ -108,10 +96,9 @@ class SnapshotWriter:
         self.path = path
         # Crash consistency: the body streams into a temp file and is
         # atomically renamed in finish(), so a mid-serialization failure can
-        # never leave a truncated .jsonl/.idx.json pair at the final paths.
+        # never leave a truncated .jsonl at the final path.
         self._tmp_path = path + ".tmp"
         self._file = open(self._tmp_path, "w")
-        self._offsets: dict[int, int] = {}
         self._types: dict[str, list[int]] = {}
         self.objects = 0
         self.roots = 0
@@ -145,7 +132,6 @@ class SnapshotWriter:
         site: Optional[str],
         edges: Iterable[int],
     ) -> None:
-        self._offsets[addr] = self._file.tell()
         self.objects += 1
         self.total_bytes += size
         row = self._types.get(type_name)
@@ -168,14 +154,8 @@ class SnapshotWriter:
         )
 
     def finish(self) -> dict:
-        """Write the summary line and the sidecar index; returns the summary.
-
-        Both files are written to temp paths first, then published with
-        ``os.replace`` — body *before* index, so a crash between the two
-        renames leaves at worst a stale index next to a fresh body, which
-        :func:`read_object`'s offset sanity check already tolerates.  The
-        recorded byte offsets stay valid: a rename never moves file content.
-        """
+        """Write the summary line and publish the body with ``os.replace``;
+        returns the summary."""
         summary = {
             "kind": "summary",
             "objects": self.objects,
@@ -185,38 +165,23 @@ class SnapshotWriter:
         }
         self._write(summary)
         self._file.close()
-        index = {
-            "schema": SNAPSHOT_SCHEMA,
-            "body": self.path,
-            "objects": self.objects,
-            "roots": self.roots,
-            "total_bytes": self.total_bytes,
-            "types": summary["types"],
-            "offsets": {str(addr): off for addr, off in self._offsets.items()},
-        }
-        index_tmp = index_path(self.path) + ".tmp"
-        with open(index_tmp, "w") as handle:
-            json.dump(index, handle)
-            handle.write("\n")
         os.replace(self._tmp_path, self.path)
-        os.replace(index_tmp, index_path(self.path))
         return summary
 
     def abort(self) -> None:
-        """Discard a partially written snapshot: close and unlink the temps.
+        """Discard a partially written snapshot: close and unlink the temp.
 
-        The final ``path``/``.idx.json`` names are untouched — a previous
-        good snapshot at the same path survives a failed rewrite.
+        The final ``path`` is untouched — a previous good snapshot at the
+        same path survives a failed rewrite.
         """
         try:
             self._file.close()
         except Exception:
             pass
-        for tmp in (self._tmp_path, index_path(self.path) + ".tmp"):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        try:
+            os.unlink(self._tmp_path)
+        except OSError:
+            pass
 
 
 def _parse_lines(path: str) -> Iterator[dict]:
@@ -345,31 +310,5 @@ class HeapSnapshot:
 
 
 def load_snapshot(path: str) -> HeapSnapshot:
-    """Load a snapshot body (the index is not required)."""
+    """Load a snapshot body."""
     return HeapSnapshot.load(path)
-
-
-def read_index(path: str) -> dict:
-    """Load and validate the sidecar index for a snapshot body."""
-    with open(index_path(path)) as handle:
-        index = json.load(handle)
-    if index.get("schema") != SNAPSHOT_SCHEMA:
-        raise SnapshotFormatError(
-            f"{index_path(path)}: unsupported index schema {index.get('schema')!r}"
-        )
-    return index
-
-
-def read_object(path: str, addr: int, index: Optional[dict] = None) -> ObjectRecord:
-    """Point lookup of one object row via the sidecar index (one seek)."""
-    if index is None:
-        index = read_index(path)
-    offset = index["offsets"].get(str(addr))
-    if offset is None:
-        raise SnapshotFormatError(f"{path}: no object at {addr:#x} in index")
-    with open(path) as handle:
-        handle.seek(offset)
-        row = json.loads(handle.readline())
-    if row.get("kind") != "obj" or row.get("addr") != addr:
-        raise SnapshotFormatError(f"{path}: index offset for {addr:#x} is stale")
-    return ObjectRecord.from_row(row)

@@ -69,35 +69,6 @@ def top_retained(
     return rows[:limit]
 
 
-def retained_set_of_type(snapshot: "HeapSnapshot", type_name: str) -> int:
-    """Bytes that die if every instance of ``type_name`` is cut from the
-    graph: total reachable bytes minus what stays reachable when traversal
-    refuses to enter objects of that type.  This is the per-type analogue
-    of the per-object oracle and what "the leak costs N bytes" means for a
-    leak candidate whose instances individually retain little."""
-    objects = snapshot.objects
-    total = sum(objects[addr].size for addr in _reachable(snapshot))
-    surviving = sum(objects[addr].size for addr in _reachable(snapshot, type_name))
-    return total - surviving
-
-
-def _reachable(snapshot: "HeapSnapshot", skip_type: Optional[str] = None) -> set[int]:
-    """Root-reachable record addresses — the one closure over snapshot
-    records — never entering a record of ``skip_type``.  An edge to an
-    address the snapshot holds no record for is not followed."""
-    objects = snapshot.objects
-    visited: set[int] = set()
-    stack = list(snapshot.root_addresses())
-    while stack:
-        addr = stack.pop()
-        record = objects.get(addr)
-        if addr in visited or record is None or record.type_name == skip_type:
-            continue
-        visited.add(addr)
-        stack.extend(record.edges)
-    return visited
-
-
 class WhyAlive:
     """Answer to ``snapshot why <addr>``: dominator chain + retained cost."""
 

@@ -34,7 +34,7 @@ Usage::
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.telemetry.census import ClassCensus, take_census
 from repro.telemetry.events import (
@@ -126,12 +126,8 @@ class _PendingCollection:
 class Telemetry:
     """The per-VM telemetry hub: event ring, histograms, census, sinks."""
 
-    def __init__(
-        self,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
-        sinks: Optional[list] = None,
-    ):
-        self.events = EventRing(ring_capacity)
+    def __init__(self) -> None:
+        self.events = EventRing(DEFAULT_RING_CAPACITY)
         #: GC stop-the-world pauses, microseconds to tens of seconds.
         self.pause_hist = LogHistogram(1e-6, 10.0)
         #: Mutator allocation request sizes, in bytes.
@@ -146,7 +142,7 @@ class Telemetry:
         self.lazy_chunks_swept = 0
         self.lazy_cells_released = 0
         self.census = ClassCensus()
-        self.sinks: list[TelemetrySink] = list(sinks or [])
+        self.sinks: list[TelemetrySink] = []
         self.collections_by_kind: dict[str, int] = {}
         self.violations_by_kind: dict[str, int] = {}
         #: Every heap snapshot written this VM lifetime (unbounded on

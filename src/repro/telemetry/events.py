@@ -126,7 +126,7 @@ class SnapshotEvent:
     seq: int                 #: collection ordinal the snapshot belongs to
     collector: str
     trigger: str             #: "manual" | "interval" | "violation"
-    path: str                #: snapshot body path (index is path + ".idx.json")
+    path: str                #: snapshot body path
     objects: int             #: live objects recorded
     roots: int               #: root entries recorded
     total_bytes: int         #: live bytes recorded (heap view)

@@ -15,14 +15,16 @@ import math
 from bisect import bisect_left
 from typing import Optional
 
+#: Relative resolution of every histogram (5 per decade ≈ ±29% per bucket).
+BUCKETS_PER_DECADE = 5
+
 
 class LogHistogram:
     """Fixed log-scale bucket histogram with streaming percentile summaries.
 
     ``lo``/``hi`` bound the well-resolved range; values below ``lo`` land in
     the first bucket and values above ``hi`` in a final overflow bucket, so
-    no observation is ever lost.  ``buckets_per_decade`` sets the relative
-    resolution (5 per decade ≈ ±29% per bucket).
+    no observation is ever lost.
     """
 
     __slots__ = (
@@ -37,11 +39,11 @@ class LogHistogram:
         "_bucket_memo",
     )
 
-    def __init__(self, lo: float, hi: float, buckets_per_decade: int = 5):
+    def __init__(self, lo: float, hi: float):
         if lo <= 0 or hi <= lo:
             raise ValueError(f"need 0 < lo < hi, got lo={lo!r} hi={hi!r}")
         decades = math.log10(hi / lo)
-        n = max(1, math.ceil(decades * buckets_per_decade))
+        n = max(1, math.ceil(decades * BUCKETS_PER_DECADE))
         ratio = (hi / lo) ** (1.0 / n)
         self.lo = lo
         self.hi = hi

@@ -116,12 +116,11 @@ class ExpositionWriter:
     ``_bucket``/``_sum``/``_count`` triple.
     """
 
-    def __init__(self, namespace: str = "repro"):
-        self.namespace = namespace
+    def __init__(self) -> None:
         self.lines: list[str] = []
 
     def metric(self, name: str, mtype: str, help_text: str) -> str:
-        full = f"{self.namespace}_{name}"
+        full = f"repro_{name}"
         self.lines.append(f"# HELP {full} {_escape_help(help_text)}")
         self.lines.append(f"# TYPE {full} {mtype}")
         return full
@@ -152,9 +151,9 @@ class ExpositionWriter:
         return "\n".join(self.lines) + "\n"
 
 
-def render_prometheus(telemetry: "Telemetry", namespace: str = "repro") -> str:
+def render_prometheus(telemetry: "Telemetry") -> str:
     """Serialize the hub's current state in Prometheus text exposition format."""
-    writer = ExpositionWriter(namespace)
+    writer = ExpositionWriter()
     metric, sample = writer.metric, writer.sample
 
     latest = telemetry.events.latest

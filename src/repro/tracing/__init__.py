@@ -15,8 +15,8 @@ Entry points:
   ``tracing=True`` owns one and shares it with its collector.
 * :mod:`~repro.tracing.export` — Perfetto-loadable JSON + the validator the
   schema test and CI use.
-* :mod:`~repro.tracing.report` — per-phase aggregation and the
-  piggyback-cost attribution report (``repro trace report``).
+* :mod:`~repro.tracing.report` — per-phase aggregation (``repro trace
+  report``).
 * :mod:`~repro.tracing.flame` — collapsed-stack flamegraph of mark work by
   (object type, allocation site).
 * :mod:`~repro.tracing.top` — the live ``repro top`` terminal view.
@@ -43,12 +43,7 @@ from repro.tracing.export import (
     write_chrome_trace,
 )
 from repro.tracing.flame import collapsed_stacks, write_flamegraph
-from repro.tracing.report import (
-    aggregate_spans,
-    piggyback_report,
-    render_piggyback,
-    render_span_table,
-)
+from repro.tracing.report import aggregate_spans, render_span_table
 from repro.tracing.spans import MARK_ATTRIBUTION_UNTAGGED, SpanTracer
 from repro.tracing.top import render_frame, run_top
 
@@ -63,9 +58,7 @@ __all__ = [
     "chrome_trace_events",
     "collapsed_stacks",
     "merge_service_trace",
-    "piggyback_report",
     "render_frame",
-    "render_piggyback",
     "render_request_report",
     "render_span_table",
     "request_rows",

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 from repro.__main__ import main
+from repro.snapshot import load_snapshot
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PROGRAMS = ROOT / "examples" / "programs"
@@ -116,6 +117,9 @@ class TestCli:
         assert payload["trials"] == 1
         assert "fig2" in payload["figures"]
         assert "fig5" in payload["figures"]
+        out = capsys.readouterr().out
+        assert "fig5-infra: GC time — Infrastructure vs WithAssertions" in out
+        assert "Paper aggregates for comparison:" in out and "'db_overhead_pct': 49.7" in out
         fig2 = payload["figures"]["fig2"]
         assert "geomean_overhead_pct" in fig2
         assert "pseudojbb" in fig2["rows"]
@@ -140,6 +144,14 @@ class TestSnapshotCli:
         snapshots = sorted(out_dir.glob("heap-gc*.jsonl"))
         assert len(snapshots) >= 2
         return snapshots
+
+    def test_capture_writes_only_loadable_bodies(self, captured_dir):
+        """One file per capture: the JSONL body is the format."""
+        directory = captured_dir[0].parent
+        assert sorted(directory.iterdir()) == captured_dir
+        for path in captured_dir:
+            snapshot = load_snapshot(str(path))
+            assert len(snapshot) == snapshot.summary["objects"] > 0
 
     def test_capture_with_assertions_exits_one(self, tmp_path, capsys):
         code = main(
@@ -169,11 +181,8 @@ class TestSnapshotCli:
         assert "#1 SObject:" in out
 
     def test_why(self, captured_dir, capsys):
-        snapshot = json.loads(
-            (pathlib.Path(str(captured_dir[-1]) + ".idx.json")).read_text()
-        )
-        addr = next(iter(snapshot["offsets"]))
-        assert main(["snapshot", "why", str(captured_dir[-1]), addr]) == 0
+        addr = next(iter(load_snapshot(str(captured_dir[-1])).objects))
+        assert main(["snapshot", "why", str(captured_dir[-1]), str(addr)]) == 0
         out = capsys.readouterr().out
         assert "Retained size:" in out
         assert "Dominator chain" in out
@@ -225,19 +234,22 @@ class TestRunpyInvocation:
             *sorted((ROOT / "docs").glob("*.md")),
             ROOT / ".github" / "workflows" / "ci.yml",
         ]
-        quoted: dict[str, str] = {}
+        quoted: dict[tuple, str] = {}
         for source in sources:
             # One pass over the whole text: prose wraps a command across lines.
             for match in re.finditer(
-                r"python -m repro\s+([a-z][a-z-]*)", source.read_text()
+                r"python -m repro\s+([a-z][a-z-]*)(?:\s+([a-z][a-z-]*))?", source.read_text()
             ):
-                quoted.setdefault(match.group(1), source.name)
+                command, word = match.groups()
+                # `trace` and `snapshot` are groups: their next word is a command too.
+                path = (command, word) if command in ("trace", "snapshot") and word else (command,)
+                quoted.setdefault(path, source.name)
         assert len(quoted) >= 10, f"the scan found too little: {sorted(quoted)}"
-        for command, where in sorted(quoted.items()):
+        for path, where in sorted(quoted.items()):
             # argparse exits 0 for a registered command's --help and 2 for an
             # invalid choice.
-            assert run_as_module([command, "--help"]) == 0, (
-                f"{where} quotes `python -m repro {command}`, "
+            assert run_as_module([*path, "--help"]) == 0, (
+                f"{where} quotes `python -m repro {' '.join(path)}`, "
                 "which is not a registered subcommand"
             )
         capsys.readouterr()
@@ -290,6 +302,39 @@ class TestRunpyInvocation:
                 f"{where} quotes {family}, which no renderer declares"
             )
 
+    def test_every_service_option_is_set_by_some_caller(self):
+        """The caller census, kept on: a config field nothing in ``src/`` sets
+        outside its definition has one value in use, which is a constant."""
+        import ast
+        import dataclasses
+
+        from repro.service import LoadgenConfig, ServiceConfig
+
+        allowed = {
+            ("ServiceConfig", "max_frame_bytes"): "input limit; tests drive it at 400 bytes",
+            ("ServiceConfig", "outbound_queue_frames"): "backpressure policy, set per deployment",
+            ("LoadgenConfig", "mix"): "the traffic shape a load test is about",
+        }
+        configs = {"ServiceConfig": ServiceConfig, "LoadgenConfig": LoadgenConfig}
+        keywords: set[tuple] = set()
+        assigned: set[str] = set()
+        for source in (ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in configs:
+                    keywords |= {(node.func.id, kw.arg) for kw in node.keywords}
+                elif isinstance(node, ast.Assign):
+                    assigned |= {
+                        t.attr for t in node.targets
+                        if isinstance(t, ast.Attribute) and getattr(t.value, "id", "self") != "self"
+                    }
+        for name, config in configs.items():
+            for field in dataclasses.fields(config):
+                key = (name, field.name)
+                assert key in keywords or field.name in assigned or key in allowed, (
+                    f"{name}.{field.name} is set by no caller in src/: make it a constant"
+                )
+        assert not [key for key in allowed if key in keywords], "allowlisted, yet set"
+
     def test_help_epilogs_document_exit_codes(self, capsys):
         for argv in (["stats", "--help"], ["snapshot", "diff", "--help"]):
             run_as_module(argv)
@@ -297,6 +342,8 @@ class TestRunpyInvocation:
 
     def test_usage_error_exits_two(self, capsys):
         assert run_as_module(["snapshot", "capture", "--every-n-gcs"]) == 2
+        # Gone like `bench`: `loadgen --trace-out` is the one traced-load path.
+        assert run_as_module(["trace", "serve"]) == 2
         capsys.readouterr()
 
     def test_capture_via_runpy(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import threading
 import urllib.error
 import urllib.request
 from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -79,8 +80,7 @@ class TestTimeSeries:
         assert ts.latest() == (4.0, 40.0)
         assert ts.latest_value() == 40.0
         assert ts.values() == [0.0, 10.0, 20.0, 30.0, 40.0]
-        assert ts.window(2.0) == [(2.0, 20.0), (3.0, 30.0), (4.0, 40.0)]
-        assert ts.window(1.0, until=3.0) == [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]
+        assert ts.values(since=2.0) == [20.0, 30.0, 40.0]
 
     def test_bounded_with_drop_accounting(self):
         ts = TimeSeries("x", capacity=4)
@@ -90,32 +90,6 @@ class TestTimeSeries:
         assert ts.appended == 10
         assert ts.dropped == 6
         assert ts.values() == [6.0, 7.0, 8.0, 9.0]
-
-    def test_downsample_aggregators(self):
-        ts = TimeSeries("x")
-        # Two points in bucket 0, two in bucket 1, one in bucket 3.
-        for t, v in ((0.0, 1.0), (0.5, 3.0), (1.2, 10.0), (1.9, 20.0), (3.1, 7.0)):
-            ts.append(t, v)
-        assert ts.downsample(1.0, "mean") == [(0.0, 2.0), (1.0, 15.0), (3.0, 7.0)]
-        assert ts.downsample(1.0, "max") == [(0.0, 3.0), (1.0, 20.0), (3.0, 7.0)]
-        assert ts.downsample(1.0, "count") == [(0.0, 2.0), (1.0, 2.0), (3.0, 1.0)]
-        assert ts.downsample(1.0, "last") == [(0.0, 3.0), (1.0, 20.0), (3.0, 7.0)]
-
-    def test_downsample_windowed(self):
-        ts = TimeSeries("x")
-        for i in range(10):
-            ts.append(float(i), float(i))
-        rows = ts.downsample(2.0, "sum", since=4.0, until=7.0)
-        assert rows == [(4.0, 9.0), (6.0, 13.0)]
-
-    def test_downsample_empty_and_errors(self):
-        ts = TimeSeries("x")
-        assert ts.downsample(1.0) == []
-        ts.append(0.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            ts.downsample(0.0)
-        with pytest.raises(ConfigurationError):
-            ts.downsample(1.0, "median")
 
     def test_bad_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -400,7 +374,8 @@ class TestUtilizationNowIsBounded:
             if late:
                 arrivals[index], arrivals[index + 1] = arrivals[index + 1], arrivals[index]
 
-        hub = MonitorHub(interval_capacity=capacity)
+        with mock.patch("repro.monitor.timeseries.DEFAULT_INTERVAL_CAPACITY", capacity):
+            hub = MonitorHub()
         for seq, (start, end) in enumerate(arrivals, 1):
             hub.emit(pause_event(seq, start, end))
 
@@ -644,13 +619,12 @@ def http_get(url):
 
 class TestMonitorServer:
     @pytest.fixture
-    def served(self):
+    def served(self, monkeypatch):
         # Thresholds a loaded box cannot breach: these tests read the
         # endpoints' documents, not the wall clock (the 503 side has its own
         # test below).
-        vm = monitored_vm(
-            default_slos(pause_p99_s=60.0, mmu_floor=1e-9, check_latency_s=60.0)
-        )
+        monkeypatch.setattr("repro.monitor.slo.CHECK_LATENCY_S", 60.0)
+        vm = monitored_vm(default_slos(pause_p99_s=60.0, mmu_floor=1e-9))
         node = vm.define_class("N", [("next", FieldKind.REF)])
         churn(vm, node)
         server = MonitorServer(vm.monitor, port=0).start()
@@ -702,7 +676,7 @@ class TestMonitorServer:
             assert code == 503
             assert json.loads(body)["status"] == "unhealthy"
 
-    def test_chaos_flips_health_to_503_and_clean_rounds_bring_it_back(self):
+    def test_chaos_flips_health_to_503_and_clean_rounds_bring_it_back(self, monkeypatch):
         """The end-to-end drill CI's ``monitor-smoke`` runs: every endpoint
         conformant on a clean run, seeded faults (sentinel repairs, engine
         and snapshot degradations) fire a burn-rate alert and turn
@@ -718,7 +692,8 @@ class TestMonitorServer:
         # objectives get thresholds a loaded box cannot breach (as in the
         # ``served`` fixture): what flips health here is the zero-budget
         # ``no-degradation`` objective, which counts repairs, not seconds.
-        slos = default_slos(pause_p99_s=60.0, mmu_floor=1e-9, check_latency_s=60.0)
+        monkeypatch.setattr("repro.monitor.slo.CHECK_LATENCY_S", 60.0)
+        slos = default_slos(pause_p99_s=60.0, mmu_floor=1e-9)
         vm = VirtualMachine(
             heap_bytes=entry.heap_bytes, hardened=True,
             max_heap_bytes=entry.heap_bytes * 2,

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SessionKilled, WireProtocolError
@@ -47,6 +47,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service import server as server_module
+from repro.service.session import HARDENED_GROWTH_CEILING
 from repro.service.wire import MAX_FRAME_BYTES, encode_frame_trimmed
 
 
@@ -607,6 +608,77 @@ class TestServerEndToEnd:
         assert snap["active_sessions"] == 0
 
 
+# -- the admission ledger under malformed and abandoned opens ---------------------------
+
+_SWAPLEAK_COMMIT = resolve_workload("swapleak")[0] * HARDENED_GROWTH_CEILING
+_LEDGER_BUDGET = 3 * _SWAPLEAK_COMMIT
+_OPEN_STEPS = st.sampled_from([
+    "open", "bad-collector", "overrides-not-an-object", "knob-not-an-integer",
+    "over-budget", "close", "disconnect",
+])
+
+
+class TestAdmissionLedgerNeverLeaks:
+    @settings(max_examples=25, deadline=None)
+    @example(steps=["bad-collector", "open", "close"])
+    @given(steps=st.lists(_OPEN_STEPS, min_size=1, max_size=10))
+    def test_committed_bytes_are_the_live_sessions(self, steps):
+        """After every step the ledger holds exactly what the sessions still
+        open were admitted with; a malformed ``open`` is a typed error on a
+        connection that stays usable; at the end nothing is committed."""
+        config = ServiceConfig(http_port=None, heap_budget_bytes=_LEDGER_BUDGET)
+        with AssertionService(config) as svc:
+            client = ServiceClient("127.0.0.1", svc.port, timeout=10.0)
+            live: dict[str, int] = {}       # session -> committed bytes, this connection
+            malformed = {
+                "bad-collector": {"collector": "bogus"},
+                "overrides-not-an-object": {"overrides": [1]},
+                "knob-not-an-integer": {"overrides": {"swaps": "abc"}},
+            }
+
+            def settled() -> dict:
+                # Only a disconnect is evicted behind the client's back.
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    snap = svc.admission.snapshot()
+                    if snap["committed_bytes"] == sum(live.values()):
+                        break
+                    time.sleep(0.005)
+                return snap
+
+            try:
+                for step in steps + ["disconnect"]:
+                    if step == "open":
+                        reply = client.open("acme", "swapleak")
+                        if sum(live.values()) + _SWAPLEAK_COMMIT <= _LEDGER_BUDGET:
+                            assert reply["type"] == "opened", reply
+                            live[reply["session"]] = reply["committed_bytes"]
+                        else:
+                            assert reply["type"] == "rejected", reply
+                    elif step in malformed:
+                        client.send({"type": "open", "workload": "swapleak", **malformed[step]})
+                        reply = client.recv_until("opened", "rejected", "error")
+                        assert reply["type"] == "error", reply
+                    elif step == "over-budget":
+                        assert client.open("acme", "hsqldb")["type"] == "rejected"
+                    elif step == "close" and live:
+                        session = next(iter(live))
+                        assert client.close_session(session)["type"] == "closed"
+                        del live[session]
+                    elif step == "disconnect":
+                        client.close()
+                        live.clear()
+                        client = ServiceClient("127.0.0.1", svc.port, timeout=10.0)
+                    snap = settled()
+                    assert snap["committed_bytes"] == sum(live.values()), (step, snap)
+                    assert snap["active_sessions"] == len(live), (step, snap)
+                    assert 0 <= snap["committed_bytes"] <= snap["budget_bytes"]
+                assert snap["committed_bytes"] == 0
+                assert snap["released_total"] == snap["admitted_total"]
+            finally:
+                client.close()
+
+
 # -- service-level metrics and SLOs -----------------------------------------------------
 
 
@@ -775,7 +847,7 @@ class TestServing:
 
         metrics = ServiceMetrics(delivery_lag_slo_s=0.200)
         for i in range(300):
-            metrics.observe_delivery_lag(100.0, 100.001, wall_time=float(i))
+            metrics.observe_delivery_lags((100.0,), 100.001, wall_time=float(i))
         assert metrics.slo_status()["healthy"] is True
 
 

@@ -25,8 +25,6 @@ from repro.snapshot import (
     build_dominator_tree,
     diff_snapshots,
     load_snapshot,
-    read_index,
-    read_object,
     retained_sizes,
     top_retained,
     why_alive,
@@ -403,18 +401,6 @@ class TestFormat:
         with pytest.raises(SnapshotFormatError, match=rf"1 address.*no obj line.*{addresses['D']:#x}"):
             load_snapshot(truncated)
 
-    def test_index_point_lookup(self, tmp_path):
-        path, addresses = self._capture(tmp_path)
-        index = read_index(path)
-        snapshot = load_snapshot(path)
-        assert index["objects"] == len(snapshot)
-        for addr in addresses.values():
-            record = read_object(path, addr, index=index)
-            assert record.addr == addr
-            assert record.edges == snapshot.objects[addr].edges
-        with pytest.raises(SnapshotFormatError, match="no object at"):
-            read_object(path, 0xDEAD, index=index)
-
     def test_summary_matches_body(self, tmp_path):
         path, _ = self._capture(tmp_path)
         snapshot = load_snapshot(path)
@@ -466,25 +452,6 @@ class TestDiff:
         last = load_snapshot(policy.captured[-1])
         diff = diff_snapshots(first, last)
         assert all(c.type_name != "SObject" for c in diff.ranked())
-
-    def test_diff_cites_cork_ranking(self, tmp_path):
-        vm = VirtualMachine(heap_bytes=4 << 20)
-        profiler = TypeGrowthProfiler(vm)
-        policy = SnapshotPolicy(str(tmp_path / "cork"), every_n_gcs=1).attach(vm)
-        run_swapleak(
-            vm,
-            SwapLeakConfig(swaps=64, gc_every_swaps=8, assert_dead_swapped=False),
-        )
-        slopes = profiler.slopes()
-        assert slopes["SObject"] > 0
-        diff = diff_snapshots(
-            load_snapshot(policy.captured[0]),
-            load_snapshot(policy.captured[-1]),
-            cork_slopes=slopes,
-        )
-        top = diff.ranked()[0]
-        assert top.cork_rank is not None
-        assert "cork" in top.render()
 
     def test_survivors_are_identity_matched(self, tmp_path):
         """Address recycling must not inflate survivor counts: identity is

@@ -13,7 +13,6 @@ from repro.telemetry import (
     JsonlSink,
     LogHistogram,
     MemorySink,
-    Telemetry,
     render_prometheus,
     take_census,
     validate_exposition,
@@ -191,8 +190,9 @@ class TestEventRing:
         with pytest.raises(ValueError):
             EventRing(capacity=0)
 
-    def test_vm_ring_bounds_long_runs(self):
-        vm = VirtualMachine(heap_bytes=1 << 20, telemetry=Telemetry(ring_capacity=5))
+    def test_vm_ring_bounds_long_runs(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.DEFAULT_RING_CAPACITY", 5)
+        vm = VirtualMachine(heap_bytes=1 << 20)
         _churn(vm, rounds=8)
         assert len(vm.telemetry.events) == 5
         assert vm.telemetry.events.dropped == 3
@@ -200,8 +200,9 @@ class TestEventRing:
 
 
 class TestLogHistogram:
-    def test_percentiles_on_uniform_distribution(self):
-        hist = LogHistogram(1, 10_000, buckets_per_decade=10)
+    def test_percentiles_on_uniform_distribution(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.histogram.BUCKETS_PER_DECADE", 10)
+        hist = LogHistogram(1, 10_000)
         for value in range(1, 1001):
             hist.record(value)
         # Log buckets at 10/decade have ~26% relative width; interpolation

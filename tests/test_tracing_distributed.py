@@ -184,7 +184,7 @@ class TestMonoDeliveryLag:
         metrics = ServiceMetrics(delivery_lag_slo_s=0.200)
         # A wall-clock step of a million seconds must not register: only
         # the perf_counter span (1ms, within SLO) is measured.
-        metrics.observe_delivery_lag(500.0, 500.001, wall_time=1e6)
+        metrics.observe_delivery_lags((500.0,), 500.001, wall_time=1e6)
         assert metrics.slo_status()["healthy"] is True
         assert metrics.delivery_lag.count == 1
         assert metrics.delivery_lag.percentile(50) < 0.1
@@ -193,7 +193,7 @@ class TestMonoDeliveryLag:
         from repro.service.metrics import ServiceMetrics
 
         metrics = ServiceMetrics()
-        metrics.observe_delivery_lag(500.0, 499.0, wall_time=0.0)
+        metrics.observe_delivery_lags((500.0,), 499.0, wall_time=0.0)
         assert metrics.slo_status()["healthy"] is True
 
     def test_firing_alert_carries_exemplar_trace_id(self):
@@ -201,8 +201,8 @@ class TestMonoDeliveryLag:
 
         metrics = ServiceMetrics(delivery_lag_slo_s=1e-9)
         for i in range(100):
-            metrics.observe_delivery_lag(
-                0.0, 1.0, wall_time=float(i), trace_id=f"{i:032x}"
+            metrics.observe_delivery_lags(
+                (0.0,), 1.0, wall_time=float(i), trace_id=f"{i:032x}"
             )
         firing = [a for a in metrics.alerts if a.state == "firing"]
         assert firing and firing[0].exemplar is not None
@@ -504,7 +504,7 @@ class TestLoadgenTrace:
             for alert in written["alerts"]
         )
 
-    def test_merged_export_is_the_reference_writers_byte_for_byte(self):
+    def test_merged_export_is_the_reference_writers_byte_for_byte(self, tmp_path):
         """The one exporter, composed per tenant, against the merge writer
         it replaced (``tests/reference_chrome_trace.py``) — on the same
         recordings, every request closed and every tenant stream balanced."""
@@ -515,7 +515,8 @@ class TestLoadgenTrace:
         with AssertionService(ServiceConfig(http_port=None, tracing=True)) as service:
             report = run_loadgen(
                 LoadgenConfig(
-                    sessions=4, rate=400.0, seed=0, mix=(("swapleak", 1),), tracing=True,
+                    sessions=4, rate=400.0, seed=0, mix=(("swapleak", 1),),
+                    trace_out=str(tmp_path / "dtrace.json"),
                 ),
                 service=service,
             )
@@ -528,6 +529,22 @@ class TestLoadgenTrace:
         assert all(span["end"] is not None for span in service.tracer.snapshot()[0])
         assert all(row["tracer"].open_depth == 0 for row in service.traced_sessions)
         assert json.dumps(merged) == json.dumps(expected)
+
+    def test_cli_trace_out_prints_the_per_request_table(self, tmp_path, capsys):
+        """``loadgen --trace-out`` is the one traced-load command: the report,
+        then a row per request, and the merged export on disk."""
+        from repro.__main__ import main
+
+        out = tmp_path / "dtrace.json"
+        assert main(["loadgen", "--quick", "--sessions", "3", "--seed", "0",
+                     "--trace-out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "loadgen: 3/3 sessions completed" in printed
+        header = next(line for line in printed.splitlines() if line.startswith("session "))
+        assert header.split()[-1] == "trace_id" and "exec ms" in header
+        rows = [line for line in printed.splitlines() if line.startswith("s") and "tenant-" in line]
+        assert len(rows) == 3 and all(row.split()[2] == "completed" for row in rows)
+        assert validate_chrome_trace(str(out)) == []
 
     def test_untraced_loadgen_report_has_no_trace_artifacts(self):
         from repro.service import LoadgenConfig, run_loadgen
