@@ -11,7 +11,7 @@ checking work on top — **WithAssertions**.
 
 The full-collection sequence lives here once, in :meth:`Collector.collect`;
 a collector keeps only what differs — its prologue, its reclaim, its log
-tag — so the integrity brackets (the hardened sentinel and the paranoid
+tag — so the integrity checks (the hardened sentinel and the paranoid
 walk, two readers of the invariant catalogue in :mod:`repro.gc.verify`)
 have one call site.
 """
@@ -25,13 +25,7 @@ from repro.errors import AssertionViolationHalt, HeapError, HeapExhausted, Inval
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import GcStats, PhaseTimer, RecoveryStats
 from repro.gc.tracer import Tracer
-from repro.gc.verify import (
-    HeapVerificationError,
-    Quarantine,
-    SentinelReport,
-    run_sentinel,
-    verify_heap,
-)
+from repro.gc.verify import HeapVerificationError, Quarantine, run_sentinel, verify_heap
 from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
@@ -117,7 +111,7 @@ class Collector:
         self.heap = ObjectHeap()
         self.heap_bytes = heap_bytes
         self.engine = engine
-        #: Hardened mode: pre/post-GC integrity sentinel with quarantine,
+        #: Hardened mode: pre-GC integrity sentinel with quarantine,
         #: mid-mark recovery, and engine-exception containment.  Off by
         #: default (the sentinel is an O(heap) scan per collection); the
         #: service turns it on for every tenant VM.
@@ -288,13 +282,21 @@ class Collector:
     def collect(self, reason: str = "explicit") -> None:
         """A full-heap collection: the one sequence every collector runs.
 
-        Prologue, pre-GC bracket, the timed pause (the shared mark phase,
-        then the subclass's :meth:`_reclaim`), the epilogue and — the pause
-        timer closed — snapshot flush, telemetry record, post-GC bracket.
+        The prologue repays what the last collection still owes, so the
+        heap is exact — no sweep debt, no mark set — for every collector and
+        sweep mode alike.  That is the one point the hardened sentinel
+        repairs it and the paranoid walk judges it: before the trace, its
+        first reader.  Then the timed pause (the shared mark phase, then the
+        subclass's :meth:`_reclaim`), the epilogue and — the pause timer
+        closed — snapshot flush, telemetry record and the paranoid walk of
+        what the collection left.
         """
         with self._span("collect", kind="full", reason=reason):
             self._prologue()
-            self._bracket("pre-gc")
+            if self.hardened:
+                self._sentinel_check("pre-gc")
+            if self.paranoid:
+                self._paranoid_check("pre-gc")
             pending = self._telemetry_begin("full", reason)
             with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
                 self.stats.collections += 1
@@ -306,7 +308,8 @@ class Collector:
             # Serialization is mutator-side cost: the pause timer is closed.
             self._snapshot_flush()
             self._telemetry_end(pending)
-            self._bracket("post-gc")
+            if self.paranoid:
+                self._paranoid_check("post-gc")
 
     def _prologue(self) -> None:
         """Work owed before a new trace, outside the measured pause.  A lazy
@@ -323,20 +326,6 @@ class Collector:
         the sweep, whose chunks purge as they go.
         """
         raise NotImplementedError
-
-    def _bracket(self, phase: str) -> None:
-        """The integrity bracket on either side of a full collection: the
-        repairing sentinel when hardened, then the raising paranoid walk.
-
-        Under sweep debt (a lazy pause just ended; the prologue repays it
-        before the next) the sentinel sits out: the dead are in the table
-        and the mark set is what keeps unswept survivors alive.  The
-        paranoid walk is read-only and debt-aware, so it always runs.
-        """
-        if self.hardened and not self.sweep_debt():
-            self._sentinel_check(phase)
-        if self.paranoid:
-            self._paranoid_check(phase)
 
     # -- telemetry emit path ----------------------------------------------------------
 
@@ -513,8 +502,7 @@ class Collector:
             if isinstance(exc, HeapError):
                 # Corruption surfaced mid-trace: repair what the sentinel
                 # can and retrace over the fenced heap.
-                report = self._sentinel_check("mid-mark")
-                if report is None or report.clean:
+                if not self._sentinel_check("mid-mark"):
                     # The fault's cause was not repairable (or not findable);
                     # still record the degradation before the retrace.
                     self.recovery.heap_degradations += 1
@@ -622,35 +610,29 @@ class Collector:
 
     # -- hardened recovery surface ------------------------------------------------------
 
-    def _sentinel_check(self, phase: str) -> Optional[SentinelReport]:
-        """The integrity sentinel: repair + quarantine, never raise.
+    def _sentinel_check(self, phase: str) -> list[str]:
+        """The integrity sentinel: repair + quarantine, never raise; returns
+        the problems it found.
 
         Callers must only invoke this when the mark set is legitimately
-        empty (after ``sweep_all``, or when this collector has no sweep
-        debt) — under debt the set is what keeps unswept survivors alive.
+        empty (after the prologue, which leaves no sweep debt) — under debt
+        the set is what keeps unswept survivors alive.
         """
-        if not self.hardened or self.vm is None:
-            return None
+        recovery = self.recovery
+        before = recovery.total()
         # In paranoid mode the sentinel also scrubs allocator free lists, so
         # the wellformedness walk that follows starts from a repaired heap.
-        report = run_sentinel(
-            self.vm, self.quarantine, phase=phase, scrub_freelists=self.paranoid
-        )
-        if report.clean:
-            return report
-        recovery = self.recovery
-        recovery.heap_degradations += 1
-        recovery.objects_quarantined += report.objects_quarantined
-        recovery.refs_fenced += report.refs_fenced + report.roots_fenced
-        recovery.stale_bits_cleared += report.stale_bits_cleared
-        recovery.cells_fenced += report.freelist_scrubbed
-        problems, repairs = len(report.problems), report.repairs()
-        self.record_degradation(
-            "heap", f"{report.phase}: {problems} problem(s), {repairs} repair(s)",
-            log=report.render(),
-            instant="heap_degraded", phase=report.phase, problems=problems, repairs=repairs,
-        )
-        return report
+        problems = run_sentinel(self.vm, scrub_freelists=self.paranoid)
+        if problems:
+            repairs = recovery.total() - before
+            recovery.heap_degradations += 1
+            counts = f"{len(problems)} problem(s), {repairs} repair(s)"
+            self.record_degradation(
+                "heap", f"{phase}: {counts}",
+                log=f"sentinel[{phase}]: {counts}" + "".join(f"\n  {p}" for p in problems),
+                instant="heap_degraded", phase=phase, problems=len(problems), repairs=repairs,
+            )
+        return problems
 
     def _paranoid_check(self, phase: str) -> None:
         """Paranoid wellformedness walk around a collection.

@@ -81,12 +81,21 @@ class ChunkSweeper:
 
         Returns ``(freed addresses, {cell size: [addresses]})``; the caller
         decides when the cells go back to the space (eager: immediately;
-        lazy: after the purge).
+        lazy: after the purge).  A quarantined address is freed (its dead
+        occupant still leaves the table and the metadata) but never handed
+        back: its cell stays recorded, and leaked.
         """
         collector = self.collector
         swept, freed, by_class = collector.heap.sweep_cells(
             self.space.chunk_cells(chunk_id), self.cutoff
         )
+        fenced = collector.quarantine.fenced
+        if fenced:
+            by_class = {
+                cell: kept
+                for cell, addresses in by_class.items()
+                if (kept := [a for a in addresses if a not in fenced])
+            }
         stats = collector.stats
         stats.objects_swept += swept
         stats.objects_freed += len(freed)
@@ -147,7 +156,8 @@ class ChunkSweeper:
                 freed, by_class = self._sweep_chunk(chunk_id)
                 if freed:
                     collector._purge_before_reuse(freed)
-                    stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
+                    if by_class:
+                        stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
                     released += len(freed)
             if not pending:
                 collector.heap.new_marks()  # debt repaid: the set has no reader left

@@ -147,7 +147,8 @@ class RecoveryStats:
 
     Kept separate from :class:`GcStats` on purpose: GcStats counters are
     gated bit-identical across benchmark modes, while recovery counters only
-    move when something actually went wrong (or was injected).
+    move when something actually went wrong (or was injected).  Each sentinel
+    repair counts on the field its :class:`~repro.gc.verify.Finding` names.
     """
 
     __slots__ = (
@@ -157,6 +158,7 @@ class RecoveryStats:
         "refs_fenced",
         "cells_fenced",
         "stale_bits_cleared",
+        "registry_scrubbed",
         "oom_recoveries",
         "heap_growths",
         "snapshot_failures",

@@ -5,7 +5,8 @@ Every invariant the collectors must preserve is declared once, in
 breach, and what the hardened sentinel does about one (``None`` = detect
 only).  A find function mutates nothing.  Of a detect-only entry it yields
 a message per breach; of a repairing one ``(message, counter, repair)``:
-a zero-argument callable and the :class:`SentinelReport` field it counts on.
+a zero-argument callable and the
+:class:`~repro.gc.stats.RecoveryStats` field it counts on.
 
 Two tiers.  ``GRAPH`` is the object graph and everything keyed by its
 addresses: table, headers and the mark set, slots, roots, region queues,
@@ -58,10 +59,11 @@ class Quarantine:
     """Fence for addresses the sentinel has declared corrupt.
 
     A fenced address is dead to the allocator: its table entry is evicted,
-    its free-list cell (if any) is withheld from reuse, and later sweeps
-    skip it.  The backing cell is deliberately leaked — reusing memory the
-    collector no longer trusts is how a recoverable fault becomes silent
-    corruption.
+    its free-list cell (if any) is withheld from reuse, and the chunk sweep
+    (:meth:`repro.gc.lazysweep.ChunkSweeper._sweep_chunk`) never hands it
+    back when an occupant there dies.  The backing cell is deliberately
+    leaked — reusing memory the collector no longer trusts is how a
+    recoverable fault becomes silent corruption.
 
     Capacity is bounded: the quarantine trades cells for integrity, and an
     unbounded fence set under a sustained corruption storm is itself a
@@ -105,34 +107,6 @@ class Quarantine:
         return len(self.fenced)
 
 
-class SentinelReport:
-    """What one sentinel scan found and repaired."""
-
-    #: One counter per kind of repair; a finding names the one it counts on.
-    COUNTERS = (
-        "objects_quarantined", "refs_fenced", "roots_fenced",
-        "stale_bits_cleared", "registry_scrubbed", "freelist_scrubbed",
-    )
-    __slots__ = ("phase", "problems") + COUNTERS
-
-    def __init__(self, phase: str):
-        self.phase = phase
-        self.problems: list[str] = []
-        for counter in self.COUNTERS:
-            setattr(self, counter, 0)
-
-    @property
-    def clean(self) -> bool:
-        return not self.problems
-
-    def repairs(self) -> int:
-        return sum(getattr(self, counter) for counter in self.COUNTERS)
-
-    def render(self) -> str:
-        head = f"sentinel[{self.phase}]: {len(self.problems)} problem(s), {self.repairs()} repair(s)"
-        return head + "".join(f"\n  {p}" for p in self.problems)
-
-
 # -- the catalogue's vocabulary ------------------------------------------------------------
 
 GRAPH = "graph"
@@ -145,7 +119,8 @@ class Finding(NamedTuple):
 
     invariant: str
     message: str
-    #: The :class:`SentinelReport` field a repair counts on (None: uncounted).
+    #: The :class:`~repro.gc.stats.RecoveryStats` field a repair counts on
+    #: (None: uncounted).
     counter: Optional[str] = None
     repair: Optional[Callable[[], object]] = None
 
@@ -166,12 +141,12 @@ class _Scan:
 
     __slots__ = ("vm", "collector", "heap", "table", "quarantine", "registry", "objects")
 
-    def __init__(self, vm: "VirtualMachine", quarantine: Quarantine, pending=None):
+    def __init__(self, vm: "VirtualMachine", pending=None):
         self.vm = vm
         self.collector = vm.collector
         self.heap = vm.heap
         self.table = table = vm.heap.address_table()
-        self.quarantine = quarantine
+        self.quarantine = vm.collector.quarantine
         self.registry = getattr(vm.engine, "registry", None)
         #: The objects held to exactness: all but what ``pending``, the
         #: dead-but-unswept predicate of a read-only walk under debt, names.
@@ -295,7 +270,7 @@ def _find_dangling_references(scan: _Scan):
             holders.setdefault(address, []).append(description)
     for address, descriptions in holders.items():
         null = partial(scan.vm.null_roots, {address})
-        yield f"root {', '.join(descriptions)}: dangling address {address:#x}", "roots_fenced", null
+        yield f"root {', '.join(descriptions)}: dangling address {address:#x}", "refs_fenced", null
     for thread in scan.vm.threads:
         stale = {a for a in thread.region_queue if a not in table}
         if stale:
@@ -414,7 +389,7 @@ def _find_aliased_cells(scan: _Scan):
     # the next allocation; a phantom bump record charges bytes nobody owns.
     table = scan.table
     quarantine = scan.quarantine
-    counter = "freelist_scrubbed"
+    counter = "cells_fenced"
     for name, free_list, cell_bytes, cells in _free_cells(scan):
         for address in cells:
             if address in table:
@@ -440,7 +415,7 @@ def _find_fenced_free_cells(scan: _Scan):
                 yield (
                     f"paranoid {name}: fenced address {address:#x} "
                     "is available for reuse on the free list",
-                    "freelist_scrubbed",
+                    "cells_fenced",
                     partial(free_list.withhold, address, cell_bytes),
                 )
 
@@ -538,7 +513,7 @@ def heap_findings(
         collector.sweep_all()
     elif collector.sweep_debt() > 0:
         pending = collector.pending_garbage_predicate()
-    return list(_findings(_Scan(vm, collector.quarantine, pending), tiers))
+    return list(_findings(_Scan(vm, pending), tiers))
 
 
 def verify_heap(
@@ -562,29 +537,27 @@ def verify_heap(
     return problems
 
 
-def run_sentinel(
-    vm: "VirtualMachine",
-    quarantine: Quarantine,
-    *,
-    phase: str = "pre-gc",
-    scrub_freelists: bool = False,
-) -> SentinelReport:
-    """Repair scan behind the hardened collectors' pre/post-GC sentinel.
+def run_sentinel(vm: "VirtualMachine", *, scrub_freelists: bool = False) -> list[str]:
+    """Repair scan behind the hardened collectors' pre-GC sentinel; returns
+    the problems it found.
 
     Unlike :func:`verify_heap` (detect and raise), this *fixes* what it can:
     every entry that declares a repair is searched for and mended, entry by
-    entry in catalogue order; detect-only entries are not walked.  Callers
-    run it only with no sweep debt outstanding (until then the mark set
-    keeps unswept survivors alive, and the dead sit in the table).
-    ``scrub_freelists=True`` (a paranoid collector) adds the allocator
-    tier, so the paranoid walk that follows validates a repaired heap.
+    entry in catalogue order, and each repair is counted on the collector's
+    ``recovery`` field its finding names; detect-only entries are not
+    walked.  Callers run it only with no sweep debt outstanding (until then
+    the mark set keeps unswept survivors alive, and the dead sit in the
+    table).  ``scrub_freelists=True`` (a paranoid collector) adds the
+    allocator tier, so the paranoid walk that follows validates a repaired
+    heap.
     """
-    report = SentinelReport(phase)
+    recovery = vm.collector.recovery
     tiers = BOTH_TIERS if scrub_freelists else (GRAPH,)
-    for finding in _findings(_Scan(vm, quarantine), tiers, repairable_only=True):
-        report.problems.append(finding.message)
+    problems = []
+    for finding in _findings(_Scan(vm), tiers, repairable_only=True):
+        problems.append(finding.message)
         if finding.repair is not None:
             finding.repair()
             if finding.counter is not None:
-                setattr(report, finding.counter, getattr(report, finding.counter) + 1)
-    return report
+                setattr(recovery, finding.counter, getattr(recovery, finding.counter) + 1)
+    return problems

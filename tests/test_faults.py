@@ -1,7 +1,7 @@
 """Fault injection and hardened-GC recovery tests.
 
 Covers the robustness surface end to end: the seeded injector itself,
-the pre/post-GC sentinel's repairs + quarantine, assertion-engine
+the pre-GC sentinel's repairs + quarantine, assertion-engine
 degradation (raising hooks, raising reaction handlers, check budgets),
 the OOM recovery ladder (emergency GC → growth → HeapExhausted triage),
 the telemetry sink circuit breaker, snapshot crash consistency, and a
@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.faults import ExplodingSink, Fault, FaultInjector, FaultPlan, run_chaos
 from repro.faults.chaos import run_cell
-from repro.gc.verify import run_sentinel, verify_heap
+from repro.gc.verify import BOTH_TIERS, heap_findings, run_sentinel, verify_heap
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.object_model import FieldKind
@@ -186,8 +186,8 @@ class TestSentinelRepairs:
         zombie = nodes[2].obj
         nodes[1]["next"] = None
         zombie.status |= hdr.FREED_BIT
-        report = run_sentinel(vm, vm.collector.quarantine, phase="test")
-        assert report.objects_quarantined == 1
+        run_sentinel(vm)
+        assert vm.collector.recovery.objects_quarantined == 1
         assert zombie.address in vm.collector.quarantine
         assert vm.heap.maybe(zombie.address) is None
         assert verify_heap(vm) == []
@@ -197,8 +197,8 @@ class TestSentinelRepairs:
         cls = make_node_class(vm)
         build_chain(vm, cls, 2)
         vm.engine.registry.register_dead(0xFE0, "stale", 0)
-        report = run_sentinel(vm, vm.collector.quarantine, phase="test")
-        assert report.registry_scrubbed == 1
+        run_sentinel(vm)
+        assert vm.collector.recovery.registry_scrubbed == 1
         assert 0xFE0 not in vm.engine.registry.dead_sites
 
     def test_unhardened_vm_never_runs_the_sentinel(self, vm):
@@ -247,6 +247,47 @@ class TestQuarantineAliasedCells:
         assert collector.stats.alloc_fast_hits == hits_before + 1
         vm.gc("after fencing")
         assert verify_heap(vm) == []
+
+    @pytest.mark.parametrize("collector, sweep_mode", SWEEP_CELLS[:4])
+    def test_fenced_cell_is_never_handed_out_again(self, collector, sweep_mode):
+        # Once the fenced cell's legitimate occupant died, the sweep used to
+        # push the address back on the free list and the allocator reused it.
+        vm = hardened_vm(collector, sweep_mode)
+        cls = make_node_class(vm)
+        nodes = build_chain(vm, cls, 8)
+        vm.gc("settle")  # generational: the chain now lives in mature cells
+        space = vm.collector.mature if collector == "generational" else vm.collector.space
+        victim = nodes[4].address
+        space.free_list.push(victim, space.cell_size(victim))
+
+        heap, placed = vm.heap, []
+        install, relocate = heap.install, heap.relocate
+
+        def placing_install(address, *args, **kwargs):
+            obj = install(address, *args, **kwargs)
+            placed.append(address)
+            return obj
+
+        def placing_relocate(obj, address):
+            relocate(obj, address)
+            placed.append(address)
+
+        heap.install, heap.relocate = placing_install, placing_relocate
+        for round_no in range(10):
+            if victim in vm.collector.quarantine:
+                break
+            build_chain(vm, cls, 4, root_name=f"probe{round_no}")
+            if collector == "generational":
+                vm.minor_gc("promote onto the poisoned free list")
+        assert victim in vm.collector.quarantine and nodes[4]["value"] == 4
+
+        nodes[3]["next"] = None  # the occupant dies
+        vm.gc("sweep the occupant")
+        vm.gc("and repay any debt")
+        for round_no in range(40):
+            build_chain(vm, cls, 100, root_name=f"churn{round_no % 3}")
+        assert victim not in placed
+        assert heap_findings(vm, BOTH_TIERS, finish_lazy_sweep=False) == []
 
     def test_uncommit_repairs_double_charge(self):
         from repro.heap.space import FreeListSpace

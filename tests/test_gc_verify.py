@@ -114,10 +114,8 @@ class TestQuarantineBounds:
         space = vm.collector.space
         live = nodes[0].obj.address
         space.free_list.push(live, space.cell_size(live))
-        report = run_sentinel(
-            vm, vm.collector.quarantine, phase="test", scrub_freelists=True
-        )
-        assert report.freelist_scrubbed == 1
+        run_sentinel(vm, scrub_freelists=True)
+        assert vm.collector.recovery.cells_fenced == 1
         assert live in vm.collector.quarantine
         # The scrub repaired the heap the paranoid walker validates: the
         # aliased cell is off the free list (fenced-and-listed would be a

@@ -226,15 +226,16 @@ def test_declared_invariant_convicts_and_declared_repair_mends(name, collector, 
         vm, raise_on_error=False, finish_lazy_sweep=False, paranoid=True
     ) == [f.message for f in findings]
 
-    report = run_sentinel(vm, vm.collector.quarantine, phase="test", scrub_freelists=True)
+    problems = run_sentinel(vm, scrub_freelists=True)
     if entry.repair is None:
         # Detect-only entries are not walked by the repairing scan.
-        assert not [f for f in mine if f.message in report.problems]
+        assert not [f for f in mine if f.message in problems]
         return
-    assert report.problems == [f.message for f in findings if f.repair is not None]
+    assert problems == [f.message for f in findings if f.repair is not None]
     assert verify_heap(vm, raise_on_error=False, paranoid=True) == []
-    again = run_sentinel(vm, vm.collector.quarantine, phase="test", scrub_freelists=True)
-    assert again.clean and again.repairs() == 0
+    repaired = vm.collector.recovery.total()
+    assert run_sentinel(vm, scrub_freelists=True) == []
+    assert vm.collector.recovery.total() == repaired
     vm.gc("after repair")
     assert verify_heap(vm, raise_on_error=False, paranoid=True) == []
 
@@ -243,8 +244,8 @@ def test_one_finding_per_dangling_root_address_names_every_holder():
     vm = _corrupted("marksweep", _dangling_root)
     (finding,) = heap_findings(vm)
     assert "static 'ghost', static 'ghost2'" in finding.message
-    report = run_sentinel(vm, vm.collector.quarantine, phase="test")
-    assert report.roots_fenced == 1  # distinct addresses, as RecoveryStats counts them
+    run_sentinel(vm)
+    assert vm.collector.recovery.refs_fenced == 1  # distinct addresses, not holders
 
 
 # -- a sentinel repair must not manufacture violations ------------------------------------
@@ -342,24 +343,14 @@ def test_repaired_twin_reports_nothing_its_clean_twin_does_not(collector, damage
 
 # -- the bracket sequence ----------------------------------------------------------------
 
-#: (hardened, paranoid) -> the checks around one full collection, in order:
-#: first for a pause that ends exact, then for one that ends under sweep debt
-#: (the post-GC sentinel sits out: the table still holds the dead).
+#: (hardened, paranoid) -> the checks around one full collection, in order,
+#: the same whether the pause ends exact or under sweep debt: the sentinel
+#: repairs once, after the prologue has repaid the debt and before the trace.
 FULL_BRACKETS = {
-    (False, False): ([], []),
-    (True, False): (
-        [("sentinel", "pre-gc"), ("sentinel", "post-gc")],
-        [("sentinel", "pre-gc")],
-    ),
-    (False, True): (
-        [("paranoid", "pre-gc"), ("paranoid", "post-gc")],
-        [("paranoid", "pre-gc"), ("paranoid", "post-gc")],
-    ),
-    (True, True): (
-        [("sentinel", "pre-gc"), ("paranoid", "pre-gc"),
-         ("sentinel", "post-gc"), ("paranoid", "post-gc")],
-        [("sentinel", "pre-gc"), ("paranoid", "pre-gc"), ("paranoid", "post-gc")],
-    ),
+    (False, False): [],
+    (True, False): [("sentinel", "pre-gc")],
+    (False, True): [("paranoid", "pre-gc"), ("paranoid", "post-gc")],
+    (True, True): [("sentinel", "pre-gc"), ("paranoid", "pre-gc"), ("paranoid", "post-gc")],
 }
 
 CONFIGURATIONS = [
@@ -378,10 +369,8 @@ def _record_brackets(vm) -> list:
     sentinel, paranoid = collector._sentinel_check, collector._paranoid_check
 
     def sentinel_check(phase):
-        report = sentinel(phase)
-        if report is not None:
-            log.append(("sentinel", phase))
-        return report
+        log.append(("sentinel", phase))
+        return sentinel(phase)
 
     def paranoid_check(phase):
         log.append(("paranoid", phase))
@@ -408,10 +397,8 @@ def test_bracket_sequence_per_collection(collector, sweep_mode, hardened, parano
         for _ in range(20):
             vm.new(cls)
     vm.gc("recorded")
-    exact, under_debt = FULL_BRACKETS[(hardened, paranoid)]
-    lazy = sweep_mode == "lazy"
-    assert (vm.collector.sweep_debt() > 0) == lazy
-    assert log == (under_debt if lazy else exact)
+    assert (vm.collector.sweep_debt() > 0) == (sweep_mode == "lazy")
+    assert log == FULL_BRACKETS[(hardened, paranoid)]
 
     if collector == "generational":
         # A minor collection gets the post-minor paranoid walk and nothing
