@@ -11,9 +11,10 @@ on the normal tracing work:
   per-class instance counting, all on the already-hot header word.
 * ``on_repeat_encounter`` — the unshared-bit check ("objects that are
   encountered more than once, i.e. whose mark bits are already set").
-* ``post_mark``   — instance-limit checks ("at the end of GC, we iterate
-  through our list of tracked types") and FORCE reactions, which must null
-  incoming references *before* the sweep reclaims the victims.
+* ``post_mark``   — the judgment of phase 1's provisional marks,
+  instance-limit checks ("at the end of GC, we iterate through our list
+  of tracked types") and FORCE reactions, which must null incoming
+  references *before* the sweep reclaims the victims.
 * ``gc_end``      — metadata purging for reclaimed objects ("we must remove
   each unreachable ownee after a GC"), violation logging, and HALT
   reactions.
@@ -75,14 +76,12 @@ class AssertionEngine:
         #: the next collection bumps the number.
         self._degraded_gc = -1
         self.degraded_events: list[EngineDegraded] = []
-        #: Owner records whose phase-1 scan marked their own owner through a
-        #: back edge this collection; ``post_mark`` re-judges them against
-        #: true root reachability (see :func:`repro.core.ownership.run_ownership_phase`).
-        self._self_sustained: list[OwnerRecord] = []
-        #: Ownees phase 1 reached from a *different* owner's region and so
-        #: did not mark (the misuse path); ``post_mark`` traces from the ones
-        #: nothing else marked (:meth:`_trace_foreign_ownees`).
-        self._foreign_ownees: list[tuple[HeapObject, int]] = []
+        #: The two facts phase 1 records for :meth:`_judge_phase1_marks`:
+        #: ``(owner, by)`` for every owner it marks from ``by``'s scan, and
+        #: ``(ownee, holder)`` for every encounter with another owner's ownee,
+        #: which it does not mark.
+        self._marked_owners: list[tuple[int, int]] = []
+        self._foreign_ownees: list[tuple[int, int]] = []
         #: Ownees the *naive* ownership check set ``OWNED`` on for the root scan
         #: to read; cleared from this list (``release_owned``), not by a heap
         #: walk.  Two-phase mode marks what it finds instead and writes no bit.
@@ -136,7 +135,7 @@ class AssertionEngine:
         self._pending = []
         self._force_victims = []
         self._checks_this_gc = 0
-        self._self_sustained = []
+        self._marked_owners = []
         self._foreign_ownees = []
         self.classes.reset_instance_counts()
 
@@ -256,83 +255,69 @@ class AssertionEngine:
         if obj.status & hdr.UNSHARED_BIT:
             self._unshared_violation(obj, tracer, parent)
 
-    def note_self_sustained(self, record: OwnerRecord) -> None:
-        """Phase 1 marked ``record``'s own owner via a back edge; re-judge it."""
-        self._self_sustained.append(record)
+    def _judge_phase1_marks(self, collector: "Collector", tracer: "Tracer") -> None:
+        """One rule for phase 1's provisional marks: a mark phase 1 put on
+        an owner stands only if the owner whose scan put it there stands.
 
-    def _demote_self_sustained(self, collector: "Collector") -> None:
-        """Unmark owners (and their dead region marks) that only their own
-        ownership scan kept alive.
+        Phase 1 marks before liveness is known and the root scan prunes at
+        its marks, so after the root scan:
 
-        A back edge inside an owned region means phase 1 marks the owner
-        from its own registry record.  If the owner is not actually root
-        reachable, that mark must not survive: the region would re-mark
-        itself every collection and never be reclaimed.  One true-liveness
-        walk (roots plus every *other* owner's region seeds, so the
-        acknowledged one-collection float of other dying owners is
-        respected) decides, and every mark it cannot justify is taken
-        back before the sweep: ``marks - reachable``.  That difference is
-        exactly the judged dead regions — the root scan's marks, the other
-        owners' regions and a judged *live* owner's region are all inside
-        the walk — so phase 1 keeps no per-record list of what it marked.
-        Any object that stays marked is itself walk-reachable, so all of
-        its children are too: un-marking never creates a dangling
-        reference.  Cost is paid only on collections where a back edge
-        actually hit an owner.
+        1. Each foreign ownee phase 1 refused to mark, still unmarked and
+           held by a marked object, is traced as one more root, or the sweep
+           would free it under a live reference; phase 2 reports it as
+           reachable but not through its owner.  One pass is the fixpoint:
+           a holder this trace marks has its children scanned by the same
+           drain.  An ownee held only by an unmarked owner is left alone, so
+           a garbage owner cannot resurrect itself through its own region.
+        2. An owner phase 1 did not mark stands: the root scan marked it, or
+           it dies in this sweep and its region floats once (§2.5.2).  One
+           phase 1 marked stands if an owner that marked it stands.
+        3. An owner still unsettled (a back edge, or a cycle among owners),
+           or one the late trace marked, costs one walk: ``marks`` keeps the
+           root closure and the regions of dying owners that no dying region
+           reaches.  What stays marked is closed under its edges on both
+           sides, so un-marking never leaves a dangling reference; staged
+           violations about objects outside the kept set are retracted.
         """
-        pending = self._self_sustained
-        if not pending:
-            return
-        self._self_sustained = []
-        heap = collector.heap
-        judged = {record.owner_address for record in pending}
-        seeds: list[int] = [address for _desc, address in collector.vm.root_entries()]
-        for record in self.registry.owner_records():
-            if record.owner_address in judged:
-                continue
-            owner = heap.maybe(record.owner_address)
-            if owner is not None and not owner.is_freed:
-                seeds.extend(owner.reference_slots())
-        demoted = heap.marks - heap.closure(seeds)
-        if demoted:
-            heap.marks.difference_update(demoted)
-            # Phase 1 staged violations (assert-dead, assert-unshared) for
-            # objects this walk just proved garbage; retract them before
-            # dispatch — a dead object reached only from a dead region is
-            # not a violation of anything.
-            kept = [v for v in self._pending if v.address not in demoted]
-            collector.stats.violations_detected -= len(self._pending) - len(kept)
-            self._pending = kept
-
-    def _trace_foreign_ownees(self, tracer: "Tracer") -> None:
-        """Finish the root scan below the ownees phase 1 refused to mark.
-
-        Phase 1 leaves another owner's ownee unmarked but marks the
-        ordinary objects above it, and the root scan prunes at those marks.
-        If that region was the only path, nothing has marked the ownee:
-        the sweep would free it under a live reference and the next
-        collection follow a dangling edge.  So each one still unmarked is
-        handed to the tracer as one more root and drained — phase 2's
-        first-encounter hook reports it, rightly, as reachable but not
-        through its owner.  One its own owner's scan or the root scan did
-        reach is marked already and skipped; verdicts and counters move on
-        the misuse path only.
-        """
-        pending, self._foreign_ownees = self._foreign_ownees, []
-        marks = tracer.heap.marks
-        late = [
-            (f"(reached only through the region of owner {owner:#x})", obj.address)
-            for obj, owner in pending
-            if obj.address not in marks
-        ]
+        marks = collector.heap.marks
+        late = {o: h for o, h in self._foreign_ownees if h in marks and o not in marks}
+        traced_owner = False
         if late:
-            tracer.scan_roots(late)
+            unmarked = [a for a in self.registry.owners if a not in marks]
+            held = "(held by {:#x} in an owner's region)"
+            tracer.scan_roots((held.format(h), o) for o, h in late.items())
             tracer.drain()
+            traced_owner = any(a in marks for a in unmarked)
+        marked_owners = self._marked_owners
+        unsettled = {owner for owner, _by in marked_owners}
+        while settled := {o for o, by in marked_owners if o in unsettled and by not in unsettled}:
+            unsettled -= settled
+        if unsettled or traced_owner:
+            self._walk(collector)
+
+    def _walk(self, collector: "Collector") -> None:
+        """Step 3 of :meth:`_judge_phase1_marks`: a dying owner's region
+        floats unless some dying region (its own included) reaches it."""
+        heap = collector.heap
+
+        def regions(owners):
+            for address in owners:
+                owner = heap.maybe(address)
+                if owner is not None and not owner.is_freed:
+                    yield from owner.reference_slots()
+
+        live = heap.closure(address for _desc, address in collector.vm.root_entries())
+        dying = [a for a in self.registry.owners if a not in live]
+        reached = heap.closure(regions(dying))
+        keep = live | heap.closure(regions(a for a in dying if a not in reached))
+        heap.marks.intersection_update(keep)
+        kept = [v for v in self._pending if v.address in keep]
+        collector.stats.violations_detected -= len(self._pending) - len(kept)
+        self._pending = kept
 
     def post_mark(self, collector: "Collector", tracer: "Tracer") -> None:
-        self._trace_foreign_ownees(tracer)
+        self._judge_phase1_marks(collector, tracer)
         self.release_owned()  # the root scan has read them
-        self._demote_self_sustained(collector)
         self._check_instance_limits(collector)
         self._resolve_reactions()
         if self._force_victims:
@@ -453,8 +438,7 @@ class AssertionEngine:
 
     def report_ownership_misuse(self, obj: HeapObject, record: OwnerRecord) -> None:
         """Phase 1 reached ``obj``, another owner's ownee, from ``record``'s
-        region and did not mark it: warn, and remember it for ``post_mark``."""
-        self._foreign_ownees.append((obj, record.owner_address))
+        region and did not mark it: warn (once per ownee and collection)."""
         owner_address = self.registry.owner_of(obj.address)
         owner_desc = (
             f"{owner_address:#x}" if owner_address is not None else "<unregistered>"

@@ -22,14 +22,17 @@ registered owner:
   root scan prunes at marks, so it would never read one set here.
 * If an ownee of a *different* owner is reached: issue an improper-use
   warning (the owner regions are required to be disjoint) and do not mark.
-  The engine remembers it: the objects above it are marked, so the root
-  scan will prune before it gets there, and if its own owner's scan does
-  not reach it either, ``post_mark`` traces from it as one more root
-  (``AssertionEngine._trace_foreign_ownees``) — phase 2 reporting it as
-  reachable but not through its owner — or the sweep would free it under
-  a live reference.
 * If a different owner object is reached: mark it and stop — "we will scan
   this owner independently."
+
+Phase 1 marks before liveness is known, and the root scan prunes at its
+marks, so it records two facts for ``post_mark`` and nothing else:
+``(owner, by)`` for every owner it marks (an own ownee that is an owner, a
+back edge to the scanning owner, another owner), and ``(ownee, holder)`` for
+every encounter with another owner's ownee.  One rule judges them
+(``AssertionEngine._judge_phase1_marks``): a mark phase 1 put on an owner
+stands only if the owner whose scan put it there stands, and a foreign
+ownee is traced as one more root when its holder is marked and it is not.
 
 **Phase 2** is the normal root scan: the engine's ``on_first_encounter``
 hook reports any ownee it is the first to reach — phase 1 did not mark it,
@@ -73,9 +76,8 @@ phase 2 — with its locals bound once, not once per owner record:
   three of them are not counted per visit but derived at the flush —
   objects traced is the growth of the mark set, header checks are the
   non-null edges (less an edge that raised), engine checks are the header
-  checks no hook took over — and phase 1 keeps no list of what it marked:
-  a self-sustained owner is re-judged by set difference
-  (``marks - reachable``, see ``AssertionEngine._demote_self_sustained``).
+  checks no hook took over — and phase 1 keeps no list of what it marked,
+  only the owners among it.
 
 This is not another copy of the tracer's drain: phase 1 tags no paths,
 truncates at ownees, runs a second queue and consults a per-record ownee
@@ -119,6 +121,8 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     hook_every_visit = engine.check_budget is not None or engine.degraded
     read_repeats = hook_every_visit or engine.armed_checks()[1]
     count_instances = bool(engine.classes.tracked_types)
+    note_owner = engine._marked_owners.append
+    note_foreign = engine._foreign_ownees.append
     misuse_reported: set[int] = set()
     stack: list = []
     ownee_queue: list = []
@@ -139,7 +143,6 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                 continue
             ownees = record.ownees
             probes_to_find = dict(zip(ownees, probe_depths(len(ownees)))).get
-            self_reached = False
             # Start at the owner's children; deliberately do NOT mark the
             # owner.  Drain the stack, then scan below one deferred ownee,
             # and repeat until both are empty.
@@ -175,9 +178,10 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                             # Ownee of a different owner: improper use of
                             # the assertion.  Warn once and do not mark; the
                             # engine traces from it after the root scan if
-                            # nothing else has marked it by then.
+                            # its holder is marked and it is not.
                             probes += record.contains(child)[1]
                             hooked += 1
+                            note_foreign((child, obj.address))
                             if child not in misuse_reported:
                                 misuse_reported.add(child)
                                 engine.report_ownership_misuse(cobj, record)
@@ -191,38 +195,29 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
                             ccls.instance_count += 1
-                    if status & ownee_bit:
+                    if status & owner_bit:
+                        # An owner: the root scan prunes at this mark, so it
+                        # is provisional — it stands only if this record's
+                        # owner does (``post_mark`` judges).  An own ownee is
+                        # queued, a back edge to this owner is scanned on,
+                        # and another owner gets its own scan.
+                        note_owner((child, owner_address))
+                        if status & ownee_bit:
+                            ownee_queue.append(cobj)
+                        elif child == owner_address:
+                            stack.append(cobj)
+                    elif status & ownee_bit:
                         # Own ownee: truncate here, scan its subtree after
                         # the owner's scan completes (back edges, §2.5.2).
                         ownee_queue.append(cobj)
-                    elif child == owner_address:
-                        # Back edge to the current owner.  It must be marked
-                        # for soundness (the root scan prunes at phase-1
-                        # marks, so this scan may be the only path that
-                        # reaches it), but the mark is provisional.
-                        self_reached = True
+                    else:
                         stack.append(cobj)
-                    elif not status & owner_bit:
-                        stack.append(cobj)
-                    # else: another owner — marked, and it gets its own scan.
                 if stack:
                     obj = stack.pop()
                 elif ownee_queue:
                     obj = ownee_queue.pop()
                 else:
                     break
-            if self_reached:
-                # The owner is reachable from its own ownee region, so this
-                # scan just marked the owner from its own record.  If the
-                # root scan cannot justify the owner, leaving that mark
-                # would make the region self-sustaining — re-marked from its
-                # own registry entry every collection, never reclaimed.  The
-                # engine re-judges these owners against true root
-                # reachability in ``post_mark`` and demotes the marks of the
-                # dead ones.  (Found by the small-scope model checker:
-                # root-less {owner -> ownee -> owner} shapes leaked
-                # permanently.)
-                engine.note_self_sustained(record)
     finally:
         stats = collector.stats
         stats.objects_traced += len(marks) - marked_before

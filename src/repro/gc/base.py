@@ -485,7 +485,7 @@ class Collector:
 
         When this returns ``post_mark`` has run and nothing has been
         reclaimed or relocated, so ``heap.marks`` is exactly the survivor
-        set: phase-1 marks in, self-sustained owners and FORCE victims
+        set: phase-1 marks in, the ones judged garbage and FORCE victims
         out.  That is the one window in which snapshot capture reads it.
 
         Returns the tracer that actually completed the mark (callers that

@@ -58,14 +58,10 @@ class TimeSeries:
 
     __slots__ = ("name", "capacity", "_points", "appended", "dropped")
 
-    def __init__(self, name: str, capacity: int = DEFAULT_SERIES_CAPACITY):
-        if capacity < 1:
-            raise ConfigurationError(
-                f"series capacity must be >= 1, got {capacity}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.capacity = capacity
-        self._points: deque[tuple[float, float]] = deque(maxlen=capacity)
+        self.capacity = DEFAULT_SERIES_CAPACITY
+        self._points: deque[tuple[float, float]] = deque(maxlen=self.capacity)
         self.appended = 0
         self.dropped = 0
 

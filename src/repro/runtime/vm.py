@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 #: (which size heaps at 2x the workload minimum, like the paper).
 DEFAULT_HEAP_BYTES = 16 * 1024 * 1024
 
-_COLLECTORS = {
+COLLECTORS = {
     "marksweep": MarkSweepCollector,
     "semispace": SemiSpaceCollector,
     "generational": GenerationalCollector,
@@ -94,10 +94,10 @@ class VirtualMachine:
                 collector.track_paths = True if track_paths is None else track_paths
         else:
             try:
-                factory = _COLLECTORS[collector]
+                factory = COLLECTORS[collector]
             except KeyError:
                 raise RuntimeFault(
-                    f"unknown collector {collector!r}; pick from {sorted(_COLLECTORS)}"
+                    f"unknown collector {collector!r}; pick from {sorted(COLLECTORS)}"
                 ) from None
             kwargs = {}
             if hardened:

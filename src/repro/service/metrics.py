@@ -37,6 +37,9 @@ from repro.telemetry.events import GcEvent
 from repro.telemetry.histogram import LogHistogram
 from repro.telemetry.sinks import ExpositionWriter
 
+#: An admission decided within this long of the open frame is on time.
+ADMISSION_LATENCY_SLO_S = 0.050
+
 
 class TenantStats:
     """Deterministic per-tenant counters (everything the label fans over)."""
@@ -52,13 +55,13 @@ class TenantStats:
             setattr(self, field, 0)
 
 
-def _service_slos(admission_latency_slo_s: float, delivery_lag_slo_s: float) -> SloSet:
+def _service_slos(delivery_lag_slo_s: float) -> SloSet:
     """The two serving objectives, budgeted at 1-in-100 (p99-shaped)."""
     admission = SloObjective(
         name="admission-latency",
         description=(
             f"Session admission decided within "
-            f"{admission_latency_slo_s * 1e3:.0f}ms of the open frame."
+            f"{ADMISSION_LATENCY_SLO_S * 1e3:.0f}ms of the open frame."
         ),
         budget=0.01,
         severity="page",
@@ -81,12 +84,7 @@ def _service_slos(admission_latency_slo_s: float, delivery_lag_slo_s: float) -> 
 class ServiceMetrics:
     """One lock, every cross-tenant aggregate."""
 
-    def __init__(
-        self,
-        admission_latency_slo_s: float = 0.050,
-        delivery_lag_slo_s: float = 0.200,
-    ):
-        self.admission_latency_slo_s = admission_latency_slo_s
+    def __init__(self, delivery_lag_slo_s: float = 0.200):
         self.delivery_lag_slo_s = delivery_lag_slo_s
         #: Shared monitor hub (``hub.vm`` stays None: it aggregates every
         #: tenant's events rather than attaching to one VM).
@@ -94,7 +92,7 @@ class ServiceMetrics:
         self.tenants: dict[str, TenantStats] = {}
         self.admission_latency = LogHistogram(1e-6, 10.0)
         self.delivery_lag = LogHistogram(1e-6, 10.0)
-        self.slos = _service_slos(admission_latency_slo_s, delivery_lag_slo_s)
+        self.slos = _service_slos(delivery_lag_slo_s)
         self.slo_admission, self.slo_delivery = self.slos.rules
         self.alerts: list = []
         self._slo_seq = 0
@@ -161,7 +159,7 @@ class ServiceMetrics:
     ) -> None:
         """Score one open→decision interval from perf_counter stamps."""
         self._score(
-            self.admission_latency, self.slo_admission, self.admission_latency_slo_s,
+            self.admission_latency, self.slo_admission, ADMISSION_LATENCY_SLO_S,
             (received_mono,), decided_mono, wall_time, trace_id,
         )
 

@@ -34,6 +34,7 @@ from typing import Optional
 from repro.errors import ReproError, WireProtocolError
 from repro.httpd import JSON_CONTENT_TYPE, PROMETHEUS_CONTENT_TYPE, EndpointServer
 from repro.monitor.server import render_monitor_metrics
+from repro.runtime.vm import COLLECTORS
 from repro.service.admission import AdmissionController
 from repro.service.metrics import ServiceMetrics
 from repro.service.session import HARDENED_GROWTH_CEILING, TenantSession, resolve_workload
@@ -381,6 +382,7 @@ class AssertionService:
         received = time.perf_counter()
         tenant = str(frame.get("tenant", "anonymous"))
         workload = str(frame.get("workload", "swapleak"))
+        collector = str(frame.get("collector", "marksweep"))
         tracer = self.tracer
         ctx: Optional[TraceContext] = None
         if tracer is not None:
@@ -394,6 +396,11 @@ class AssertionService:
                 asserted=bool(frame.get("asserted", True)),
                 overrides=frame.get("overrides") or {},
             )
+            # A malformed open is an error whatever the budget says.
+            if collector not in COLLECTORS:
+                raise WireProtocolError(
+                    f"unknown collector {collector!r}; pick from {sorted(COLLECTORS)}"
+                )
         except WireProtocolError as exc:
             conn.protocol_errors += 1
             await self._reply(conn, {"type": "error", "error": str(exc)})
@@ -451,7 +458,7 @@ class AssertionService:
                 session_id=session_id,
                 tenant=tenant,
                 heap_bytes=heap_bytes,
-                collector=str(frame.get("collector", "marksweep")),
+                collector=collector,
                 hardened=self.config.hardened,
                 paranoid=self.config.paranoid,
                 queue_frames=self.config.outbound_queue_frames,
@@ -466,7 +473,7 @@ class AssertionService:
             self.admission.release(committed)
             if not isinstance(exc, ReproError):
                 raise
-            # The VM refused its options (an unknown collector): a client mistake.
+            # The VM refused its options: a client mistake.
             if request_span_id is not None:
                 tracer.end(request_span_id, time.perf_counter(), args={"outcome": "error"})
             conn.protocol_errors += 1

@@ -3,8 +3,8 @@
 Piggybacked capture adds no traversal and no tracer loop.  Every collector
 marks into one set, ``heap.marks``, and once ``post_mark`` has returned
 that set *is* the heap the mutator will resume with: the ownership phase's
-marks are in it, self-sustained owner regions and ``FORCE`` victims have
-been taken out, and the sweep (or the evacuation) is about to read it.
+marks are in it, the ones ``post_mark`` judged garbage and ``FORCE``
+victims have been taken out, and the sweep (or the evacuation) is about to read it.
 That is the capture window.  When a :class:`SnapshotPolicy` wants this
 collection, ``Collector._run_mark_phase`` fills a :class:`SnapshotSink`
 there, once, from the mark that *completed* (a hardened retry included):

@@ -183,7 +183,9 @@ def detect_cell(result, probe: list, pending_refusals: int) -> dict:
             f"(oom_recoveries={oom}, heap_growths={grew}), no OOM escaped"
         )
 
-    engine_degr = recovery.get("engine_degradations", 0) + degradations.get("engine", 0)
+    # An engine degradation or a failed capture bumps its ``RecoveryStats``
+    # counter and is streamed as a degraded event too: count it once.
+    engine_degr = recovery.get("engine_degradations", 0)
     if engine_degr:
         found["raise-reaction"] = (
             f"engine-containment: {engine_degr} engine degradation(s), raise contained"
@@ -194,9 +196,7 @@ def detect_cell(result, probe: list, pending_refusals: int) -> dict:
             f"sink-circuit-breaker: {result.sink_errors} sink error(s) absorbed"
         )
 
-    snap_failures = recovery.get("snapshot_failures", 0) + degradations.get(
-        "snapshot", 0
-    )
+    snap_failures = recovery.get("snapshot_failures", 0)
     if snap_failures:
         found["raise-snapshot"] = (
             f"snapshot-containment: {snap_failures} capture failure(s) dropped"

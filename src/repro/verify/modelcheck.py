@@ -236,8 +236,8 @@ def enumerate_shapes(
     return shapes
 
 
-#: Ownership labellings stay on shapes of at most this many objects (two
-#: owners and two ownees need all four): there are O(N^4) of them per shape.
+#: Ownership labellings stay on shapes of at most this many objects: there
+#: are O(N^4) of them per shape.
 OWNERSHIP_MAX_OBJECTS = 4
 
 
@@ -247,13 +247,13 @@ def enumerate_ownership_shapes(
     """All canonical ``(shape, owners)``: a shape in scope carrying two
     ``assert-ownedby`` pairs ``(owner, ownee)``.
 
-    Two owners and two ownees, four different objects, each ownee below
-    some owner (the ownership phase never meets one that is not).  That
-    covers an ownee below its own owner, below the other one only
-    (*foreign*) or below both (*shared*); an owner inside the other's
-    region (*nested*); an owner only its own region keeps reachable; and
-    owners that are garbage.  An object on both sides of an assertion is
-    left out: ownership cycles are immortal garbage (ROADMAP item 1).
+    Two different ownees (the registry's rule: a second owner for one
+    object is an ``AssertionUsageError``), each below some owner (the
+    ownership phase never meets one that is not).  That covers an ownee
+    below its own owner, below the other one only (*foreign*) or below both
+    (*shared*); an owner inside the other's region (*nested*); one owner of
+    both; an owner only its own region keeps reachable; owners that own or
+    point at each other (*cycles*); and owners that are garbage.
     """
     out = []
     for shape in enumerate_shapes(
@@ -268,7 +268,7 @@ def enumerate_ownership_shapes(
         for owners in combinations([(o, e) for o in nodes for e in nodes if o != e], 2):
             (owner_a, ownee_a), (owner_b, ownee_b) = owners
             region = below[owner_a] | below[owner_b]
-            if len({owner_a, ownee_a, owner_b, ownee_b}) < 4 or not {ownee_a, ownee_b} <= region:
+            if ownee_a == ownee_b or not {ownee_a, ownee_b} <= region:
                 continue
             key = canonical_form(shape.n, shape.slots, shape.roots, owners)
             if key not in seen:

@@ -40,21 +40,7 @@ def reference_ownership_phase(engine: "AssertionEngine", collector: "Collector")
             # Owner already reclaimed by an earlier (minor) collection; the
             # epilogue's owner-death processing handles its ownees.
             continue
-        self_reached = _scan_from_owner(
-            engine, collector, record, owner, misuse_reported
-        )
-        if self_reached:
-            # The owner is reachable from its own ownee region (a back
-            # edge reached it), so this scan just marked the owner from
-            # its own record.  If the root scan cannot justify the owner,
-            # leaving that mark would make the region self-sustaining —
-            # re-marked from its own registry entry every collection,
-            # never reclaimed.  The engine re-judges these owners against
-            # true root reachability in ``post_mark`` and demotes the
-            # marks of the dead ones.  (Found by the small-scope model
-            # checker: root-less {owner -> ownee -> owner} shapes leaked
-            # permanently.)
-            engine.note_self_sustained(record)
+        _scan_from_owner(engine, collector, record, owner, misuse_reported)
 
 
 def _scan_from_owner(
@@ -63,18 +49,18 @@ def _scan_from_owner(
     record: OwnerRecord,
     owner,
     misuse_reported: set[int],
-) -> bool:
-    """Scan one owner region; returns whether a back edge reached the owner."""
+) -> None:
+    """Scan one owner region, recording for the engine's ``post_mark`` every
+    owner it marks (``(owner, by)``) and every encounter with another
+    owner's ownee (``(ownee, holder)``)."""
     heap = collector.heap
     marks = heap.marks
     stats = collector.stats
     stack: list[int] = []
     ownee_queue: list[int] = []
     owner_address = record.owner_address
-    self_reached = False
 
-    def reach(address: int) -> None:
-        nonlocal self_reached
+    def reach(address: int, holder: int) -> None:
         if address == NULL:
             return
         obj = heap.get(address)
@@ -97,50 +83,49 @@ def _scan_from_owner(
                 engine._owned.append(obj)
                 stats.objects_traced += 1
                 engine.phase1_visit(obj, record)
+                if status & hdr.OWNER_BIT:
+                    # An own ownee that is itself an owner: a provisional
+                    # mark, judged in ``post_mark``.
+                    engine._marked_owners.append((address, owner_address))
                 ownee_queue.append(address)
             else:
                 # Ownee of a different owner: improper use of the assertion.
-                # Not marked here; the report hands it to the engine, whose
-                # ``post_mark`` traces from it if nothing else has marked it
-                # (it may hang below this region only, and the root scan
-                # prunes at the marks above it).
+                # Not marked here; every encounter is recorded with the
+                # object that holds it, and ``post_mark`` traces from it if
+                # its holder is marked and it is not (it may hang below this
+                # region only, and the root scan prunes at the marks above it).
+                engine._foreign_ownees.append((address, holder))
                 if address not in misuse_reported:
                     misuse_reported.add(address)
                     engine.report_ownership_misuse(obj, record)
             return
-        if (status & hdr.OWNER_BIT) and address != owner_address:
-            # Another owner: mark it and stop — it gets its own scan.
-            marks.add(address)
-            stats.objects_traced += 1
-            engine.phase1_visit(obj, record)
-            return
-        if address == owner_address:
-            # Back edge to the current owner.  It must be marked here for
-            # soundness (the root scan prunes at phase-1 marks, so this
-            # scan may be the only path that reaches it), but the mark is
-            # provisional — see reference_ownership_phase.
-            self_reached = True
         marks.add(address)
         stats.objects_traced += 1
         engine.phase1_visit(obj, record)
+        if status & hdr.OWNER_BIT:
+            # Another owner, or a back edge to the current one: a
+            # provisional mark (the root scan prunes at it), judged in
+            # ``post_mark``.
+            engine._marked_owners.append((address, owner_address))
+            if address != owner_address:
+                return  # another owner gets its own scan
         stack.append(address)
 
     # Seed with the owner's children; deliberately do NOT mark the owner.
     for child in owner.reference_slots():
         stats.edges_traced += 1
-        reach(child)
+        reach(child, owner_address)
 
     while True:
         while stack:
             obj = heap.get(stack.pop())
             for child in obj.reference_slots():
                 stats.edges_traced += 1
-                reach(child)
+                reach(child, obj.address)
         if not ownee_queue:
             break
         # Process deferred ownees: scan the subtree below each one.
         obj = heap.get(ownee_queue.pop())
         for child in obj.reference_slots():
             stats.edges_traced += 1
-            reach(child)
-    return self_reached
+            reach(child, obj.address)

@@ -101,6 +101,21 @@ def test_containment_counters_map_to_their_invariants():
     assert "2 capture failure(s)" in found["raise-snapshot"]
 
 
+def test_a_degradation_streamed_as_an_event_is_counted_once():
+    # ``note_degraded`` and a failed capture bump ``RecoveryStats`` and also
+    # record a degraded event: the evidence reads the counter alone.
+    found = detect_cell(
+        _cell(
+            recovery={"engine_degradations": 1, "snapshot_failures": 1},
+            degradations={"engine": 1, "snapshot": 1},
+        ),
+        [],
+        0,
+    )
+    assert "1 engine degradation(s)" in found["raise-reaction"]
+    assert "1 capture failure(s)" in found["raise-snapshot"]
+
+
 def test_clean_cell_produces_no_evidence():
     assert detect_cell(_cell(), [], 0) == {}
 

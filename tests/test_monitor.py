@@ -72,8 +72,9 @@ def monitored_vm(slos=None, heap=1 << 20) -> VirtualMachine:
 
 
 class TestTimeSeries:
-    def test_append_and_query(self):
-        ts = TimeSeries("pause_s", capacity=8)
+    def test_append_and_query(self, monkeypatch):
+        monkeypatch.setattr("repro.monitor.timeseries.DEFAULT_SERIES_CAPACITY", 8)
+        ts = TimeSeries("pause_s")
         for i in range(5):
             ts.append(float(i), i * 10.0)
         assert len(ts) == 5
@@ -82,18 +83,15 @@ class TestTimeSeries:
         assert ts.values() == [0.0, 10.0, 20.0, 30.0, 40.0]
         assert ts.values(since=2.0) == [20.0, 30.0, 40.0]
 
-    def test_bounded_with_drop_accounting(self):
-        ts = TimeSeries("x", capacity=4)
+    def test_bounded_with_drop_accounting(self, monkeypatch):
+        monkeypatch.setattr("repro.monitor.timeseries.DEFAULT_SERIES_CAPACITY", 4)
+        ts = TimeSeries("x")
         for i in range(10):
             ts.append(float(i), float(i))
         assert len(ts) == 4
         assert ts.appended == 10
         assert ts.dropped == 6
         assert ts.values() == [6.0, 7.0, 8.0, 9.0]
-
-    def test_bad_capacity(self):
-        with pytest.raises(ConfigurationError):
-            TimeSeries("x", capacity=0)
 
 
 # -- interval normalization -------------------------------------------------------------

@@ -158,7 +158,8 @@ def phase_state(vm, reference: bool) -> dict:
         "counters": counters(vm),
         "checks": engine._checks_this_gc,
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
-        "self_sustained": [record.owner_address for record in engine._self_sustained],
+        "marked_owners": engine._marked_owners,
+        "foreign_ownees": engine._foreign_ownees,
         "staged": [violation_key(v) for v in engine._pending],
         "instances": {c.name: c.instance_count for c in vm.classes.tracked_types},
     }
@@ -378,7 +379,7 @@ def test_ownership_fused_array_asserted_out_of_order_is_sorted_when_phase_1_read
 #
 # Phase 1 does not mark another owner's ownee but marks the ordinary objects
 # above it, and the root scan prunes at those marks.  Until the engine learned
-# to finish the root scan below such an ownee (``_trace_foreign_ownees``), one
+# to trace such an ownee as one more root once its holder is marked, one
 # reachable only through a foreign region was swept under a live reference and
 # the next collection followed the dangling edge.
 
@@ -419,8 +420,8 @@ def _nested_owner(vm, node):
 
 def _owner_only_from_its_own_region(vm, node):
     """``first`` is kept alive by nothing but its own region's back edge: the
-    demotion takes its marks back — the late-traced ``foreign`` with them, and
-    its staged verdict — so the whole island goes in one sweep."""
+    judgment's walk takes its marks back — the late-traced ``foreign`` with
+    them, and its staged verdict — so the whole island goes in one sweep."""
     first, middle, foreign, second, other = (vm.new(node) for _ in range(5))
     first["a"] = middle
     middle["a"] = foreign
