@@ -45,43 +45,35 @@ twice") — and, exactly as the paper concedes, objects reachable only from a
 *dead* owner survive this collection as floating garbage.
 
 **How phase 1 is written.**  :func:`run_ownership_phase` is one fused
-loop for the whole phase — the treatment the tracer's engine drain gives
-phase 2 — with its locals bound once, not once per owner record:
+loop for the whole phase — the treatment the tracer's drains give phase 2 —
+with its locals bound once, not once per owner record:
 
 * marks go into ``heap.marks``, the collection's one mark set, so the
   root scan prunes at them; a repeat edge is one set probe and reads the
   child's header only while an ``assert-unshared`` is registered;
-* first encounters are resolved through the heap's address table; only a
-  miss or a freed object goes back through ``heap.get`` so the caller still
-  sees the typed ``InvalidAddressError`` / ``UseAfterFreeError``; the stack
-  and the ownee queue hold that object, so a pop is no second lookup;
-* reference slots are read in place, through a ``map`` over the class's
-  ``ref_slots`` (no per-object list), and an array is told from its class's
-  precomputed ``ref_array`` (phase 1 counts null edges in
-  ``edges_traced``, which the root-scan drains do not);
-* the per-visit header duties are inlined the way ``INLINE_HEADER_CHECKS``
-  inlines them into the drains: the check count and the instance count are
-  kept in the loop (the instance count only while some class is tracked,
-  asked once per phase), ``engine.phase1_visit`` is called only for
-  ``DEAD_BIT`` and ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT``
-  — or on every visit while a ``check_budget`` is set or checks are off
-  for this GC, so the budget trips on exactly the visit it always did;
-* the ownee lookup is accounted as the paper's binary search over the
-  sorted ownee array (the read of ``record.ownees`` sorts it): a hit's
-  probe count is a pure function of (index, length), so the array is
-  zipped once per record with :func:`repro.core.registry.probe_depths`
-  into a dict whose ``get`` answers membership and ``ownee_search_probes``
-  at once.  A miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
-* work counters accumulate in locals and are flushed in a ``finally``;
-  three of them are not counted per visit but derived at the flush —
-  objects traced is the growth of the mark set, header checks are the
-  non-null edges (less an edge that raised), engine checks are the header
-  checks no hook took over — and phase 1 keeps no list of what it marked,
-  only the owners among it.
+* a first encounter's ``table.get`` resolves the child once for the stack
+  or the ownee queue (a miss or a freed object goes back through
+  ``heap.get`` for the typed error); children are the class's
+  ``ref_getter`` over the slots, or a ref array's slots; a null is falsy;
+* a child whose header has none of ``OWNEE``, ``OWNER``, ``DEAD`` and
+  ``FREED`` is marked and stacked at once; ``engine.phase1_visit`` runs only
+  for ``DEAD_BIT`` and ``engine.on_repeat_encounter`` only for
+  ``UNSHARED_BIT`` — or on every visit while a ``check_budget`` is set or
+  checks are off for this GC, so the budget trips on the visit it always did;
+* own-ownee membership is ``registry.ownee_owner``, and the lookups are
+  accounted as the paper's binary search over the sorted ownee array: a
+  hit's probes are :func:`repro.core.registry.probe_depths` of (index,
+  length), summed per record at the end (memoised when every ownee was
+  hit); a miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
+* counters are derived at a ``finally`` that stays exact when a visit
+  raises: a scanned object adds its slot count to ``edges_traced`` (nulls
+  included, unlike the drains) and the slots after a raising one come back
+  off; objects traced is the growth of the mark set; a header check is a
+  first encounter, a repeat or a foreign ownee.
 
 This is not another copy of the tracer's drain: phase 1 tags no paths,
-truncates at ownees, runs a second queue and consults a per-record ownee
-table.  It has one loop body.  The closure-per-edge implementation it
+truncates at ownees, runs a second queue and judges ownees per record.  It
+has one loop body.  The closure-per-edge implementation it
 replaced lives on as the oracle in ``tests/reference_ownership.py``.
 
 The module also provides the **naive** per-pair reachability check that the
@@ -91,9 +83,11 @@ much the two-phase design saves.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import length_hint
 from typing import TYPE_CHECKING
 
-from repro.core.registry import probe_depths
+from repro.core.registry import probe_depths, probe_total
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 
@@ -105,10 +99,11 @@ if TYPE_CHECKING:
 def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> None:
     """Phase 1: trace from every live owner, truncating at ownees."""
     heap = collector.heap
-    table = heap.address_table()
+    get = heap.address_table().get
     heap_get = heap.get
     phase1_visit = engine.phase1_visit
     on_repeat = engine.on_repeat_encounter
+    owner_of = engine.registry.ownee_owner.get
     marks = heap.marks
     mark = marks.add
     freed_bit = hdr.FREED_BIT
@@ -116,77 +111,89 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     owner_bit = hdr.OWNER_BIT
     dead_bit = hdr.DEAD_BIT
     unshared_bit = hdr.UNSHARED_BIT
+    slow_bits = freed_bit | ownee_bit | owner_bit | dead_bit
     # With a per-pause budget (or checks already off for this GC) every
     # visit goes through the hooks, so the budget trips on the same visit.
     hook_every_visit = engine.check_budget is not None or engine.degraded
     read_repeats = hook_every_visit or engine.armed_checks()[1]
     count_instances = bool(engine.classes.tracked_types)
     note_owner = engine._marked_owners.append
-    note_foreign = engine._foreign_ownees.append
+    foreign = engine._foreign_ownees
     misuse_reported: set[int] = set()
     stack: list = []
     ownee_queue: list = []
-    # Three counters are derived, not kept: every first encounter is one
-    # new entry of ``marks``; every non-null edge is one header check unless
-    # it is the edge that raised; and every header check is one engine check
-    # unless the visit went to a hook (which counts its own) or was the
-    # misuse path (which makes none).
-    marked_before = len(marks)
-    edges = nulls = raised = lookups = probes = hooked = 0
+    scanned: list = []  # each scanned record's ownee array
+    marked_before, foreign_before = len(marks), len(foreign)
+    edges = repeats = probes = hooked = 0
+    pending = iter(())  # the slots of the object being scanned not yet read
     try:
         for record in list(engine.registry.owner_records()):
             owner_address = record.owner_address
-            obj = table.get(owner_address)
+            obj = get(owner_address)
             if obj is None or obj.status & freed_bit:
                 # Owner already reclaimed by an earlier (minor) collection;
                 # the epilogue's owner-death processing handles its ownees.
                 continue
-            ownees = record.ownees
-            probes_to_find = dict(zip(ownees, probe_depths(len(ownees)))).get
+            scanned.append(record.ownees)
             # Start at the owner's children; deliberately do NOT mark the
             # owner.  Drain the stack, then scan below one deferred ownee,
             # and repeat until both are empty.
+            stack.append(obj)
             while True:
-                cls = obj.cls
-                if cls.is_array:
-                    children = obj.slots if cls.ref_array else ()
+                if stack:
+                    obj = stack.pop()
+                elif ownee_queue:
+                    obj = ownee_queue.pop()
                 else:
-                    children = map(obj.slots.__getitem__, cls.ref_slots)
-                for child in children:
-                    edges += 1
-                    if child == NULL:
-                        nulls += 1
+                    break
+                cls = obj.cls
+                refs = cls.ref_getter
+                if refs is not None:
+                    children = refs(obj.slots)
+                elif cls.ref_array:
+                    children = obj.slots
+                else:
+                    continue
+                edges += len(children)
+                for child in (pending := iter(children)):
+                    if not child:
                         continue
                     if child in marks:
                         # Second encounter during GC tracing: same unshared
                         # check the root scan performs (§2.5.1).
+                        repeats += 1
                         if read_repeats:
-                            cobj = table[child]
+                            cobj = get(child)
                             if hook_every_visit or cobj.status & unshared_bit:
                                 hooked += 1
                                 on_repeat(cobj, None, None)
                         continue
-                    cobj = table.get(child)
-                    if cobj is None or cobj.status & freed_bit:
-                        raised = 1
+                    cobj = get(child)
+                    if cobj is None:
                         heap_get(child)  # raises the typed heap error
                     status = cobj.status
-                    if status & ownee_bit:
-                        lookups += 1
-                        depth = probes_to_find(child)
-                        if depth is None:
-                            # Ownee of a different owner: improper use of
-                            # the assertion.  Warn once and do not mark; the
-                            # engine traces from it after the root scan if
-                            # its holder is marked and it is not.
-                            probes += record.contains(child)[1]
-                            hooked += 1
-                            note_foreign((child, obj.address))
-                            if child not in misuse_reported:
-                                misuse_reported.add(child)
-                                engine.report_ownership_misuse(cobj, record)
-                            continue
-                        probes += depth
+                    if not (status & slow_bits or hook_every_visit):
+                        mark(child)
+                        if count_instances:
+                            ccls = cobj.cls
+                            if ccls.instance_limit is not None:
+                                ccls.instance_count += 1
+                        stack.append(cobj)
+                        continue
+                    if status & freed_bit:
+                        heap_get(child)  # raises the typed heap error
+                    if status & ownee_bit and owner_of(child) != owner_address:
+                        # Ownee of a different owner: improper use of the
+                        # assertion.  Warn once and do not mark; the engine
+                        # traces from it after the root scan if its holder
+                        # is marked and it is not.
+                        probes += record.contains(child)[1]
+                        hooked += 1
+                        foreign.append((child, obj.address))
+                        if child not in misuse_reported:
+                            misuse_reported.add(child)
+                            engine.report_ownership_misuse(cobj, record)
+                        continue
                     mark(child)
                     if hook_every_visit or status & dead_bit:
                         hooked += 1
@@ -212,20 +219,31 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         ownee_queue.append(cobj)
                     else:
                         stack.append(cobj)
-                if stack:
-                    obj = stack.pop()
-                elif ownee_queue:
-                    obj = ownee_queue.pop()
-                else:
-                    break
+    except BaseException:
+        edges -= length_hint(pending)  # the slots after the one that raised
+        raise
     finally:
+        # A first encounter is a new mark, a foreign ownee a new note; each
+        # is a header check and a repeat is one more.  A record's own ownees
+        # are marked by its scan alone, once each: they are its hits.
         stats = collector.stats
-        stats.objects_traced += len(marks) - marked_before
+        marked = len(marks) - marked_before
+        foreign_seen = len(foreign) - foreign_before
+        header_checks = marked + repeats + foreign_seen
+        stats.objects_traced += marked
         stats.edges_traced += edges
-        header_checks = edges - nulls - raised
         stats.header_bit_checks += header_checks
-        stats.ownee_lookups += lookups
+        stats.ownee_lookups += foreign_seen
         stats.ownee_search_probes += probes
+        for ownees in scanned:
+            n = len(ownees)
+            if marks.issuperset(ownees):
+                stats.ownee_lookups += n
+                stats.ownee_search_probes += probe_total(n)
+            else:
+                hit = list(map(marks.__contains__, ownees))
+                stats.ownee_lookups += hit.count(True)
+                stats.ownee_search_probes += sum(compress(probe_depths(n), hit))
         engine._checks_this_gc += header_checks - hooked
 
 

@@ -67,9 +67,16 @@ class HeapProbes:
         self.stats.executed += 1
         return True
 
-    def _collect(self) -> None:
+    def _collect(self):
+        """Collect now; returns the predicate for what that collection found
+        dead: freed, or (lazy sweep) still tabled but owed to the sweep —
+        answered as ``take_census`` answers, without sweeping."""
         self.stats.gcs_triggered += 1
         self.vm.gc(reason="heap probe")
+        pending = self.vm.collector.pending_garbage_predicate()
+        if pending is None:
+            return lambda obj: obj.is_freed
+        return lambda obj: obj.is_freed or pending(obj)
 
     @staticmethod
     def _resolve(target) -> HeapObject:
@@ -90,8 +97,7 @@ class HeapProbes:
         obj = self._resolve(target)
         if not self._should_execute():
             return None
-        self._collect()
-        return obj.is_freed
+        return self._collect()(obj)
 
     def probe_instances(self, cls: Union[ClassDescriptor, str]) -> Optional[int]:
         """How many instances of ``cls`` are live *right now*?"""
@@ -99,8 +105,8 @@ class HeapProbes:
             cls = self.vm.classes.get(cls)
         if not self._should_execute():
             return None
-        self._collect()
-        return sum(1 for obj in self.vm.heap if obj.cls.is_subclass_of(cls))
+        dead = self._collect()
+        return sum(1 for obj in self.vm.heap if obj.cls.is_subclass_of(cls) and not dead(obj))
 
     def probe_unshared(self, target) -> Optional[bool]:
         """Does this object have at most one incoming heap reference
@@ -108,12 +114,14 @@ class HeapProbes:
         obj = self._resolve(target)
         if not self._should_execute():
             return None
-        self._collect()
-        if obj.is_freed:
+        dead = self._collect()
+        if dead(obj):
             return True
         address = obj.address
         incoming = 0
         for other in self.vm.heap:
+            if dead(other):
+                continue
             for ref in other.reference_slots():
                 if ref == address:
                     incoming += 1
@@ -128,7 +136,7 @@ class HeapProbes:
         target_obj = self._resolve(target)
         if not self._should_execute():
             return None
-        self._collect()
-        if source_obj.is_freed or target_obj.is_freed:
+        dead = self._collect()
+        if dead(source_obj) or dead(target_obj):
             return False
         return target_obj.address in self.vm.heap.closure([source_obj.address])

@@ -134,8 +134,9 @@ def probe_depths(n: int) -> bytes:
     array length): one for the midpoint, and one more than the half-length
     table's entry on either side.  ``probe_depths(n)[i]`` therefore equals
     ``contains(ownees[i])[1]`` for every sorted array of ``n`` ownees — the
-    ownership phase zips the array with this table into a dict, so one
-    lookup answers membership *and* the exact §2.5.2 probe count.  Tables
+    ownership phase sums it over the ownees its scan reached (or takes
+    :func:`probe_total` when it reached them all), which is the exact
+    §2.5.2 probe count without a search per lookup.  Tables
     are one byte per ownee (a depth never exceeds 64), built from the two
     half-length tables with C-level byte operations, and memoised:
     ownee-array lengths repeat from collection to collection.
@@ -148,6 +149,12 @@ def probe_depths(n: int) -> bytes:
         + b"\x01"
         + probe_depths(n - 1 - left).translate(_ONE_DEEPER)
     )
+
+
+@lru_cache(maxsize=64)
+def probe_total(n: int) -> int:
+    """Probes of a hit on every one of ``n`` ownees: ``sum(probe_depths(n))``."""
+    return sum(probe_depths(n))
 
 
 class AssertionRegistry:

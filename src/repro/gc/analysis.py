@@ -8,7 +8,12 @@ release?  what does this subsystem retain?
 All functions operate on a quiesced VM (no collection in progress) and do
 not mutate header bits — reachability is :meth:`ObjectHeap.closure
 <repro.heap.heap.ObjectHeap.closure>`, a Python-side visited set, so they
-are safe to call between any two mutator operations.
+are safe to call between any two mutator operations.  They are read-only
+on a lazily swept heap too: the table walks skip the dead a sweep still
+owes (``pending_garbage_predicate``, as ``take_census`` does), and
+:func:`path_to` follows closure's policy, so an edge that is null,
+untabled or freed is neither entered nor followed and a damaged heap gets
+an answer, not an error.
 
 * :func:`path_to` — shortest root-to-object reference chain (BFS), the
   interactive analog of the Figure-1 report.
@@ -26,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.heap.layout import NULL
+from repro.heap import header as hdr
 from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
@@ -46,37 +51,45 @@ def _address_of(vm: "VirtualMachine", target: Target) -> int:
     raise TypeError(f"cannot analyze {target!r}")
 
 
+def _live(vm: "VirtualMachine"):
+    """The heap's objects, less the dead a lazy sweep has not reclaimed yet."""
+    pending = vm.collector.pending_garbage_predicate()
+    return iter(vm.heap) if pending is None else (o for o in vm.heap if not pending(o))
+
+
 def path_to(vm: "VirtualMachine", target: Target) -> Optional[tuple[str, list[HeapObject]]]:
     """Shortest reference chain from a root to ``target``.
 
     Returns ``(root_description, [objects root-first ... target])``, or None
     when the object is unreachable (i.e. garbage awaiting collection).
     """
-    heap = vm.heap
+    table = vm.heap.address_table()
     wanted = _address_of(vm, target)
     parents: dict[int, tuple[Optional[int], str]] = {}
-    queue: deque[int] = deque()
+    queue: deque[HeapObject] = deque()
+
+    def enter(address: int, parent: Optional[int], description: str) -> None:
+        obj = table.get(address)
+        if obj is not None and not obj.status & hdr.FREED_BIT and address not in parents:
+            parents[address] = (parent, description)
+            queue.append(obj)
+
     for description, address in vm.root_entries():
-        if address not in parents:
-            parents[address] = (None, description)
-            queue.append(address)
+        enter(address, None, description)
     while queue:
-        address = queue.popleft()
+        obj = queue.popleft()
+        address = obj.address
         if address == wanted:
             chain: list[HeapObject] = []
             cursor: Optional[int] = address
             root_desc = ""
             while cursor is not None:
-                chain.append(heap.get(cursor))
-                cursor, desc = parents[cursor]
-                if cursor is None:
-                    root_desc = desc
+                chain.append(table[cursor])
+                cursor, root_desc = parents[cursor]
             chain.reverse()
             return root_desc, chain
-        for ref in heap.get(address).reference_slots():
-            if ref != NULL and ref not in parents:
-                parents[ref] = (address, "")
-                queue.append(ref)
+        for ref in obj.reference_slots():
+            enter(ref, address, "")
     return None
 
 
@@ -114,13 +127,12 @@ def incoming_references(
     the root description.  This is the "who is keeping it alive" question
     answered directly.
     """
-    heap = vm.heap
     wanted = _address_of(vm, target)
     holders: list[tuple[str, Optional[HeapObject]]] = []
     for description, address in vm.root_entries():
         if address == wanted:
             holders.append((description, None))
-    for obj in heap:
+    for obj in _live(vm):
         for index, ref in zip(obj.reference_slot_indices(), obj.reference_slots()):
             if ref == wanted:
                 if obj.cls.is_array:
@@ -134,7 +146,7 @@ def incoming_references(
 def heap_census(vm: "VirtualMachine") -> dict[str, dict]:
     """Live objects and bytes per class, descending by bytes."""
     census: dict[str, dict] = {}
-    for obj in vm.heap:
+    for obj in _live(vm):
         entry = census.setdefault(obj.cls.name, {"objects": 0, "bytes": 0})
         entry["objects"] += 1
         entry["bytes"] += obj.size_bytes

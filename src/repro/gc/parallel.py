@@ -306,9 +306,10 @@ class ParallelMarker:
         """
         zone_of = self.zone_map.zone_of
         zones = self._zones
-        seeds = tracer._stack
+        seeds = tracer._stack  # the objects the root scan resolved
         tracer._stack = []
-        for address in seeds:
+        for obj in seeds:
+            address = obj.address
             zones[zone_of(address)].stack.append(address)
         ready = self._ready
         for zone in zones:
@@ -421,16 +422,13 @@ class ParallelMarker:
                 while stack:
                     obj = table[stack.pop()]
                     cls = obj.cls
-                    if cls.is_array:
-                        if not cls.ref_array:
-                            continue
+                    refs = cls.ref_getter
+                    if refs is not None:
+                        children = refs(obj.slots)
+                    elif cls.ref_array:
                         children = obj.slots
                     else:
-                        ref_slots = cls.ref_slots
-                        if not ref_slots:
-                            continue
-                        slots = obj.slots
-                        children = [slots[i] for i in ref_slots]
+                        continue
                     parent_address = obj.address
                     for child in children:
                         if child == NULL:
@@ -495,16 +493,13 @@ class ParallelMarker:
                 while stack:
                     obj = table[stack.pop()]
                     cls = obj.cls
-                    if cls.is_array:
-                        if not cls.ref_array:
-                            continue
+                    refs = cls.ref_getter
+                    if refs is not None:
+                        children = refs(obj.slots)
+                    elif cls.ref_array:
                         children = obj.slots
                     else:
-                        ref_slots = cls.ref_slots
-                        if not ref_slots:
-                            continue
-                        slots = obj.slots
-                        children = [slots[i] for i in ref_slots]
+                        continue
                     parent_address = obj.address
                     for child in children:
                         if child == NULL:

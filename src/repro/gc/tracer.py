@@ -1,9 +1,7 @@
-"""The tracing engine: transitive marking with low-bit path tracking.
+"""The tracing engine: transitive marking with type-tagged path tracking.
 
-This implements the paper's §2.7 worklist algorithm.  The gray-object
-worklist holds integer heap addresses; because objects are word aligned the
-low-order bit of each entry is free, and the tracer uses it to keep an
-object *on* the worklist while its children are being traced:
+This implements the paper's §2.7 worklist algorithm, which keeps an object
+*on* the worklist while its children are being traced:
 
     "We pop a reference from the worklist, set its low order bit and push it
     back onto the worklist; then we continue to scan the object normally.
@@ -11,12 +9,15 @@ object *on* the worklist while its children are being traced:
     references have their low bit set define the complete path from the root
     to the current object."
 
-:meth:`Tracer.current_path` reconstructs that path on demand.
-:meth:`Tracer.current_path_addresses` is the cheap variant (raw addresses,
-no object materialization) and what gives violation reports their Figure-1
-paths for free — a report maps the addresses through ``path_entries``, one
-entry per object per collection — and :meth:`Tracer.path_depth` cheaper
-still, for consumers that only need the length.
+Here the tag is the entry's type, as the OCaml runtime's ``Is_int`` tells
+an immediate from a pointer by its representation: an untagged entry is
+the :class:`HeapObject` its discovering edge resolved, and scanning it
+pushes its address, an ``int``, in its place, so the ``int`` entries are
+exactly the root-to-current path (an object with no reference slot has no
+child to ask, so it pushes none).  :meth:`Tracer.current_path_addresses`
+reads that path — violation reports map it through ``path_entries``, one
+entry per object per collection — and :meth:`Tracer.current_path`
+materializes it.
 
 **The mark lives beside the heap.**  A collection's marks are one set of
 addresses, ``heap.marks``; no header bit is involved.  Building a
@@ -24,10 +25,10 @@ addresses, ``heap.marks``; no header bit is involved.  Building a
 lazy-sweep debt first — every collector's ``collect`` does), the ownership
 phase and the drains below all mark into it, and the sweep reads it.  The
 per-edge test is ``child in marks``: a repeat edge costs one set probe and
-never loads the child object; a first encounter checks that the child is in
-the address table (a dangling child still raises ``InvalidAddressError`` at
-the edge that discovered it), inserts it, and leaves the object untouched
-until it is popped and scanned.
+never loads the child object; a first encounter's one ``table.get`` is both
+the dangling test (a dangling child still raises ``InvalidAddressError`` at
+the edge that discovered it) and the resolution, so the pop that scans the
+object looks nothing up.
 
 The tracer calls two assertion hooks on an attached engine:
 
@@ -40,33 +41,24 @@ With ``engine=None`` and ``track_paths=False`` the tracer degenerates to the
 plain mark loop of an unmodified collector — that is the paper's *Base*
 configuration, against which the *Infrastructure* overhead is measured.
 
-The drain is specialized into fused worklist loops — ``plain`` (Base),
-``paths`` (Infrastructure without an engine), and ``paths+engine`` — so
-the per-edge work never pays for branches it cannot take: children are
-resolved through the heap's address table directly (no ``ObjectHeap.get``
-triple check; the collector owns the heap during the pause), the
-``reference_slots`` generator is inlined as a ``map`` over the class's
-``ref_slots`` (no Python frame per object — a list comprehension is one
-on CPython 3.11), and the hot counters accumulate in locals and flush once
-per drain.  When the engine declares ``INLINE_HEADER_CHECKS`` (the
-assertion engine does), its per-object duties are inlined too and the
-``*_slow`` hooks run only when a header bit shows actual assertion work.  The engine says once per drain which
-header reads can matter (``armed_checks()``): a first encounter reads the
-child's header — it is about to be scanned anyway, this is the paper's
-piggyback; a repeat edge reads it only while an ``assert-unshared`` is
-registered; and when nothing at all is armed the drain *is* the paths
-loop, with ``header_bit_checks`` credited one per edge as the engine loop
-would have counted them.  Engines without ``INLINE_HEADER_CHECKS`` get
-every encounter via the full hooks, through the method-per-edge loop that
-survives as ``specialized=False`` — it also serves the
-engine-without-paths combination and is the benchmark's ``generic`` probe
-(``gc.tracer.generic_edges_per_s``), the loop the specialised ones must
-beat.
-
-No loop records anything but marks and counters.  Whoever wants to know
-*what* was traced reads ``heap.marks`` once the mark is complete — snapshot
-capture does (:meth:`repro.snapshot.capture.SnapshotSink.record_marked`),
-so it needs no loop of its own.
+The drain is specialized into fused loops — ``plain`` (Base), ``paths``
+(Infrastructure without an engine) and ``paths+engine`` — so an edge never
+pays for a branch it cannot take: children are resolved through the
+heap's address table (the collector owns the heap during the pause), an
+object's children are one C-level call of its class's ``ref_getter`` (or a
+ref array's own slots), a null is skipped by its truth, and counters
+accumulate in locals.  An ``INLINE_HEADER_CHECKS`` engine has its
+per-object duties inlined and its ``*_slow`` hooks called only when a
+header bit shows assertion work, and it says once per drain which header
+reads can matter (``armed_checks()``): a first encounter reads the child's
+header (the paper's piggyback); a repeat edge reads it only while an
+``assert-unshared`` is registered; and with nothing armed the drain *is*
+the paths loop, crediting ``header_bit_checks`` one per edge.  Other
+engines get every encounter through the full hooks, in the method-per-edge
+loop kept as ``specialized=False``, which also serves an engine without
+paths and is the benchmark's ``generic`` probe.  No loop records anything
+but marks and counters: snapshot capture reads ``heap.marks`` once the mark
+is complete (:meth:`repro.snapshot.capture.SnapshotSink.record_marked`).
 """
 
 from __future__ import annotations
@@ -76,7 +68,7 @@ from typing import Iterable, Optional
 from repro.errors import InvalidAddressError
 from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
-from repro.heap.layout import ADDRESS_TAG_BIT, NULL
+from repro.heap.layout import NULL
 from repro.heap.object_model import HeapObject
 from repro.gc.stats import GcStats
 
@@ -120,7 +112,8 @@ class Tracer:
         #: address -> ``PathEntry``: the steps this collection's reported paths share.
         self.path_entries: dict = {}
         self.root_descriptions: dict[int, str] = {}
-        self._stack: list[int] = []
+        #: Objects to scan, and the ``int`` addresses of the current path.
+        self._stack: list = []
         self._table = heap.address_table()
         #: This episode's mark set — also ``heap.marks``, where the
         #: ownership phase, the sweep and the walkers find it.
@@ -186,41 +179,40 @@ class Tracer:
     def _drain_plain(self) -> None:
         """Base configuration: mark loop with nothing else in it."""
         stack = self._stack
-        table = self._table
+        get = self._table.get
         marks = self._marks
         push = stack.append
         mark = marks.add
         objects = edges = 0
         try:
             while stack:
-                obj = table[stack.pop()]
+                obj = stack.pop()
                 cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        continue
+                refs = cls.ref_getter
+                if refs is not None:
+                    children = refs(obj.slots)
+                elif cls.ref_array:
                     children = obj.slots
                 else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    children = map(obj.slots.__getitem__, ref_slots)
+                    continue
                 for child in children:
-                    if child == NULL:
+                    if not child:
                         continue
                     edges += 1
                     if child in marks:
                         continue
-                    if child not in table:
+                    cobj = get(child)
+                    if cobj is None:
                         raise InvalidAddressError(f"no live object at {child:#x}")
                     mark(child)
                     objects += 1
-                    push(child)
+                    push(cobj)
         finally:
             self.stats.objects_traced += objects
             self.stats.edges_traced += edges
 
     def _drain_paths(self, credit_header_checks: bool = False) -> None:
-        """Infrastructure configuration: low-bit path tagging, no engine.
+        """Infrastructure configuration: path tagging, no engine.
 
         Also the engine drain while the engine has nothing armed
         (``credit_header_checks``): no header can matter, so none is read,
@@ -228,43 +220,40 @@ class Tracer:
         counts.
         """
         stack = self._stack
-        table = self._table
+        get = self._table.get
         marks = self._marks
         push = stack.append
         mark = marks.add
-        tag_bit = ADDRESS_TAG_BIT
         objects = edges = tagged = dangling = 0
         try:
             while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    # Low bit set: all objects reachable from it are done.
+                obj = stack.pop()
+                if type(obj) is int:
+                    # A tagged entry: everything below it is done.
                     continue
-                push(entry | tag_bit)
                 tagged += 1
-                obj = table[entry]
                 cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        continue
+                refs = cls.ref_getter
+                if refs is not None:
+                    children = refs(obj.slots)
+                elif cls.ref_array:
                     children = obj.slots
                 else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    children = map(obj.slots.__getitem__, ref_slots)
+                    continue  # no child can ask for the path: no tag to push
+                push(obj.address)
                 for child in children:
-                    if child == NULL:
+                    if not child:
                         continue
                     edges += 1
                     if child in marks:
                         continue
-                    if child not in table:
+                    cobj = get(child)
+                    if cobj is None:
                         dangling = 1  # the edge is counted, its header check is not
                         raise InvalidAddressError(f"no live object at {child:#x}")
                     mark(child)
                     objects += 1
-                    push(child)
+                    push(cobj)
         finally:
             stats = self.stats
             stats.objects_traced += objects
@@ -280,19 +269,19 @@ class Tracer:
         instance counting) live directly in the loop; the engine is called
         only when a header bit shows actual assertion work — ``DEAD_BIT`` or
         ``OWNEE_BIT`` on a first encounter, ``UNSHARED_BIT`` on a repeat.
-        A first encounter loads the child for its header (and its class);
-        a repeat edge loads it only while ``repeats_armed`` — an
-        ``assert-unshared`` is registered — and otherwise costs the set
-        probe and nothing else.  Every edge is one header-bit check either
-        way, so the count is the edge count (less a dangling edge, which
-        raises before its check).
+        A first encounter reads the header of the object its table probe
+        resolved; a repeat edge loads the child only while
+        ``repeats_armed`` — an ``assert-unshared`` is registered — and
+        otherwise costs the set probe and nothing else.  Every edge is one
+        header-bit check either way, so the count is the edge count (less a
+        dangling edge, which raises before its check).
         """
         stack = self._stack
         table = self._table
+        get = table.get
         marks = self._marks
         push = stack.append
         mark = marks.add
-        tag_bit = ADDRESS_TAG_BIT
         first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
         unshared_bit = hdr.UNSHARED_BIT
         engine = self.engine
@@ -301,24 +290,21 @@ class Tracer:
         objects = edges = tagged = instance_incrs = dangling = 0
         try:
             while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
+                obj = stack.pop()
+                if type(obj) is int:
                     continue
-                push(entry | tag_bit)
                 tagged += 1
-                obj = table[entry]
                 cls = obj.cls
-                if cls.is_array:
-                    if not cls.ref_array:
-                        continue
+                refs = cls.ref_getter
+                if refs is not None:
+                    children = refs(obj.slots)
+                elif cls.ref_array:
                     children = obj.slots
                 else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    children = map(obj.slots.__getitem__, ref_slots)
+                    continue
+                push(obj.address)
                 for child in children:
-                    if child == NULL:
+                    if not child:
                         continue
                     edges += 1
                     if child in marks:
@@ -327,7 +313,7 @@ class Tracer:
                             if cobj.status & unshared_bit:
                                 slow_repeat(cobj, self, obj)
                         continue
-                    cobj = table.get(child)
+                    cobj = get(child)
                     if cobj is None:
                         dangling = 1
                         raise InvalidAddressError(f"no live object at {child:#x}")
@@ -342,7 +328,7 @@ class Tracer:
                     if ccls.instance_limit is not None:
                         ccls.instance_count += 1
                         instance_incrs += 1
-                    push(child)
+                    push(cobj)
         finally:
             stats = self.stats
             stats.objects_traced += objects
@@ -355,22 +341,19 @@ class Tracer:
 
     def _drain_with_paths(self) -> None:
         stack = self._stack
-        heap = self.heap
         stats = self.stats
         while stack:
-            entry = stack.pop()
-            if entry & ADDRESS_TAG_BIT:
-                # Low bit set: all objects reachable from it are done.
+            obj = stack.pop()
+            if type(obj) is int:
                 continue
-            stack.append(entry | ADDRESS_TAG_BIT)
+            stack.append(obj.address)
             stats.path_entries_tagged += 1
-            self._scan(heap.get(entry))
+            self._scan(obj)
 
     def _drain_generic_plain(self) -> None:
         stack = self._stack
-        heap = self.heap
         while stack:
-            self._scan(heap.get(stack.pop()))
+            self._scan(stack.pop())
 
     def _scan(self, obj: HeapObject) -> None:
         """Visit every outgoing reference of ``obj``."""
@@ -401,7 +384,7 @@ class Tracer:
             self.root_descriptions.setdefault(address, via_root)
         if engine is not None:
             engine.on_first_encounter(obj, self, parent)
-        self._stack.append(address)
+        self._stack.append(obj)
 
     # -- path reconstruction -------------------------------------------------------
 
@@ -414,16 +397,14 @@ class Tracer:
         """
         if not self.track_paths:
             return [tip] if tip is not None else []
-        tag_bit = ADDRESS_TAG_BIT
-        chain = [entry ^ tag_bit for entry in self._stack if entry & tag_bit]
+        chain = [entry for entry in self._stack if type(entry) is int]
         if tip is not None and (not chain or chain[-1] != tip):
             chain.append(tip)
         return chain
 
     def path_depth(self) -> int:
         """Length of the current path (tagged worklist entries only)."""
-        tag_bit = ADDRESS_TAG_BIT
-        return sum(1 for entry in self._stack if entry & tag_bit)
+        return len(self.current_path_addresses())
 
     def current_path(self, tip: Optional[HeapObject] = None):
         """Reconstruct the root-to-current-object path from the worklist.

@@ -1,11 +1,13 @@
 """Word and object-layout constants for the simulated heap.
 
 The simulator models a 64-bit address space with 8-byte words.  Objects are
-word aligned, which leaves the low three bits of every object address unused;
-the tracing worklist steals the lowest of those bits for its path-tracking
-algorithm (see :mod:`repro.gc.worklist`), exactly as the paper does in
-Jikes RVM ("Because all objects in Jikes RVM are word aligned, the two low
-order bits are unused, and we can safely use one of them").
+word aligned, which leaves the low three bits of every object address
+unused.  The paper's path-tracking worklist steals one of them in Jikes RVM
+("Because all objects in Jikes RVM are word aligned, the two low order bits
+are unused, and we can safely use one of them"); :mod:`repro.gc.tracer`
+tags by the entry's type instead and needs no bit.  Address 0 is ``NULL``
+and the heap starts above it, so every object address is truthy and the
+mark loops skip a null slot by its truth.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ WORD_SHIFT = 3
 
 #: Alignment mask: ``addr & ALIGN_MASK == 0`` for every object address.
 ALIGN_MASK = WORD_BYTES - 1
-
-#: Bit stolen from aligned addresses by the path-tracking worklist.
-ADDRESS_TAG_BIT = 0x1
 
 #: Size of the per-object header in bytes (one status word + one type word,
 #: mirroring Jikes RVM's two-word object header).
@@ -35,6 +34,9 @@ HEAP_BASE_ADDRESS = 0x1000
 
 #: The null reference.  Stored in reference fields and local slots.
 NULL = 0
+
+# ``if not child`` is the mark loops' null test: it needs every address truthy.
+assert not NULL and HEAP_BASE_ADDRESS > NULL
 
 
 def align_up(nbytes: int) -> int:

@@ -18,7 +18,8 @@ elements and their length is explicit in the object size.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Optional, Sequence
 
 from repro.errors import LayoutError
 from repro.heap import header as hdr
@@ -112,6 +113,11 @@ class ClassDescriptor:
         fields: fields declared by *this* class, in declaration order.
         all_fields: inherited + declared fields, slot order.
         ref_slots: slot indices of all reference fields (the trace map).
+        ref_getter: ``ref_getter(obj.slots)`` is the values of those
+            fields, nulls included, read by one C-level call: an
+            ``itemgetter`` over one ``slice`` when the slots are contiguous,
+            over the indices otherwise; None when there are none (every
+            array class: a ref array's children are its ``slots``).
         instance_size: bytes occupied by an instance with no elements
             (header included): every instance of a scalar class, the empty
             array of an array class.
@@ -138,6 +144,7 @@ class ClassDescriptor:
         "all_fields",
         "field_index",
         "ref_slots",
+        "ref_getter",
         "weak_slots",
         "instance_size",
         "element_bytes",
@@ -182,9 +189,13 @@ class ClassDescriptor:
             self.fields.append(FieldDescriptor(fname, kind, len(inherited) + len(self.fields), self))
         self.all_fields: tuple[FieldDescriptor, ...] = tuple(inherited + self.fields)
         self.field_index = {f.name: f for f in self.all_fields}
-        self.ref_slots: tuple[int, ...] = tuple(
-            f.slot for f in self.all_fields if f.kind.is_reference
-        )
+        refs = self.ref_slots = tuple(f.slot for f in self.all_fields if f.kind.is_reference)
+        if not refs:
+            self.ref_getter = None
+        elif refs[-1] - refs[0] == len(refs) - 1:  # contiguous: one slice
+            self.ref_getter = itemgetter(slice(refs[0], refs[-1] + 1))
+        else:
+            self.ref_getter = itemgetter(*refs)
         self.weak_slots: tuple[int, ...] = tuple(
             f.slot for f in self.all_fields if f.kind.is_weak
         )
@@ -297,41 +308,28 @@ class HeapObject:
         cls = self.cls
         return cls.instance_size + cls.element_bytes * len(self.slots)
 
-    def reference_slots(self) -> Iterable[int]:
-        """Yield the *values* of all reference slots (including nulls)."""
+    def reference_slots(self) -> Sequence[int]:
+        """The *values* of all strong reference slots, nulls included: a ref
+        array's own slot list (do not mutate it), else a fresh sequence."""
         cls = self.cls
-        if cls.is_array:
-            if cls.ref_array:
-                yield from self.slots
-        else:
-            slots = self.slots
-            for idx in cls.ref_slots:
-                yield slots[idx]
+        refs = cls.ref_getter
+        if refs is not None:
+            return refs(self.slots)
+        return self.slots if cls.ref_array else ()
 
-    def reference_slot_indices(self) -> Iterable[int]:
-        """Yield slot indices that hold strong references."""
+    def reference_slot_indices(self) -> Sequence[int]:
+        """Slot indices that hold strong references."""
         cls = self.cls
-        if cls.is_array:
-            if cls.ref_array:
-                yield from range(len(self.slots))
-        else:
-            yield from cls.ref_slots
+        return range(len(self.slots)) if cls.ref_array else cls.ref_slots
 
     @property
     def has_weak_slots(self) -> bool:
         return self.cls.has_weak
 
-    def weak_slot_indices(self) -> Iterable[int]:
-        """Yield slot indices that hold weak references."""
+    def weak_slot_indices(self) -> Sequence[int]:
+        """Slot indices that hold weak references."""
         cls = self.cls
-        if cls.is_array:
-            if cls.has_weak:
-                yield from range(len(self.slots))
-        else:
-            yield from cls.weak_slots
-
-    def type_name(self) -> str:
-        return self.cls.name
+        return range(len(self.slots)) if cls.is_array and cls.has_weak else cls.weak_slots
 
     def __repr__(self) -> str:
         return (

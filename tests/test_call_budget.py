@@ -230,3 +230,40 @@ def test_a_collection_takes_one_service_metrics_lock_for_its_violations():
             assert metrics.tenants["acme"].violations >= count
     frames = [frame for frame, _stamp in session.queue.drain()]
     assert [f["seq"] for f in frames] == list(range(len(frames)))
+
+
+# -- the ownership phase ------------------------------------------------------------------------
+
+
+def _owned_region(ownees: int) -> VirtualMachine:
+    """One owner -> a half-full ref array -> ``ownees`` ownees, each holding
+    a plain object; a bystander is asserted dead, so the engine is armed."""
+    vm = VirtualMachine(heap_bytes=8 << 20)
+    cls = vm.define_class("Owned", [("ref", FieldKind.REF), ("id", FieldKind.INT)])
+    with vm.scope("phase-1 budget"):
+        owner, table = vm.new(cls), vm.new_array(cls, 2 * ownees)
+        owner["ref"] = table
+        vm.statics.set_ref("owner", owner.address)
+        for index in range(ownees):
+            ownee = table[index] = vm.new(cls, id=index)
+            ownee["ref"] = vm.new(cls)
+            vm.assertions.assert_ownedby(owner, ownee)
+        vm.assertions.assert_dead(vm.new(cls), site="bystander")
+    vm.gc("warm")  # the probe tables for this length are memoised
+    return vm
+
+
+def test_ownership_phase_enters_no_frame_per_object():
+    from repro.core.ownership import run_ownership_phase
+
+    seen = {}
+    for ownees in (20, 2000):
+        vm = _owned_region(ownees)
+        engine, collector = vm.engine, vm.collector
+        engine.gc_begin(collector)
+        vm.heap.new_marks()
+        before = collector.stats.ownee_lookups
+        seen[ownees] = python_calls(lambda: run_ownership_phase(engine, collector))
+        assert collector.stats.ownee_lookups - before == ownees
+        assert len(vm.heap.marks) == 2 * ownees + 1  # the table, the ownees, what they hold
+    assert seen[20] == seen[2000], seen

@@ -131,3 +131,51 @@ class TestSampling:
         assert probe_gcs == 8
         assert vm2.stats.collections == 1
         assert len(vm2.engine.log) == 8  # all checked in that single pass
+
+
+# -- a lazy sweep ends the probe's collection with the dead still tabled ----------------------
+
+
+def _probe_vm(sweep_mode):
+    from repro.runtime.vm import VirtualMachine
+
+    vm = VirtualMachine(heap_bytes=4 << 20, sweep_mode=sweep_mode)
+    return vm, make_node_class(vm)
+
+
+@pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+class TestProbesOweNothingToTheSweep:
+    """Each probe answers what its collection found, whether or not the
+    sweep has reclaimed the dead yet."""
+
+    def test_garbage_probes_dead(self, sweep_mode):
+        vm, node = _probe_vm(sweep_mode)
+        with vm.scope():
+            garbage = vm.new(node)
+        assert HeapProbes(vm).probe_dead(garbage) is True
+
+    def test_garbage_instances_are_not_counted(self, sweep_mode):
+        vm, node = _probe_vm(sweep_mode)
+        with vm.scope():
+            vm.statics.set_ref("keep", vm.new(node).address)
+            vm.new(node), vm.new(node)
+        assert HeapProbes(vm).probe_instances(node) == 1
+
+    def test_garbage_holders_do_not_share(self, sweep_mode):
+        vm, node = _probe_vm(sweep_mode)
+        with vm.scope():
+            keep = vm.new(node)
+            vm.statics.set_ref("keep", keep.address)
+            for _ in range(2):
+                vm.new(node)["next"] = keep
+        assert HeapProbes(vm).probe_unshared(keep) is True
+
+    def test_nothing_is_reachable_from_garbage(self, sweep_mode):
+        vm, node = _probe_vm(sweep_mode)
+        with vm.scope():
+            keep = vm.new(node)
+            vm.statics.set_ref("keep", keep.address)
+            garbage = vm.new(node)
+            garbage["next"] = keep
+        assert HeapProbes(vm).probe_reachable_from(garbage, keep) is False
+        assert vm.collector.sweep_debt() == (sweep_mode == "lazy")

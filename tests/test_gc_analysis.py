@@ -9,6 +9,7 @@ from repro.gc.analysis import (
     reachable_from,
     retained_size,
 )
+from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from tests.conftest import build_chain, make_node_class
 
@@ -134,3 +135,67 @@ class TestCensus:
         census = heap_census(vm)
         sizes = [entry["bytes"] for entry in census.values()]
         assert sizes == sorted(sizes, reverse=True)
+
+
+# -- what the analyses see between a lazy collection and its sweep ---------------------------
+
+
+def _lazy_pair(sweep_mode):
+    """``keep`` is rooted; two garbage nodes (one held by the other) point
+    at it; one collection has run and, lazily, swept nothing yet."""
+    from repro.runtime.vm import VirtualMachine
+
+    vm = VirtualMachine(heap_bytes=4 << 20, sweep_mode=sweep_mode)
+    node = make_node_class(vm)
+    with vm.scope():
+        keep = vm.new(node)
+        vm.statics.set_ref("keep", keep.address)
+        first, second = vm.new(node), vm.new(node)
+        first["next"] = keep
+        second["next"] = keep
+    vm.gc()
+    assert vm.collector.sweep_debt() == (sweep_mode == "lazy")
+    return vm, keep
+
+
+@pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+class TestUnsweptGarbageIsNotLive:
+    def test_census_counts_the_live_only(self, sweep_mode):
+        vm, _keep = _lazy_pair(sweep_mode)
+        assert heap_census(vm)["Node"]["objects"] == 1
+
+    def test_no_dead_holder_is_named(self, sweep_mode):
+        vm, keep = _lazy_pair(sweep_mode)
+        assert [d for d, _h in incoming_references(vm, keep)] == ["static 'keep'"]
+
+    def test_the_answers_leave_the_debt_alone(self, sweep_mode):
+        vm, keep = _lazy_pair(sweep_mode)
+        heap_census(vm), incoming_references(vm, keep), path_to(vm, keep)
+        assert vm.collector.sweep_debt() == (sweep_mode == "lazy")
+
+
+class TestPathToOnADamagedHeap:
+    """``path_to`` follows ``ObjectHeap.closure``'s policy: an edge that is
+    null, untabled or freed is neither entered nor followed."""
+
+    def _damaged(self, vm, node_class, damage):
+        nodes = build_chain(vm, node_class, 3)
+        with vm.scope():
+            orphan = vm.new(node_class)
+        damage(nodes[1].obj)
+        return nodes, orphan
+
+    @pytest.mark.parametrize("damage", ["dangling", "freed"])
+    def test_unreachable_target_is_none_not_an_error(self, vm, node_class, damage):
+        def dangle(obj):
+            obj.slots[0] = 0x7FFF0  # no object was ever allocated here
+
+        def free(obj):
+            vm.heap.get(obj.slots[0]).status |= hdr.FREED_BIT
+
+        nodes, orphan = self._damaged(vm, node_class, dangle if damage == "dangling" else free)
+        assert path_to(vm, orphan.obj) is None
+        assert path_to(vm, nodes[2].obj.address) is None
+        _desc, chain = path_to(vm, nodes[1])
+        assert [o.address for o in chain] == [n.obj.address for n in nodes[:2]]
+        assert {n.obj.address for n in nodes[:2]} == reachable_from(vm, nodes[0])

@@ -1,10 +1,15 @@
 """The §2.7 path-tracking worklist: full root-to-object paths."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.gc.stats import GcStats
+from repro.gc.tracer import Tracer
+from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from tests.conftest import build_chain, make_node_class
+from tests.test_ownership_fused import build, heap_specs
 
 
 class TestPathReporting:
@@ -192,3 +197,101 @@ class TestBaseConfigurationHasNoInfrastructure:
         build_chain(base_vm, cls, 6)
         base_vm.gc()
         assert base_vm.stats.header_bit_checks == 0
+
+
+# -- every reported path is a real chain -----------------------------------------------------
+#
+# §2.7's invariant, checked per step: the tagged (``int``) worklist entries
+# are the root-to-current path.  On small random heaps with planted
+# assert-dead and assert-unshared, every path a drain reports starts at an
+# address a root entry holds, follows heap edges, and ends at the object.
+
+
+def chain_problems(vm, path: list, tip: int, starts: set) -> list:
+    heap = vm.heap
+    problems = []
+    if not path or path[0] not in starts:
+        problems.append(f"path {path} does not start at a root")
+    problems += [f"{a:#x} -> {b:#x} is no edge" for a, b in zip(path, path[1:])
+                 if b not in heap.get(a).reference_slots()]
+    if not path or path[-1] != tip:
+        problems.append(f"path {path} does not end at {tip:#x}")
+    return problems
+
+
+def _root_addresses(vm) -> set:
+    return {address for _desc, address in vm.root_entries()}
+
+
+def _no_owners(spec) -> dict:
+    return dict(spec, owned_by=[None] * len(spec["kinds"]), budget=None)
+
+
+def _reported_paths(vm) -> list:
+    """``(path, object)`` per staged violation that carries a path."""
+    return [([e.address for e in v.path.entries], v.address)
+            for v in vm.engine._pending if v.path is not None and v.path.entries]
+
+
+class _CheckedMarks(set):
+    """A mark set that checks the current path at every mark (the ``paths``
+    drain calls no hook, so its marks are where its worklist is observed)."""
+
+    def add(self, address):
+        self.problems += chain_problems(self.vm, self.tracer.current_path_addresses(address),
+                                        address, self.starts)
+        super().add(address)
+
+
+def _trace_with(vm, drain: str) -> tuple[list, list]:
+    engine = None if drain == "paths" else vm.engine
+    if engine is not None:
+        engine.gc_begin(vm.collector)
+    tracer = Tracer(vm.heap, GcStats(), engine, track_paths=True, specialized=drain != "generic")
+    starts = _root_addresses(vm)
+    problems: list = []
+    if drain == "paths":
+        marks = tracer._marks = _CheckedMarks()
+        marks.vm, marks.tracer, marks.starts, marks.problems = vm, tracer, starts, problems
+    tracer.trace(vm.root_entries())
+    reported = _reported_paths(vm) if engine is not None else []
+    for path, tip in reported:
+        problems += chain_problems(vm, path, tip, starts)
+    return problems, reported
+
+
+@pytest.mark.parametrize("drain", ["paths", "engine-armed", "generic"])
+def test_every_reported_path_is_a_chain_of_heap_edges(drain):
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=heap_specs())
+    def run(spec):
+        vm = build(_no_owners(spec))
+        problems, reported = _trace_with(vm, drain)
+        assert problems == []
+        if drain != "paths":
+            # Every dead object the roots reach is reported, with its path.
+            reached = vm.heap.closure(_root_addresses(vm))
+            dead = {a for a in reached if vm.heap.get(a).status & hdr.DEAD_BIT}
+            assert {tip for _path, tip in reported} >= dead
+
+    run()
+
+
+def test_every_path_after_phase_1_and_the_root_scan_is_a_chain_of_heap_edges():
+    """Ownership shapes, whole collections: phase 1 reports without a path,
+    the root scan (and the late trace from a foreign ownee its holder keeps)
+    with one, and each one is a chain."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(spec=heap_specs())
+    def run(spec):
+        vm = build(spec)
+        vm.gc("paths")
+        engine = vm.engine
+        starts = _root_addresses(vm) | {ownee for ownee, _holder in engine._foreign_ownees}
+        for v in engine.log:
+            if v.path is not None and v.path.entries:
+                path = [e.address for e in v.path.entries]
+                assert chain_problems(vm, path, v.address, starts) == [], v.render()
+
+    run()

@@ -32,17 +32,16 @@ class TestAlignment:
 
 
 class TestAddressTagging:
-    """The low address bit the worklist steals must be free on aligned addrs."""
+    """Aligned addresses leave their low bits free, and every one is truthy:
+    the mark loops skip a null slot by its truth."""
 
     def test_aligned_addresses_are_untagged(self):
         for addr in (layout.HEAP_BASE_ADDRESS, 0x2000, 0x10 * 7):
-            assert addr & layout.ADDRESS_TAG_BIT == 0
+            assert addr & layout.ALIGN_MASK == 0
 
-    def test_tagging_roundtrip(self):
-        addr = layout.HEAP_BASE_ADDRESS
-        tagged = addr | layout.ADDRESS_TAG_BIT
-        assert tagged != addr
-        assert tagged & ~layout.ADDRESS_TAG_BIT == addr
+    def test_every_address_is_truthy_and_null_is_not(self):
+        assert not layout.NULL
+        assert all(addr for addr in (layout.HEAP_BASE_ADDRESS, layout.HEAP_BASE_ADDRESS + layout.WORD_BYTES))
 
     def test_null_is_zero(self):
         assert layout.NULL == 0

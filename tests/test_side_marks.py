@@ -442,9 +442,9 @@ def test_side_marks_every_drain_loop_is_reached_by_some_entry(monkeypatch):
 
 
 class _MarksWithoutTheTableTest(Tracer):
-    """``_drain_plain`` with the one line removed: the child goes into the
-    set and onto the stack unchecked, and the miss surfaces an edge (and an
-    object) later, as whatever the pop happens to raise."""
+    """``_drain_plain`` without its table test: the child goes into the set
+    unchecked, and the miss surfaces as whatever the lookup that resolves
+    it for the stack happens to raise."""
 
     __slots__ = ()
 
@@ -453,7 +453,7 @@ class _MarksWithoutTheTableTest(Tracer):
         objects = edges = 0
         try:
             while stack:
-                obj = table[stack.pop()]
+                obj = stack.pop()
                 for child in obj.reference_slots():
                     if child == NULL:
                         continue
@@ -462,7 +462,7 @@ class _MarksWithoutTheTableTest(Tracer):
                         continue
                     marks.add(child)
                     objects += 1
-                    stack.append(child)
+                    stack.append(table[child])
         finally:
             self.stats.objects_traced += objects
             self.stats.edges_traced += edges
