@@ -8,8 +8,8 @@ precise: our path consists of object instances, not just types."
 
 :class:`TypeGrowthProfiler` installs as a VM gc-observer.  Its books are
 the telemetry layer's census primitives
-(:class:`~repro.telemetry.census.ClassCensus` fed by
-:func:`~repro.telemetry.census.take_census`) rather than a private history
+(:class:`~repro.telemetry.census.ClassCensus` fed by the heap's
+:meth:`~repro.heap.heap.ObjectHeap.live_by_class`) rather than a private history
 dict; :meth:`report` flags classes whose live volume rose in at least
 ``min_growth_fraction`` of the observed windows and grew overall by
 ``min_total_ratio``.  The output is a ranked list of *types* — no
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.telemetry.census import ClassCensus, take_census
+from repro.telemetry.census import ClassCensus
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -78,7 +78,7 @@ class TypeGrowthProfiler:
     # -- census ---------------------------------------------------------------------
 
     def _observe(self, vm: "VirtualMachine", freed: set[int]) -> None:
-        self.census.observe(take_census(vm.heap), gc_number=vm.stats.collections)
+        self.census.observe(vm.heap.live_by_class(), gc_number=vm.stats.collections)
 
     # -- reporting -------------------------------------------------------------------
 

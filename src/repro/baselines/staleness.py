@@ -52,8 +52,10 @@ class StalenessDetector:
         self.vm = vm
         self.stale_after = stale_after
         self.epoch = 0
-        #: address -> GC epoch of the most recent access (or first sighting).
-        self._last_access: dict[int, int] = {}
+        #: address -> (occupant's ``alloc_seq``, GC epoch of its most recent
+        #: access or first sighting).  The stamp tells a recycled address's
+        #: new occupant from the dead one before it.
+        self._last_access: dict[int, tuple[int, int]] = {}
         self.reads_observed = 0
         vm.access_hook = self._on_access
         vm.gc_observers.append(self._observe)
@@ -66,28 +68,33 @@ class StalenessDetector:
 
     def _on_access(self, obj: "HeapObject") -> None:
         self.reads_observed += 1
-        self._last_access[obj.address] = self.epoch
+        self._last_access[obj.address] = (obj.alloc_seq, self.epoch)
 
     def _observe(self, vm: "VirtualMachine", freed: set[int]) -> None:
+        """Keep the records of the objects the collection left live, and
+        first-sight the ones never read through a handle (or new at their
+        address); the dead drop out, swept yet or not."""
         self.epoch += 1
-        for address in freed:
-            self._last_access.pop(address, None)
-        # First sighting of objects never read through a handle.
-        for obj in vm.heap:
-            self._last_access.setdefault(obj.address, self.epoch)
+        seen = self._last_access
+        kept: dict[int, tuple[int, int]] = {}
+        for obj in vm.heap.live():
+            record = seen.get(obj.address)
+            if record is None or record[0] != obj.alloc_seq:
+                record = (obj.alloc_seq, self.epoch)
+            kept[obj.address] = record
+        self._last_access = kept
 
     # -- reporting ---------------------------------------------------------------------
 
     def candidates(self) -> list[StaleCandidate]:
         """Live objects idle for at least ``stale_after`` epochs."""
-        heap = self.vm.heap
         out: list[StaleCandidate] = []
-        for address, last in self._last_access.items():
-            idle = self.epoch - last
-            if idle >= self.stale_after:
-                obj = heap.maybe(address)
-                if obj is not None:
-                    out.append(StaleCandidate(obj.cls.name, address, idle))
+        for obj in self.vm.heap.live():
+            record = self._last_access.get(obj.address)
+            if record is not None and record[0] == obj.alloc_seq:
+                idle = self.epoch - record[1]
+                if idle >= self.stale_after:
+                    out.append(StaleCandidate(obj.cls.name, obj.address, idle))
         out.sort(key=lambda c: c.idle_epochs, reverse=True)
         return out
 

@@ -68,15 +68,11 @@ class HeapProbes:
         return True
 
     def _collect(self):
-        """Collect now; returns the predicate for what that collection found
-        dead: freed, or (lazy sweep) still tabled but owed to the sweep —
-        answered as ``take_census`` answers, without sweeping."""
+        """Collect now; returns the heap, whose live view is what that
+        collection found live (under lazy sweep too, without sweeping)."""
         self.stats.gcs_triggered += 1
         self.vm.gc(reason="heap probe")
-        pending = self.vm.collector.pending_garbage_predicate()
-        if pending is None:
-            return lambda obj: obj.is_freed
-        return lambda obj: obj.is_freed or pending(obj)
+        return self.vm.heap
 
     @staticmethod
     def _resolve(target) -> HeapObject:
@@ -97,7 +93,7 @@ class HeapProbes:
         obj = self._resolve(target)
         if not self._should_execute():
             return None
-        return self._collect()(obj)
+        return not self._collect().is_live(obj)
 
     def probe_instances(self, cls: Union[ClassDescriptor, str]) -> Optional[int]:
         """How many instances of ``cls`` are live *right now*?"""
@@ -105,8 +101,7 @@ class HeapProbes:
             cls = self.vm.classes.get(cls)
         if not self._should_execute():
             return None
-        dead = self._collect()
-        return sum(1 for obj in self.vm.heap if obj.cls.is_subclass_of(cls) and not dead(obj))
+        return sum(1 for obj in self._collect().live() if obj.cls.is_subclass_of(cls))
 
     def probe_unshared(self, target) -> Optional[bool]:
         """Does this object have at most one incoming heap reference
@@ -114,14 +109,12 @@ class HeapProbes:
         obj = self._resolve(target)
         if not self._should_execute():
             return None
-        dead = self._collect()
-        if dead(obj):
+        heap = self._collect()
+        if not heap.is_live(obj):
             return True
         address = obj.address
         incoming = 0
-        for other in self.vm.heap:
-            if dead(other):
-                continue
+        for other in heap.live():
             for ref in other.reference_slots():
                 if ref == address:
                     incoming += 1
@@ -136,7 +129,7 @@ class HeapProbes:
         target_obj = self._resolve(target)
         if not self._should_execute():
             return None
-        dead = self._collect()
-        if dead(source_obj) or dead(target_obj):
+        heap = self._collect()
+        if not (heap.is_live(source_obj) and heap.is_live(target_obj)):
             return False
-        return target_obj.address in self.vm.heap.closure([source_obj.address])
+        return target_obj.address in heap.closure([source_obj.address])

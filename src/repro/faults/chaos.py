@@ -28,10 +28,9 @@ Each cell runs in its own VM with telemetry on, a snapshot policy
 capturing every 2nd GC into a temp directory, and a growth ceiling of
 2× the workload heap so the OOM ladder has headroom.  Between the
 fault backstop and the recovery collection a *read-only* paranoid probe
-(:func:`~repro.gc.verify.heap_findings`, both tiers,
-``finish_lazy_sweep=False``) walks the damaged heap; what it flags there
-is detection evidence, filed under the invariant's name, not a cell
-failure.
+(:func:`~repro.gc.verify.heap_findings`, both tiers) walks the damaged
+heap; what it flags there is detection evidence, filed under the
+invariant's name, not a cell failure.
 """
 
 from __future__ import annotations
@@ -209,7 +208,7 @@ def run_cell(
         # Read-only detection probe: the paranoid walker sees the injected
         # damage *before* recovery repairs it.  Its findings are coverage
         # evidence for the fault → invariant matrix, never cell failures.
-        probe = heap_findings(vm, BOTH_TIERS, finish_lazy_sweep=False)
+        probe = heap_findings(vm, BOTH_TIERS)
         pending_refusals = _pending_refusals(vm.collector)
 
         # Recovery: one full collection over the (possibly corrupt) heap,

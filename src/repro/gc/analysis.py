@@ -9,9 +9,9 @@ All functions operate on a quiesced VM (no collection in progress) and do
 not mutate header bits — reachability is :meth:`ObjectHeap.closure
 <repro.heap.heap.ObjectHeap.closure>`, a Python-side visited set, so they
 are safe to call between any two mutator operations.  They are read-only
-on a lazily swept heap too: the table walks skip the dead a sweep still
-owes (``pending_garbage_predicate``, as ``take_census`` does), and
-:func:`path_to` follows closure's policy, so an edge that is null,
+on a lazily swept heap too: they read the heap's live view, which leaves
+out the dead a sweep still owes, and :func:`path_to` follows closure's
+policy, so an edge that is null,
 untabled or freed is neither entered nor followed and a damaged heap gets
 an answer, not an error.
 
@@ -49,12 +49,6 @@ def _address_of(vm: "VirtualMachine", target: Target) -> int:
     if obj is not None:
         return obj.address
     raise TypeError(f"cannot analyze {target!r}")
-
-
-def _live(vm: "VirtualMachine"):
-    """The heap's objects, less the dead a lazy sweep has not reclaimed yet."""
-    pending = vm.collector.pending_garbage_predicate()
-    return iter(vm.heap) if pending is None else (o for o in vm.heap if not pending(o))
 
 
 def path_to(vm: "VirtualMachine", target: Target) -> Optional[tuple[str, list[HeapObject]]]:
@@ -132,7 +126,7 @@ def incoming_references(
     for description, address in vm.root_entries():
         if address == wanted:
             holders.append((description, None))
-    for obj in _live(vm):
+    for obj in vm.heap.live():
         for index, ref in zip(obj.reference_slot_indices(), obj.reference_slots()):
             if ref == wanted:
                 if obj.cls.is_array:
@@ -145,11 +139,5 @@ def incoming_references(
 
 def heap_census(vm: "VirtualMachine") -> dict[str, dict]:
     """Live objects and bytes per class, descending by bytes."""
-    census: dict[str, dict] = {}
-    for obj in _live(vm):
-        entry = census.setdefault(obj.cls.name, {"objects": 0, "bytes": 0})
-        entry["objects"] += 1
-        entry["bytes"] += obj.size_bytes
-    return dict(
-        sorted(census.items(), key=lambda item: item[1]["bytes"], reverse=True)
-    )
+    ranked = sorted(vm.heap.live_by_class().items(), key=lambda item: item[1][1], reverse=True)
+    return {name: {"objects": count, "bytes": nbytes} for name, (count, nbytes) in ranked}

@@ -30,7 +30,6 @@ from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
-from repro.telemetry.census import take_census
 
 if TYPE_CHECKING:
     from repro.runtime.vm import VirtualMachine
@@ -582,17 +581,17 @@ class Collector:
     def process_weak_references(self, fwd: Optional[dict[int, int]] = None) -> None:
         """Clear weak slots whose target died; forward ones whose target moved.
 
-        A target is dead when it has left the table — or, under lazy-sweep
-        debt, when it is still there as pending garbage (unmarked and not
-        newer than the cutoff).  Pending-garbage holders are skipped: the
-        eager path never sees them either (they are evicted before weak
+        A target is dead when it is not live (:meth:`ObjectHeap.is_live`):
+        gone from the table or, under lazy-sweep debt, still there as
+        pending garbage.  Pending-garbage holders are skipped: the eager
+        path never sees them either (they are evicted before weak
         processing), which keeps ``weak_refs_cleared`` identical between
-        modes.
+        modes.  With no sweep owed, the table is the answer, asked once.
         """
         heap = self.heap
-        pending = self.pending_garbage_predicate()
+        owed = heap.sweep_cutoff is not None
         for obj in list(heap.weak_holders):
-            if pending is not None and pending(obj):
+            if owed and not heap.is_live(obj):
                 continue
             slots = obj.slots
             for idx in obj.weak_slot_indices():
@@ -602,7 +601,7 @@ class Collector:
                 if fwd:
                     address = fwd.get(address, address)
                 target = heap.maybe(address)
-                if target is None or (pending is not None and pending(target)):
+                if target is None or (owed and not heap.is_live(target)):
                     slots[idx] = NULL
                     self.stats.weak_refs_cleared += 1
                 else:
@@ -638,7 +637,7 @@ class Collector:
         """Paranoid wellformedness walk around a collection.
 
         Both tiers of the invariant catalogue, read-only (pending lazy
-        garbage is excluded rather than swept — the walk must never change
+        garbage is not live to it, not swept — the walk must never change
         what the collection it brackets would have done); any finding
         raises a typed :class:`~repro.gc.verify.HeapVerificationError`
         naming the phase.  Callers gate on ``self.paranoid`` and run it
@@ -648,9 +647,7 @@ class Collector:
         if self.vm is None:
             return
         self.paranoid_walks += 1
-        problems = verify_heap(
-            self.vm, raise_on_error=False, finish_lazy_sweep=False, paranoid=True
-        )
+        problems = verify_heap(self.vm, raise_on_error=False, paranoid=True)
         if problems:
             raise HeapVerificationError(
                 f"paranoid[{phase}] walk after gc#{self.stats.collections} found "
@@ -717,11 +714,8 @@ class Collector:
         from repro.snapshot.retained import top_retained
 
         heap = self.heap
-        pending = self.pending_garbage_predicate()
         objects: dict[int, ObjectRecord] = {}
-        for obj in heap:
-            if pending is not None and pending(obj):
-                continue
+        for obj in heap.live():
             edges = tuple(
                 ref for ref in obj.reference_slots() if ref != NULL and heap.contains(ref)
             )
@@ -744,7 +738,7 @@ class Collector:
         census: dict[str, tuple[int, int]] = {}
         top: list[tuple[str, int]] = []
         try:
-            census = take_census(self.heap, skip=self.pending_garbage_predicate())
+            census = self.heap.live_by_class()
             top = self._top_retained()
         except Exception:
             # Triage is best-effort: an OOM report must never be masked by a
@@ -772,10 +766,10 @@ class Collector:
     def sweep_all(self) -> None:
         """Finish any deferred sweep work so reclamation is exact *now*.
 
-        The escape hatch lazy mode needs for consumers whose semantics
-        require an up-to-date heap table — ``verify_heap``, the class
-        census, assert-dead probing after an explicit GC — and every
-        sweeping collector's prologue.
+        Readers need not call it: the heap answers liveness under debt.
+        It is for callers that need the dead *gone* — freed counters,
+        recycled cells, a use-after-free raised — and every sweeping
+        collector's prologue.
         """
         if self._sweeper is not None:
             self._sweeper.sweep_all()
@@ -783,16 +777,6 @@ class Collector:
     def sweep_debt(self) -> int:
         """Unswept chunks outstanding from the last collection (0 = exact)."""
         return self._sweeper.debt if self._sweeper is not None else 0
-
-    def sweep_cutoff(self) -> int:
-        """``heap.install_seq`` at the last mark end: under sweep debt, an
-        object stamped later was installed after the trace."""
-        return self._sweeper.cutoff if self._sweeper is not None else 0
-
-    def pending_garbage_predicate(self):
-        """``None``, or a predicate marking objects that are dead but not
-        yet swept — table walkers (census) use it to skip pending garbage."""
-        return self._sweeper.pending_garbage_predicate() if self._sweeper is not None else None
 
     # -- introspection -----------------------------------------------------------------
 

@@ -20,13 +20,17 @@ Two drain disciplines share the per-chunk core:
 
   - **the mark set outlives the pause** — ``heap.marks`` is what tells a
     pending chunk's survivors from its dead, so it is kept until the last
-    pending chunk is swept and dropped in that same call (eager mode drops
-    it when ``drain_eager`` finishes).
-  - **epoch filter** — ``cutoff`` is ``heap.install_seq`` captured when the
-    chunks were scheduled (mark end).  Objects installed or relocated after
-    that (mutator allocations into a pending chunk; generational promotion
-    into recycled mature cells) have ``alloc_seq > cutoff`` and are skipped:
-    unmarked and newer means "allocated after the trace", not "dead".
+    pending chunk is swept and dropped in that same call
+    (``heap.end_sweep()``; eager mode calls it when ``drain_eager``
+    finishes).
+  - **epoch filter** — the cutoff lives on the heap: ``heap.sweep_cutoff``
+    is ``heap.install_seq`` captured when the chunks were scheduled (mark
+    end).  Objects installed or relocated after that (mutator allocations
+    into a pending chunk; generational promotion into recycled mature
+    cells) have ``alloc_seq > cutoff`` and are skipped: unmarked and newer
+    means "allocated after the trace", not "dead".  The same two facts are
+    the heap's liveness rule (``ObjectHeap.is_live``), so no reader needs
+    to know the sweep is lazy.
   - **purge before reuse** — address-keyed assertion/VM metadata for a
     chunk's dead cells is purged *before* those cells reach the free list,
     so a recycled address can never alias a stale registry entry.
@@ -51,16 +55,13 @@ LAZY_SWEEP_BATCH = 8
 class ChunkSweeper:
     """Pending-chunk queue plus the per-chunk sweep loop for one space."""
 
-    __slots__ = ("collector", "space", "pending", "cutoff")
+    __slots__ = ("collector", "space", "pending")
 
     def __init__(self, collector: "Collector", space):
         self.collector = collector
         self.space = space
         #: Chunk ids scheduled at mark end and not yet swept.
         self.pending: deque[int] = deque()
-        #: ``heap.install_seq`` at schedule time; objects stamped later are
-        #: post-mark installs and must not be treated as dead.
-        self.cutoff = 0
 
     @property
     def debt(self) -> int:
@@ -68,9 +69,12 @@ class ChunkSweeper:
         return len(self.pending)
 
     def schedule(self) -> None:
-        """Capture the space's chunks for sweeping; call at mark end."""
-        self.cutoff = self.collector.heap.install_seq
+        """Capture the space's chunks for sweeping and, if there are any,
+        the heap's cutoff; call at mark end."""
+        heap = self.collector.heap
         self.pending = deque(self.space.chunk_ids())
+        if self.pending:
+            heap.sweep_cutoff = heap.install_seq
 
     # -- per-chunk core ----------------------------------------------------------
 
@@ -86,8 +90,9 @@ class ChunkSweeper:
         back: its cell stays recorded, and leaked.
         """
         collector = self.collector
-        swept, freed, by_class = collector.heap.sweep_cells(
-            self.space.chunk_cells(chunk_id), self.cutoff
+        heap = collector.heap
+        swept, freed, by_class = heap.sweep_cells(
+            self.space.chunk_cells(chunk_id), heap.sweep_cutoff
         )
         fenced = collector.quarantine.fenced
         if fenced:
@@ -123,7 +128,7 @@ class ChunkSweeper:
                     stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
                 if freed:
                     freed_all |= freed
-            collector.heap.new_marks()  # every chunk is swept: nothing reads them now
+            collector.heap.end_sweep()  # every chunk is swept: nothing reads them now
         return freed_all
 
     def sweep_chunks(self, max_chunks: int | None = None) -> int:
@@ -160,7 +165,7 @@ class ChunkSweeper:
                         stats.bytes_freed += self.space.free_chunk_cells(chunk_id, by_class)
                     released += len(freed)
             if not pending:
-                collector.heap.new_marks()  # debt repaid: the set has no reader left
+                collector.heap.end_sweep()  # debt repaid: the set has no reader left
         if spans is not None:
             spans.counter("sweep_debt", chunks=len(pending))
         telemetry = collector.telemetry
@@ -173,17 +178,3 @@ class ChunkSweeper:
     def sweep_all(self) -> None:
         """Drain all outstanding debt (lazy discipline, incremental purge)."""
         self.sweep_chunks(None)
-
-    def pending_garbage_predicate(self):
-        """``None`` when nothing is owed, else a predicate for objects that
-        are dead but still in the table: traced over (not newer than the
-        cutoff) and not marked."""
-        if not self.pending:
-            return None
-        cutoff = self.cutoff
-        marks = self.collector.heap.marks
-
-        def _is_pending_garbage(obj) -> bool:
-            return obj.alloc_seq <= cutoff and obj.address not in marks
-
-        return _is_pending_garbage

@@ -14,8 +14,8 @@ by a chunked sweep in one of two disciplines:
   semantics are identical to the classic mark-sweep sequence.
 * ``sweep_mode="lazy"`` — the pause ends at mark end; unswept chunks are
   reclaimed incrementally on the allocation slow path (or all at once via
-  :meth:`sweep_all`, the exactness escape hatch used by ``verify_heap``,
-  the census, and the next collection's prologue).
+  :meth:`sweep_all`, as the next collection's prologue does).  Until then
+  the heap's liveness rule keeps the dead out of every reader's view.
 """
 
 from __future__ import annotations

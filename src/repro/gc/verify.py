@@ -22,13 +22,11 @@ tier; the chaos probe and the fault → invariant matrix read
 :func:`heap_findings` and go by the invariant's name.  At which points of
 a pause they run is :meth:`repro.gc.base.Collector.collect`'s business.
 
-.. warning::
-   By default ``verify_heap`` *finishes deferred lazy-sweep work*
-   (``collector.sweep_all()``) so exactness is judged against an up-to-date
-   heap: that mutates sweep debt, frees pending garbage and bumps the freed
-   counters.  ``finish_lazy_sweep=False`` (the per-GC ``--paranoid`` hooks,
-   the chaos probe) is strictly read-only: pending garbage is skipped and
-   the mark set judged as what the unswept chunks still need.
+Every reader is read-only, under lazy-sweep debt too: the graph tier holds
+the heap's live view (:meth:`~repro.heap.heap.ObjectHeap.live`) to
+exactness, so pending garbage is not judged, and the mark set is judged as
+what the unswept chunks still need.  A caller that wants the dead gone
+first calls ``collector.sweep_all()``.
 """
 
 from __future__ import annotations
@@ -141,18 +139,15 @@ class _Scan:
 
     __slots__ = ("vm", "collector", "heap", "table", "quarantine", "registry", "objects")
 
-    def __init__(self, vm: "VirtualMachine", pending=None):
+    def __init__(self, vm: "VirtualMachine"):
         self.vm = vm
         self.collector = vm.collector
         self.heap = vm.heap
-        self.table = table = vm.heap.address_table()
+        self.table = vm.heap.address_table()
         self.quarantine = vm.collector.quarantine
         self.registry = getattr(vm.engine, "registry", None)
-        #: The objects held to exactness: all but what ``pending``, the
-        #: dead-but-unswept predicate of a read-only walk under debt, names.
-        self.objects = (
-            table.values() if pending is None else [o for o in table.values() if not pending(o)]
-        )
+        #: The objects held to exactness: the live ones.
+        self.objects = vm.heap.live()
 
 
 #: Collector attributes that may hold an allocation space.
@@ -203,7 +198,7 @@ def mark_set_problems(collector: "Collector") -> Iterator[str]:
             yield f"mark set holds {len(marks)} address(es) but no sweep debt is outstanding"
         return
     table = heap.address_table()
-    cutoff = collector.sweep_cutoff()
+    cutoff = heap.sweep_cutoff
     for address in marks:
         obj = table.get(address)
         if obj is None:
@@ -347,7 +342,9 @@ def _find_ownership_bit_disagreement(scan: _Scan):
 
 
 def _find_accounting_drift(scan: _Scan):
-    # Pending garbage is tabled and counted alike: debt changes nothing here.
+    # Pending garbage is tabled and counted alike, so debt changes nothing for
+    # bytes and objects; the census counters are read, and so held to the
+    # walk, only while no sweep is owed.
     heap = scan.heap
     live_bytes = heap.live_bytes()
     in_use = scan.collector.bytes_in_use()
@@ -498,36 +495,21 @@ def _findings(scan: _Scan, tiers: Tuple[str, ...], repairable_only: bool = False
             yield from [Finding(entry.name, message) for message in entry.find(scan)]
 
 
-def heap_findings(
-    vm: "VirtualMachine",
-    tiers: Tuple[str, ...] = (GRAPH,),
-    *,
-    finish_lazy_sweep: bool = True,
-) -> list[Finding]:
-    """Every breach of the catalogue's ``tiers``, under its invariant's name.
-    ``finish_lazy_sweep=True`` repays outstanding sweep debt first — a
-    **mutation** (see the module docstring); ``False`` only reads."""
-    collector = vm.collector
-    pending = None
-    if finish_lazy_sweep:
-        collector.sweep_all()
-    elif collector.sweep_debt() > 0:
-        pending = collector.pending_garbage_predicate()
-    return list(_findings(_Scan(vm, pending), tiers))
+def heap_findings(vm: "VirtualMachine", tiers: Tuple[str, ...] = (GRAPH,)) -> list[Finding]:
+    """Every breach of the catalogue's ``tiers``, under its invariant's name."""
+    return list(_findings(_Scan(vm), tiers))
 
 
 def verify_heap(
     vm: "VirtualMachine",
     raise_on_error: bool = True,
     *,
-    finish_lazy_sweep: bool = True,
     paranoid: bool = False,
 ) -> list[str]:
     """The graph tier's problems (``paranoid=True``: and the allocator
-    tier's); raises if there are any and ``raise_on_error``.
-    ``finish_lazy_sweep`` as in :func:`heap_findings`."""
+    tier's); raises if there are any and ``raise_on_error``."""
     tiers = BOTH_TIERS if paranoid else (GRAPH,)
-    found = heap_findings(vm, tiers, finish_lazy_sweep=finish_lazy_sweep)
+    found = heap_findings(vm, tiers)
     problems = [finding.message for finding in found]
     if problems and raise_on_error:
         raise HeapVerificationError(

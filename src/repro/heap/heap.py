@@ -4,7 +4,10 @@ The :class:`ObjectHeap` is shared by every collector.  It owns the mapping
 from word-aligned addresses to :class:`~repro.heap.object_model.HeapObject`
 instances, assigns identity hashes, poisons objects on free (so
 use-after-free errors surface immediately instead of silently corrupting the
-simulation), and keeps cumulative allocation statistics.
+simulation), and keeps cumulative allocation statistics.  It is also the
+one judge of liveness (:meth:`ObjectHeap.is_live`): after a lazy
+collection the table still holds the dead a sweep owes, and every reader
+that means "live" asks the heap rather than walking the table.
 
 Address-space management (which addresses are handed out, when the heap is
 "full") belongs to the :mod:`~repro.heap.space` policies owned by each
@@ -13,7 +16,7 @@ collector; the heap only checks invariants and stores objects.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import InvalidAddressError, UseAfterFreeError
 from repro.heap import header as hdr
@@ -78,6 +81,11 @@ class ObjectHeap:
         #: table's keys, and it outlives the pause only while lazy-sweep
         #: debt is outstanding.
         self.marks: set[int] = set()
+        #: ``install_seq`` when the chunk sweeper scheduled the last trace's
+        #: chunks, while a sweep of them is owed; None once the last one is
+        #: swept (:meth:`end_sweep`).  Objects stamped later were installed
+        #: after the trace.  With :attr:`marks` it decides :meth:`is_live`.
+        self.sweep_cutoff: Optional[int] = None
 
     # -- creation / destruction ----------------------------------------------
 
@@ -125,6 +133,12 @@ class ObjectHeap:
         """Drop the mark set and start an empty one (returned)."""
         self.marks = marks = set()
         return marks
+
+    def end_sweep(self) -> None:
+        """The last pending chunk is swept: every tabled object is live
+        again, so the mark set and the cutoff it was judged by both go."""
+        self.new_marks()
+        self.sweep_cutoff = None
 
     def sweep_cells(
         self, cells: Collection[tuple[int, int]], cutoff: int
@@ -236,6 +250,28 @@ class ObjectHeap:
     def contains(self, address: int) -> bool:
         return address in self._objects
 
+    # -- liveness ----------------------------------------------------------------
+
+    def is_live(self, obj: HeapObject) -> bool:
+        """The one answer to "is it live?", for every reader.
+
+        Tabled, and either no sweep is owed, or installed after the trace
+        (stamped past the cutoff), or marked by it.  What fails the second
+        half is *pending garbage*: dead, tabled only until a lazy sweep
+        reaches its chunk.
+        """
+        cutoff = self.sweep_cutoff
+        return self._objects.get(obj.address) is obj and (
+            cutoff is None or obj.alloc_seq > cutoff or obj.address in self.marks
+        )
+
+    def live(self) -> Collection[HeapObject]:
+        """Every live object: the table itself when no sweep is owed, a
+        snapshot of what passes :meth:`is_live` while one is."""
+        if self.sweep_cutoff is None:
+            return self._objects.values()
+        return [obj for obj in self._objects.values() if self.is_live(obj)]
+
     def closure(self, seeds: Iterable[int], excluding: int = NULL) -> set[int]:
         """Addresses of every live object reachable from ``seeds``.
 
@@ -286,7 +322,8 @@ class ObjectHeap:
         return self._objects
 
     def live_bytes(self) -> int:
-        """Total bytes occupied by live objects (O(1); counter-maintained)."""
+        """Total bytes occupied by tabled objects, pending garbage included
+        (O(1); counter-maintained)."""
         return self._live_bytes
 
     def live_bytes_slow(self) -> int:
@@ -294,8 +331,12 @@ class ObjectHeap:
         return sum(obj.size_bytes for obj in self._objects.values())
 
     def live_by_class(self) -> dict[str, tuple[int, int]]:
-        """Per-class ``(live instances, live bytes)`` by class name, from the
-        install/evict counters (O(classes)); classes with none are omitted."""
+        """Per-class ``(live instances, live bytes)`` by class name; classes
+        with none are omitted.  From the install/evict counters (O(classes))
+        when no sweep is owed; while one is, the counters still hold the
+        pending garbage, so the live view is walked instead."""
+        if self.sweep_cutoff is not None:
+            return self.live_by_class_slow()
         census: dict[str, tuple[int, int]] = {}
         for cls, (count, nbytes) in self._live_by_class.items():
             if count:
@@ -305,19 +346,12 @@ class ObjectHeap:
                 census[cls.name] = (count, nbytes)
         return census
 
-    def live_by_class_slow(
-        self, skip: Optional[Callable[[HeapObject], bool]] = None
-    ) -> dict[str, tuple[int, int]]:
-        """Recompute :meth:`live_by_class` by walking the table.
-
-        The cross-check for the counters, and the only census there is while
-        ``skip`` has something to say: under outstanding lazy-sweep debt the
-        table still holds dead objects, which ``skip`` leaves out.
-        """
+    def live_by_class_slow(self) -> dict[str, tuple[int, int]]:
+        """Recompute :meth:`live_by_class` by walking the live view — the
+        cross-check for the counters, which it is whenever no sweep is
+        owed."""
         census: dict[str, tuple[int, int]] = {}
-        for obj in self._objects.values():
-            if skip is not None and skip(obj):
-                continue
+        for obj in self.live():
             name = obj.cls.name
             count, nbytes = census.get(name, (0, 0))
             census[name] = (count + 1, nbytes + obj.size_bytes)

@@ -89,7 +89,7 @@ class Handle:
 
     @property
     def is_live(self) -> bool:
-        return not self.obj.is_freed
+        return self.vm.heap.is_live(self.obj)
 
     def __len__(self) -> int:
         obj = self._check()

@@ -402,7 +402,7 @@ class VirtualMachine:
     def describe(self) -> str:
         return (
             f"VM[{self.collector.describe()}, {len(self.threads)} threads, "
-            f"{self.heap.stats.objects_live} objects live]"
+            f"{len(self.heap.live())} objects live]"
         )
 
     def violation_lines(self) -> list[str]:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from repro.telemetry.census import ClassCensus, take_census
+from repro.telemetry.census import ClassCensus
 from repro.telemetry.events import (
     EVENT_SCHEMA,
     DegradedEvent,
@@ -73,7 +73,6 @@ __all__ = [
     "Telemetry",
     "TelemetrySink",
     "render_prometheus",
-    "take_census",
     "validate_exposition",
 ]
 
@@ -260,7 +259,7 @@ class Telemetry:
             trigger,
             collector.stats.copy(),
             collector.bytes_in_use(),
-            len(collector.heap),
+            len(collector.heap.live()),
         )
 
     def finish_collection(
@@ -270,6 +269,9 @@ class Telemetry:
         pause = end_mono - pending.start
         stats = collector.stats
         delta = stats.diff(pending.stats_before)
+        # The heap's census is exact under lazy-sweep debt too (it walks the
+        # live view only then), and the live count is its sum: one walk.
+        census = collector.heap.live_by_class()
         event = GcEvent(
             seq=stats.collections,
             collector=collector.name,
@@ -288,7 +290,7 @@ class Telemetry:
             bytes_before=pending.bytes_before,
             bytes_after=collector.bytes_in_use(),
             live_before=pending.live_before,
-            live_after=len(collector.heap),
+            live_after=sum(count for count, _nbytes in census.values()),
             heap_bytes=collector.heap_bytes,
             assertion_checks=delta.header_bit_checks + delta.ownees_checked,
             ownees_checked=delta.ownees_checked,
@@ -305,12 +307,7 @@ class Telemetry:
         self.pause_hist.record(pause)
         if event.kind == "full":
             self.ownees_hist.record(event.ownees_checked)
-        # Lazy sweep modes end the pause with dead objects still tabled;
-        # the pending-garbage predicate keeps the census exact regardless.
-        self.census.observe(
-            take_census(collector.heap, skip=collector.pending_garbage_predicate()),
-            gc_number=event.seq,
-        )
+        self.census.observe(census, gc_number=event.seq)
         # Exporter failures must never propagate into a GC pause; _emit
         # contains them behind the per-sink circuit breaker.
         self._emit(event)

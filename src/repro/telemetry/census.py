@@ -1,42 +1,21 @@
 """Per-class live-instance census: one summary, many consumers.
 
 This is the Cork idea (Jump & McKinley — summarize the live heap per type
-at each collection) promoted to a first-class telemetry primitive.
-:func:`take_census` is the one function that produces a per-class
-``(count, bytes)`` summary (from the heap's install/evict counters; by a
-table walk only under outstanding lazy-sweep debt); :class:`ClassCensus`
-accumulates those summaries into aligned time series.  The telemetry hub samples one at every
-collection, and the Cork baseline (:mod:`repro.baselines.cork`) consumes
-the same machinery instead of keeping its own books.
+at each collection) promoted to a first-class telemetry primitive.  The
+heap produces each per-class ``(count, bytes)`` summary
+(:meth:`~repro.heap.heap.ObjectHeap.live_by_class`, exact under lazy-sweep
+debt too); :class:`ClassCensus` accumulates those summaries into aligned
+time series.  The telemetry hub samples one at every collection, and the
+Cork baseline (:mod:`repro.baselines.cork`) consumes the same machinery
+instead of keeping its own books.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
-
-if TYPE_CHECKING:
-    from repro.heap.heap import ObjectHeap
-    from repro.heap.object_model import HeapObject
+from typing import Iterable
 
 #: One class's live summary at a single sample: (instance count, live bytes).
 CensusRow = tuple[int, int]
-
-
-def take_census(
-    heap: "ObjectHeap",
-    skip: Optional[Callable[["HeapObject"], bool]] = None,
-) -> dict[str, CensusRow]:
-    """Summarize the live heap per class.
-
-    The heap keeps the per-class rows current on install and evict, so this
-    is O(classes) — unless ``skip`` is given.  ``skip`` filters out objects
-    that are in the table but not logically live: lazy sweep modes pass
-    their pending-garbage predicate, and while sweep debt is outstanding
-    the counters still include that garbage, so the census walks the table.
-    """
-    if skip is None:
-        return heap.live_by_class()
-    return heap.live_by_class_slow(skip)
 
 
 class ClassCensus:
@@ -58,7 +37,7 @@ class ClassCensus:
     # -- accumulation -----------------------------------------------------------------
 
     def observe(self, census: dict[str, CensusRow], gc_number: int = -1) -> None:
-        """Append one sample (typically from :func:`take_census`)."""
+        """Append one sample (typically ``heap.live_by_class()``)."""
         for name in set(self._series) | set(census):
             series = self._series.setdefault(name, [(0, 0)] * self.samples)
             series.append(census.get(name, (0, 0)))

@@ -43,10 +43,9 @@ def render_frame(vm: "VirtualMachine", frame_no: int, elapsed: float) -> str:
         f"repro top — {vm.collector.describe()}  "
         f"up {elapsed:6.1f}s  frame {frame_no}"
     )
-    live = len(vm.heap)
     lines.append(
         f"heap: {vm.collector.bytes_in_use()}/{vm.collector.heap_bytes} bytes, "
-        f"{live} objects live | collections: {stats.collections} "
+        f"{len(vm.heap.live())} objects live | collections: {stats.collections} "
         f"({stats.full_collections} full, {stats.minor_collections} minor)"
     )
 

@@ -454,9 +454,8 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool, owners: tuple =
     reachable = shape.reachable()
     agrees = set.__ge__ if owners else set.__eq__
 
-    # Lazy cells: before repaying sweep debt, the pending-garbage view must
-    # already agree with the oracle (dead-but-unswept objects are invisible
-    # to every consumer that honours the predicate).
+    # Lazy cells: before repaying sweep debt, the heap's own live view must
+    # already agree with the oracle (it is what every reader sees).
     problems.extend(f"Marks: {p}" for p in mark_set_problems(collector))
     if collector.sweep_debt() > 0:
         table = heap.address_table()
@@ -466,12 +465,7 @@ def _run_shape(vm, node_cls, shape: HeapShape, assertions: bool, owners: tuple =
                 f"Marks: unswept chunks are judged by marks {sorted(marked)}, "
                 f"which miss reachable {sorted(reachable - marked)}"
             )
-        pending = collector.pending_garbage_predicate()
-        visible = {
-            obj.slots[tag_slot]
-            for obj in heap
-            if pending is None or not pending(obj)
-        }
+        visible = {obj.slots[tag_slot] for obj in heap.live()}
         if not agrees(visible, reachable):
             problems.append(
                 f"lazy view: visible tags {sorted(visible)} != "

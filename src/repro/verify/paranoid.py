@@ -21,7 +21,4 @@ __all__ = ["iter_spaces", "paranoid_problems"]
 
 def paranoid_problems(vm: "VirtualMachine") -> list[str]:
     """The allocator tier's findings as strings (empty = clean)."""
-    return [
-        finding.message
-        for finding in heap_findings(vm, (ALLOCATOR,), finish_lazy_sweep=False)
-    ]
+    return [finding.message for finding in heap_findings(vm, (ALLOCATOR,))]

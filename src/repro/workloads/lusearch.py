@@ -214,7 +214,7 @@ def run_lusearch(vm: VirtualMachine, config: LusearchConfig | None = None) -> Lu
             vm.gc(reason="lusearch midway")
             searcher_cls = vm.classes.get(SEARCHER)
             result.peak_live_searchers = sum(
-                1 for obj in vm.heap if obj.cls is searcher_cls
+                1 for obj in vm.heap.live() if obj.cls is searcher_cls
             )
 
     if vm.engine is not None:

@@ -16,7 +16,7 @@ against the templated install and ``ObjectHeap.sweep_cells``; nothing under
 ``src/`` imports this module.
 
 The reference eviction knows nothing of the per-class census counters, so a
-heap it has swept is compared by its table walk (``live_by_class_slow``).
+heap it has swept is compared by a walk (``live_by_class_slow``).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def reference_sweep_chunk(self: ChunkSweeper, chunk_id: int) -> tuple[set[int], 
     stats = collector.stats
     table = heap.address_table()
     marks = heap.marks
-    cutoff = self.cutoff
+    cutoff = heap.sweep_cutoff
     freed: set[int] = set()
     by_class: dict[int, list[int]] = {}
     swept = 0

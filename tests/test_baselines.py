@@ -104,6 +104,24 @@ class TestStalenessDetector:
         vm.gc()
         assert detector.candidates() == []
 
+    @pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+    def test_new_occupants_of_recycled_cells_start_fresh(self, sweep_mode):
+        vm = VirtualMachine(heap_bytes=4 << 20, sweep_mode=sweep_mode)
+        cls = make_node_class(vm)
+        detector = StalenessDetector(vm, stale_after=3)
+        with vm.scope():
+            dead = {vm.new(cls).address for _ in range(50)}
+        vm.gc()
+        vm.collector.sweep_all()
+        fresh = build_chain(vm, cls, 50)
+        assert {node.address for node in fresh} & dead  # the cells were recycled
+        for _ in range(3):
+            vm.gc()
+        # First sighted at the second collection: idle for two epochs, not
+        # three — neither the dead occupant's sighting (a lazy collection
+        # leaves it tabled) nor its record carries over to the new one.
+        assert detector.candidates() == []
+
     def test_candidate_types_summary(self, vm, node_class):
         build_chain(vm, node_class, 4)
         detector = StalenessDetector(vm, stale_after=1)

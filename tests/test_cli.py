@@ -302,6 +302,24 @@ class TestRunpyInvocation:
                 f"{where} quotes {family}, which no renderer declares"
             )
 
+    def test_changes_entries_fit_the_cap(self):
+        """A CHANGES.md entry says what changed, the bug fixed and the gates
+        run, in at most 600 characters; measurements belong in the benchmark
+        history.  Entries numbered below ``capped_from`` predate the cap."""
+        capped_from, cap = 28, 600
+        held = []
+        for entry in (ROOT / "CHANGES.md").read_text().splitlines():
+            if not entry.strip():
+                continue
+            number = re.search(r"\bPR (\d+)\b", entry)
+            assert number, f"a CHANGES.md entry names no number: {entry[:60]!r}"
+            if int(number.group(1)) >= capped_from:
+                held.append(number.group(1))
+                assert len(entry) <= cap, (
+                    f"CHANGES.md entry {number.group(1)} is {len(entry)} characters; the cap is {cap}"
+                )
+        assert held, "no CHANGES.md entry is held to the cap"
+
     def test_every_service_option_is_set_by_some_caller(self):
         """The caller census, kept on: a config field nothing in ``src/`` sets
         outside its definition has one value in use, which is a constant."""

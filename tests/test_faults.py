@@ -287,7 +287,7 @@ class TestQuarantineAliasedCells:
         for round_no in range(40):
             build_chain(vm, cls, 100, root_name=f"churn{round_no % 3}")
         assert victim not in placed
-        assert heap_findings(vm, BOTH_TIERS, finish_lazy_sweep=False) == []
+        assert heap_findings(vm, BOTH_TIERS) == []
 
     def test_uncommit_repairs_double_charge(self):
         from repro.heap.space import FreeListSpace

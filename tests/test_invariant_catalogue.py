@@ -216,15 +216,13 @@ def test_declared_invariant_convicts_and_declared_repair_mends(name, collector, 
     entry = next(e for e in CATALOGUE if e.name == name)
     vm = _corrupted(collector, corrupt)
 
-    findings = heap_findings(vm, BOTH_TIERS, finish_lazy_sweep=False)
+    findings = heap_findings(vm, BOTH_TIERS)
     assert {f.invariant for f in findings} == {name} | also, findings
     mine = [f for f in findings if f.invariant == name]
     # A repair rides on a finding exactly when its entry declares one.
     assert all((f.repair is not None) == (entry.repair is not None) for f in mine)
     # The string-returning readers say the same thing in the same words.
-    assert verify_heap(
-        vm, raise_on_error=False, finish_lazy_sweep=False, paranoid=True
-    ) == [f.message for f in findings]
+    assert verify_heap(vm, raise_on_error=False, paranoid=True) == [f.message for f in findings]
 
     problems = run_sentinel(vm, scrub_freelists=True)
     if entry.repair is None:

@@ -452,7 +452,7 @@ def test_ownership_fused_foreign_ownee_is_never_swept_under_a_live_reference(
         reported = len(log.of_kind(AssertionKind.OWNED_BY))
         unowned = [handle.address for handle in expected["unowned"]]  # before any move
         vm.gc(reason)
-        assert verify_heap(vm) == []  # finishes a lazy sweep first
+        assert verify_heap(vm) == []  # the live view; a lazy sweep stays owed
         assert all(handle.is_live for handle in expected["live"])
         # An ownee its owner cannot reach is reported at every collection.
         assert [v.address for v in log.of_kind(AssertionKind.OWNED_BY)[reported:]] == unowned

@@ -170,7 +170,6 @@ def test_readonly_verify_leaves_lazy_debt_untouched():
     vm.gc("make garbage")  # scope closed: all 64 are dead, sweep deferred
     debt = vm.collector.sweep_debt()
     assert debt > 0
-    problems = verify_heap(vm, raise_on_error=False,
-                           finish_lazy_sweep=False, paranoid=True)
+    problems = verify_heap(vm, raise_on_error=False, paranoid=True)
     assert problems == []
     assert vm.collector.sweep_debt() == debt  # read-only: debt unchanged

@@ -25,7 +25,6 @@ from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
-from repro.telemetry.census import take_census
 from repro.verify.paranoid import iter_spaces
 
 from tests.reference_heap import reference_sweep
@@ -109,11 +108,8 @@ class Twin:
 
     def _settle(self) -> None:
         """After a collection: who is still the mutator's to touch."""
-        pending = self.vm.collector.pending_garbage_predicate()
-        self.reachable = [
-            index for index, obj in enumerate(self.objects)
-            if not obj.is_freed and not (pending is not None and pending(obj))
-        ]
+        is_live = self.vm.heap.is_live
+        self.reachable = [index for index, obj in enumerate(self.objects) if is_live(obj)]
 
     def step(self, op) -> None:
         vm = self.vm
@@ -183,8 +179,7 @@ class Twin:
             "spaces": spaces,
             "debt": vm.collector.sweep_debt(),
             # By walk: the reference eviction does not keep the counters.
-            "census_tabled": heap.live_by_class_slow(),
-            "census_live": heap.live_by_class_slow(vm.collector.pending_garbage_predicate()),
+            "census": heap.live_by_class_slow(),
             "violations": vm.violation_lines(),
             "exhausted": self.exhausted,
         }
@@ -201,11 +196,12 @@ def books_balance(vm: VirtualMachine) -> None:
     assert {obj.address for obj in heap.weak_holders} == {
         obj.address for obj in heap if obj.has_weak_slots
     }
-    pending = vm.collector.pending_garbage_predicate()
-    if pending is not None:
-        assert take_census(heap, skip=pending) == heap.live_by_class_slow(pending)
-    else:
-        assert take_census(heap) == heap.live_by_class_slow()
+    # The counters hold every tabled object, pending garbage included.
+    walked: dict = {}
+    for obj in heap:
+        count, nbytes = walked.get(obj.cls.name, (0, 0))
+        walked[obj.cls.name] = (count + 1, nbytes + obj.size_bytes)
+    assert walked == {cls.name: tuple(row) for cls, row in heap._live_by_class.items() if row[0]}
 
 
 def run_twins(collector: str, sweep_mode, script) -> None:
@@ -255,7 +251,7 @@ def test_census_from_counters_equals_walk(collector, sweep_mode):
         books_balance(twin.vm)
         twin.vm.collector.sweep_all()
         books_balance(twin.vm)
-        assert take_census(twin.vm.heap) == twin.vm.heap.live_by_class_slow()
+        assert twin.vm.heap.live_by_class() == twin.vm.heap.live_by_class_slow()
 
     run()
 
@@ -267,11 +263,11 @@ def test_lazy_sweep_spares_installs_made_after_the_cutoff():
     vm.gc("mark only")
     assert vm.collector.sweep_debt() > 0
     late = [vm.collector.allocate(node) for _ in range(20)]  # unmarked, in pending chunks
-    assert all(obj.alloc_seq > vm.collector._sweeper.cutoff for obj in late)
+    assert all(obj.alloc_seq > vm.heap.sweep_cutoff for obj in late)
     vm.collector.sweep_all()
     assert all(obj.is_freed for obj in garbage)
     assert not any(obj.is_freed for obj in late)
-    assert take_census(vm.heap) == {"Node": (20, 20 * node.instance_size)}
+    assert vm.heap.live_by_class() == {"Node": (20, 20 * node.instance_size)}
     books_balance(vm)
 
 

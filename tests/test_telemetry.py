@@ -14,7 +14,6 @@ from repro.telemetry import (
     LogHistogram,
     MemorySink,
     render_prometheus,
-    take_census,
     validate_exposition,
 )
 from repro.telemetry.census import ClassCensus
@@ -261,9 +260,9 @@ class TestLogHistogram:
 
 
 class TestCensus:
-    def test_take_census_counts_and_bytes(self, vm, node_class):
+    def test_live_by_class_counts_and_bytes(self, vm, node_class):
         build_chain(vm, node_class, 4)
-        census = take_census(vm.heap)
+        census = vm.heap.live_by_class()
         assert census["Node"][0] == 4
         assert census["Node"][1] > 0
 
