@@ -1,9 +1,9 @@
 """The assertion engine: the collector-side half of GC assertions.
 
-This is the component the paper adds to Jikes RVM's collector.  It plugs
-into the hook points every collector exposes (see
-:class:`repro.gc.base.AssertionEngineProtocol`) and piggybacks all checking
-on the normal tracing work:
+This is the component the paper adds to Jikes RVM's collector.  Every
+collector (:class:`repro.gc.base.Collector`), its tracer and the ownership
+phase call it directly, at these points, and it piggybacks all checking on
+the normal tracing work:
 
 * ``gc_begin``    — reset per-GC state (per-class instance counts).
 * ``pre_mark``    — the §2.5.2 ownership phase (or the naive ablation).
@@ -82,10 +82,11 @@ class AssertionEngine:
         #: which it does not mark.
         self._marked_owners: list[tuple[int, int]] = []
         self._foreign_ownees: list[tuple[int, int]] = []
-        #: Ownees the *naive* ownership check set ``OWNED`` on for the root scan
-        #: to read; cleared from this list (``release_owned``), not by a heap
-        #: walk.  Two-phase mode marks what it finds instead and writes no bit.
-        self._owned: list[HeapObject] = []
+        #: Addresses of the ownees the *naive* ownership check found reachable
+        #: from their owner — the paper's ``OWNED`` bit, kept beside the heap
+        #: as the mark is; the root scan reads it and ``post_mark`` drops it.
+        #: Two-phase mode marks what it finds instead, so it stays empty.
+        self._found_ownees: set[int] = set()
 
     @property
     def degraded(self) -> bool:
@@ -130,7 +131,8 @@ class AssertionEngine:
     # ------------------------------------------------------------------ hooks
 
     def gc_begin(self, collector: "Collector") -> None:
-        self.release_owned()  # an aborted mark may have left some behind
+        """Reset per-collection state (a recovery retrace runs it again)."""
+        self._found_ownees = set()
         self._gc_number = collector.stats.collections
         self._pending = []
         self._force_victims = []
@@ -140,19 +142,13 @@ class AssertionEngine:
         self.classes.reset_instance_counts()
 
     def pre_mark(self, collector: "Collector", tracer: "Tracer") -> None:
+        """Runs before root scanning — the §2.5.2 ownership phase."""
         if not self.registry.owners:
             return
         if self.ownership_mode == "two-phase":
             run_ownership_phase(self, collector)
         else:
             run_naive_ownership_check(self, collector)
-
-    def release_owned(self) -> None:
-        """Clear ``OWNED`` from every ownee this collection set it on."""
-        clear = ~hdr.OWNED_BIT
-        for obj in self._owned:
-            obj.status &= clear
-        self._owned = []
 
     def armed_checks(self) -> tuple[bool, bool]:
         """Which header reads can find work during a drain, from what is
@@ -174,12 +170,6 @@ class AssertionEngine:
         )
         return armed, repeats
 
-    #: Specialized drains may inline this engine's per-object bookkeeping
-    #: (header-bit check counters, instance counting) into the mark loop and
-    #: call the ``*_slow`` hooks only when a header bit shows actual
-    #: assertion work — the checks then truly piggyback on marking.
-    INLINE_HEADER_CHECKS = True
-
     def on_first_encounter_slow(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
         """Violation checks for a first encounter whose header word matched
         ``DEAD_BIT | OWNEE_BIT``.  The inlining caller owns the check
@@ -189,7 +179,7 @@ class AssertionEngine:
         status = obj.status
         if status & hdr.DEAD_BIT:
             self._dead_violation(obj, tracer)
-        if (status & hdr.OWNEE_BIT) and not (status & hdr.OWNED_BIT):
+        if status & hdr.OWNEE_BIT and obj.address not in self._found_ownees:
             self._unowned_violation(obj, tracer)
 
     def on_repeat_encounter_slow(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
@@ -208,7 +198,7 @@ class AssertionEngine:
         status = obj.status
         if status & hdr.DEAD_BIT:
             self._dead_violation(obj, tracer)
-        if (status & hdr.OWNEE_BIT) and not (status & hdr.OWNED_BIT):
+        if status & hdr.OWNEE_BIT and obj.address not in self._found_ownees:
             self._unowned_violation(obj, tracer)
         cls = obj.cls
         if cls.instance_limit is not None:
@@ -316,8 +306,9 @@ class AssertionEngine:
         self._pending = kept
 
     def post_mark(self, collector: "Collector", tracer: "Tracer") -> None:
+        """Runs after marking, before sweeping (FORCE reactions, limits)."""
         self._judge_phase1_marks(collector, tracer)
-        self.release_owned()  # the root scan has read them
+        self._found_ownees = set()  # the root scan has read them
         self._check_instance_limits(collector)
         self._resolve_reactions()
         if self._force_victims:
@@ -332,10 +323,11 @@ class AssertionEngine:
 
     def purge(self, freed: set[int]) -> None:
         """Metadata hygiene: drop every registry entry keyed by a freed
-        address.  MUST run before any freed address can be recycled — the
-        generational full-heap collection promotes survivors into cells
-        freed by the same sweep, so it purges between sweeping and
-        promotion (see GenerationalCollector.collect)."""
+        address, checking no assertion — minor collections (which, per
+        §2.2, check nothing) call it alone.  MUST run before any freed
+        address can be recycled — the generational full-heap collection
+        promotes survivors into cells freed by the same sweep, so it purges
+        between sweeping and promotion (see GenerationalCollector.collect)."""
         purge_info = self.registry.purge_freed(freed)
         collector = self.vm.collector if self.vm is not None else None
         self.process_owner_deaths(collector, purge_info["dead_owners"])
@@ -360,6 +352,7 @@ class AssertionEngine:
         self._dispatch()
 
     def apply_forwarding(self, fwd: dict[int, int]) -> None:
+        """Rewrite engine metadata after a copying collection."""
         self.registry.apply_forwarding(fwd)
 
     # ----------------------------------------------------------- violations

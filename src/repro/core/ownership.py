@@ -253,12 +253,14 @@ def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector")
     For every (owner, ownee) pair, run an independent reachability search
     from the owner.  No marking is shared between pairs, so the cost is
     O(pairs x reachable-subgraph) instead of one shared traversal.  Nothing
-    found is marked, so the root scan reaches the ownees: found ones get the
-    paper's ``OWNED`` bit (logged with the engine, which clears it at mark
-    end) so phase-2 detection and reporting match the two-phase design.
+    found is marked, so the root scan reaches the ownees: found ones go into
+    the engine's address set in place of the paper's ``OWNED`` bit (dropped
+    at mark end), so phase-2 detection and reporting match the two-phase
+    design.
     """
     heap = collector.heap
     stats = collector.stats
+    found_ownees = engine._found_ownees
     for record in list(engine.registry.owner_records()):
         owner = heap.maybe(record.owner_address)
         if owner is None or owner.is_freed:
@@ -281,6 +283,4 @@ def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector")
                     if child != NULL and child not in visited:
                         stack.append(child)
             if found:
-                ownee = heap.get(ownee_address)
-                ownee.status |= hdr.OWNED_BIT
-                engine._owned.append(ownee)
+                found_ownees.add(ownee_address)

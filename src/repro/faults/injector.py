@@ -1,13 +1,11 @@
 """The fault injector: a seeded schedule of heap and subsystem faults.
 
-Nine fault kinds, spanning every layer the hardened collectors defend:
+The fault kinds (:data:`FAULT_KINDS`), spanning every layer the hardened
+collectors defend.  There is no stale-*mark* or stale-``OWNED`` fault to
+inject: neither is header state (the mark is a set born empty every
+collection, ``OWNED`` an engine set dropped at mark end).
 
 =================  ====================================================
-``flip-owned``     set a stale OWNED bit on a live object — on an ownee
-                   it would mask an unowned-ownee violation (sentinel
-                   clears it and records a heap degradation).  There is
-                   no stale-*mark* fault to inject: the mark is not a
-                   header bit but a set born empty every collection
 ``flip-dead``      set the DEAD bit on a root-reachable object — the
                    next trace reports an assert-dead violation whose
                    ``site`` is ``None`` (the injected/genuine
@@ -30,6 +28,10 @@ Nine fault kinds, spanning every layer the hardened collectors defend:
                    hub's retry + circuit breaker contain it)
 ``raise-snapshot`` make the next snapshot serialization raise OSError
                    (the collector drops the capture and continues)
+``conn-drop``      sever the outbound stream of the tenant session
+                   that owns the VM (inert on a bare VM)
+``session-kill``   evict the tenant session that owns the VM (inert on
+                   a bare VM)
 =================  ====================================================
 
 Faults are scheduled against collection ordinals (``at_gc``) or
@@ -51,7 +53,6 @@ if TYPE_CHECKING:
 
 #: All schedulable fault kinds, in documentation order.
 FAULT_KINDS = (
-    "flip-owned",
     "flip-dead",
     "flip-unshared",
     "dangle-ref",
@@ -157,7 +158,6 @@ class FaultPlan:
         """
         plan = cls(seed)
         plan.add("flip-dead", at_gc=1)
-        plan.add("flip-owned", at_gc=1)
         plan.add("raise-sink", at_gc=1)
         plan.add("raise-reaction", at_gc=1)
         plan.add("flip-unshared", at_gc=2)
@@ -338,14 +338,7 @@ class FaultInjector:
             return nursery
         return self._primary_space()
 
-    # -- the nine kinds ----------------------------------------------------------------
-
-    def _fault_flip_owned(self, fault: Fault) -> str:
-        victim = self._pick_reachable()
-        if victim is None:
-            return "inert: no live objects"
-        victim.status |= hdr.OWNED_BIT
-        return f"OWNED bit set on {victim.cls.name}@{victim.address:#x}"
+    # -- the kinds ---------------------------------------------------------------------
 
     def _fault_flip_dead(self, fault: Fault) -> str:
         victim = self._pick_reachable()

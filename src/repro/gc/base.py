@@ -1,9 +1,10 @@
-"""Collector base class and the engine protocol collectors call into.
+"""Collector base class: the one pause every collector runs.
 
 A collector owns the allocation policy (spaces) and the collection
-algorithm; the *assertion engine* (see :mod:`repro.core.engine`) plugs into
-well-defined hook points.  When no engine is attached and path tracking is
-off, a collector behaves exactly like the unmodified VM — the paper's
+algorithm; the *assertion engine*
+(:class:`repro.core.engine.AssertionEngine`) is called at fixed points of
+the pause.  When no engine is attached and path tracking is off, a
+collector behaves exactly like the unmodified VM — the paper's
 **Base** configuration.  With an engine attached but no assertions
 registered, the per-object hook costs are still paid — the paper's
 **Infrastructure** configuration.  Registered assertions add their own
@@ -19,19 +20,19 @@ have one call site.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional, Protocol, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.errors import AssertionViolationHalt, HeapError, HeapExhausted, InvalidAddressError
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
 from repro.gc.stats import GcStats, PhaseTimer, RecoveryStats
 from repro.gc.tracer import Tracer
 from repro.gc.verify import HeapVerificationError, Quarantine, run_sentinel, verify_heap
-from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
 
 if TYPE_CHECKING:
+    from repro.core.engine import AssertionEngine
     from repro.runtime.vm import VirtualMachine
     from repro.telemetry import Telemetry, _PendingCollection
 
@@ -55,40 +56,6 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-class AssertionEngineProtocol(Protocol):
-    """Hook points a collector offers to the assertion machinery."""
-
-    def gc_begin(self, collector: "Collector") -> None: ...
-
-    def pre_mark(self, collector: "Collector", tracer: Tracer) -> None:
-        """Runs before root scanning — the §2.5.2 ownership phase."""
-
-    def on_first_encounter(self, obj: HeapObject, tracer: Tracer, parent) -> None: ...
-
-    def on_repeat_encounter(self, obj: HeapObject, tracer: Tracer, parent) -> None: ...
-
-    def post_mark(self, collector: "Collector", tracer: Tracer) -> None:
-        """Runs after marking, before sweeping (FORCE reactions, limits)."""
-
-    def gc_end(self, collector: "Collector", freed: set[int]) -> None:
-        """Runs after reclamation with the set of freed addresses."""
-
-    def purge(self, freed: set[int]) -> None:
-        """Drop metadata for freed addresses without checking assertions.
-
-        Used by minor collections (which reclaim objects but, per §2.2,
-        check nothing) and by collectors that may recycle freed addresses
-        before the collection finishes — the purge must precede any reuse.
-        """
-
-    def finalize(self, collector: "Collector") -> None:
-        """Per-GC accounting and violation dispatch (purge must already
-        have happened)."""
-
-    def apply_forwarding(self, fwd: dict[int, int]) -> None:
-        """Rewrite engine metadata after a copying collection."""
-
-
 class Collector:
     """Base class for all collectors."""
 
@@ -102,7 +69,7 @@ class Collector:
     def __init__(
         self,
         heap_bytes: int,
-        engine: Optional[AssertionEngineProtocol] = None,
+        engine: Optional["AssertionEngine"] = None,
         track_paths: Optional[bool] = None,
         hardened: bool = False,
         max_heap_bytes: Optional[int] = None,
@@ -410,27 +377,16 @@ class Collector:
         except (AssertionViolationHalt, HeapError):
             raise
         except Exception as exc:
-            note = getattr(self.engine, "note_degraded", None)
-            if note is not None:
-                note(phase, exc)
-            else:
-                self.recovery.engine_degradations += 1
+            self.engine.note_degraded(phase, exc)
 
     def _parallel_eligible(self, tracer: Tracer) -> bool:
         """True when this mark drain may run on the zone-sharded pool.
 
         The parallel drains replicate the two *fused* loop bodies (plain
-        and inline-engine); anything that needs the general dispatching
-        drain — an unspecialized tracer, an engine without
-        ``INLINE_HEADER_CHECKS`` — falls back to the sequential path for
-        that collection.
+        and engine); an unspecialized tracer needs the general dispatching
+        drain and falls back to the sequential path for that collection.
         """
-        if self.gc_workers <= 0 or self.zone_map is None:
-            return False
-        if not tracer.specialized:
-            return False
-        engine = tracer.engine
-        return engine is None or getattr(engine, "INLINE_HEADER_CHECKS", False)
+        return self.gc_workers > 0 and self.zone_map is not None and tracer.specialized
 
     def _parallel_marker(self, tracer: Tracer):
         from repro.gc.parallel import ParallelMarker
@@ -478,9 +434,9 @@ class Collector:
         corruption (or degrades the engine, for non-heap faults), and
         re-runs the *entire* mark phase with a fresh tracer (and so a
         fresh, empty mark set) — ``pre_mark`` must re-run because without
-        its marks (or, in naive mode, its OWNED bits) the root scan would
-        fabricate unowned-ownee violations.  A second failure propagates:
-        one recovery attempt per pause.
+        its marks (or, in naive mode, the ownees its searches found) the
+        root scan would fabricate unowned-ownee violations.  A second
+        failure propagates: one recovery attempt per pause.
 
         When this returns ``post_mark`` has run and nothing has been
         reclaimed or relocated, so ``heap.marks`` is exactly the survivor
@@ -508,10 +464,8 @@ class Collector:
                     self.gc_log.append(
                         f"mid-mark heap fault: {type(exc).__name__}: {exc}"
                     )
-            else:
-                note = getattr(self.engine, "note_degraded", None)
-                if note is not None:
-                    note("mark", exc)
+            elif self.engine is not None:
+                self.engine.note_degraded("mark", exc)
             tracer = self._make_tracer()
             self._mark_once(tracer)
         policy = self.snapshot_policy
@@ -527,13 +481,10 @@ class Collector:
         return tracer
 
     def _clear_all_marks(self) -> None:
-        """Reset per-collection state after an aborted mark: the mark set
-        is dropped, and the engine clears ``OWNED`` from the ownees it had
-        got to — neither walks the heap."""
+        """Reset per-collection state after an aborted mark: the mark set is
+        dropped, without a heap walk.  (The engine resets its own in
+        ``gc_begin``, which the retrace runs first.)"""
         self.heap.new_marks()
-        release_owned = getattr(self.engine, "release_owned", None)
-        if release_owned is not None:
-            release_owned()
 
     def _purge_before_reuse(self, freed: set[int]) -> None:
         """Drop address-keyed metadata for ``freed`` before any reuse.
@@ -792,7 +743,7 @@ class Collector:
 
     @staticmethod
     def clear_gc_bits(obj: HeapObject) -> None:
-        """Reset per-collection header state on a survivor.  (The mark is
-        not header state: it lives in ``heap.marks``, which the next
-        :class:`~repro.gc.tracer.Tracer` replaces.)"""
-        obj.status &= ~hdr.OWNED_BIT
+        """Reset per-collection header state on a survivor: there is none
+        left to reset.  The mark lives in ``heap.marks``, which the next
+        :class:`~repro.gc.tracer.Tracer` replaces, and no header bit is
+        per-collection.  Kept callable for the benchmark's tracer probe."""

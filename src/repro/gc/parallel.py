@@ -57,7 +57,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import InvalidAddressError
 from repro.gc.stats import GcStats
-from repro.gc.tracer import armed_checks
 from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.heap.zones import ZoneMap
@@ -227,8 +226,7 @@ class ParallelMarkReport:
 class ParallelMarker:
     """One parallel mark episode over a zoned heap.
 
-    Eligibility is the caller's job (see ``Collector._parallel_eligible``):
-    the engine, if any, must declare ``INLINE_HEADER_CHECKS``.
+    Eligibility is the caller's job (see ``Collector._parallel_eligible``).
     """
 
     def __init__(self, collector: "Collector", workers: int, zone_map: ZoneMap):
@@ -261,7 +259,7 @@ class ParallelMarker:
         self._marks = tracer._marks
         engine = tracer.engine
         self._engine = engine
-        self._repeats_armed = armed_checks(engine)[1]
+        self._repeats_armed = engine is None or engine.armed_checks()[1]
         self._partition(tracer)
         drain_zone = (
             self._drain_zone_plain if engine is None else self._drain_zone_engine

@@ -47,23 +47,23 @@ pays for a branch it cannot take: children are resolved through the
 heap's address table (the collector owns the heap during the pause), an
 object's children are one C-level call of its class's ``ref_getter`` (or a
 ref array's own slots), a null is skipped by its truth, and counters
-accumulate in locals.  An ``INLINE_HEADER_CHECKS`` engine has its
-per-object duties inlined and its ``*_slow`` hooks called only when a
-header bit shows assertion work, and it says once per drain which header
-reads can matter (``armed_checks()``): a first encounter reads the child's
-header (the paper's piggyback); a repeat edge reads it only while an
+accumulate in locals.  The engine's per-object duties are inlined and its
+``*_slow`` hooks called only when a header bit shows assertion work, and
+it says once per drain which header reads can matter
+(``engine.armed_checks()``): a first encounter reads the child's header
+(the paper's piggyback); a repeat edge reads it only while an
 ``assert-unshared`` is registered; and with nothing armed the drain *is*
-the paths loop, crediting ``header_bit_checks`` one per edge.  Other
-engines get every encounter through the full hooks, in the method-per-edge
-loop kept as ``specialized=False``, which also serves an engine without
-paths and is the benchmark's ``generic`` probe.  No loop records anything
+the paths loop, crediting ``header_bit_checks`` one per edge.  The full
+hooks take every encounter in the method-per-edge loop kept as
+``specialized=False``, which also serves an engine without paths and is
+the benchmark's ``generic`` probe.  No loop records anything
 but marks and counters: snapshot capture reads ``heap.marks`` once the mark
 is complete (:meth:`repro.snapshot.capture.SnapshotSink.record_marked`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import InvalidAddressError
 from repro.heap import header as hdr
@@ -71,6 +71,9 @@ from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
 from repro.heap.object_model import HeapObject
 from repro.gc.stats import GcStats
+
+if TYPE_CHECKING:
+    from repro.core.engine import AssertionEngine
 
 
 class Tracer:
@@ -94,7 +97,7 @@ class Tracer:
         self,
         heap: ObjectHeap,
         stats: GcStats,
-        engine=None,
+        engine: Optional["AssertionEngine"] = None,
         track_paths: bool = True,
         specialized: bool = True,
         snapshot=None,
@@ -161,14 +164,12 @@ class Tracer:
             # Engine without path tracking: an unusual ablation config;
             # the generic loop handles it without a fourth specialization.
             self._drain_generic_plain()
-        elif getattr(engine, "INLINE_HEADER_CHECKS", False):
-            armed, repeats_armed = armed_checks(engine)
+        else:
+            armed, repeats_armed = engine.armed_checks()
             if armed:
                 self._drain_paths_engine(repeats_armed)
             else:
                 self._drain_paths(credit_header_checks=True)
-        else:
-            self._drain_with_paths()
 
     # -- specialized fused drains -------------------------------------------------
     #
@@ -423,10 +424,3 @@ class Tracer:
         root_desc = self.root_descriptions.get(chain[0].address) if chain else None
         return root_desc, chain
 
-
-def armed_checks(engine) -> tuple[bool, bool]:
-    """``(any header read can matter, a repeat edge's can)`` for an
-    ``INLINE_HEADER_CHECKS`` engine, asked once per drain.  An engine that
-    does not say gets every read."""
-    armed = getattr(engine, "armed_checks", None)
-    return armed() if armed is not None else (True, True)

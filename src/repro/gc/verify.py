@@ -12,7 +12,7 @@ Two tiers.  ``GRAPH`` is the object graph and everything keyed by its
 addresses: table, headers and the mark set, slots, roots, region queues,
 the assertion registry, the counters.  ``ALLOCATOR`` is the ``debug.c``
 school: the allocator's own books (free lists, chunk tables, bump records,
-zone routing) against the table, and header flags against each other.
+zone routing) against the table.
 
 The readers: :func:`verify_heap` lists the graph tier's findings (with
 ``paranoid=True``, both tiers') and raises; :func:`run_sentinel` runs the
@@ -210,9 +210,6 @@ def mark_set_problems(collector: "Collector") -> Iterator[str]:
             )
 
 
-_PER_COLLECTION_BITS = hdr.FREED_BIT | hdr.OWNED_BIT
-
-
 def _find_stale_collection_state(scan: _Scan):
     heap = scan.heap
     # Under debt the set is live state: judged, never dropped.
@@ -220,14 +217,9 @@ def _find_stale_collection_state(scan: _Scan):
     for message in mark_set_problems(scan.collector):
         yield message, "stale_bits_cleared", drop
     for obj in scan.objects:
-        status = obj.status
-        if status & _PER_COLLECTION_BITS:
-            if status & hdr.FREED_BIT:
-                evict = partial(_then_fence, scan, obj.address, partial(heap.evict, obj))
-                yield f"{obj!r}: live object carries FREED bit", "objects_quarantined", evict
-            else:
-                clear = partial(obj.clear, hdr.OWNED_BIT)
-                yield f"{obj!r}: OWNED bit set outside a collection", "stale_bits_cleared", clear
+        if obj.status & hdr.FREED_BIT:
+            evict = partial(_then_fence, scan, obj.address, partial(heap.evict, obj))
+            yield f"{obj!r}: live object carries FREED bit", "objects_quarantined", evict
 
 
 def _then_fence(scan: _Scan, address: int, withdraw: Callable[[], object]) -> None:
@@ -362,16 +354,6 @@ def _find_accounting_drift(scan: _Scan):
 # -- allocator tier -----------------------------------------------------------------------
 
 
-def _find_flag_inconsistency(scan: _Scan):
-    # Every tabled header, pending garbage included.  The ownership phase sets
-    # OWNED only on an OWNEE, so OWNED alone is a corrupted header.  (The bits
-    # above FLAG_MASK hold the identity hash and are not checkable.)
-    for obj in scan.heap:
-        status = obj.status
-        if (status & hdr.OWNED_BIT) and not (status & hdr.OWNEE_BIT):
-            yield f"paranoid: {obj!r} carries an OWNED bit without the OWNEE bit"
-
-
 def _free_cells(scan: _Scan):
     """Every free-list bucket: ``(space name, free list, cell size, addresses)``."""
     for name, space in iter_spaces(scan.collector):
@@ -456,7 +438,7 @@ CATALOGUE: Tuple[Invariant, ...] = (
     Invariant("table-integrity", GRAPH, _find_table_breaches, None),
     Invariant(
         "header-hygiene", GRAPH, _find_stale_collection_state,
-        "drop a leftover mark set, evict and fence a FREED zombie, clear a stale OWNED bit",
+        "drop a leftover mark set, evict and fence a FREED zombie",
     ),
     Invariant(
         "reference-closure", GRAPH, _find_dangling_references,
@@ -469,7 +451,6 @@ CATALOGUE: Tuple[Invariant, ...] = (
     Invariant("registry-index-agreement", GRAPH, _find_registry_index_breaches, None),
     Invariant("ownership-bit-agreement", GRAPH, _find_ownership_bit_disagreement, None),
     Invariant("accounting-agreement", GRAPH, _find_accounting_drift, None),
-    Invariant("header-flag-consistency", ALLOCATOR, _find_flag_inconsistency, None),
     Invariant(
         "freelist-live-disjointness", ALLOCATOR, _find_aliased_cells,
         "withhold the free cell or drop the bump record, and fence the address",

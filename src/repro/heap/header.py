@@ -9,20 +9,18 @@ in this word, this collector keeps one set of marked addresses per
 collection beside the heap (``ObjectHeap.marks``): the drain tests and sets
 it without loading the child object, the sweep skips survivors without
 visiting them, and "clearing the marks" is dropping the set.  Bit ``0x01``
-stays reserved and is never set.  The assertion bits below are exactly the
-paper's, and they are read where the paper reads them — when the collector
-has the object in hand:
+stays reserved and is never set.  So does ``0x08``, the paper's
+per-collection ``OWNED`` bit (§2.5.2): the ownership phase *marks* the
+ownees it reaches, and the naive ablation, which marks nothing, keeps the
+ones it finds in an address set on the engine.  The assertion bits below
+are exactly the paper's, and they are read where the paper reads them —
+when the collector has the object in hand:
 
 * ``DEAD`` — set by ``assert-dead(p)``; if the collector encounters the
   object while tracing, the assertion is violated (§2.3.1 of the paper).
 * ``UNSHARED`` — set by ``assert-unshared(p)``; checked when the collector
   encounters an object that is *already* marked, i.e. on the second
   incoming reference (§2.5.1).
-* ``OWNED`` — the paper's "reached from its asserted owner" bit (§2.5.2);
-  an ownee that reaches the normal root scan without it is a violation.
-  The two-phase ownership phase *marks* what it reaches and the root scan
-  prunes at marks, so only the naive ablation (which marks nothing) writes
-  it; the engine clears it at mark end, so no live object carries it after.
 * ``OWNEE`` / ``OWNER`` — fast-path bits telling the tracer that this object
   participates in an ``assert-ownedby`` pair, so the common case (object has
   no ownership assertion) costs a single bit test.
@@ -40,7 +38,6 @@ from __future__ import annotations
 MARK_BIT = 0x01  # reserved: the mark lives in ObjectHeap.marks, not here
 DEAD_BIT = 0x02
 UNSHARED_BIT = 0x04
-OWNED_BIT = 0x08
 OWNEE_BIT = 0x10
 OWNER_BIT = 0x20
 FREED_BIT = 0x40
@@ -49,10 +46,6 @@ HASHED_BIT = 0x80
 #: All bits reserved for flags; higher bits store the identity hash.
 FLAG_MASK = 0xFF
 HASH_SHIFT = 8
-
-#: Bits that survive a collection cycle (everything except OWNED, which the
-#: ownership phase sets afresh and the engine clears at mark end).
-STICKY_MASK = DEAD_BIT | UNSHARED_BIT | OWNEE_BIT | OWNER_BIT | HASHED_BIT
 
 
 def new_status(hash_code: int = 0) -> int:
@@ -85,7 +78,6 @@ def describe(status: int) -> str:
     names = [
         (DEAD_BIT, "DEAD"),
         (UNSHARED_BIT, "UNSHARED"),
-        (OWNED_BIT, "OWNED"),
         (OWNEE_BIT, "OWNEE"),
         (OWNER_BIT, "OWNER"),
         (FREED_BIT, "FREED"),

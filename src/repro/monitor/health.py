@@ -124,7 +124,7 @@ def health_report(hub: "MonitorHub") -> dict:
         "occupancy": hub.series["occupancy"].latest_value(0.0),
         "sweep_debt_chunks": int(hub.series["sweep_debt_chunks"].latest_value(0.0)),
         "quarantine_depth": int(hub.series["quarantine_depth"].latest_value(0.0)),
-        "violations_total": int(sum(hub.series["violations"].values())),
+        "violations_total": hub.violations_seen,
         "degradations": dict(hub.degradations_by_kind),
         "alerts_seen": len(hub.alerts),
         "slo": hub.slos.status() if hub.slos is not None else None,

@@ -121,6 +121,9 @@ class MonitorHub:
         self.alerts: list = []
         self.degradations_by_kind: dict[str, int] = {}
         self.gc_events_seen = 0
+        #: Violations over every GC event ingested (the ``violations``
+        #: series is a ring: its sum is a trailing window, not a total).
+        self.violations_seen = 0
         self.events_seen = 0
         self.start_mono: Optional[float] = None
         self.start_wall: Optional[float] = None
@@ -162,6 +165,7 @@ class MonitorHub:
 
     def _observe_gc(self, event: GcEvent) -> None:
         self.gc_events_seen += 1
+        self.violations_seen += event.violations
         t = event.mono_time or time.perf_counter()
         if self.start_mono is None or t - event.pause_s < self.start_mono:
             # First event beat attach(), or the pause began before it:

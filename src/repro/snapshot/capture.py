@@ -35,7 +35,6 @@ import os
 import time
 from typing import TYPE_CHECKING, Collection, Optional
 
-from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from repro.snapshot.dominators import build_dominator_tree
 from repro.snapshot.format import SnapshotWriter, load_snapshot
@@ -44,10 +43,6 @@ from repro.snapshot.retained import retained_sizes
 if TYPE_CHECKING:
     from repro.gc.base import Collector
     from repro.runtime.vm import VirtualMachine
-
-#: The per-collection header bit is an artifact of the capture moment, not
-#: a property of the object; it is masked out of serialized status words.
-_TRANSIENT_BITS = hdr.OWNED_BIT
 
 
 def _frozen_rows(table, addresses):
@@ -170,7 +165,7 @@ class SnapshotSink:
                     addr,
                     obj.cls.name,
                     obj.size_bytes,
-                    obj.status & ~_TRANSIENT_BITS,
+                    obj.status,
                     alloc_seq,
                     obj.alloc_site,
                     edges,

@@ -1,6 +1,6 @@
 """The fault → invariant coverage matrix.
 
-PR 5's injector proves the system *recovers* from its 11 fault kinds;
+The fault injector proves the system *recovers* from every fault kind;
 this module proves every fault is *caught by a named invariant* — the
 difference between "nothing crashed" and "the damage was observed by a
 check we can point at".  Each fault kind maps to exactly one named
@@ -8,10 +8,10 @@ invariant; a chaos run collects per-cell detection evidence, and the
 matrix gates the run: a fault kind with zero covering evidence anywhere
 in the matrix fails the soak (exit 1).
 
-The three heap-level names (``header-hygiene``, ``reference-closure``,
+The two heap-level names (``reference-closure``,
 ``freelist-live-disjointness``) are entries of the invariant catalogue in
 :mod:`repro.gc.verify` and a probe finding counts for the entry it is filed
-under, whatever its text; the other eight name verdicts and containment
+under, whatever its text; the others name verdicts and containment
 counters outside the heap (both lists: DESIGN.md, "Verified invariants").
 The model checker proves the collector-level invariants exhaustively at
 small scope; the chaos matrix proves each fires against injected damage.
@@ -27,11 +27,6 @@ from dataclasses import dataclass, field
 
 #: fault kind -> (named invariant, what detection looks like).
 FAULT_INVARIANTS: dict = {
-    "flip-owned": (
-        "header-hygiene",
-        "sentinel clears a stale OWNED bit (or drops a leftover mark set) "
-        "outside a collection",
-    ),
     "flip-dead": (
         "assert-dead-verdict",
         "trace reports a DEAD violation with site=None (injected marker)",
@@ -139,12 +134,6 @@ def detect_cell(result, probe: list, pending_refusals: int) -> dict:
         finding.invariant: f"{finding.invariant}: walker flagged {finding.message!r}"
         for finding in reversed(probe)
     }
-
-    cleared = recovery.get("stale_bits_cleared", 0)
-    if cleared:
-        found["flip-owned"] = f"header-hygiene: sentinel cleared {cleared} stale bit(s)"
-    elif "header-hygiene" in walker:
-        found["flip-owned"] = walker["header-hygiene"]
 
     if result.injected_dead_violations:
         found["flip-dead"] = (

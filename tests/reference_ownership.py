@@ -4,9 +4,9 @@ This is the closure-per-edge implementation that ``repro.core.ownership``
 shipped before the phase was fused into one table-direct loop, moved here
 verbatim (only the entry point is renamed) and since re-expressed over the
 collection's mark set: where it used to set ``MARK`` in the header it adds
-the address to ``heap.marks``, and an ownee it sets ``OWNED`` on is logged
-with the engine, which clears the bit at mark end (the fused loop writes no
-``OWNED`` bit any more — its mark says the same — so this log is what the
+the address to ``heap.marks``, and an ownee it used to set ``OWNED`` on is
+logged in the engine's found-ownee set, which ``post_mark`` drops (the fused
+loop logs nothing — its mark says the same — so this log is what the
 differential compares the fused loop's marked ownees against).  It goes through the public,
 fully checked interfaces — ``ObjectHeap.get``, ``reference_slots()``,
 ``engine.phase1_visit`` / ``on_repeat_encounter`` on every visit,
@@ -76,11 +76,10 @@ def _scan_from_owner(
             found, probes = record.contains(address)
             stats.ownee_search_probes += probes
             if found:
-                # Mark, set owned, truncate: scan its subtree after the
+                # Mark, log as owned, truncate: scan its subtree after the
                 # owner's scan completes (back-edge tolerance, §2.5.2).
                 marks.add(address)
-                obj.status |= hdr.OWNED_BIT
-                engine._owned.append(obj)
+                engine._found_ownees.add(address)
                 stats.objects_traced += 1
                 engine.phase1_visit(obj, record)
                 if status & hdr.OWNER_BIT:

@@ -302,6 +302,23 @@ class TestRunpyInvocation:
                 f"{where} quotes {family}, which no renderer declares"
             )
 
+    def test_every_documented_fault_kind_count_is_the_injectors(self):
+        """Docs and CI cannot quote a fault-kind count the injector no
+        longer has: every "N fault kinds" is ``len(FAULT_KINDS)``."""
+        from repro.faults import FAULT_KINDS
+
+        quoted = []
+        for source in (
+            ROOT / "README.md",
+            ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ):
+            # One pass over the whole text: prose wraps a phrase across lines.
+            for count in re.findall(r"\b(\d+)\s+fault\s+kinds\b", source.read_text()):
+                quoted.append((source.name, int(count)))
+        assert len(quoted) >= 4, f"the scan found too little: {quoted}"
+        assert [q for q in quoted if q[1] != len(FAULT_KINDS)] == []
+
     def test_changes_entries_fit_the_cap(self):
         """A CHANGES.md entry says what changed, the bug fixed and the gates
         run, in at most 600 characters; measurements belong in the benchmark

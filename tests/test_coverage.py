@@ -45,16 +45,6 @@ def test_every_catalog_entry_names_an_invariant_and_evidence():
 # -- detect_cell evidence rules ---------------------------------------------------------
 
 
-def test_header_faults_detected_via_sentinel_or_walker():
-    by_counter = detect_cell(_cell(recovery={"stale_bits_cleared": 2}), [], 0)
-    assert "flip-owned" in by_counter and "2 stale bit(s)" in by_counter["flip-owned"]
-
-    by_probe = detect_cell(
-        _cell(), [Finding("header-hygiene", "<obj>: OWNED bit set outside a collection")], 0
-    )
-    assert "flip-owned" in by_probe and "walker flagged" in by_probe["flip-owned"]
-
-
 def test_injected_violation_discriminators_map_to_assert_verdicts():
     found = detect_cell(
         _cell(injected_dead_violations=3, injected_unshared_violations=1), [], 0
@@ -151,9 +141,9 @@ def test_matrix_gates_on_full_coverage():
 
 def test_merge_cell_folds_detections_under_the_cell_label():
     matrix = CoverageMatrix()
-    matrix.merge_cell("marksweep x synthetic", {"flip-owned": "cleared 1 bit"})
-    assert matrix.covered("flip-owned")
-    assert matrix.evidence["flip-owned"] == ["marksweep x synthetic: cleared 1 bit"]
+    matrix.merge_cell("marksweep x synthetic", {"dangle-ref": "nulled 1 slot"})
+    assert matrix.covered("dangle-ref")
+    assert matrix.evidence["dangle-ref"] == ["marksweep x synthetic: nulled 1 slot"]
 
 
 def test_render_shows_coverage_and_calls_out_gaps():

@@ -70,9 +70,9 @@ def hardened_vm(
 class TestFaultPlan:
     def test_fault_needs_exactly_one_trigger(self):
         with pytest.raises(ValueError):
-            Fault("flip-owned")
+            Fault("flip-dead")
         with pytest.raises(ValueError):
-            Fault("flip-owned", at_gc=1, at_alloc=1)
+            Fault("flip-dead", at_gc=1, at_alloc=1)
         with pytest.raises(ValueError):
             Fault("not-a-kind", at_gc=1)
 
@@ -151,12 +151,10 @@ class TestSentinelRepairs:
         vm = hardened_vm()
         cls = make_node_class(vm)
         nodes = build_chain(vm, cls, 4)
-        # A mark left behind outside a collection, and a stale OWNED bit.
+        # A mark left behind outside a collection.
         vm.heap.marks.add(nodes[2].obj.address)
-        nodes[1].obj.set(hdr.OWNED_BIT)
         vm.gc("sentinel sweep")
-        assert vm.collector.recovery.stale_bits_cleared == 2
-        assert not nodes[1].obj.test(hdr.OWNED_BIT)
+        assert vm.collector.recovery.stale_bits_cleared == 1
         assert vm.collector.recovery.heap_degradations >= 1
         assert verify_heap(vm) == []
 
@@ -499,7 +497,7 @@ class TestSinkBreaker:
         vm = hardened_vm()
         cls = make_node_class(vm)
         nodes = build_chain(vm, cls, 3)
-        nodes[2].obj.set(hdr.OWNED_BIT)
+        vm.heap.marks.add(nodes[2].obj.address)
         vm.gc("degrade once")
         assert vm.telemetry.degradations.get("heap", 0) >= 1
         events = vm.telemetry.degradation_events

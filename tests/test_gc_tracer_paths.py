@@ -117,7 +117,8 @@ class TestPathTrackingToggle:
 
 
 class _PathProbe:
-    """Engine stub recording the cheap path API at every first encounter."""
+    """Engine stub recording the cheap path API at every first encounter
+    (it has only the full hooks, which the ``specialized=False`` loop calls)."""
 
     def __init__(self):
         self.rows = []
@@ -139,7 +140,7 @@ class TestCheapPathApi:
         from repro.gc.tracer import Tracer
 
         probe = _PathProbe()
-        tracer = Tracer(vm.heap, GcStats(), probe, track_paths=True)
+        tracer = Tracer(vm.heap, GcStats(), probe, track_paths=True, specialized=False)
         tracer.trace(vm.root_entries())
         return probe, tracer
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.gc.verify import HeapVerificationError, verify_heap
-from repro.heap import header as hdr
 from repro.heap.layout import NULL
 from tests.conftest import build_chain, make_node_class
 
@@ -52,12 +51,6 @@ class TestDetection:
         vm.heap.marks.add(nodes[0].obj.address)
         problems = verify_heap(vm, raise_on_error=False)
         assert any("mark set holds 1 address" in p for p in problems)
-
-    def test_detects_leftover_owned_bit(self, vm, node_class):
-        nodes = build_chain(vm, node_class, 1)
-        nodes[0].obj.set(hdr.OWNED_BIT)
-        problems = verify_heap(vm, raise_on_error=False)
-        assert any("OWNED bit" in p for p in problems)
 
     def test_detects_stale_registry_entry(self, vm, node_class):
         nodes = build_chain(vm, node_class, 1)

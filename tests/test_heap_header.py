@@ -9,7 +9,6 @@ class TestBits:
             hdr.MARK_BIT,
             hdr.DEAD_BIT,
             hdr.UNSHARED_BIT,
-            hdr.OWNED_BIT,
             hdr.OWNEE_BIT,
             hdr.OWNER_BIT,
             hdr.FREED_BIT,
@@ -26,7 +25,6 @@ class TestBits:
             hdr.MARK_BIT
             | hdr.DEAD_BIT
             | hdr.UNSHARED_BIT
-            | hdr.OWNED_BIT
             | hdr.OWNEE_BIT
             | hdr.OWNER_BIT
             | hdr.FREED_BIT
@@ -55,12 +53,6 @@ class TestBits:
         assert hdr.hash_of(status) == 12345
         status = hdr.clear_bit(status, hdr.MARK_BIT)
         assert hdr.hash_of(status) == 12345
-
-    def test_sticky_mask_excludes_mark_and_owned(self):
-        assert hdr.STICKY_MASK & hdr.MARK_BIT == 0
-        assert hdr.STICKY_MASK & hdr.OWNED_BIT == 0
-        assert hdr.STICKY_MASK & hdr.DEAD_BIT != 0
-        assert hdr.STICKY_MASK & hdr.UNSHARED_BIT != 0
 
 
 class TestDescribe:

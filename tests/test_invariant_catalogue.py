@@ -63,10 +63,6 @@ def _freed_zombie(vm, nodes):
     nodes[5].obj.status |= hdr.FREED_BIT
 
 
-def _stale_owned(vm, nodes):
-    nodes[3].obj.status |= hdr.OWNED_BIT
-
-
 def _moved_under_the_table(vm, nodes):
     nodes[5].obj.address += 2
 
@@ -150,7 +146,6 @@ CORRUPTIONS = [
     ("table-integrity", "marksweep", set(), _moved_under_the_table),
     ("header-hygiene", "marksweep", set(), _leftover_marks),
     ("header-hygiene", "marksweep", set(), _freed_zombie),
-    ("header-hygiene", "marksweep", {"header-flag-consistency"}, _stale_owned),
     ("reference-closure", "marksweep", set(), _dangling_slot),
     ("reference-closure", "marksweep", set(), _dangling_root),
     ("reference-closure", "marksweep", set(), _dead_region_queue_entry),
@@ -161,7 +156,6 @@ CORRUPTIONS = [
     ("ownership-bit-agreement", "marksweep", set(), _ownee_bit_without_owner),
     ("ownership-bit-agreement", "marksweep", set(), _owner_bit_lost),
     ("accounting-agreement", "marksweep", set(), _byte_counter_drift),
-    ("header-flag-consistency", "marksweep", {"header-hygiene"}, _stale_owned),
     ("freelist-live-disjointness", "marksweep", set(), _live_cell_on_the_free_list),
     ("freelist-live-disjointness", "semispace", set(), _phantom_bump_record),
     ("freelist-fencing", "marksweep", set(), _fenced_cell_on_the_free_list),
@@ -186,7 +180,7 @@ def test_catalogue_is_well_formed():
     assert {entry.tier for entry in CATALOGUE} == {GRAPH, ALLOCATOR}
     assert all(" " not in name for name in names)
     # The heap-level names of the fault matrix are catalogue entries.
-    for kind in ("flip-owned", "dangle-ref", "corrupt-freelist"):
+    for kind in ("dangle-ref", "corrupt-freelist"):
         assert FAULT_INVARIANTS[kind][0] in names
 
 
@@ -302,7 +296,6 @@ REPAIRABLE = {
     "zombie-ownee": lambda vm, chain, owner, kids: kids[1].obj.set(hdr.FREED_BIT),
     "zombie-plain": lambda vm, chain, owner, kids: chain[5].obj.set(hdr.FREED_BIT),
     "zombie-asserted-dead": lambda vm, chain, owner, kids: chain[6].obj.set(hdr.FREED_BIT),
-    "stale-owned": lambda vm, chain, owner, kids: kids[2].obj.set(hdr.OWNED_BIT),
     "dangling-slot": lambda vm, chain, owner, kids: chain[7].obj.slots.__setitem__(
         chain[7].obj.cls.field("next").slot, BOGUS
     ),

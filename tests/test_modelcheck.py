@@ -142,6 +142,55 @@ def test_ownership_shapes_pass_in_asserted_cells_and_are_counted_apart():
     assert "ownership: 6803 labelled shapes" in report.render()
 
 
+#: The header flags an assertion may leave set; anything else in the low
+#: byte after a collection is per-collection state that leaked.
+ASSERTION_FLAGS = (
+    hdr.DEAD_BIT | hdr.UNSHARED_BIT | hdr.OWNEE_BIT | hdr.OWNER_BIT | hdr.HASHED_BIT
+)
+
+
+@pytest.mark.parametrize(
+    "collector, sweep_mode",
+    [("marksweep", "eager"), ("marksweep", "lazy"), ("generational", "eager"),
+     ("semispace", "eager")],
+)
+def test_naive_ownership_verdicts_match_a_brute_force_oracle(collector, sweep_mode):
+    """The naive ablation, every labelling at (3, 3, 2), one collection
+    each: an ``OWNED_BY`` verdict names exactly the ownees the roots reach
+    that their owner's slots do not, and no header keeps anything but
+    assertion flags.  (Not a differential against two-phase: the two modes
+    disagree by design where owner regions overlap.)"""
+    from repro.heap.object_model import FieldKind
+    from repro.verify.modelcheck import NODE_CLASS, NODE_FIELDS, _run_shape, _teardown_shape
+
+    kwargs = {} if collector == "semispace" else {"sweep_mode": sweep_mode}
+    vm = VirtualMachine(
+        heap_bytes=MODEL_HEAP_BYTES, collector=collector, ownership_mode="naive",
+        telemetry=False, **kwargs,
+    )
+    fields = [(name, FieldKind.REF if kind == "ref" else FieldKind.INT)
+              for name, kind in NODE_FIELDS]
+    node_cls = vm.define_class(NODE_CLASS, fields)
+    labelled = enumerate_ownership_shapes(3, 3, 2)
+    assert len(labelled) == 2523
+    for shape, owners in labelled:
+        where = f"{shape.describe()} owners={list(owners)}"
+        problems, verdicts = _run_shape(vm, node_cls, shape, True, owners)
+        assert problems == [], where
+        reachable = shape.reachable()
+        expected = {
+            f"n{ownee}"
+            for owner, ownee in owners
+            if ownee in reachable
+            and ownee not in HeapShape(shape.n, shape.slots, tuple(
+                t for t in shape.slots[owner] if t is not None)).reachable()
+        }
+        assert {node for kind, node in verdicts if kind == "OWNED_BY"} == expected, where
+        leaked = [o for o in vm.heap if o.status & hdr.FLAG_MASK & ~ASSERTION_FLAGS]
+        assert leaked == [], where
+        assert _teardown_shape(vm, shape, len(owners)), where
+
+
 def _convictions(monkeypatch, name, stub) -> list:
     """The default enumeration, in one asserted cell, against an engine
     whose ``name`` is replaced by ``stub``."""

@@ -10,6 +10,7 @@ import threading
 import urllib.error
 import urllib.request
 from collections import deque
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -584,6 +585,16 @@ class TestHealth:
         assert 0.0 <= health_score(hub) <= 100.0
         json.dumps(report)
 
+    def test_violations_total_outlives_the_series_ring(self, monkeypatch):
+        monkeypatch.setattr("repro.monitor.timeseries.DEFAULT_SERIES_CAPACITY", 4)
+        hub = MonitorHub()
+        for seq in range(1, 7):
+            hub.emit(replace(pause_event(seq, seq * 0.1, seq * 0.1 + 0.01), violations=1))
+        assert len(hub.series["violations"]) == 4
+        report = health_report(hub)
+        assert report["gc_events"] == 6
+        assert report["violations_total"] == 6
+
     def test_validator_catches_drift(self):
         vm = monitored_vm()
         node = vm.define_class("N", [("next", FieldKind.REF)])
@@ -720,10 +731,13 @@ class TestMonitorServer:
             injector = FaultInjector(vm, FaultPlan.one_of_each(7)).attach()
             try:
                 entry.run(vm)
-                injector.apply_remaining()
-                vm.gc("monitor drill: chaos settle")
             except ReproError:
                 pass  # a typed error surfacing is a documented fault outcome
+            # As in a chaos cell: the rest of the plan still lands, and one
+            # collection over the damaged heap must recover it.
+            try:
+                injector.apply_remaining()
+                vm.gc("monitor drill: chaos settle")
             finally:
                 injector.detach()
             assert sum(hub.degradations_by_kind.values()) > 0, "chaos left no marks"

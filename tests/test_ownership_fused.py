@@ -7,12 +7,11 @@ is the closure implementation it replaced, kept verbatim.  Every test here
 builds the same heap in twin VMs, runs one implementation on each, and
 demands identical marks, counters, budget accounting and verdicts.
 
-The oracle still sets the paper's transient ``OWNED`` bit on every ownee it
-reaches from its own owner and logs it with the engine; the fused loop
-writes neither, because its mark already says so.  The header words are
-therefore compared with ``OWNED`` masked out, and the ``owned`` entry is the
-proof the bit was redundant: the oracle's log and the fused loop's *marked
-ownees* must be the same set on every heap.
+The oracle still logs every ownee it reaches from its own owner in the
+engine's found-ownee set (where the paper sets its transient ``OWNED``
+bit); the fused loop does not, because its mark already says so.  The
+``owned`` entry is the proof the log is redundant: the oracle's log and
+the fused loop's *marked ownees* must be the same set on every heap.
 """
 
 from __future__ import annotations
@@ -136,14 +135,11 @@ def violation_key(v) -> tuple:
     return (v.kind, v.address, v.message, v.site, v.gc_number, v.reaction, v.details)
 
 
-NOT_OWNED = ~hdr.OWNED_BIT
-
-
 def owned_ownees(vm, reference: bool) -> set:
     """The ownees phase 1 reached from their own owner: the oracle's
-    ``OWNED`` log, or — the fused loop keeps none — every marked ownee."""
+    found-ownee log, or — the fused loop keeps none — every marked ownee."""
     if reference:
-        return {o.address for o in vm.engine._owned}
+        return set(vm.engine._found_ownees)
     table = vm.heap.address_table()
     return {a for a in vm.heap.marks if table[a].status & hdr.OWNEE_BIT}
 
@@ -152,7 +148,7 @@ def phase_state(vm, reference: bool) -> dict:
     """Everything ``pre_mark`` leaves behind; call it right after the phase."""
     engine = vm.engine
     return {
-        "bits": {o.address: o.status & NOT_OWNED for o in vm.heap},
+        "bits": {o.address: o.status for o in vm.heap},
         "marks": sorted(vm.heap.marks),
         "owned": owned_ownees(vm, reference),
         "counters": counters(vm),
@@ -168,7 +164,7 @@ def phase_state(vm, reference: bool) -> dict:
 def collected_state(vm) -> dict:
     engine = vm.engine
     return {
-        "heap": {o.address: (o.cls.name, o.status & NOT_OWNED, list(o.slots)) for o in vm.heap},
+        "heap": {o.address: (o.cls.name, o.status, list(o.slots)) for o in vm.heap},
         "counters": counters(vm),
         "log": [violation_key(v) + (v.render(show_addresses=True),) for v in engine.log],
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
@@ -204,9 +200,8 @@ def test_ownership_fused_matches_reference_after_pre_mark(spec):
     assert run_phase(fused, run_ownership_phase) == run_phase(
         oracle, reference_ownership_phase
     )
-    # The fused phase wrote no transient bit and logged nothing to clear.
-    assert fused.engine._owned == []
-    assert not any(o.status & hdr.OWNED_BIT for o in fused.heap)
+    # The fused phase logged nothing to drop.
+    assert fused.engine._found_ownees == set()
 
 
 @pytest.mark.parametrize("collector", ALL_COLLECTORS)

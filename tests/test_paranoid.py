@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.gc.verify import HeapVerificationError, verify_heap
-from repro.heap import header as hdr
 from repro.runtime.vm import VirtualMachine
 from repro.verify import iter_spaces, paranoid_problems
 
@@ -90,14 +89,6 @@ def test_orphan_bump_cell_is_flagged():
     vm.heap.evict(vm.heap.get(victim))
     problems = paranoid_problems(vm)
     assert any("orphan bump cell" in p for p in problems), problems
-
-
-def test_owned_bit_without_ownee_bit_is_flagged():
-    vm, handles = _populated_vm()
-    obj = vm.heap.get(handles[5].address)
-    obj.status |= hdr.OWNED_BIT
-    problems = paranoid_problems(vm)
-    assert any("OWNED bit without the OWNEE bit" in p for p in problems), problems
 
 
 def test_zone_routing_disagreement_is_flagged():

@@ -33,7 +33,6 @@ from repro.errors import InvalidAddressError
 from repro.gc.marksweep import MarkSweepCollector
 from repro.gc.stats import GcStats
 from repro.gc.tracer import Tracer
-from repro.heap import header as hdr
 from repro.heap import heap as heap_module
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
@@ -144,8 +143,7 @@ def test_side_marks_aborted_mark_restarts_from_an_empty_set_without_a_heap_walk(
 
     def watched_clear():
         observed["marks_before"] = len(heap.marks)
-        observed["owned_before"] = sum(1 for o in heap._objects.values() if o.status & hdr.OWNED_BIT)
-        observed["owned_log"] = len(vm.engine._owned)
+        observed["owned_log"] = len(vm.engine._found_ownees)
         observed["ownee_marked"] = nodes[1].obj.address in heap.marks
         walks = []
         with monkeypatch.context() as patch:
@@ -154,22 +152,20 @@ def test_side_marks_aborted_mark_restarts_from_an_empty_set_without_a_heap_walk(
             real_clear()
         observed["walks"] = walks
         observed["marks_after"] = len(heap.marks)
-        observed["owned_after"] = sum(1 for o in heap._objects.values() if o.status & hdr.OWNED_BIT)
 
     collector._clear_all_marks = watched_clear
     vm.gc("recovers")
     # Phase 1 and the root scan had marked something when the drain failed
-    # — the ownee among it, by its mark alone: two-phase mode writes no
-    # ``OWNED`` bit and keeps no log of one — and the reset neither walked
-    # the heap nor left any of it.
+    # — the ownee among it, by its mark alone: two-phase mode keeps no set
+    # of found ownees — and the reset neither walked the heap nor left any
+    # of it.
     assert observed["marks_before"] > 0 and observed["ownee_marked"]
-    assert observed["owned_before"] == 0 and observed["owned_log"] == 0
-    assert observed == dict(observed, walks=[], marks_after=0, owned_after=0)
+    assert observed["owned_log"] == 0
+    assert observed == dict(observed, walks=[], marks_after=0)
     # The retry's tracer started a set of its own and finished the job.
     assert len(drains) == 2 and drains[0]._marks is not drains[1]._marks
     assert all(node.is_live for node in nodes) and len(heap.marks) == 0
     assert collector.recovery.heap_degradations == 1
-    assert not any(o.status & hdr.OWNED_BIT for o in heap)
 
 
 def test_side_marks_minor_collection_cannot_clobber_a_mature_cycles_set():

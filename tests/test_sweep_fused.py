@@ -353,8 +353,7 @@ def test_survivors_are_left_exactly_as_they_were():
     count, freed, by_class = vm.heap.sweep_cells(cells, vm.heap.install_seq)
     assert (count, freed, by_class) == (2, {doomed.address}, {32: [doomed.address]})
     # The sweep does not visit a survivor: not its mark (the set is dropped
-    # whole, by whoever finishes the sweep), not OWNED (the engine clears
-    # that at mark end), not any other bit.
+    # whole, by whoever finishes the sweep), not any header bit.
     assert survivor.status == before
     assert vm.heap.marks == {survivor.address}
     assert vm.heap.get(survivor.address) is survivor
