@@ -38,6 +38,7 @@ from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
     from repro.gc.base import Collector
+    from repro.gc.stats import GcStats
     from repro.gc.tracer import Tracer
     from repro.runtime.classes import ClassRegistry
     from repro.runtime.vm import VirtualMachine
@@ -87,6 +88,8 @@ class AssertionEngine:
         #: as the mark is; the root scan reads it and ``post_mark`` drops it.
         #: Two-phase mode marks what it finds instead, so it stays empty.
         self._found_ownees: set[int] = set()
+        #: The running collection's counters, for hooks called without it.
+        self._stats: Optional["GcStats"] = None
 
     @property
     def degraded(self) -> bool:
@@ -133,6 +136,7 @@ class AssertionEngine:
     def gc_begin(self, collector: "Collector") -> None:
         """Reset per-collection state (a recovery retrace runs it again)."""
         self._found_ownees = set()
+        self._stats = collector.stats
         self._gc_number = collector.stats.collections
         self._pending = []
         self._force_victims = []
@@ -212,10 +216,10 @@ class AssertionEngine:
         Runs the same header-word duties as ``on_first_encounter``, except
         unowned-ownee detection (phase 1 is what *establishes* ownedness)
         and full-path reporting (the ownership scan keeps no path).  The
-        fused phase-1 loop counts the check and the instance itself and
-        calls this only when ``DEAD_BIT`` is set — or on every visit while
-        a ``check_budget`` is set or checks are off for this GC, so the
-        budget trips on the same visit either way.
+        fused phase-1 loop counts the check itself and calls this only when
+        ``DEAD_BIT`` is set — or on every visit while a ``check_budget`` is
+        set or checks are off for this GC, so the budget trips on the same
+        visit either way; an instance is counted here or there, never both.
         """
         if self._degraded_gc == self._gc_number or self._budget_spent():
             return
@@ -228,6 +232,7 @@ class AssertionEngine:
         cls = obj.cls
         if cls.instance_limit is not None:
             cls.instance_count += 1
+            self._stats.instance_count_increments += 1
 
     def on_repeat_encounter(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
         """Mark bit already set: a second incoming reference (§2.5.1).

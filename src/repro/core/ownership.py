@@ -55,21 +55,31 @@ with its locals bound once, not once per owner record:
   or the ownee queue (a miss or a freed object goes back through
   ``heap.get`` for the typed error); children are the class's
   ``ref_getter`` over the slots, or a ref array's slots; a null is falsy;
-* a child whose header has none of ``OWNEE``, ``OWNER``, ``DEAD`` and
-  ``FREED`` is marked and stacked at once; ``engine.phase1_visit`` runs only
-  for ``DEAD_BIT`` and ``engine.on_repeat_encounter`` only for
-  ``UNSHARED_BIT`` — or on every visit while a ``check_budget`` is set or
+* a first encounter takes one of two short paths where it can.  A child
+  whose header has none of ``OWNEE``, ``OWNER``, ``DEAD`` and ``FREED`` is
+  marked and counted, and stacked only if its class has reference slots: a
+  leaf's pop would scan nothing.  An ``OWNEE`` with none of the other three
+  bits whose ``ownee_owner`` entry is this record's owner is marked,
+  counted and queued.  Anything else takes the general ladder below them;
+* ``engine.phase1_visit`` runs only for ``DEAD_BIT`` and
+  ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT`` — or on every
+  visit, and no short path is taken, while a ``check_budget`` is set or
   checks are off for this GC, so the budget trips on the visit it always did;
 * own-ownee membership is ``registry.ownee_owner``, and the lookups are
   accounted as the paper's binary search over the sorted ownee array: a
   hit's probes are :func:`repro.core.registry.probe_depths` of (index,
   length), summed per record at the end (memoised when every ownee was
   hit); a miss (the overlap-misuse path) calls ``OwnerRecord.contains``;
-* counters are derived at a ``finally`` that stays exact when a visit
+* counters are flushed at a ``finally`` that stays exact when a visit
   raises: a scanned object adds its slot count to ``edges_traced`` (nulls
   included, unlike the drains) and the slots after a raising one come back
   off; objects traced is the growth of the mark set; a header check is a
-  first encounter, a repeat or a foreign ownee.
+  first encounter, a repeat or a foreign ownee; an instance counted here
+  (not by ``phase1_visit``) is one ``instance_count_increments``.
+
+The tracer's drains keep stacking leaves: they read no header for a plain
+child, so a leaf test there is an extra class read per object, which costs
+a heap without leaves more than it saves.
 
 This is not another copy of the tracer's drain: phase 1 tags no paths,
 truncates at ownees, runs a second queue and judges ownees per record.  It
@@ -124,7 +134,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     ownee_queue: list = []
     scanned: list = []  # each scanned record's ownee array
     marked_before, foreign_before = len(marks), len(foreign)
-    edges = repeats = probes = hooked = 0
+    edges = repeats = probes = hooked = increments = 0
     pending = iter(())  # the slots of the object being scanned not yet read
     try:
         for record in list(engine.registry.owner_records()):
@@ -172,14 +182,30 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                     if cobj is None:
                         heap_get(child)  # raises the typed heap error
                     status = cobj.status
-                    if not (status & slow_bits or hook_every_visit):
-                        mark(child)
-                        if count_instances:
+                    if not hook_every_visit:
+                        slow = status & slow_bits
+                        if not slow:
+                            # Ordinary object: stacked only if it has
+                            # reference slots, since a leaf's pop scans none.
+                            mark(child)
                             ccls = cobj.cls
-                            if ccls.instance_limit is not None:
+                            if count_instances and ccls.instance_limit is not None:
                                 ccls.instance_count += 1
-                        stack.append(cobj)
-                        continue
+                                increments += 1
+                            if ccls.ref_getter is not None or ccls.ref_array:
+                                stack.append(cobj)
+                            continue
+                        if slow == ownee_bit and owner_of(child) == owner_address:
+                            # Own ownee and nothing else: truncate and queue,
+                            # as the ladder's own-ownee branch below does.
+                            mark(child)
+                            if count_instances:
+                                ccls = cobj.cls
+                                if ccls.instance_limit is not None:
+                                    ccls.instance_count += 1
+                                    increments += 1
+                            ownee_queue.append(cobj)
+                            continue
                     if status & freed_bit:
                         heap_get(child)  # raises the typed heap error
                     if status & ownee_bit and owner_of(child) != owner_address:
@@ -202,6 +228,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
                             ccls.instance_count += 1
+                            increments += 1
                     if status & owner_bit:
                         # An owner: the root scan prunes at this mark, so it
                         # is provisional — it stands only if this record's
@@ -233,6 +260,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
         stats.objects_traced += marked
         stats.edges_traced += edges
         stats.header_bit_checks += header_checks
+        stats.instance_count_increments += increments
         stats.ownee_lookups += foreign_seen
         stats.ownee_search_probes += probes
         for ownees in scanned:

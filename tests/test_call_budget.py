@@ -5,7 +5,8 @@ allocation or one handle access does not.  ``sys.setprofile`` counts the
 ``call`` events (Python frames only — ``dict.get`` and ``list.pop`` are
 not calls here) under the entry point, the entry point included.  The
 budgets are one above what the paths take today, so a helper that creeps
-back onto a path fails here before it shows in a benchmark.
+back onto a path fails here before it shows in a benchmark.  Phase 1's
+worklist is gated the same way on ``c_call`` events: its pushes and pops.
 """
 
 from __future__ import annotations
@@ -267,3 +268,49 @@ def test_ownership_phase_enters_no_frame_per_object():
         assert collector.stats.ownee_lookups - before == ownees
         assert len(vm.heap.marks) == 2 * ownees + 1  # the table, the ownees, what they hold
     assert seen[20] == seen[2000], seen
+
+
+def c_calls(fn) -> dict[str, int]:
+    """How many times each C function was called while ``fn()`` ran."""
+    counts: dict[str, int] = {}
+
+    def profile(_frame, event, arg):
+        if event == "c_call":
+            name = arg.__qualname__
+            counts[name] = counts.get(name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+@pytest.mark.parametrize("ownees", [20, 200])
+def test_ownership_phase_stacks_no_leaf(ownees):
+    """One owner -> a ref array -> ``ownees`` ownees, each holding an
+    ``int[3]``.  Phase 1 marks the int arrays but never stacks one, since a
+    leaf's pop scans nothing: one push and one pop per ownee (its queue
+    entry), plus the owner, the array and the record's bookkeeping.
+    Stacking the leaves too made it 2n + 3 pushes and 2n + 2 pops."""
+    from repro.core.ownership import run_ownership_phase
+
+    vm = VirtualMachine(heap_bytes=8 << 20)
+    cls = vm.define_class("Holder", [("ints", FieldKind.REF)])
+    with vm.scope("phase-1 leaves"):
+        owner, table = vm.new(cls), vm.new_array(cls, ownees)
+        vm.statics.set_ref("owner", owner.address)
+        owner["ints"] = table
+        for index in range(ownees):
+            ownee = table[index] = vm.new(cls)
+            ownee["ints"] = vm.new_array(FieldKind.INT, 3)
+            vm.assertions.assert_ownedby(owner, ownee)
+    engine, collector = vm.engine, vm.collector
+    engine.gc_begin(collector)
+    vm.heap.new_marks()
+    calls = c_calls(lambda: run_ownership_phase(engine, collector))
+    assert len(vm.heap.marks) == 2 * ownees + 1  # the table, the ownees, their ints
+    assert calls["list.append"] == ownees + 3, calls
+    assert calls["list.pop"] == ownees + 2, calls

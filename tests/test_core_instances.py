@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.reporting import AssertionKind
+from repro.heap.object_model import FieldKind
+from repro.runtime.vm import VirtualMachine
 from tests.conftest import build_chain, make_node_class
 
 
@@ -102,3 +104,25 @@ class TestInstanceLimits:
         vm.gc()
         violation = vm.engine.log.of_kind(AssertionKind.INSTANCES)[0]
         assert violation.path is None
+
+
+@pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+@pytest.mark.parametrize("owned", [False, True], ids=["unowned", "owned"])
+def test_instance_count_increments_include_the_ownership_phase(sweep_mode, owned):
+    """Every increment of ``instance_count`` is on the books, whichever phase
+    made it: with one ``Item`` owned by the box, phase 1 marks the ``Item``s
+    before the root scan, and the stat must still read 2."""
+    vm = VirtualMachine(heap_bytes=1 << 20, collector="marksweep", sweep_mode=sweep_mode)
+    box_cls = vm.define_class("Box", [("a", FieldKind.REF), ("b", FieldKind.REF)])
+    item_cls = vm.define_class("Item", [("n", FieldKind.INT)])
+    with vm.scope("instances"):
+        box = vm.new(box_cls)
+        box["a"], box["b"] = vm.new(item_cls), vm.new(item_cls)
+        vm.statics.set_ref("box", box.address)
+        vm.assertions.assert_instances(item_cls, 5)
+        if owned:
+            vm.assertions.assert_ownedby(box, box["a"])
+    vm.gc()
+    assert item_cls.instance_count == 2
+    assert vm.stats.instance_count_increments == 2
+    assert len(vm.engine.log) == 0

@@ -35,7 +35,7 @@ from tests.reference_ownership import reference_ownership_phase
 from tests.test_faults import SWEEP_CELLS
 
 MAX_OBJECTS = 14
-KINDS = ("node", "limited", "array")
+KINDS = ("node", "limited", "array", "scalar", "ints")
 BUDGETS = (None, 1, 3, 50)
 
 
@@ -50,6 +50,7 @@ def heap_specs(draw):
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=n, max_size=n))
     # Up to four reference slots per object; arrays use all of them (null
     # and repeated elements included), nodes the first two, limited one.
+    # Scalars and int arrays are leaves: they hold no reference.
     slots = draw(
         st.lists(
             st.lists(st.one_of(st.none(), index), min_size=4, max_size=4),
@@ -85,14 +86,18 @@ def build(spec, collector: str = "marksweep") -> VirtualMachine:
         "FNode", [("a", FieldKind.REF), ("b", FieldKind.REF), ("n", FieldKind.INT)]
     )
     limited = vm.define_class("FLimited", [("a", FieldKind.REF)])
-    fields = {"node": ("a", "b"), "limited": ("a",)}
+    scalar = vm.define_class("FScalar", [("n", FieldKind.INT)])
+    classes = {"node": node, "limited": limited, "scalar": scalar}
+    fields = {"node": ("a", "b"), "limited": ("a",), "scalar": (), "ints": ()}
     with vm.scope("ownership-fused"):
         handles = []
         for kind in spec["kinds"]:
             if kind == "array":
                 handles.append(vm.new_array(node, 4))
+            elif kind == "ints":
+                handles.append(vm.new_array(FieldKind.INT, 3))
             else:
-                handles.append(vm.new(node if kind == "node" else limited))
+                handles.append(vm.new(classes[kind]))
         for handle, kind, targets in zip(handles, spec["kinds"], spec["slots"]):
             keys = range(4) if kind == "array" else fields[kind]
             for key, target in zip(keys, targets):
@@ -108,6 +113,7 @@ def build(spec, collector: str = "marksweep") -> VirtualMachine:
         for i in sorted(spec["unshared"]):
             vm.assertions.assert_unshared(handles[i], site=f"unshared{i}")
         vm.assertions.assert_instances(limited, spec["limit"])
+        vm.assertions.assert_instances(scalar, spec["limit"])
     vm.engine.check_budget = spec["budget"]
     return vm
 
