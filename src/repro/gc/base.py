@@ -147,8 +147,11 @@ class Collector:
         """Allocate an instance, collecting on pressure; raises on true OOM."""
         raise NotImplementedError
 
-    def write_barrier(self, src: HeapObject, new_address: int) -> None:
-        """Reference-store hook (used by the generational collector)."""
+    #: Reference-store hook ``write_barrier(src, new_address)``, or None for
+    #: a collector that keeps no remembered set.  Only the generational
+    #: collector defines one; the VM binds it once and skips the call
+    #: when it is None.
+    write_barrier = None
 
     def _allocate_cell(
         self, attempt, cls: ClassDescriptor, nbytes: int, oom_reason: str, collect_as=None

@@ -114,7 +114,9 @@ class GenerationalCollector(Collector):
     # -- write barrier ----------------------------------------------------------------
 
     def write_barrier(self, src: HeapObject, new_address: int) -> None:
-        """Record mature→nursery stores in the remembered set."""
+        """Record mature→nursery stores in the remembered set.  The only
+        barrier: the VM binds it once, and every strong reference store
+        calls it."""
         if new_address != NULL and self.nursery.contains(new_address) and not self.nursery.contains(src.address):
             self.remembered.add(src.address)
 

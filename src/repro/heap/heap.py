@@ -311,13 +311,16 @@ class ObjectHeap:
         return list(self._objects.values())
 
     def address_table(self) -> dict[int, HeapObject]:
-        """The live address -> object table itself, for GC-internal hot loops.
+        """The live address -> object table itself, for hot loops.
 
         The tracer and the chunked sweep resolve addresses through this
         table directly, skipping :meth:`get`'s null/dangling/freed checks —
         the collector owns the heap during a pause, so a miss there is a
-        collector bug, not a mutator error.  Mutator dereferences must keep
-        using :meth:`get`.  Callers must not mutate the dict.
+        collector bug, not a mutator error.  A handle's reference load
+        probes it too, and tests ``FREED`` inline; on a miss or a freed
+        target it falls back to :meth:`get`, whose error it raises.  The
+        table is made once per heap, so callers may keep it.  Callers must
+        not mutate the dict.
         """
         return self._objects
 

@@ -129,7 +129,10 @@ class Handle:
         if holds_address:
             if value == NULL:
                 return None
-            return Handle(vm, vm.collector.heap.get(value))
+            target = vm.address_table.get(value)
+            if target is None or target.status & hdr.FREED_BIT:
+                target = vm.heap.get(value)  # raises: dangling or reclaimed
+            return Handle(vm, target)
         return value
 
     def __setitem__(self, key: Union[str, int], value: FieldValue) -> None:
@@ -137,19 +140,25 @@ class Handle:
         if holds_address:
             if value is None:
                 address = NULL
-            elif isinstance(value, Handle):
-                address = value._check().address
-            elif isinstance(value, HeapObject):
+            else:
+                if isinstance(value, Handle):
+                    value = value.obj
+                elif not isinstance(value, HeapObject):
+                    raise TypeFault(
+                        f"reference slot {key!r} of {obj.cls.name} cannot hold {value!r}"
+                    )
+                if value.status & hdr.FREED_BIT:
+                    raise UseAfterFreeError(
+                        f"{value.cls.name} stored into {obj.cls.name} after the "
+                        "object was reclaimed"
+                    )
                 address = value.address
-            else:
-                raise TypeFault(
-                    f"reference slot {key!r} of {obj.cls.name} cannot hold {value!r}"
-                )
-            if weak:
-                # Weak stores create no strong edge: no write barrier.
-                obj.slots[slot] = address
-            else:
-                self.vm.write_ref(obj, slot, address)
+            # Weak stores create no strong edge: no write barrier.
+            if not weak:
+                barrier = self.vm.write_barrier
+                if barrier is not None:
+                    barrier(obj, address)
+            obj.slots[slot] = address
         else:
             if isinstance(value, (Handle, HeapObject)):
                 raise TypeFault(

@@ -129,6 +129,11 @@ class VirtualMachine:
                 heap_bytes, engine=self.engine, track_paths=track_paths, **kwargs
             )
         self.collector.attach(self)
+        #: What a reference store and load need from the collector, bound
+        #: once: its barrier (None unless it keeps a remembered set) and the
+        #: heap's address table, which handles probe inline.
+        self.write_barrier = self.collector.write_barrier
+        self.address_table = self.collector.heap.address_table()
         if paranoid:
             # Paranoid wellformedness walks around every collection (PR 10).
             # Set post-attach so it works for pre-built collector instances
@@ -334,7 +339,9 @@ class VirtualMachine:
     # -- reference stores (write barrier) ----------------------------------------------------
 
     def write_ref(self, obj: HeapObject, slot: int, address: int) -> None:
-        self.collector.write_barrier(obj, address)
+        barrier = self.write_barrier
+        if barrier is not None:
+            barrier(obj, address)
         obj.slots[slot] = address
 
     # -- collection ------------------------------------------------------------------------

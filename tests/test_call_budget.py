@@ -4,9 +4,10 @@ Wall-clock gates flake; the number of Python functions entered by one
 allocation or one handle access does not.  ``sys.setprofile`` counts the
 ``call`` events (Python frames only — ``dict.get`` and ``list.pop`` are
 not calls here) under the entry point, the entry point included.  The
-budgets are one above what the paths take today, so a helper that creeps
-back onto a path fails here before it shows in a benchmark.  Phase 1's
-worklist is gated the same way on ``c_call`` events: its pushes and pops.
+budgets are at most one above what the paths take today, so a helper that
+creeps back onto a path fails here before it shows in a benchmark.  Phase
+1's worklist is gated the same way on ``c_call`` events: its pushes and
+pops.  One smoke-size ``asserted_db`` unit is gated as a whole.
 """
 
 from __future__ import annotations
@@ -68,15 +69,32 @@ def test_vm_new_with_a_field_call_budget(warm):
 
 
 def test_handle_reference_load_and_store_call_budget(warm):
+    # A store is the access and the slot lookup; the barrier check, the
+    # liveness test and the table probe are inline.  A load adds the Handle.
     vm, cls = warm
-    holder, target = vm.new(cls), vm.new(cls)
-    store = python_calls(lambda: holder.__setitem__("ref", target))
-    assert holder.ref_address("ref") == target.address
-    assert len(store) <= 5, store
-    load = python_calls(lambda: holder["ref"])
-    assert len(load) <= 5, load
+    holder, target, array = vm.new(cls), vm.new(cls), vm.new_array(cls, 4)
+    for key, at in (("ref", holder), (2, array)):
+        store = python_calls(lambda: at.__setitem__(key, target))
+        assert at.ref_address(key) == target.address
+        assert store == ["Handle.__setitem__", "Handle._slot_for"], store
+        load = python_calls(lambda: at[key])
+        assert load == ["Handle.__getitem__", "Handle._slot_for", "Handle.__init__"], load
     scalar = python_calls(lambda: holder["id"])
     assert len(scalar) <= 2, scalar
+
+
+def test_generational_store_adds_only_its_barrier():
+    # The barrier's own nursery tests are its business, not the store path's.
+    vm = VirtualMachine(heap_bytes=1 << 20, collector="generational")
+    cls = vm.define_class("Thing", [("ref", FieldKind.REF)])
+    with vm.scope("call budget"):
+        holder, target, array = vm.new(cls), vm.new(cls), vm.new_array(cls, 4)
+        for key, at in (("ref", holder), (2, array)):
+            store = python_calls(lambda: at.__setitem__(key, target))
+            assert store[:3] == [
+                "Handle.__setitem__", "Handle._slot_for", "GenerationalCollector.write_barrier",
+            ], store
+            assert set(store[3:]) == {"BumpSpace.contains"}, store
 
 
 def test_warm_new_array_call_budget(warm):
@@ -314,3 +332,55 @@ def test_ownership_phase_stacks_no_leaf(ownees):
     assert len(vm.heap.marks) == 2 * ownees + 1  # the table, the ownees, their ints
     assert calls["list.append"] == ownees + 3, calls
     assert calls["list.pop"] == ownees + 2, calls
+
+
+# -- one workload unit ---------------------------------------------------------------------------
+
+#: The benchmark's smoke-size ``asserted_db`` script (``benchmarks/e2e/workloads.py``),
+#: script seed 1.
+DB_SMOKE = dict(initial_entries=120, operations=80, key_space=1200, add_weight=5,
+                delete_weight=5, find_weight=1, sort_every=0, gc_every=20, seed=1)
+#: What one Base unit of it takes.  It was 43,058 while every reference store
+#: called a no-op barrier through ``VirtualMachine.write_ref`` and
+#: ``Handle._check``, and every reference load called ``ObjectHeap.get``.
+DB_BASE_UNIT_CALLS = 31_469
+
+
+def db_base_unit_calls() -> list[str]:
+    """The Python calls of one smoke-size ``asserted_db`` Base unit, after
+    one warm-up unit (a cold first unit makes more)."""
+    from repro.workloads.db import DbConfig, run_db
+
+    config = DbConfig(**DB_SMOKE)
+
+    def unit():
+        run_db(VirtualMachine(heap_bytes=8 << 20, assertions=False), config)
+
+    unit()
+    return python_calls(unit)
+
+
+def test_asserted_db_base_unit_call_budget():
+    calls = db_base_unit_calls()
+    barrier = [name for name in calls
+               if name.endswith(".write_barrier") or name == "VirtualMachine.write_ref"]
+    assert barrier == [], "a mark-sweep store runs no barrier"
+    assert len(calls) <= DB_BASE_UNIT_CALLS
+
+
+def test_asserted_db_base_unit_calls_ignore_the_hash_seed():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code = ("from tests.test_call_budget import db_base_unit_calls; "
+            "print(len(db_base_unit_calls()))")
+    totals = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        totals.add(int(done.stdout))
+    assert totals == {len(db_base_unit_calls())}, totals

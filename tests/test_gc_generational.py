@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.gc.generational import GenerationalCollector
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from tests.conftest import build_chain, make_node_class
+from tests.test_call_budget import python_calls
 
 
 @pytest.fixture
@@ -61,6 +63,54 @@ class TestMinorCollection:
         gen_vm.minor_gc()
         assert young.is_live
         assert holder["next"]["value"] == 7
+
+    def test_array_element_store_into_promoted_array_keeps_young_alive(
+        self, gen_vm, gen_node
+    ):
+        with gen_vm.scope():
+            table = gen_vm.new_array(gen_node, 4)
+            gen_vm.statics.set_ref("table", table.address)
+        gen_vm.minor_gc()
+        assert gen_vm.collector.mature.contains(table.obj.address)
+        with gen_vm.scope():
+            young = gen_vm.new(gen_node, value=9)
+            table[2] = young
+        gen_vm.minor_gc()
+        assert young.is_live
+        assert table[2]["value"] == 9
+
+    def test_prebuilt_collector_keeps_its_barrier(self):
+        # The VM binds the barrier once, after attach: a collector built
+        # outside the VM must keep it too.
+        collector = GenerationalCollector(1 << 20)
+        vm = VirtualMachine(collector=collector)
+        node = make_node_class(vm)
+        with vm.scope():
+            holder = vm.new(node)
+            vm.statics.set_ref("holder", holder.address)
+        vm.minor_gc()
+        with vm.scope():
+            young = vm.new(node, value=7)
+            holder["next"] = young
+        assert holder.address in collector.remembered
+        vm.minor_gc()
+        assert young.is_live
+
+    @pytest.mark.parametrize("kind", ["marksweep", "semispace"])
+    def test_store_without_a_remembered_set_enters_no_barrier(self, kind):
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=kind)
+        assert vm.write_barrier is None
+        node = make_node_class(vm)
+        with vm.scope():
+            holder, target, table = vm.new(node), vm.new(node), vm.new_array(node, 2)
+
+            def stores():
+                holder["next"] = target
+                table[1] = target
+                vm.write_ref(holder.obj, 0, target.address)
+
+            entered = python_calls(stores)
+        assert not [name for name in entered if "barrier" in name], entered
 
     def test_without_barrier_scan_object_would_die(self, gen_vm, gen_node):
         """Control for the barrier test: an unreferenced nursery object dies."""

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import TypeFault, UseAfterFreeError
+from repro.errors import InvalidAddressError, TypeFault, UseAfterFreeError
+from repro.heap import header as hdr
+from repro.heap.layout import NULL
 from repro.heap.object_model import FieldKind
+from repro.runtime.vm import VirtualMachine
 
 
 @pytest.fixture
@@ -157,6 +160,25 @@ class TestRootingAndLifetime:
             with pytest.raises(UseAfterFreeError):
                 live["left"] = dead
 
+    def test_storing_freed_raw_object_rejected(self):
+        """A reclaimed ``HeapObject`` is refused like a reclaimed handle.
+        Accepted, its address dangled, and the next collection raised
+        ``InvalidAddressError`` far from the bad store."""
+        vm = VirtualMachine(heap_bytes=1 << 20, sweep_mode="eager")
+        cls = vm.define_class("Pair", [("left", FieldKind.REF)])
+        with vm.scope():
+            holder = vm.new(cls)
+            vm.statics.set_ref("holder", holder.address)
+        with vm.scope():
+            dead = vm.new(cls)
+        vm.gc()
+        assert dead.obj.is_freed
+        with pytest.raises(UseAfterFreeError):
+            holder["left"] = dead.obj
+        assert holder.ref_address("left") == NULL
+        vm.gc()  # no dangling edge to trace
+        assert holder.is_live
+
 
 class TestEquality:
     def test_handles_equal_by_object_identity(self, vm, pair_class):
@@ -176,3 +198,41 @@ class TestEquality:
             assert "Pair" in repr(p)
         vm.gc()
         assert "freed" in repr(p)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        dict(collector="marksweep", sweep_mode="eager"),
+        dict(collector="marksweep", sweep_mode="lazy"),
+        dict(collector="semispace"),
+        dict(collector="generational"),
+    ],
+    ids=["marksweep-eager", "marksweep-lazy", "semispace", "generational"],
+)
+def test_inline_reference_load_fails_as_heap_get_does(build):
+    """A reference load probes the address table inline; on a miss or a
+    freed target it raises what ``heap.get`` raises, message and all."""
+    vm = VirtualMachine(heap_bytes=1 << 20, **build)
+    cls = vm.define_class("Pair", [("left", FieldKind.REF), ("right", FieldKind.REF)])
+    with vm.scope():
+        holder, target, table = vm.new(cls), vm.new(cls), vm.new_array(cls, 2)
+        for at, key, slot in ((holder, "left", cls.field("left").slot), (table, 0, 0)):
+            assert at[key] is None
+            at[key] = target
+            assert at[key] == target
+            dangling = max(vm.heap.address_table()) + 0x1000
+            at.obj.slots[slot] = dangling
+            with pytest.raises(InvalidAddressError) as expected:
+                vm.heap.get(dangling)
+            with pytest.raises(InvalidAddressError) as got:
+                at[key]
+            assert str(got.value) == str(expected.value)
+            at[key] = target
+            target.obj.status |= hdr.FREED_BIT  # as the sweep leaves it
+            with pytest.raises(UseAfterFreeError) as expected:
+                vm.heap.get(target.obj.address)
+            with pytest.raises(UseAfterFreeError) as got:
+                at[key]
+            assert str(got.value) == str(expected.value)
+            target.obj.status &= ~hdr.FREED_BIT
