@@ -32,7 +32,12 @@ from repro.core.ownership import run_naive_ownership_check, run_ownership_phase
 from repro.core.reactions import Reaction, ReactionPolicy
 from repro.core.registry import AssertionRegistry, OwnerRecord
 from repro.core.reporting import AssertionKind, HeapPath, Violation, ViolationLog
-from repro.errors import AssertionViolationHalt, ConfigurationError, EngineDegraded
+from repro.errors import (
+    AssertionViolationHalt,
+    ConfigurationError,
+    EngineDegraded,
+    UseAfterFreeError,
+)
 from repro.heap import header as hdr
 from repro.heap.object_model import HeapObject
 
@@ -145,6 +150,12 @@ class AssertionEngine:
         self._foreign_ownees = []
         self.classes.reset_instance_counts()
 
+    def abandon_mark(self, collector: "Collector") -> None:
+        """Uncount what an aborted mark staged: it was never dispatched,
+        and the retrace finds it again."""
+        collector.stats.violations_detected -= len(self._pending)
+        self._pending = []
+
     def pre_mark(self, collector: "Collector", tracer: "Tracer") -> None:
         """Runs before root scanning — the §2.5.2 ownership phase."""
         if not self.registry.owners:
@@ -158,10 +169,12 @@ class AssertionEngine:
         """Which header reads can find work during a drain, from what is
         registered right now: ``(any, on a repeat edge)``.
 
-        A repeat edge matters only to ``assert-unshared``.  Nothing at all
-        is armed when no assertion is registered, no class is tracked and
-        no check budget is set — the drain then reads no header and counts
-        its checks by the edge.
+        A repeat edge matters only to ``assert-unshared``.  A hardened
+        collector is always armed: its trace is what finds a zombie.
+        Nothing at all is armed when no assertion is registered, no class
+        is tracked, no check budget is set and the collector is not
+        hardened — the drain then reads no header and counts its checks by
+        the edge.
         """
         registry = self.registry
         repeats = bool(registry.unshared_sites)
@@ -171,16 +184,22 @@ class AssertionEngine:
             or bool(registry.ownee_owner)
             or bool(self.classes.tracked_types)
             or self.check_budget is not None
+            or (self.vm is not None and self.vm.collector.hardened)
         )
         return armed, repeats
 
     def on_first_encounter_slow(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
         """Violation checks for a first encounter whose header word matched
-        ``DEAD_BIT | OWNEE_BIT``.  The inlining caller owns the check
-        counters and the instance-count bookkeeping."""
+        ``DEAD_BIT | OWNEE_BIT | FREED_BIT``.  The inlining caller owns the
+        check counters and the instance-count bookkeeping.
+
+        A ``FREED`` object still in the table is a zombie: the edge that
+        discovered it raises the error a root or phase 1 would."""
+        status = obj.status
+        if status & hdr.FREED_BIT:
+            raise UseAfterFreeError(f"object at {obj.address:#x} was reclaimed")
         if self._degraded_gc == self._gc_number or self._budget_spent():
             return
-        status = obj.status
         if status & hdr.DEAD_BIT:
             self._dead_violation(obj, tracer)
         if status & hdr.OWNEE_BIT and obj.address not in self._found_ownees:

@@ -77,11 +77,15 @@ class Collector:
         self.heap = ObjectHeap()
         self.heap_bytes = heap_bytes
         self.engine = engine
-        #: Hardened mode: pre-GC integrity sentinel with quarantine,
-        #: mid-mark recovery, and engine-exception containment.  Off by
-        #: default (the sentinel is an O(heap) scan per collection); the
+        #: Hardened mode: the trace trips over a zombie or a dangling edge
+        #: and the mid-mark recovery walks the heap, repairs, fences and
+        #: retraces; before the trace a sentinel pass mends only what no
+        #: trace reads (leftover marks, roots, region queues, registry
+        #: keys).  Plus engine-exception containment.  Off by default; the
         #: service turns it on for every tenant VM.
         self.hardened = hardened
+        #: True once this pause has counted its one heap degradation.
+        self._heap_degraded = False
         #: Growth ceiling for OOM recovery; None disables heap growth.
         self.max_heap_bytes = max_heap_bytes
         #: Counters for the recovery paths (kept out of GcStats on purpose:
@@ -253,16 +257,17 @@ class Collector:
 
         The prologue repays what the last collection still owes, so the
         heap is exact — no sweep debt, no mark set — for every collector and
-        sweep mode alike.  That is the one point the hardened sentinel
-        repairs it and the paranoid walk judges it: before the trace, its
-        first reader.  Then the timed pause (the shared mark phase, then the
-        subclass's :meth:`_reclaim`), the epilogue and — the pause timer
-        closed — snapshot flush, telemetry record and the paranoid walk of
-        what the collection left.
+        sweep mode alike.  That is where the hardened sentinel repairs what
+        the trace does not read and the paranoid walk judges the heap:
+        before the trace, its first reader.  Then the timed pause (the
+        shared mark phase, then the subclass's :meth:`_reclaim`), the
+        epilogue and — the pause timer closed — snapshot flush, telemetry
+        record and the paranoid walk of what the collection left.
         """
         with self._span("collect", kind="full", reason=reason):
             self._prologue()
             if self.hardened:
+                self._heap_degraded = False
                 self._sentinel_check("pre-gc")
             if self.paranoid:
                 self._paranoid_check("pre-gc")
@@ -341,7 +346,11 @@ class Collector:
     # -- shared helpers ---------------------------------------------------------------
 
     def _make_tracer(self) -> Tracer:
-        return Tracer(self.heap, self.stats, self.engine, self.track_paths)
+        # Hardened, every first encounter reads the header: with an engine
+        # its drain is armed, without one the checked loop's ``heap.get``
+        # raises for a zombie as for a dangling edge.
+        specialized = self.engine is not None or not self.hardened
+        return Tracer(self.heap, self.stats, self.engine, self.track_paths, specialized)
 
     def _snapshot_flush(self) -> None:
         """Serialize a capture buffered during this collection, if any.
@@ -457,13 +466,15 @@ class Collector:
             if not self.hardened:
                 raise
             self._clear_all_marks()
+            if self.engine is not None:
+                self.engine.abandon_mark(self)
             if isinstance(exc, HeapError):
-                # Corruption surfaced mid-trace: repair what the sentinel
-                # can and retrace over the fenced heap.
+                # Corruption surfaced mid-trace: walk the heap, repair what
+                # the sentinel can and retrace over the fenced heap.
                 if not self._sentinel_check("mid-mark"):
                     # The fault's cause was not repairable (or not findable);
                     # still record the degradation before the retrace.
-                    self.recovery.heap_degradations += 1
+                    self._count_heap_degradation()
                     self.gc_log.append(
                         f"mid-mark heap fault: {type(exc).__name__}: {exc}"
                     )
@@ -567,25 +578,44 @@ class Collector:
         """The integrity sentinel: repair + quarantine, never raise; returns
         the problems it found.
 
-        Callers must only invoke this when the mark set is legitimately
-        empty (after the prologue, which leaves no sweep debt) — under debt
-        the set is what keeps unswept survivors alive.
+        Before the trace (``"pre-gc"``) it walks no object: the trace trips
+        over a zombie or a dangling edge, and the mid-mark recovery runs it
+        again as the full walk.  A paranoid collector walks the heap both
+        times, since its own walk follows anyway.  Callers must only invoke
+        this when the mark set is legitimately empty (after the prologue,
+        which leaves no sweep debt) — under debt the set is what keeps
+        unswept survivors alive.
         """
         recovery = self.recovery
         before = recovery.total()
         # In paranoid mode the sentinel also scrubs allocator free lists, so
         # the wellformedness walk that follows starts from a repaired heap.
-        problems = run_sentinel(self.vm, scrub_freelists=self.paranoid)
+        problems = run_sentinel(
+            self.vm,
+            scrub_freelists=self.paranoid,
+            heap_walk=self.paranoid or phase != "pre-gc",
+        )
         if problems:
             repairs = recovery.total() - before
-            recovery.heap_degradations += 1
             counts = f"{len(problems)} problem(s), {repairs} repair(s)"
-            self.record_degradation(
-                "heap", f"{phase}: {counts}",
-                log=f"sentinel[{phase}]: {counts}" + "".join(f"\n  {p}" for p in problems),
-                instant="heap_degraded", phase=phase, problems=len(problems), repairs=repairs,
-            )
+            log = f"sentinel[{phase}]: {counts}" + "".join(f"\n  {p}" for p in problems)
+            if self._count_heap_degradation():
+                self.record_degradation(
+                    "heap", f"{phase}: {counts}", log=log,
+                    instant="heap_degraded", phase=phase, problems=len(problems), repairs=repairs,
+                )
+            else:
+                self.gc_log.append(log)
         return problems
+
+    def _count_heap_degradation(self) -> bool:
+        """Count this pause's heap degradation; False if it already has one
+        (a pre-trace repair and the mid-mark walk are one degraded pause)."""
+        if self._heap_degraded:
+            return False
+        self._heap_degraded = True
+        self.recovery.heap_degradations += 1
+        return True
 
     def _paranoid_check(self, phase: str) -> None:
         """Paranoid wellformedness walk around a collection.

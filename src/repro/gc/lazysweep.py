@@ -87,13 +87,20 @@ class ChunkSweeper:
         decides when the cells go back to the space (eager: immediately;
         lazy: after the purge).  A quarantined address is freed (its dead
         occupant still leaves the table and the metadata) but never handed
-        back: its cell stays recorded, and leaked.
+        back: its cell stays recorded, and leaked.  So is a zombie's — an
+        unreachable object that already carried ``FREED``, which no trace
+        tripped over: the sweep fences it.
         """
         collector = self.collector
         heap = collector.heap
+        zombies: list[int] = []
         swept, freed, by_class = heap.sweep_cells(
-            self.space.chunk_cells(chunk_id), heap.sweep_cutoff
+            self.space.chunk_cells(chunk_id), heap.sweep_cutoff, zombies
         )
+        if zombies:
+            for address in zombies:
+                collector.quarantine.fence(address)
+            collector.recovery.objects_quarantined += len(zombies)
         fenced = collector.quarantine.fenced
         if fenced:
             by_class = {

@@ -36,8 +36,9 @@ reported as unavailable and that counter stays untouched.)
 **Assertions survive sharding** via a deterministic reduction step: workers
 never call engine hooks from the hot loop.  They *record* assertion-relevant
 encounters — first encounters whose header word matched
-``DEAD_BIT | OWNEE_BIT``, repeat encounters with ``UNSHARED_BIT`` — plus
-per-zone per-class instance-count partials.
+``DEAD_BIT | OWNEE_BIT | FREED_BIT`` (a zombie, whose replay raises),
+repeat encounters with ``UNSHARED_BIT`` — plus per-zone per-class
+instance-count partials.
 After the pool joins, the coordinator merges instance partials into the
 class descriptors, merges worker :class:`~repro.gc.stats.GcStats` partials
 with :meth:`GcStats.merge` (summed work, no double-counted pause time), and
@@ -482,7 +483,7 @@ class ParallelMarker:
         marks = self._marks
         mark = marks.add
         repeats_armed = self._repeats_armed
-        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
+        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.FREED_BIT
         unshared_bit = hdr.UNSHARED_BIT
         packet_limit = PACKET_SIZE
         objects = edges = header_checks = instance_incrs = 0

@@ -269,7 +269,8 @@ class Tracer:
         The assertion engine's per-object duties (header-bit check counting,
         instance counting) live directly in the loop; the engine is called
         only when a header bit shows actual assertion work — ``DEAD_BIT`` or
-        ``OWNEE_BIT`` on a first encounter, ``UNSHARED_BIT`` on a repeat.
+        ``OWNEE_BIT`` on a first encounter, ``UNSHARED_BIT`` on a repeat —
+        or a zombie: ``FREED_BIT`` on a first encounter, which it raises.
         A first encounter reads the header of the object its table probe
         resolved; a repeat edge loads the child only while
         ``repeats_armed`` — an ``assert-unshared`` is registered — and
@@ -283,7 +284,7 @@ class Tracer:
         marks = self._marks
         push = stack.append
         mark = marks.add
-        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
+        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.FREED_BIT
         unshared_bit = hdr.UNSHARED_BIT
         engine = self.engine
         slow_first = engine.on_first_encounter_slow

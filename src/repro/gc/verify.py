@@ -139,15 +139,16 @@ class _Scan:
 
     __slots__ = ("vm", "collector", "heap", "table", "quarantine", "registry", "objects")
 
-    def __init__(self, vm: "VirtualMachine"):
+    def __init__(self, vm: "VirtualMachine", heap_walk: bool = True):
         self.vm = vm
         self.collector = vm.collector
         self.heap = vm.heap
         self.table = vm.heap.address_table()
         self.quarantine = vm.collector.quarantine
         self.registry = getattr(vm.engine, "registry", None)
-        #: The objects held to exactness: the live ones.
-        self.objects = vm.heap.live()
+        #: The objects held to exactness: the live ones — or none, for a
+        #: scan that reads the books beside the heap and not the heap.
+        self.objects = vm.heap.live() if heap_walk else ()
 
 
 #: Collector attributes that may hold an allocation space.
@@ -267,27 +268,33 @@ def _find_dangling_references(scan: _Scan):
 
 
 def _find_dead_registry_keys(scan: _Scan):
-    # A stale entry corrupts checking once its address is reused.
+    # A stale entry corrupts checking once its address is reused.  A key
+    # whose object carries FREED is as dead as a missing one: phase 1 skips
+    # such an owner, and its ownees would read as unowned.
     registry = scan.registry
     if registry is None:
         return
-    table = scan.table
+    get = scan.table.get
+    freed_bit = hdr.FREED_BIT
     counter = "registry_scrubbed"
     for what, sites in (("dead", registry.dead_sites), ("unshared", registry.unshared_sites)):
         for address in sites:
-            if address not in table:
+            obj = get(address)
+            if obj is None or obj.status & freed_bit:
                 scrub = partial(sites.pop, address)
                 yield f"registry: {what} site for dead address {address:#x}", counter, scrub
     owner_deaths = partial(scan.vm.engine.process_owner_deaths, scan.collector)
     for owner in registry.owners:
-        if owner not in table:
+        obj = get(owner)
+        if obj is None or obj.status & freed_bit:
             # Mended by the engine's own owner-death path: the record goes
             # *and* the surviving ownees lose OWNEE — a bit left behind reads
             # as "unowned ownee" at every later collection.
             died = partial(owner_deaths, [owner])
             yield f"registry: owner record for dead {owner:#x}", counter, died
     for ownee, owner in registry.ownee_owner.items():
-        if ownee not in table:
+        obj = get(ownee)
+        if obj is None or obj.status & freed_bit:
             scrub = partial(_scrub_ownee, registry, ownee)
             yield f"registry: ownee {ownee:#x} of {owner:#x} is dead", counter, scrub
 
@@ -500,9 +507,11 @@ def verify_heap(
     return problems
 
 
-def run_sentinel(vm: "VirtualMachine", *, scrub_freelists: bool = False) -> list[str]:
-    """Repair scan behind the hardened collectors' pre-GC sentinel; returns
-    the problems it found.
+def run_sentinel(
+    vm: "VirtualMachine", *, scrub_freelists: bool = False, heap_walk: bool = True
+) -> list[str]:
+    """Repair scan behind the hardened collectors' sentinel; returns the
+    problems it found.
 
     Unlike :func:`verify_heap` (detect and raise), this *fixes* what it can:
     every entry that declares a repair is searched for and mended, entry by
@@ -512,12 +521,14 @@ def run_sentinel(vm: "VirtualMachine", *, scrub_freelists: bool = False) -> list
     the mark set keeps unswept survivors alive, and the dead sit in the
     table).  ``scrub_freelists=True`` (a paranoid collector) adds the
     allocator tier, so the paranoid walk that follows validates a repaired
-    heap.
+    heap.  ``heap_walk=False`` is the pass before a hardened trace: it
+    reads the mark set, the roots, the region queues and the registry, and
+    no object — a zombie or a dangling slot is the trace's to trip over.
     """
     recovery = vm.collector.recovery
     tiers = BOTH_TIERS if scrub_freelists else (GRAPH,)
     problems = []
-    for finding in _findings(_Scan(vm), tiers, repairable_only=True):
+    for finding in _findings(_Scan(vm, heap_walk), tiers, repairable_only=True):
         problems.append(finding.message)
         if finding.repair is not None:
             finding.repair()

@@ -141,7 +141,10 @@ class ObjectHeap:
         self.sweep_cutoff = None
 
     def sweep_cells(
-        self, cells: Collection[tuple[int, int]], cutoff: int
+        self,
+        cells: Collection[tuple[int, int]],
+        cutoff: int,
+        zombies: Optional[list[int]] = None,
     ) -> tuple[int, set[int], dict[int, list[int]]]:
         """Sweep the allocated ``(address, cell size)`` pairs of one chunk.
 
@@ -153,7 +156,9 @@ class ObjectHeap:
         was installed or relocated after ``cutoff`` (``install_seq`` at mark
         end), is not this cycle's business.  The evicted are accounted once
         per call — also when the pass raises, so the heap's books match its
-        table at every exit.
+        table at every exit.  An evicted object that already carried
+        ``FREED`` is a zombie, and its cell is not trusted: the address is
+        freed but left out of the size classes, and appended to ``zombies``.
 
         Returns ``(objects examined, freed addresses, {cell size: [freed
         addresses]})``.
@@ -164,6 +169,8 @@ class ObjectHeap:
         skipped = 0
         by_class: dict[int, list[int]] = {}
         dead: list[HeapObject] = []
+        if zombies is None:
+            zombies = []
         try:
             for address, cell in cells:
                 if address in marks:
@@ -183,6 +190,9 @@ class ObjectHeap:
                 del table[own]
                 obj.status = status | freed_bit
                 dead.append(obj)
+                if status & freed_bit:
+                    zombies.append(address)
+                    continue
                 bucket = by_class.get(cell)
                 if bucket is None:
                     by_class[cell] = [address]
@@ -191,7 +201,7 @@ class ObjectHeap:
         finally:
             if dead:
                 self._account_evicted(dead)
-        return len(cells) - skipped, set().union(*by_class.values()), by_class
+        return len(cells) - skipped, set(zombies).union(*by_class.values()), by_class
 
     def _account_evicted(self, dead: Sequence[HeapObject]) -> None:
         """Take untabled objects off the books: freed and live counters, the

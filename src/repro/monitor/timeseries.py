@@ -35,6 +35,10 @@ DEFAULT_SERIES_CAPACITY = 2048
 #: Pause intervals retained for MMU/utilization queries.
 DEFAULT_INTERVAL_CAPACITY = 4096
 
+#: The trailing window of :meth:`MonitorHub.utilization_now` that every GC
+#: event records, and the one the hub keeps a running busy total for.
+UTILIZATION_WINDOW_S = 1.0
+
 #: The per-GC-event gauges every hub maintains, in emit order.
 GC_SERIES = (
     "pause_s",
@@ -114,6 +118,16 @@ class MonitorHub:
         self.pause_intervals: deque[tuple[float, float]] = deque(
             maxlen=DEFAULT_INTERVAL_CAPACITY
         )
+        #: The running busy total behind the default window of
+        #: :meth:`utilization_now`: the newest ``_window_count`` intervals
+        #: are the ones ending after ``_window_start``, and ``_window_busy``
+        #: is the sum of their lengths.  ``_longest`` is the longest pause
+        #: ever added: no interval ending at or after ``start + _longest``
+        #: can begin before ``start``.
+        self._window_start = float("-inf")
+        self._window_count = 0
+        self._window_busy = 0.0
+        self._longest = 0.0
         self.slos = slos
         self.vm: Optional["VirtualMachine"] = None
         #: Alerts seen on the sink path (our own, come back around the
@@ -204,11 +218,24 @@ class MonitorHub:
         right instead.
         """
         intervals = self.pause_intervals
+        if len(intervals) == intervals.maxlen:
+            # The oldest interval leaves the ring; it leaves the running
+            # window too if the window spans the ring.
+            if self._window_count == len(intervals):
+                oldest_start, oldest_end = intervals[0]
+                self._window_count -= 1
+                self._window_busy -= oldest_end - oldest_start
+            if intervals[-1][1] > end:
+                intervals.popleft()  # a bounded deque refuses insert() when full
+        length = end - start
+        if length > self._longest:
+            self._longest = length
+        if end > self._window_start:
+            self._window_count += 1
+            self._window_busy += length
         if not intervals or intervals[-1][1] <= end:
             intervals.append((start, end))
             return
-        if len(intervals) == intervals.maxlen:
-            intervals.popleft()  # a bounded deque refuses insert() when full
         index = len(intervals)
         while index and intervals[index - 1][1] > end:
             index -= 1
@@ -230,15 +257,19 @@ class MonitorHub:
         t0, t1 = self.observed_span()
         return mmu_curve(list(self.pause_intervals), windows, t0, t1)
 
-    def utilization_now(self, window_s: float = 1.0) -> float:
+    def utilization_now(self, window_s: float = UTILIZATION_WINDOW_S) -> float:
         """Mutator utilization over the trailing ``window_s`` seconds.
 
-        Runs on every GC event, inside the pause, so it costs the pauses
-        in the window, not the ring: ``pause_intervals`` is ordered by
-        end (``_add_interval`` keeps it so, for the shared hub too), the
-        walk starts at the newest and stops at the first interval ending
-        at or before the window's start — every older one ends no later
-        and cannot overlap.  The result is the full scan's.
+        Runs on every GC event, inside the pause.  The default 1 s window
+        costs what left it since the last call and the few intervals that
+        straddle its start: ``_add_interval`` keeps a running total of the
+        newest intervals' lengths, this drops the ones that end at or
+        before the window's start and clips the ones that begin before it.
+        Another window walks: ``pause_intervals`` is ordered by end
+        (``_add_interval`` keeps it so, for the shared hub too), so the
+        walk starts at the newest and stops at the first interval ending at
+        or before the window's start — every older one ends no later and
+        cannot overlap.  Either way the result is the full scan's.
         """
         t0, t1 = self.observed_span()
         if t1 <= t0:
@@ -247,14 +278,48 @@ class MonitorHub:
         span = t1 - start
         if span <= 0:
             return 1.0
-        busy = 0.0
-        for s, e in reversed(self.pause_intervals):
-            if e <= start:
-                break
-            # No interval ends after t1 (the newest end), so only the
-            # start needs clipping.
-            busy += e - (s if s > start else start)
+        if window_s == UTILIZATION_WINDOW_S:
+            busy = self._window_busy_since(start)
+        else:
+            busy = 0.0
+            for s, e in reversed(self.pause_intervals):
+                if e <= start:
+                    break
+                # No interval ends after t1 (the newest end), so only the
+                # start needs clipping.
+                busy += e - (s if s > start else start)
         return max(0.0, (span - busy) / span)
+
+    def _window_busy_since(self, start: float) -> float:
+        """Busy time after ``start`` from the running total (see
+        :meth:`utilization_now`)."""
+        intervals = self.pause_intervals
+        if start < self._window_start:
+            # The window reached back (the hub re-anchored its start):
+            # count it afresh.
+            self._window_count, self._window_busy = 0, 0.0
+            for s, e in reversed(intervals):
+                if e <= start:
+                    break
+                self._window_count += 1
+                self._window_busy += e - s
+        else:
+            while self._window_count and intervals[-self._window_count][1] <= start:
+                s, e = intervals[-self._window_count]
+                self._window_count -= 1
+                self._window_busy -= e - s
+            if not self._window_count:
+                self._window_busy = 0.0  # nothing left: no rounding carried over
+        self._window_start = start
+        busy = self._window_busy
+        reach = start + self._longest
+        for index in range(-self._window_count, 0):
+            s, e = intervals[index]
+            if e >= reach:
+                break
+            if s < start:
+                busy -= start - s
+        return busy
 
     def utilization_buckets(self, bucket_s: float) -> list[tuple[float, float]]:
         t0, t1 = self.observed_span()

@@ -384,3 +384,86 @@ def test_asserted_db_base_unit_calls_ignore_the_hash_seed():
                               capture_output=True, text=True, timeout=120, check=True)
         totals.add(int(done.stdout))
     assert totals == {len(db_base_unit_calls())}, totals
+
+
+# -- the hardened pass before the trace ----------------------------------------------------------
+
+
+def _hardened_program(objects: int, hardened: bool = True, **options) -> VirtualMachine:
+    """A (hardened) VM holding a rooted chain of ``objects`` nodes, every
+    fourth with a ref array beside it, an owner with two ownees, an unshared
+    node and a dead site on a reachable node."""
+    vm = VirtualMachine(heap_bytes=8 << 20, hardened=hardened, **options)
+    cls = vm.define_class("Node", [("next", FieldKind.REF), ("items", FieldKind.REF),
+                                   ("id", FieldKind.INT)])
+    with vm.scope("hardened program"):
+        nodes = [vm.new(cls, id=index) for index in range(objects)]
+        vm.statics.set_ref("head", nodes[0].address)
+        for prev, node in zip(nodes, nodes[1:]):
+            prev["next"] = node
+        for node in nodes[::4]:
+            node["items"] = vm.new_array(cls, 3)
+        owner, first, second = vm.new(cls), vm.new(cls), vm.new(cls)
+        vm.statics.set_ref("owner", owner.address)
+        owner["next"] = first
+        first["next"] = second
+        vm.assertions.assert_ownedby(owner, first, site="region")
+        vm.assertions.assert_ownedby(owner, second, site="region")
+        vm.assertions.assert_unshared(nodes[1], site="chain")
+        vm.assertions.assert_dead(nodes[objects // 2], site="planted")
+        for _ in range(objects // 4):
+            vm.new(cls)  # garbage
+    return vm
+
+
+def test_the_pre_trace_pass_costs_the_registry_not_the_heap():
+    python, c_level = {}, {}
+    for objects in (100, 2000):
+        vm = _hardened_program(objects)
+        vm.gc("settle")
+        check = lambda: vm.collector._sentinel_check("pre-gc")  # noqa: E731
+        python[objects] = python_calls(check)
+        c_level[objects] = c_calls(check)
+        assert len(vm.heap.live()) > objects
+    assert python[100] == python[2000], python
+    assert c_level[100] == c_level[2000], c_level
+
+
+#: Every collector and sweep mode, as ``VirtualMachine`` options.
+SWEEP_CONFIGS = [
+    dict(collector="marksweep", sweep_mode="eager"),
+    dict(collector="marksweep", sweep_mode="lazy"),
+    dict(collector="generational", sweep_mode="eager"),
+    dict(collector="generational", sweep_mode="lazy"),
+    dict(collector="semispace"),
+    dict(collector="marksweep", gc_workers=2),
+]
+
+
+def _run_recording_marks(vm: VirtualMachine) -> list:
+    """Three collections; the mark set each one reclaims by."""
+    marks: list = []
+    collector = vm.collector
+    reclaim = collector._reclaim
+
+    def recorded():
+        marks.append(frozenset(vm.heap.marks))
+        return reclaim()
+
+    collector._reclaim = recorded
+    for round_no in range(3):
+        vm.gc(f"round {round_no}")
+    collector.sweep_all()
+    return marks
+
+
+@pytest.mark.parametrize("options", SWEEP_CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
+def test_a_clean_hardened_collection_is_an_unhardened_one(options):
+    runs = {}
+    for hardened in (False, True):
+        vm = _hardened_program(300, hardened, **options)
+        marks = _run_recording_marks(vm)
+        runs[hardened] = (vm.stats.snapshot()["counters"], marks, vm.violation_lines())
+        assert vm.collector.recovery.total() == 0
+    assert runs[True][2], "the planted violation must be reported"
+    assert runs[True] == runs[False]

@@ -345,34 +345,43 @@ class CountingIntervals(deque):
             yield interval
 
 
+PAUSES = st.lists(
+    st.tuples(
+        st.floats(0.0, 0.6),      # gap since the previous pause's end
+        st.floats(1e-6, 0.4),     # pause length (may reach back over the gap)
+        st.booleans(),            # arrives after the next one (shared hub)
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def pause_arrivals(pauses) -> tuple[list, list]:
+    """``(intervals in end order, the order they reach the hub)``.
+
+    Two tenants' pauses can overlap, and one stamped earlier can reach the
+    shared hub later: build in end order, deliver swapped."""
+    intervals, end = [], 100.0
+    for gap, length, _late in pauses:
+        end += gap
+        intervals.append((end - length, end))
+    arrivals = list(intervals)
+    for index, (_gap, _length, late) in enumerate(pauses[:-1]):
+        if late:
+            arrivals[index], arrivals[index + 1] = arrivals[index + 1], arrivals[index]
+    return intervals, arrivals
+
+
 class TestUtilizationNowIsBounded:
     @settings(max_examples=200, deadline=None)
     @given(
-        pauses=st.lists(
-            st.tuples(
-                st.floats(0.0, 0.6),      # gap since the previous pause's end
-                st.floats(1e-6, 0.4),     # pause length (may reach back over the gap)
-                st.booleans(),            # arrives after the next one (shared hub)
-            ),
-            min_size=1, max_size=60,
-        ),
+        pauses=PAUSES,
         window_s=st.floats(1e-3, 5.0),
         capacity=st.sampled_from([4, 16, 4096]),
     )
     def test_equals_the_full_scan_and_stops_at_the_window(
         self, pauses, window_s, capacity
     ):
-        # Two tenants' pauses can overlap, and one stamped earlier can
-        # reach the shared hub later: build in end order, deliver swapped.
-        intervals, end = [], 100.0
-        for gap, length, _late in pauses:
-            end += gap
-            intervals.append((end - length, end))
-        arrivals = list(intervals)
-        for index, (_gap, _length, late) in enumerate(pauses[:-1]):
-            if late:
-                arrivals[index], arrivals[index + 1] = arrivals[index + 1], arrivals[index]
-
+        intervals, arrivals = pause_arrivals(pauses)
         with mock.patch("repro.monitor.timeseries.DEFAULT_INTERVAL_CAPACITY", capacity):
             hub = MonitorHub()
         for seq, (start, end) in enumerate(arrivals, 1):
@@ -391,7 +400,24 @@ class TestUtilizationNowIsBounded:
         )
         t0, t1 = hub.observed_span()
         overlapping = sum(1 for e in ends if e > max(t0, t1 - window_s))
-        assert counting.visited <= overlapping + 1
+        # The default window keeps a running total and walks nothing;
+        # another walks what overlaps it and the interval that stops it.
+        assert counting.visited <= (0 if window_s == 1.0 else overlapping + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauses=PAUSES, capacity=st.sampled_from([4, 16, 4096]))
+    def test_the_running_total_is_the_full_scan_after_every_pause(self, pauses, capacity):
+        # Every pause records the default window's utilization: evictions
+        # from a full ring, late arrivals and a start that reaches back
+        # (a pause that began before the first one) all move the total.
+        _intervals, arrivals = pause_arrivals(pauses)
+        with mock.patch("repro.monitor.timeseries.DEFAULT_INTERVAL_CAPACITY", capacity):
+            hub = MonitorHub()
+        for seq, (start, end) in enumerate(arrivals, 1):
+            hub.emit(pause_event(seq, start, end))
+            assert hub.series["utilization"].latest_value() == pytest.approx(
+                full_scan_utilization(hub, 1.0), abs=1e-12
+            )
 
     def test_a_full_ring_costs_the_window_not_the_ring(self):
         hub = MonitorHub()
@@ -402,7 +428,9 @@ class TestUtilizationNowIsBounded:
         counting = CountingIntervals(hub.pause_intervals, maxlen=capacity)
         hub.pause_intervals = counting
         value = hub.utilization_now()
-        assert counting.visited == 11  # ten pauses in the second, and the one that stops it
+        assert counting.visited == 0  # the default window's running total walks nothing
+        assert hub.utilization_now(1.05) == pytest.approx(full_scan_utilization(hub, 1.05))
+        assert counting.visited == 12  # eleven pauses in the window, and the one that stops it
         assert value == pytest.approx(full_scan_utilization(hub, 1.0), abs=1e-12)
         assert value == pytest.approx(0.9, abs=1e-9)
 
