@@ -7,10 +7,11 @@ the normal tracing work:
 
 * ``gc_begin``    — reset per-GC state (per-class instance counts).
 * ``pre_mark``    — the §2.5.2 ownership phase (or the naive ablation).
-* ``on_first_encounter``  — dead-bit check, unowned-ownee check, and
-  per-class instance counting, all on the already-hot header word.
-* ``on_repeat_encounter`` — the unshared-bit check ("objects that are
+* ``on_first_encounter_slow`` — the dead-bit and unowned-ownee checks, for
+  a first encounter whose already-hot header word has a slow bit set.
+* ``on_repeat_encounter_slow`` — the unshared-bit check ("objects that are
   encountered more than once, i.e. whose mark bits are already set").
+* ``phase1_dead`` — a dead object phase 1 reached, which it has no path to.
 * ``post_mark``   — the judgment of phase 1's provisional marks,
   instance-limit checks ("at the end of GC, we iterate through our list
   of tracked types") and FORCE reactions, which must null incoming
@@ -19,8 +20,10 @@ the normal tracing work:
   each unreachable ownee after a GC"), violation logging, and HALT
   reactions.
 
-Violations are collected during the trace and dispatched at the end of the
-collection, when the heap is consistent.
+The loops that meet objects count the header checks and the instances
+themselves, and call the three encounter hooks only when a header bit
+asks.  Violations are collected during the trace and dispatched at the end
+of the collection, when the heap is consistent.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from repro.heap.object_model import HeapObject
 
 if TYPE_CHECKING:
     from repro.gc.base import Collector
-    from repro.gc.stats import GcStats
     from repro.gc.tracer import Tracer
     from repro.runtime.classes import ClassRegistry
     from repro.runtime.vm import VirtualMachine
@@ -57,12 +59,9 @@ class AssertionEngine:
         classes: "ClassRegistry",
         policy: Optional[ReactionPolicy] = None,
         ownership_mode: str = "two-phase",
-        check_budget: Optional[int] = None,
     ):
         if ownership_mode not in ("two-phase", "naive"):
             raise ConfigurationError(f"unknown ownership mode {ownership_mode!r}")
-        if check_budget is not None and check_budget < 1:
-            raise ConfigurationError(f"check_budget must be positive, got {check_budget}")
         self.classes = classes
         self.registry = AssertionRegistry()
         self.policy = policy or ReactionPolicy()
@@ -72,10 +71,6 @@ class AssertionEngine:
         self._gc_number = 0
         self._pending: list[Violation] = []
         self._force_victims: list[int] = []
-        #: Optional cap on per-pause assertion checks; exceeding it degrades
-        #: checking for the rest of that collection (never-stall-the-GC rule).
-        self.check_budget = check_budget
-        self._checks_this_gc = 0
         #: GC number whose checks are disabled (degraded); -1 = none.  The
         #: comparison-based form (rather than a boolean) survives a recovery
         #: retrace of the *same* collection and re-arms automatically when
@@ -93,8 +88,6 @@ class AssertionEngine:
         #: as the mark is; the root scan reads it and ``post_mark`` drops it.
         #: Two-phase mode marks what it finds instead, so it stays empty.
         self._found_ownees: set[int] = set()
-        #: The running collection's counters, for hooks called without it.
-        self._stats: Optional["GcStats"] = None
 
     @property
     def degraded(self) -> bool:
@@ -125,27 +118,14 @@ class AssertionEngine:
             phase=phase, gc=self._gc_number, reason=detail,
         )
 
-    def _budget_spent(self) -> bool:
-        """Count one check against the per-pause budget; True once blown."""
-        self._checks_this_gc += 1
-        if self.check_budget is not None and self._checks_this_gc > self.check_budget:
-            self.note_degraded(
-                "budget",
-                reason=f"per-pause check budget of {self.check_budget} exceeded",
-            )
-            return True
-        return False
-
     # ------------------------------------------------------------------ hooks
 
     def gc_begin(self, collector: "Collector") -> None:
         """Reset per-collection state (a recovery retrace runs it again)."""
         self._found_ownees = set()
-        self._stats = collector.stats
         self._gc_number = collector.stats.collections
         self._pending = []
         self._force_victims = []
-        self._checks_this_gc = 0
         self._marked_owners = []
         self._foreign_ownees = []
         self.classes.reset_instance_counts()
@@ -172,9 +152,8 @@ class AssertionEngine:
         A repeat edge matters only to ``assert-unshared``.  A hardened
         collector is always armed: its trace is what finds a zombie.
         Nothing at all is armed when no assertion is registered, no class
-        is tracked, no check budget is set and the collector is not
-        hardened — the drain then reads no header and counts its checks by
-        the edge.
+        is tracked and the collector is not hardened — the drain then reads
+        no header and counts its checks by the edge.
         """
         registry = self.registry
         repeats = bool(registry.unshared_sites)
@@ -183,7 +162,6 @@ class AssertionEngine:
             or bool(registry.dead_sites)
             or bool(registry.ownee_owner)
             or bool(self.classes.tracked_types)
-            or self.check_budget is not None
             or (self.vm is not None and self.vm.collector.hardened)
         )
         return armed, repeats
@@ -198,7 +176,7 @@ class AssertionEngine:
         status = obj.status
         if status & hdr.FREED_BIT:
             raise UseAfterFreeError(f"object at {obj.address:#x} was reclaimed")
-        if self._degraded_gc == self._gc_number or self._budget_spent():
+        if self._degraded_gc == self._gc_number:
             return
         if status & hdr.DEAD_BIT:
             self._dead_violation(obj, tracer)
@@ -207,67 +185,21 @@ class AssertionEngine:
 
     def on_repeat_encounter_slow(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
         """Unshared violation for a repeat encounter with ``UNSHARED_BIT`` set."""
-        if self._degraded_gc == self._gc_number or self._budget_spent():
+        if self._degraded_gc == self._gc_number:
             return
         self._unshared_violation(obj, tracer, parent)
 
-    def on_first_encounter(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
-        """First GC encounter: the object was just marked."""
-        if self._degraded_gc == self._gc_number or self._budget_spent():
+    def phase1_dead(self, obj: HeapObject, record: OwnerRecord) -> None:
+        """Phase 1 marked an object with ``DEAD_BIT`` set.  The ownership
+        scan keeps no path, so the report names the owner it scanned from;
+        unowned-ownee detection is not phase 1's (it *establishes*
+        ownedness)."""
+        if self._degraded_gc == self._gc_number:
             return
-        stats = tracer.stats if tracer is not None else None
-        if stats is not None:
-            stats.header_bit_checks += 1
-        status = obj.status
-        if status & hdr.DEAD_BIT:
-            self._dead_violation(obj, tracer)
-        if status & hdr.OWNEE_BIT and obj.address not in self._found_ownees:
-            self._unowned_violation(obj, tracer)
-        cls = obj.cls
-        if cls.instance_limit is not None:
-            cls.instance_count += 1
-            if stats is not None:
-                stats.instance_count_increments += 1
-
-    def phase1_visit(self, obj: HeapObject, record: OwnerRecord) -> None:
-        """First encounter during the ownership phase — the slow hook.
-
-        Runs the same header-word duties as ``on_first_encounter``, except
-        unowned-ownee detection (phase 1 is what *establishes* ownedness)
-        and full-path reporting (the ownership scan keeps no path).  The
-        fused phase-1 loop counts the check itself and calls this only when
-        ``DEAD_BIT`` is set — or on every visit while a ``check_budget`` is
-        set or checks are off for this GC, so the budget trips on the same
-        visit either way; an instance is counted here or there, never both.
-        """
-        if self._degraded_gc == self._gc_number or self._budget_spent():
-            return
-        status = obj.status
-        if status & hdr.DEAD_BIT:
-            path = HeapPath.unavailable(
-                f"(reached during ownership scan from owner {record.owner_address:#x})"
-            )
-            self._dead_violation(obj, None, path=path)
-        cls = obj.cls
-        if cls.instance_limit is not None:
-            cls.instance_count += 1
-            self._stats.instance_count_increments += 1
-
-    def on_repeat_encounter(self, obj: HeapObject, tracer: Optional["Tracer"], parent) -> None:
-        """Mark bit already set: a second incoming reference (§2.5.1).
-
-        Called per repeat encounter by the drains that do not inline the
-        header checks; the fused phase-1 loop (``tracer=None``) counts the
-        check itself and calls this only when ``UNSHARED_BIT`` is set — or
-        on every repeat while a ``check_budget`` is set or checks are off
-        for this GC.
-        """
-        if self._degraded_gc == self._gc_number or self._budget_spent():
-            return
-        if tracer is not None:
-            tracer.stats.header_bit_checks += 1
-        if obj.status & hdr.UNSHARED_BIT:
-            self._unshared_violation(obj, tracer, parent)
+        path = HeapPath.unavailable(
+            f"(reached during ownership scan from owner {record.owner_address:#x})"
+        )
+        self._dead_violation(obj, None, path=path)
 
     def _judge_phase1_marks(self, collector: "Collector", tracer: "Tracer") -> None:
         """One rule for phase 1's provisional marks: a mark phase 1 put on

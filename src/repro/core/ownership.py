@@ -34,7 +34,7 @@ every encounter with another owner's ownee.  One rule judges them
 stands only if the owner whose scan put it there stands, and a foreign
 ownee is traced as one more root when its holder is marked and it is not.
 
-**Phase 2** is the normal root scan: the engine's ``on_first_encounter``
+**Phase 2** is the normal root scan: the engine's ``on_first_encounter_slow``
 hook reports any ownee it is the first to reach — phase 1 did not mark it,
 so it is not reachable from its owner: it (or a path to it) outlived it.
 
@@ -61,10 +61,9 @@ with its locals bound once, not once per owner record:
   leaf's pop would scan nothing.  An ``OWNEE`` with none of the other three
   bits whose ``ownee_owner`` entry is this record's owner is marked,
   counted and queued.  Anything else takes the general ladder below them;
-* ``engine.phase1_visit`` runs only for ``DEAD_BIT`` and
-  ``engine.on_repeat_encounter`` only for ``UNSHARED_BIT`` — or on every
-  visit, and no short path is taken, while a ``check_budget`` is set or
-  checks are off for this GC, so the budget trips on the visit it always did;
+* it runs the tracer's encounter protocol: it counts checks and
+  instances itself, and calls ``engine.phase1_dead`` only for ``DEAD_BIT``
+  and ``engine.on_repeat_encounter_slow`` only for ``UNSHARED_BIT``;
 * own-ownee membership is ``registry.ownee_owner``, and the lookups are
   accounted as the paper's binary search over the sorted ownee array: a
   hit's probes are :func:`repro.core.registry.probe_depths` of (index,
@@ -74,8 +73,8 @@ with its locals bound once, not once per owner record:
   raises: a scanned object adds its slot count to ``edges_traced`` (nulls
   included, unlike the drains) and the slots after a raising one come back
   off; objects traced is the growth of the mark set; a header check is a
-  first encounter, a repeat or a foreign ownee; an instance counted here
-  (not by ``phase1_visit``) is one ``instance_count_increments``.
+  first encounter, a repeat or a foreign ownee; a counted instance is one
+  ``instance_count_increments``.
 
 The tracer's drains keep stacking leaves: they read no header for a plain
 child, so a leaf test there is an extra class read per object, which costs
@@ -111,8 +110,8 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     heap = collector.heap
     get = heap.address_table().get
     heap_get = heap.get
-    phase1_visit = engine.phase1_visit
-    on_repeat = engine.on_repeat_encounter
+    phase1_dead = engine.phase1_dead
+    on_repeat = engine.on_repeat_encounter_slow
     owner_of = engine.registry.ownee_owner.get
     marks = heap.marks
     mark = marks.add
@@ -122,10 +121,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     dead_bit = hdr.DEAD_BIT
     unshared_bit = hdr.UNSHARED_BIT
     slow_bits = freed_bit | ownee_bit | owner_bit | dead_bit
-    # With a per-pause budget (or checks already off for this GC) every
-    # visit goes through the hooks, so the budget trips on the same visit.
-    hook_every_visit = engine.check_budget is not None or engine.degraded
-    read_repeats = hook_every_visit or engine.armed_checks()[1]
+    read_repeats = engine.armed_checks()[1]
     count_instances = bool(engine.classes.tracked_types)
     note_owner = engine._marked_owners.append
     foreign = engine._foreign_ownees
@@ -134,7 +130,7 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
     ownee_queue: list = []
     scanned: list = []  # each scanned record's ownee array
     marked_before, foreign_before = len(marks), len(foreign)
-    edges = repeats = probes = hooked = increments = 0
+    edges = repeats = probes = increments = 0
     pending = iter(())  # the slots of the object being scanned not yet read
     try:
         for record in list(engine.registry.owner_records()):
@@ -174,38 +170,36 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         repeats += 1
                         if read_repeats:
                             cobj = get(child)
-                            if hook_every_visit or cobj.status & unshared_bit:
-                                hooked += 1
+                            if cobj.status & unshared_bit:
                                 on_repeat(cobj, None, None)
                         continue
                     cobj = get(child)
                     if cobj is None:
                         heap_get(child)  # raises the typed heap error
                     status = cobj.status
-                    if not hook_every_visit:
-                        slow = status & slow_bits
-                        if not slow:
-                            # Ordinary object: stacked only if it has
-                            # reference slots, since a leaf's pop scans none.
-                            mark(child)
+                    slow = status & slow_bits
+                    if not slow:
+                        # Ordinary object: stacked only if it has reference
+                        # slots, since a leaf's pop scans none.
+                        mark(child)
+                        ccls = cobj.cls
+                        if count_instances and ccls.instance_limit is not None:
+                            ccls.instance_count += 1
+                            increments += 1
+                        if ccls.ref_getter is not None or ccls.ref_array:
+                            stack.append(cobj)
+                        continue
+                    if slow == ownee_bit and owner_of(child) == owner_address:
+                        # Own ownee and nothing else: truncate and queue, as
+                        # the ladder's own-ownee branch below does.
+                        mark(child)
+                        if count_instances:
                             ccls = cobj.cls
-                            if count_instances and ccls.instance_limit is not None:
+                            if ccls.instance_limit is not None:
                                 ccls.instance_count += 1
                                 increments += 1
-                            if ccls.ref_getter is not None or ccls.ref_array:
-                                stack.append(cobj)
-                            continue
-                        if slow == ownee_bit and owner_of(child) == owner_address:
-                            # Own ownee and nothing else: truncate and queue,
-                            # as the ladder's own-ownee branch below does.
-                            mark(child)
-                            if count_instances:
-                                ccls = cobj.cls
-                                if ccls.instance_limit is not None:
-                                    ccls.instance_count += 1
-                                    increments += 1
-                            ownee_queue.append(cobj)
-                            continue
+                        ownee_queue.append(cobj)
+                        continue
                     if status & freed_bit:
                         heap_get(child)  # raises the typed heap error
                     if status & ownee_bit and owner_of(child) != owner_address:
@@ -214,17 +208,15 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                         # traces from it after the root scan if its holder
                         # is marked and it is not.
                         probes += record.contains(child)[1]
-                        hooked += 1
                         foreign.append((child, obj.address))
                         if child not in misuse_reported:
                             misuse_reported.add(child)
                             engine.report_ownership_misuse(cobj, record)
                         continue
                     mark(child)
-                    if hook_every_visit or status & dead_bit:
-                        hooked += 1
-                        phase1_visit(cobj, record)
-                    elif count_instances:
+                    if status & dead_bit:
+                        phase1_dead(cobj, record)
+                    if count_instances:
                         ccls = cobj.cls
                         if ccls.instance_limit is not None:
                             ccls.instance_count += 1
@@ -256,10 +248,9 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
         stats = collector.stats
         marked = len(marks) - marked_before
         foreign_seen = len(foreign) - foreign_before
-        header_checks = marked + repeats + foreign_seen
         stats.objects_traced += marked
         stats.edges_traced += edges
-        stats.header_bit_checks += header_checks
+        stats.header_bit_checks += marked + repeats + foreign_seen
         stats.instance_count_increments += increments
         stats.ownee_lookups += foreign_seen
         stats.ownee_search_probes += probes
@@ -272,7 +263,6 @@ def run_ownership_phase(engine: "AssertionEngine", collector: "Collector") -> No
                 hit = list(map(marks.__contains__, ownees))
                 stats.ownee_lookups += hit.count(True)
                 stats.ownee_search_probes += sum(compress(probe_depths(n), hit))
-        engine._checks_this_gc += header_checks - hooked
 
 
 def run_naive_ownership_check(engine: "AssertionEngine", collector: "Collector") -> None:

@@ -357,7 +357,7 @@ class FaultInjector:
             return "inert: no live objects"
         victim.status |= hdr.UNSHARED_BIT
         # Two synthetic static roots guarantee a repeat encounter where a
-        # header is sure to be read: the root scan runs the full hooks,
+        # header is sure to be read: a repeat root always tests UNSHARED,
         # while a drain's repeat edge reads the header only while some
         # assert-unshared is registered — and this bit has no registration.
         pins = [self._pin(victim.address, "unshared") for _ in range(2)]

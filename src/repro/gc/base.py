@@ -347,8 +347,9 @@ class Collector:
 
     def _make_tracer(self) -> Tracer:
         # Hardened, every first encounter reads the header: with an engine
-        # its drain is armed, without one the checked loop's ``heap.get``
-        # raises for a zombie as for a dangling edge.
+        # its drain is armed, and without one ``specialized=False`` forces
+        # the checked drain, whose one slow bit is ``FREED``: it raises for
+        # a zombie as ``heap.get`` would.
         specialized = self.engine is not None or not self.hardened
         return Tracer(self.heap, self.stats, self.engine, self.track_paths, specialized)
 
@@ -395,8 +396,8 @@ class Collector:
         """True when this mark drain may run on the zone-sharded pool.
 
         The parallel drains replicate the two *fused* loop bodies (plain
-        and engine); an unspecialized tracer needs the general dispatching
-        drain and falls back to the sequential path for that collection.
+        and engine); a tracer forced onto the checked drain
+        (``specialized=False``) keeps the sequential path.
         """
         return self.gc_workers > 0 and self.zone_map is not None and tracer.specialized
 

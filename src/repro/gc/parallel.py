@@ -5,8 +5,8 @@ splits that worklist by *zone* (see :mod:`repro.heap.zones`) and drains the
 zones on a pool of mark workers:
 
 * **Roots are partitioned by owning zone.**  The root scan itself stays
-  sequential — it runs the engine's full first-encounter hooks exactly as
-  the sequential tracer would — and the seeded worklist is then split into
+  sequential — it runs the engine's encounter protocol exactly as the
+  sequential tracer would — and the seeded worklist is then split into
   per-zone stacks.
 * **Each zone's marks are touched by one worker at a time.**  (They are
   entries of the collection's one mark set, ``heap.marks``; a set insert or
@@ -250,7 +250,7 @@ class ParallelMarker:
     # -- entry points ------------------------------------------------------------
 
     def mark(self, tracer: "Tracer", roots) -> None:
-        """Sequential root scan (full engine hooks) + parallel drain."""
+        """Sequential root scan (the encounter protocol) + parallel drain."""
         tracer.scan_roots(roots)
         self.drain(tracer)
 
@@ -299,8 +299,8 @@ class ParallelMarker:
     def _partition(self, tracer: "Tracer") -> None:
         """Split the root-seeded worklist into per-zone stacks.
 
-        Root objects were already marked (and counted, and run through the
-        engine's full hooks) by the sequential root scan; the drain loops
+        Root objects were already marked (and counted, and checked) by the
+        sequential root scan; the drain loops
         count only the objects they mark.
         """
         zone_of = self.zone_map.zone_of

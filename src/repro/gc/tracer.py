@@ -30,42 +30,43 @@ the dangling test (a dangling child still raises ``InvalidAddressError`` at
 the edge that discovered it) and the resolution, so the pop that scans the
 object looks nothing up.
 
-The tracer calls two assertion hooks on an attached engine:
+**One encounter protocol.**  Every loop that meets an object — the root
+scan, the drains, phase 1 (:mod:`repro.core.ownership`) and the parallel
+drains — counts the header check and the instance inline and calls the
+engine only when a header bit asks: ``on_first_encounter_slow(obj, tracer,
+parent)`` for ``DEAD``, ``OWNEE`` or ``FREED`` on a first encounter, and
+``on_repeat_encounter_slow`` for ``UNSHARED`` on a repeat.  With
+``engine=None`` and ``track_paths=False`` the tracer is the plain mark loop
+of an unmodified collector — the paper's *Base* configuration, against
+which the *Infrastructure* overhead is measured.
 
-* ``on_first_encounter(obj, tracer, parent)`` — the object was just marked
-  (dead-bit check, instance counting, unowned-ownee detection).
-* ``on_repeat_encounter(obj, tracer, parent)`` — the object was already
-  marked, i.e. a second incoming reference (unshared-bit check).
+The drain is one of three fused loops, so an edge never pays for a branch
+it cannot take: children are resolved through the heap's address table
+(the collector owns the heap during the pause), an object's children are
+one C-level call of its class's ``ref_getter`` (or a ref array's own
+slots), a null is skipped by its truth, and counters accumulate in locals.
 
-With ``engine=None`` and ``track_paths=False`` the tracer degenerates to the
-plain mark loop of an unmodified collector — that is the paper's *Base*
-configuration, against which the *Infrastructure* overhead is measured.
+* ``_drain_plain`` marks and nothing else; ``_drain_paths`` adds the tags.
+  Either one serves an attached engine with nothing armed
+  (``engine.armed_checks()``): no header can matter, so none is read, and
+  ``header_bit_checks`` is credited one per edge.
+* ``_drain_checked`` reads a first encounter's header (the paper's
+  piggyback), and a repeat edge's only while an ``assert-unshared`` is
+  registered; it pushes tags only under ``track_paths``.  It runs an armed
+  engine, and ``specialized=False`` forces it — a hardened collector with
+  no engine, where ``FREED`` is the one slow bit, and the benchmark's
+  ``generic`` probe.
 
-The drain is specialized into fused loops — ``plain`` (Base), ``paths``
-(Infrastructure without an engine) and ``paths+engine`` — so an edge never
-pays for a branch it cannot take: children are resolved through the
-heap's address table (the collector owns the heap during the pause), an
-object's children are one C-level call of its class's ``ref_getter`` (or a
-ref array's own slots), a null is skipped by its truth, and counters
-accumulate in locals.  The engine's per-object duties are inlined and its
-``*_slow`` hooks called only when a header bit shows assertion work, and
-it says once per drain which header reads can matter
-(``engine.armed_checks()``): a first encounter reads the child's header
-(the paper's piggyback); a repeat edge reads it only while an
-``assert-unshared`` is registered; and with nothing armed the drain *is*
-the paths loop, crediting ``header_bit_checks`` one per edge.  The full
-hooks take every encounter in the method-per-edge loop kept as
-``specialized=False``, which also serves an engine without paths and is
-the benchmark's ``generic`` probe.  No loop records anything
-but marks and counters: snapshot capture reads ``heap.marks`` once the mark
-is complete (:meth:`repro.snapshot.capture.SnapshotSink.record_marked`).
+No loop records anything but marks and counters: snapshot capture reads
+``heap.marks`` once the mark is complete
+(:meth:`repro.snapshot.capture.SnapshotSink.record_marked`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.errors import InvalidAddressError
+from repro.errors import InvalidAddressError, UseAfterFreeError
 from repro.heap import header as hdr
 from repro.heap.heap import ObjectHeap
 from repro.heap.layout import NULL
@@ -74,6 +75,14 @@ from repro.gc.stats import GcStats
 
 if TYPE_CHECKING:
     from repro.core.engine import AssertionEngine
+
+#: The header bits that send a first encounter to the engine's slow hook.
+FIRST_SLOW_BITS = hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.FREED_BIT
+
+
+def _zombie(obj: HeapObject, tracer: "Tracer", parent) -> None:
+    """The checked drain's slow hook when no engine is attached."""
+    raise UseAfterFreeError(f"object at {obj.address:#x} was reclaimed")
 
 
 class Tracer:
@@ -138,53 +147,89 @@ class Tracer:
     def scan_roots(self, roots: Iterable[tuple[str, int]]) -> None:
         """Seed the worklist from the root set (the first half of
         :meth:`trace`, split out so the span tracer can time the root scan
-        and the drain as separate phases without touching either loop)."""
-        for description, address in roots:
-            if address == NULL:
-                continue
-            # Roots come from the mutator (statics, frames, handles), so they
-            # go through the checked dereference path.
-            self._reach(self.heap.get(address), parent=None, via_root=description)
+        and the drain as separate phases without touching either loop).
+
+        Roots come from the mutator (statics, frames, handles), so each gets
+        the checks of ``heap.get``, which runs only to raise its typed error
+        for a dangling root or a zombie.  With an engine attached a root
+        runs the drains' protocol whether or not anything is armed: a
+        repeat is one check and the ``UNSHARED`` test, a first encounter
+        one check, the slow mask and an instance count."""
+        get = self._table.get
+        heap_get = self.heap.get
+        marks = self._marks
+        mark = marks.add
+        push = self._stack.append
+        descriptions = self.root_descriptions if self.track_paths else None
+        engine = self.engine
+        if engine is not None:
+            slow_first = engine.on_first_encounter_slow
+            slow_repeat = engine.on_repeat_encounter_slow
+        first_slow_bits = FIRST_SLOW_BITS
+        freed_bit, unshared_bit = hdr.FREED_BIT, hdr.UNSHARED_BIT
+        objects = checks = instance_incrs = 0
+        try:
+            for description, address in roots:
+                if address == NULL:
+                    continue
+                obj = get(address)
+                if obj is None or obj.status & freed_bit:
+                    heap_get(address)  # raises the typed heap error
+                if address in marks:
+                    if engine is not None:
+                        checks += 1
+                        if obj.status & unshared_bit:
+                            slow_repeat(obj, self, None)
+                    continue
+                mark(address)
+                objects += 1
+                if descriptions is not None:
+                    descriptions.setdefault(address, description)
+                if engine is not None:
+                    checks += 1
+                    if obj.status & first_slow_bits:
+                        slow_first(obj, self, None)
+                    cls = obj.cls
+                    if cls.instance_limit is not None:
+                        cls.instance_count += 1
+                        instance_incrs += 1
+                push(obj)
+        finally:
+            stats = self.stats
+            stats.objects_traced += objects
+            stats.header_bit_checks += checks
+            stats.instance_count_increments += instance_incrs
 
     def drain(self) -> None:
         """Process the worklist to empty."""
-        if not self.specialized:
-            if self.track_paths:
-                self._drain_with_paths()
-            else:
-                self._drain_generic_plain()
-            return
         engine = self.engine
-        if engine is None:
-            if self.track_paths:
-                self._drain_paths()
-            else:
-                self._drain_plain()
-        elif not self.track_paths:
-            # Engine without path tracking: an unusual ablation config;
-            # the generic loop handles it without a fourth specialization.
-            self._drain_generic_plain()
-        else:
+        armed = repeats_armed = False
+        if engine is not None:
             armed, repeats_armed = engine.armed_checks()
-            if armed:
-                self._drain_paths_engine(repeats_armed)
-            else:
-                self._drain_paths(credit_header_checks=True)
+        if armed or not self.specialized:
+            self._drain_checked(repeats_armed)
+        elif self.track_paths:
+            self._drain_paths(credit_header_checks=engine is not None)
+        else:
+            self._drain_plain(credit_header_checks=engine is not None)
 
-    # -- specialized fused drains -------------------------------------------------
+    # -- fused drains -----------------------------------------------------------------
     #
     # Each loop below is the same algorithm with a different fixed feature
     # set; the loop bodies are intentionally duplicated so the per-edge path
-    # carries no engine/paths conditionals and no method calls.
+    # carries no engine/paths conditionals and no method calls.  The two
+    # unchecked loops credit ``header_bit_checks`` one per edge (less a
+    # dangling edge, which raises before its check) when an unarmed engine
+    # is attached: the checked loop would have counted exactly that.
 
-    def _drain_plain(self) -> None:
+    def _drain_plain(self, credit_header_checks: bool = False) -> None:
         """Base configuration: mark loop with nothing else in it."""
         stack = self._stack
         get = self._table.get
         marks = self._marks
         push = stack.append
         mark = marks.add
-        objects = edges = 0
+        objects = edges = dangling = 0
         try:
             while stack:
                 obj = stack.pop()
@@ -204,22 +249,20 @@ class Tracer:
                         continue
                     cobj = get(child)
                     if cobj is None:
+                        dangling = 1
                         raise InvalidAddressError(f"no live object at {child:#x}")
                     mark(child)
                     objects += 1
                     push(cobj)
         finally:
-            self.stats.objects_traced += objects
-            self.stats.edges_traced += edges
+            stats = self.stats
+            stats.objects_traced += objects
+            stats.edges_traced += edges
+            if credit_header_checks:
+                stats.header_bit_checks += edges - dangling
 
     def _drain_paths(self, credit_header_checks: bool = False) -> None:
-        """Infrastructure configuration: path tagging, no engine.
-
-        Also the engine drain while the engine has nothing armed
-        (``credit_header_checks``): no header can matter, so none is read,
-        and ``header_bit_checks`` gets the one-per-edge the engine loop
-        counts.
-        """
+        """Infrastructure configuration: path tagging, no header read."""
         stack = self._stack
         get = self._table.get
         marks = self._marks
@@ -250,7 +293,7 @@ class Tracer:
                         continue
                     cobj = get(child)
                     if cobj is None:
-                        dangling = 1  # the edge is counted, its header check is not
+                        dangling = 1
                         raise InvalidAddressError(f"no live object at {child:#x}")
                     mark(child)
                     objects += 1
@@ -263,20 +306,23 @@ class Tracer:
             if credit_header_checks:
                 stats.header_bit_checks += edges - dangling
 
-    def _drain_paths_engine(self, repeats_armed: bool = True) -> None:
-        """Infrastructure/WithAssertions: tagging plus inlined header checks.
+    def _drain_checked(self, repeats_armed: bool = False) -> None:
+        """The encounter protocol inline: WithAssertions, a hardened
+        collector's trace, and ``specialized=False``.
 
-        The assertion engine's per-object duties (header-bit check counting,
-        instance counting) live directly in the loop; the engine is called
-        only when a header bit shows actual assertion work — ``DEAD_BIT`` or
+        The engine's per-object duties (header-bit check counting, instance
+        counting) live directly in the loop; the engine is called only when
+        a header bit shows actual assertion work — ``DEAD_BIT`` or
         ``OWNEE_BIT`` on a first encounter, ``UNSHARED_BIT`` on a repeat —
         or a zombie: ``FREED_BIT`` on a first encounter, which it raises.
-        A first encounter reads the header of the object its table probe
-        resolved; a repeat edge loads the child only while
-        ``repeats_armed`` — an ``assert-unshared`` is registered — and
-        otherwise costs the set probe and nothing else.  Every edge is one
-        header-bit check either way, so the count is the edge count (less a
-        dangling edge, which raises before its check).
+        With no engine ``FREED_BIT`` is the only slow bit and the loop
+        raises what ``heap.get`` would.  A first encounter reads the header
+        of the object its table probe resolved; a repeat edge loads the
+        child only while ``repeats_armed`` — an ``assert-unshared`` is
+        registered — and otherwise costs the set probe and nothing else.
+        With an engine every edge is one header-bit check either way, so the
+        count is the edge count (less a dangling edge, which raises before
+        its check).
         """
         stack = self._stack
         table = self._table
@@ -284,18 +330,23 @@ class Tracer:
         marks = self._marks
         push = stack.append
         mark = marks.add
-        first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT | hdr.FREED_BIT
+        track_paths = self.track_paths
         unshared_bit = hdr.UNSHARED_BIT
         engine = self.engine
-        slow_first = engine.on_first_encounter_slow
-        slow_repeat = engine.on_repeat_encounter_slow
-        objects = edges = tagged = instance_incrs = dangling = 0
+        if engine is not None:
+            first_slow_bits = FIRST_SLOW_BITS
+            slow_first = engine.on_first_encounter_slow
+            slow_repeat = engine.on_repeat_encounter_slow
+        else:
+            first_slow_bits = hdr.FREED_BIT
+            slow_first = _zombie
+        objects = edges = popped = instance_incrs = dangling = 0
         try:
             while stack:
                 obj = stack.pop()
                 if type(obj) is int:
                     continue
-                tagged += 1
+                popped += 1
                 cls = obj.cls
                 refs = cls.ref_getter
                 if refs is not None:
@@ -304,7 +355,8 @@ class Tracer:
                     children = obj.slots
                 else:
                     continue
-                push(obj.address)
+                if track_paths:
+                    push(obj.address)
                 for child in children:
                     if not child:
                         continue
@@ -335,58 +387,11 @@ class Tracer:
             stats = self.stats
             stats.objects_traced += objects
             stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
-            stats.header_bit_checks += edges - dangling
             stats.instance_count_increments += instance_incrs
-
-    # -- generic (pre-specialization) drain ----------------------------------------
-
-    def _drain_with_paths(self) -> None:
-        stack = self._stack
-        stats = self.stats
-        while stack:
-            obj = stack.pop()
-            if type(obj) is int:
-                continue
-            stack.append(obj.address)
-            stats.path_entries_tagged += 1
-            self._scan(obj)
-
-    def _drain_generic_plain(self) -> None:
-        stack = self._stack
-        while stack:
-            self._scan(stack.pop())
-
-    def _scan(self, obj: HeapObject) -> None:
-        """Visit every outgoing reference of ``obj``."""
-        heap = self.heap
-        stats = self.stats
-        for child in obj.reference_slots():
-            if child == NULL:
-                continue
-            stats.edges_traced += 1
-            self._reach(heap.get(child), parent=obj)
-
-    def _reach(
-        self,
-        obj: HeapObject,
-        parent: Optional[HeapObject],
-        via_root: Optional[str] = None,
-    ) -> None:
-        engine = self.engine
-        address = obj.address
-        marks = self._marks
-        if address in marks:
+            if track_paths:
+                stats.path_entries_tagged += popped
             if engine is not None:
-                engine.on_repeat_encounter(obj, self, parent)
-            return
-        marks.add(address)
-        self.stats.objects_traced += 1
-        if via_root is not None and self.track_paths:
-            self.root_descriptions.setdefault(address, via_root)
-        if engine is not None:
-            engine.on_first_encounter(obj, self, parent)
-        self._stack.append(obj)
+                stats.header_bit_checks += edges - dangling
 
     # -- path reconstruction -------------------------------------------------------
 

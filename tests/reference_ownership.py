@@ -7,13 +7,16 @@ collection's mark set: where it used to set ``MARK`` in the header it adds
 the address to ``heap.marks``, and an ownee it used to set ``OWNED`` on is
 logged in the engine's found-ownee set, which ``post_mark`` drops (the fused
 loop logs nothing — its mark says the same — so this log is what the
-differential compares the fused loop's marked ownees against).  It goes through the public,
-fully checked interfaces — ``ObjectHeap.get``, ``reference_slots()``,
-``engine.phase1_visit`` / ``on_repeat_encounter`` on every visit,
-``OwnerRecord.contains`` for every lookup — so it states the per-step
-invariants (what is marked, what is truncated, what is counted) in the
-plainest form.  ``tests/test_ownership_fused.py`` runs it against the fused
-loop on twin VMs; it is not imported by anything under ``src/``.
+differential compares the fused loop's marked ownees against).  It goes
+through the public, fully checked interfaces — ``ObjectHeap.get``,
+``reference_slots()``, ``OwnerRecord.contains`` for every lookup — and runs
+the encounter protocol in its plainest form: each visit counts its header
+check and its instance here, and calls ``engine.phase1_dead`` or
+``on_repeat_encounter_slow`` only when ``DEAD_BIT`` or ``UNSHARED_BIT``
+asks.  So it states the per-step invariants (what is marked, what is
+truncated, what is counted) plainly.  ``tests/test_ownership_fused.py``
+runs it against the fused loop on twin VMs; it is not imported by anything
+under ``src/``.
 """
 
 from __future__ import annotations
@@ -60,6 +63,14 @@ def _scan_from_owner(
     ownee_queue: list[int] = []
     owner_address = record.owner_address
 
+    def first_visit(obj, status: int) -> None:
+        if status & hdr.DEAD_BIT:
+            engine.phase1_dead(obj, record)
+        cls = obj.cls
+        if cls.instance_limit is not None:
+            cls.instance_count += 1
+            stats.instance_count_increments += 1
+
     def reach(address: int, holder: int) -> None:
         if address == NULL:
             return
@@ -69,7 +80,8 @@ def _scan_from_owner(
         if address in marks:
             # Second encounter during GC tracing: same unshared check the
             # root scan performs (§2.5.1).
-            engine.on_repeat_encounter(obj, None, None)
+            if status & hdr.UNSHARED_BIT:
+                engine.on_repeat_encounter_slow(obj, None, None)
             return
         if status & hdr.OWNEE_BIT:
             stats.ownee_lookups += 1
@@ -81,7 +93,7 @@ def _scan_from_owner(
                 marks.add(address)
                 engine._found_ownees.add(address)
                 stats.objects_traced += 1
-                engine.phase1_visit(obj, record)
+                first_visit(obj, status)
                 if status & hdr.OWNER_BIT:
                     # An own ownee that is itself an owner: a provisional
                     # mark, judged in ``post_mark``.
@@ -100,7 +112,7 @@ def _scan_from_owner(
             return
         marks.add(address)
         stats.objects_traced += 1
-        engine.phase1_visit(obj, record)
+        first_visit(obj, status)
         if status & hdr.OWNER_BIT:
             # Another owner, or a back edge to the current one: a
             # provisional mark (the root scan prunes at it), judged in

@@ -332,28 +332,22 @@ class TestEngineDegradation:
         with pytest.raises(RuntimeError):
             vm.gc("unhardened")
 
-    def test_check_budget_disables_after_n_checks(self):
-        vm = VirtualMachine(heap_bytes=4 << 20)
-        vm.engine.check_budget = 3
+    def test_degraded_collection_counts_every_instance(self):
+        """Checks off for a collection leave its counting on: the root scan
+        counts a root's instance as the drain counts the rest, so the limit
+        is judged on the whole count."""
+        vm = hardened_vm()
         cls = make_node_class(vm)
-        nodes = build_chain(vm, cls, 20)
-        for i in range(5, 15):
-            vm.assertions.assert_dead(nodes[i], site=f"beyond budget {i}")
-        vm.gc("budgeted")
-        # All 10 asserted nodes stay reachable: unbudgeted this is 10
-        # violations, but the 4th check blows the budget and degrades.
-        assert 0 < len(vm.engine.log) <= 3
-        assert vm.engine.degraded_events
-        assert vm.engine.degraded_events[-1].phase == "budget"
-
-    def test_check_budget_validation(self):
-        from repro.core.engine import AssertionEngine
-        from repro.runtime.classes import ClassRegistry
-
-        with pytest.raises(ConfigurationError):
-            AssertionEngine(ClassRegistry(), check_budget=0)
-        with pytest.raises(ValueError):  # ConfigurationError is a ValueError
-            AssertionEngine(ClassRegistry(), check_budget=-5)
+        nodes = build_chain(vm, cls, 5)
+        vm.statics.set_ref("middle", nodes[3].address)
+        vm.assertions.assert_instances(cls, 2)
+        self._raise_from_hook(vm)
+        vm.gc("degraded collection")
+        assert vm.engine.degraded
+        assert vm.stats.instance_count_increments == 5
+        assert vm.stats.header_bit_checks == 2 + 4  # two roots, four edges
+        [violation] = vm.engine.log.of_kind(AssertionKind.INSTANCES)
+        assert "5 live instances, limit 2" in violation.message
 
     def test_raising_reaction_handler_is_contained(self):
         vm = hardened_vm()

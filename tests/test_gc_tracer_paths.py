@@ -116,20 +116,17 @@ class TestPathTrackingToggle:
         assert results[0] == results[1]
 
 
-class _PathProbe:
-    """Engine stub recording the cheap path API at every first encounter
-    (it has only the full hooks, which the ``specialized=False`` loop calls)."""
+class _PathProbe(set):
+    """A mark set recording the cheap path API at every first encounter
+    (the ``paths`` drain calls no hook, so its marks are where its worklist
+    is observed)."""
 
-    def __init__(self):
-        self.rows = []
-
-    def on_first_encounter(self, obj, tracer, parent):
-        cheap = tracer.current_path_addresses(obj.address)
-        root_desc, full = tracer.current_path(obj)
-        self.rows.append((obj.address, tracer.path_depth(), cheap, full, root_desc))
-
-    def on_repeat_encounter(self, obj, tracer, parent):
-        pass
+    def add(self, address):
+        tracer = self.tracer
+        cheap = tracer.current_path_addresses(address)
+        root_desc, full = tracer.current_path(tracer.heap.get(address))
+        self.rows.append((address, tracer.path_depth(), cheap, full, root_desc))
+        super().add(address)
 
 
 class TestCheapPathApi:
@@ -139,8 +136,9 @@ class TestCheapPathApi:
         from repro.gc.stats import GcStats
         from repro.gc.tracer import Tracer
 
-        probe = _PathProbe()
-        tracer = Tracer(vm.heap, GcStats(), probe, track_paths=True, specialized=False)
+        tracer = Tracer(vm.heap, GcStats(), None, track_paths=True)
+        probe = tracer._marks = _PathProbe()
+        probe.tracer, probe.rows = tracer, []
         tracer.trace(vm.root_entries())
         return probe, tracer
 
@@ -225,7 +223,7 @@ def _root_addresses(vm) -> set:
 
 
 def _no_owners(spec) -> dict:
-    return dict(spec, owned_by=[None] * len(spec["kinds"]), budget=None)
+    return dict(spec, owned_by=[None] * len(spec["kinds"]))
 
 
 def _reported_paths(vm) -> list:

@@ -5,7 +5,7 @@ the header checks inlined and the ownee lookup done by one dict probe that
 also yields the binary search's probe count.  ``tests/reference_ownership.py``
 is the closure implementation it replaced, kept verbatim.  Every test here
 builds the same heap in twin VMs, runs one implementation on each, and
-demands identical marks, counters, budget accounting and verdicts.
+demands identical marks, counters and verdicts.
 
 The oracle still logs every ownee it reaches from its own owner in the
 engine's found-ownee set (where the paper sets its transient ``OWNED``
@@ -36,7 +36,6 @@ from tests.test_faults import SWEEP_CELLS
 
 MAX_OBJECTS = 14
 KINDS = ("node", "limited", "array", "scalar", "ints")
-BUDGETS = (None, 1, 3, 50)
 
 
 # -- heap specs ------------------------------------------------------------------------
@@ -75,7 +74,6 @@ def heap_specs(draw):
         "dead": draw(st.sets(index)),
         "unshared": draw(st.sets(index)),
         "limit": draw(st.integers(0, 3)),
-        "budget": draw(st.sampled_from(BUDGETS)),
     }
 
 
@@ -114,7 +112,6 @@ def build(spec, collector: str = "marksweep") -> VirtualMachine:
             vm.assertions.assert_unshared(handles[i], site=f"unshared{i}")
         vm.assertions.assert_instances(limited, spec["limit"])
         vm.assertions.assert_instances(scalar, spec["limit"])
-    vm.engine.check_budget = spec["budget"]
     return vm
 
 
@@ -158,7 +155,6 @@ def phase_state(vm, reference: bool) -> dict:
         "marks": sorted(vm.heap.marks),
         "owned": owned_ownees(vm, reference),
         "counters": counters(vm),
-        "checks": engine._checks_this_gc,
         "degraded": [(e.phase, e.gc_number, str(e)) for e in engine.degraded_events],
         "marked_owners": engine._marked_owners,
         "foreign_ownees": engine._foreign_ownees,
@@ -292,25 +288,30 @@ def test_ownership_fused_bad_child_raises_typed_error_with_counters_flushed(
     assert fused["counters"]["ownee_lookups"] > 0
 
 
+def _all_dead(vm, arr, victim):
+    for element in arr.slots:
+        vm.assertions.assert_dead(vm.heap.get(element))
+
+
 def test_ownership_fused_raising_hook_degrades_pre_mark_with_counters_flushed():
     """A non-heap exception out of a slow hook is contained by the hardened
     collector as ``note_degraded("pre_mark")``; the phase's locals are
     flushed on the way out, so the books match the oracle's."""
     results = []
     for reference in (False, True):
-        vm = _region_with_bad_child(lambda vm, arr, victim: None)
+        vm = _region_with_bad_child(_all_dead)
         if reference:
             use_reference(vm)
         seen = []
 
-        def exploding_visit(obj, record, seen=seen):
+        def exploding_dead(obj, record, seen=seen):
             seen.append(obj.address)
             if len(seen) == 3:
                 raise RuntimeError("injected phase-1 fault")
 
-        # A per-pause budget routes every visit through the hook.
-        vm.engine.check_budget = 1000
-        vm.engine.phase1_visit = exploding_visit
+        # Every element is asserted dead, so each one phase 1 marks is a
+        # call of the hook.
+        vm.engine.phase1_dead = exploding_dead
         vm.gc("exploding hook")
         events = [(e.phase, e.gc_number) for e in vm.engine.degraded_events]
         results.append((events, counters(vm), len(vm.engine.log)))

@@ -22,7 +22,6 @@ tests pin what that representation promises:
 
 from __future__ import annotations
 
-import gc as host_gc
 import random
 
 import pytest
@@ -375,6 +374,7 @@ DRAINS = {
     "plain": lambda vm, s: Tracer(vm.heap, s, None, track_paths=False),
     "paths": lambda vm, s: Tracer(vm.heap, s, None, track_paths=True),
     "engine-unarmed": lambda vm, s: Tracer(vm.heap, s, vm.engine, track_paths=True),
+    "engine-unarmed-nopaths": lambda vm, s: Tracer(vm.heap, s, vm.engine, track_paths=False),
     # A tracer handed a sink drains like any other and fills it afterwards.
     "snapshot": lambda vm, s: Tracer(vm.heap, s, None, True, True, SnapshotSink("", heap=vm.heap, moving=False)),
     "generic": lambda vm, s: Tracer(vm.heap, s, None, track_paths=True, specialized=False),
@@ -382,12 +382,17 @@ DRAINS = {
 }
 
 
-def _armed(vm, stats):
-    vm.assertions.assert_dead(vm.collector.allocate(vm.classes.get("D")), site="arms the engine")
-    return Tracer(vm.heap, stats, vm.engine, track_paths=True)
+def _armed(track_paths):
+    def make_tracer(vm, stats):
+        bystander = vm.collector.allocate(vm.classes.get("D"))
+        vm.assertions.assert_dead(bystander, site="arms the engine")
+        return Tracer(vm.heap, stats, vm.engine, track_paths=track_paths)
+
+    return make_tracer
 
 
-DRAINS["engine-armed"] = _armed
+DRAINS["engine-armed"] = _armed(True)
+DRAINS["engine-armed-nopaths"] = _armed(False)
 
 
 @pytest.mark.parametrize("drain", sorted(DRAINS))
@@ -444,7 +449,7 @@ class _MarksWithoutTheTableTest(Tracer):
 
     __slots__ = ()
 
-    def _drain_plain(self) -> None:
+    def _drain_plain(self, credit_header_checks: bool = False) -> None:
         stack, table, marks = self._stack, self._table, self._marks
         objects = edges = 0
         try:
@@ -508,25 +513,17 @@ GRAPH_NODES = 2_000
 
 
 def gated_calls(fn) -> list[str]:
-    """``python_calls(fn)`` with the host interpreter's collector held off
-    (its callbacks are Python frames too) and the counting property's own
-    frames left out."""
-    was_enabled = host_gc.isenabled()
-    host_gc.disable()
-    try:
-        return [name for name in python_calls(fn) if "_CountingObject" not in name]
-    finally:
-        if was_enabled:
-            host_gc.enable()
+    """``python_calls(fn)`` with the counting property's own frames left out."""
+    return [name for name in python_calls(fn) if "_CountingObject" not in name]
 
 
-def _drain_cost(vm, reads, engine, track_paths=True):
+def _drain_cost(vm, reads, engine, track_paths=True, specialized=True):
     """(python calls, status reads, header checks, stats) of one drain of
     the test graph — the drain alone, the root scan not included."""
     stats = GcStats()
     if engine is not None:
         engine.gc_begin(vm.collector)
-    tracer = Tracer(vm.heap, stats, engine, track_paths)
+    tracer = Tracer(vm.heap, stats, engine, track_paths, specialized)
     tracer.scan_roots(vm.root_entries())
     reads.update(status=0, alloc_seq=0)
     checks_before = stats.header_bit_checks
@@ -538,18 +535,29 @@ def _drain_cost(vm, reads, engine, track_paths=True):
     return calls, status_reads, stats.header_bit_checks - checks_before, stats
 
 
+def _checked_without_engine(vm, reads):
+    """The checked drain with no engine reads each first encounter's header
+    for ``FREED`` and counts no check; it too enters nothing per object."""
+    calls, status_reads, checks, stats = _drain_cost(vm, reads, None, specialized=False)
+    assert len(calls) <= 2, calls
+    assert status_reads == stats.objects_traced - 1  # the root was met by the root scan
+    assert checks == 0
+
+
 def test_side_marks_unarmed_drain_enters_no_python_per_object_and_reads_no_header(counting_objects):
     vm = graph_vm(GRAPH_NODES)
     assert vm.engine.armed_checks() == (False, False)
-    calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine)
-    # A handful of frames for the dispatch, none of them per object.
-    assert len(calls) <= 4, calls
-    assert status_reads == 0
-    # The engine loop would have counted one check per edge; so does this.
-    assert checks == stats.edges_traced
+    for paths in (True, False):
+        calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine, paths)
+        # A handful of frames for the dispatch, none of them per object.
+        assert len(calls) <= 4, (paths, calls)
+        assert status_reads == 0, paths
+        # The engine loop would have counted one check per edge; so does this.
+        assert checks == stats.edges_traced, paths
     for label, engine, paths in (("plain", None, False), ("paths", None, True)):
         calls, status_reads, checks, _ = _drain_cost(vm, counting_objects, engine, paths)
         assert len(calls) <= 2 and status_reads == 0 and checks == 0, (label, calls, status_reads)
+    _checked_without_engine(vm, counting_objects)
 
 
 def test_side_marks_armed_drain_reads_a_header_per_first_encounter_and_none_per_repeat(counting_objects):
@@ -557,20 +565,51 @@ def test_side_marks_armed_drain_reads_a_header_per_first_encounter_and_none_per_
     bystander = vm.collector.allocate(vm.classes.get("G"))
     vm.assertions.assert_dead(bystander, site="arms first-encounter checks only")
     assert vm.engine.armed_checks() == (True, False)
-    calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine)
-    assert len(calls) <= 4, calls
-    first_encounters = stats.objects_traced - 1  # the root was met by the root scan
-    assert status_reads == first_encounters
-    assert stats.edges_traced - first_encounters > GRAPH_NODES // 2, "the graph must have repeat edges"
-    assert checks == stats.edges_traced
+    for paths in (True, False):
+        calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine, paths)
+        assert len(calls) <= 4, (paths, calls)
+        first_encounters = stats.objects_traced - 1  # the root was met by the root scan
+        assert status_reads == first_encounters, paths
+        assert stats.edges_traced - first_encounters > GRAPH_NODES // 2, "the graph must have repeat edges"
+        assert checks == stats.edges_traced, paths
+        assert stats.path_entries_tagged == (stats.objects_traced if paths else 0)
+    _checked_without_engine(vm, counting_objects)
 
     # With an assert-unshared registered a repeat edge has to look: one
     # more read per repeat edge, and still no Python call per object.
     vm.assertions.assert_unshared(bystander, site="arms repeat checks")
     assert vm.engine.armed_checks() == (True, True)
-    calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine)
-    assert len(calls) <= 4, calls
-    assert status_reads == checks == stats.edges_traced
+    for paths in (True, False):
+        calls, status_reads, checks, stats = _drain_cost(vm, counting_objects, vm.engine, paths)
+        assert len(calls) <= 4, (paths, calls)
+        assert status_reads == checks == stats.edges_traced, paths
+    _checked_without_engine(vm, counting_objects)
+
+
+@pytest.mark.parametrize("assertions", [True, False], ids=["engine", "base"])
+def test_side_marks_root_scan_enters_no_python_per_root(assertions):
+    """Every root, a second time as a repeat: the root scan's checks and
+    counts are inline, so the scan's frames do not grow with the roots."""
+    seen = {}
+    for count in (10, 1_000):
+        vm = VirtualMachine(heap_bytes=8 << 20, assertions=assertions)
+        cls = vm.define_class("R", [("next", FieldKind.REF)])
+        objects = [vm.collector.allocate(cls) for _ in range(count)]
+        roots = [(f"root {index}", obj.address) for index, obj in enumerate(objects)] * 2
+        engine = vm.engine
+        if engine is not None:
+            vm.assertions.assert_instances(cls, count)
+            vm.assertions.assert_dead(objects[-1], site="one slow root")
+            engine.gc_begin(vm.collector)
+        stats = GcStats()
+        tracer = Tracer(vm.heap, stats, engine, track_paths=True)
+        seen[count] = gated_calls(lambda: tracer.scan_roots(roots))
+        assert stats.objects_traced == count
+        if engine is not None:
+            assert stats.header_bit_checks == 2 * count
+            assert stats.instance_count_increments == count
+            assert len(engine._pending) == 1
+    assert seen[10] == seen[1_000], seen
 
 
 def test_side_marks_sweeping_an_all_live_chunk_touches_no_cell(counting_objects):
