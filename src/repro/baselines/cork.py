@@ -77,7 +77,7 @@ class TypeGrowthProfiler:
 
     # -- census ---------------------------------------------------------------------
 
-    def _observe(self, vm: "VirtualMachine", freed: set[int]) -> None:
+    def _observe(self, vm: "VirtualMachine") -> None:
         self.census.observe(vm.heap.live_by_class(), gc_number=vm.stats.collections)
 
     # -- reporting -------------------------------------------------------------------

@@ -70,7 +70,7 @@ class StalenessDetector:
         self.reads_observed += 1
         self._last_access[obj.address] = (obj.alloc_seq, self.epoch)
 
-    def _observe(self, vm: "VirtualMachine", freed: set[int]) -> None:
+    def _observe(self, vm: "VirtualMachine") -> None:
         """Keep the records of the objects the collection left live, and
         first-sight the ones never read through a handle (or new at their
         address); the dead drop out, swept yet or not."""

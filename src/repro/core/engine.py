@@ -16,9 +16,11 @@ the normal tracing work:
   instance-limit checks ("at the end of GC, we iterate through our list
   of tracked types") and FORCE reactions, which must null incoming
   references *before* the sweep reclaims the victims.
-* ``gc_end``      — metadata purging for reclaimed objects ("we must remove
-  each unreachable ownee after a GC"), violation logging, and HALT
-  reactions.
+* ``purge``       — metadata purging for reclaimed objects ("we must remove
+  each unreachable ownee after a GC"), called by whatever frees them
+  before a freed address can be reused.
+* ``gc_end``      — the end of a full collection: violation logging and
+  HALT reactions.
 
 The loops that meet objects count the header checks and the instances
 themselves, and call the three encounter hooks only when a header bit
@@ -270,25 +272,15 @@ class AssertionEngine:
         if self._force_victims:
             lifetime.force_reclaim(collector, self.vm, self._force_victims)
 
-    def gc_end(self, collector: "Collector", freed: set[int]) -> None:
-        """Purge + finalize, for collectors where no freed address can have
-        been reused before this point (MarkSweep: non-moving; SemiSpace:
-        to-space addresses are disjoint from the freed from-space ones)."""
-        self.purge(freed)
-        self.finalize(collector)
-
     def purge(self, freed: set[int]) -> None:
         """Metadata hygiene: drop every registry entry keyed by a freed
-        address, checking no assertion — minor collections (which, per
-        §2.2, check nothing) call it alone.  MUST run before any freed
-        address can be recycled — the generational full-heap collection
-        promotes survivors into cells freed by the same sweep, so it purges
-        between sweeping and promotion (see GenerationalCollector.collect)."""
+        address, checking no assertion.  MUST run before any freed address
+        can be recycled (:meth:`Collector._purge_before_reuse`)."""
         purge_info = self.registry.purge_freed(freed)
         collector = self.vm.collector if self.vm is not None else None
         self.process_owner_deaths(collector, purge_info["dead_owners"])
 
-    def finalize(self, collector: "Collector") -> None:
+    def gc_end(self, collector: "Collector") -> None:
         """Per-GC accounting and violation dispatch (may raise on HALT)."""
         ownees = self.registry.live_ownee_count()
         collector.stats.ownees_checked += ownees

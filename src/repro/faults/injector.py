@@ -264,7 +264,7 @@ class FaultInjector:
         self.vm.gc_observers.remove(self._after_gc)
         self._attached = False
 
-    def _after_gc(self, vm: "VirtualMachine", freed: set[int]) -> None:
+    def _after_gc(self, vm: "VirtualMachine") -> None:
         self.gc_count = vm.stats.collections
         while self._gc_faults and self._gc_faults[0].at_gc <= self.gc_count:
             self._apply(self._gc_faults.pop(0))

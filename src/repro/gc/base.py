@@ -225,19 +225,30 @@ class Collector:
             self._fence_aliased_cell(space, address)
             address = self._allocate_cell(*cell)
 
-    def _relocate_into(self, space, obj: HeapObject, oom_reason: str) -> int:
-        """Move ``obj`` into a fresh cell of ``space`` (promotion,
-        evacuation); returns its new address."""
-        nbytes = obj.size_bytes
-        address = space.allocate(nbytes)
-        if address is None:
-            address = self._under_pressure(space.allocate, obj.cls, nbytes, oom_reason)
-        try:
-            self.heap.relocate(obj, address)
-        except InvalidAddressError:
-            relocate = partial(self.heap.relocate, obj)
-            self._place(relocate, space, address, space.allocate, obj.cls, nbytes, oom_reason)
-        return obj.address
+    def _relocate_all(self, space, objs: list[HeapObject], oom_reason: str) -> dict[int, int]:
+        """Move ``objs`` into fresh cells of ``space`` (promotion,
+        evacuation); returns the forwarding map.
+
+        Every cell is taken before the first object moves: a cell the
+        ladder finds by sweeping a lazy chunk purges that chunk's dead, and
+        a dead owner's ownees must still be at the addresses the registry
+        holds, or a moved one keeps its ``OWNEE`` bit.  (Only the hardened
+        alias retry takes a cell after a move.)
+        """
+        cells = [
+            (space.allocate, obj.cls, obj.size_bytes, oom_reason) for obj in objs
+        ]
+        addresses = [self._allocate_cell(*cell) for cell in cells]
+        heap = self.heap
+        fwd: dict[int, int] = {}
+        for obj, address, cell in zip(objs, addresses, cells):
+            old = obj.address
+            try:
+                heap.relocate(obj, address)
+            except InvalidAddressError:
+                self._place(partial(heap.relocate, obj), space, address, *cell)
+            fwd[old] = obj.address
+        return fwd
 
     @staticmethod
     def _forward_slots(obj: HeapObject, fwd: dict[int, int]) -> None:
@@ -249,6 +260,38 @@ class Collector:
                 new = fwd.get(child)
                 if new is not None:
                     slots[idx] = new
+
+    def _evacuate(
+        self, space, live, to_space, oom_reason: str, freed: Optional[set[int]] = None
+    ) -> tuple[list[HeapObject], dict[int, int]]:
+        """Empty ``space``: evict and count every object ``live`` does not
+        hold, purge them, relocate the survivors into ``to_space`` and reset
+        ``space``.  Returns ``(survivors, forwarding)``; the caller forwards
+        the slots of whatever can hold a reference into ``space``.
+
+        ``freed`` is what the caller already freed in this pause; it is
+        purged in the same call.  The purge runs before the first survivor
+        moves, for the reason :meth:`_relocate_all` takes its cells first.
+        """
+        heap, stats = self.heap, self.stats
+        dead: set[int] = set() if freed is None else freed
+        survivors: list[HeapObject] = []
+        for address in space.addresses():
+            obj = heap.maybe(address)
+            if obj is None:
+                continue
+            stats.objects_swept += 1
+            if address in live:
+                survivors.append(obj)
+            else:
+                dead.add(address)
+                stats.objects_freed += 1
+                stats.bytes_freed += obj.size_bytes
+                heap.evict(obj)
+        self._purge_before_reuse(dead)
+        fwd = self._relocate_all(to_space, survivors, oom_reason)
+        space.reset()
+        return survivors, fwd
 
     # -- the pause skeleton --------------------------------------------------------------
 
@@ -277,8 +320,8 @@ class Collector:
                 self.stats.full_collections += 1
                 self.gc_log.append(f"{self.log_tag} {self.stats.collections}: {reason}")
                 self._run_mark_phase(self._make_tracer())
-                freed, fwd = self._reclaim()
-            self._finish_collection(freed, fwd)
+                fwd = self._reclaim()
+            self._finish_collection(fwd, True)
             # Serialization is mutator-side cost: the pause timer is closed.
             self._snapshot_flush()
             self._telemetry_end(pending)
@@ -291,13 +334,14 @@ class Collector:
         dead owner's record (it would resurrect the region), and the mark
         set the pending chunks are judged by belongs to the old cycle."""
 
-    def _reclaim(self) -> tuple[Optional[set[int]], Optional[dict[int, int]]]:
-        """Reclaim what the mark phase left unmarked; ``(freed, forwarding)``.
+    def _reclaim(self) -> Optional[dict[int, int]]:
+        """Reclaim what the mark phase left unmarked; returns the forwarding
+        map, or None when nothing moved.
 
-        ``freed`` is what the epilogue has yet to purge from the
-        address-keyed metadata, or ``None`` when nothing is left for it: the
-        collector purged before a freed cell could be reused, or deferred
-        the sweep, whose chunks purge as they go.
+        The one reclaim rule ("we must remove each unreachable ownee after
+        a GC", §2.5.2): whatever frees a cell purges its address with
+        :meth:`_purge_before_reuse` before any freed cell can be reused —
+        the eager sweep, each lazy chunk and :meth:`_evacuate`.
         """
         raise NotImplementedError
 
@@ -502,31 +546,19 @@ class Collector:
         self.heap.new_marks()
 
     def _purge_before_reuse(self, freed: set[int]) -> None:
-        """Drop address-keyed metadata for ``freed`` before any reuse.
-
-        Lazy chunk sweeps call this per chunk, so a freed cell's address can
-        be recycled by the very next allocation without aliasing a stale
-        registry entry or region-queue slot.
-        """
+        """Drop address-keyed metadata — registry entries, region-queue
+        slots — for ``freed``, so a recycled address aliases nothing stale.
+        Every loop that frees calls it (see :meth:`_reclaim`)."""
         if self.engine is not None:
             self.engine.purge(freed)
         if self.vm is not None:
             self.vm.purge_dead_metadata(freed)
 
-    def _finish_collection(
-        self,
-        freed: Optional[set[int]],
-        fwd: Optional[dict[int, int]] = None,
-        purge_only: bool = False,
-    ) -> None:
-        """The epilogue of every pause, full or minor: forward the metadata,
-        settle weak references, purge and dispatch, tell the observers.
-
-        ``freed is None`` (see :meth:`_reclaim`): nothing is left to purge,
-        so the engine only finalizes — it detected everything during
-        marking, and violation dispatch can run now.  ``purge_only`` is a
-        minor collection, which reclaims but, per §2.2, checks nothing.
-        """
+    def _finish_collection(self, fwd: Optional[dict[int, int]], full: bool) -> None:
+        """The epilogue of every pause: forward the metadata, settle weak
+        references, end a ``full`` collection's checking (a minor one, per
+        §2.2, checks nothing), tell the observers.  The reclaim has purged
+        what it freed."""
         engine, vm = self.engine, self.vm
         if fwd:
             if engine is not None:
@@ -534,15 +566,11 @@ class Collector:
             if vm is not None:
                 vm.apply_forwarding(fwd)
         self.process_weak_references(fwd)
-        if engine is not None:
-            if freed is None:
-                engine.finalize(self)
-            elif purge_only:
-                engine.purge(freed)
-            else:
-                engine.gc_end(self, freed)
+        if engine is not None and full:
+            engine.gc_end(self)
         if vm is not None:
-            vm.on_gc_complete(set() if freed is None else freed)
+            for observer in vm.gc_observers:
+                observer(vm)
 
     def process_weak_references(self, fwd: Optional[dict[int, int]] = None) -> None:
         """Clear weak slots whose target died; forward ones whose target moved.

@@ -13,16 +13,18 @@ complete assertion machinery.  Minor collections are kept sound by a
 reference-store write barrier that records mature objects pointing into the
 nursery (the remembered set).
 
-The mature space sweeps through the shared :class:`ChunkSweeper`.  Under
-``sweep_mode="eager"`` (default) the full-heap pause keeps its classic
-shape; under ``"lazy"`` the pause ends after marking and promotion, and
-mature chunks are reclaimed on demand — promotion and mutator mature
-allocation repay debt on the shared allocation ladder, whose per-chunk
-purge upholds the purge-before-reuse invariant the eager path gets from its
-single bulk purge.  One lazy-mode imprecision: a dead-but-unswept mature
-object can still sit in the remembered set, so the nursery objects it
-references float for one extra minor cycle — the same one-GC slack the
-paper accepts for its ownership phase (§2.5.2).
+Both kinds of collection empty the nursery with the evacuation loop the
+semispace collector uses (:meth:`Collector._evacuate`), which purges the
+dead before promoting the survivors.  The mature space sweeps through the
+shared :class:`ChunkSweeper`.  Under ``sweep_mode="eager"`` (default) the
+full-heap pause keeps its classic shape; under ``"lazy"`` the pause ends
+after marking and promotion, and mature chunks are reclaimed on demand —
+promotion and mutator mature allocation repay debt on the shared
+allocation ladder, each chunk purging what it frees.  One lazy-mode
+imprecision: a dead-but-unswept mature object can still sit in the
+remembered set, so the nursery objects it references float for one extra
+minor cycle — the same one-GC slack the paper accepts for its ownership
+phase (§2.5.2).
 """
 
 from __future__ import annotations
@@ -150,15 +152,15 @@ class GenerationalCollector(Collector):
                 self.stats.collections += 1
                 self.stats.minor_collections += 1
                 self.gc_log.append(f"minorGC {self.stats.collections}: {reason}")
-                freed, fwd = self._minor_trace_and_promote()
-            self._finish_collection(freed, fwd, purge_only=True)
+                fwd = self._minor_trace_and_promote()
+            self._finish_collection(fwd, False)  # a minor collection checks nothing
             self._telemetry_end(pending)
             if self.paranoid:
                 # Unlike the sentinel (skipped above), the paranoid walk is
                 # debt-aware and read-only, so it can bracket minor GCs too.
                 self._paranoid_check("post-minor")
 
-    def _minor_trace_and_promote(self) -> tuple[set[int], dict[int, int]]:
+    def _minor_trace_and_promote(self) -> dict[int, int]:
         heap = self.heap
         stats = self.stats
         nursery = self.nursery
@@ -192,26 +194,9 @@ class GenerationalCollector(Collector):
                     reach(child)
 
         # Promotion: move every survivor into the mature space.
-        fwd: dict[int, int] = {}
-        survivors: list[HeapObject] = []
-        freed: set[int] = set()
         with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
-            for address in nursery.addresses():
-                obj = heap.maybe(address)
-                if obj is None:
-                    continue
-                stats.objects_swept += 1
-                if address in visited:
-                    new_address = self._relocate_into(self.mature, obj, "promotion failed")
-                    fwd[address] = new_address
-                    survivors.append(obj)
-                    stats.objects_promoted += 1
-                else:
-                    freed.add(address)
-                    stats.objects_freed += 1
-                    stats.bytes_freed += obj.size_bytes
-                    heap.evict(obj)
-
+            survivors, fwd = self._evacuate(nursery, visited, self.mature, "promotion failed")
+            stats.objects_promoted += len(survivors)
             # Only survivors, remembered sources, and roots can reference
             # moved objects (the write barrier maintains that invariant).
             for obj in survivors:
@@ -220,10 +205,8 @@ class GenerationalCollector(Collector):
                 src = heap.maybe(src_address)
                 if src is not None:
                     self._forward_slots(src, fwd)
-
-            nursery.reset()
             self.remembered.clear()
-        return freed, fwd
+        return fwd
 
     # -- full-heap collection --------------------------------------------------------------
 
@@ -231,73 +214,22 @@ class GenerationalCollector(Collector):
         with self._span("prologue"):
             self.sweep_all()
 
-    def _reclaim(self):
-        """Sweep both spaces, then promote every nursery survivor (the
-        nursery is empty afterwards).
-
-        Promotion may recycle mature cells freed by this very sweep, so all
-        address-keyed metadata (assertion registry, region queues) is purged
-        before any such cell can be handed out — eagerly in one bulk purge
-        between sweeping and promotion, lazily per chunk inside
-        the allocation ladder — and the epilogue is left nothing to purge.
-        """
+    def _reclaim(self) -> dict[int, int]:
+        """Sweep the mature space, then promote every nursery survivor into
+        it (the nursery is empty afterwards): sweeping first lets promotion
+        reuse the cells this very sweep freed."""
+        marks = self.heap.marks  # an eager sweep ends the set; promotion reads it
         self._sweeper.schedule()
-        freed = self._sweep_nursery_dead()
-        if self.sweep_mode == "eager":
-            freed |= self._sweeper.drain_eager()
-        # Lazily, mature chunks stay pending and only the chunk sweeper
-        # (which purges per chunk) can recycle their cells during promotion.
-        self._purge_before_reuse(freed)
-        return None, self._promote_survivors()
-
-    def _sweep_nursery_dead(self) -> set[int]:
-        """Evict dead nursery objects (the nursery never sweeps lazily —
-        promotion empties it inside the pause regardless of mode)."""
-        heap = self.heap
-        stats = self.stats
-        nursery = self.nursery
-        marks = heap.marks
-        freed: set[int] = set()
-        with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
-            for address in nursery.addresses():
-                obj = heap.maybe(address)
-                if obj is None:
-                    continue
-                stats.objects_swept += 1
-                if address in marks:
-                    continue
-                freed.add(address)
-                stats.objects_freed += 1
-                stats.bytes_freed += obj.size_bytes
-                nursery.release(address)
-                heap.evict(obj)
-        return freed
-
-    def _promote_survivors(self) -> dict[int, int]:
-        """Move surviving nursery objects into the mature space.
-
-        Iterates the nursery only: in lazy mode the heap table still holds
-        dead-but-unswept mature objects, which only the chunk sweep may
-        judge.  ``relocate`` takes a promoted object's old address out of
-        the mark set and re-stamps it past the sweep cutoff, so a pending
-        chunk sweep never mistakes it for the cell's old occupant.
-        """
-        heap = self.heap
-        stats = self.stats
-        nursery = self.nursery
-        fwd: dict[int, int] = {}
-        with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
-            for address in nursery.addresses():
-                obj = heap.maybe(address)
-                if obj is None:
-                    continue
-                new_address = self._relocate_into(self.mature, obj, "promotion failed")
-                fwd[address] = new_address
-                stats.objects_promoted += 1
+        # Lazily, the mature chunks stay pending and purge as they are swept.
+        freed = self._sweeper.drain_eager() if self.sweep_mode == "eager" else None
+        with PhaseTimer(self.stats, "sweep_seconds", self.span_tracer, "sweep"):
+            survivors, fwd = self._evacuate(
+                self.nursery, marks, self.mature, "promotion failed", freed
+            )
+            self.stats.objects_promoted += len(survivors)
             if fwd:
                 # Promotion moved objects: any live object may reference them.
-                for obj in heap:
+                for obj in self.heap:
                     self._forward_slots(obj, fwd)
-            nursery.reset()
             self.remembered.clear()
         return fwd

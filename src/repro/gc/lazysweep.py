@@ -10,8 +10,8 @@ each chunk's dead cells with one batched splice per size class.
 Two drain disciplines share the per-chunk core:
 
 * ``drain_eager()`` — sweep every pending chunk inside the pause and return
-  the freed-address set, for the classic
-  mark → sweep → ``_finish_collection(freed)`` sequence.
+  the freed-address set, which the collector purges before it reclaims
+  anything else.
 * ``sweep_chunks(n)`` — lazy mode: the pause ends after marking, and pending
   chunks are reclaimed incrementally on the allocation slow path.  Because
   the mutator runs (and allocates) between mark end and a chunk's sweep,
@@ -119,9 +119,8 @@ class ChunkSweeper:
     def drain_eager(self) -> set[int]:
         """Sweep every pending chunk now; returns the freed-address set.
 
-        Cells return to the space immediately and *without* purging — the
-        eager collect sequence purges once, via
-        ``_finish_collection(freed)``, before the mutator can allocate.
+        Cells return to the space immediately and *without* purging: the
+        caller purges the set once, before anything can allocate.
         """
         collector = self.collector
         stats = collector.stats

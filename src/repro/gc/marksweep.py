@@ -167,8 +167,8 @@ class MarkSweepCollector(Collector):
             self.sweep_all()
             self._flush_alloc_cache()
 
-    def _reclaim(self):
+    def _reclaim(self) -> None:
         self._sweeper.schedule()
         if self.sweep_mode == "eager":
-            return self._sweeper.drain_eager(), None
-        return None, None  # chunks stay pending; the pause ends here
+            self._purge_before_reuse(self._sweeper.drain_eager())
+        # Lazily, the chunks stay pending and purge as they are swept.

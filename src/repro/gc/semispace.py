@@ -4,8 +4,10 @@ The paper's technique "will work with any tracing collector" (§2.2); this
 collector demonstrates that: it runs the identical mark phase (including the
 assertion engine's ownership pre-phase and per-object encounter hooks, and
 the path-tracking worklist), then *evacuates* survivors into the other
-semispace instead of sweeping.  Object addresses change across collections;
-the forwarding map is applied to every root slot, every surviving reference
+semispace instead of sweeping — :meth:`Collector._evacuate`, the loop the
+generational promotions share, which purges the dead before the first
+survivor moves.  Object addresses change across collections; the
+forwarding map is applied to every root slot, every surviving reference
 slot, the assertion engine's metadata, and thread region queues, and
 Python-side handles stay valid because they reference the
 :class:`~repro.heap.object_model.HeapObject` identity, not the address.
@@ -78,42 +80,17 @@ class SemiSpaceCollector(Collector):
 
     # -- collection -----------------------------------------------------------------
 
-    def _reclaim(self) -> tuple[set[int], dict[int, int]]:
-        """Copy marked objects to the to-space; reclaim everything else.
-
-        To-space addresses are disjoint from the freed from-space ones, so
-        the epilogue purges: nothing freed here can have been reused yet.
-        """
-        heap = self.heap
-        stats = self.stats
-        from_space, to_space = self.from_space, self.to_space
-        marks = heap.marks
-        freed: set[int] = set()
-        fwd: dict[int, int] = {}
-        survivors: list[HeapObject] = []
-
-        with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
-            for address in from_space.addresses():
-                obj = heap.maybe(address)
-                if obj is None:
-                    continue
-                stats.objects_swept += 1
-                if address in marks:  # read before relocate changes the key
-                    # With equal-size semispaces the ladder's later rungs are
-                    # for a badly undersized heap; its OOM surfaces that loudly.
-                    fwd[address] = self._relocate_into(to_space, obj, "to-space exhausted")
-                    survivors.append(obj)
-                else:
-                    freed.add(address)
-                    stats.objects_freed += 1
-                    stats.bytes_freed += obj.size_bytes
-                    heap.evict(obj)
-
-            # Rewrite surviving reference slots through the forwarding map.
+    def _reclaim(self) -> dict[int, int]:
+        """Evacuate the marked into to-space and flip the spaces; only the
+        survivors can refer into from-space."""
+        with PhaseTimer(self.stats, "sweep_seconds", self.span_tracer, "sweep"):
+            # With equal-size semispaces the ladder's later rungs are for a
+            # badly undersized heap; its OOM surfaces that loudly.
+            survivors, fwd = self._evacuate(
+                self.from_space, self.heap.marks, self.to_space, "to-space exhausted"
+            )
             for obj in survivors:
                 self._forward_slots(obj, fwd)
-
-            from_space.reset()
             self._current = 1 - self._current
-            heap.new_marks()
-        return freed, fwd
+            self.heap.new_marks()
+        return fwd

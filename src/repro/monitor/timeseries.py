@@ -118,12 +118,12 @@ class MonitorHub:
         self.pause_intervals: deque[tuple[float, float]] = deque(
             maxlen=DEFAULT_INTERVAL_CAPACITY
         )
-        #: The running busy total behind the default window of
-        #: :meth:`utilization_now`: the newest ``_window_count`` intervals
-        #: are the ones ending after ``_window_start``, and ``_window_busy``
-        #: is the sum of their lengths.  ``_longest`` is the longest pause
-        #: ever added: no interval ending at or after ``start + _longest``
-        #: can begin before ``start``.
+        #: The running busy total behind :meth:`utilization_now`: the
+        #: newest ``_window_count`` intervals are the ones ending after
+        #: ``_window_start``, and ``_window_busy`` is the sum of their
+        #: lengths.  ``_longest`` is the longest pause ever added: no
+        #: interval ending at or after ``start + _longest`` can begin
+        #: before ``start``.
         self._window_start = float("-inf")
         self._window_count = 0
         self._window_busy = 0.0
@@ -257,42 +257,23 @@ class MonitorHub:
         t0, t1 = self.observed_span()
         return mmu_curve(list(self.pause_intervals), windows, t0, t1)
 
-    def utilization_now(self, window_s: float = UTILIZATION_WINDOW_S) -> float:
-        """Mutator utilization over the trailing ``window_s`` seconds.
+    def utilization_now(self) -> float:
+        """Mutator utilization over the trailing ``UTILIZATION_WINDOW_S``.
 
-        Runs on every GC event, inside the pause.  The default 1 s window
-        costs what left it since the last call and the few intervals that
-        straddle its start: ``_add_interval`` keeps a running total of the
-        newest intervals' lengths, this drops the ones that end at or
-        before the window's start and clips the ones that begin before it.
-        Another window walks: ``pause_intervals`` is ordered by end
-        (``_add_interval`` keeps it so, for the shared hub too), so the
-        walk starts at the newest and stops at the first interval ending at
-        or before the window's start — every older one ends no later and
-        cannot overlap.  Either way the result is the full scan's.
+        Runs on every GC event, inside the pause, and costs what left the
+        window since the last call and the few intervals that straddle its
+        start: ``_add_interval`` keeps a running total of the newest
+        intervals' lengths, this drops the ones that end at or before the
+        window's start and clips the ones that begin before it.  The result
+        is the full scan's.
         """
         t0, t1 = self.observed_span()
         if t1 <= t0:
             return 1.0
-        start = max(t0, t1 - window_s)
+        start = max(t0, t1 - UTILIZATION_WINDOW_S)
         span = t1 - start
         if span <= 0:
             return 1.0
-        if window_s == UTILIZATION_WINDOW_S:
-            busy = self._window_busy_since(start)
-        else:
-            busy = 0.0
-            for s, e in reversed(self.pause_intervals):
-                if e <= start:
-                    break
-                # No interval ends after t1 (the newest end), so only the
-                # start needs clipping.
-                busy += e - (s if s > start else start)
-        return max(0.0, (span - busy) / span)
-
-    def _window_busy_since(self, start: float) -> float:
-        """Busy time after ``start`` from the running total (see
-        :meth:`utilization_now`)."""
         intervals = self.pause_intervals
         if start < self._window_start:
             # The window reached back (the hub re-anchored its start):
@@ -319,7 +300,7 @@ class MonitorHub:
                 break
             if s < start:
                 busy -= start - s
-        return busy
+        return max(0.0, (span - busy) / span)
 
     def utilization_buckets(self, bucket_s: float) -> list[tuple[float, float]]:
         t0, t1 = self.observed_span()

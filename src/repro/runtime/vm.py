@@ -183,8 +183,9 @@ class VirtualMachine:
         self.assertions: Optional[GcAssertions] = (
             GcAssertions(self) if self.engine is not None else None
         )
-        #: Callables invoked after every collection as ``observer(vm, freed)``
-        #: — used by profiling baselines (Cork-style growth, staleness).
+        #: Callables invoked after every collection, full or minor, as
+        #: ``observer(vm)``: the profiling baselines (Cork-style growth,
+        #: staleness), the fault injector and the snapshot policy.
         self.gc_observers: list = []
         #: Optional read-barrier hook ``hook(HeapObject)`` invoked on handle
         #: field reads; installed by the staleness baseline, None otherwise.
@@ -393,11 +394,6 @@ class VirtualMachine:
         """
         for thread in self.threads:
             thread.purge_freed(freed)
-
-    def on_gc_complete(self, freed: set[int]) -> None:
-        self.purge_dead_metadata(freed)
-        for observer in self.gc_observers:
-            observer(self, freed)
 
     def null_roots(self, victims: set[int]) -> None:
         self.statics.null_out(victims)

@@ -330,7 +330,7 @@ class SnapshotPolicy:
 
     # -- violation trigger (a vm.gc_observers entry) ---------------------------------
 
-    def _after_gc(self, vm: "VirtualMachine", freed: set[int]) -> None:
+    def _after_gc(self, vm: "VirtualMachine") -> None:
         if not self.on_violation or vm.engine is None:
             return
         log = vm.engine.log

@@ -1,7 +1,7 @@
 """The one allocation-pressure ladder, driven through every call shape.
 
 ``Collector._under_pressure`` (with ``_allocate_cell``, ``_place`` and
-``_relocate_into`` around it) is the only thing in ``src/`` that decides
+``_relocate_all`` around it) is the only thing in ``src/`` that decides
 what happens when a space says no.  Three collectors reach it in six ways:
 mark-sweep ``allocate``, generational mature ``allocate`` and promotion,
 semispace ``allocate`` and evacuation, and the hardened alias retry of each.
@@ -74,7 +74,7 @@ class Rig:
         """Promotion / evacuation of one real, small object."""
         gc = self.collector
         obj = gc.heap.install(B, self.cls)
-        return gc._relocate_into(self.spaces[-1], obj, "relocation failed")
+        return gc._relocate_all(self.spaces[-1], [obj], "relocation failed")[B]
 
 
 ALLOCATE = ("marksweep", "generational", "semispace")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.reporting import AssertionKind
 from repro.errors import AssertionUsageError
+from repro.gc.verify import verify_heap
 from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
@@ -140,6 +141,39 @@ class TestOwnedBy:
         vm.gc()  # floating ownees die quietly
         assert len(vm.engine.log) == 0
         assert vm.heap.stats.objects_live == 0
+
+        # Under a moving collector a static keeps one ownee, which moves
+        # while its owner dies: the purge must still find it to drop its
+        # OWNEE bit, or the next GC reports it as unowned.
+        legs = {
+            "semispace": (dict(collector="semispace"), VirtualMachine.gc),
+            "generational-eager": (dict(collector="generational"), VirtualMachine.gc),
+            "generational-lazy": (
+                dict(collector="generational", sweep_mode="lazy"), VirtualMachine.gc
+            ),
+            "generational-minor": (dict(collector="generational"), VirtualMachine.minor_gc),
+        }
+        for leg, (options, collect) in legs.items():
+            moving = VirtualMachine(heap_bytes=4 << 20, **options)
+            container = moving.define_class(
+                "Container", [("items", FieldKind.REF), ("name", FieldKind.STR)]
+            )
+            element = moving.define_class("Element", [("id", FieldKind.INT)])
+            cont, elements = build_container(moving, container, element, 2)
+            for e in elements:
+                moving.assertions.assert_ownedby(cont, e)
+            kept = elements[0].obj
+            moving.statics.set_ref("keep", kept.address)
+            moving.statics.drop_ref("db")
+            before = kept.address
+            collect(moving)
+            assert kept.address != before, leg
+            assert not kept.test(hdr.OWNEE_BIT), leg
+            registry = moving.engine.registry
+            assert not registry.owners and not registry.ownee_owner, leg
+            assert verify_heap(moving, raise_on_error=False) == [], leg
+            moving.gc()
+            assert len(moving.engine.log) == 0, leg
 
     def test_retract_ownedby(self, vm, container_classes):
         container, element = container_classes

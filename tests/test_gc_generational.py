@@ -3,6 +3,8 @@
 import pytest
 
 from repro.gc.generational import GenerationalCollector
+from repro.gc.verify import verify_heap
+from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
 from tests.conftest import build_chain, make_node_class
@@ -153,6 +155,65 @@ class TestFullCollection:
         gen_vm.statics.drop_ref("head")
         gen_vm.gc()
         assert all(not n.is_live for n in nodes)
+
+    @pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+    def test_a_dead_mature_owner_does_not_hide_its_dead_nursery_ownee(self, sweep_mode):
+        # The mature sweep and the nursery evacuation purge as one set: an
+        # owner purged first would drop the ownee's entry before the
+        # ownee's own purge counted it.
+        vm = VirtualMachine(heap_bytes=1 << 20, collector="generational", sweep_mode=sweep_mode)
+        owner_class = vm.define_class("Owner", [("item", FieldKind.REF)])
+        element = vm.define_class("Element", [("id", FieldKind.INT)])
+        with vm.scope():
+            vm.statics.set_ref("owner", vm.new(owner_class).address)
+        vm.minor_gc()  # the owner is mature now
+        owner = vm.handle(vm.heap.get(vm.statics.get_ref("owner")))
+        with vm.scope():
+            ownee = vm.new(element, id=1)
+            vm.assertions.assert_ownedby(owner, ownee)
+        vm.statics.drop_ref("owner")
+        vm.gc()
+        vm.collector.sweep_all()
+        assert vm.engine.registry.ownees_reclaimed == 1
+        assert not vm.engine.registry.owners
+
+    def test_promotion_that_repays_lazy_debt_clears_a_dead_owners_ownee_bit(self):
+        # A mature owner dies while its nursery ownee survives (a static
+        # holds it).  Promotion finds no free mature cell and sweeps the
+        # owner's chunk on the allocation ladder; that chunk's purge must
+        # still find the ownee where the registry says it is.
+        vm = VirtualMachine(heap_bytes=64 << 10, collector="generational", sweep_mode="lazy")
+        gc = vm.collector
+        owner_class = vm.define_class("Owner", [("item", FieldKind.REF)])
+        element = vm.define_class("Element", [("id", FieldKind.INT)])
+        filler = vm.define_class("Filler", [(f"r{i}", FieldKind.REF) for i in range(4)])
+        with vm.scope():
+            vm.statics.set_ref("owner", vm.new(owner_class).address)
+        count = 0
+        while gc.mature.bytes_free > 3000:  # garbage-to-be fills the mature space
+            with vm.scope():
+                vm.statics.set_ref(f"f{count}", vm.new(filler).address)
+            count += 1
+            if gc.nursery.bytes_in_use > gc.nursery.capacity_bytes // 2:
+                vm.minor_gc()
+        vm.minor_gc()
+        owner = vm.handle(vm.heap.get(vm.statics.get_ref("owner")))
+        with vm.scope():
+            kept = vm.new(element, id=1)
+            vm.statics.set_ref("keep", kept.address)
+            owner["item"] = kept
+            vm.assertions.assert_ownedby(owner, kept)
+            for i in range(60):  # survivors that need the owner's chunk
+                vm.statics.set_ref(f"s{i}", vm.new(filler).address)
+        vm.statics.drop_ref("owner")
+        for i in range(count):
+            vm.statics.drop_ref(f"f{i}")
+        vm.gc()
+        assert gc.sweep_debt() == 0, "promotion must have repaid the mature debt"
+        assert not kept.obj.test(hdr.OWNEE_BIT)
+        assert verify_heap(vm, raise_on_error=False) == []
+        vm.gc()
+        assert vm.violation_lines() == []
 
 
 class TestAssertionLatency:

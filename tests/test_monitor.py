@@ -373,14 +373,8 @@ def pause_arrivals(pauses) -> tuple[list, list]:
 
 class TestUtilizationNowIsBounded:
     @settings(max_examples=200, deadline=None)
-    @given(
-        pauses=PAUSES,
-        window_s=st.floats(1e-3, 5.0),
-        capacity=st.sampled_from([4, 16, 4096]),
-    )
-    def test_equals_the_full_scan_and_stops_at_the_window(
-        self, pauses, window_s, capacity
-    ):
+    @given(pauses=PAUSES, capacity=st.sampled_from([4, 16, 4096]))
+    def test_equals_the_full_scan_and_stops_at_the_window(self, pauses, capacity):
         intervals, arrivals = pause_arrivals(pauses)
         with mock.patch("repro.monitor.timeseries.DEFAULT_INTERVAL_CAPACITY", capacity):
             hub = MonitorHub()
@@ -395,14 +389,10 @@ class TestUtilizationNowIsBounded:
 
         counting = CountingIntervals(hub.pause_intervals, maxlen=capacity)
         hub.pause_intervals = counting
-        assert hub.utilization_now(window_s) == pytest.approx(
-            full_scan_utilization(hub, window_s), abs=1e-12
+        assert hub.utilization_now() == pytest.approx(
+            full_scan_utilization(hub, 1.0), abs=1e-12
         )
-        t0, t1 = hub.observed_span()
-        overlapping = sum(1 for e in ends if e > max(t0, t1 - window_s))
-        # The default window keeps a running total and walks nothing;
-        # another walks what overlaps it and the interval that stops it.
-        assert counting.visited <= (0 if window_s == 1.0 else overlapping + 1)
+        assert counting.visited == 0  # the running total walks nothing
 
     @settings(max_examples=200, deadline=None)
     @given(pauses=PAUSES, capacity=st.sampled_from([4, 16, 4096]))
@@ -428,9 +418,7 @@ class TestUtilizationNowIsBounded:
         counting = CountingIntervals(hub.pause_intervals, maxlen=capacity)
         hub.pause_intervals = counting
         value = hub.utilization_now()
-        assert counting.visited == 0  # the default window's running total walks nothing
-        assert hub.utilization_now(1.05) == pytest.approx(full_scan_utilization(hub, 1.05))
-        assert counting.visited == 12  # eleven pauses in the window, and the one that stops it
+        assert counting.visited == 0  # the running total walks nothing
         assert value == pytest.approx(full_scan_utilization(hub, 1.0), abs=1e-12)
         assert value == pytest.approx(0.9, abs=1e-9)
 

@@ -185,7 +185,7 @@ def _session_frames(session_class, overrides, queue_frames, drop_at=None) -> tup
         session = session_class("s1", "acme", heap_bytes, queue_frames=queue_frames)
         if drop_at is not None:
             session.vm.gc_observers.append(
-                lambda vm, freed: vm.stats.collections == drop_at and session.drop_connection()
+                lambda vm: vm.stats.collections == drop_at and session.drop_connection()
             )
         result = session.run(runner)
     frames = [_stable(frame) for frame, _stamp in session.queue.drain()]
