@@ -19,6 +19,7 @@ the normal tracing work:
 * ``purge``       — metadata purging for reclaimed objects ("we must remove
   each unreachable ownee after a GC"), called by whatever frees them
   before a freed address can be reused.
+* ``apply_forwarding`` — metadata rewriting after a copying collection.
 * ``gc_end``      — the end of a full collection: violation logging and
   HALT reactions.
 
@@ -90,6 +91,12 @@ class AssertionEngine:
         #: as the mark is; the root scan reads it and ``post_mark`` drops it.
         #: Two-phase mode marks what it finds instead, so it stays empty.
         self._found_ownees: set[int] = set()
+        #: address -> ``PathEntry``: the report steps every collection's
+        #: tracer shares (:meth:`HeapPath.from_tracer`).  An entry stands
+        #: until its address is freed (:meth:`purge`) or its object moves
+        #: (:meth:`apply_forwarding`), so an unfixed leak re-reported at
+        #: every collection builds its path steps once.
+        self.path_entries: dict = {}
 
     @property
     def degraded(self) -> bool:
@@ -279,6 +286,10 @@ class AssertionEngine:
         purge_info = self.registry.purge_freed(freed)
         collector = self.vm.collector if self.vm is not None else None
         self.process_owner_deaths(collector, purge_info["dead_owners"])
+        entries = self.path_entries
+        if entries:
+            for address in entries.keys() & freed:
+                del entries[address]
 
     def gc_end(self, collector: "Collector") -> None:
         """Per-GC accounting and violation dispatch (may raise on HALT)."""
@@ -300,8 +311,10 @@ class AssertionEngine:
         self._dispatch()
 
     def apply_forwarding(self, fwd: dict[int, int]) -> None:
-        """Rewrite engine metadata after a copying collection."""
+        """Rewrite engine metadata after a copying collection.  The path
+        steps are dropped, not forwarded: a step names its address."""
         self.registry.apply_forwarding(fwd)
+        self.path_entries.clear()
 
     # ----------------------------------------------------------- violations
 

@@ -84,9 +84,11 @@ class HeapPath:
 
     @classmethod
     def from_tracer(cls, tracer, tip: HeapObject) -> "HeapPath":
-        """The tracer's current root-to-``tip`` path.  One collection's
-        violations share most of their steps (``tracer.path_entries``): a
-        step costs a checked ``heap.get`` and a :class:`PathEntry` once."""
+        """The tracer's current root-to-``tip`` path.  Violations share
+        most of their steps (``tracer.path_entries``, the engine's): a step
+        costs a checked ``heap.get`` and a :class:`PathEntry` once per
+        address per engine, until the address is freed or its object
+        moves — so a leak re-reported at every collection reuses them."""
         known, get = tracer.path_entries, tracer.heap.get
         if tip.address not in known:
             known[tip.address] = PathEntry(tip)  # the object in hand, not a lookup

@@ -546,9 +546,10 @@ class Collector:
         self.heap.new_marks()
 
     def _purge_before_reuse(self, freed: set[int]) -> None:
-        """Drop address-keyed metadata — registry entries, region-queue
-        slots — for ``freed``, so a recycled address aliases nothing stale.
-        Every loop that frees calls it (see :meth:`_reclaim`)."""
+        """Drop address-keyed metadata — registry entries, the engine's path
+        steps, region-queue slots — for ``freed``, so a recycled address
+        aliases nothing stale.  Every loop that frees calls it (see
+        :meth:`_reclaim`)."""
         if self.engine is not None:
             self.engine.purge(freed)
         if self.vm is not None:

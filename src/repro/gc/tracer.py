@@ -16,8 +16,8 @@ pushes its address, an ``int``, in its place, so the ``int`` entries are
 exactly the root-to-current path (an object with no reference slot has no
 child to ask, so it pushes none).  :meth:`Tracer.current_path_addresses`
 reads that path — violation reports map it through ``path_entries``, one
-entry per object per collection — and :meth:`Tracer.current_path`
-materializes it.
+entry per address per engine, until the address is freed or its object
+moves — and :meth:`Tracer.current_path` materializes it.
 
 **The mark lives beside the heap.**  A collection's marks are one set of
 addresses, ``heap.marks``; no header bit is involved.  Building a
@@ -121,8 +121,9 @@ class Tracer:
         #: finished mark set.  (A collector fills its policy's sink itself,
         #: after ``post_mark`` — see ``Collector._run_mark_phase``.)
         self.snapshot = snapshot
-        #: address -> ``PathEntry``: the steps this collection's reported paths share.
-        self.path_entries: dict = {}
+        #: address -> ``PathEntry``: the steps reported paths share — the
+        #: engine's, which outlive the collection (``engine.path_entries``).
+        self.path_entries: dict = engine.path_entries if engine is not None else {}
         self.root_descriptions: dict[int, str] = {}
         #: Objects to scan, and the ``int`` addresses of the current path.
         self._stack: list = []

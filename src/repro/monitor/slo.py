@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from itertools import islice, repeat
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
@@ -106,12 +107,13 @@ class BurnRateRule:
     """Multi-window burn-rate alerting state for one objective.
 
     Burn rate = (bad fraction in window) / budget; 1.0 means the budget
-    burns exactly as fast as it accrues.  The rule **fires** when the
-    rate is at least ``factor`` on both the long and the short window
-    (the short window keeps a stale long window from paging after the
-    problem stops), and **clears** after ``clear_good`` consecutive good
-    observations — count-based hysteresis, so a single good cycle in the
-    middle of an incident does not flap the alert.
+    burns exactly as fast as it accrues.  The rule **fires** on a bad
+    observation that leaves the rate at least ``factor`` on both the long
+    and the short window (the short window keeps a stale long window from
+    paging after the problem stops, and a good observation, which cannot
+    raise a rate, never fires), and **clears** after ``clear_good``
+    consecutive good observations — count-based hysteresis, so a single
+    good cycle in the middle of an incident does not flap the alert.
 
     Zero-budget objectives treat any bad observation as an infinite burn
     rate: they fire immediately and clear by the same hysteresis.
@@ -201,14 +203,11 @@ class BurnRateRule:
         long_rate, short_rate = self.burn_rates()
 
         if not self.firing:
-            if self.objective.budget == 0.0:
-                # Zero tolerance: a *fresh* bad observation fires.  (Window
-                # rates would re-fire on stale bads still aging out after a
-                # clear — the alert must track new damage, not old history.)
-                should_fire = not good
-            else:
-                should_fire = long_rate >= self.factor and short_rate >= self.factor
-            if should_fire:
+            # Only a *fresh* bad observation fires.  (Window rates would
+            # re-fire on stale bads still aging out after a clear — the
+            # alert must track new damage, not old history.)  A zero budget
+            # makes any bad observation an infinite burn on both windows.
+            if not good and long_rate >= self.factor and short_rate >= self.factor:
                 self.firing = True
                 self.transitions += 1
                 return self._alert("firing", long_rate, short_rate, seq, wall_time)
@@ -217,6 +216,17 @@ class BurnRateRule:
             self.transitions += 1
             return self._alert("resolved", long_rate, short_rate, seq, wall_time)
         return None
+
+    def observe_good(self, count: int) -> None:
+        """Feed ``count`` good observations at once: what :meth:`observe`
+        does with each, for a rule that is not firing — where a good
+        observation changes no state and so returns no alert."""
+        if self.firing:
+            raise ValueError("a firing rule takes its good observations one at a time")
+        self.total += count
+        self.consecutive_good += count
+        self._long_bad -= _push_good(self._long, count)
+        self._short_bad -= _push_good(self._short, count)
 
     def _alert(
         self, state: str, long_rate: float, short_rate: float,
@@ -244,6 +254,15 @@ class BurnRateRule:
             detail=detail,
             exemplar=self.last_bad_exemplar if state == "firing" else None,
         )
+
+
+def _push_good(window: deque, count: int) -> int:
+    """Append ``count`` good observations to a bounded ``window``; returns
+    how many bad ones they pushed out of it."""
+    leaving = len(window) + count - window.maxlen
+    pushed_out = sum(islice(window, leaving)) if leaving > 0 else 0
+    window.extend(repeat(0, count))
+    return pushed_out
 
 
 class SloSet:

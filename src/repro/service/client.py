@@ -55,9 +55,9 @@ class ServiceClient:
             if not data:
                 self.decoder.finish()
                 raise WireProtocolError("server closed the connection")
-            for frame in self.decoder.feed(data):
-                self.seq.observe(frame)
-                self._pending.append(frame)
+            frames = self.decoder.feed(data)
+            self.seq.observe_all(frames)
+            self._pending.extend(frames)
         return self._pending.popleft()
 
     @property

@@ -29,6 +29,7 @@ which the burn-rate rule attaches to firing alerts as the exemplar.
 from __future__ import annotations
 
 import threading
+from itertools import groupby
 from typing import Optional
 
 from repro.monitor.slo import BurnRateRule, SloObjective, SloSet
@@ -138,17 +139,24 @@ class ServiceMetrics:
     ) -> None:
         # Intervals between perf_counter stamps, under one lock: each a sample
         # and a good/bad observation — or, never completed, bad and no sample.
+        # Good observations while the rule is not firing change no state but
+        # its counts and windows, so a run of them is fed in bulk; a bad one,
+        # or any while it fires, one at a time.
+        seconds = [max(0.0, end_mono - begin_mono) for begin_mono in begin_monos]
         with self._lock:
-            for begin_mono in begin_monos:
-                seconds = max(0.0, end_mono - begin_mono)
-                if completed:
-                    histogram.record(seconds)
-                self._slo_seq += 1
-                alert = rule.observe(
-                    completed and seconds <= slo_s, self._slo_seq, wall_time, exemplar=trace_id
-                )
-                if alert is not None:
-                    self.alerts.append(alert)
+            if completed:
+                histogram.record_all(seconds)
+            for good, run in groupby([completed and lag <= slo_s for lag in seconds]):
+                count = len(list(run))
+                while count and (rule.firing or not good):
+                    count -= 1
+                    self._slo_seq += 1
+                    alert = rule.observe(good, self._slo_seq, wall_time, exemplar=trace_id)
+                    if alert is not None:
+                        self.alerts.append(alert)
+                if count:
+                    rule.observe_good(count)
+                    self._slo_seq += count
 
     def observe_admission_latency(
         self,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import accumulate, repeat
 from typing import Optional
 
 from repro.errors import WireProtocolError
@@ -131,6 +132,37 @@ class ViolationFrameEncoder:
         return _LEN.pack(len(body)) + body
 
 
+#: The C scanner ``json.loads`` runs: ``(value, end)`` for the one JSON value
+#: starting exactly at an index.
+_scan_value = json.JSONDecoder().scan_once
+
+
+def _parse_bodies(bodies: list) -> Optional[list]:
+    """``json.loads`` of each body, in one C-level pass, when every body is
+    ASCII and exactly one JSON object, no whitespace around it; else None.
+
+    The bodies are joined and each scanned at its own offset: the scan must
+    end where the body ends, so no value reads into its neighbour.  ASCII
+    makes the offsets byte offsets and the UTF-8 decode a no-op.
+    """
+    text = b"".join(bodies)
+    if not text.isascii():
+        return None
+    text = text.decode("ascii")
+    ends = list(accumulate(map(len, bodies)))
+    try:
+        # A scan that finds no value raises StopIteration, which ends the map.
+        parsed = list(map(_scan_value, repeat(text), [0, *ends[:-1]]))
+    except Exception:  # the per-frame walk raises what json.loads would
+        return None
+    if len(parsed) != len(bodies):
+        return None
+    frames, found = zip(*parsed)
+    if list(found) != ends or {*map(type, frames)} != {dict}:
+        return None
+    return list(frames)
+
+
 class FrameDecoder:
     """Incremental decoder: feed arbitrary byte chunks, get whole frames.
 
@@ -153,10 +185,41 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[dict]:
-        """Consume a chunk; return every complete frame it finishes."""
+        """Consume a chunk; return every complete frame it finishes.
+
+        The frames are walked by their prefixes and their bodies parsed in
+        one pass (:func:`_parse_bodies`).  Anything that pass cannot vouch
+        for — a bad prefix, a body that is not exactly one ASCII JSON
+        object — sends the whole chunk through :meth:`_feed_each`, the
+        one-``json.loads``-per-frame walk, for its frames and its error.
+        """
         buffer = self._buffer
         buffer.extend(data)
         self.bytes_consumed += len(data)
+        bodies = []
+        start, buffered, limit, size = 0, len(buffer), self.max_frame_bytes, _LEN.size
+        while buffered - start >= size:
+            (length,) = _LEN.unpack_from(buffer, start)
+            if not 0 < length <= limit:
+                return self._feed_each()
+            end = start + size + length
+            if buffered < end:
+                break
+            bodies.append(buffer[start + size:end])
+            start = end
+        if not bodies:
+            return []
+        frames = _parse_bodies(bodies)
+        if frames is None:
+            return self._feed_each()
+        del buffer[:start]
+        self.frames_decoded += len(frames)
+        return frames
+
+    def _feed_each(self) -> list[dict]:
+        """Decode the buffered frames one ``json.loads`` at a time, raising
+        at the first fault; what precedes it is consumed and counted."""
+        buffer = self._buffer
         frames: list[dict] = []
         # One trim per feed, however the walk ends: a ``del`` per frame moves the rest each time.
         start, buffered = 0, len(buffer)
@@ -219,17 +282,25 @@ class SequenceTracker:
 
     def observe(self, frame: dict) -> int:
         """Feed one inbound frame; returns the gap it revealed (0 = none)."""
-        session = frame.get("session")
-        seq = frame.get("seq")
-        if session is None or not isinstance(seq, int):
-            return 0
-        self.frames_seen += 1
-        last = self.last_seq.get(session)
-        self.last_seq[session] = seq
-        # First frame at seq N means frames 0..N-1 were shed before
-        # anything reached us; later frames reveal gap = seq - last - 1.
-        gap = seq if last is None else seq - last - 1
-        if gap > 0:
-            self.gaps[session] = self.gaps.get(session, 0) + gap
-            self.total_gaps += gap
-        return max(0, gap)
+        return self.observe_all((frame,))
+
+    def observe_all(self, frames) -> int:
+        """Feed inbound frames in arrival order; returns the gaps they revealed."""
+        last_seq, gaps = self.last_seq, self.gaps
+        revealed = 0
+        for frame in frames:
+            session = frame.get("session")
+            seq = frame.get("seq")
+            if session is None or not isinstance(seq, int):
+                continue
+            self.frames_seen += 1
+            last = last_seq.get(session)
+            last_seq[session] = seq
+            # First frame at seq N means frames 0..N-1 were shed before
+            # anything reached us; later frames reveal gap = seq - last - 1.
+            gap = seq if last is None else seq - last - 1
+            if gap > 0:
+                gaps[session] = gaps.get(session, 0) + gap
+                self.total_gaps += gap
+                revealed += gap
+        return revealed

@@ -75,6 +75,24 @@ class LogHistogram:
         if self.max_value is None or value > self.max_value:
             self.max_value = value
 
+    def record_all(self, values: list[float]) -> None:
+        """:meth:`record` each of ``values``, in order, in one call (the sum
+        adds them in the same order, so it is the same float)."""
+        if not values:
+            return
+        bounds, counts = self.bounds, self.counts
+        total = self.total
+        for value in values:
+            counts[bisect_left(bounds, value)] += 1
+            total += value
+        self.total = total
+        self.count += len(values)
+        low, high = min(values), max(values)
+        if self.min_value is None or low < self.min_value:
+            self.min_value = low
+        if self.max_value is None or high > self.max_value:
+            self.max_value = high
+
     # -- queries ----------------------------------------------------------------------
 
     @property

@@ -225,6 +225,87 @@ def test_reported_assert_dead_call_budget(reported, detection_budget):
     assert len(vm.violation_lines()) == reported
 
 
+#: Python calls at detection per ``assert-dead`` violation a later collection
+#: re-reports, averaged over collections 2 onward of :func:`rereported_calls`'
+#: swapleak: nine (the hook, the path capture, the record), plus a
+#: ``PathEntry`` and its ``hash_of`` for a step no collection has reported
+#: yet.  Each collection rebuilt every step it reported: 17.8.
+REREPORTED_VIOLATION_CALLS = 10.5
+#: Python calls to score a batch of good delivery lags, whatever its size:
+#: the entry points, two comprehensions, one histogram pass, one bulk rule
+#: update over both windows.  It was 2 + 5 per lag (``record``, ``observe``
+#: and its three rate reads): 167 for 33 lags.
+GOOD_LAG_BATCH_CALLS = 8
+
+
+def rereported_calls() -> tuple[int, int]:
+    """(Python calls at detection, violations) over collections 2 onward
+    of a small swapleak that collects after every swap: most of their
+    violations report what the collection before reported."""
+    from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
+
+    vm = VirtualMachine(heap_bytes=256 << 10)
+    detecting: list = []
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        if event == "call":
+            if frame.f_code.co_qualname == "AssertionEngine.on_first_encounter_slow":
+                detecting.append(frame)
+            if detecting and vm.stats.collections >= 2:
+                calls += 1
+        elif event == "return" and detecting and detecting[-1] is frame:
+            detecting.pop()
+
+    profiled(lambda: run_swapleak(vm, SwapLeakConfig(array_size=16, swaps=12, gc_every_swaps=1)),
+             profile)
+    return calls, sum(1 for v in vm.engine.log if v.gc_number >= 2)
+
+
+def test_a_rereported_violation_reuses_its_path_steps():
+    calls, violations = rereported_calls()
+    assert violations > 60
+    assert calls / violations <= REREPORTED_VIOLATION_CALLS, (calls, violations)
+
+
+def good_lag_batch_calls(lags: int) -> list[str]:
+    """The Python calls that score one batch of ``lags`` on-time deliveries."""
+    from repro.service.metrics import ServiceMetrics
+
+    metrics = ServiceMetrics()
+    metrics.observe_delivery_lags([0.0] * 40, 0.001, 0.0)  # a warm rule, not firing
+    stamps = [0.001 * index for index in range(lags)]
+    calls = python_calls(lambda: metrics.observe_delivery_lags(stamps, 0.05, 0.0))
+    assert metrics.delivery_lag.count == 40 + lags and not metrics.slo_delivery.firing
+    return calls
+
+
+def test_a_good_delivery_batch_is_scored_in_bulk():
+    calls = good_lag_batch_calls(33)
+    assert calls == good_lag_batch_calls(1), calls
+    assert "BurnRateRule.observe" not in calls and "LogHistogram.record" not in calls
+    assert len(calls) <= GOOD_LAG_BATCH_CALLS, calls
+
+
+def test_the_batch_budgets_ignore_the_hash_seed():
+    import os
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code = ("from tests.test_call_budget import rereported_calls, good_lag_batch_calls; "
+            "print(rereported_calls(), len(good_lag_batch_calls(33)))")
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.add(done.stdout.strip())
+    assert outputs == {f"{rereported_calls()} {len(good_lag_batch_calls(33))}"}, outputs
+
+
 def test_a_collection_takes_one_service_metrics_lock_for_its_violations():
     from repro.service.metrics import ServiceMetrics
     from repro.service.session import TenantSession

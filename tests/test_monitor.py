@@ -502,6 +502,53 @@ class TestBurnRate:
         again = rule.observe(False, seq=99, wall_time=0.0)
         assert again is not None and again.state == "firing"
 
+    def test_positive_budget_does_not_flap_on_stale_history(self):
+        # Regression: three bad then thirty good observations used to page
+        # three times (firing@1, resolved@11, firing@12, resolved@13,
+        # firing@14, resolved@15): both window rates still cleared the factor
+        # while the stale bads aged out, and a good observation re-fired.
+        rule = threshold_rule(budget=0.01, factor=6.0, long_window=60,
+                              short_window=12, clear_good=8)
+        transitions = []
+        for seq, good in enumerate([False] * 3 + [True] * 30, start=1):
+            alert = rule.observe(good, seq=seq, wall_time=0.0)
+            if alert is not None:
+                transitions.append(f"{alert.state}@{seq}")
+            if seq == 12:  # where it re-fired: both rates still burn
+                assert min(rule.burn_rates()) >= rule.factor
+        assert transitions == ["firing@1", "resolved@11"]
+        assert not rule.firing and rule.transitions == 2
+        # Only fresh damage pages again.
+        again = rule.observe(False, seq=99, wall_time=0.0)
+        assert again is not None and again.state == "firing"
+
+    def test_a_good_run_in_bulk_is_the_run_one_at_a_time(self):
+        def state(rule):
+            return (rule.firing, rule.consecutive_good, rule.total, rule.bad,
+                    rule.transitions, list(rule._long), list(rule._short),
+                    rule.burn_rates(), rule.budget_remaining())
+
+        one, bulk = (threshold_rule(budget=0.01, factor=6.0, long_window=60,
+                                    short_window=12, clear_good=8) for _ in range(2))
+        alerts: tuple[list, list] = ([], [])
+        run = 0
+        stream = [False] * 3 + [True] * 30 + [False] * 2 + [True] * 250 + [False] * 4
+        for seq, good in enumerate(stream):
+            alerts[0].append(one.observe(good, seq=seq, wall_time=0.0))
+            if good and not bulk.firing:
+                run += 1
+                continue
+            if run:
+                bulk.observe_good(run)
+                run = 0
+            alerts[1].append(bulk.observe(good, seq=seq, wall_time=0.0))
+            assert state(one) == state(bulk)
+        assert run == 0 and state(one) == state(bulk)
+        assert [a for a in alerts[0] if a] == [a for a in alerts[1] if a]
+        assert bulk.firing
+        with pytest.raises(ValueError):
+            bulk.observe_good(1)  # its good observations may resolve it
+
     def test_budget_remaining(self):
         rule = threshold_rule(budget=0.5, long_window=4)
         for good in (True, True, False, False):

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from repro.core.reactions import Reaction
 from repro.core.reporting import AssertionKind
 from repro.errors import AssertionViolationHalt
+from repro.heap import header as hdr
+from repro.heap.object_model import FieldKind
 from repro.monitor.slo import BurnRateRule, SloObjective
 from repro.runtime.vm import VirtualMachine
 from repro.service.session import SHEDDABLE_FRAMES, FrameQueue, TenantSession, resolve_workload
@@ -167,6 +169,107 @@ def test_paths_of_one_collection_share_their_steps():
     assert len(by_address) <= len(entries) - 2 * (len(violations) - 1)
 
 
+def _recycled_step_report(sweep_mode: str, keep_freed_steps: bool = False) -> list[str]:
+    """Three collections report one asserted-dead ``Target``.  The first
+    reaches it through ``head -> middle``; by the second, ``middle`` is
+    garbage (``spare`` holds the target) and is freed; then a ``Recycled``
+    object takes ``middle``'s address and its place on the path, and the
+    third report's path is returned."""
+    vm = VirtualMachine(heap_bytes=1 << 20, sweep_mode=sweep_mode)
+    node, recycled, target = (vm.define_class(name, [("next", FieldKind.REF)])
+                              for name in ("Node", "Recycled", "Target"))
+    engine = vm.engine
+    if keep_freed_steps:
+        purge = engine.purge
+
+        def purge_keeping_steps(freed):
+            kept = dict(engine.path_entries)
+            purge(freed)
+            engine.path_entries.update(kept)
+
+        engine.purge = purge_keeping_steps
+    static = vm.statics
+    with vm.scope("build"):
+        head, middle, leaf = vm.new(node), vm.new(node), vm.new(target)
+        head["next"], middle["next"] = middle, leaf
+        static.set_ref("head", head.address)
+        static.set_ref("spare", vm.new(node).address)
+        vm.assertions.assert_dead(leaf, site="leak")
+        freed_at, leaf_at = middle.address, leaf.address
+    vm.gc("through middle")
+    with vm.scope("unlink"):
+        vm.handle(static.get_ref("spare"))["next"] = vm.handle(leaf_at)
+        vm.handle(static.get_ref("head"))["next"] = None
+    vm.gc("middle is freed")
+    vm.collector.sweep_all()  # a lazy sweep frees (and purges) it here
+    with vm.scope("recycle"):
+        for _ in range(256):
+            fresh = vm.new(recycled)
+            if fresh.address == freed_at:
+                break
+        assert fresh.address == freed_at, "the freed address must be recycled"
+        fresh["next"] = vm.handle(leaf_at)
+        vm.handle(static.get_ref("head"))["next"] = fresh
+        vm.handle(static.get_ref("spare"))["next"] = None
+    vm.gc("through the recycled address")
+    reports = [v.path.type_names() for v in vm.engine.log]
+    assert len(reports) == 3 and reports[0] == ["Node", "Node", "Target"]
+    return reports[-1]
+
+
+@pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
+def test_path_steps_survive_collections_but_not_reuse(sweep_mode):
+    assert _recycled_step_report(sweep_mode) == ["Node", "Recycled", "Target"]
+    # The test sees a purge that leaves the freed steps behind.
+    assert _recycled_step_report(sweep_mode, keep_freed_steps=True)[1] == "Node"
+
+
+def _path_now(vm) -> list[tuple]:
+    """(type, address, identity hash) of each object from ``head`` down."""
+    steps, address = [], vm.statics.get_ref("head")
+    with vm.scope("read the path"):
+        while address:
+            step = vm.handle(address)
+            steps.append((step.obj.cls.name, address, hdr.hash_of(step.obj.status)))
+            address = step.ref_address("next")
+    return steps
+
+
+@pytest.mark.parametrize("collector, move", [
+    ("semispace", "full"), ("generational", "full"), ("generational", "minor"),
+])
+def test_path_steps_follow_a_moved_object(collector, move):
+    """Every report names each step as it was when its collection traced
+    it, after collections moved the path's objects and another object took
+    an address a moved or dead one had on an earlier report."""
+    vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+    node, target = (vm.define_class(name, [("next", FieldKind.REF)]) for name in ("Node", "Target"))
+    with vm.scope("build"):
+        head, first, leaf = vm.new(node), vm.new(node), vm.new(target)
+        head["next"], first["next"] = first, leaf
+        vm.statics.set_ref("head", head.address)
+        vm.assertions.assert_dead(leaf, site="leak")
+    paths = []
+    for round_no in range(3):
+        if round_no == 1:  # ``first`` dies and a newer object takes its place
+            with vm.scope("replace"):
+                head = vm.handle(vm.statics.get_ref("head"))
+                inserted = vm.new(node)
+                inserted["next"] = vm.handle(head.ref_address("next"))["next"]
+                head["next"] = inserted
+            if move == "minor":
+                vm.minor_gc("moves the inserted object")
+        paths.append(_path_now(vm))
+        vm.gc(f"report {round_no}")
+        path = vm.engine.log.violations[-1].path
+        assert [(e.type_name, e.address, e.identity_hash) for e in path.entries] == paths[-1]
+        assert path.render(show_addresses=True).split(" ->\n") == [
+            "static 'head'", *(f"{name}@{address:#x}" for name, address, _ in paths[-1])
+        ]
+    assert [name for name, _, _ in paths[-1]] == ["Node", "Node", "Target"]
+    assert len({address for path in paths for _, address, _ in path}) > 3, "nothing moved"
+
+
 # -- the session's frames -----------------------------------------------------------------
 
 
@@ -278,6 +381,47 @@ def test_running_counts_give_the_resummed_alerts(budget, long_window, short_wind
         assert rules[0].budget_remaining() == rules[1].budget_remaining()
     assert alerts[0] == alerts[1]
     assert alerts[0] or budget >= 0.2, "the stream must cross the threshold"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_scored_batch_is_its_observations_one_at_a_time(seed):
+    """``observe_delivery_lags`` feeds good runs in bulk: the histogram, the
+    rule and the alerts must be what one ``record`` and one ``observe`` per
+    lag make, through incidents, resolutions and undelivered batches."""
+    from repro.service.metrics import ServiceMetrics
+    from repro.telemetry.histogram import LogHistogram
+
+    rng = random.Random(seed)
+    metrics = ServiceMetrics(delivery_lag_slo_s=0.2)
+    rule = BurnRateRule(metrics.slo_delivery.objective, long_window=200, short_window=40)
+    histogram, alerts, seq = LogHistogram(1e-6, 10.0), [], 0
+    bad_share = 0.0
+    for batch in range(600):
+        if batch % 60 == 0:
+            bad_share = rng.choice([0.0, 0.01, 0.3, 0.9])
+        stamps = [1.0 - (0.5 if rng.random() < bad_share else rng.random() * 0.2)
+                  for _ in range(rng.randint(1, 40))]
+        delivered = rng.random() > 0.02
+        trace_id = f"{batch:032x}"
+        metrics.observe_delivery_lags(stamps, 1.0, float(batch), trace_id=trace_id,
+                                      delivered=delivered)
+        for stamp in stamps:
+            seconds = max(0.0, 1.0 - stamp)
+            if delivered:
+                histogram.record(seconds)
+            seq += 1
+            alert = rule.observe(delivered and seconds <= 0.2, seq, float(batch), exemplar=trace_id)
+            if alert is not None:
+                alerts.append(alert)
+    assert metrics.alerts == alerts and len(alerts) > 4
+    batched = metrics.slo_delivery
+    assert (batched.total, batched.bad, batched.consecutive_good, batched.firing,
+            list(batched._long), batched.burn_rates(), batched.last_bad_exemplar) == \
+        (rule.total, rule.bad, rule.consecutive_good, rule.firing,
+         list(rule._long), rule.burn_rates(), rule.last_bad_exemplar)
+    lag = metrics.delivery_lag
+    assert (lag.counts, lag.count, lag.total, lag.min_value, lag.max_value) == \
+        (histogram.counts, histogram.count, histogram.total, histogram.min_value, histogram.max_value)
 
 
 # -- the prefix encoder ------------------------------------------------------------------

@@ -76,6 +76,56 @@ _STREAM_FAULTS = {
 }
 
 
+#: Bodies one ``json.loads`` each must judge alone: two objects in one
+#: body, an object split over two bodies, bare values, a BOM, invalid UTF-8,
+#: whitespace around an object, a string left open, non-ASCII text.
+_ADVERSARIAL_BODIES = [
+    b"{}, {}", b'{"a":[1', b"2]}", b'{}, {"a":[1', b"7", b'"s"', b"[{}]",
+    b"\xef\xbb\xbf{}", b"\xff{}", b'{"a":"\xc3', b'\xa9"}', b" {}", b"{} ",
+    b'\n{"a":1}\t', b'{"a":"', b'"}],[{"b":1}', b'{"a":NaN}', '{"\u00e9":1}'.encode(),
+]
+
+
+class _PerFrameDecoder:
+    """The decoder's specification: one ``json.loads`` per body."""
+
+    def __init__(self, max_frame_bytes: int):
+        self.max_frame_bytes = max_frame_bytes
+        self.frames_decoded = self.bytes_consumed = 0
+        self.buffer = b""
+
+    @property
+    def pending_bytes(self) -> int:
+        return len(self.buffer)
+
+    def feed(self, data: bytes) -> list:
+        self.buffer += data
+        self.bytes_consumed += len(data)
+        frames = []
+        while len(self.buffer) >= 4:
+            (length,) = struct.unpack(">I", self.buffer[:4])
+            if length == 0:
+                raise WireProtocolError("zero-length frame")
+            if length > self.max_frame_bytes:
+                raise WireProtocolError(
+                    f"frame length {length} exceeds the {self.max_frame_bytes}-byte limit"
+                )
+            if len(self.buffer) < 4 + length:
+                break
+            body, self.buffer = self.buffer[4:4 + length], self.buffer[4 + length:]
+            try:
+                payload = json.loads(body.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise WireProtocolError(f"undecodable frame body: {exc}") from exc
+            if not isinstance(payload, dict):
+                raise WireProtocolError(
+                    f"frame body must be a JSON object, got {type(payload).__name__}"
+                )
+            self.frames_decoded += 1
+            frames.append(payload)
+        return frames
+
+
 class TestFraming:
     @given(
         payloads=st.lists(_payloads, max_size=6),
@@ -117,6 +167,46 @@ class TestFraming:
             assert decoder.bytes_consumed == fed
             assert decoder.pending_bytes == fed - (ends[done - 1] if done else 0)
         assert fault is None and frames == payloads
+
+    @given(
+        bodies=st.lists(st.one_of(
+            _payloads.map(lambda payload: json.dumps(payload).encode("utf-8")),
+            _payloads.map(lambda payload: json.dumps(payload, ensure_ascii=False).encode("utf-8")),
+            st.sampled_from(_ADVERSARIAL_BODIES),
+        ), max_size=8),
+        fault=st.sampled_from([None, "zero-length", "oversize"]),
+        cuts=st.lists(st.integers(0, 1 << 16), max_size=8),
+    )
+    @settings(max_examples=400, deadline=None)
+    @example(bodies=[b"{}, {}", b'{"a":[1', b"2]}"], fault=None, cuts=[])
+    @example(bodies=[b'{}, {"a":[1', b"2]}", b"{}"], fault=None, cuts=[])
+    @example(bodies=[b'{"a":"', b'"}],[{"b":1}'], fault=None, cuts=[])
+    @example(bodies=[b"{}", b'{"a":1}'], fault="zero-length", cuts=[])
+    def test_the_batched_decoder_is_the_per_frame_decoder(self, bodies, fault, cuts):
+        """Any bodies, any chunking: ``feed`` returns, raises, counts and
+        keeps back what one ``json.loads`` per body would have."""
+        blob = b"".join(_framed(body) for body in bodies)
+        if fault is not None:
+            blob += _STREAM_FAULTS[fault][0] + encode_frame({"after": "the fault"})
+        edges = sorted({0, len(blob), *(cut % (len(blob) + 1) for cut in cuts)})
+        batched, spec = FrameDecoder(_FUZZ_LIMIT), _PerFrameDecoder(_FUZZ_LIMIT)
+        for lo, hi in zip(edges, edges[1:]):
+            outcomes = []
+            for decoder in (batched, spec):
+                try:
+                    outcomes.append(decoder.feed(blob[lo:hi]))
+                except Exception as exc:  # compared, not handled
+                    outcomes.append((type(exc), str(exc)))
+                outcomes.append((decoder.pending_bytes, decoder.frames_decoded,
+                                 decoder.bytes_consumed))
+            assert outcomes[:2] == outcomes[2:]
+            if isinstance(outcomes[0], tuple):
+                return
+
+    def test_encoded_frames_skip_the_per_frame_walk(self, monkeypatch):
+        monkeypatch.setattr(FrameDecoder, "_feed_each", lambda self: pytest.fail("per-frame walk"))
+        frames = [{"type": "violation", "message": "mé", "seq": seq} for seq in range(40)]
+        assert FrameDecoder().feed(b"".join(map(encode_frame, frames))) == frames
 
     def test_round_trip(self):
         frames = [
