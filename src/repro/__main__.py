@@ -95,7 +95,7 @@ def _workload_vm(args, **vm_options):
     except WireProtocolError as exc:  # an unknown name, listing the known ones
         print(exc)
         return None, None
-    except (RuntimeFault, ValueError) as exc:  # e.g. --gc-workers on semispace
+    except (RuntimeFault, ValueError) as exc:  # e.g. --gc-workers off marksweep
         print(f"configuration error: {exc}")
         return None, None
     return vm, runner
@@ -662,7 +662,7 @@ def main(argv=None) -> int:
             default=None,
             metavar="N",
             help="mark with N parallel workers on a zone-sharded heap "
-            "(marksweep/generational; default: sequential unsharded heap)",
+            "(marksweep only; default: sequential unsharded heap)",
         )
         # swapleak's knobs default to None: the defaults are the service's.
         target.add_argument("--swaps", type=int, help="swapleak: swap count")

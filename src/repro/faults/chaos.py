@@ -46,21 +46,18 @@ from repro.gc.verify import BOTH_TIERS, heap_findings, iter_spaces, verify_heap
 from repro.verify.coverage import CoverageMatrix, detect_cell, detect_tenant_cell
 
 #: The crash-consistency matrix rows: (collector, sweep_mode, gc_workers).
-#: The workers=4 rows rerun the sharded collectors under parallel marking —
-#: every fault kind must be caught and recovered while four workers drain
-#: zones concurrently.  The injector pins its victims to one zone
-#: (``CHAOS_PIN_ZONE``) so the worker that observes each corruption is the
-#: same run to run.
+#: Only mark-sweep has sweep modes and a parallel mark phase.  The
+#: workers=4 rows rerun it under parallel marking — every fault kind must
+#: be caught and recovered while four workers drain zones concurrently.
+#: The injector pins its victims to one zone (``CHAOS_PIN_ZONE``) so the
+#: worker that observes each corruption is the same run to run.
 MATRIX: tuple[tuple[str, Optional[str], int], ...] = (
     ("marksweep", "eager", 0),
     ("marksweep", "lazy", 0),
-    ("generational", "eager", 0),
-    ("generational", "lazy", 0),
+    ("generational", None, 0),
     ("semispace", None, 0),
     ("marksweep", "eager", 4),
     ("marksweep", "lazy", 4),
-    ("generational", "eager", 4),
-    ("generational", "lazy", 4),
 )
 
 #: The zone fault victims are pinned to in parallel-marking cells.

@@ -132,8 +132,8 @@ class Collector:
         #: across modes.
         self.paranoid = False
         self.paranoid_walks = 0
-        #: The chunk sweeper of the one space this collector sweeps (set by
-        #: :meth:`_sweep_with`); None for a collector that evacuates instead.
+        #: The chunk sweeper of the one space this collector sweeps; None
+        #: for a collector that evacuates instead.
         self._sweeper: Optional[ChunkSweeper] = None
 
     # -- wiring ---------------------------------------------------------------------
@@ -227,21 +227,12 @@ class Collector:
 
     def _relocate_all(self, space, objs: list[HeapObject], oom_reason: str) -> dict[int, int]:
         """Move ``objs`` into fresh cells of ``space`` (promotion,
-        evacuation); returns the forwarding map.
-
-        Every cell is taken before the first object moves: a cell the
-        ladder finds by sweeping a lazy chunk purges that chunk's dead, and
-        a dead owner's ownees must still be at the addresses the registry
-        holds, or a moved one keeps its ``OWNEE`` bit.  (Only the hardened
-        alias retry takes a cell after a move.)
-        """
-        cells = [
-            (space.allocate, obj.cls, obj.size_bytes, oom_reason) for obj in objs
-        ]
-        addresses = [self._allocate_cell(*cell) for cell in cells]
+        evacuation); returns the forwarding map."""
         heap = self.heap
         fwd: dict[int, int] = {}
-        for obj, address, cell in zip(objs, addresses, cells):
+        for obj in objs:
+            cell = (space.allocate, obj.cls, obj.size_bytes, oom_reason)
+            address = self._allocate_cell(*cell)
             old = obj.address
             try:
                 heap.relocate(obj, address)
@@ -270,8 +261,7 @@ class Collector:
         the slots of whatever can hold a reference into ``space``.
 
         ``freed`` is what the caller already freed in this pause; it is
-        purged in the same call.  The purge runs before the first survivor
-        moves, for the reason :meth:`_relocate_all` takes its cells first.
+        purged in the same call, before the first survivor moves.
         """
         heap, stats = self.heap, self.stats
         dead: set[int] = set() if freed is None else freed
@@ -298,14 +288,15 @@ class Collector:
     def collect(self, reason: str = "explicit") -> None:
         """A full-heap collection: the one sequence every collector runs.
 
-        The prologue repays what the last collection still owes, so the
-        heap is exact — no sweep debt, no mark set — for every collector and
-        sweep mode alike.  That is where the hardened sentinel repairs what
-        the trace does not read and the paranoid walk judges the heap:
-        before the trace, its first reader.  Then the timed pause (the
-        shared mark phase, then the subclass's :meth:`_reclaim`), the
-        epilogue and — the pause timer closed — snapshot flush, telemetry
-        record and the paranoid walk of what the collection left.
+        The prologue repays what the last collection still owes (a lazy
+        mark-sweep's pending chunks), so every collector starts the trace
+        from an exact heap — no sweep debt, no mark set.  That is where the
+        hardened sentinel repairs what the trace does not read and the
+        paranoid walk judges the heap: before the trace, its first reader.
+        Then the timed pause (the shared mark phase, then the subclass's
+        :meth:`_reclaim`), the epilogue and — the pause timer closed —
+        snapshot flush, telemetry record and the paranoid walk of what the
+        collection left.
         """
         with self._span("collect", kind="full", reason=reason):
             self._prologue()
@@ -329,10 +320,10 @@ class Collector:
                 self._paranoid_check("post-gc")
 
     def _prologue(self) -> None:
-        """Work owed before a new trace, outside the measured pause.  A lazy
-        sweeper repays its debt here: the ownership phase must not walk a
-        dead owner's record (it would resurrect the region), and the mark
-        set the pending chunks are judged by belongs to the old cycle."""
+        """Work owed before a new trace, outside the measured pause.  The
+        lazy mark-sweep repays its debt here: the ownership phase must not
+        walk a dead owner's record (it would resurrect the region), and the
+        mark set the pending chunks are judged by belongs to the old cycle."""
 
     def _reclaim(self) -> Optional[dict[int, int]]:
         """Reclaim what the mark phase left unmarked; returns the forwarding
@@ -769,21 +760,13 @@ class Collector:
 
     # -- lazy-sweep surface (all of it a no-op without a sweeper) -------------------------
 
-    def _sweep_with(self, space, sweep_mode: str) -> None:
-        """Sweep ``space`` in chunks: all inside the pause (``"eager"``) or
-        on the allocation slow path after it (``"lazy"``)."""
-        if sweep_mode not in ("eager", "lazy"):
-            raise HeapError(f"unknown sweep mode {sweep_mode!r}")
-        self.sweep_mode = sweep_mode
-        self._sweeper = ChunkSweeper(self, space)
-
     def sweep_all(self) -> None:
         """Finish any deferred sweep work so reclamation is exact *now*.
 
         Readers need not call it: the heap answers liveness under debt.
         It is for callers that need the dead *gone* — freed counters,
-        recycled cells, a use-after-free raised — and every sweeping
-        collector's prologue.
+        recycled cells, a use-after-free raised — and the mark-sweep
+        prologue.
         """
         if self._sweeper is not None:
             self._sweeper.sweep_all()

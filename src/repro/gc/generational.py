@@ -16,15 +16,9 @@ nursery (the remembered set).
 Both kinds of collection empty the nursery with the evacuation loop the
 semispace collector uses (:meth:`Collector._evacuate`), which purges the
 dead before promoting the survivors.  The mature space sweeps through the
-shared :class:`ChunkSweeper`.  Under ``sweep_mode="eager"`` (default) the
-full-heap pause keeps its classic shape; under ``"lazy"`` the pause ends
-after marking and promotion, and mature chunks are reclaimed on demand —
-promotion and mutator mature allocation repay debt on the shared
-allocation ladder, each chunk purging what it frees.  One lazy-mode
-imprecision: a dead-but-unswept mature object can still sit in the
-remembered set, so the nursery objects it references float for one extra
-minor cycle — the same one-GC slack the paper accepts for its ownership
-phase (§2.5.2).
+shared :class:`ChunkSweeper`, always inside the full-heap pause, and marks
+on one thread: neither a lazy mature sweep nor a parallel full-heap mark
+measured a benefit here (DESIGN.md, "considered and removed").
 """
 
 from __future__ import annotations
@@ -32,12 +26,12 @@ from __future__ import annotations
 from functools import partial
 
 from repro.gc.base import Collector
+from repro.gc.lazysweep import ChunkSweeper
 from repro.gc.stats import PhaseTimer
 from repro.heap.heap import SPACE_STRIDE
 from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
 from repro.heap.space import BumpSpace, FreeListSpace
-from repro.heap.zones import DEFAULT_ZONE_COUNT, ZoneMap
 
 #: Fraction of the total heap budget given to the nursery.
 DEFAULT_NURSERY_FRACTION = 0.15
@@ -58,25 +52,15 @@ class GenerationalCollector(Collector):
         heap_bytes: int,
         engine=None,
         track_paths=None,
-        sweep_mode: str = "eager",
         hardened: bool = False,
         max_heap_bytes=None,
-        gc_workers: int = 0,
-        zones: int = DEFAULT_ZONE_COUNT,
     ):
         super().__init__(heap_bytes, engine, track_paths, hardened, max_heap_bytes)
-        if gc_workers > 0:
-            # The nursery/mature pair keeps its legacy layout; full-heap
-            # parallel marks bucket addresses by granule hash instead.
-            # Minor collections are untouched (their copying scan is not a
-            # mark drain and checks no assertions anyway).
-            self.gc_workers = gc_workers
-            self.zone_map = ZoneMap.hashed(zones)
         nursery_bytes = max(4096, int(heap_bytes * DEFAULT_NURSERY_FRACTION))
         self.nursery = BumpSpace("nursery", nursery_bytes, HEAP_BASE_ADDRESS + SPACE_STRIDE)
         self.mature = FreeListSpace("mature", heap_bytes - nursery_bytes, HEAP_BASE_ADDRESS)
         self._large_threshold = int(nursery_bytes * LARGE_OBJECT_FRACTION)
-        self._sweep_with(self.mature, sweep_mode)
+        self._sweeper = ChunkSweeper(self, self.mature)
         #: Addresses of mature objects that may hold nursery references.
         self.remembered: set[int] = set()
 
@@ -134,15 +118,10 @@ class GenerationalCollector(Collector):
         keep their pause cost unchanged.
         """
         # If the mature space cannot absorb the worst-case survivor volume,
-        # try repaying sweep debt first, then fall back to a full-heap
-        # collection (which also empties the nursery).
-        headroom = int(self.nursery.bytes_in_use * 1.5)
-        if self.mature.bytes_free < headroom:
-            if self._sweeper.debt:
-                self.sweep_all()
-            if self.mature.bytes_free < headroom:
-                self.collect(reason=f"{reason}; mature too full for promotion")
-                return
+        # fall back to a full-heap collection (which also empties the nursery).
+        if self.mature.bytes_free < int(self.nursery.bytes_in_use * 1.5):
+            self.collect(reason=f"{reason}; mature too full for promotion")
+            return
         # The span opens only now: the fallback above delegated to collect(),
         # which records its own ``collect`` span (a minor span wrapping a
         # full one would misattribute the whole pause to the minor kind).
@@ -157,7 +136,7 @@ class GenerationalCollector(Collector):
             self._telemetry_end(pending)
             if self.paranoid:
                 # Unlike the sentinel (skipped above), the paranoid walk is
-                # debt-aware and read-only, so it can bracket minor GCs too.
+                # read-only, so it can bracket minor GCs too.
                 self._paranoid_check("post-minor")
 
     def _minor_trace_and_promote(self) -> dict[int, int]:
@@ -166,9 +145,7 @@ class GenerationalCollector(Collector):
         nursery = self.nursery
 
         # Mark phase restricted to nursery objects; roots are the VM roots
-        # plus the fields of remembered mature objects.  The marks are a set
-        # of this collection's own: ``heap.marks`` may still be what the
-        # last full collection's unswept mature chunks are judged by.
+        # plus the fields of remembered mature objects.
         visited: set[int] = set()
         stack: list[int] = []
 
@@ -210,18 +187,13 @@ class GenerationalCollector(Collector):
 
     # -- full-heap collection --------------------------------------------------------------
 
-    def _prologue(self) -> None:
-        with self._span("prologue"):
-            self.sweep_all()
-
     def _reclaim(self) -> dict[int, int]:
         """Sweep the mature space, then promote every nursery survivor into
         it (the nursery is empty afterwards): sweeping first lets promotion
         reuse the cells this very sweep freed."""
-        marks = self.heap.marks  # an eager sweep ends the set; promotion reads it
+        marks = self.heap.marks  # the sweep ends the set; promotion reads it
         self._sweeper.schedule()
-        # Lazily, the mature chunks stay pending and purge as they are swept.
-        freed = self._sweeper.drain_eager() if self.sweep_mode == "eager" else None
+        freed = self._sweeper.drain_eager()
         with PhaseTimer(self.stats, "sweep_seconds", self.span_tracer, "sweep"):
             survivors, fwd = self._evacuate(
                 self.nursery, marks, self.mature, "promotion failed", freed

@@ -25,12 +25,11 @@ Two drain disciplines share the per-chunk core:
     finishes).
   - **epoch filter** — the cutoff lives on the heap: ``heap.sweep_cutoff``
     is ``heap.install_seq`` captured when the chunks were scheduled (mark
-    end).  Objects installed or relocated after that (mutator allocations
-    into a pending chunk; generational promotion into recycled mature
-    cells) have ``alloc_seq > cutoff`` and are skipped: unmarked and newer
-    means "allocated after the trace", not "dead".  The same two facts are
-    the heap's liveness rule (``ObjectHeap.is_live``), so no reader needs
-    to know the sweep is lazy.
+    end).  Objects installed after that (mutator allocations into a
+    pending chunk) have ``alloc_seq > cutoff`` and are skipped: unmarked
+    and newer means "allocated after the trace", not "dead".  The same two
+    facts are the heap's liveness rule (``ObjectHeap.is_live``), so no
+    reader needs to know the sweep is lazy.
   - **purge before reuse** — address-keyed assertion/VM metadata for a
     chunk's dead cells is purged *before* those cells reach the free list,
     so a recycled address can never alias a stale registry entry.

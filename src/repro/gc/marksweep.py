@@ -24,6 +24,7 @@ from functools import partial
 
 from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
+from repro.gc.lazysweep import ChunkSweeper
 from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -80,9 +81,12 @@ class MarkSweepCollector(Collector):
                 self.zone_map = ZoneMap.hashed(zones)
         else:
             raise HeapError(f"unknown space policy {space_policy!r}")
+        if sweep_mode not in ("eager", "lazy"):
+            raise HeapError(f"unknown sweep mode {sweep_mode!r}")
         self.gc_workers = gc_workers
         self.space_policy = space_policy
-        self._sweep_with(self.space, sweep_mode)
+        self.sweep_mode = sweep_mode
+        self._sweeper = ChunkSweeper(self, self.space)
         #: size class -> reserved (uncommitted) cells, popped by the fast
         #: path.  None for the blocks policy, which has no reserve API.
         self._alloc_cache: dict[int, list[int]] | None = (

@@ -8,11 +8,10 @@ atomics and no locks.  Two pieces live here:
 
 * :class:`ZoneMap` — the address→zone function.  For a
   :class:`ZonedFreeListSpace` the map is exact range arithmetic (one
-  subtraction and a shift); for heaps whose spaces are not zone-aware
-  (the generational nursery+mature pair, the blocks policy) the
-  :meth:`ZoneMap.hashed` fallback buckets addresses by 4 KB granule, which
-  keeps allocation-order neighbours in the same zone without any layout
-  cooperation.
+  subtraction and a shift); for a space that is not zone-aware (the
+  blocks policy) the :meth:`ZoneMap.hashed` fallback buckets addresses by
+  4 KB granule, which keeps allocation-order neighbours in the same zone
+  without any layout cooperation.
 * :class:`ZonedFreeListSpace` — a drop-in replacement for
   :class:`~repro.heap.space.FreeListSpace` that keeps one free-list shard
   per zone at strided base addresses.  The shards share a single byte

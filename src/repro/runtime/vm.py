@@ -87,6 +87,20 @@ class VirtualMachine:
             AssertionEngine(self.classes, policy, ownership_mode) if assertions else None
         )
         if isinstance(collector, Collector):
+            # A collector instance was configured when it was built; an
+            # option meant for the one this VM would build has nowhere to go.
+            given = {
+                "hardened": hardened,
+                "max_heap_bytes": max_heap_bytes is not None,
+                "sweep_mode": sweep_mode is not None,
+                "gc_workers": gc_workers is not None,
+            }
+            dropped = [name for name, is_given in given.items() if is_given]
+            if dropped:
+                raise RuntimeFault(
+                    f"{', '.join(dropped)}: options of the collector the VM "
+                    f"builds; pass them to the {type(collector).__name__} instead"
+                )
             self.collector = collector
             if self.engine is not None and collector.engine is None:
                 # A pre-built collector adopts this VM's assertion engine.
@@ -107,16 +121,16 @@ class VirtualMachine:
             if max_heap_bytes is not None:
                 kwargs["max_heap_bytes"] = max_heap_bytes
             if sweep_mode is not None:
-                if collector not in ("marksweep", "generational"):
+                if collector != "marksweep":
                     raise RuntimeFault(
-                        f"sweep_mode is a mark-sweep option; {collector!r} does not sweep"
+                        f"sweep_mode is a mark-sweep option; {collector!r} has none"
                     )
                 kwargs["sweep_mode"] = sweep_mode
             if gc_workers is not None:
-                if collector not in ("marksweep", "generational"):
+                if collector != "marksweep":
                     raise RuntimeFault(
                         f"gc_workers is a mark-sweep option; {collector!r} "
-                        "has no parallel mark phase"
+                        "marks on one thread"
                     )
                 if gc_workers < 0:
                     raise RuntimeFault(f"gc_workers must be >= 0, got {gc_workers}")

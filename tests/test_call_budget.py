@@ -514,15 +514,15 @@ def test_the_pre_trace_pass_costs_the_registry_not_the_heap():
     assert c_level[100] == c_level[2000], c_level
 
 
-#: Every collector and sweep mode, as ``VirtualMachine`` options.
-SWEEP_CONFIGS = [
-    dict(collector="marksweep", sweep_mode="eager"),
-    dict(collector="marksweep", sweep_mode="lazy"),
-    dict(collector="generational", sweep_mode="eager"),
-    dict(collector="generational", sweep_mode="lazy"),
-    dict(collector="semispace"),
-    dict(collector="marksweep", gc_workers=2),
-]
+#: Every collector and sweep mode, as ``VirtualMachine`` options, by id.
+#: Generational sweeps eagerly, its one discipline.
+SWEEP_CONFIGS = {
+    "marksweep-eager": dict(collector="marksweep", sweep_mode="eager"),
+    "marksweep-lazy": dict(collector="marksweep", sweep_mode="lazy"),
+    "generational-eager": dict(collector="generational"),
+    "semispace": dict(collector="semispace"),
+    "marksweep-2": dict(collector="marksweep", gc_workers=2),
+}
 
 
 def _run_recording_marks(vm: VirtualMachine) -> list:
@@ -542,7 +542,7 @@ def _run_recording_marks(vm: VirtualMachine) -> list:
     return marks
 
 
-@pytest.mark.parametrize("options", SWEEP_CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
+@pytest.mark.parametrize("options", list(SWEEP_CONFIGS.values()), ids=list(SWEEP_CONFIGS))
 def test_a_clean_hardened_collection_is_an_unhardened_one(options):
     runs = {}
     for hardened in (False, True):

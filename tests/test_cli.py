@@ -1,5 +1,7 @@
 """CLI (`python -m repro`) tests, driven through main(argv)."""
 
+import contextlib
+import io
 import json
 import pathlib
 import re
@@ -29,6 +31,17 @@ def run_as_module(argv: list[str]) -> int:
         return excinfo.value.code or 0
     finally:
         sys.argv = saved
+
+
+@pytest.fixture(scope="module")
+def figures_run(tmp_path_factory):
+    """One ``figures --trials 1 --json-out`` run, its stdout and payload,
+    shared by the tests that read either (the pipeline takes ~20 s)."""
+    path = tmp_path_factory.mktemp("figures") / "BENCH_figures.json"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["figures", "--trials", "1", "--json-out", str(path)])
+    return code, out.getvalue(), json.loads(path.read_text())
 
 
 class TestCli:
@@ -69,9 +82,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
-    def test_figures_fast(self, capsys):
-        assert main(["figures", "--trials", "1"]) == 0
-        out = capsys.readouterr().out
+    def test_figures_fast(self, figures_run):
+        code, out, _payload = figures_run
+        assert code == 0
         assert "fig2" in out
         assert "fig5" in out
         assert "geomean" in out
@@ -109,15 +122,19 @@ class TestCli:
         assert main(["stats", "--workload", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().out
 
-    def test_figures_json_out(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_figures.json"
-        assert main(["figures", "--trials", "1", "--json-out", str(path)]) == 0
-        payload = json.loads(path.read_text())
+    @pytest.mark.parametrize("collector", ["semispace", "generational"])
+    def test_stats_gc_workers_is_marksweep_only(self, collector, capsys):
+        argv = ["stats", "--workload", "db", "--collector", collector, "--gc-workers", "2"]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().out
+
+    def test_figures_json_out(self, figures_run):
+        code, out, payload = figures_run
+        assert code == 0
         assert payload["schema"] == "repro-bench-figures/1"
         assert payload["trials"] == 1
         assert "fig2" in payload["figures"]
         assert "fig5" in payload["figures"]
-        out = capsys.readouterr().out
         assert "fig5-infra: GC time — Infrastructure vs WithAssertions" in out
         assert "Paper aggregates for comparison:" in out and "'db_overhead_pct': 49.7" in out
         fig2 = payload["figures"]["fig2"]

@@ -147,10 +147,7 @@ class TestOwnedBy:
         # OWNEE bit, or the next GC reports it as unowned.
         legs = {
             "semispace": (dict(collector="semispace"), VirtualMachine.gc),
-            "generational-eager": (dict(collector="generational"), VirtualMachine.gc),
-            "generational-lazy": (
-                dict(collector="generational", sweep_mode="lazy"), VirtualMachine.gc
-            ),
+            "generational-full": (dict(collector="generational"), VirtualMachine.gc),
             "generational-minor": (dict(collector="generational"), VirtualMachine.minor_gc),
         }
         for leg, (options, collect) in legs.items():

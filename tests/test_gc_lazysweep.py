@@ -182,41 +182,19 @@ class TestLazySemantics:
             assert reports[0], f"seed {seed} produced no violations to compare"
 
 
-class TestGenerationalLazy:
-    def test_parity_with_promotions(self):
-        results = []
-        for mode in ("eager", "lazy"):
-            vm = VirtualMachine(
-                heap_bytes=64 << 10, collector="generational", sweep_mode=mode
-            )
-            _churn(vm, seed=5, rounds=20)
-            vm.collector.sweep_all()
-            results.append(
-                (vm.heap.live_bytes(), len(vm.heap), vm.stats.objects_promoted)
-            )
-        assert results[0] == results[1]
-
-    def test_mature_debt_repaid_on_demand(self):
-        vm = VirtualMachine(
-            heap_bytes=32 << 10, collector="generational", sweep_mode="lazy"
-        )
-        cls = make_node_class(vm)
-        for _ in range(600):
-            with vm.scope():
-                vm.new(cls)
-        assert vm.stats.collections > 0
-        live = build_chain(vm, cls, 6)
-        vm.gc("full with lazy mature sweep")
-        vm.collector.sweep_all()
-        assert all(node.is_live for node in live)
-        assert vm.collector.sweep_debt() == 0
-
-
 class TestConfiguration:
     def test_unknown_sweep_mode_rejected(self):
         with pytest.raises(HeapError):
             MarkSweepCollector(1 << 20, sweep_mode="deferred")
 
     def test_sweep_mode_rejected_for_non_sweeping_collector(self):
-        with pytest.raises(RuntimeFault):
-            VirtualMachine(heap_bytes=1 << 20, collector="semispace", sweep_mode="lazy")
+        # Generational sweeps its mature space in the pause, its one
+        # discipline; semispace does not sweep at all.
+        for collector in ("semispace", "generational"):
+            with pytest.raises(RuntimeFault, match="sweep_mode is a mark-sweep option"):
+                VirtualMachine(heap_bytes=1 << 20, collector=collector, sweep_mode="lazy")
+
+    def test_gc_workers_rejected_for_single_threaded_collector(self):
+        for collector in ("semispace", "generational"):
+            with pytest.raises(RuntimeFault, match="gc_workers is a mark-sweep option"):
+                VirtualMachine(heap_bytes=1 << 20, collector=collector, gc_workers=2)

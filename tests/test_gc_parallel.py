@@ -250,17 +250,11 @@ def _violation_signature(vm) -> set:
 
 
 class TestViolationParity:
-    @pytest.mark.parametrize("collector", ["marksweep", "generational"])
-    @pytest.mark.parametrize("sweep_mode", ["eager", "lazy"])
-    def test_same_violations_at_every_worker_count(self, collector, sweep_mode):
+    @pytest.mark.parametrize("sweep_mode", ["eager", "lazy"], ids=["eager-marksweep", "lazy-marksweep"])
+    def test_same_violations_at_every_worker_count(self, sweep_mode):
         signatures = []
         for workers in (None, 1, 2, 4, 8):
-            vm = VirtualMachine(
-                heap_bytes=HEAP,
-                collector=collector,
-                sweep_mode=sweep_mode,
-                gc_workers=workers,
-            )
+            vm = VirtualMachine(heap_bytes=HEAP, sweep_mode=sweep_mode, gc_workers=workers)
             _violation_workload(vm)
             signature = _violation_signature(vm)
             assert signature, "scenario must actually violate"

@@ -35,8 +35,7 @@ GOLDEN = Path(__file__).with_name("golden_marks.json")
 MODES = {
     "marksweep-eager": dict(collector="marksweep", sweep_mode="eager"),
     "marksweep-lazy": dict(collector="marksweep", sweep_mode="lazy"),
-    "generational-eager": dict(collector="generational", sweep_mode="eager"),
-    "generational-lazy": dict(collector="generational", sweep_mode="lazy"),
+    "generational-eager": dict(collector="generational"),
     "semispace": dict(collector="semispace"),
     "marksweep-workers2": dict(collector="marksweep", sweep_mode="eager", gc_workers=2),
 }

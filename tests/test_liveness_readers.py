@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from repro.baselines import StalenessDetector
 from repro.core.probes import HeapProbes
 from repro.gc.analysis import heap_census, incoming_references
@@ -23,8 +21,8 @@ from repro.tracing.top import render_frame
 from tests.conftest import build_chain, make_node_class
 
 
-def _run(collector: str, sweep_mode: str) -> dict:
-    vm = VirtualMachine(heap_bytes=1 << 20, collector=collector, sweep_mode=sweep_mode)
+def _run(sweep_mode: str) -> dict:
+    vm = VirtualMachine(heap_bytes=1 << 20, sweep_mode=sweep_mode)
     cls = make_node_class(vm)
     staleness = StalenessDetector(vm, stale_after=3)
     keep = build_chain(vm, cls, 3)
@@ -44,8 +42,6 @@ def _run(collector: str, sweep_mode: str) -> dict:
     with vm.scope("dropped"):
         dropped = [vm.new(cls, value=i) for i in range(100)]
         dropped[0]["next"] = keep[1]
-        if collector == "generational":
-            vm.minor_gc("promote the soon-dead")
     vm.gc("judged")
 
     assert len(vm.heap.live()) == 53
@@ -73,17 +69,14 @@ def _run(collector: str, sweep_mode: str) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("collector", ["marksweep", "generational"])
-def test_every_liveness_reader_agrees_eager_and_lazy(collector):
-    eager = _run(collector, "eager")
-    lazy = _run(collector, "lazy")
+def test_every_liveness_reader_agrees_eager_and_lazy():
+    eager = _run("eager")
+    lazy = _run("lazy")
     for reader in eager:
         assert lazy[reader] == eager[reader], reader
     assert eager["live_after"] == 53
     assert eager["is_live"] == (True, False)
     assert eager["incoming"] == ["Node.next"]
     assert eager["verify_heap"] == []
-    # The generational script's minor collection is one more epoch, which
-    # ages the fresh chain into the window beside the kept one.
-    assert len(eager["stale"]) == (3 if collector == "marksweep" else 53)
+    assert len(eager["stale"]) == 3
     assert eager["probes"] == (True, 53, True, False)

@@ -163,7 +163,7 @@ def test_naive_ownership_verdicts_match_a_brute_force_oracle(collector, sweep_mo
     from repro.heap.object_model import FieldKind
     from repro.verify.modelcheck import NODE_CLASS, NODE_FIELDS, _run_shape, _teardown_shape
 
-    kwargs = {} if collector == "semispace" else {"sweep_mode": sweep_mode}
+    kwargs = {"sweep_mode": sweep_mode} if collector == "marksweep" else {}
     vm = VirtualMachine(
         heap_bytes=MODEL_HEAP_BYTES, collector=collector, ownership_mode="naive",
         telemetry=False, **kwargs,

@@ -443,7 +443,11 @@ FOREIGN_SHAPES = (_only_path, _shared_ownee, _nested_owner, _owner_only_from_its
 def test_ownership_fused_foreign_ownee_is_never_swept_under_a_live_reference(
     collector, sweep_mode, shape, reference
 ):
-    vm = VirtualMachine(heap_bytes=1 << 20, collector=collector, sweep_mode=sweep_mode)
+    vm = VirtualMachine(
+        heap_bytes=1 << 20,
+        collector=collector,
+        sweep_mode=sweep_mode if collector == "marksweep" else None,
+    )
     node = vm.define_class("GNode", [("a", FieldKind.REF), ("b", FieldKind.REF)])
     with vm.scope("foreign"):
         expected = shape(vm, node)

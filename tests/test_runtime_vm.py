@@ -31,6 +31,23 @@ class TestConstruction:
         vm = VirtualMachine(heap_bytes=1 << 20, collector=name)
         assert vm.collector.name == name
 
+    def test_prebuilt_collector_rejects_the_options_it_would_drop(self):
+        # Each of these configures the collector the VM builds; an instance
+        # was configured when it was built.
+        from repro.gc.marksweep import MarkSweepCollector
+
+        with pytest.raises(RuntimeFault) as caught:
+            VirtualMachine(
+                collector=MarkSweepCollector(1 << 20), hardened=True,
+                sweep_mode="lazy", gc_workers=2, max_heap_bytes=4 << 20,
+            )
+        for option in ("hardened", "max_heap_bytes", "sweep_mode", "gc_workers"):
+            assert option in str(caught.value)
+        with pytest.raises(RuntimeFault, match="^gc_workers: options"):
+            VirtualMachine(collector=MarkSweepCollector(1 << 20), gc_workers=0)
+        collector = MarkSweepCollector(1 << 20, sweep_mode="lazy", hardened=True)
+        assert VirtualMachine(collector=collector).collector is collector
+
     def test_assertions_property_raises_in_base_config(self):
         vm = VirtualMachine(assertions=False)
         from repro.core.api import GcAssertions

