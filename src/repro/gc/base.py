@@ -24,7 +24,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import AssertionViolationHalt, HeapError, HeapExhausted, InvalidAddressError
 from repro.gc.lazysweep import LAZY_SWEEP_BATCH, ChunkSweeper
-from repro.gc.stats import GcStats, PhaseTimer, RecoveryStats
+from repro.gc.stats import GcStats, PauseRecord, PhaseTimer, RecoveryStats
 from repro.gc.tracer import Tracer
 from repro.gc.verify import HeapVerificationError, Quarantine, run_sentinel, verify_heap
 from repro.heap.heap import ObjectHeap
@@ -34,26 +34,7 @@ from repro.heap.object_model import ClassDescriptor, HeapObject
 if TYPE_CHECKING:
     from repro.core.engine import AssertionEngine
     from repro.runtime.vm import VirtualMachine
-    from repro.telemetry import Telemetry, _PendingCollection
-
-
-class _NoopSpan:
-    """The do-nothing span context handed out when tracing is off.
-
-    A single module-level instance (it is stateless), so the disabled path
-    never allocates — the property the zero-overhead test pins.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
+    from repro.telemetry import Telemetry
 
 
 class Collector:
@@ -109,20 +90,12 @@ class Collector:
         #: awaiting the post-pause :meth:`_snapshot_flush`.
         self._snapshot_pending = None
         #: Span recorder (:class:`repro.tracing.spans.SpanTracer`), attached
-        #: by a VM built with ``tracing=True``.  None means every emit site
-        #: is one attribute load + ``is None`` test and no span object of
-        #: any kind is allocated — the same zero-overhead bar as telemetry.
+        #: by a VM built with ``tracing=True``.
         self.span_tracer = None
-        #: Parallel marking (PR 7).  ``gc_workers == 0`` is the legacy
-        #: sequential path, byte-identical to pre-zone behaviour; ``>= 1``
-        #: routes full-GC mark drains through the zone-sharded coordinator
-        #: (:mod:`repro.gc.parallel`) when a ``zone_map`` is set.  Subclasses
-        #: that support zoning assign both.
-        self.gc_workers = 0
-        self.zone_map = None
-        #: :class:`~repro.gc.parallel.ParallelMarkReport` of the most recent
-        #: parallel mark (bench and tests read it), or None.
-        self.last_parallel_mark = None
+        #: What reads a pause record; with nothing, no record is built.
+        self.consumers: tuple = ()
+        #: The open pause's :class:`PauseRecord`, or None.
+        self._record: Optional[PauseRecord] = None
         #: Paranoid mode (PR 10): run the full wellformedness walker around
         #: every collection and raise :class:`~repro.gc.verify.HeapVerificationError`
         #: on any finding.  Off by default; when off the cost is one falsy
@@ -139,7 +112,11 @@ class Collector:
     # -- wiring ---------------------------------------------------------------------
 
     def attach(self, vm: "VirtualMachine") -> None:
+        """Wire in ``vm``, its telemetry hub and its span recorder: the
+        consumers of every pause record, in hand-off order."""
         self.vm = vm
+        self.telemetry, self.span_tracer = vm.telemetry, vm.span_tracer
+        self.consumers = tuple(c for c in (vm.telemetry, vm.span_tracer) if c is not None)
 
     def _roots(self):
         assert self.vm is not None, "collector used before attach()"
@@ -293,31 +270,56 @@ class Collector:
         from an exact heap — no sweep debt, no mark set.  That is where the
         hardened sentinel repairs what the trace does not read and the
         paranoid walk judges the heap: before the trace, its first reader.
-        Then the timed pause (the shared mark phase, then the subclass's
-        :meth:`_reclaim`), the epilogue and — the pause timer closed —
-        snapshot flush, telemetry record and the paranoid walk of what the
-        collection left.
+        The pause is the shared mark phase, then the subclass's :meth:`_reclaim`.
         """
-        with self._span("collect", kind="full", reason=reason):
-            self._prologue()
-            if self.hardened:
-                self._heap_degraded = False
-                self._sentinel_check("pre-gc")
-            if self.paranoid:
-                self._paranoid_check("pre-gc")
-            pending = self._telemetry_begin("full", reason)
-            with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
-                self.stats.collections += 1
-                self.stats.full_collections += 1
-                self.gc_log.append(f"{self.log_tag} {self.stats.collections}: {reason}")
-                self._run_mark_phase(self._make_tracer())
-                fwd = self._reclaim()
-            self._finish_collection(fwd, True)
-            # Serialization is mutator-side cost: the pause timer is closed.
-            self._snapshot_flush()
-            self._telemetry_end(pending)
-            if self.paranoid:
-                self._paranoid_check("post-gc")
+        self._pause("full", reason, self._mark_and_reclaim)
+
+    def _pause(self, kind: str, reason: str, body) -> None:
+        """The skeleton of every collection: in the ``collect`` phase, a full
+        one's prologue and checks, the timed ``pause`` around ``body()``
+        (returning the forwarding map), the epilogue, and the snapshot flush
+        (mutator-side cost: the pause timer is closed); then the record's
+        hand-off and the read-only paranoid walk of what it left.
+        """
+        full = kind == "full"
+        stats = self.stats
+        record = self._record = PauseRecord(kind, reason, self) if self.consumers else None
+        try:
+            with PhaseTimer(None, "collect", record):
+                if full:
+                    self._prologue()
+                    if self.hardened:
+                        self._heap_degraded = False
+                        self._sentinel_check("pre-gc")
+                    if self.paranoid:
+                        self._paranoid_check("pre-gc")
+                if record is not None:
+                    record.enter(self)
+                with PhaseTimer(stats, "gc_seconds", record):
+                    stats.collections += 1
+                    if full:
+                        stats.full_collections += 1
+                        tag = self.log_tag
+                    else:
+                        stats.minor_collections += 1
+                        tag = "minorGC"
+                    self.gc_log.append(f"{tag} {stats.collections}: {reason}")
+                    fwd = body()
+                self._finish_collection(fwd, full)
+                self._snapshot_flush()
+        finally:
+            self._record = None
+        if record is not None:
+            for consumer in record.consumers:
+                consumer.record_pause(record, self)
+        if self.paranoid:
+            self._paranoid_check("post-gc" if full else "post-minor")
+
+    def _mark_and_reclaim(self) -> Optional[dict[int, int]]:
+        """A full collection's pause: the shared mark phase, then the
+        subclass's :meth:`_reclaim`."""
+        self._run_mark_phase(self._make_tracer())
+        return self._reclaim()
 
     def _prologue(self) -> None:
         """Work owed before a new trace, outside the measured pause.  The
@@ -336,21 +338,6 @@ class Collector:
         """
         raise NotImplementedError
 
-    # -- telemetry emit path ----------------------------------------------------------
-
-    def _telemetry_begin(self, kind: str, trigger: str) -> Optional["_PendingCollection"]:
-        """Open a per-collection telemetry record; None when telemetry is off."""
-        telemetry = self.telemetry
-        if telemetry is None:
-            return None
-        return telemetry.begin_collection(self, kind, trigger)
-
-    def _telemetry_end(self, pending: Optional["_PendingCollection"]) -> None:
-        """Close the record opened by :meth:`_telemetry_begin` (emits the
-        GcEvent, samples the census, feeds the histograms and sinks)."""
-        if pending is not None:
-            self.telemetry.finish_collection(pending, self)
-
     def record_degradation(
         self,
         kind: str,
@@ -368,15 +355,6 @@ class Collector:
             self.telemetry.record_degradation(kind, detail, seq=self.stats.collections)
         if instant is not None and self.span_tracer is not None:
             self.span_tracer.instant(instant, cat=cat, **instant_args)
-
-    # -- span emit path ----------------------------------------------------------------
-
-    def _span(self, name: str, **args):
-        """A span context for phase ``name`` — the shared no-op when off."""
-        tracer = self.span_tracer
-        if tracer is None:
-            return _NOOP_SPAN
-        return tracer.span(name, **args)
 
     # -- shared helpers ---------------------------------------------------------------
 
@@ -400,7 +378,7 @@ class Collector:
         if sink is not None:
             self._snapshot_pending = None
             try:
-                with self._span("snapshot_serialize", cat="snapshot"):
+                with PhaseTimer(None, "snapshot_serialize", self._record):
                     self.snapshot_policy.finish_capture(self, sink)
             except Exception as exc:
                 self.recovery.snapshot_failures += 1
@@ -427,53 +405,30 @@ class Collector:
         except Exception as exc:
             self.engine.note_degraded(phase, exc)
 
-    def _parallel_eligible(self, tracer: Tracer) -> bool:
-        """True when this mark drain may run on the zone-sharded pool.
-
-        The parallel drains replicate the two *fused* loop bodies (plain
-        and engine); a tracer forced onto the checked drain
-        (``specialized=False``) keeps the sequential path.
-        """
-        return self.gc_workers > 0 and self.zone_map is not None and tracer.specialized
-
-    def _parallel_marker(self, tracer: Tracer):
-        from repro.gc.parallel import ParallelMarker
-
-        return ParallelMarker(self, self.gc_workers, self.zone_map)
-
     def _mark_once(self, tracer: Tracer) -> None:
-        engine = self.engine
-        spans = self.span_tracer
+        engine, stats, record = self.engine, self.stats, self._record
         if engine is not None:
             self._engine_call("gc_begin", engine.gc_begin, self)
-            with PhaseTimer(
-                self.stats, "ownership_phase_seconds", spans, "ownership_phase"
-            ):
+            with PhaseTimer(stats, "ownership_phase_seconds", record):
                 self._engine_call("pre_mark", engine.pre_mark, self, tracer)
-        parallel = self._parallel_eligible(tracer)
-        if spans is None:
-            with PhaseTimer(self.stats, "mark_seconds"):
-                if parallel:
-                    self._parallel_marker(tracer).mark(tracer, self._roots())
-                else:
-                    tracer.trace(self._roots())
-        else:
-            # The root scan and the drain get child spans of their own; the
-            # loops themselves are untouched (spans are phase-granular).
-            with PhaseTimer(self.stats, "mark_seconds", spans, "mark"):
-                with spans.span("root_scan"):
-                    tracer.scan_roots(self._roots())
-                with spans.span("mark_drain"):
-                    if parallel:
-                        self._parallel_marker(tracer).drain(tracer)
-                    else:
-                        tracer.drain()
-            if spans.attribute_marks:
-                # Between mark end and sweep begin the mark set is exactly
-                # this cycle's traced set — the attribution window.
-                spans.record_mark_attribution(self.heap)
+        # The root scan and the drain are phases of their own; the loops
+        # themselves are untouched (phases are never per object).
+        with PhaseTimer(stats, "mark_seconds", record):
+            with PhaseTimer(None, "root_scan", record):
+                tracer.scan_roots(self._roots())
+            with PhaseTimer(None, "mark_drain", record):
+                self._drain(tracer)
+        spans = record.spans if record is not None else None
+        if spans is not None and spans.attribute_marks:
+            # Between mark end and sweep begin the mark set is exactly
+            # this cycle's traced set — the attribution window.
+            spans.record_mark_attribution(self.heap)
         if engine is not None:
             self._engine_call("post_mark", engine.post_mark, self, tracer)
+
+    def _drain(self, tracer: Tracer) -> None:
+        """Drain the worklist the root scan seeded."""
+        tracer.drain()
 
     def _run_mark_phase(self, tracer: Tracer) -> Tracer:
         """Mark the heap; in hardened mode, recover from a mid-mark fault.
@@ -522,10 +477,6 @@ class Collector:
         if policy is not None:
             sink = policy.begin_capture(self)
             if sink is not None:
-                if self.span_tracer is not None:
-                    self.span_tracer.instant(
-                        "snapshot_capture", cat="snapshot", trigger=sink.trigger
-                    )
                 sink.record_marked(self.heap, self._roots())
                 self._snapshot_pending = sink
         return tracer

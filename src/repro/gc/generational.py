@@ -122,22 +122,7 @@ class GenerationalCollector(Collector):
         if self.mature.bytes_free < int(self.nursery.bytes_in_use * 1.5):
             self.collect(reason=f"{reason}; mature too full for promotion")
             return
-        # The span opens only now: the fallback above delegated to collect(),
-        # which records its own ``collect`` span (a minor span wrapping a
-        # full one would misattribute the whole pause to the minor kind).
-        with self._span("collect", kind="minor", reason=reason):
-            pending = self._telemetry_begin("minor", reason)
-            with PhaseTimer(self.stats, "gc_seconds", self.span_tracer, "pause"):
-                self.stats.collections += 1
-                self.stats.minor_collections += 1
-                self.gc_log.append(f"minorGC {self.stats.collections}: {reason}")
-                fwd = self._minor_trace_and_promote()
-            self._finish_collection(fwd, False)  # a minor collection checks nothing
-            self._telemetry_end(pending)
-            if self.paranoid:
-                # Unlike the sentinel (skipped above), the paranoid walk is
-                # read-only, so it can bracket minor GCs too.
-                self._paranoid_check("post-minor")
+        self._pause("minor", reason, self._minor_trace_and_promote)
 
     def _minor_trace_and_promote(self) -> dict[int, int]:
         heap = self.heap
@@ -154,7 +139,7 @@ class GenerationalCollector(Collector):
                 visited.add(address)
                 stack.append(address)
 
-        with PhaseTimer(stats, "mark_seconds", self.span_tracer, "mark"):
+        with PhaseTimer(stats, "mark_seconds", self._record):
             for _desc, address in self._roots():
                 reach(address)
             for src_address in self.remembered:
@@ -171,7 +156,7 @@ class GenerationalCollector(Collector):
                     reach(child)
 
         # Promotion: move every survivor into the mature space.
-        with PhaseTimer(stats, "sweep_seconds", self.span_tracer, "sweep"):
+        with PhaseTimer(stats, "sweep_seconds", self._record):
             survivors, fwd = self._evacuate(nursery, visited, self.mature, "promotion failed")
             stats.objects_promoted += len(survivors)
             # Only survivors, remembered sources, and roots can reference
@@ -194,7 +179,7 @@ class GenerationalCollector(Collector):
         marks = self.heap.marks  # the sweep ends the set; promotion reads it
         self._sweeper.schedule()
         freed = self._sweeper.drain_eager()
-        with PhaseTimer(self.stats, "sweep_seconds", self.span_tracer, "sweep"):
+        with PhaseTimer(self.stats, "sweep_seconds", self._record):
             survivors, fwd = self._evacuate(
                 self.nursery, marks, self.mature, "promotion failed", freed
             )

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.gc.stats import PhaseTimer
+from repro.gc.stats import PauseRecord, PhaseTimer
 
 if TYPE_CHECKING:
     from repro.gc.base import Collector
@@ -125,7 +125,7 @@ class ChunkSweeper:
         stats = collector.stats
         freed_all: set[int] = set()
         pending = self.pending
-        with PhaseTimer(stats, "sweep_seconds", collector.span_tracer, "sweep"):
+        with PhaseTimer(stats, "sweep_seconds", collector._record):
             while pending:
                 chunk_id = pending.popleft()
                 freed, by_class = self._sweep_chunk(chunk_id)
@@ -146,20 +146,15 @@ class ChunkSweeper:
         pending = self.pending
         if not pending:
             # Nothing outstanding (every eager-mode call lands here): no
-            # timers opened, no spans recorded, no telemetry sample.
+            # timers opened, no record, no telemetry sample.
             return 0
         collector = self.collector
         stats = collector.stats
-        spans = collector.span_tracer
         budget = len(pending) if max_chunks is None else max_chunks
-        chunks_before = len(pending)
         released = 0
-        # The nested timers share their perf_counter readings with the
-        # nested spans, so sweep/lazy_sweep_slice span durations sum to
-        # sweep_seconds/lazy_sweep_seconds exactly (the unification rule);
-        # the slice timer's .elapsed feeds the debt-repayment histogram.
-        slice_timer = PhaseTimer(stats, "lazy_sweep_seconds", spans, "lazy_sweep_slice")
-        with PhaseTimer(stats, "sweep_seconds", spans, "sweep"), slice_timer:
+        # A slice hands a record of its own off, as a pause does.
+        record = PauseRecord("slice", "", collector) if collector.consumers else None
+        with PhaseTimer(stats, "sweep_seconds", record), PhaseTimer(stats, "lazy_sweep_seconds", record):
             while pending and budget > 0:
                 budget -= 1
                 chunk_id = pending.popleft()
@@ -171,13 +166,9 @@ class ChunkSweeper:
                     released += len(freed)
             if not pending:
                 collector.heap.end_sweep()  # debt repaid: the set has no reader left
-        if spans is not None:
-            spans.counter("sweep_debt", chunks=len(pending))
-        telemetry = collector.telemetry
-        if telemetry is not None:
-            telemetry.record_lazy_slice(
-                slice_timer.elapsed, chunks_before - len(pending), released
-            )
+        if record is not None:
+            for consumer in record.consumers:
+                consumer.record_pause(record, collector)
         return released
 
     def sweep_all(self) -> None:

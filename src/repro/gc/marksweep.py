@@ -25,6 +25,8 @@ from functools import partial
 from repro.errors import HeapError, InvalidAddressError
 from repro.gc.base import Collector
 from repro.gc.lazysweep import ChunkSweeper
+from repro.gc.stats import PhaseTimer
+from repro.gc.tracer import Tracer
 from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
@@ -65,6 +67,8 @@ class MarkSweepCollector(Collector):
         zones: int = DEFAULT_ZONE_COUNT,
     ):
         super().__init__(heap_bytes, engine, track_paths, hardened, max_heap_bytes)
+        #: Parallel marking (:meth:`_drain`) and its last ``ParallelMarkReport``.
+        self.gc_workers, self.zone_map, self.last_parallel_mark = gc_workers, None, None
         if space_policy == "freelist":
             if gc_workers > 0:
                 # Zone-sharded layout: per-zone free lists at strided bases
@@ -83,7 +87,6 @@ class MarkSweepCollector(Collector):
             raise HeapError(f"unknown space policy {space_policy!r}")
         if sweep_mode not in ("eager", "lazy"):
             raise HeapError(f"unknown sweep mode {sweep_mode!r}")
-        self.gc_workers = gc_workers
         self.space_policy = space_policy
         self.sweep_mode = sweep_mode
         self._sweeper = ChunkSweeper(self, self.space)
@@ -167,9 +170,20 @@ class MarkSweepCollector(Collector):
     # -- collection -----------------------------------------------------------------
 
     def _prologue(self) -> None:
-        with self._span("prologue"):
+        with PhaseTimer(None, "prologue", self._record):
             self.sweep_all()
             self._flush_alloc_cache()
+
+    def _drain(self, tracer: Tracer) -> None:
+        """On the zone-sharded pool when there are workers and a zone map,
+        unless the tracer is forced onto the checked drain, which the
+        pool's two fused loop bodies do not replicate."""
+        if self.gc_workers > 0 and self.zone_map is not None and tracer.specialized:
+            from repro.gc.parallel import ParallelMarker
+
+            ParallelMarker(self, self.gc_workers, self.zone_map).drain(tracer)
+        else:
+            tracer.drain()
 
     def _reclaim(self) -> None:
         self._sweeper.schedule()

@@ -227,7 +227,7 @@ class ParallelMarkReport:
 class ParallelMarker:
     """One parallel mark episode over a zoned heap.
 
-    Eligibility is the caller's job (see ``Collector._parallel_eligible``).
+    Eligibility is the caller's job (see ``MarkSweepCollector._drain``).
     """
 
     def __init__(self, collector: "Collector", workers: int, zone_map: ZoneMap):
@@ -248,11 +248,6 @@ class ParallelMarker:
         self._repeats_armed = True
 
     # -- entry points ------------------------------------------------------------
-
-    def mark(self, tracer: "Tracer", roots) -> None:
-        """Sequential root scan (the encounter protocol) + parallel drain."""
-        tracer.scan_roots(roots)
-        self.drain(tracer)
 
     def drain(self, tracer: "Tracer") -> None:
         """Partition the seeded worklist by zone and drain on the pool."""

@@ -83,7 +83,7 @@ class SemiSpaceCollector(Collector):
     def _reclaim(self) -> dict[int, int]:
         """Evacuate the marked into to-space and flip the spaces; only the
         survivors can refer into from-space."""
-        with PhaseTimer(self.stats, "sweep_seconds", self.span_tracer, "sweep"):
+        with PhaseTimer(self.stats, "sweep_seconds", self._record):
             # With equal-size semispaces the ladder's later rungs are for a
             # badly undersized heap; its OOM surfaces that loudly.
             survivors, fwd = self._evacuate(

@@ -10,6 +10,7 @@ the overhead deterministically.  Benchmarks report both.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Optional
 
 
@@ -63,20 +64,7 @@ class GcStats:
     )
 
     #: Deterministic integer work counters (everything that isn't a timer).
-    # (TIMER_FIELDS can't be referenced inside a class-body genexp, so the
-    # timer names are repeated literally; the consistency test pins them.)
-    COUNTER_FIELDS = tuple(
-        f
-        for f in __slots__
-        if f
-        not in (
-            "gc_seconds",
-            "ownership_phase_seconds",
-            "mark_seconds",
-            "sweep_seconds",
-            "lazy_sweep_seconds",
-        )
-    )
+    COUNTER_FIELDS = tuple(sorted(set(__slots__) - set(TIMER_FIELDS), key=__slots__.index))
 
     def __init__(self) -> None:
         for field in self.COUNTER_FIELDS:
@@ -97,18 +85,10 @@ class GcStats:
             setattr(out, field, getattr(self, field))
         return out
 
-    def merged_with(self, other: "GcStats") -> "GcStats":
-        out = GcStats()
-        for field in self.__slots__:
-            setattr(out, field, getattr(self, field) + getattr(other, field))
-        return out
-
     def merge(self, *others: "GcStats") -> "GcStats":
         """Combine per-zone/per-worker partials of one pause.
 
-        Unlike :meth:`merged_with` (which concatenates *disjoint* run
-        windows and therefore sums everything), ``merge`` combines partials
-        that observed the *same* wall-clock pause: work counters sum —
+        Partials observe the *same* wall-clock pause: work counters sum —
         every partial did distinct work — but timers take the elementwise
         maximum, because N workers inside one pause still cost one pause,
         not N.  Parallel-mark partials carry zero timers (the pause is
@@ -124,15 +104,6 @@ class GcStats:
                 theirs = getattr(other, field)
                 if theirs > mine:
                     setattr(out, field, theirs)
-        return out
-
-    def diff(self, other: "GcStats") -> "GcStats":
-        """Per-window delta ``self - other`` (``other`` is the earlier
-        snapshot); the telemetry layer uses this to attribute work and time
-        to a single collection."""
-        out = GcStats()
-        for field in self.__slots__:
-            setattr(out, field, getattr(self, field) - getattr(other, field))
         return out
 
     def __repr__(self) -> str:
@@ -182,38 +153,100 @@ class RecoveryStats:
         )
 
 
-class PhaseTimer:
-    """Context manager accumulating elapsed seconds into a stats attribute.
+#: Span name of the phase each ``GcStats`` timer times.  A
+#: :class:`PhaseTimer` given another ``attr`` (and ``stats=None``) times a
+#: phase with no timer of its own, and ``attr`` is its name.
+PHASE_OF_TIMER = {
+    "gc_seconds": "pause",
+    "ownership_phase_seconds": "ownership_phase",
+    "mark_seconds": "mark",
+    "sweep_seconds": "sweep",
+    "lazy_sweep_seconds": "lazy_sweep_slice",
+}
 
-    When a span recorder is attached (``spans``/``name``), the *same two*
-    ``perf_counter`` readings that bound the accumulated interval are handed
-    to ``spans.begin``/``spans.end`` as the span's timestamps.  That is the
-    unification guarantee of the tracing subsystem: a phase's span durations
-    sum to its ``GcStats`` timer with exact float equality — the two views
-    are one measurement, so they can never disagree.  ``spans=None`` (every
-    call site when tracing is off) costs two ``is None`` tests.
+#: The work counters a :class:`PauseRecord` notes as the pause begins.
+PAUSE_COUNTERS = (
+    "objects_traced", "edges_traced", "objects_swept", "objects_freed", "bytes_freed",
+    "objects_promoted", "header_bit_checks", "ownees_checked", "violations_detected",
+    "chunks_swept",
+)
+_pause_counters = attrgetter(*PAUSE_COUNTERS)
+
+
+class PauseRecord:
+    """One pause, as its consumers read it: built only when the collector
+    has some (telemetry, a span tracer), handed to each once the pause
+    timer has closed and the snapshot is flushed — ``record_pause(record,
+    collector)``, the one way per-pause facts leave a collector — and
+    dropped.  Telemetry makes the ``GcEvent`` of it, the tracer the spans.
+
+    ``kind`` is ``"full"``, ``"minor"`` or ``"slice"`` (a lazy-sweep slice,
+    which notes no heap); ``spans`` is the span tracer, for the mark
+    attribution that must read the mark set inside the pause; ``readings``
+    are :class:`PhaseTimer`'s ``(name, start, end, depth)`` in the order
+    the phases began, ``depth`` the phases open around each; ``counters``
+    are :data:`PAUSE_COUNTERS` as the pause begins, ``bytes_before`` /
+    ``live_before`` the heap there.
     """
 
-    __slots__ = ("stats", "attr", "spans", "name", "elapsed", "_start")
+    __slots__ = ("kind", "trigger", "consumers", "spans", "readings", "depth", "counters",
+                 "bytes_before", "live_before")
 
-    def __init__(self, stats: GcStats, attr: str, spans=None, name: Optional[str] = None):
+    def __init__(self, kind: str, trigger: str, collector):
+        self.kind = kind
+        self.trigger = trigger
+        self.consumers, self.spans = collector.consumers, collector.span_tracer
+        self.readings: list = []
+        self.depth = 0
+        self.counters = dict(zip(PAUSE_COUNTERS, _pause_counters(collector.stats)))
+        self.bytes_before = self.live_before = 0
+
+    def enter(self, collector) -> None:
+        """Note the counters again, and the heap, where a collection's pause
+        begins: after a full collection's prologue."""
+        self.counters = dict(zip(PAUSE_COUNTERS, _pause_counters(collector.stats)))
+        self.bytes_before = collector.bytes_in_use()
+        self.live_before = len(collector.heap.live())
+
+
+class PhaseTimer:
+    """Context manager timing one phase: the only code in a collection
+    that reads the clock.
+
+    The elapsed seconds accumulate into ``stats.<attr>`` (``stats=None``:
+    see :data:`PHASE_OF_TIMER`).  Given the pause's :class:`PauseRecord`,
+    it keeps the same two ``perf_counter`` readings there, so a ``GcEvent``'s
+    ``pause_s`` or a span's duration is the timer's increment bit for bit.
+    """
+
+    __slots__ = ("stats", "attr", "record", "_start", "_slot")
+
+    def __init__(self, stats: Optional[GcStats], attr: str, record: Optional[PauseRecord] = None):
         self.stats = stats
         self.attr = attr
-        self.spans = spans
-        self.name = name
-        #: Last completed interval (lazy-sweep telemetry reads this).
-        self.elapsed = 0.0
+        self.record = record
         self._start = 0.0
+        self._slot = 0
 
     def __enter__(self) -> "PhaseTimer":
-        self._start = start = time.perf_counter()
-        if self.spans is not None:
-            self.spans.begin(self.name, ts=start)
+        record = self.record
+        if record is not None:
+            # Phases stay in the order they began; the end fills the slot.
+            self._slot = len(record.readings)
+            record.readings.append(None)
+            record.depth += 1
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
         end = time.perf_counter()
-        self.elapsed = elapsed = end - self._start
-        setattr(self.stats, self.attr, getattr(self.stats, self.attr) + elapsed)
-        if self.spans is not None:
-            self.spans.end(ts=end)
+        start = self._start
+        stats = self.stats
+        if stats is not None:
+            setattr(stats, self.attr, getattr(stats, self.attr) + (end - start))
+        record = self.record
+        if record is not None:
+            record.depth -= 1
+            record.readings[self._slot] = (
+                PHASE_OF_TIMER.get(self.attr, self.attr), start, end, record.depth
+            )

@@ -147,8 +147,8 @@ class Tracer:
 
     def scan_roots(self, roots: Iterable[tuple[str, int]]) -> None:
         """Seed the worklist from the root set (the first half of
-        :meth:`trace`, split out so the span tracer can time the root scan
-        and the drain as separate phases without touching either loop).
+        :meth:`trace`, split out so a collection times the root scan and
+        the drain as separate phases without touching either loop).
 
         Roots come from the mutator (statics, frames, handles), so each gets
         the checks of ``heap.get``, which runs only to raise its typed error

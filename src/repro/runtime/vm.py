@@ -142,7 +142,6 @@ class VirtualMachine:
             self.collector = factory(
                 heap_bytes, engine=self.engine, track_paths=track_paths, **kwargs
             )
-        self.collector.attach(self)
         #: What a reference store and load need from the collector, bound
         #: once: its barrier (None unless it keeps a remembered set) and the
         #: heap's address table, which handles probe inline.
@@ -150,8 +149,8 @@ class VirtualMachine:
         self.address_table = self.collector.heap.address_table()
         if paranoid:
             # Paranoid wellformedness walks around every collection (PR 10).
-            # Set post-attach so it works for pre-built collector instances
-            # too; off (the default) costs one falsy attribute test per GC.
+            # Set here so it works for pre-built collector instances too;
+            # off (the default) costs one falsy attribute test per GC.
             self.collector.paranoid = True
         if self.engine is not None:
             self.engine.vm = self
@@ -163,7 +162,6 @@ class VirtualMachine:
             self.telemetry: Optional[Telemetry] = telemetry
         else:
             self.telemetry = Telemetry() if telemetry else None
-        self.collector.telemetry = self.telemetry
 
         #: Span recorder (``None`` when built with ``tracing=False``, the
         #: default — then no span object is ever allocated anywhere; see
@@ -172,7 +170,7 @@ class VirtualMachine:
             self.span_tracer: Optional[SpanTracer] = tracing
         else:
             self.span_tracer = SpanTracer() if tracing else None
-        self.collector.span_tracer = self.span_tracer
+        self.collector.attach(self)
 
         #: Continuous-monitoring hub (``None`` when built with
         #: ``monitor=False``, the default — then no monitor object exists

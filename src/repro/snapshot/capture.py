@@ -299,6 +299,9 @@ class SnapshotPolicy:
         else:
             return None
         self._capture_next = False
+        spans = collector.span_tracer
+        if spans is not None:
+            spans.instant("snapshot_capture", cat="snapshot", trigger=trigger)
         return SnapshotSink(
             self.snapshot_path(gc_number, trigger),
             collector_name=collector.name,

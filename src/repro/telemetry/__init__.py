@@ -57,7 +57,7 @@ from repro.telemetry.sinks import (
 if TYPE_CHECKING:
     from repro.core.reporting import Violation
     from repro.gc.base import Collector
-    from repro.gc.stats import GcStats
+    from repro.gc.stats import PauseRecord
 
 __all__ = [
     "ClassCensus",
@@ -99,27 +99,6 @@ class _SinkState:
         self.failures = 0
         self.skip_remaining = 0
         self.cooldown = _BREAKER_COOLDOWN_INITIAL
-
-
-class _PendingCollection:
-    """Begin-of-collection snapshot, closed out by ``finish_collection``."""
-
-    __slots__ = ("kind", "trigger", "stats_before", "bytes_before", "live_before", "start")
-
-    def __init__(
-        self,
-        kind: str,
-        trigger: str,
-        stats_before: "GcStats",
-        bytes_before: int,
-        live_before: int,
-    ):
-        self.kind = kind
-        self.trigger = trigger
-        self.stats_before = stats_before
-        self.bytes_before = bytes_before
-        self.live_before = live_before
-        self.start = time.perf_counter()
 
 
 class Telemetry:
@@ -212,12 +191,6 @@ class Telemetry:
 
     # -- emit path (collectors call these) ----------------------------------------------
 
-    def record_lazy_slice(self, seconds: float, chunks: int, released: int) -> None:
-        """Record one allocation-slow-path sweep slice (lazy mode only)."""
-        self.lazy_slice_hist.record(seconds)
-        self.lazy_chunks_swept += chunks
-        self.lazy_cells_released += released
-
     def record_violations(self, violations: "list[Violation]") -> None:
         """One collection's violations, counted by kind."""
         by_kind = self.violations_by_kind
@@ -251,67 +224,66 @@ class Telemetry:
         self._emit(event)
         return event
 
-    def begin_collection(
-        self, collector: "Collector", kind: str, trigger: str
-    ) -> _PendingCollection:
-        return _PendingCollection(
-            kind,
-            trigger,
-            collector.stats.copy(),
-            collector.bytes_in_use(),
-            len(collector.heap.live()),
-        )
-
-    def finish_collection(
-        self, pending: _PendingCollection, collector: "Collector"
-    ) -> GcEvent:
-        end_mono = time.perf_counter()
-        pause = end_mono - pending.start
-        stats = collector.stats
-        delta = stats.diff(pending.stats_before)
+    def record_pause(self, record: "PauseRecord", collector: "Collector") -> None:
+        """A handed-off pause: a lazy-sweep slice is a debt-repayment
+        sample; a collection a :class:`GcEvent`, its ``pause_s`` and
+        ``mono_time`` the pause timer's own readings, streamed to the sinks."""
+        stats, before = collector.stats, record.counters
+        # Each phase's durations summed in the order it ran: what its
+        # GcStats timer gained in this pause, bit for bit.
+        seconds: dict[str, float] = {}
+        for name, start, end, _depth in record.readings:
+            seconds[name] = seconds.get(name, 0.0) + (end - start)
+            if name == "pause":
+                mono_time = end
+        if record.kind == "slice":
+            self.lazy_slice_hist.record(seconds["lazy_sweep_slice"])
+            self.lazy_chunks_swept += stats.chunks_swept - before["chunks_swept"]
+            self.lazy_cells_released += stats.objects_freed - before["objects_freed"]
+            return
         # The heap's census is exact under lazy-sweep debt too (it walks the
         # live view only then), and the live count is its sum: one walk.
         census = collector.heap.live_by_class()
+        ownees = stats.ownees_checked - before["ownees_checked"]
         event = GcEvent(
             seq=stats.collections,
             collector=collector.name,
-            kind=pending.kind,
-            trigger=pending.trigger,
-            pause_s=pause,
-            ownership_s=delta.ownership_phase_seconds,
-            mark_s=delta.mark_seconds,
-            sweep_s=delta.sweep_seconds,
-            objects_traced=delta.objects_traced,
-            edges_traced=delta.edges_traced,
-            objects_swept=delta.objects_swept,
-            objects_freed=delta.objects_freed,
-            bytes_freed=delta.bytes_freed,
-            objects_promoted=delta.objects_promoted,
-            bytes_before=pending.bytes_before,
+            kind=record.kind,
+            trigger=record.trigger,
+            pause_s=seconds["pause"],
+            ownership_s=seconds.get("ownership_phase", 0.0),
+            mark_s=seconds.get("mark", 0.0),
+            sweep_s=seconds.get("sweep", 0.0),
+            objects_traced=stats.objects_traced - before["objects_traced"],
+            edges_traced=stats.edges_traced - before["edges_traced"],
+            objects_swept=stats.objects_swept - before["objects_swept"],
+            objects_freed=stats.objects_freed - before["objects_freed"],
+            bytes_freed=stats.bytes_freed - before["bytes_freed"],
+            objects_promoted=stats.objects_promoted - before["objects_promoted"],
+            bytes_before=record.bytes_before,
             bytes_after=collector.bytes_in_use(),
-            live_before=pending.live_before,
-            live_after=sum(count for count, _nbytes in census.values()),
+            live_before=record.live_before,
+            live_after=sum([count for count, _nbytes in census.values()]),
             heap_bytes=collector.heap_bytes,
-            assertion_checks=delta.header_bit_checks + delta.ownees_checked,
-            ownees_checked=delta.ownees_checked,
-            violations=delta.violations_detected,
+            assertion_checks=ownees + stats.header_bit_checks - before["header_bit_checks"],
+            ownees_checked=ownees,
+            violations=stats.violations_detected - before["violations_detected"],
             sweep_debt_chunks=collector.sweep_debt(),
             quarantine_depth=len(collector.quarantine),
             wall_time=time.time(),
-            mono_time=end_mono,
+            mono_time=mono_time,
         )
         self.events.append(event)
         self.collections_by_kind[event.kind] = (
             self.collections_by_kind.get(event.kind, 0) + 1
         )
-        self.pause_hist.record(pause)
+        self.pause_hist.record(event.pause_s)
         if event.kind == "full":
             self.ownees_hist.record(event.ownees_checked)
         self.census.observe(census, gc_number=event.seq)
-        # Exporter failures must never propagate into a GC pause; _emit
+        # Exporter failures must never propagate into the mutator; _emit
         # contains them behind the per-sink circuit breaker.
         self._emit(event)
-        return event
 
     # -- reporting --------------------------------------------------------------------
 

@@ -29,7 +29,7 @@ class GcEvent:
     collector: str           #: "marksweep" | "semispace" | "generational"
     kind: str                #: "full" | "minor"
     trigger: str             #: the reason string passed to collect()
-    pause_s: float           #: wall-clock stop-the-world pause
+    pause_s: float           #: the pause timer's reading: this collection's gc_seconds
     ownership_s: float       #: §2.5.2 ownership pre-phase time
     mark_s: float            #: mark/trace phase time
     sweep_s: float           #: sweep/evacuate/promote time
@@ -61,8 +61,8 @@ class GcEvent:
     #: the one that correlates across processes and with external logs.
     #: Defaulted so version-1 constructors (and rows) stay valid.
     wall_time: float = 0.0
-    #: ``time.perf_counter()`` at pause end, on the same clock as every
-    #: other timer in the system.  ``(mono_time - pause_s, mono_time)`` is
+    #: The pause timer's end reading (``time.perf_counter()``), on the same
+    #: clock as every other timer.  ``(mono_time - pause_s, mono_time)`` is
     #: the stop-the-world interval MMU/utilization math consumes.
     mono_time: float = 0.0
 

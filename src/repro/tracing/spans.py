@@ -12,17 +12,18 @@ counter events for sweep debt.
 Design bars, inherited from the telemetry and snapshot subsystems:
 
 * **Zero overhead when off.**  A VM built without ``tracing=True`` leaves
-  ``collector.span_tracer`` as ``None``; every emit site is one attribute
-  load plus an ``is None`` test, and *no span object of any kind is
-  allocated* (``tests/test_tracing.py::TestZeroOverheadWhenOff`` pins this).
+  ``collector.span_tracer`` as ``None``; with telemetry off too, no
+  collection builds a pause record
+  (``tests/test_tracing.py::TestZeroOverheadWhenOff`` pins this).
 * **Near-zero overhead when on.**  Spans are phase-granular — a handful per
-  collection, never per object or per edge — so the hot drain loops from
-  PR 2 are untouched.  Recording one span is two tuple appends.
-* **Spans and counters can never disagree.**  The
-  :class:`~repro.gc.stats.PhaseTimer` unification threads the *same*
-  ``perf_counter`` readings into both the ``GcStats`` timer accumulators
-  and the matching spans, so ``sum(span durations) == timer`` exactly —
-  bit-for-bit, not approximately (a tier-1 test asserts ``==``).
+  collection, never per object or per edge — so the hot drain loops are
+  untouched.
+* **Spans and counters can never disagree.**  The phase spans are the
+  readings of the pause's :class:`~repro.gc.stats.PauseRecord`, handed
+  over once the pause is done (:meth:`SpanTracer.record_pause`): the
+  very readings the ``GcStats`` timers accumulate, so
+  ``sum(span durations) == timer`` bit-for-bit (a tier-1 test asserts
+  ``==``).
 
 The event stream is a flat list of tuples (cheapest possible record):
 
@@ -58,10 +59,18 @@ __all__ = ["SpanTracer", "MARK_ATTRIBUTION_UNTAGGED", "WORKER_TRACK_BASE"]
 #: Allocation-site key used for objects carrying no ``alloc_site`` tag.
 MARK_ATTRIBUTION_UNTAGGED = "<untagged>"
 
+#: Category of a phase span other than ``"gc"``.
+_PHASE_CATEGORY = {"snapshot_serialize": "snapshot"}
+
 #: Synthetic track-id base for parallel-mark worker lanes: worker *i*
 #: records its complete spans with ``track=WORKER_TRACK_BASE + i``, and the
 #: Chrome exporter turns each track into its own named ``tid`` lane.
 WORKER_TRACK_BASE = 100
+
+
+def _timestamp(event: tuple) -> float:
+    """The ``ts`` of any recorded event tuple."""
+    return event[2] if event[0] in ("E", "C") else event[3]
 
 
 class _SpanContext:
@@ -116,29 +125,53 @@ class SpanTracer:
 
     # -- recording (the emit hot path) ---------------------------------------------
 
-    def begin(
-        self,
-        name: str,
-        cat: str = "gc",
-        ts: Optional[float] = None,
-        args: Optional[dict] = None,
-    ) -> None:
-        """Open a span.  ``ts`` lets :class:`PhaseTimer` hand over the very
-        reading it will also accumulate into ``GcStats`` — the
-        counters-equal-spans guarantee."""
-        if ts is None:
-            ts = time.perf_counter()
-        self.events.append(("B", name, cat, ts, args))
+    def begin(self, name: str, cat: str = "gc", args: Optional[dict] = None) -> None:
+        """Open a span."""
+        self.events.append(("B", name, cat, time.perf_counter(), args))
         self._open.append(name)
         self.spans_begun += 1
 
-    def end(self, ts: Optional[float] = None) -> None:
+    def end(self) -> None:
         """Close the innermost open span."""
-        if ts is None:
-            ts = time.perf_counter()
         name = self._open.pop()
-        self.events.append(("E", name, ts))
+        self.events.append(("E", name, time.perf_counter()))
         self.spans_ended += 1
+
+    def record_pause(self, record, collector) -> None:
+        """Add a handed-off pause's phase spans: a B/E pair per reading,
+        nested as the phases ran, merged by timestamp into what was
+        recorded live since it began (instants, counters, worker lanes, the
+        spans of slices it ran).  A lazy-sweep slice samples ``sweep_debt``."""
+        readings = record.readings
+        if readings:
+            pairs: list[tuple] = []
+            closing: list[tuple] = []
+            for name, start, end, depth in readings:
+                while len(closing) > depth:
+                    pairs.append(closing.pop())
+                args = {"kind": record.kind, "reason": record.trigger} if name == "collect" else None
+                pairs.append(("B", name, _PHASE_CATEGORY.get(name, "gc"), start, args))
+                closing.append(("E", name, end))
+            pairs += reversed(closing)
+            # On a tie a begin goes before a live event and an end after it.
+            events = self.events
+            first = len(events)
+            while first and _timestamp(events[first - 1]) >= readings[0][1]:
+                first -= 1
+            live, merged, index = events[first:], [], 0
+            for pair in pairs:
+                ts, ends = _timestamp(pair), pair[0] == "E"
+                while index < len(live) and (
+                    _timestamp(live[index]) < ts or ends and _timestamp(live[index]) == ts
+                ):
+                    merged.append(live[index])
+                    index += 1
+                merged.append(pair)
+            events[first:] = merged + live[index:]
+            self.spans_begun += len(readings)
+            self.spans_ended += len(readings)
+        if record.kind == "slice":
+            self.counter("sweep_debt", chunks=collector.sweep_debt())
 
     def complete(
         self,

@@ -39,35 +39,12 @@ class TestGcStats:
         assert all(isinstance(v, int) for v in snap["counters"].values())
         assert all(isinstance(v, float) for v in snap["timers"].values())
 
-    def test_diff_gives_per_window_delta(self):
-        before = GcStats()
-        before.objects_traced = 10
-        before.gc_seconds = 1.0
-        after = before.copy()
-        after.objects_traced = 25
-        after.gc_seconds = 1.5
-        delta = after.diff(before)
-        assert delta.objects_traced == 15
-        assert delta.gc_seconds == pytest.approx(0.5)
-        assert before.objects_traced == 10  # inputs untouched
-
     def test_copy_is_independent(self):
         stats = GcStats()
         stats.collections = 2
         clone = stats.copy()
         clone.collections = 9
         assert stats.collections == 2
-
-    def test_merged_with_sums(self):
-        a, b = GcStats(), GcStats()
-        a.collections = 2
-        b.collections = 3
-        a.gc_seconds = 0.5
-        b.gc_seconds = 0.25
-        merged = a.merged_with(b)
-        assert merged.collections == 5
-        assert merged.gc_seconds == pytest.approx(0.75)
-        assert a.collections == 2  # inputs untouched
 
     def test_phase_timer_accumulates(self):
         stats = GcStats()

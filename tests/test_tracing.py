@@ -3,12 +3,13 @@
 The invariants under test, in order of importance:
 
 * **Zero overhead when off** — a VM built without ``tracing=True`` has no
-  span tracer anywhere a hot path could reach, and the collector's span
-  helper returns a module-level no-op singleton (no per-call allocation).
-* **Counters equal spans** — :class:`~repro.gc.stats.PhaseTimer` feeds the
-  same two ``perf_counter`` readings to the ``GcStats`` accumulator and the
-  span begin/end, so summing span durations reproduces the timer fields
-  bit-for-bit.
+  span tracer anywhere a hot path could reach, and with telemetry off too
+  no collection builds a pause record.
+* **Counters equal spans** — :class:`~repro.gc.stats.PhaseTimer` keeps the
+  same two ``perf_counter`` readings it adds to the ``GcStats`` timer in
+  the pause's record, which the span tracer and telemetry both read, so
+  summing span durations reproduces the timer fields and each event's
+  pause is its collection's ``gc_seconds`` increment, bit-for-bit.
 * **Spans observe, never change** — deterministic work counters are
   identical with tracing on and off, on every collector.
 * **The export conforms** — Chrome ``trace_event`` JSON with balanced B/E
@@ -24,9 +25,10 @@ import threading
 import pytest
 
 from repro.__main__ import main
-from repro.gc import base as gc_base
-from repro.gc.stats import GcStats, PhaseTimer
+from repro.gc.stats import GcStats, PauseRecord, PhaseTimer
 from repro.runtime.vm import VirtualMachine
+from repro.snapshot import SnapshotPolicy
+from repro.telemetry import GcEvent
 from repro.tracing import (
     MARK_ATTRIBUTION_UNTAGGED,
     TRACE_SCHEMA,
@@ -107,15 +109,24 @@ class TestZeroOverheadWhenOff:
         assert vm.collector.span_tracer is None
 
     @pytest.mark.parametrize("collector,sweep_mode", CONFIGS)
-    def test_no_span_objects_allocated_when_disabled(self, collector, sweep_mode):
-        vm = _traced_vm(collector, sweep_mode, tracing=False)
-        # The disabled span helper is one attribute load + an identity
-        # return of the module singleton: nothing is allocated per call.
-        span = vm.collector._span("collect", kind="full")
-        assert span is gc_base._NOOP_SPAN
+    def test_no_span_objects_allocated_when_disabled(self, collector, sweep_mode, monkeypatch):
+        built: list[str] = []
+        init = PauseRecord.__init__
+
+        def counted(record, kind, *rest):
+            built.append(kind)
+            init(record, kind, *rest)
+
+        monkeypatch.setattr(PauseRecord, "__init__", counted)
+        vm = _traced_vm(collector, sweep_mode, tracing=False, telemetry=False)
         _run_workload(vm)
         assert vm.stats.collections > 0
         assert vm.span_tracer is None
+        assert built == []
+        # The count is live: a traced run builds one record per collection.
+        vm = _traced_vm(collector, sweep_mode, telemetry=False)
+        _run_workload(vm)
+        assert len([kind for kind in built if kind != "slice"]) == vm.stats.collections
 
     def test_phase_timer_without_spans_matches_legacy(self):
         stats = GcStats()
@@ -176,6 +187,64 @@ class TestTimerSpanUnification:
             # in identical order.  Any drift means a phase bypassed the
             # unified PhaseTimer.
             assert span_sum == timer_value, (span_name, span_sum, timer_value)
+
+
+def _collections(events: list) -> list[tuple[float, float, dict[str, float]]]:
+    """Per ``collect`` span: its begin and end, and the summed durations of
+    the phases directly under its ``pause``, by name."""
+    out = []
+    stack: list[tuple[str, float]] = []
+    phases: dict[str, float] = {}
+    for event in events:
+        if event[0] == "B":
+            if event[1] == "collect":
+                phases = {}
+            stack.append((event[1], event[3]))
+        elif event[0] == "E":
+            name, begin = stack.pop()
+            if stack and stack[-1][0] == "pause":
+                phases[name] = phases.get(name, 0.0) + (event[2] - begin)
+            if name == "collect":
+                out.append((begin, event[2], phases))
+    return out
+
+
+class TestOneRecordPerPause:
+    """A GcEvent and the spans are read off the same pause record: the
+    event's pause is the ``gc_seconds`` increment of its collection, its
+    phase seconds the span durations, its interval inside its ``collect``
+    span — with a snapshot serialized after every collection, which is
+    mutator-side cost outside the pause."""
+
+    @pytest.mark.parametrize("collector,sweep_mode", CONFIGS)
+    def test_event_pause_is_the_timer_increment(self, collector, sweep_mode, tmp_path):
+        vm = _traced_vm(collector, sweep_mode)
+        SnapshotPolicy(str(tmp_path / "snaps"), every_n_gcs=1).attach(vm)
+        seen: list[tuple[GcEvent, float]] = []
+
+        class AtEmit:
+            def emit(self, event) -> None:
+                if isinstance(event, GcEvent):
+                    seen.append((event, vm.stats.gc_seconds))
+
+            def close(self) -> None:
+                pass
+
+        vm.telemetry.add_sink(AtEmit())
+        _run_workload(vm)
+        vm.collector.sweep_all()
+        assert vm.telemetry.snapshots
+        collections = _collections(vm.span_tracer.events)
+        assert len(seen) == len(collections) == vm.stats.collections
+        before = 0.0
+        for (event, gc_seconds), (begin, end, phases) in zip(seen, collections):
+            assert before + event.pause_s == gc_seconds, (event.seq, event.pause_s)
+            before = gc_seconds
+            assert event.ownership_s == phases.get("ownership_phase", 0.0)
+            assert event.mark_s == phases.get("mark", 0.0)
+            assert event.sweep_s == phases.get("sweep", 0.0)
+            pause_start, pause_end = event.pause_interval
+            assert begin <= pause_start <= pause_end <= end
 
 
 class TestNestingInvariants:
